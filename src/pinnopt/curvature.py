@@ -9,6 +9,18 @@ the classical input/gradient covariances.  A layer's curvature block is
 approximated by ``A_int (x) B_int + A_cond (x) B_cond`` in the
 column-stacked ``[W | b]`` flattening, which the damped Kronecker-sum
 solver inverts without materializing the block.
+
+The first linear layer's input state is never materialised (see
+:mod:`pinnopt.taylor`): ``states[0]`` holds only the points x, and its
+columns are ``[x_n 1]`` (value, bias-augmented), ``[e_i 0]`` (derivatives)
+and 0 (operator).  Layer 0's terms are therefore taken in closed form:
+
+    A_int  = ([x 1]^T [x 1] + N diag(1_d, 0)) / (N S)
+    row_n  = [x_n; 1] g_n0^T + [G_n; 0]      (G_n: derivative block of g_n)
+
+and its gradient contraction uses the same column sum.  Only this module
+and :mod:`pinnopt.taylor` know the state layout; the optimizers pass the
+forward states and reverse-pass adjoints through unchanged.
 """
 
 from __future__ import annotations
@@ -19,18 +31,26 @@ import numpy as np
 
 from . import network, pde
 from .linalg import kron_sum_solve
-from .taylor import linear_input_index, linear_output_index, taylor_backward, taylor_forward
+from .taylor import (
+    linear_input_index,
+    linear_output_index,
+    param_grad_matrix,
+    taylor_backward,
+    taylor_forward,
+)
 
 __all__ = [
     "KfacState",
     "init_kfac_state",
     "ema_update",
+    "layer_pairs",
     "interior_factor_update",
     "boundary_factor_update",
     "precondition_gradient",
     "exact_gramian",
     "gramian_vec",
     "residual_jacobian_rows",
+    "loss_gradient",
 ]
 
 DENSE_GRAMIAN_CAP = 20_000
@@ -93,6 +113,24 @@ def _augment_state(z):
     return np.concatenate([z, col], axis=2)
 
 
+def layer_pairs(params, states: list, layer_grads: list) -> tuple:
+    """Per linear layer: (input state, output adjoint) from the Taylor-mode passes."""
+    layers = range(params.n_linear)
+    return (
+        [states[linear_input_index(l)] for l in layers],
+        [layer_grads[linear_output_index(l)] for l in layers],
+    )
+
+
+def _input_layer_factor(x, s):
+    """A factor of the input state ``initial_state(x)`` with S columns, in closed form."""
+    n, d = x.shape
+    xhat = network.augment_inputs(x)
+    a = xhat.T @ xhat
+    a[np.arange(d), np.arange(d)] += n
+    return a / (n * s)
+
+
 def interior_factor_update(state: KfacState, linear_inputs: list, output_grads: list) -> KfacState:
     """Accumulate interior factors from the operator-column intermediates.
 
@@ -103,15 +141,22 @@ def interior_factor_update(state: KfacState, linear_inputs: list, output_grads: 
         A_l = sum_{n,s} zhat_{n,s} zhat_{n,s}^T / (N S)
         B_l = sum_{n,s} g_{n,s} g_{n,s}^T / N
 
-    and enter the state through the moving average.
+    and enter the state through the moving average.  A two-dimensional
+    input (N, d) holds the points x of the input state and is taken in
+    closed form (module docstring).
     """
     for l, (z, g) in enumerate(zip(linear_inputs, output_grads)):
-        if z.shape[:2] != g.shape[:2]:
-            raise ValueError(f"layer {l}: input/gradient batch shapes do not match")
-        n, s, _ = z.shape
-        zhat = _augment_state(z).reshape(n * s, z.shape[2] + 1)
+        n, s = g.shape[:2]
+        if z.ndim == 2:
+            if z.shape[0] != n or s != z.shape[1] + 2:
+                raise ValueError(f"layer {l}: points do not match the gradient columns")
+            a_new = _symmetrize(_input_layer_factor(z, s))
+        else:
+            if z.shape[:2] != g.shape[:2]:
+                raise ValueError(f"layer {l}: input/gradient batch shapes do not match")
+            zhat = _augment_state(z).reshape(n * s, z.shape[2] + 1)
+            a_new = _symmetrize(zhat.T @ zhat / (n * s))
         gf = g.reshape(n * s, g.shape[2])
-        a_new = _symmetrize(zhat.T @ zhat / (n * s))
         b_new = _symmetrize(gf.T @ gf / n)
         state.a_interior[l] = ema_update(state.a_interior[l], a_new, state.ema)
         state.b_interior[l] = ema_update(state.b_interior[l], b_new, state.ema)
@@ -166,18 +211,30 @@ def precondition_gradient(state: KfacState, grad_mats: list) -> list:
 # ---------------------------------------------------------------------------
 # exact Gramian and Gramian-vector products
 
+def _input_layer_rows(x, g):
+    """Layer-0 blocks ``[x_n; 1] g_n0^T + [G_n; 0]`` of shape (N, d + 1, h1)."""
+    n, d = x.shape
+    block = np.empty((n, d + 1, g.shape[2]))
+    np.multiply(x[:, :, None], g[:, None, 0, :], out=block[:, :d, :])
+    block[:, :d, :] += g[:, 1 : d + 1, :]
+    block[:, d, :] = g[:, 0, :]
+    return block
+
+
 def _interior_jacobian_rows(params, states, layer_grads):
     """Stack per-sample interior residual Jacobians into an (N, D) matrix.
 
     Per layer the row segment is the column-stacked ``sum_s g_{n,s}
     zhat_{n,s}^T``; building its transpose directly makes the C-order
-    reshape produce the column-stacked flattening.
+    reshape produce the column-stacked flattening.  Layer 0 is taken in
+    closed form from the points (module docstring).
     """
     segs = []
-    for l in range(params.n_linear):
-        g = layer_grads[linear_output_index(l)]
-        zhat = _augment_state(states[linear_input_index(l)])
-        block = np.matmul(zhat.transpose(0, 2, 1), g)  # (N, h_in + 1, h_out)
+    for z, g in zip(*layer_pairs(params, states, layer_grads)):
+        if z.ndim == 2:
+            block = _input_layer_rows(z, g)
+        else:
+            block = np.matmul(_augment_state(z).transpose(0, 2, 1), g)  # (N, h_in + 1, h_out)
         n, p, q = block.shape
         segs.append(block.reshape(n, p * q))
     return np.concatenate(segs, axis=1)
@@ -192,6 +249,21 @@ def _boundary_jacobian_rows(params, trace, grads):
         n, p, q = block.shape
         segs.append(block.reshape(n, p * q))
     return np.concatenate(segs, axis=1)
+
+
+def loss_gradient(params, states, layer_grads, r_int, trace, grads, r_bnd) -> list:
+    """Per-layer ``[dW | db]`` gradient of the two-term loss.
+
+    The residual-weighted contraction of the same per-sample pieces the
+    Jacobian rows are built from, with term weights 1/N each:
+    ``sum_n r_n / N * row_n`` for the interior and the condition term.
+    """
+    w_int = r_int / max(r_int.size, 1)
+    w_bnd = r_bnd / max(r_bnd.size, 1)
+    mats = network.weighted_param_grads(trace, grads, w_bnd)
+    for l, (z, g) in enumerate(zip(*layer_pairs(params, states, layer_grads))):
+        mats[l] += param_grad_matrix(z, g, w_int)
+    return mats
 
 
 def residual_jacobian_rows(params, batch: pde.Batch, problem) -> tuple:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import curvature, network, oracle, pde
+from . import curvature, linalg, network, oracle, pde
 from .optim import (
     LineSearchError,
     OptimizerConfig,
@@ -59,6 +59,17 @@ OUTPUT_DIR_ENV = "PINNOPT_OUTPUT_DIR"
 
 #: default batch re-sampling period per optimizer (0 = never re-sample)
 DEFAULT_RESAMPLE_EVERY = {"sgd": 1, "adam": 1, "engd": 1, "kfac": 100, "kfac_star": 100}
+
+
+#: failures inside a step that end the run as diverged; the linear-algebra
+#: ones are ValueErrors, which ``main`` would otherwise report as config errors
+STEP_FAILURES = (
+    LineSearchError,
+    FloatingPointError,
+    np.linalg.LinAlgError,
+    linalg.NotPositiveSemidefiniteError,
+    linalg.NotSymmetricError,
+)
 
 
 def _stream_seed(seed: int, tag: int, index: int = 0) -> int:
@@ -236,9 +247,12 @@ def load_checkpoint(path):
 def run_training(config: RunConfig) -> TrainLog:
     """Train per the config, streaming the log to ``output_dir/log.csv``.
 
-    A non-finite loss or a failed line search marks the run diverged and
-    stops it; the log row written for that step carries the non-finite
-    values.  A final checkpoint is always written.
+    A non-finite loss, or a numerical failure inside a step (a failed line
+    search, non-finite parameters, a failed or rejected factorization; see
+    :data:`STEP_FAILURES`), marks the run diverged and stops it; the log row
+    written for a non-finite loss carries the non-finite values, a failure
+    writes a ``# diverged: ...`` line.  A final checkpoint is always
+    written.
     """
     problem = pde.make_problem(config.problem, **config.problem_params)
     arch = network.Architecture(tuple(config.widths), "tanh")
@@ -314,7 +328,7 @@ def run_training(config: RunConfig) -> TrainLog:
                 if t % config.eval_every != 0 and t != config.max_steps:
                     record(t, info.loss_interior, info.loss_boundary, info.alpha, info.mu)
                 break
-    except (LineSearchError, FloatingPointError) as exc:
+    except STEP_FAILURES as exc:
         log.diverged = True
         writer.comment(f"diverged: {exc}")
     finally:
@@ -338,7 +352,7 @@ def run_checks(fast: bool = False) -> list:
     Returns ``(name, ok, detail)`` triples; all checks use fixed seeds so
     the outcome is reproducible.
     """
-    from . import linalg, taylor
+    from . import taylor
     from .optim import evaluate_batch
 
     results = []
@@ -420,12 +434,13 @@ def run_checks(fast: bool = False) -> list:
     batch3 = pde.sample_batch(problem, 3, 3, seed=13)
     ev = evaluate_batch(net, batch3, problem)
     kf = curvature.init_kfac_state(net, ema=0.0, damping=1.0, init_mode="zero")
-    lin_in = [ev.states[2 * l] for l in range(net.n_linear)]
-    lin_gr = [ev.taylor_grads.layer_grads[2 * l + 1] for l in range(net.n_linear)]
+    lin_in, lin_gr = curvature.layer_pairs(net, ev.states, ev.taylor_grads.layer_grads)
     curvature.interior_factor_update(kf, lin_in, lin_gr)
+    # the engine keeps only the points for layer 0; the reference uses the full input state
+    ref_in = [taylor.initial_state(batch3.interior)] + lin_in[1:]
     worst = 0.0
     for l in range(net.n_linear):
-        z = curvature._augment_state(lin_in[l])
+        z = curvature._augment_state(ref_in[l])
         n, s, _ = z.shape
         a_ref = sum(
             np.outer(z[i, j], z[i, j]) for i in range(n) for j in range(s)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import curvature, network, pde
 from .linalg import pinv_psd
-from .taylor import linear_input_index, linear_output_index, taylor_backward
+from .taylor import taylor_backward
 
 __all__ = [
     "OptimizerConfig",
@@ -161,21 +161,9 @@ def evaluate_batch(params, batch: pde.Batch, problem) -> BatchEval:
     loss_bnd, r_bnd, trace = pde.boundary_loss(problem, params, batch)
     bgrads = network.backward_batch(params, trace, np.ones(r_bnd.size))
 
-    # gradient of the total loss: residual-weighted contraction of the
-    # per-sample Jacobian pieces, term weights 1/N each
-    w_int = r_int / max(r_int.size, 1)
-    w_bnd = r_bnd / max(r_bnd.size, 1)
-    grad_mats = []
-    for l in range(params.n_linear):
-        g = tg.layer_grads[linear_output_index(l)]
-        zhat = curvature._augment_state(states[linear_input_index(l)])
-        n, s, q = g.shape
-        gw = (g * w_int[:, None, None]).reshape(n * s, q)
-        m = gw.T @ zhat.reshape(n * s, zhat.shape[2])
-        zb = network.augment_inputs(trace.linear_inputs[l])
-        m += (bgrads[l] * w_bnd[:, None]).T @ zb
-        grad_mats.append(m)
-
+    grad_mats = curvature.loss_gradient(
+        params, states, tg.layer_grads, r_int, trace, bgrads, r_bnd
+    )
     return BatchEval(
         loss_interior=loss_int,
         loss_boundary=loss_bnd,
@@ -237,9 +225,7 @@ def _mats_scale(a, s):
 def _kfac_common(state: TrainState, batch, problem):
     """Shared start of both Kronecker steps: factors, gradient, direction."""
     ev = evaluate_batch(state.params, batch, problem)
-    n_lin = state.params.n_linear
-    lin_in = [ev.states[linear_input_index(l)] for l in range(n_lin)]
-    lin_gr = [ev.taylor_grads.layer_grads[linear_output_index(l)] for l in range(n_lin)]
+    lin_in, lin_gr = curvature.layer_pairs(state.params, ev.states, ev.taylor_grads.layer_grads)
     curvature.interior_factor_update(state.kfac, lin_in, lin_gr)
     curvature.boundary_factor_update(
         state.kfac, ev.boundary_trace.linear_inputs, ev.boundary_grads

@@ -14,8 +14,23 @@ of sample n; this layout makes every linear layer one matrix product over
 the flattened (N * S, h) view.  Per-sample column identity is preserved so
 the curvature factors can be assembled from the same intermediates.
 
+The input state and the first linear layer's output state are never
+materialised in this layout.  The input state :func:`initial_state`, kept
+as the reference for tests, is the same for every point
+apart from its value column (x, then the unit vectors e_i, then 0), so the
+first linear layer's derivative columns are the columns of W0^T for every
+sample and its operator column is zero.  The forward pass therefore keeps
+only the points x (N, d) and the first pre-activation x W0^T + b0 (N, h1),
+and builds the first activation's state in closed form:
+
+    derivative columns : s1 * W0^T
+    operator column    : s2 * q,   q_k = sum_ij c_ij W0[k, i] W0[k, j]
+
 The reverse pass propagates adjoints with the same column layout and
 yields parameter gradients of any linear combination of (u, grad u, L u).
+It stops at the first linear layer's output adjoint: the first layer's
+``[dW | db]`` is ``g_0^T [x 1]`` plus the batch sum of the derivative-column
+block, and no adjoint of the input is formed.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ __all__ = [
     "TaylorOutput",
     "TaylorGrads",
     "initial_state",
+    "param_grad_matrix",
     "taylor_forward_linear",
     "taylor_forward_activation",
     "taylor_forward",
@@ -101,9 +117,12 @@ class TaylorGrads:
     """Result of the reverse pass.
 
     ``layer_grads[i]`` is the (N, S, h) adjoint of the i-th entry of the
-    forward ``states`` list.  ``weight_grads`` / ``bias_grads`` hold
-    parameter gradients per linear layer, summed over the batch with the
-    per-sample seeds baked in.
+    forward ``states`` list, in full column layout for every i >= 1; for
+    ``states[1]`` it is the adjoint of the first linear layer's complete
+    output state, although the forward pass kept only its value column.
+    ``layer_grads[0]``, the adjoint of the input, is not computed and stays
+    None.  ``weight_grads`` / ``bias_grads`` hold parameter gradients per
+    linear layer, summed over the batch with the per-sample seeds baked in.
     """
 
     layer_grads: list
@@ -129,6 +148,61 @@ def initial_state(x) -> np.ndarray:
     z[:, 0, :] = x
     z[:, 1 : d + 1, :] = np.eye(d)
     return z
+
+
+def param_grad_matrix(z_in, g, weights=None) -> np.ndarray:
+    """Batch-summed ``[dW | db]`` of one linear layer, ``sum_n w_n sum_s g_ns zhat_ns^T``.
+
+    ``z_in`` is the layer's input state and ``g`` the (N, S, h_out) adjoint
+    of its output; ``zhat`` appends the bias entry (1 in the value column,
+    0 elsewhere).  A two-dimensional ``z_in`` holds the points x and stands
+    for :func:`initial_state` ``(x)``, whose column sum per sample is
+    ``g_n0 [x_n 1]^T + [G_n^T 0]`` with ``G_n`` the derivative-column block
+    of ``g_n``.  ``weights`` (N,) scale the samples; None means all ones.
+    """
+    if weights is not None:
+        g = g * weights[:, None, None]
+    n, s, q = g.shape
+    if z_in.ndim == 2:
+        d = z_in.shape[1]
+        m = np.empty((q, d + 1))
+        m[:, :d] = g[:, 0, :].T @ z_in + g[:, 1 : d + 1, :].sum(axis=0).T
+    else:
+        d = z_in.shape[2]
+        m = np.empty((q, d + 1))
+        m[:, :d] = g.reshape(n * s, q).T @ z_in.reshape(n * s, d)
+    m[:, d] = g[:, 0, :].sum(axis=0)
+    return m
+
+
+def _first_layer_constants(w0, coeffs: OperatorCoeffs) -> tuple:
+    """Sample-independent columns of the first linear layer's output state.
+
+    Returns ``(w0t, cw0t, q)``: the derivative columns W0^T (d, h1), their
+    contraction with the coefficients (c W0^T), and the quadratic term
+    ``q_k = sum_ij c_ij W0[k, i] W0[k, j]`` that the first activation's
+    operator column picks up.
+    """
+    w0t = np.ascontiguousarray(w0.T)
+    cw0t = coeffs.apply(w0t[None])[0]
+    q = np.sum(cw0t * w0t, axis=0)
+    return w0t, cw0t, q
+
+
+def _first_activation(derivs: ActivationDerivs, w0t, q) -> np.ndarray:
+    """State after the first activation, from the pre-activation derivatives alone.
+
+    The incoming derivative columns are W0^T for every sample and the
+    incoming operator column is zero, so :func:`taylor_forward_activation`
+    reduces to ``(s0, s1 * W0^T, s2 * q)``.
+    """
+    n, h = derivs.s0.shape
+    d = w0t.shape[0]
+    z_out = np.empty((n, d + 2, h))
+    z_out[:, 0, :] = derivs.s0
+    np.multiply(derivs.s1[:, None, :], w0t, out=z_out[:, 1 : d + 1, :])
+    np.multiply(derivs.s2, q, out=z_out[:, d + 1, :])
+    return z_out
 
 
 def _apply_linear(w, z_in):
@@ -172,10 +246,13 @@ def taylor_forward_activation(derivs: ActivationDerivs, z_in, coeffs: OperatorCo
 def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs) -> tuple:
     """Propagate value, gradient and operator columns through the net.
 
-    Returns ``(states, out)``: ``states[0]`` is the input state and every
-    subsequent entry the output of one sequential layer (linear and
-    activation interleaved); ``out`` is the :class:`TaylorOutput` triple of
-    the scalar network output.
+    Returns ``(states, out)``.  ``states[0]`` is the (N, d) array of points
+    x and ``states[1]`` the (N, h1) pre-activation ``x W0^T + b0``, the
+    value column of the first linear layer's output (its other columns are
+    the same for every sample; see the module docstring).  Every further
+    entry is the full (N, S, h) output state of one sequential layer,
+    activation and linear interleaved.  ``out`` is the
+    :class:`TaylorOutput` triple of the scalar network output.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -186,10 +263,20 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs) -> tuple:
     if coeffs.dim != d:
         raise ValueError(f"operator dim {coeffs.dim} does not match input dim {d}")
 
-    states = [initial_state(x)]
-    z = states[0]
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = taylor_forward_linear(w, b, z)
+    w0 = params.weights[0]
+    pre = x @ w0.T + params.biases[0]
+    states = [x, pre]
+    if params.n_linear == 1:
+        return states, TaylorOutput(
+            value=pre[:, 0].copy(),
+            gradient=np.repeat(w0, x.shape[0], axis=0),
+            operator=np.zeros(x.shape[0]),
+        )
+    w0t, _, q = _first_layer_constants(w0, coeffs)
+    z = _first_activation(activation_derivs(pre, params.activation, order=2), w0t, q)
+    states.append(z)
+    for l in range(1, params.n_linear):
+        z = taylor_forward_linear(params.weights[l], params.biases[l], z)
         states.append(z)
         if l < params.n_linear - 1:
             derivs = activation_derivs(z[:, 0, :], params.activation, order=2)
@@ -239,6 +326,24 @@ def _activation_backward(z_in, g_out, coeffs: OperatorCoeffs, activation: str) -
     return g_in
 
 
+def _first_activation_backward(pre, g_out, consts: tuple, activation: str) -> np.ndarray:
+    """Adjoint of :func:`_first_activation`, i.e. :func:`_activation_backward`
+    with the incoming derivative columns W0^T and a zero operator column."""
+    w0t, cw0t, q = consts
+    d = w0t.shape[0]
+    s = activation_derivs(pre, activation)
+    vb = g_out[:, 0, :]
+    gb = g_out[:, 1 : d + 1, :]
+    lb = g_out[:, d + 1, :]
+
+    g_in = np.empty_like(g_out)
+    np.multiply(s.s1, lb, out=g_in[:, d + 1, :])
+    np.multiply(s.s1[:, None, :], gb, out=g_in[:, 1 : d + 1, :])
+    g_in[:, 1 : d + 1, :] += (2.0 * s.s2 * lb)[:, None, :] * cw0t
+    g_in[:, 0, :] = s.s1 * vb + s.s2 * np.sum(w0t * gb, axis=1) + s.s3 * q * lb
+    return g_in
+
+
 def taylor_backward(params: Parameters, states: list, seeds, coeffs: OperatorCoeffs) -> TaylorGrads:
     """Reverse pass through the states produced by :func:`taylor_forward`.
 
@@ -246,6 +351,8 @@ def taylor_backward(params: Parameters, states: list, seeds, coeffs: OperatorCoe
     output triple in column layout ``[u_bar, grad_bar..., op_bar]``.  The
     returned parameter gradients are the batch sums of the seeded
     gradients; per-sample layer adjoints are kept for curvature assembly.
+    The pass ends at the first linear layer's output adjoint
+    ``layer_grads[1]``; ``layer_grads[0]`` is left None.
     """
     seeds = np.asarray(seeds, dtype=np.float64)
     d = coeffs.dim
@@ -264,13 +371,16 @@ def taylor_backward(params: Parameters, states: list, seeds, coeffs: OperatorCoe
         out_idx = linear_output_index(l)
         in_idx = linear_input_index(l)
         layer_grads[out_idx] = g
-        z_in = states[in_idx]
-        n_s = n * z_in.shape[1]
-        weight_grads[l] = g.reshape(n_s, g.shape[2]).T @ z_in.reshape(n_s, z_in.shape[2])
-        bias_grads[l] = g[:, 0, :].sum(axis=0)
+        m = param_grad_matrix(states[in_idx], g)
+        weight_grads[l] = m[:, :-1]
+        bias_grads[l] = m[:, -1]
+        if l == 0:
+            break
         g = np.matmul(g, params.weights[l])
-        if l > 0:
-            layer_grads[in_idx] = g
+        layer_grads[in_idx] = g
+        if l == 1:
+            consts = _first_layer_constants(params.weights[0], coeffs)
+            g = _first_activation_backward(states[1], g, consts, params.activation)
+        else:
             g = _activation_backward(states[in_idx - 1], g, coeffs, params.activation)
-    layer_grads[0] = g
     return TaylorGrads(layer_grads, weight_grads, bias_grads)

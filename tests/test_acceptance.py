@@ -14,7 +14,7 @@ import analytic
 from pinnopt import curvature, harness, network, oracle, pde
 from pinnopt.network import Architecture, init_params
 from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, optimizer_step
-from pinnopt.taylor import OperatorCoeffs, taylor_forward
+from pinnopt.taylor import OperatorCoeffs, initial_state, taylor_forward
 
 
 def report(name, ok, detail):
@@ -182,9 +182,10 @@ def test_criterion_4_factor_transcription():
     curvature.interior_factor_update(state, lin_in, lin_gr)
     curvature.boundary_factor_update(state, ev.boundary_trace.linear_inputs, ev.boundary_grads)
 
+    ref_in = [initial_state(batch.interior)] + lin_in[1:]
     worst = 0.0
     for l in range(params.n_linear):
-        zhat = curvature._augment_state(lin_in[l])
+        zhat = curvature._augment_state(ref_in[l])
         n, s, _ = zhat.shape
         a_ref = sum(np.outer(zhat[i, j], zhat[i, j]) for i in range(n) for j in range(s)) / (n * s)
         b_ref = sum(np.outer(lin_gr[l][i, j], lin_gr[l][i, j]) for i in range(n) for j in range(s)) / n

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,17 @@ from pinnopt.curvature import (
     precondition_gradient,
     residual_jacobian_rows,
 )
-from pinnopt.network import Architecture, Parameters, init_params
+from pinnopt.network import Architecture, Parameters, activation_derivs, init_params
 from pinnopt.optim import OptimizerConfig, evaluate_batch
-from pinnopt.taylor import linear_input_index, linear_output_index
+from pinnopt.taylor import (
+    OperatorCoeffs,
+    _activation_backward,
+    initial_state,
+    linear_input_index,
+    linear_output_index,
+    taylor_forward_activation,
+    taylor_forward_linear,
+)
 
 
 def linear_inputs_and_grads(params, ev):
@@ -83,8 +93,9 @@ class TestFactorUpdates:
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
         lin_in, lin_gr = linear_inputs_and_grads(p, ev)
         interior_factor_update(state, lin_in, lin_gr)
+        ref_in = [initial_state(batch.interior)] + lin_in[1:]
         for l in range(p.n_linear):
-            zhat = curvature._augment_state(lin_in[l])
+            zhat = curvature._augment_state(ref_in[l])
             n, s, _ = zhat.shape
             a_ref = sum(np.outer(zhat[i, j], zhat[i, j]) for i in range(n) for j in range(s)) / (n * s)
             b_ref = sum(np.outer(lin_gr[l][i, j], lin_gr[l][i, j]) for i in range(n) for j in range(s)) / n
@@ -307,3 +318,97 @@ class TestFlatteningConsistency:
         dense += lam * lam * np.eye(8)
         want = -np.linalg.solve(dense, g.flatten(order="F"))
         assert np.linalg.norm(out.flatten(order="F") - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def _nondiagonal_problem():
+    # the 2d Poisson problem with a random symmetric, non-diagonal operator
+    c = np.random.default_rng(21).standard_normal((2, 2))
+    return dataclasses.replace(pde.make_problem("poisson2d_sin"), coeffs=OperatorCoeffs(0.5 * (c + c.T)))
+
+
+INPUT_LAYER_CASES = {
+    "laplacian": (lambda: pde.make_problem("poisson2d_sin"), (2, 6, 1)),
+    "heat_partial_laplacian": (lambda: pde.make_problem("heat", spatial_dim=1), (2, 5, 1)),
+    "nondiagonal": (_nondiagonal_problem, (2, 4, 3, 1)),
+    "linear_net": (lambda: pde.make_problem("poisson2d_sin"), (2, 1)),
+    "three_hidden": (lambda: pde.make_problem("heat", spatial_dim=1), (2, 4, 3, 5, 1)),
+}
+
+
+class TestInputLayerClosedForm:
+    """Layer 0 is computed from the points alone; the references loop over
+    the materialised input state ``initial_state(x)`` instead."""
+
+    @pytest.fixture(params=sorted(INPUT_LAYER_CASES))
+    def case(self, request):
+        make, widths = INPUT_LAYER_CASES[request.param]
+        problem = make()
+        p = init_params(Architecture(widths), 31)
+        batch = pde.sample_batch(problem, 5, 4, seed=32)
+        ev = evaluate_batch(p, batch, problem)
+        z0 = initial_state(batch.interior)
+        n, s, d = z0.shape
+        zhat = np.zeros((n, s, d + 1))
+        zhat[:, :, :d] = z0
+        zhat[:, 0, d] = 1.0
+        g = ev.taylor_grads.layer_grads[1]
+        return p, problem, batch, ev, zhat, g
+
+    def test_factor(self, case):
+        p, _, _, ev, zhat, g = case
+        state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
+        interior_factor_update(state, *linear_inputs_and_grads(p, ev))
+        n, s, _ = zhat.shape
+        a_ref = sum(np.outer(zhat[i, j], zhat[i, j]) for i in range(n) for j in range(s)) / (n * s)
+        b_ref = sum(np.outer(g[i, j], g[i, j]) for i in range(n) for j in range(s)) / n
+        assert np.max(np.abs(state.a_interior[0] - a_ref)) <= 1e-12
+        assert np.max(np.abs(state.b_interior[0] - b_ref)) <= 1e-12
+
+    def test_jacobian_rows(self, case):
+        p, problem, batch, _, zhat, g = case
+        rows_int, _ = residual_jacobian_rows(p, batch, problem)
+        n, s, _ = zhat.shape
+        for i in range(n):
+            block = sum(np.outer(zhat[i, j], g[i, j]) for j in range(s))
+            seg = rows_int[i, : block.size]
+            assert np.max(np.abs(seg - block.ravel())) <= 1e-12 * max(1.0, np.max(np.abs(block)))
+
+    def test_weight_grads(self, case):
+        _, _, _, ev, zhat, g = case
+        n, s, _ = zhat.shape
+        ref = sum(np.outer(g[i, j], zhat[i, j]) for i in range(n) for j in range(s))
+        tg = ev.taylor_grads
+        got = np.concatenate([tg.weight_grads[0], tg.bias_grads[0][:, None]], axis=1)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        assert tg.layer_grads[0] is None
+
+    def test_gradient_matrix(self, case):
+        p, _, batch, ev, zhat, g = case
+        n, s, _ = zhat.shape
+        w_int = ev.residuals_int / n
+        ref = sum(w_int[i] * np.outer(g[i, j], zhat[i, j]) for i in range(n) for j in range(s))
+        zb = network.augment_inputs(batch.boundary)
+        w_bnd = ev.residuals_bnd / zb.shape[0]
+        ref = ref + sum(w_bnd[i] * np.outer(ev.boundary_grads[0][i], zb[i]) for i in range(zb.shape[0]))
+        assert np.max(np.abs(ev.grad_mats[0] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_first_layer_adjoint_matches_materialised_state(self, case):
+        # the closed-form first activation and its adjoint against the
+        # generic operator-column layers applied to the full input state
+        p, problem, batch, ev, zhat, g = case
+        co = problem.coeffs
+        z1 = taylor_forward_linear(p.weights[0], p.biases[0], initial_state(batch.interior))
+        assert np.max(np.abs(ev.states[1] - z1[:, 0, :])) <= 1e-12
+        if p.n_linear == 1:
+            # the output adjoint is the residual seed of the materialised output
+            d = batch.interior.shape[1]
+            out = z1[:, 0, 0], z1[:, 1 : d + 1, 0], z1[:, d + 1, 0]
+            du, dgrad, dop = problem.residual_grads(batch.interior, *out)
+            seeds = np.concatenate([du[:, None], dgrad, dop[:, None]], axis=1)
+            assert np.max(np.abs(g[:, :, 0] - seeds)) <= 1e-12
+            return
+        derivs = activation_derivs(z1[:, 0, :], p.activation, order=2)
+        z2 = taylor_forward_activation(derivs, z1, co)
+        assert np.max(np.abs(ev.states[2] - z2)) <= 1e-12 * max(1.0, np.max(np.abs(z2)))
+        g_ref = _activation_backward(z1, ev.taylor_grads.layer_grads[2], co, p.activation)
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * max(1.0, np.max(np.abs(g_ref)))

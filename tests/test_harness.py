@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from pinnopt import harness, network, pde
+from pinnopt import curvature, harness, linalg, network, optim, pde
 from pinnopt.harness import (
     CSV_COLUMNS,
     RunConfig,
@@ -33,6 +34,13 @@ def tiny_config(tmp_path, **overrides):
     )
     base.update(overrides)
     return RunConfig.from_dict(base)
+
+
+def train_cli(tmp_path, **overrides) -> int:
+    """``pinnopt train`` on a tiny config written to ``tmp_path``; returns the exit code."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path, **overrides).to_dict()))
+    return main(["train", "--config", str(cfg_path)])
 
 
 def _params():
@@ -199,6 +207,52 @@ class TestCli:
 
     def test_bad_config_path_returns_2(self, capsys):
         assert main(["train", "--config", "/nonexistent/cfg.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "error",
+        [np.linalg.LinAlgError, linalg.NotPositiveSemidefiniteError, linalg.NotSymmetricError],
+    )
+    @pytest.mark.parametrize(
+        "optimizer, module, solver",
+        [
+            ("kfac", curvature, "kron_sum_solve"),
+            ("kfac_star", curvature, "kron_sum_solve"),
+            ("engd", optim, "pinv_psd"),
+        ],
+    )
+    def test_solver_failure_is_divergence(self, tmp_path, monkeypatch, capsys, optimizer, module, solver, error):
+        # a numerical failure inside a step is a diverged run (exit 3), not
+        # a usage/config error (exit 2), although all three are ValueErrors
+        def failing_solver(*args, **kwargs):
+            raise error("injected solver failure")
+
+        monkeypatch.setattr(module, solver, failing_solver)
+        assert train_cli(tmp_path, optimizer=optimizer, max_steps=3, eval_every=1) == 3
+        assert "DIVERGED" in capsys.readouterr().out
+        text = (tmp_path / "run" / "log.csv").read_text()
+        assert "# diverged: injected solver failure" in text
+        assert (tmp_path / "run" / "checkpoint.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("optimizer", ["kfac", "kfac_star", "engd"])
+    def test_nan_residual_is_divergence(self, tmp_path, monkeypatch, optimizer):
+        make_problem = pde.make_problem
+
+        def nan_problem(name, **params):
+            problem = make_problem(name, **params)
+            return dataclasses.replace(
+                problem, residual=lambda x, u, grad, op: np.full(x.shape[0], np.nan)
+            )
+
+        monkeypatch.setattr(harness.pde, "make_problem", nan_problem)
+        assert train_cli(tmp_path, optimizer=optimizer, max_steps=3, eval_every=1) == 3
+        assert "# diverged" in (tmp_path / "run" / "log.csv").read_text()
+        assert (tmp_path / "run" / "checkpoint.json").exists()
+
+    def test_engd_parameter_cap_stays_config_error(self, tmp_path, capsys):
+        # 20801 parameters exceed the dense Gramian cap before any numerics run
+        assert train_cli(tmp_path, optimizer="engd", widths=[2, 200, 100, 1], max_steps=1) == 2
+        assert "exceed the cap" in capsys.readouterr().err
 
     def test_check_fast_passes(self, capsys):
         assert main(["check", "--fast"]) == 0

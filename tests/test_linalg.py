@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinnopt.linalg import (
@@ -102,6 +102,7 @@ class TestPinvPsd:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 32), st.integers(1, 32))
+    @example(seed=24, n=17, rank=17)  # condition number 3.4e8
     def test_penrose_conditions(self, seed, n, rank):
         rng = np.random.default_rng(seed)
         b = rng.standard_normal((n, min(rank, n)))

@@ -151,7 +151,9 @@ class TestTaylorForward:
         u, trace = network.forward_batch(p, pts)
         assert np.max(np.abs(out.value - u)) <= 1e-12
         for l in range(p.n_linear):
-            assert np.max(np.abs(states[2 * l + 1][:, 0, :] - trace.pre_activations[l])) <= 1e-12
+            # the first linear layer keeps only its value column (the pre-activation)
+            value = states[1] if l == 0 else states[2 * l + 1][:, 0, :]
+            assert np.max(np.abs(value - trace.pre_activations[l])) <= 1e-12
             # activation outputs are the next layer's plain inputs
             if l + 1 < p.n_linear:
                 assert np.max(np.abs(states[2 * l + 2][:, 0, :] - trace.linear_inputs[l + 1])) <= 1e-12
