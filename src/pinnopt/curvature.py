@@ -211,14 +211,30 @@ def precondition_gradient(state: KfacState, grad_mats: list) -> list:
 # ---------------------------------------------------------------------------
 # exact Gramian and Gramian-vector products
 
-def _input_layer_rows(x, g):
-    """Layer-0 blocks ``[x_n; 1] g_n0^T + [G_n; 0]`` of shape (N, d + 1, h1)."""
-    n, d = x.shape
-    block = np.empty((n, d + 1, g.shape[2]))
-    np.multiply(x[:, :, None], g[:, None, 0, :], out=block[:, :d, :])
-    block[:, :d, :] += g[:, 1 : d + 1, :]
-    block[:, d, :] = g[:, 0, :]
-    return block
+def _row_blocks(rows, shapes):
+    """Views of the column segments of ``rows`` as (N, p, q) per-layer blocks.
+
+    Splitting the contiguous last axis of a column slice is always a view,
+    so writing a block writes the rows.
+    """
+    n, start, views = rows.shape[0], 0, []
+    for p, q in shapes:
+        views.append(rows[:, start : start + p * q].reshape(n, p, q))
+        start += p * q
+    return views
+
+
+def _input_layer_rows(x, g, out):
+    """Write the layer-0 blocks ``[x_n; 1] g_n0^T + [G_n; 0]`` into ``out`` (N, d + 1, h1).
+
+    One input coordinate at a time: a single strided add over all d
+    coordinates makes numpy copy the (N, d, h1) operand first.
+    """
+    d = x.shape[1]
+    for i in range(d):
+        np.multiply(x[:, i, None], g[:, 0, :], out=out[:, i, :])
+        out[:, i, :] += g[:, 1 + i, :]
+    out[:, d, :] = g[:, 0, :]
 
 
 def _interior_jacobian_rows(params, states, layer_grads):
@@ -227,28 +243,29 @@ def _interior_jacobian_rows(params, states, layer_grads):
     Per layer the row segment is the column-stacked ``sum_s g_{n,s}
     zhat_{n,s}^T``; building its transpose directly makes the C-order
     reshape produce the column-stacked flattening.  Layer 0 is taken in
-    closed form from the points (module docstring).
+    closed form from the points (module docstring) and written in place;
+    the other layers' blocks are formed before the rows are allocated, so
+    their bias-augmented input copies and the rows are never live together.
     """
-    segs = []
-    for z, g in zip(*layer_pairs(params, states, layer_grads)):
-        if z.ndim == 2:
-            block = _input_layer_rows(z, g)
-        else:
-            block = np.matmul(_augment_state(z).transpose(0, 2, 1), g)  # (N, h_in + 1, h_out)
-        n, p, q = block.shape
-        segs.append(block.reshape(n, p * q))
-    return np.concatenate(segs, axis=1)
+    pairs = list(zip(*layer_pairs(params, states, layer_grads)))
+    hidden = [np.matmul(_augment_state(z).transpose(0, 2, 1), g) for z, g in pairs[1:]]
+    x, g0 = pairs[0]
+    shapes = [(x.shape[1] + 1, g0.shape[2])] + [b.shape[1:] for b in hidden]
+    rows = np.empty((g0.shape[0], sum(p * q for p, q in shapes)))
+    views = _row_blocks(rows, shapes)
+    _input_layer_rows(x, g0, views[0])
+    for view, block in zip(views[1:], hidden):
+        view[...] = block
+    return rows
 
 
 def _boundary_jacobian_rows(params, trace, grads):
     """Stack per-sample output Jacobians of the plain forward pass."""
-    segs = []
-    for z, g in zip(trace.linear_inputs, grads):
-        zhat = network.augment_inputs(z)
-        block = zhat[:, :, None] * g[:, None, :]  # (N, h_in + 1, h_out)
-        n, p, q = block.shape
-        segs.append(block.reshape(n, p * q))
-    return np.concatenate(segs, axis=1)
+    shapes = [(z.shape[1] + 1, g.shape[1]) for z, g in zip(trace.linear_inputs, grads)]
+    rows = np.empty((grads[0].shape[0], sum(p * q for p, q in shapes)))
+    for view, z, g in zip(_row_blocks(rows, shapes), trace.linear_inputs, grads):
+        np.multiply(network.augment_inputs(z)[:, :, None], g[:, None, :], out=view)
+    return rows
 
 
 def loss_gradient(params, states, layer_grads, r_int, trace, grads, r_bnd) -> list:

@@ -405,7 +405,10 @@ def run_checks(fast: bool = False) -> list:
     seeds[0, 3] = 1.0
     tg = taylor.taylor_backward(small, states, seeds, coeffs)
     analytic = network.mats_to_vec(
-        [np.concatenate([w, b[:, None]], axis=1) for w, b in zip(tg.weight_grads, tg.bias_grads)]
+        [
+            taylor.param_grad_matrix(z, g)
+            for z, g in zip(*curvature.layer_pairs(small, states, tg.layer_grads))
+        ]
     )
     vec = network.params_to_vec(small)
     fd = np.zeros_like(vec)

@@ -62,16 +62,21 @@ def _as_square(m, name="matrix"):
     return m
 
 
-def sym_eig(m) -> SymEig:
+def sym_eig(m, name: str = "matrix") -> SymEig:
     """Eigendecomposition of a symmetric matrix.
 
     Raises NotSymmetricError if ``m`` is not square or deviates from
     symmetry by more than ``SYMMETRY_TOL`` (absolute), and
-    ``numpy.linalg.LinAlgError`` if the eigensolver does not converge.
+    ``numpy.linalg.LinAlgError`` if ``m`` has a non-finite entry or the
+    eigensolver does not converge.  ``name`` labels ``m`` in the messages.
+    A NaN entry must be caught here: the symmetry test compares it as
+    False and the eigensolver returns NaN eigenvalues without raising.
     """
-    m = _as_square(m)
+    m = _as_square(m, name)
+    if not np.all(np.isfinite(m)):
+        raise np.linalg.LinAlgError(f"{name} has non-finite entries")
     if m.size and float(np.max(np.abs(m - m.T))) > SYMMETRY_TOL:
-        raise NotSymmetricError("matrix is not symmetric to 1e-10")
+        raise NotSymmetricError(f"{name} is not symmetric to 1e-10")
     evals, evecs = np.linalg.eigh(m)
     return SymEig(evals, evecs)
 
@@ -93,7 +98,7 @@ def inv_sqrt_psd(m, jitter: float = 0.0) -> np.ndarray:
     """
     if jitter < 0:
         raise ValueError("jitter must be >= 0")
-    evals, q = sym_eig(m)
+    evals, q = sym_eig(m, "inv_sqrt_psd(m)")
     norm = float(np.max(np.abs(evals))) if evals.size else 0.0
     _check_psd(evals, norm, "inv_sqrt_psd")
     lam = np.clip(evals, 0.0, None) + jitter
@@ -118,7 +123,7 @@ def pinv_psd(m, rcond: float) -> np.ndarray:
     """
     if rcond < 0:
         raise ValueError("rcond must be >= 0")
-    evals, q = sym_eig(m)
+    evals, q = sym_eig(m, "pinv_psd(m)")
     norm = float(np.max(np.abs(evals))) if evals.size else 0.0
     _check_psd(evals, norm, "pinv_psd")
     lam_max = float(np.max(evals)) if evals.size else 0.0
@@ -132,7 +137,7 @@ def pinv_psd(m, rcond: float) -> np.ndarray:
 
 def _pd_inv_sqrt(m, what):
     """Eigendecompose a strictly PD matrix and return its inverse sqrt."""
-    evals, q = sym_eig(m)
+    evals, q = sym_eig(m, what)
     norm = float(np.max(np.abs(evals))) if evals.size else 0.0
     if evals.size == 0 or float(evals[0]) <= 1e-14 * max(norm, 1e-300):
         raise NotPositiveSemidefiniteError(
@@ -169,8 +174,8 @@ def kron_sum_solve(a1, b1, a2, b2, g) -> np.ndarray:
 
     ta = a2_isqrt @ a1 @ a2_isqrt
     tb = b2_isqrt @ b1 @ b2_isqrt
-    la, ea = sym_eig(0.5 * (ta + ta.T))
-    lb, eb = sym_eig(0.5 * (tb + tb.T))
+    la, ea = sym_eig(0.5 * (ta + ta.T), "kron_sum_solve(a1)")
+    lb, eb = sym_eig(0.5 * (tb + tb.T), "kron_sum_solve(b1)")
     _check_psd(la, float(np.max(np.abs(la))) if la.size else 0.0, "kron_sum_solve(a1)")
     _check_psd(lb, float(np.max(np.abs(lb))) if lb.size else 0.0, "kron_sum_solve(b1)")
 

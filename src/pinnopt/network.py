@@ -40,25 +40,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ActivationDerivs:
-    """Element-wise activation value and first three derivatives.
+    """Element-wise activation value and its derivatives up to third order.
 
-    ``s3`` is None when only second-order information was requested.
+    Derivatives above the requested order are None.
     """
 
     s0: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
+    s1: np.ndarray | None = None
+    s2: np.ndarray | None = None
+    s3: np.ndarray | None = None
 
 
 def tanh_derivs(z, order: int = 3) -> ActivationDerivs:
-    """tanh and its derivatives, via the identities s1 = 1 - s0^2,
-    s2 = -2 s0 s1, s3 = -2 s1^2 - 2 s0 s2."""
-    z = np.asarray(z, dtype=np.float64)
-    s0 = np.tanh(z)
-    s1 = 1.0 - s0 * s0
-    s2 = -2.0 * s0 * s1
-    s3 = -2.0 * s1 * s1 - 2.0 * s0 * s2 if order >= 3 else None
+    """tanh and its derivatives up to ``order`` (0 to 3), via the identities
+    s1 = 1 - s0^2, s2 = -2 s0 s1, s3 = -2 s1^2 - 2 s0 s2."""
+    if not 0 <= order <= 3:
+        raise ValueError(f"derivative order must lie in 0..3, got {order}")
+    s0 = np.tanh(np.asarray(z, dtype=np.float64))
+    if order == 0:
+        return ActivationDerivs(s0)
+    s1 = s0 * s0
+    np.subtract(1.0, s1, out=s1)
+    if order == 1:
+        return ActivationDerivs(s0, s1)
+    s2 = -2.0 * s0
+    s2 *= s1
+    if order == 2:
+        return ActivationDerivs(s0, s1, s2)
+    s3 = -2.0 * s1
+    s3 *= s1
+    s3 -= 2.0 * s0 * s2
     return ActivationDerivs(s0, s1, s2, s3)
 
 
@@ -176,7 +187,7 @@ def forward(params: Parameters, x) -> tuple:
         z = w @ z + b
         zs.append(z)
         if l < params.n_linear - 1:
-            z = activation_derivs(z, params.activation).s0
+            z = activation_derivs(z, params.activation, order=0).s0
             zs.append(z)
     return float(z[0]), zs
 
@@ -209,7 +220,7 @@ def forward_batch(params: Parameters, x) -> tuple:
         z = z @ w.T + b
         trace.pre_activations.append(z)
         if l < params.n_linear - 1:
-            z = activation_derivs(z, params.activation).s0
+            z = activation_derivs(z, params.activation, order=0).s0
     return trace.output, trace
 
 
@@ -227,7 +238,7 @@ def backward_batch(params: Parameters, trace: ForwardTrace, seed) -> list:
         grads[l] = g
         if l > 0:
             g = g @ params.weights[l]
-            s1 = activation_derivs(trace.pre_activations[l - 1], params.activation, order=2).s1
+            s1 = activation_derivs(trace.pre_activations[l - 1], params.activation, order=1).s1
             g = g * s1
     return grads
 

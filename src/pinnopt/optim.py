@@ -146,8 +146,13 @@ class BatchEval:
 
 
 def evaluate_losses(params, batch: pde.Batch, problem) -> tuple:
-    """Interior and condition losses only (used by the line search)."""
-    loss_int, _, _, _ = pde.interior_loss_and_residuals(problem, params, batch)
+    """Interior and condition losses only, for the kfac and engd line search.
+
+    The interior term comes from :func:`pde.interior_loss`, whose forward
+    pass keeps no layer state; the losses equal those of
+    :func:`evaluate_batch` up to rounding in the last bits.
+    """
+    loss_int = pde.interior_loss(problem, params, batch)
     loss_bnd, _, _ = pde.boundary_loss(problem, params, batch)
     return loss_int, loss_bnd
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import network
-from .taylor import OperatorCoeffs, taylor_forward
+from .taylor import OperatorCoeffs, taylor_forward, taylor_output
 
 __all__ = [
     "PdeProblem",
@@ -26,6 +26,7 @@ __all__ = [
     "make_problem",
     "sample_batch",
     "interior_loss_and_residuals",
+    "interior_loss",
     "boundary_loss",
 ]
 
@@ -341,6 +342,10 @@ def sample_batch(problem: PdeProblem, n_interior: int, n_boundary: int, seed: in
     return Batch(interior, boundary, problem.boundary_target(boundary))
 
 
+def _half_mean_square(r) -> float:
+    return float(r @ r) / (2.0 * r.size) if r.size else 0.0
+
+
 def interior_loss_and_residuals(problem: PdeProblem, params, batch: Batch):
     """Interior loss ``sum r_n^2 / (2 N)`` plus residuals and forward data.
 
@@ -348,13 +353,21 @@ def interior_loss_and_residuals(problem: PdeProblem, params, batch: Batch):
     """
     states, out = taylor_forward(params, batch.interior, problem.coeffs)
     r = problem.residual(batch.interior, out.value, out.gradient, out.operator)
-    loss = float(r @ r) / (2.0 * r.size) if r.size else 0.0
-    return loss, r, states, out
+    return _half_mean_square(r), r, states, out
+
+
+def interior_loss(problem: PdeProblem, params, batch: Batch) -> float:
+    """The interior loss of :func:`interior_loss_and_residuals` alone.
+
+    Computed with the output-only forward pass, which keeps no layer state;
+    for loss-only evaluation such as the line search.
+    """
+    out = taylor_output(params, batch.interior, problem.coeffs)
+    return _half_mean_square(problem.residual(batch.interior, out.value, out.gradient, out.operator))
 
 
 def boundary_loss(problem: PdeProblem, params, batch: Batch):
     """Condition loss ``sum (u - target)^2 / (2 N)`` plus residuals and trace."""
     u, trace = network.forward_batch(params, batch.boundary)
     res = u - batch.boundary_targets
-    loss = float(res @ res) / (2.0 * res.size) if res.size else 0.0
-    return loss, res, trace
+    return _half_mean_square(res), res, trace

@@ -26,11 +26,28 @@ and builds the first activation's state in closed form:
     derivative columns : s1 * W0^T
     operator column    : s2 * q,   q_k = sum_ij c_ij W0[k, i] W0[k, j]
 
-The reverse pass propagates adjoints with the same column layout and
-yields parameter gradients of any linear combination of (u, grad u, L u).
-It stops at the first linear layer's output adjoint: the first layer's
-``[dW | db]`` is ``g_0^T [x 1]`` plus the batch sum of the derivative-column
-block, and no adjoint of the input is formed.
+Two forward passes share the hidden layers and differ in the head.
+:func:`taylor_forward` serves training steps: it keeps every layer state,
+because the reverse pass and the curvature code read them.
+:func:`taylor_output` serves loss-only evaluation (the line search of kfac
+and engd): it keeps no state and fuses the last hidden activation into the
+width-1 output layer, so the last hidden state is never formed.  With
+weight row w and the incoming columns (z, g, ell) of that activation,
+
+    u      = s0 . w + b
+    grad u = g (s1 * w)
+    L u    = (s1 * ell + s2 * sum_ij c_ij g_i g_j) . w
+
+and with one hidden layer (g = W0^T, ell = 0) this is
+``(s0 . w + b, s1 (w * W0), s2 . (q * w))`` on (N, h1) arrays alone.
+
+The reverse pass propagates adjoints with the same column layout through
+the states of :func:`taylor_forward`.  It stops at the first linear
+layer's output adjoint and forms no adjoint of the input.  A layer's
+parameter gradient of any linear combination of (u, grad u, L u) is
+:func:`param_grad_matrix` of its (input state, output adjoint) pair; for
+the first layer that is ``g_0^T [x 1]`` plus the batch sum of the
+derivative-column block.
 """
 
 from __future__ import annotations
@@ -50,6 +67,7 @@ __all__ = [
     "taylor_forward_linear",
     "taylor_forward_activation",
     "taylor_forward",
+    "taylor_output",
     "taylor_backward",
     "linear_input_index",
     "linear_output_index",
@@ -121,13 +139,11 @@ class TaylorGrads:
     ``states[1]`` it is the adjoint of the first linear layer's complete
     output state, although the forward pass kept only its value column.
     ``layer_grads[0]``, the adjoint of the input, is not computed and stays
-    None.  ``weight_grads`` / ``bias_grads`` hold parameter gradients per
-    linear layer, summed over the batch with the per-sample seeds baked in.
+    None.  A linear layer's parameter gradient is :func:`param_grad_matrix`
+    of its (input state, output adjoint) pair.
     """
 
     layer_grads: list
-    weight_grads: list
-    bias_grads: list
 
 
 def linear_input_index(layer: int) -> int:
@@ -243,6 +259,66 @@ def taylor_forward_activation(derivs: ActivationDerivs, z_in, coeffs: OperatorCo
     return z_out
 
 
+def _check_points(params: Parameters, x, coeffs: OperatorCoeffs) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("expected a batch of points with shape (N, d)")
+    d = x.shape[1]
+    if d != params.input_dim:
+        raise ValueError(f"input dim {d} does not match network input {params.input_dim}")
+    if coeffs.dim != d:
+        raise ValueError(f"operator dim {coeffs.dim} does not match input dim {d}")
+    return x
+
+
+def _linear_net_output(x, pre, w0) -> TaylorOutput:
+    """Output triple of a net that is one linear layer: x W0^T + b0, W0, 0."""
+    n = x.shape[0]
+    return TaylorOutput(
+        value=pre[:, 0].copy(),
+        gradient=np.repeat(w0, n, axis=0),
+        operator=np.zeros(n),
+    )
+
+
+def _hidden_activation(params: Parameters, pre, coeffs: OperatorCoeffs, first) -> np.ndarray:
+    """Full state after the activation of pre-activation ``pre``.
+
+    A two-dimensional ``pre`` is the first linear layer's value column and
+    takes the closed form with ``first = (W0^T, q)``.
+    """
+    if pre.ndim == 2:
+        return _first_activation(activation_derivs(pre, params.activation, order=2), *first)
+    derivs = activation_derivs(pre[:, 0, :], params.activation, order=2)
+    return taylor_forward_activation(derivs, pre, coeffs)
+
+
+def _forward_to_last_activation(params: Parameters, x, coeffs: OperatorCoeffs, states=None) -> tuple:
+    """Propagate x up to the pre-activation of the last hidden activation.
+
+    Returns ``(pre, first)``.  ``pre`` is the (N, h1) first pre-activation
+    when the net has at most one hidden layer, else the (N, S, h) output
+    state of the second-to-last linear layer; ``first = (W0^T, q)`` are the
+    first activation's constants (None for a linear net).  Every state
+    computed on the way is appended to ``states`` when it is given.
+    """
+    w0 = params.weights[0]
+    pre = x @ w0.T
+    pre += params.biases[0]
+    if states is not None:
+        states.append(pre)
+    if params.n_linear == 1:
+        return pre, None
+    w0t, _, q = _first_layer_constants(w0, coeffs)
+    first = (w0t, q)
+    for l in range(1, params.n_linear - 1):
+        z = _hidden_activation(params, pre, coeffs, first)
+        pre = taylor_forward_linear(params.weights[l], params.biases[l], z)
+        if states is not None:
+            states.extend((z, pre))
+    return pre, first
+
+
 def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs) -> tuple:
     """Propagate value, gradient and operator columns through the net.
 
@@ -254,40 +330,58 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs) -> tuple:
     activation and linear interleaved.  ``out`` is the
     :class:`TaylorOutput` triple of the scalar network output.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("expected a batch of points with shape (N, d)")
-    d = x.shape[1]
-    if d != params.input_dim:
-        raise ValueError(f"input dim {d} does not match network input {params.input_dim}")
-    if coeffs.dim != d:
-        raise ValueError(f"operator dim {coeffs.dim} does not match input dim {d}")
-
-    w0 = params.weights[0]
-    pre = x @ w0.T + params.biases[0]
-    states = [x, pre]
-    if params.n_linear == 1:
-        return states, TaylorOutput(
-            value=pre[:, 0].copy(),
-            gradient=np.repeat(w0, x.shape[0], axis=0),
-            operator=np.zeros(x.shape[0]),
-        )
-    w0t, _, q = _first_layer_constants(w0, coeffs)
-    z = _first_activation(activation_derivs(pre, params.activation, order=2), w0t, q)
+    x = _check_points(params, x, coeffs)
+    states = [x]
+    pre, first = _forward_to_last_activation(params, x, coeffs, states)
+    if first is None:
+        return states, _linear_net_output(x, pre, params.weights[0])
+    z = _hidden_activation(params, pre, coeffs, first)
     states.append(z)
-    for l in range(1, params.n_linear):
-        z = taylor_forward_linear(params.weights[l], params.biases[l], z)
-        states.append(z)
-        if l < params.n_linear - 1:
-            derivs = activation_derivs(z[:, 0, :], params.activation, order=2)
-            z = taylor_forward_activation(derivs, z, coeffs)
-            states.append(z)
+    z = taylor_forward_linear(params.weights[-1], params.biases[-1], z)
+    states.append(z)
+    d = x.shape[1]
     out = TaylorOutput(
         value=z[:, 0, 0].copy(),
         gradient=z[:, 1 : d + 1, 0].copy(),
         operator=z[:, d + 1, 0].copy(),
     )
     return states, out
+
+
+def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs) -> TaylorOutput:
+    """The output triple of :func:`taylor_forward` without any layer state.
+
+    The output layer has width 1, so the last hidden activation is
+    contracted straight into its weight row w (module docstring): with
+    incoming derivative columns g and operator column ell,
+
+        value    = s0 . w + b
+        gradient = g (s1 * w)
+        operator = (s1 * ell + s2 * quad) . w,   quad = sum_ij c_ij g_i g_j
+
+    For one hidden layer g = W0^T, ell = 0 and quad = q, so only (N, h1)
+    and (N, d) arrays are formed.
+    """
+    x = _check_points(params, x, coeffs)
+    pre, first = _forward_to_last_activation(params, x, coeffs)
+    if first is None:
+        return _linear_net_output(x, pre, params.weights[0])
+    w = params.weights[-1][0]
+    b = params.biases[-1][0]
+    if pre.ndim == 2:
+        s = activation_derivs(pre, params.activation, order=2)
+        gradient = s.s1 @ (w[:, None] * params.weights[0])
+        operator = s.s2 @ (first[1] * w)
+    else:
+        d = x.shape[1]
+        s = activation_derivs(pre[:, 0, :], params.activation, order=2)
+        g = pre[:, 1 : d + 1, :]
+        gradient = np.einsum("nih,nh->ni", g, s.s1 * w)
+        lz = np.sum(coeffs.apply(g) * g, axis=1)
+        lz *= s.s2
+        lz += s.s1 * pre[:, d + 1, :]
+        operator = lz @ w
+    return TaylorOutput(value=s.s0 @ w + b, gradient=gradient, operator=operator)
 
 
 def _activation_backward(z_in, g_out, coeffs: OperatorCoeffs, activation: str) -> np.ndarray:
@@ -349,10 +443,9 @@ def taylor_backward(params: Parameters, states: list, seeds, coeffs: OperatorCoe
 
     ``seeds`` has shape (N, S) and holds, per sample, the adjoint of the
     output triple in column layout ``[u_bar, grad_bar..., op_bar]``.  The
-    returned parameter gradients are the batch sums of the seeded
-    gradients; per-sample layer adjoints are kept for curvature assembly.
-    The pass ends at the first linear layer's output adjoint
-    ``layer_grads[1]``; ``layer_grads[0]`` is left None.
+    per-sample layer adjoints feed the gradient and the curvature assembly
+    in :mod:`pinnopt.curvature`.  The pass ends at the first linear layer's
+    output adjoint ``layer_grads[1]``; ``layer_grads[0]`` is left None.
     """
     seeds = np.asarray(seeds, dtype=np.float64)
     d = coeffs.dim
@@ -363,17 +456,10 @@ def taylor_backward(params: Parameters, states: list, seeds, coeffs: OperatorCoe
         raise ValueError("states do not match the network layout")
 
     layer_grads = [None] * len(states)
-    weight_grads = [None] * params.n_linear
-    bias_grads = [None] * params.n_linear
-
     g = seeds[:, :, None]
     for l in reversed(range(params.n_linear)):
-        out_idx = linear_output_index(l)
         in_idx = linear_input_index(l)
-        layer_grads[out_idx] = g
-        m = param_grad_matrix(states[in_idx], g)
-        weight_grads[l] = m[:, :-1]
-        bias_grads[l] = m[:, -1]
+        layer_grads[linear_output_index(l)] = g
         if l == 0:
             break
         g = np.matmul(g, params.weights[l])
@@ -383,4 +469,4 @@ def taylor_backward(params: Parameters, states: list, seeds, coeffs: OperatorCoe
             g = _first_activation_backward(states[1], g, consts, params.activation)
         else:
             g = _activation_backward(states[in_idx - 1], g, coeffs, params.activation)
-    return TaylorGrads(layer_grads, weight_grads, bias_grads)
+    return TaylorGrads(layer_grads)

@@ -14,7 +14,7 @@ import analytic
 from pinnopt import curvature, harness, network, oracle, pde
 from pinnopt.network import Architecture, init_params
 from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, optimizer_step
-from pinnopt.taylor import OperatorCoeffs, initial_state, taylor_forward
+from pinnopt.taylor import OperatorCoeffs, initial_state, param_grad_matrix, taylor_forward
 
 
 def report(name, ok, detail):
@@ -70,7 +70,10 @@ def test_criterion_2_backward_engine():
 
     tg = taylor_backward(params, states, seeds, co)
     analytic_vec = network.mats_to_vec(
-        [np.concatenate([w, b[:, None]], axis=1) for w, b in zip(tg.weight_grads, tg.bias_grads)]
+        [
+            param_grad_matrix(z, g)
+            for z, g in zip(*curvature.layer_pairs(params, states, tg.layer_grads))
+        ]
     )
     h = 1e-6
     worst = 0.0

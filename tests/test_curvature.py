@@ -22,6 +22,7 @@ from pinnopt.taylor import (
     initial_state,
     linear_input_index,
     linear_output_index,
+    param_grad_matrix,
     taylor_forward_activation,
     taylor_forward_linear,
 )
@@ -374,11 +375,12 @@ class TestInputLayerClosedForm:
             assert np.max(np.abs(seg - block.ravel())) <= 1e-12 * max(1.0, np.max(np.abs(block)))
 
     def test_weight_grads(self, case):
-        _, _, _, ev, zhat, g = case
+        p, _, _, ev, zhat, g = case
         n, s, _ = zhat.shape
         ref = sum(np.outer(g[i, j], zhat[i, j]) for i in range(n) for j in range(s))
         tg = ev.taylor_grads
-        got = np.concatenate([tg.weight_grads[0], tg.bias_grads[0][:, None]], axis=1)
+        lin_in, lin_gr = curvature.layer_pairs(p, ev.states, tg.layer_grads)
+        got = param_grad_matrix(lin_in[0], lin_gr[0])
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
         assert tg.layer_grads[0] is None
 

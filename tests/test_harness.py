@@ -249,6 +249,27 @@ class TestCli:
         assert "# diverged" in (tmp_path / "run" / "log.csv").read_text()
         assert (tmp_path / "run" / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize(
+        "factor, solver_arg",
+        [("a_interior", "a1"), ("b_interior", "b1"), ("a_boundary", "a2"), ("b_boundary", "b2")],
+    )
+    @pytest.mark.parametrize("optimizer", ["kfac", "kfac_star"])
+    def test_nan_factor_is_divergence(self, tmp_path, monkeypatch, capsys, optimizer, factor, solver_arg):
+        # a NaN Kronecker factor must stop the run at the solver, not turn
+        # into a NaN direction; the diverged line names the factor's slot
+        precondition = curvature.precondition_gradient
+
+        def poisoned(state, grad_mats):
+            getattr(state, factor)[-1][0, 0] = np.nan
+            return precondition(state, grad_mats)
+
+        monkeypatch.setattr(curvature, "precondition_gradient", poisoned)
+        assert train_cli(tmp_path, optimizer=optimizer, max_steps=3, eval_every=1) == 3
+        assert "DIVERGED" in capsys.readouterr().out
+        text = (tmp_path / "run" / "log.csv").read_text()
+        assert f"# diverged: kron_sum_solve({solver_arg}) has non-finite entries" in text
+        assert (tmp_path / "run" / "checkpoint.json").exists()
+
     def test_engd_parameter_cap_stays_config_error(self, tmp_path, capsys):
         # 20801 parameters exceed the dense Gramian cap before any numerics run
         assert train_cli(tmp_path, optimizer="engd", widths=[2, 200, 100, 1], max_steps=1) == 2

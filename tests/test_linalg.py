@@ -48,6 +48,15 @@ class TestSymEig:
         with pytest.raises(NotSymmetricError):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # eigh returns NaN eigenvalues for a NaN entry without raising, and
+        # the symmetry test compares NaN as False, so this must be explicit
+        m = np.eye(3)
+        m[1, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="factor has non-finite entries"):
+            sym_eig(m, "factor")
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 16))
     def test_orthogonality_and_reconstruction(self, seed, n):
@@ -134,6 +143,14 @@ class TestKronSumSolve:
         v = kron_sum_solve(a1, b1, a2, b2, g)
         dense = np.linalg.solve(np.kron(a1, b1) + np.kron(a2, b2), g)
         assert np.linalg.norm(v - dense) <= 1e-8 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("which", ["a1", "b1", "a2", "b2"])
+    def test_nan_factor_raises(self, which):
+        rng = np.random.default_rng(4)
+        factors = {name: random_spd(rng, 3 if name[0] == "a" else 2) for name in ("a1", "b1", "a2", "b2")}
+        factors[which][0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match=rf"kron_sum_solve\({which}\) has non-finite"):
+            kron_sum_solve(factors["a1"], factors["b1"], factors["a2"], factors["b2"], np.ones(6))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))

@@ -130,6 +130,23 @@ class TestActivationDerivs:
         assert abs(d.s3[0] - (-2 * d.s1[0] ** 2 - 2 * d.s0[0] * d.s2[0])) <= 1e-12
 
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_lower_orders_leave_the_rest_unset(self, order):
+        z = np.linspace(-3.0, 3.0, 13)
+        full = activation_derivs(z)
+        d = activation_derivs(z, order=order)
+        fields = (d.s0, d.s1, d.s2, d.s3)
+        for level, (got, want) in enumerate(zip(fields, (full.s0, full.s1, full.s2, full.s3))):
+            if level <= order:
+                assert np.array_equal(got, want)
+            else:
+                assert got is None
+
+    def test_order_out_of_range(self):
+        with pytest.raises(ValueError):
+            activation_derivs(np.zeros(1), order=4)
+
+
 class TestFlattening:
     def test_round_trip(self):
         p = init_params(Architecture((3, 4, 1)), 11)

@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from pinnopt import curvature, network, pde
+from pinnopt import curvature, harness, network, optim, pde
 from pinnopt.network import Architecture, Parameters, init_params
 from pinnopt.optim import (
     LineSearchError,
@@ -95,6 +97,42 @@ class TestLineSearch:
 
         with pytest.raises(LineSearchError):
             line_search(loss_fn, p, [np.ones((1, 2))], self.grid())
+
+
+    def test_output_only_loss_picks_the_same_step(self, tmp_path, monkeypatch):
+        # 20 kfac steps of the poisson2d benchmark config: at every step the
+        # line search over the loss-only evaluation (output-only forward)
+        # returns the alpha that the loss from the full forward pass returns
+        line_search_fn = optim.line_search
+        alphas = []
+
+        def checking_line_search(loss_fn, params, direction, grid):
+            scope = inspect.getclosurevars(loss_fn).nonlocals
+            problem, batch = scope["problem"], scope["batch"]
+
+            def reference_loss(p):
+                loss_int, _, _, _ = pde.interior_loss_and_residuals(problem, p, batch)
+                return loss_int + pde.boundary_loss(problem, p, batch)[0]
+
+            alpha, loss = line_search_fn(loss_fn, params, direction, grid)
+            ref_alpha, ref_loss = line_search_fn(reference_loss, params, direction, grid)
+            assert alpha == ref_alpha
+            assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+            alphas.append(alpha)
+            return alpha, loss
+
+        monkeypatch.setattr(optim, "line_search", checking_line_search)
+        cfg = harness.RunConfig.from_dict(
+            dict(
+                problem="poisson2d_sin", widths=[2, 64, 1], optimizer="kfac", lr=1e-3,
+                momentum=0.9, ema=0.9, damping=1e-5, init_mode="identity", n_interior=900,
+                n_boundary=120, resample_every=0, max_steps=20, eval_every=5,
+                n_eval_points=2000, seed=0, output_dir=str(tmp_path / "run"),
+            )
+        )
+        assert not harness.run_training(cfg).diverged
+        assert len(alphas) == 20
+        assert len(set(alphas)) > 1
 
 
 class TestKfacStep:

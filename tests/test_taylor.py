@@ -3,20 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinnopt import network, oracle
+from pinnopt import curvature, network, oracle, pde
 from pinnopt.network import Architecture, Parameters, activation_derivs, init_params
 from pinnopt.taylor import (
     OperatorCoeffs,
     initial_state,
+    param_grad_matrix,
     taylor_backward,
     taylor_forward,
     taylor_forward_activation,
     taylor_forward_linear,
+    taylor_output,
 )
 
 
 def net_fn(params):
     return lambda x: network.forward(params, x)[0]
+
+
+def seeded_param_grads(params, states, tg):
+    """Batch-summed ``[dW | db]`` per linear layer of the seeded reverse pass."""
+    pairs = curvature.layer_pairs(params, states, tg.layer_grads)
+    return [param_grad_matrix(z, g) for z, g in zip(*pairs)]
 
 
 def random_coeffs(rng, d):
@@ -196,14 +204,40 @@ class TestTaylorForward:
         assert not np.array_equal(a[:, 1, :], b[:, 1, :])
 
 
+class TestTaylorOutput:
+    """The output-only forward against the output of the full forward pass."""
+
+    @pytest.mark.parametrize("hidden", [(), (7,), (5, 4, 6)], ids=["linear", "one_hidden", "three_hidden"])
+    @pytest.mark.parametrize("name", pde.PROBLEM_NAMES)
+    def test_matches_taylor_forward(self, name, hidden):
+        problem = pde.make_problem(name)
+        d = problem.dim
+        rng = np.random.default_rng(len(hidden) + 10 * d)
+        p = init_params(Architecture((d, *hidden, 1)), 17)
+        x = rng.uniform(problem.lower, problem.upper, size=(9, d))
+        for co in (problem.coeffs, random_coeffs(rng, d)):
+            _, want = taylor_forward(p, x, co)
+            got = taylor_output(p, x, co)
+            for field in ("value", "gradient", "operator"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), field
+
+    def test_rejects_mismatched_operator(self):
+        p = init_params(Architecture((2, 4, 1)), 0)
+        with pytest.raises(ValueError):
+            taylor_output(p, np.zeros((3, 2)), OperatorCoeffs.laplacian(3))
+
+
 class TestTaylorBackward:
     def test_linear_net_has_zero_operator_gradient(self):
         p = Parameters([np.array([[1.5, -2.5]])], [np.array([0.3])])
         states, _ = taylor_forward(p, np.array([[1.0, 2.0]]), OperatorCoeffs.laplacian(2))
         seeds = np.array([[0.0, 0.0, 0.0, 1.0]])
         tg = taylor_backward(p, states, seeds, OperatorCoeffs.laplacian(2))
-        assert np.array_equal(tg.weight_grads[0], np.zeros((1, 2)))
-        assert np.array_equal(tg.bias_grads[0], np.zeros(1))
+        m = seeded_param_grads(p, states, tg)[0]
+        assert np.array_equal(m[:, :-1], np.zeros((1, 2)))
+        assert np.array_equal(m[:, -1], np.zeros(1))
 
     def test_value_seed_matches_plain_backprop(self):
         p = init_params(Architecture((2, 8, 8, 1)), 12)
@@ -216,9 +250,10 @@ class TestTaylorBackward:
         u, trace = network.forward_batch(p, pts)
         grads = network.backward_batch(p, trace, np.ones(5))
         mats = network.weighted_param_grads(trace, grads, np.ones(5))
+        got = seeded_param_grads(p, states, tg)
         for l in range(p.n_linear):
-            assert np.max(np.abs(tg.weight_grads[l] - mats[l][:, :-1])) <= 1e-12
-            assert np.max(np.abs(tg.bias_grads[l] - mats[l][:, -1])) <= 1e-12
+            assert np.max(np.abs(got[l][:, :-1] - mats[l][:, :-1])) <= 1e-12
+            assert np.max(np.abs(got[l][:, -1] - mats[l][:, -1])) <= 1e-12
 
     def test_operator_gradient_matches_finite_differences(self):
         p = init_params(Architecture((2, 8, 1)), 14)
@@ -228,9 +263,7 @@ class TestTaylorBackward:
         seeds = np.zeros((1, 4))
         seeds[0, 3] = 1.0
         tg = taylor_backward(p, states, seeds, co)
-        analytic = network.mats_to_vec(
-            [np.concatenate([w, b[:, None]], axis=1) for w, b in zip(tg.weight_grads, tg.bias_grads)]
-        )
+        analytic = network.mats_to_vec(seeded_param_grads(p, states, tg))
         vec = network.params_to_vec(p)
         h = 1e-6
         for k in range(vec.size):
@@ -254,9 +287,7 @@ class TestTaylorBackward:
         states, _ = taylor_forward(p, x, co)
         seeds = rng.standard_normal((3, 4))
         tg = taylor_backward(p, states, seeds, co)
-        grads_vec = network.mats_to_vec(
-            [np.concatenate([w, b[:, None]], axis=1) for w, b in zip(tg.weight_grads, tg.bias_grads)]
-        )
+        grads_vec = network.mats_to_vec(seeded_param_grads(p, states, tg))
         w_dir = rng.standard_normal(grads_vec.size)
         rhs = float(grads_vec @ w_dir)
 
