@@ -1,26 +1,39 @@
 """Kronecker-factored and exact curvature of the two-term training loss.
 
-Per linear layer and per loss term (interior / condition) one pair of
-factors is kept: the input-side factor A over bias-augmented layer inputs
-and the gradient-side factor B over layer-output gradients.  The interior
-factors average over both the batch and the shared derivative columns
-(only the A side carries the 1/S normalization); the condition factors are
-the classical input/gradient covariances.  A layer's curvature block is
-approximated by ``A_int (x) B_int + A_cond (x) B_cond`` in the
-column-stacked ``[W | b]`` flattening, which the damped Kronecker-sum
-solver inverts without materializing the block.
+Both loss terms are read from one record per step: per linear layer the
+pair (input z, output gradient g) with S shared columns per sample.  The
+interior record comes from the operator-column passes of
+:mod:`pinnopt.taylor` (S = d + 2, :func:`layer_pairs`), the condition
+record from the plain forward/backward pass seen as S = 1
+(:func:`boundary_pairs`).  One body per quantity serves both terms:
 
-The first linear layer's input state is never materialised (see
-:mod:`pinnopt.taylor`): ``states[0]`` holds only the points x, and its
-columns are ``[x_n 1]`` (value, bias-augmented), ``[e_i 0]`` (derivatives)
-and 0 (operator).  Layer 0's terms are therefore taken in closed form:
+    A_l   = sum_{n,s} zhat_ns zhat_ns^T / (N S)
+    B_l   = sum_{n,s} g_ns g_ns^T / N
+    row_n = sum_s g_ns zhat_ns^T                  (column-stacked)
+    grad  = sum_n r_n / N * row_n                 (taylor.param_grad_matrix)
+
+A layer's curvature block is approximated by ``A_int (x) B_int + A_cond
+(x) B_cond`` in the column-stacked ``[W | b]`` flattening, which the
+damped Kronecker-sum solver inverts without materializing the block.
+
+The bias is implicit: ``zhat_ns`` is z_ns followed by 1 in the value column
+(s = 0) and 0 elsewhere, and no augmented copy is formed.  The bias row
+and column of A are the value-column sum ``sum_n z_n0`` with N in the
+corner, and the bias row of a Jacobian row block is ``g_n0``.
+
+The first linear layer's interior input state is never materialised (see
+:mod:`pinnopt.taylor`): the interior record holds only the points x, as a
+two-dimensional (N, d) input whose columns stand for x_n (value), e_i
+(derivatives) and 0 (operator).  Layer 0's interior terms are therefore
+taken in closed form:
 
     A_int  = ([x 1]^T [x 1] + N diag(1_d, 0)) / (N S)
     row_n  = [x_n; 1] g_n0^T + [G_n; 0]      (G_n: derivative block of g_n)
 
-and its gradient contraction uses the same column sum.  Only this module
-and :mod:`pinnopt.taylor` know the state layout; the optimizers pass the
-forward states and reverse-pass adjoints through unchanged.
+The condition record's layer-0 input is ``x[:, None, :]``, three-dimensional
+like every other S = 1 input, so a two-dimensional input always means
+these points.  Only this module and :mod:`pinnopt.taylor` know the state
+layout; the optimizers pass the records through unchanged.
 """
 
 from __future__ import annotations
@@ -44,9 +57,11 @@ __all__ = [
     "init_kfac_state",
     "ema_update",
     "layer_pairs",
+    "boundary_pairs",
     "interior_factor_update",
     "boundary_factor_update",
     "precondition_gradient",
+    "gramian_from_rows",
     "exact_gramian",
     "gramian_vec",
     "residual_jacobian_rows",
@@ -64,10 +79,12 @@ def _symmetrize(m):
 class KfacState:
     """Per-layer Kronecker factors with their moving-average settings.
 
-    ``a_*[l]`` has size ``(h_in + 1)`` (bias-augmented input side) and
-    ``b_*[l]`` size ``h_out``.  ``ema`` is the moving-average weight on the
-    previous factors, ``damping`` is added to every factor before
-    inversion.
+    ``a_*[l]`` has size ``(h_in + 1)`` (input side; its last row and column
+    belong to the bias) and ``b_*[l]`` size ``h_out``.  The interior
+    factors average over the S = d + 2 columns of each sample, the
+    boundary factors are the same formulas with S = 1 (module docstring).
+    ``ema`` is the moving-average weight on the previous factors,
+    ``damping`` is added to every factor before inversion.
     """
 
     a_interior: list
@@ -105,80 +122,71 @@ def ema_update(old, new, beta: float) -> np.ndarray:
     return beta * old + (1.0 - beta) * new
 
 
-def _augment_state(z):
-    """Append the bias entry to an (N, S, h) state: 1 in the value column, 0 elsewhere."""
-    n, s, _ = z.shape
-    col = np.zeros((n, s, 1))
-    col[:, 0, 0] = 1.0
-    return np.concatenate([z, col], axis=2)
+def layer_pairs(params, states: list, layer_grads: list) -> list:
+    """The interior record: (input state, output adjoint) per linear layer.
+
+    Taken from the Taylor-mode forward states and reverse-pass adjoints;
+    layer 0's input is the (N, d) array of points (module docstring).
+    """
+    return [
+        (states[linear_input_index(l)], layer_grads[linear_output_index(l)])
+        for l in range(params.n_linear)
+    ]
 
 
-def layer_pairs(params, states: list, layer_grads: list) -> tuple:
-    """Per linear layer: (input state, output adjoint) from the Taylor-mode passes."""
-    layers = range(params.n_linear)
-    return (
-        [states[linear_input_index(l)] for l in layers],
-        [layer_grads[linear_output_index(l)] for l in layers],
-    )
+def boundary_pairs(trace, grads: list) -> list:
+    """The condition record: (N, 1, h) views of a plain forward/backward pass (S = 1)."""
+    return [(z[:, None, :], g[:, None, :]) for z, g in zip(trace.linear_inputs, grads)]
 
 
-def _input_layer_factor(x, s):
-    """A factor of the input state ``initial_state(x)`` with S columns, in closed form."""
-    n, d = x.shape
-    xhat = network.augment_inputs(x)
-    a = xhat.T @ xhat
-    a[np.arange(d), np.arange(d)] += n
+def _input_factor(z, s):
+    """``sum_{n,s} zhat_ns zhat_ns^T / (N S)`` with the bias entry implicit.
+
+    A two-dimensional ``z`` holds the points of the input state, whose
+    derivative columns add N to the diagonal of the weight block.
+    """
+    n, h = z.shape[0], z.shape[-1]
+    if z.ndim == 2:
+        value = z
+        gram = z.T @ z
+        gram[np.arange(h), np.arange(h)] += n
+    else:
+        value = z[:, 0, :]
+        flat = z.reshape(-1, h)
+        gram = flat.T @ flat
+    a = np.empty((h + 1, h + 1))
+    a[:h, :h] = gram
+    a[:h, h] = a[h, :h] = value.sum(axis=0)
+    a[h, h] = n
     return a / (n * s)
 
 
-def interior_factor_update(state: KfacState, linear_inputs: list, output_grads: list) -> KfacState:
-    """Accumulate interior factors from the operator-column intermediates.
+def _factor_update(record, a_factors: list, b_factors: list, ema: float) -> None:
+    """Moving-average update of one loss term's factors from its record.
 
-    ``linear_inputs[l]`` is the (N, S, h_in) state entering linear layer l
-    and ``output_grads[l]`` the (N, S, h_out) per-column gradients of the
-    per-sample residual at its output.  The batch factors are
-
-        A_l = sum_{n,s} zhat_{n,s} zhat_{n,s}^T / (N S)
-        B_l = sum_{n,s} g_{n,s} g_{n,s}^T / N
-
-    and enter the state through the moving average.  A two-dimensional
-    input (N, d) holds the points x of the input state and is taken in
-    closed form (module docstring).
+    ``record[l] = (z, g)`` with g the (N, S, h_out) output gradients; the
+    batch factors ``A_l`` and ``B_l`` of the module docstring enter
+    ``a_factors[l]`` and ``b_factors[l]`` through the moving average.
     """
-    for l, (z, g) in enumerate(zip(linear_inputs, output_grads)):
-        n, s = g.shape[:2]
-        if z.ndim == 2:
-            if z.shape[0] != n or s != z.shape[1] + 2:
-                raise ValueError(f"layer {l}: points do not match the gradient columns")
-            a_new = _symmetrize(_input_layer_factor(z, s))
-        else:
-            if z.shape[:2] != g.shape[:2]:
-                raise ValueError(f"layer {l}: input/gradient batch shapes do not match")
-            zhat = _augment_state(z).reshape(n * s, z.shape[2] + 1)
-            a_new = _symmetrize(zhat.T @ zhat / (n * s))
-        gf = g.reshape(n * s, g.shape[2])
-        b_new = _symmetrize(gf.T @ gf / n)
-        state.a_interior[l] = ema_update(state.a_interior[l], a_new, state.ema)
-        state.b_interior[l] = ema_update(state.b_interior[l], b_new, state.ema)
+    for l, (z, g) in enumerate(record):
+        n, s, q = g.shape
+        columns = z.shape[1] + 2 if z.ndim == 2 else z.shape[1]
+        if z.shape[0] != n or columns != s:
+            raise ValueError(f"layer {l}: input {z.shape} does not match gradient {g.shape}")
+        gf = g.reshape(n * s, q)
+        a_factors[l] = ema_update(a_factors[l], _symmetrize(_input_factor(z, s)), ema)
+        b_factors[l] = ema_update(b_factors[l], _symmetrize(gf.T @ gf / n), ema)
+
+
+def interior_factor_update(state: KfacState, interior: list) -> KfacState:
+    """Accumulate the interior factors from the interior record (:func:`layer_pairs`)."""
+    _factor_update(interior, state.a_interior, state.b_interior, state.ema)
     return state
 
 
-def boundary_factor_update(state: KfacState, linear_inputs: list, output_grads: list) -> KfacState:
-    """Accumulate condition-term factors from a plain forward/backward pass.
-
-    ``linear_inputs[l]`` is (N, h_in), ``output_grads[l]`` is (N, h_out);
-    factors are the bias-augmented input covariance and the output-gradient
-    covariance, both scaled by 1/N.
-    """
-    for l, (z, g) in enumerate(zip(linear_inputs, output_grads)):
-        if z.shape[0] != g.shape[0]:
-            raise ValueError(f"layer {l}: input/gradient batch sizes do not match")
-        n = z.shape[0]
-        zhat = network.augment_inputs(z)
-        a_new = _symmetrize(zhat.T @ zhat / n)
-        b_new = _symmetrize(g.T @ g / n)
-        state.a_boundary[l] = ema_update(state.a_boundary[l], a_new, state.ema)
-        state.b_boundary[l] = ema_update(state.b_boundary[l], b_new, state.ema)
+def boundary_factor_update(state: KfacState, boundary: list) -> KfacState:
+    """Accumulate the condition-term factors from the condition record (:func:`boundary_pairs`)."""
+    _factor_update(boundary, state.a_boundary, state.b_boundary, state.ema)
     return state
 
 
@@ -225,62 +233,60 @@ def _row_blocks(rows, shapes):
 
 
 def _input_layer_rows(x, g, out):
-    """Write the layer-0 blocks ``[x_n; 1] g_n0^T + [G_n; 0]`` into ``out`` (N, d + 1, h1).
+    """Write the weight rows ``x_n g_n0^T + G_n`` of the layer-0 blocks into ``out`` (N, d, h1).
 
     One input coordinate at a time: a single strided add over all d
     coordinates makes numpy copy the (N, d, h1) operand first.
     """
-    d = x.shape[1]
-    for i in range(d):
+    for i in range(x.shape[1]):
         np.multiply(x[:, i, None], g[:, 0, :], out=out[:, i, :])
         out[:, i, :] += g[:, 1 + i, :]
-    out[:, d, :] = g[:, 0, :]
 
 
-def _interior_jacobian_rows(params, states, layer_grads):
-    """Stack per-sample interior residual Jacobians into an (N, D) matrix.
+def _jacobian_rows(record):
+    """Stack one loss term's per-sample residual Jacobians into an (N, D) matrix.
 
-    Per layer the row segment is the column-stacked ``sum_s g_{n,s}
-    zhat_{n,s}^T``; building its transpose directly makes the C-order
-    reshape produce the column-stacked flattening.  Layer 0 is taken in
-    closed form from the points (module docstring) and written in place;
-    the other layers' blocks are formed before the rows are allocated, so
-    their bias-augmented input copies and the rows are never live together.
+    Per layer the row segment is the column-stacked ``sum_s g_ns zhat_ns^T``;
+    its transpose (N, h_in + 1, h_out) is written in place, so the C-order
+    layout is the column-stacked flattening.  The weight rows are
+    ``z_n^T g_n`` (layer-0 points in closed form), the bias row is ``g_n0``.
     """
-    pairs = list(zip(*layer_pairs(params, states, layer_grads)))
-    hidden = [np.matmul(_augment_state(z).transpose(0, 2, 1), g) for z, g in pairs[1:]]
-    x, g0 = pairs[0]
-    shapes = [(x.shape[1] + 1, g0.shape[2])] + [b.shape[1:] for b in hidden]
-    rows = np.empty((g0.shape[0], sum(p * q for p, q in shapes)))
-    views = _row_blocks(rows, shapes)
-    _input_layer_rows(x, g0, views[0])
-    for view, block in zip(views[1:], hidden):
-        view[...] = block
+    shapes = [(z.shape[-1] + 1, g.shape[2]) for z, g in record]
+    rows = np.empty((record[0][1].shape[0], sum(p * q for p, q in shapes)))
+    for view, (z, g) in zip(_row_blocks(rows, shapes), record):
+        h = z.shape[-1]
+        if z.ndim == 2:
+            _input_layer_rows(z, g, view[:, :h, :])
+        else:
+            np.matmul(z.transpose(0, 2, 1), g, out=view[:, :h, :])
+        view[:, h, :] = g[:, 0, :]
     return rows
 
 
-def _boundary_jacobian_rows(params, trace, grads):
-    """Stack per-sample output Jacobians of the plain forward pass."""
-    shapes = [(z.shape[1] + 1, g.shape[1]) for z, g in zip(trace.linear_inputs, grads)]
-    rows = np.empty((grads[0].shape[0], sum(p * q for p, q in shapes)))
-    for view, z, g in zip(_row_blocks(rows, shapes), trace.linear_inputs, grads):
-        np.multiply(network.augment_inputs(z)[:, :, None], g[:, None, :], out=view)
-    return rows
+# one entry per loss term, so that perfbench/tracing.py can time each by name
+def _interior_jacobian_rows(interior):
+    """Interior residual Jacobian rows from the interior record."""
+    return _jacobian_rows(interior)
 
 
-def loss_gradient(params, states, layer_grads, r_int, trace, grads, r_bnd) -> list:
+def _boundary_jacobian_rows(boundary):
+    """Condition residual Jacobian rows from the condition record."""
+    return _jacobian_rows(boundary)
+
+
+def loss_gradient(interior: list, r_int, boundary: list, r_bnd) -> list:
     """Per-layer ``[dW | db]`` gradient of the two-term loss.
 
-    The residual-weighted contraction of the same per-sample pieces the
-    Jacobian rows are built from, with term weights 1/N each:
-    ``sum_n r_n / N * row_n`` for the interior and the condition term.
+    The residual-weighted contraction of the records the Jacobian rows are
+    built from, with term weights 1/N each: ``sum_n r_n / N * row_n`` for
+    the interior and the condition term.
     """
     w_int = r_int / max(r_int.size, 1)
     w_bnd = r_bnd / max(r_bnd.size, 1)
-    mats = network.weighted_param_grads(trace, grads, w_bnd)
-    for l, (z, g) in enumerate(zip(*layer_pairs(params, states, layer_grads))):
-        mats[l] += param_grad_matrix(z, g, w_int)
-    return mats
+    return [
+        param_grad_matrix(zi, gi, w_int) + param_grad_matrix(zb, gb, w_bnd)
+        for (zi, gi), (zb, gb) in zip(interior, boundary)
+    ]
 
 
 def residual_jacobian_rows(params, batch: pde.Batch, problem) -> tuple:
@@ -291,40 +297,34 @@ def residual_jacobian_rows(params, batch: pde.Batch, problem) -> tuple:
     Jacobians.  Rows are unscaled; the 1/N weights are applied by the
     Gramian assembly.
     """
-    n_int = batch.interior.shape[0]
-    if n_int:
-        states, out = taylor_forward(params, batch.interior, problem.coeffs)
-        du, dgrad, dop = problem.residual_grads(
-            batch.interior, out.value, out.gradient, out.operator
-        )
-        seeds = np.concatenate([du[:, None], dgrad, dop[:, None]], axis=1)
-        tg = taylor_backward(params, states, seeds, problem.coeffs)
-        rows_int = _interior_jacobian_rows(params, states, tg.layer_grads)
-    else:
-        rows_int = np.zeros((0, params.n_params))
-
-    n_bnd = batch.boundary.shape[0]
-    if n_bnd:
-        _, trace = network.forward_batch(params, batch.boundary)
-        grads = network.backward_batch(params, trace, np.ones(n_bnd))
-        rows_bnd = _boundary_jacobian_rows(params, trace, grads)
-    else:
-        rows_bnd = np.zeros((0, params.n_params))
-    return rows_int, rows_bnd
+    states, out = taylor_forward(params, batch.interior, problem.coeffs)
+    du, dgrad, dop = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
+    seeds = np.concatenate([du[:, None], dgrad, dop[:, None]], axis=1)
+    tg = taylor_backward(params, states, seeds, problem.coeffs)
+    _, trace = network.forward_batch(params, batch.boundary)
+    grads = network.backward_batch(params, trace, np.ones(batch.boundary.shape[0]))
+    return (
+        _interior_jacobian_rows(layer_pairs(params, states, tg.layer_grads)),
+        _boundary_jacobian_rows(boundary_pairs(trace, grads)),
+    )
 
 
-def exact_gramian(params, batch: pde.Batch, problem, cap: int = DENSE_GRAMIAN_CAP) -> np.ndarray:
-    """Dense Gauss-Newton matrix ``J_int^T J_int / N + J_cond^T J_cond / N_cond``."""
-    d_total = params.n_params
-    if d_total > cap:
-        raise ValueError(f"parameter count {d_total} exceeds dense cap {cap}")
-    rows_int, rows_bnd = residual_jacobian_rows(params, batch, problem)
+def gramian_from_rows(rows_int, rows_bnd) -> np.ndarray:
+    """Dense Gauss-Newton matrix ``J_int^T J_int / N + J_cond^T J_cond / N_cond`` from the rows."""
+    d_total = rows_int.shape[1]
     g = np.zeros((d_total, d_total))
     if rows_int.shape[0]:
         g += rows_int.T @ rows_int / rows_int.shape[0]
     if rows_bnd.shape[0]:
         g += rows_bnd.T @ rows_bnd / rows_bnd.shape[0]
     return _symmetrize(g)
+
+
+def exact_gramian(params, batch: pde.Batch, problem, cap: int = DENSE_GRAMIAN_CAP) -> np.ndarray:
+    """Dense Gauss-Newton matrix of the batch, for at most ``cap`` parameters."""
+    if params.n_params > cap:
+        raise ValueError(f"parameter count {params.n_params} exceeds dense cap {cap}")
+    return gramian_from_rows(*residual_jacobian_rows(params, batch, problem))
 
 
 def gramian_vec(params, batch: pde.Batch, problem, v) -> np.ndarray:

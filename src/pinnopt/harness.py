@@ -404,12 +404,8 @@ def run_checks(fast: bool = False) -> list:
     seeds = np.zeros((1, 4))
     seeds[0, 3] = 1.0
     tg = taylor.taylor_backward(small, states, seeds, coeffs)
-    analytic = network.mats_to_vec(
-        [
-            taylor.param_grad_matrix(z, g)
-            for z, g in zip(*curvature.layer_pairs(small, states, tg.layer_grads))
-        ]
-    )
+    pairs = curvature.layer_pairs(small, states, tg.layer_grads)
+    analytic = network.mats_to_vec([taylor.param_grad_matrix(z, g) for z, g in pairs])
     vec = network.params_to_vec(small)
     fd = np.zeros_like(vec)
     h = 1e-6
@@ -437,19 +433,20 @@ def run_checks(fast: bool = False) -> list:
     batch3 = pde.sample_batch(problem, 3, 3, seed=13)
     ev = evaluate_batch(net, batch3, problem)
     kf = curvature.init_kfac_state(net, ema=0.0, damping=1.0, init_mode="zero")
-    lin_in, lin_gr = curvature.layer_pairs(net, ev.states, ev.taylor_grads.layer_grads)
-    curvature.interior_factor_update(kf, lin_in, lin_gr)
+    curvature.interior_factor_update(kf, ev.interior)
     # the engine keeps only the points for layer 0; the reference uses the full input state
-    ref_in = [taylor.initial_state(batch3.interior)] + lin_in[1:]
+    ref_in = [taylor.initial_state(batch3.interior)] + [z for z, _ in ev.interior[1:]]
     worst = 0.0
-    for l in range(net.n_linear):
-        z = curvature._augment_state(ref_in[l])
-        n, s, _ = z.shape
+    for l, (_, g) in enumerate(ev.interior):
+        n, s, h = ref_in[l].shape
+        z = np.zeros((n, s, h + 1))  # bias entry: 1 in the value column
+        z[:, :, :h] = ref_in[l]
+        z[:, 0, h] = 1.0
         a_ref = sum(
             np.outer(z[i, j], z[i, j]) for i in range(n) for j in range(s)
         ) / (n * s)
         b_ref = sum(
-            np.outer(lin_gr[l][i, j], lin_gr[l][i, j]) for i in range(n) for j in range(s)
+            np.outer(g[i, j], g[i, j]) for i in range(n) for j in range(s)
         ) / n
         worst = max(worst, np.max(np.abs(kf.a_interior[l] - a_ref)))
         worst = max(worst, np.max(np.abs(kf.b_interior[l] - b_ref)))
@@ -462,7 +459,7 @@ def run_checks(fast: bool = False) -> list:
     kf1 = curvature.init_kfac_state(lin, ema=0.0, damping=1.0, init_mode="zero")
     _, trace = network.forward_batch(lin, one.boundary)
     grads = network.backward_batch(lin, trace, np.ones(1))
-    curvature.boundary_factor_update(kf1, trace.linear_inputs, grads)
+    curvature.boundary_factor_update(kf1, curvature.boundary_pairs(trace, grads))
     err = np.max(np.abs(np.kron(kf1.a_boundary[0], kf1.b_boundary[0]) - gram))
     check("rank-1 condition-factor exactness", err <= 1e-12, f"max err={err:.2e}")
 

@@ -28,8 +28,6 @@ __all__ = [
     "forward",
     "forward_batch",
     "backward_batch",
-    "weighted_param_grads",
-    "augment_inputs",
     "params_to_vec",
     "vec_to_params",
     "mats_to_vec",
@@ -241,27 +239,6 @@ def backward_batch(params: Parameters, trace: ForwardTrace, seed) -> list:
             s1 = activation_derivs(trace.pre_activations[l - 1], params.activation, order=1).s1
             g = g * s1
     return grads
-
-
-def augment_inputs(z) -> np.ndarray:
-    """Append a trailing 1 to each input row (bias column of ``[W | b]``)."""
-    z = np.asarray(z, dtype=np.float64)
-    return np.concatenate([z, np.ones((z.shape[0], 1))], axis=1)
-
-
-def weighted_param_grads(trace: ForwardTrace, grads: list, weights) -> list:
-    """Contract per-sample layer-output gradients into parameter gradients.
-
-    Returns one ``h_out x (h_in + 1)`` matrix ``[dW | db]`` per linear
-    layer, equal to ``sum_n weights[n] * g_n zhat_n^T`` with bias-augmented
-    inputs ``zhat``.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    mats = []
-    for z_in, g in zip(trace.linear_inputs, grads):
-        zhat = augment_inputs(z_in)
-        mats.append((g * weights[:, None]).T @ zhat)
-    return mats
 
 
 # ---------------------------------------------------------------------------

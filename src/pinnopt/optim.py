@@ -124,20 +124,21 @@ def init_train_state(params: network.Parameters, config: OptimizerConfig) -> Tra
 class BatchEval:
     """Everything one pass over a batch produces.
 
-    The reverse passes are seeded with the residuals' output derivatives
-    (not the residual values), so the per-sample layer gradients double as
-    Gauss-Newton rows; the loss gradient is the residual-weighted
-    contraction of the same intermediates.
+    ``interior`` and ``boundary`` are the two loss terms' records: per
+    linear layer the pair (layer input, per-sample output gradient) of
+    :func:`curvature.layer_pairs` (S = d + 2 operator columns) and
+    :func:`curvature.boundary_pairs` (S = 1).  The reverse passes are
+    seeded with the residuals' output derivatives, not the residual
+    values, so the same records give the Kronecker factors, the
+    Gauss-Newton rows and, contracted with the residuals, ``grad_mats``.
     """
 
     loss_interior: float
     loss_boundary: float
     residuals_int: np.ndarray
     residuals_bnd: np.ndarray
-    states: list
-    taylor_grads: object
-    boundary_trace: object
-    boundary_grads: list
+    interior: list
+    boundary: list
     grad_mats: list
 
     @property
@@ -162,23 +163,20 @@ def evaluate_batch(params, batch: pde.Batch, problem) -> BatchEval:
     du, dgrad, dop = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
     seeds = np.concatenate([du[:, None], dgrad, dop[:, None]], axis=1)
     tg = taylor_backward(params, states, seeds, problem.coeffs)
+    interior = curvature.layer_pairs(params, states, tg.layer_grads)
 
     loss_bnd, r_bnd, trace = pde.boundary_loss(problem, params, batch)
     bgrads = network.backward_batch(params, trace, np.ones(r_bnd.size))
+    boundary = curvature.boundary_pairs(trace, bgrads)
 
-    grad_mats = curvature.loss_gradient(
-        params, states, tg.layer_grads, r_int, trace, bgrads, r_bnd
-    )
     return BatchEval(
         loss_interior=loss_int,
         loss_boundary=loss_bnd,
         residuals_int=r_int,
         residuals_bnd=r_bnd,
-        states=states,
-        taylor_grads=tg,
-        boundary_trace=trace,
-        boundary_grads=bgrads,
-        grad_mats=grad_mats,
+        interior=interior,
+        boundary=boundary,
+        grad_mats=curvature.loss_gradient(interior, r_int, boundary, r_bnd),
     )
 
 
@@ -230,11 +228,8 @@ def _mats_scale(a, s):
 def _kfac_common(state: TrainState, batch, problem):
     """Shared start of both Kronecker steps: factors, gradient, direction."""
     ev = evaluate_batch(state.params, batch, problem)
-    lin_in, lin_gr = curvature.layer_pairs(state.params, ev.states, ev.taylor_grads.layer_grads)
-    curvature.interior_factor_update(state.kfac, lin_in, lin_gr)
-    curvature.boundary_factor_update(
-        state.kfac, ev.boundary_trace.linear_inputs, ev.boundary_grads
-    )
+    curvature.interior_factor_update(state.kfac, ev.interior)
+    curvature.boundary_factor_update(state.kfac, ev.boundary)
     delta = curvature.precondition_gradient(state.kfac, ev.grad_mats)
     return ev, delta
 
@@ -274,18 +269,12 @@ def solve_quadratic_model(have_prev, m11, m12, m22, rhs1, rhs2) -> tuple:
     return -rhs1 / m11, 0.0
 
 
-def _rows_from_eval(params, ev: BatchEval) -> tuple:
-    """Residual-Jacobian rows assembled from an existing batch evaluation."""
-    rows_int = curvature._interior_jacobian_rows(params, ev.states, ev.taylor_grads.layer_grads)
-    rows_bnd = curvature._boundary_jacobian_rows(params, ev.boundary_trace, ev.boundary_grads)
-    return rows_int, rows_bnd
-
-
 def kfac_star_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     cfg = state.config
     ev, delta = _kfac_common(state, batch, problem)
 
-    rows_int, rows_bnd = _rows_from_eval(state.params, ev)
+    rows_int = curvature._interior_jacobian_rows(ev.interior)
+    rows_bnd = curvature._boundary_jacobian_rows(ev.boundary)
     dv = network.mats_to_vec(delta)
     pv = network.mats_to_vec(state.prev_update)
     gv = network.mats_to_vec(ev.grad_mats)
@@ -320,13 +309,10 @@ def engd_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
             f"cap {curvature.DENSE_GRAMIAN_CAP}"
         )
     ev = evaluate_batch(state.params, batch, problem)
-    rows_int, rows_bnd = _rows_from_eval(state.params, ev)
-    gram = np.zeros((d, d))
-    if rows_int.shape[0]:
-        gram += rows_int.T @ rows_int / rows_int.shape[0]
-    if rows_bnd.shape[0]:
-        gram += rows_bnd.T @ rows_bnd / rows_bnd.shape[0]
-    gram = 0.5 * (gram + gram.T)
+    gram = curvature.gramian_from_rows(
+        curvature._interior_jacobian_rows(ev.interior),
+        curvature._boundary_jacobian_rows(ev.boundary),
+    )
     if state.gramian_ema is not None:
         state.gramian_ema = curvature.ema_update(state.gramian_ema, gram, cfg.ema)
         gram = state.gramian_ema

@@ -72,7 +72,7 @@ def test_criterion_2_backward_engine():
     analytic_vec = network.mats_to_vec(
         [
             param_grad_matrix(z, g)
-            for z, g in zip(*curvature.layer_pairs(params, states, tg.layer_grads))
+            for z, g in curvature.layer_pairs(params, states, tg.layer_grads)
         ]
     )
     h = 1e-6
@@ -162,7 +162,7 @@ def test_criterion_3_curvature():
     state = curvature.init_kfac_state(lin, ema=0.0, damping=1.0, init_mode="zero")
     _, trace = network.forward_batch(lin, one.boundary)
     grads = network.backward_batch(lin, trace, np.ones(1))
-    curvature.boundary_factor_update(state, trace.linear_inputs, grads)
+    curvature.boundary_factor_update(state, curvature.boundary_pairs(trace, grads))
     rank1_err = float(np.max(np.abs(np.kron(state.a_boundary[0], state.b_boundary[0]) - gram1)))
     ok_d = rank1_err <= 1e-12
 
@@ -179,23 +179,27 @@ def test_criterion_4_factor_transcription():
     params = init_params(Architecture((2, 4, 1)), 9)
     batch = pde.sample_batch(problem, 3, 3, seed=13)
     ev = evaluate_batch(params, batch, problem)
-    lin_in = [ev.states[2 * l] for l in range(params.n_linear)]
-    lin_gr = [ev.taylor_grads.layer_grads[2 * l + 1] for l in range(params.n_linear)]
     state = curvature.init_kfac_state(params, ema=0.0, damping=1.0, init_mode="zero")
-    curvature.interior_factor_update(state, lin_in, lin_gr)
-    curvature.boundary_factor_update(state, ev.boundary_trace.linear_inputs, ev.boundary_grads)
+    curvature.interior_factor_update(state, ev.interior)
+    curvature.boundary_factor_update(state, ev.boundary)
 
-    ref_in = [initial_state(batch.interior)] + lin_in[1:]
+    # literal loops over bias-augmented inputs; layer 0 from the full input state
+    _, trace = network.forward_batch(params, batch.boundary)
+    grads = network.backward_batch(params, trace, np.ones(batch.boundary.shape[0]))
+    ref_in = [initial_state(batch.interior)] + [z for z, _ in ev.interior[1:]]
     worst = 0.0
-    for l in range(params.n_linear):
-        zhat = curvature._augment_state(ref_in[l])
-        n, s, _ = zhat.shape
+    for l, (_, g) in enumerate(ev.interior):
+        n, s, h = ref_in[l].shape
+        zhat = np.zeros((n, s, h + 1))
+        zhat[:, :, :h] = ref_in[l]
+        zhat[:, 0, h] = 1.0
         a_ref = sum(np.outer(zhat[i, j], zhat[i, j]) for i in range(n) for j in range(s)) / (n * s)
-        b_ref = sum(np.outer(lin_gr[l][i, j], lin_gr[l][i, j]) for i in range(n) for j in range(s)) / n
+        b_ref = sum(np.outer(g[i, j], g[i, j]) for i in range(n) for j in range(s)) / n
         worst = max(worst, float(np.max(np.abs(state.a_interior[l] - a_ref))))
         worst = max(worst, float(np.max(np.abs(state.b_interior[l] - b_ref))))
-        zb = network.augment_inputs(ev.boundary_trace.linear_inputs[l])
-        gb = ev.boundary_grads[l]
+        z = trace.linear_inputs[l]
+        zb = np.concatenate([z, np.ones((z.shape[0], 1))], axis=1)
+        gb = grads[l]
         nb = zb.shape[0]
         a_ref = sum(np.outer(zb[i], zb[i]) for i in range(nb)) / nb
         b_ref = sum(np.outer(gb[i], gb[i]) for i in range(nb)) / nb
@@ -307,10 +311,8 @@ def test_criterion_8_quadratic_model_optimality():
         batch = pde.sample_batch(problem, 12, 6, seed=500 + trial)
         state = init_train_state(params, OptimizerConfig(kind="kfac_star", damping=1e-3, ema=0.0))
         ev = evaluate_batch(state.params, batch, problem)
-        lin_in = [ev.states[2 * l] for l in range(params.n_linear)]
-        lin_gr = [ev.taylor_grads.layer_grads[2 * l + 1] for l in range(params.n_linear)]
-        curvature.interior_factor_update(state.kfac, lin_in, lin_gr)
-        curvature.boundary_factor_update(state.kfac, ev.boundary_trace.linear_inputs, ev.boundary_grads)
+        curvature.interior_factor_update(state.kfac, ev.interior)
+        curvature.boundary_factor_update(state.kfac, ev.boundary)
         delta = curvature.precondition_gradient(state.kfac, ev.grad_mats)
         dv = network.mats_to_vec(delta)
         pv = rng.standard_normal(dv.size) * np.linalg.norm(dv)  # previous update stand-in

@@ -20,18 +20,17 @@ from pinnopt.taylor import (
     OperatorCoeffs,
     _activation_backward,
     initial_state,
-    linear_input_index,
-    linear_output_index,
     param_grad_matrix,
+    taylor_backward,
+    taylor_forward,
     taylor_forward_activation,
     taylor_forward_linear,
 )
 
 
-def linear_inputs_and_grads(params, ev):
-    lin_in = [ev.states[linear_input_index(l)] for l in range(params.n_linear)]
-    lin_gr = [ev.taylor_grads.layer_grads[linear_output_index(l)] for l in range(params.n_linear)]
-    return lin_in, lin_gr
+def with_bias(z):
+    """Append a 1 to each row of an (N, h) input: the bias entry of ``[W | b]``."""
+    return np.concatenate([z, np.ones((z.shape[0], 1))], axis=1)
 
 
 @pytest.fixture
@@ -66,7 +65,7 @@ class TestFactorUpdates:
         z[0, 0] = [3.0, 4.0]
         g = np.zeros((1, 4, 1))
         g[0, 0] = 2.0
-        interior_factor_update(state, [z], [g])
+        interior_factor_update(state, [(z, g)])
         assert np.linalg.matrix_rank(state.a_interior[0]) == 1
         zhat = np.array([3.0, 4.0, 1.0])
         assert np.allclose(state.a_interior[0], np.outer(zhat, zhat) / 4.0)
@@ -80,7 +79,7 @@ class TestFactorUpdates:
         g = rng.standard_normal((1, 1, 2))
         p = Parameters([rng.standard_normal((2, 3))], [np.zeros(2)])
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        interior_factor_update(state, [z], [g])
+        interior_factor_update(state, [(z, g)])
         zhat = np.append(z[0, 0], 1.0)
         jac = np.kron(zhat[:, None], g[0, 0][:, None])  # column-stacked Jacobian
         exact = jac @ jac.T
@@ -92,14 +91,15 @@ class TestFactorUpdates:
         batch = pde.sample_batch(poisson, 3, 3, seed=13)
         ev = evaluate_batch(p, batch, poisson)
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        lin_in, lin_gr = linear_inputs_and_grads(p, ev)
-        interior_factor_update(state, lin_in, lin_gr)
-        ref_in = [initial_state(batch.interior)] + lin_in[1:]
-        for l in range(p.n_linear):
-            zhat = curvature._augment_state(ref_in[l])
-            n, s, _ = zhat.shape
+        interior_factor_update(state, ev.interior)
+        ref_in = [initial_state(batch.interior)] + [z for z, _ in ev.interior[1:]]
+        for l, (_, g) in enumerate(ev.interior):
+            n, s, h = ref_in[l].shape
+            zhat = np.zeros((n, s, h + 1))  # bias entry: 1 in the value column
+            zhat[:, :, :h] = ref_in[l]
+            zhat[:, 0, h] = 1.0
             a_ref = sum(np.outer(zhat[i, j], zhat[i, j]) for i in range(n) for j in range(s)) / (n * s)
-            b_ref = sum(np.outer(lin_gr[l][i, j], lin_gr[l][i, j]) for i in range(n) for j in range(s)) / n
+            b_ref = sum(np.outer(g[i, j], g[i, j]) for i in range(n) for j in range(s)) / n
             assert np.max(np.abs(state.a_interior[l] - a_ref)) <= 1e-12
             assert np.max(np.abs(state.b_interior[l] - b_ref)) <= 1e-12
 
@@ -107,7 +107,7 @@ class TestFactorUpdates:
         # z = (3, 4), bias-augmented (3, 4, 1), unit output gradient
         p = Parameters([np.array([[1.0, 1.0]])], [np.array([0.0])])
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        boundary_factor_update(state, [np.array([[3.0, 4.0]])], [np.array([[1.0]])])
+        boundary_factor_update(state, [(np.array([[[3.0, 4.0]]]), np.array([[[1.0]]]))])
         assert np.allclose(
             state.a_boundary[0],
             [[9.0, 12.0, 3.0], [12.0, 16.0, 4.0], [3.0, 4.0, 1.0]],
@@ -117,7 +117,7 @@ class TestFactorUpdates:
     def test_boundary_zero_gradients(self):
         p = Parameters([np.array([[1.0, 1.0]])], [np.array([0.0])])
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        boundary_factor_update(state, [np.ones((2, 2))], [np.zeros((2, 1))])
+        boundary_factor_update(state, [(np.ones((2, 1, 2)), np.zeros((2, 1, 1)))])
         assert np.array_equal(state.b_boundary[0], np.zeros((1, 1)))
 
     def test_boundary_factors_match_literal_loop(self, poisson):
@@ -126,9 +126,9 @@ class TestFactorUpdates:
         _, trace = network.forward_batch(p, batch.boundary)
         grads = network.backward_batch(p, trace, np.ones(5))
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        boundary_factor_update(state, trace.linear_inputs, grads)
+        boundary_factor_update(state, curvature.boundary_pairs(trace, grads))
         for l in range(p.n_linear):
-            zhat = network.augment_inputs(trace.linear_inputs[l])
+            zhat = with_bias(trace.linear_inputs[l])
             n = zhat.shape[0]
             a_ref = sum(np.outer(zhat[i], zhat[i]) for i in range(n)) / n
             b_ref = sum(np.outer(grads[l][i], grads[l][i]) for i in range(n)) / n
@@ -140,9 +140,8 @@ class TestFactorUpdates:
         batch = pde.sample_batch(poisson, 8, 8, seed=15)
         ev = evaluate_batch(p, batch, poisson)
         state = init_kfac_state(p, ema=0.5, damping=1.0, init_mode="identity")
-        lin_in, lin_gr = linear_inputs_and_grads(p, ev)
-        interior_factor_update(state, lin_in, lin_gr)
-        boundary_factor_update(state, ev.boundary_trace.linear_inputs, ev.boundary_grads)
+        interior_factor_update(state, ev.interior)
+        boundary_factor_update(state, ev.boundary)
         for mats in (state.a_interior, state.b_interior, state.a_boundary, state.b_boundary):
             for m in mats:
                 assert np.max(np.abs(m - m.T)) <= 1e-12
@@ -190,7 +189,7 @@ class TestPrecondition:
         z = rng.standard_normal((1, 1, 2))
         g = rng.standard_normal((1, 1, 1))
         state = init_kfac_state(p, ema=0.0, damping=1e-10, init_mode="zero")
-        interior_factor_update(state, [z], [g])
+        interior_factor_update(state, [(z, g)])
         zhat = np.append(z[0, 0], 1.0)
         jac = np.kron(zhat[:, None], g[0, 0][:, None])
         block = jac @ jac.T
@@ -214,7 +213,7 @@ class TestExactGramian:
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
         _, trace = network.forward_batch(p, batch.boundary)
         grads = network.backward_batch(p, trace, np.ones(1))
-        boundary_factor_update(state, trace.linear_inputs, grads)
+        boundary_factor_update(state, curvature.boundary_pairs(trace, grads))
         kron = np.kron(state.a_boundary[0], state.b_boundary[0])
         assert np.max(np.abs(g - kron)) <= 1e-12
 
@@ -240,7 +239,7 @@ class TestExactGramian:
         grads = network.backward_batch(p, trace, np.ones(2))
         rows_b = np.concatenate(
             [
-                (network.augment_inputs(z)[:, :, None] * gr[:, None, :]).reshape(2, -1)
+                (with_bias(z)[:, :, None] * gr[:, None, :]).reshape(2, -1)
                 for z, gr in zip(trace.linear_inputs, grads)
             ],
             axis=1,
@@ -336,6 +335,14 @@ INPUT_LAYER_CASES = {
 }
 
 
+def _taylor_passes(p, batch, problem):
+    """Forward states and residual-seeded reverse pass, as ``evaluate_batch`` makes them."""
+    states, out = taylor_forward(p, batch.interior, problem.coeffs)
+    du, dgrad, dop = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
+    seeds = np.concatenate([du[:, None], dgrad, dop[:, None]], axis=1)
+    return states, taylor_backward(p, states, seeds, problem.coeffs)
+
+
 class TestInputLayerClosedForm:
     """Layer 0 is computed from the points alone; the references loop over
     the materialised input state ``initial_state(x)`` instead."""
@@ -352,13 +359,13 @@ class TestInputLayerClosedForm:
         zhat = np.zeros((n, s, d + 1))
         zhat[:, :, :d] = z0
         zhat[:, 0, d] = 1.0
-        g = ev.taylor_grads.layer_grads[1]
+        g = ev.interior[0][1]
         return p, problem, batch, ev, zhat, g
 
     def test_factor(self, case):
         p, _, _, ev, zhat, g = case
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        interior_factor_update(state, *linear_inputs_and_grads(p, ev))
+        interior_factor_update(state, ev.interior)
         n, s, _ = zhat.shape
         a_ref = sum(np.outer(zhat[i, j], zhat[i, j]) for i in range(n) for j in range(s)) / (n * s)
         b_ref = sum(np.outer(g[i, j], g[i, j]) for i in range(n) for j in range(s)) / n
@@ -375,32 +382,32 @@ class TestInputLayerClosedForm:
             assert np.max(np.abs(seg - block.ravel())) <= 1e-12 * max(1.0, np.max(np.abs(block)))
 
     def test_weight_grads(self, case):
-        p, _, _, ev, zhat, g = case
+        p, problem, batch, ev, zhat, g = case
         n, s, _ = zhat.shape
         ref = sum(np.outer(g[i, j], zhat[i, j]) for i in range(n) for j in range(s))
-        tg = ev.taylor_grads
-        lin_in, lin_gr = curvature.layer_pairs(p, ev.states, tg.layer_grads)
-        got = param_grad_matrix(lin_in[0], lin_gr[0])
+        got = param_grad_matrix(*ev.interior[0])
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-        assert tg.layer_grads[0] is None
+        assert _taylor_passes(p, batch, problem)[1].layer_grads[0] is None
 
     def test_gradient_matrix(self, case):
         p, _, batch, ev, zhat, g = case
         n, s, _ = zhat.shape
         w_int = ev.residuals_int / n
         ref = sum(w_int[i] * np.outer(g[i, j], zhat[i, j]) for i in range(n) for j in range(s))
-        zb = network.augment_inputs(batch.boundary)
+        zb = with_bias(batch.boundary)
+        gb = ev.boundary[0][1][:, 0, :]
         w_bnd = ev.residuals_bnd / zb.shape[0]
-        ref = ref + sum(w_bnd[i] * np.outer(ev.boundary_grads[0][i], zb[i]) for i in range(zb.shape[0]))
+        ref = ref + sum(w_bnd[i] * np.outer(gb[i], zb[i]) for i in range(zb.shape[0]))
         assert np.max(np.abs(ev.grad_mats[0] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_first_layer_adjoint_matches_materialised_state(self, case):
         # the closed-form first activation and its adjoint against the
         # generic operator-column layers applied to the full input state
-        p, problem, batch, ev, zhat, g = case
+        p, problem, batch, _, zhat, g = case
         co = problem.coeffs
+        states, tg = _taylor_passes(p, batch, problem)
         z1 = taylor_forward_linear(p.weights[0], p.biases[0], initial_state(batch.interior))
-        assert np.max(np.abs(ev.states[1] - z1[:, 0, :])) <= 1e-12
+        assert np.max(np.abs(states[1] - z1[:, 0, :])) <= 1e-12
         if p.n_linear == 1:
             # the output adjoint is the residual seed of the materialised output
             d = batch.interior.shape[1]
@@ -411,6 +418,6 @@ class TestInputLayerClosedForm:
             return
         derivs = activation_derivs(z1[:, 0, :], p.activation, order=2)
         z2 = taylor_forward_activation(derivs, z1, co)
-        assert np.max(np.abs(ev.states[2] - z2)) <= 1e-12 * max(1.0, np.max(np.abs(z2)))
-        g_ref = _activation_backward(z1, ev.taylor_grads.layer_grads[2], co, p.activation)
+        assert np.max(np.abs(states[2] - z2)) <= 1e-12 * max(1.0, np.max(np.abs(z2)))
+        g_ref = _activation_backward(z1, tg.layer_grads[2], co, p.activation)
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * max(1.0, np.max(np.abs(g_ref)))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinnopt import network
+from pinnopt.curvature import boundary_pairs
 from pinnopt.network import (
     Architecture,
     Parameters,
@@ -15,6 +16,7 @@ from pinnopt.network import (
     params_to_vec,
     vec_to_params,
 )
+from pinnopt.taylor import param_grad_matrix
 
 
 class TestArchitecture:
@@ -180,7 +182,7 @@ class TestBackward:
         pts = np.random.default_rng(3).uniform(-1, 1, size=(4, 2))
         u, trace = forward_batch(p, pts)
         grads = network.backward_batch(p, trace, np.ones(4))
-        mats = network.weighted_param_grads(trace, grads, np.ones(4))
+        mats = [param_grad_matrix(z, g) for z, g in boundary_pairs(trace, grads)]
         vec = params_to_vec(p)
         analytic = network.mats_to_vec(mats)
         h = 1e-6

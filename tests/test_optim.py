@@ -146,13 +146,11 @@ class TestKfacStep:
         params_before = state.params.copy()
         kf = state.kfac
         ev = evaluate_batch(state.params, batch, poisson)
-        lin_in = [ev.states[2 * l] for l in range(state.params.n_linear)]
-        lin_gr = [ev.taylor_grads.layer_grads[2 * l + 1] for l in range(state.params.n_linear)]
         import copy
 
         kf2 = copy.deepcopy(kf)
-        curvature.interior_factor_update(kf2, lin_in, lin_gr)
-        curvature.boundary_factor_update(kf2, ev.boundary_trace.linear_inputs, ev.boundary_grads)
+        curvature.interior_factor_update(kf2, ev.interior)
+        curvature.boundary_factor_update(kf2, ev.boundary)
         delta = curvature.precondition_gradient(kf2, ev.grad_mats)
         info = optimizer_step(state, batch, poisson)
         for l in range(state.params.n_linear):
@@ -175,10 +173,8 @@ class TestKfacStep:
         batch = pde.sample_batch(poisson, 10, 6, seed=2)
         ev = evaluate_batch(state.params, batch, poisson)
         kf = state.kfac
-        lin_in = [ev.states[2 * l] for l in range(state.params.n_linear)]
-        lin_gr = [ev.taylor_grads.layer_grads[2 * l + 1] for l in range(state.params.n_linear)]
-        curvature.interior_factor_update(kf, lin_in, lin_gr)
-        curvature.boundary_factor_update(kf, ev.boundary_trace.linear_inputs, ev.boundary_grads)
+        curvature.interior_factor_update(kf, ev.interior)
+        curvature.boundary_factor_update(kf, ev.boundary)
         delta = curvature.precondition_gradient(kf, ev.grad_mats)
         dv = network.mats_to_vec(delta)
         gv = network.mats_to_vec(ev.grad_mats)
@@ -203,12 +199,8 @@ class TestKfacStar:
         import copy
 
         kf = copy.deepcopy(state.kfac)
-        curvature.interior_factor_update(
-            kf,
-            [ev.states[2 * l] for l in range(state.params.n_linear)],
-            [ev.taylor_grads.layer_grads[2 * l + 1] for l in range(state.params.n_linear)],
-        )
-        curvature.boundary_factor_update(kf, ev.boundary_trace.linear_inputs, ev.boundary_grads)
+        curvature.interior_factor_update(kf, ev.interior)
+        curvature.boundary_factor_update(kf, ev.boundary)
         delta = curvature.precondition_gradient(kf, ev.grad_mats)
         dv = network.mats_to_vec(delta)
         gv = network.mats_to_vec(ev.grad_mats)
@@ -250,12 +242,8 @@ class TestKfacStar:
         import copy
 
         kf = copy.deepcopy(state.kfac)
-        curvature.interior_factor_update(
-            kf,
-            [ev.states[2 * l] for l in range(state.params.n_linear)],
-            [ev.taylor_grads.layer_grads[2 * l + 1] for l in range(state.params.n_linear)],
-        )
-        curvature.boundary_factor_update(kf, ev.boundary_trace.linear_inputs, ev.boundary_grads)
+        curvature.interior_factor_update(kf, ev.interior)
+        curvature.boundary_factor_update(kf, ev.boundary)
         delta = curvature.precondition_gradient(kf, ev.grad_mats)
         dv = network.mats_to_vec(delta)
         pv = network.mats_to_vec(state.prev_update)

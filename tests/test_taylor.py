@@ -23,8 +23,7 @@ def net_fn(params):
 
 def seeded_param_grads(params, states, tg):
     """Batch-summed ``[dW | db]`` per linear layer of the seeded reverse pass."""
-    pairs = curvature.layer_pairs(params, states, tg.layer_grads)
-    return [param_grad_matrix(z, g) for z, g in zip(*pairs)]
+    return [param_grad_matrix(z, g) for z, g in curvature.layer_pairs(params, states, tg.layer_grads)]
 
 
 def random_coeffs(rng, d):
@@ -249,7 +248,10 @@ class TestTaylorBackward:
         tg = taylor_backward(p, states, seeds, co)
         u, trace = network.forward_batch(p, pts)
         grads = network.backward_batch(p, trace, np.ones(5))
-        mats = network.weighted_param_grads(trace, grads, np.ones(5))
+        mats = [
+            sum(np.outer(g[n], np.append(z[n], 1.0)) for n in range(5))
+            for z, g in zip(trace.linear_inputs, grads)
+        ]
         got = seeded_param_grads(p, states, tg)
         for l in range(p.n_linear):
             assert np.max(np.abs(got[l][:, :-1] - mats[l][:, :-1])) <= 1e-12
