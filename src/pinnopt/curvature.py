@@ -34,6 +34,19 @@ The condition record's layer-0 input is ``x[:, None, :]``, three-dimensional
 like every other S = 1 input, so a two-dimensional input always means
 these points.  Only this module and :mod:`pinnopt.taylor` know the state
 layout; the optimizers pass the records through unchanged.
+
+kfac_star needs the Gramian only on the span of k <= 2 directions
+V = [Delta, prev], so it asks for the projected rows ``J V`` (N, k)
+instead of the (N, D) rows.  With ``[dW_k | db_k]`` the layer's block of
+direction k, each layer adds
+
+    (J V)_nk += sum_s g_ns . (dW_k z_ns) + g_n0 . db_k
+    (J V)_nk += g_n0 . (dW_k x_n + db_k) + <G_n, dW_k^T>      (layer 0)
+
+the first as one (N S, h_in) x (h_in, h_out) product per direction, the
+second with G_n read as one (N, d h1) matrix.  ``V^T G V`` is then the
+Gramian-vector product of the (N, k) rows with the coordinate vectors.
+Only engd and :func:`exact_gramian` form the (N, D) rows.
 """
 
 from __future__ import annotations
@@ -249,7 +262,8 @@ def _jacobian_rows(record):
     Per layer the row segment is the column-stacked ``sum_s g_ns zhat_ns^T``;
     its transpose (N, h_in + 1, h_out) is written in place, so the C-order
     layout is the column-stacked flattening.  The weight rows are
-    ``z_n^T g_n`` (layer-0 points in closed form), the bias row is ``g_n0``.
+    ``z_n^T g_n`` (layer-0 points in closed form, an outer product when
+    S = 1), the bias row is ``g_n0``.
     """
     shapes = [(z.shape[-1] + 1, g.shape[2]) for z, g in record]
     rows = np.empty((record[0][1].shape[0], sum(p * q for p, q in shapes)))
@@ -257,21 +271,50 @@ def _jacobian_rows(record):
         h = z.shape[-1]
         if z.ndim == 2:
             _input_layer_rows(z, g, view[:, :h, :])
+        elif z.shape[1] == 1:
+            # one broadcast multiply; a matmul of inner dimension 1 is one tiny gemm per sample
+            np.multiply(z.transpose(0, 2, 1), g, out=view[:, :h, :])
         else:
             np.matmul(z.transpose(0, 2, 1), g, out=view[:, :h, :])
         view[:, h, :] = g[:, 0, :]
     return rows
 
 
+def _projected_rows(record, basis):
+    """One loss term's residual Jacobian applied to k directions, ``J V`` (N, k).
+
+    ``basis[k]`` is a list of per-layer ``[dW | db]`` matrices.  Per layer
+    ``(J V)_nk += sum_s g_ns . (dW_k z_ns) + g_n0 . db_k`` (module
+    docstring), one (N S, h_in) x (h_in, h_out) product per direction; no
+    row is formed.
+    """
+    n = record[0][1].shape[0]
+    out = np.zeros((n, len(basis)))
+    for l, (z, g) in enumerate(record):
+        _, s, q = g.shape
+        h = z.shape[-1]
+        for k, mats in enumerate(basis):
+            w, b = mats[l][:, :h], mats[l][:, h]
+            if z.ndim == 2:
+                # derivative block G_n read as one (N, d h1) matrix
+                out[:, k] += g[:, 1 : 1 + h, :].reshape(n, h * q) @ w.T.reshape(-1)
+                out[:, k] += np.einsum("ij,ij->i", z @ w.T + b, g[:, 0, :])
+            else:
+                zw = z.reshape(n * s, h) @ w.T
+                out[:, k] += np.einsum("ij,ij->i", zw, g.reshape(n * s, q)).reshape(n, s).sum(axis=1)
+                out[:, k] += g[:, 0, :] @ b
+    return out
+
+
 # one entry per loss term, so that perfbench/tracing.py can time each by name
-def _interior_jacobian_rows(interior):
-    """Interior residual Jacobian rows from the interior record."""
-    return _jacobian_rows(interior)
+def _interior_jacobian_rows(interior, basis=None):
+    """Interior residual Jacobian rows (N, D) from the interior record, or ``J V`` for a basis."""
+    return _jacobian_rows(interior) if basis is None else _projected_rows(interior, basis)
 
 
-def _boundary_jacobian_rows(boundary):
-    """Condition residual Jacobian rows from the condition record."""
-    return _jacobian_rows(boundary)
+def _boundary_jacobian_rows(boundary, basis=None):
+    """Condition residual Jacobian rows (N, D) from the condition record, or ``J V`` for a basis."""
+    return _jacobian_rows(boundary) if basis is None else _projected_rows(boundary, basis)
 
 
 def loss_gradient(interior: list, r_int, boundary: list, r_bnd) -> list:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import curvature, linalg, network, oracle, pde
+from . import linalg, network, pde
 from .optim import (
     LineSearchError,
     OptimizerConfig,
@@ -35,7 +35,6 @@ __all__ = [
     "run_training",
     "save_checkpoint",
     "load_checkpoint",
-    "run_checks",
     "main",
 ]
 
@@ -344,168 +343,6 @@ def _initial_losses(params, batch, problem):
 
 
 # ---------------------------------------------------------------------------
-# built-in verification checks (CLI `check` subcommand)
-
-def run_checks(fast: bool = False) -> list:
-    """Cross-check the fast engines against the brute-force references.
-
-    Returns ``(name, ok, detail)`` triples; all checks use fixed seeds so
-    the outcome is reproducible.
-    """
-    from . import taylor
-    from .optim import evaluate_batch
-
-    results = []
-
-    def check(name, ok, detail=""):
-        results.append((name, bool(ok), detail))
-
-    rng = np.random.default_rng(7)
-
-    # symmetric eigendecomposition reconstruction
-    m = rng.standard_normal((6, 6))
-    m = m + m.T
-    evals, q = linalg.sym_eig(m)
-    err = np.max(np.abs((q * evals) @ q.T - m))
-    check("sym_eig reconstruction", err <= 1e-8 * np.max(np.abs(m)), f"err={err:.2e}")
-
-    # Kronecker-sum solve against a dense solve
-    def spd(k):
-        a = rng.standard_normal((k, k))
-        return a @ a.T + k * np.eye(k)
-
-    a1, b1, a2, b2 = spd(3), spd(4), spd(3), spd(4)
-    g = rng.standard_normal(12)
-    v = linalg.kron_sum_solve(a1, b1, a2, b2, g)
-    dense = np.kron(a1, b1) + np.kron(a2, b2)
-    err = np.linalg.norm(dense @ v - g) / np.linalg.norm(g)
-    check("kron_sum_solve vs dense", err <= 1e-8, f"rel err={err:.2e}")
-
-    # operator-column forward pass against finite differences
-    arch = network.Architecture((2, 8, 1))
-    params = network.init_params(arch, 3)
-    coeffs = taylor.OperatorCoeffs.laplacian(2)
-    pts = rng.uniform(0.1, 0.9, size=(5, 2))
-    _, out = taylor.taylor_forward(params, pts, coeffs)
-    worst_g = worst_l = 0.0
-    for i, x in enumerate(pts):
-        f = lambda y: network.forward(params, y)[0]
-        worst_g = max(worst_g, oracle.rel_error(out.gradient[i], oracle.fd_gradient(f, x)))
-        worst_l = max(worst_l, oracle.rel_error(out.operator[i], oracle.fd_operator(f, x, coeffs)))
-    check("gradient column vs finite differences", worst_g <= 1e-8, f"rel err={worst_g:.2e}")
-    check("operator column vs finite differences", worst_l <= 1e-6, f"rel err={worst_l:.2e}")
-
-    # reverse pass against finite differences of the forward operator
-    problem = pde.make_problem("poisson2d_sin")
-    batch = pde.sample_batch(problem, 4, 4, seed=11)
-    point = batch.interior[:1]
-    small = network.init_params(network.Architecture((2, 5, 1)), 5)
-    states, _ = taylor.taylor_forward(small, point, coeffs)
-    seeds = np.zeros((1, 4))
-    seeds[0, 3] = 1.0
-    tg = taylor.taylor_backward(small, states, seeds, coeffs)
-    pairs = curvature.layer_pairs(small, states, tg.layer_grads)
-    analytic = network.mats_to_vec([taylor.param_grad_matrix(z, g) for z, g in pairs])
-    vec = network.params_to_vec(small)
-    fd = np.zeros_like(vec)
-    h = 1e-6
-    for k in range(vec.size):
-        vp, vm = vec.copy(), vec.copy()
-        vp[k] += h
-        vm[k] -= h
-        _, op = taylor.taylor_forward(network.vec_to_params(vp, small), point, coeffs)
-        _, om = taylor.taylor_forward(network.vec_to_params(vm, small), point, coeffs)
-        fd[k] = (op.operator[0] - om.operator[0]) / (2 * h)
-    err = oracle.rel_error(analytic, fd)
-    check("reverse pass vs finite differences", err <= 1e-5, f"rel err={err:.2e}")
-
-    # independent residual-Jacobian oracle against the engine rows
-    if not fast:
-        rows_int, _ = curvature.residual_jacobian_rows(
-            small, pde.Batch(point, batch.boundary[:1], batch.boundary_targets[:1]), problem
-        )
-        jac = oracle.fd_residual_jacobian(problem, small, point[0])
-        err = oracle.rel_error(rows_int[0], jac)
-        check("residual Jacobian oracle", err <= 1e-5, f"rel err={err:.2e}")
-
-    # Kronecker factors against a literal-loop transcription
-    net = network.init_params(network.Architecture((2, 4, 1)), 9)
-    batch3 = pde.sample_batch(problem, 3, 3, seed=13)
-    ev = evaluate_batch(net, batch3, problem)
-    kf = curvature.init_kfac_state(net, ema=0.0, damping=1.0, init_mode="zero")
-    curvature.interior_factor_update(kf, ev.interior)
-    # the engine keeps only the points for layer 0; the reference uses the full input state
-    ref_in = [taylor.initial_state(batch3.interior)] + [z for z, _ in ev.interior[1:]]
-    worst = 0.0
-    for l, (_, g) in enumerate(ev.interior):
-        n, s, h = ref_in[l].shape
-        z = np.zeros((n, s, h + 1))  # bias entry: 1 in the value column
-        z[:, :, :h] = ref_in[l]
-        z[:, 0, h] = 1.0
-        a_ref = sum(
-            np.outer(z[i, j], z[i, j]) for i in range(n) for j in range(s)
-        ) / (n * s)
-        b_ref = sum(
-            np.outer(g[i, j], g[i, j]) for i in range(n) for j in range(s)
-        ) / n
-        worst = max(worst, np.max(np.abs(kf.a_interior[l] - a_ref)))
-        worst = max(worst, np.max(np.abs(kf.b_interior[l] - b_ref)))
-    check("interior factors vs literal loops", worst <= 1e-12, f"max err={worst:.2e}")
-
-    # rank-1 exactness of the condition-term factors
-    lin = network.Parameters([np.array([[1.5, -2.0]])], [np.array([0.5])])
-    one = pde.Batch(np.zeros((0, 2)), np.array([[3.0, 4.0]]), np.array([0.0]))
-    gram = curvature.exact_gramian(lin, one, problem)
-    kf1 = curvature.init_kfac_state(lin, ema=0.0, damping=1.0, init_mode="zero")
-    _, trace = network.forward_batch(lin, one.boundary)
-    grads = network.backward_batch(lin, trace, np.ones(1))
-    curvature.boundary_factor_update(kf1, curvature.boundary_pairs(trace, grads))
-    err = np.max(np.abs(np.kron(kf1.a_boundary[0], kf1.b_boundary[0]) - gram))
-    check("rank-1 condition-factor exactness", err <= 1e-12, f"max err={err:.2e}")
-
-    # true-solution residuals across the catalog, derivatives from stencils
-    worst = _catalog_residual_worst(fast)
-    check("catalog true-solution residuals (FD)", worst <= 1e-5, f"max |r|={worst:.2e}")
-
-    return results
-
-
-def _catalog_residual_worst(fast: bool) -> float:
-    """Max |residual| of the true solutions with stencil derivatives."""
-    entries = [
-        ("poisson2d_sin", {}),
-        ("heat", {"spatial_dim": 1}),
-        ("log_fokker_planck", {}),
-    ]
-    if not fast:
-        entries += [
-            ("poisson_cos_sum", {}),
-            ("poisson_harmonic_mixed", {}),
-            ("poisson_norm2", {"dim": 7}),
-            ("heat", {"spatial_dim": 4}),
-        ]
-    worst = 0.0
-    for name, make_kwargs in entries:
-        problem = pde.make_problem(name, **make_kwargs)
-        rng = np.random.default_rng(23)
-        # keep a margin from the box edge so the stencils stay inside
-        span = problem.upper - problem.lower
-        x = rng.uniform(problem.lower + 0.01 * span, problem.upper - 0.01 * span, size=(5, problem.dim))
-
-        def f_of(xi):
-            return lambda y: float(problem.true_solution(y[None, :])[0])
-
-        for xi in x:
-            f = f_of(xi)
-            u = np.array([f(xi)])
-            grad = oracle.fd_gradient(f, xi)[None, :]
-            op = np.array([oracle.fd_operator(f, xi, problem.coeffs)])
-            r = problem.residual(xi[None, :], u, grad, op)
-            worst = max(worst, float(np.max(np.abs(r))))
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 def _cmd_train(args) -> int:
@@ -539,16 +376,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    results = run_checks(fast=args.fast)
-    failed = 0
-    for name, ok, detail in results:
-        print(f"{'ok  ' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
-        failed += 0 if ok else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinnopt",
@@ -569,10 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--n-points", type=int, help="evaluation set size")
     p_eval.add_argument("--seed", type=int, help="base seed (eval stream is derived)")
     p_eval.set_defaults(fn=_cmd_eval)
-
-    p_check = sub.add_parser("check", help="run the built-in verification checks")
-    p_check.add_argument("--fast", action="store_true", help="skip the slowest checks")
-    p_check.set_defaults(fn=_cmd_check)
 
     return parser
 

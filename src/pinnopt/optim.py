@@ -2,9 +2,11 @@
 
 Second-order: the Kronecker-factored preconditioner (``kfac`` with grid
 line search and heavy-ball momentum, ``kfac_star`` with learning rate and
-momentum from a quadratic model built with exact Gramian-vector products)
-and ``engd`` (exact Gramian pseudo-inverse).  First-order baselines:
-heavy-ball ``sgd`` and ``adam``.
+momentum from a quadratic model whose matrix is the exact Gramian
+restricted to span{Delta, prev}, built from the (N, k) projected Jacobian
+J [Delta, prev] without the N x D Jacobian rows) and ``engd`` (exact
+Gramian pseudo-inverse, the one optimizer that forms the rows).
+First-order baselines: heavy-ball ``sgd`` and ``adam``.
 
 A step consumes the current batch, mutates the :class:`TrainState` in
 place and reports the losses it saw plus the step-size pair it used.
@@ -270,24 +272,33 @@ def solve_quadratic_model(have_prev, m11, m12, m22, rhs1, rhs2) -> tuple:
 
 
 def kfac_star_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
+    """Kronecker-preconditioned direction with model-optimal (alpha, mu).
+
+    The update is ``alpha * Delta + mu * prev``.  The model matrix is
+    ``V^T G V + damping * V^T V`` for V = [Delta, prev] (only Delta on the
+    first step), with ``V^T G V`` read from the (N, k) products J V that
+    :mod:`pinnopt.curvature` builds from the step's records; no (N, D)
+    Jacobian row is formed.
+    """
     cfg = state.config
     ev, delta = _kfac_common(state, batch, problem)
 
-    rows_int = curvature._interior_jacobian_rows(ev.interior)
-    rows_bnd = curvature._boundary_jacobian_rows(ev.boundary)
     dv = network.mats_to_vec(delta)
     pv = network.mats_to_vec(state.prev_update)
     gv = network.mats_to_vec(ev.grad_mats)
     lam = cfg.damping
-
-    g_dv = curvature.gramian_vec_from_rows(rows_int, rows_bnd, dv)
-    m11 = float(dv @ g_dv + lam * dv @ dv)
-    rhs1 = float(dv @ gv)
     have_prev = bool(pv @ pv > 0.0)
+
+    # the Gramian restricted to span{Delta, prev}: V^T G V from the (N, k) products J V
+    basis = [delta, state.prev_update] if have_prev else [delta]
+    proj_int = curvature._interior_jacobian_rows(ev.interior, basis)
+    proj_bnd = curvature._boundary_jacobian_rows(ev.boundary, basis)
+    gram = [curvature.gramian_vec_from_rows(proj_int, proj_bnd, e) for e in np.eye(len(basis))]
+    m11 = float(gram[0][0] + lam * dv @ dv)
+    rhs1 = float(dv @ gv)
     if have_prev:
-        g_pv = curvature.gramian_vec_from_rows(rows_int, rows_bnd, pv)
-        m12 = float(dv @ g_pv + lam * dv @ pv)
-        m22 = float(pv @ g_pv + lam * pv @ pv)
+        m12 = float(gram[1][0] + lam * dv @ pv)
+        m22 = float(gram[1][1] + lam * pv @ pv)
         rhs2 = float(pv @ gv)
     else:
         m12 = m22 = rhs2 = 0.0

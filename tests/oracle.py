@@ -1,4 +1,4 @@
-"""Independent brute-force references used by the tests and the check suite.
+"""Independent brute-force references the tests check the engines against.
 
 These deliberately know nothing about the operator-column propagation in
 :mod:`pinnopt.taylor`: they only call :func:`pinnopt.network.forward` and do
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import network
+from pinnopt import network
 
 __all__ = [
     "FdSpec",

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import analytic
-from pinnopt import curvature, harness, network, oracle, pde
+import oracle
+from pinnopt import curvature, harness, network, pde
 from pinnopt.network import Architecture, init_params
 from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, optimizer_step
 from pinnopt.taylor import OperatorCoeffs, initial_state, param_grad_matrix, taylor_forward

@@ -226,7 +226,7 @@ class TestExactGramian:
         assert evals[0] >= -1e-10 * np.max(np.abs(g))
 
     def test_matches_fd_jacobians(self, poisson):
-        from pinnopt import oracle
+        import oracle
 
         p = init_params(Architecture((2, 4, 1)), 3)
         batch = pde.sample_batch(poisson, 3, 2, seed=5)
@@ -421,3 +421,32 @@ class TestInputLayerClosedForm:
         assert np.max(np.abs(states[2] - z2)) <= 1e-12 * max(1.0, np.max(np.abs(z2)))
         g_ref = _activation_backward(z1, tg.layer_grads[2], co, p.activation)
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * max(1.0, np.max(np.abs(g_ref)))
+
+
+PROJECTED_PROBLEMS = {
+    **{name: (lambda name=name: pde.make_problem(name)) for name in pde.PROBLEM_NAMES},
+    "nondiagonal": _nondiagonal_problem,
+}
+
+
+class TestProjectedRows:
+    """``J V`` built from the records against the full rows times the stacked directions."""
+
+    @pytest.mark.parametrize("name", sorted(PROJECTED_PROBLEMS))
+    @pytest.mark.parametrize("hidden", [(), (7,), (5, 4, 6)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_rows_times_basis(self, name, hidden, k):
+        problem = PROJECTED_PROBLEMS[name]()
+        p = init_params(Architecture((problem.dim,) + hidden + (1,)), 41)
+        ev = evaluate_batch(p, pde.sample_batch(problem, 6, 5, seed=42), problem)
+        rng = np.random.default_rng(43)
+        basis = [[rng.standard_normal(m.shape) for m in ev.grad_mats] for _ in range(k)]
+        v = np.stack([network.mats_to_vec(mats) for mats in basis], axis=1)
+        for rows_of, record in (
+            (curvature._interior_jacobian_rows, ev.interior),
+            (curvature._boundary_jacobian_rows, ev.boundary),
+        ):
+            want = rows_of(record) @ v
+            got = rows_of(record, basis)
+            assert got.shape == want.shape == (record[0][1].shape[0], k)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -274,8 +274,3 @@ class TestCli:
         # 20801 parameters exceed the dense Gramian cap before any numerics run
         assert train_cli(tmp_path, optimizer="engd", widths=[2, 200, 100, 1], max_steps=1) == 2
         assert "exceed the cap" in capsys.readouterr().err
-
-    def test_check_fast_passes(self, capsys):
-        assert main(["check", "--fast"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out

@@ -263,6 +263,60 @@ class TestKfacStar:
         )
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(gv)
 
+    @pytest.mark.parametrize(
+        "problem_name, problem_params, widths",
+        [
+            ("log_fokker_planck", {}, (10, 64, 64, 1)),
+            ("poisson_norm2", {"dim": 100}, (100, 64, 1)),
+        ],
+        ids=["fokker10d", "poisson100d"],
+    )
+    def test_model_matches_gramian_vec_model(self, problem_name, problem_params, widths):
+        # the benchmark's kfac_star configs at reduced N: (alpha, mu) from J [Delta, prev]
+        # against the model built from Gramian-vector products through the full rows.
+        # The 2x2 model's condition number (up to 2e9 here) scales the last-bit
+        # differences of its entries; with 40 points on poisson100d it reaches 6e10
+        # and the two solves differ by 1e-10.
+        import copy
+
+        problem = pde.make_problem(problem_name, **problem_params)
+        for seed in range(5):
+            state = small_state("kfac_star", seed=seed, widths=widths, damping=1e-4, ema=0.99)
+            for step in range(10):
+                batch = pde.sample_batch(problem, 100, 50, seed=100 * seed + step)
+                ref = copy.deepcopy(state)
+                ev, delta = optim._kfac_common(ref, batch, problem)
+                dv = network.mats_to_vec(delta)
+                pv = network.mats_to_vec(ref.prev_update)
+                gv = network.mats_to_vec(ev.grad_mats)
+                lam = ref.config.damping
+                g_dv = curvature.gramian_vec(ref.params, batch, problem, dv)
+                g_pv = curvature.gramian_vec(ref.params, batch, problem, pv)
+                alpha, mu = solve_quadratic_model(
+                    step > 0,
+                    float(dv @ g_dv + lam * dv @ dv),
+                    float(dv @ g_pv + lam * dv @ pv),
+                    float(pv @ g_pv + lam * pv @ pv),
+                    float(dv @ gv),
+                    float(pv @ gv),
+                )
+                info = optimizer_step(state, batch, problem)
+                assert info.alpha == pytest.approx(alpha, rel=1e-10), (seed, step)
+                assert info.mu == pytest.approx(mu, rel=1e-10), (seed, step)
+
+    def test_step_never_builds_full_rows(self, poisson, monkeypatch):
+        def refuse(record):
+            raise AssertionError("full Jacobian rows built")
+
+        monkeypatch.setattr(curvature, "_jacobian_rows", refuse)
+        batch = pde.sample_batch(poisson, 10, 6, seed=4)
+        state = small_state("kfac_star", widths=(2, 5, 4, 1), damping=1e-3)
+        for _ in range(3):
+            optimizer_step(state, batch, poisson)
+        # dense ENGD is the optimizer that still needs them
+        with pytest.raises(AssertionError, match="full Jacobian rows"):
+            optimizer_step(small_state("engd", widths=(2, 5, 4, 1)), batch, poisson)
+
 
 class TestEngd:
     def test_linear_least_squares_single_step(self, poisson):

@@ -4,9 +4,10 @@ import inspect
 import numpy as np
 import pytest
 
-from pinnopt import network, oracle, pde
+import oracle
+from oracle import FdSpec, fd_gradient, fd_operator, fd_residual_jacobian, rel_error
+from pinnopt import network, pde
 from pinnopt.network import Architecture, Parameters, init_params
-from pinnopt.oracle import FdSpec, fd_gradient, fd_operator, fd_residual_jacobian, rel_error
 from pinnopt.taylor import OperatorCoeffs, taylor_forward
 
 

@@ -197,7 +197,7 @@ class TestLosses:
         p = init_params(Architecture((2, 8, 1)), 2)
         batch = sample_batch(problem, 5, 4, seed=7)
         loss, r, _, _ = interior_loss_and_residuals(problem, p, batch)
-        from pinnopt import oracle
+        import oracle
 
         f = lambda y: network.forward(p, y)[0]
         total = 0.0

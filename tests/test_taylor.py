@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinnopt import curvature, network, oracle, pde
+import oracle
+from pinnopt import curvature, network, pde
 from pinnopt.network import Architecture, Parameters, activation_derivs, init_params
 from pinnopt.taylor import (
     OperatorCoeffs,
