@@ -262,8 +262,7 @@ def _jacobian_rows(record):
     Per layer the row segment is the column-stacked ``sum_s g_ns zhat_ns^T``;
     its transpose (N, h_in + 1, h_out) is written in place, so the C-order
     layout is the column-stacked flattening.  The weight rows are
-    ``z_n^T g_n`` (layer-0 points in closed form, an outer product when
-    S = 1), the bias row is ``g_n0``.
+    ``z_n^T g_n`` (layer-0 points in closed form), the bias row is ``g_n0``.
     """
     shapes = [(z.shape[-1] + 1, g.shape[2]) for z, g in record]
     rows = np.empty((record[0][1].shape[0], sum(p * q for p, q in shapes)))
@@ -271,9 +270,6 @@ def _jacobian_rows(record):
         h = z.shape[-1]
         if z.ndim == 2:
             _input_layer_rows(z, g, view[:, :h, :])
-        elif z.shape[1] == 1:
-            # one broadcast multiply; a matmul of inner dimension 1 is one tiny gemm per sample
-            np.multiply(z.transpose(0, 2, 1), g, out=view[:, :h, :])
         else:
             np.matmul(z.transpose(0, 2, 1), g, out=view[:, :h, :])
         view[:, h, :] = g[:, 0, :]
