@@ -58,6 +58,7 @@ import numpy as np
 from . import network, pde
 from .linalg import kron_sum_solve
 from .taylor import (
+    Workspace,
     linear_input_index,
     linear_output_index,
     param_grad_matrix,
@@ -276,14 +277,16 @@ def _jacobian_rows(record):
     return rows
 
 
-def _projected_rows(record, basis):
+def _projected_rows(record, basis, workspace=None):
     """One loss term's residual Jacobian applied to k directions, ``J V`` (N, k).
 
     ``basis[k]`` is a list of per-layer ``[dW | db]`` matrices.  Per layer
     ``(J V)_nk += sum_s g_ns . (dW_k z_ns) + g_n0 . db_k`` (module
-    docstring), one (N S, h_in) x (h_in, h_out) product per direction; no
-    row is formed.
+    docstring), one (N S, h_in) x (h_in, h_out) product per direction into
+    the workspace's scratch array; no row is formed.
     """
+    if workspace is None:
+        workspace = Workspace()
     n = record[0][1].shape[0]
     out = np.zeros((n, len(basis)))
     for l, (z, g) in enumerate(record):
@@ -292,28 +295,29 @@ def _projected_rows(record, basis):
         for k, mats in enumerate(basis):
             w, b = mats[l][:, :h], mats[l][:, h]
             if z.ndim == 2:
-                # derivative block G_n read as one (N, d h1) matrix
+                # derivative block G_n read as one (N, d h1) matrix (a view)
                 out[:, k] += g[:, 1 : 1 + h, :].reshape(n, h * q) @ w.T.reshape(-1)
                 out[:, k] += np.einsum("ij,ij->i", z @ w.T + b, g[:, 0, :])
             else:
-                zw = z.reshape(n * s, h) @ w.T
+                zw = workspace.array((n * s, q), "scratch")
+                np.matmul(z.reshape(n * s, h), w.T, out=zw)
                 out[:, k] += np.einsum("ij,ij->i", zw, g.reshape(n * s, q)).reshape(n, s).sum(axis=1)
                 out[:, k] += g[:, 0, :] @ b
     return out
 
 
 # one entry per loss term, so that perfbench/tracing.py can time each by name
-def _interior_jacobian_rows(interior, basis=None):
+def _interior_jacobian_rows(interior, basis=None, workspace=None):
     """Interior residual Jacobian rows (N, D) from the interior record, or ``J V`` for a basis."""
-    return _jacobian_rows(interior) if basis is None else _projected_rows(interior, basis)
+    return _jacobian_rows(interior) if basis is None else _projected_rows(interior, basis, workspace)
 
 
-def _boundary_jacobian_rows(boundary, basis=None):
+def _boundary_jacobian_rows(boundary, basis=None, workspace=None):
     """Condition residual Jacobian rows (N, D) from the condition record, or ``J V`` for a basis."""
-    return _jacobian_rows(boundary) if basis is None else _projected_rows(boundary, basis)
+    return _jacobian_rows(boundary) if basis is None else _projected_rows(boundary, basis, workspace)
 
 
-def loss_gradient(interior: list, r_int, boundary: list, r_bnd) -> list:
+def loss_gradient(interior: list, r_int, boundary: list, r_bnd, workspace=None) -> list:
     """Per-layer ``[dW | db]`` gradient of the two-term loss.
 
     The residual-weighted contraction of the records the Jacobian rows are
@@ -323,7 +327,7 @@ def loss_gradient(interior: list, r_int, boundary: list, r_bnd) -> list:
     w_int = r_int / max(r_int.size, 1)
     w_bnd = r_bnd / max(r_bnd.size, 1)
     return [
-        param_grad_matrix(zi, gi, w_int) + param_grad_matrix(zb, gb, w_bnd)
+        param_grad_matrix(zi, gi, w_int, workspace) + param_grad_matrix(zb, gb, w_bnd, workspace)
         for (zi, gi), (zb, gb) in zip(interior, boundary)
     ]
 

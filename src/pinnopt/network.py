@@ -49,23 +49,30 @@ class ActivationDerivs:
     s3: np.ndarray | None = None
 
 
-def tanh_derivs(z, order: int = 3) -> ActivationDerivs:
+def tanh_derivs(z, order: int = 3, out=None) -> ActivationDerivs:
     """tanh and its derivatives up to ``order`` (0 to 3), via the identities
-    s1 = 1 - s0^2, s2 = -2 s0 s1, s3 = -2 s1^2 - 2 s0 s2."""
+    s1 = 1 - s0^2, s2 = -2 s0 s1, s3 = -2 s1^2 - 2 s0 s2.
+
+    ``out`` of shape ``(order + 1,) + z.shape`` receives s0, ..., s_order;
+    None allocates it.
+    """
     if not 0 <= order <= 3:
         raise ValueError(f"derivative order must lie in 0..3, got {order}")
-    s0 = np.tanh(np.asarray(z, dtype=np.float64))
+    z = np.asarray(z, dtype=np.float64)
+    if out is None:
+        out = np.empty((order + 1,) + z.shape)
+    s0 = np.tanh(z, out=out[0])
     if order == 0:
         return ActivationDerivs(s0)
-    s1 = s0 * s0
+    s1 = np.multiply(s0, s0, out=out[1])
     np.subtract(1.0, s1, out=s1)
     if order == 1:
         return ActivationDerivs(s0, s1)
-    s2 = -2.0 * s0
+    s2 = np.multiply(s0, -2.0, out=out[2])
     s2 *= s1
     if order == 2:
         return ActivationDerivs(s0, s1, s2)
-    s3 = -2.0 * s1
+    s3 = np.multiply(s1, -2.0, out=out[3])
     s3 *= s1
     s3 -= 2.0 * s0 * s2
     return ActivationDerivs(s0, s1, s2, s3)
@@ -74,13 +81,13 @@ def tanh_derivs(z, order: int = 3) -> ActivationDerivs:
 ACTIVATIONS = {"tanh": tanh_derivs}
 
 
-def activation_derivs(z, activation: str = "tanh", order: int = 3) -> ActivationDerivs:
-    """Evaluate the named activation and its derivatives up to ``order``."""
+def activation_derivs(z, activation: str = "tanh", order: int = 3, out=None) -> ActivationDerivs:
+    """Evaluate the named activation and its derivatives up to ``order``, into ``out`` if given."""
     try:
         fn = ACTIVATIONS[activation]
     except KeyError:
         raise ValueError(f"unknown activation {activation!r}") from None
-    return fn(z, order)
+    return fn(z, order, out)
 
 
 @dataclass(frozen=True)

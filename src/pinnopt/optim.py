@@ -20,7 +20,7 @@ import numpy as np
 
 from . import curvature, network, pde
 from .linalg import pinv_psd
-from .taylor import taylor_backward
+from .taylor import Workspace, taylor_backward
 
 __all__ = [
     "OptimizerConfig",
@@ -82,7 +82,12 @@ class OptimizerConfig:
 
 @dataclass
 class TrainState:
-    """Mutable optimizer state owned by one training loop."""
+    """Mutable optimizer state owned by one training loop.
+
+    ``workspace`` holds the arrays a step writes its records, projected
+    rows and line-search candidates into; it is reused from one step to
+    the next.
+    """
 
     params: network.Parameters
     config: OptimizerConfig
@@ -92,6 +97,7 @@ class TrainState:
     adam_m: list = field(default_factory=list)
     adam_v: list = field(default_factory=list)
     gramian_ema: np.ndarray | None = None
+    workspace: Workspace = field(default_factory=Workspace, repr=False)
 
 
 def _zero_mats(params):
@@ -133,6 +139,10 @@ class BatchEval:
     seeded with the residuals' output derivatives, not the residual
     values, so the same records give the Kronecker factors, the
     Gauss-Newton rows and, contracted with the residuals, ``grad_mats``.
+
+    The interior record's arrays live in the workspace :func:`evaluate_batch`
+    was given, so a step's ``BatchEval`` stays valid until the next step of
+    the same :class:`TrainState`; copy what must outlive it.
     """
 
     loss_interior: float
@@ -148,23 +158,32 @@ class BatchEval:
         return self.loss_interior + self.loss_boundary
 
 
-def evaluate_losses(params, batch: pde.Batch, problem) -> tuple:
+def evaluate_losses(params, batch: pde.Batch, problem, workspace=None) -> tuple:
     """Interior and condition losses only, for the kfac and engd line search.
 
     The interior term comes from :func:`pde.interior_loss`, whose forward
     pass keeps no layer state; the losses equal those of
-    :func:`evaluate_batch` up to rounding in the last bits.
+    :func:`evaluate_batch` up to rounding in the last bits.  A
+    ``BatchEval`` in the same workspace stays valid.
     """
-    loss_int = pde.interior_loss(problem, params, batch)
+    loss_int = pde.interior_loss(problem, params, batch, workspace)
     loss_bnd, _, _ = pde.boundary_loss(problem, params, batch)
     return loss_int, loss_bnd
 
 
-def evaluate_batch(params, batch: pde.Batch, problem) -> BatchEval:
-    loss_int, r_int, states, out = pde.interior_loss_and_residuals(problem, params, batch)
+def evaluate_batch(params, batch: pde.Batch, problem, workspace=None) -> BatchEval:
+    """Losses, both records and the gradient of one batch, written into ``workspace``.
+
+    None means a fresh workspace, whose arrays nothing else reuses.
+    """
+    if workspace is None:
+        workspace = Workspace()
+    loss_int, r_int, states, out = pde.interior_loss_and_residuals(
+        problem, params, batch, workspace
+    )
     du, dgrad, dop = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
     seeds = np.concatenate([du[:, None], dgrad, dop[:, None]], axis=1)
-    tg = taylor_backward(params, states, seeds, problem.coeffs)
+    tg = taylor_backward(params, states, seeds, problem.coeffs, workspace)
     interior = curvature.layer_pairs(params, states, tg.layer_grads)
 
     loss_bnd, r_bnd, trace = pde.boundary_loss(problem, params, batch)
@@ -178,7 +197,7 @@ def evaluate_batch(params, batch: pde.Batch, problem) -> BatchEval:
         residuals_bnd=r_bnd,
         interior=interior,
         boundary=boundary,
-        grad_mats=curvature.loss_gradient(interior, r_int, boundary, r_bnd),
+        grad_mats=curvature.loss_gradient(interior, r_int, boundary, r_bnd, workspace),
     )
 
 
@@ -229,7 +248,7 @@ def _mats_scale(a, s):
 
 def _kfac_common(state: TrainState, batch, problem):
     """Shared start of both Kronecker steps: factors, gradient, direction."""
-    ev = evaluate_batch(state.params, batch, problem)
+    ev = evaluate_batch(state.params, batch, problem, state.workspace)
     curvature.interior_factor_update(state.kfac, ev.interior)
     curvature.boundary_factor_update(state.kfac, ev.boundary)
     delta = curvature.precondition_gradient(state.kfac, ev.grad_mats)
@@ -242,7 +261,7 @@ def kfac_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     direction = _mats_add(delta, state.prev_update, scale=cfg.momentum)
 
     def loss_fn(p):
-        return sum(evaluate_losses(p, batch, problem))
+        return sum(evaluate_losses(p, batch, problem, state.workspace))
 
     alpha, _ = line_search(loss_fn, state.params, direction, cfg.line_search_grid())
     state.params = network.add_scaled(state.params, direction, alpha)
@@ -291,8 +310,8 @@ def kfac_star_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
 
     # the Gramian restricted to span{Delta, prev}: V^T G V from the (N, k) products J V
     basis = [delta, state.prev_update] if have_prev else [delta]
-    proj_int = curvature._interior_jacobian_rows(ev.interior, basis)
-    proj_bnd = curvature._boundary_jacobian_rows(ev.boundary, basis)
+    proj_int = curvature._interior_jacobian_rows(ev.interior, basis, state.workspace)
+    proj_bnd = curvature._boundary_jacobian_rows(ev.boundary, basis, state.workspace)
     gram = [curvature.gramian_vec_from_rows(proj_int, proj_bnd, e) for e in np.eye(len(basis))]
     m11 = float(gram[0][0] + lam * dv @ dv)
     rhs1 = float(dv @ gv)
@@ -319,7 +338,7 @@ def engd_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
             f"engd materializes the dense Gramian; {d} parameters exceed the "
             f"cap {curvature.DENSE_GRAMIAN_CAP}"
         )
-    ev = evaluate_batch(state.params, batch, problem)
+    ev = evaluate_batch(state.params, batch, problem, state.workspace)
     gram = curvature.gramian_from_rows(
         curvature._interior_jacobian_rows(ev.interior),
         curvature._boundary_jacobian_rows(ev.boundary),
@@ -335,7 +354,7 @@ def engd_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     direction = network.vec_to_mats(direction_vec, state.params)
 
     def loss_fn(p):
-        return sum(evaluate_losses(p, batch, problem))
+        return sum(evaluate_losses(p, batch, problem, state.workspace))
 
     alpha, _ = line_search(loss_fn, state.params, direction, cfg.line_search_grid())
     state.params = network.add_scaled(state.params, direction, alpha)
@@ -346,7 +365,7 @@ def engd_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
 
 def sgd_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     cfg = state.config
-    ev = evaluate_batch(state.params, batch, problem)
+    ev = evaluate_batch(state.params, batch, problem, state.workspace)
     velocity = _mats_add(_mats_scale(state.prev_update, cfg.momentum), ev.grad_mats, -cfg.lr)
     state.params = network.add_scaled(state.params, velocity, 1.0)
     state.prev_update = velocity
@@ -356,7 +375,7 @@ def sgd_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
 
 def adam_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     cfg = state.config
-    ev = evaluate_batch(state.params, batch, problem)
+    ev = evaluate_batch(state.params, batch, problem, state.workspace)
     t = state.step + 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     update = []

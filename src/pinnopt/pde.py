@@ -346,23 +346,25 @@ def _half_mean_square(r) -> float:
     return float(r @ r) / (2.0 * r.size) if r.size else 0.0
 
 
-def interior_loss_and_residuals(problem: PdeProblem, params, batch: Batch):
+def interior_loss_and_residuals(problem: PdeProblem, params, batch: Batch, workspace=None):
     """Interior loss ``sum r_n^2 / (2 N)`` plus residuals and forward data.
 
     An empty interior set contributes zero loss (boundary-only problems).
+    The layer states live in ``workspace`` (see :func:`taylor.taylor_forward`).
     """
-    states, out = taylor_forward(params, batch.interior, problem.coeffs)
+    states, out = taylor_forward(params, batch.interior, problem.coeffs, workspace)
     r = problem.residual(batch.interior, out.value, out.gradient, out.operator)
     return _half_mean_square(r), r, states, out
 
 
-def interior_loss(problem: PdeProblem, params, batch: Batch) -> float:
+def interior_loss(problem: PdeProblem, params, batch: Batch, workspace=None) -> float:
     """The interior loss of :func:`interior_loss_and_residuals` alone.
 
     Computed with the output-only forward pass, which keeps no layer state;
-    for loss-only evaluation such as the line search.
+    for loss-only evaluation such as the line search.  Its arrays come from
+    ``workspace`` (see :func:`taylor.taylor_output`).
     """
-    out = taylor_output(params, batch.interior, problem.coeffs)
+    out = taylor_output(params, batch.interior, problem.coeffs, workspace)
     return _half_mean_square(problem.residual(batch.interior, out.value, out.gradient, out.operator))
 
 

@@ -47,11 +47,24 @@ layer's output adjoint and forms no adjoint of the input.  A layer's
 parameter gradient of any linear combination of (u, grad u, L u) is
 :func:`param_grad_matrix` of its (input state, output adjoint) pair; for
 the first layer that is ``g_0^T [x 1]`` plus the batch sum of the
-derivative-column block.
+derivative-column block.  Each activation's adjoint is computed in place:
+the product ``g W_l`` is written into the array that, overwritten by the
+activation's adjoint, becomes linear layer l - 1's output adjoint.  The
+width-1 head makes that product the outer product ``seeds (x) w``, one
+broadcast multiply instead of a matrix product with inner dimension 1.
+Only the linear layers' output adjoints are kept; no record reads the
+adjoint of an activation's output.
+
+A training loop passes a :class:`Workspace` through both passes: states,
+adjoints and the few full-size temporaries are written into arrays kept
+from one step to the next, so a step in steady state allocates only
+(N, h)-sized and smaller arrays.  Every array of a pass stays valid until
+the next pass through the same workspace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +72,7 @@ import numpy as np
 from .network import ActivationDerivs, Parameters, activation_derivs
 
 __all__ = [
+    "Workspace",
     "OperatorCoeffs",
     "TaylorOutput",
     "TaylorGrads",
@@ -72,6 +86,45 @@ __all__ = [
     "linear_input_index",
     "linear_output_index",
 ]
+
+
+class Workspace:
+    """Float64 arrays that the passes of one training loop reuse step after step.
+
+    :meth:`array` hands out an uninitialised array for a key made of a role
+    and a layer index, never of a shape, so two layers of equal width get
+    distinct arrays.  Each key owns one flat buffer that only grows: a
+    later request under the same key returns a view of the same memory and
+    overwrites what the previous array under that key held.  The passes
+    take ``workspace=None`` to mean a fresh workspace of their own, which
+    runs the same code and keeps nothing.
+
+    The roles in :data:`TRANSIENT_ROLES` hold arrays that no result keeps
+    past the function that fills them, so :meth:`nested` workspaces share
+    them; every other role is private to its (nested) workspace.
+    """
+
+    TRANSIENT_ROLES = ("derivs", "coeffs", "scratch")
+
+    def __init__(self):
+        self._buffers = {}
+        self._scope = ()
+
+    def array(self, shape, role: str, layer=None) -> np.ndarray:
+        size = math.prod(shape)
+        key = (role, layer) if role in self.TRANSIENT_ROLES else self._scope + (role, layer)
+        flat = self._buffers.get(key)
+        if flat is None or flat.size < size:
+            flat = self._buffers[key] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+    def nested(self, scope: str) -> "Workspace":
+        """A workspace whose non-transient arrays are its own, for a pass
+        that must leave this one's results intact."""
+        child = Workspace()
+        child._buffers = self._buffers
+        child._scope = self._scope + (scope,)
+        return child
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,20 +142,29 @@ class OperatorCoeffs:
         object.__setattr__(self, "c", c)
         diagonal = bool(np.all(c == np.diag(np.diagonal(c))))
         object.__setattr__(self, "_diag", np.diagonal(c).copy() if diagonal else None)
+        object.__setattr__(self, "_identity", diagonal and bool(np.all(np.diagonal(c) == 1.0)))
 
     @property
     def dim(self) -> int:
         return self.c.shape[0]
 
-    def apply(self, g) -> np.ndarray:
+    @property
+    def is_identity(self) -> bool:
+        return self._identity
+
+    def apply(self, g, out=None) -> np.ndarray:
         """Contract the coefficients over the derivative axis of a (N, d, h) stack.
 
         Diagonal coefficient matrices (every catalog operator) reduce to an
-        elementwise scale, avoiding a batched matrix product over N tiny
-        matrices.
+        elementwise scale, written into ``out`` when it is given, avoiding a
+        batched matrix product over N tiny matrices.  The identity (the
+        Laplacian) returns ``g`` itself and a full matrix a new array, so
+        callers use the return value and only read it.
         """
+        if self.is_identity:
+            return g
         if self._diag is not None:
-            return g * self._diag[None, :, None]
+            return np.multiply(g, self._diag[None, :, None], out=out)
         d = self.dim
         n, _, h = g.shape
         flat = g.transpose(1, 0, 2).reshape(d, n * h)
@@ -134,13 +196,15 @@ class TaylorOutput:
 class TaylorGrads:
     """Result of the reverse pass.
 
-    ``layer_grads[i]`` is the (N, S, h) adjoint of the i-th entry of the
-    forward ``states`` list, in full column layout for every i >= 1; for
-    ``states[1]`` it is the adjoint of the first linear layer's complete
-    output state, although the forward pass kept only its value column.
-    ``layer_grads[0]``, the adjoint of the input, is not computed and stays
-    None.  A linear layer's parameter gradient is :func:`param_grad_matrix`
-    of its (input state, output adjoint) pair.
+    ``layer_grads[linear_output_index(l)]`` is the (N, S, h) adjoint of
+    linear layer l's output state, in full column layout; for layer 0 it is
+    the adjoint of the complete output state, although the forward pass
+    kept only its value column.  The other entries (activation outputs and
+    the input) are not kept and stay None.  A linear layer's parameter
+    gradient is :func:`param_grad_matrix` of its (input state, output
+    adjoint) pair.  The head's adjoint is a view of the seeds; the others
+    live in the workspace of :func:`taylor_backward` and stay valid until
+    its next reverse pass.
     """
 
     layer_grads: list
@@ -166,7 +230,7 @@ def initial_state(x) -> np.ndarray:
     return z
 
 
-def param_grad_matrix(z_in, g, weights=None) -> np.ndarray:
+def param_grad_matrix(z_in, g, weights=None, workspace=None) -> np.ndarray:
     """Batch-summed ``[dW | db]`` of one linear layer, ``sum_n w_n sum_s g_ns zhat_ns^T``.
 
     ``z_in`` is the layer's input state and ``g`` the (N, S, h_out) adjoint
@@ -175,20 +239,45 @@ def param_grad_matrix(z_in, g, weights=None) -> np.ndarray:
     for :func:`initial_state` ``(x)``, whose column sum per sample is
     ``g_n0 [x_n 1]^T + [G_n^T 0]`` with ``G_n`` the derivative-column block
     of ``g_n``.  ``weights`` (N,) scale the samples; None means all ones.
+    The scaled adjoint columns that are read go to the workspace's scratch
+    array: for points, the operator column is never read.
     """
-    if weights is not None:
-        g = g * weights[:, None, None]
+    if workspace is None:
+        workspace = Workspace()
     n, s, q = g.shape
     if z_in.ndim == 2:
         d = z_in.shape[1]
+        g0, gd = g[:, 0, :], g[:, 1 : d + 1, :]
+        if weights is not None:
+            g0 = g0 * weights[:, None]
+            gd = np.multiply(gd, weights[:, None, None], out=workspace.array(gd.shape, "scratch"))
         m = np.empty((q, d + 1))
-        m[:, :d] = g[:, 0, :].T @ z_in + g[:, 1 : d + 1, :].sum(axis=0).T
+        m[:, :d] = g0.T @ z_in + gd.sum(axis=0).T
     else:
+        if weights is not None:
+            g = np.multiply(g, weights[:, None, None], out=workspace.array(g.shape, "scratch"))
+        g0 = g[:, 0, :]
         d = z_in.shape[2]
         m = np.empty((q, d + 1))
         m[:, :d] = g.reshape(n * s, q).T @ z_in.reshape(n * s, d)
-    m[:, d] = g[:, 0, :].sum(axis=0)
+    m[:, d] = g0.sum(axis=0)
     return m
+
+
+def _contract_coeffs(coeffs: OperatorCoeffs, g, workspace: Workspace) -> np.ndarray:
+    """``coeffs.apply(g)``, into the workspace's coefficient array unless c is the identity."""
+    return coeffs.apply(g, None if coeffs.is_identity else workspace.array(g.shape, "coeffs"))
+
+
+def _quadratic_term(cg, g, workspace: Workspace) -> np.ndarray:
+    """``sum_ij c_ij g_i g_j`` per (sample, unit) as ``sum_i (c g)_i g_i``, via the scratch array."""
+    return np.sum(np.multiply(cg, g, out=workspace.array(g.shape, "scratch")), axis=1)
+
+
+def _derivs(z, activation: str, order: int, workspace: Workspace) -> ActivationDerivs:
+    """Activation derivatives of ``z`` up to ``order``, in the workspace's derivative array."""
+    out = workspace.array((order + 1,) + z.shape, "derivs")
+    return activation_derivs(z, activation, order, out)
 
 
 def _first_layer_constants(w0, coeffs: OperatorCoeffs) -> tuple:
@@ -205,57 +294,64 @@ def _first_layer_constants(w0, coeffs: OperatorCoeffs) -> tuple:
     return w0t, cw0t, q
 
 
-def _first_activation(derivs: ActivationDerivs, w0t, q) -> np.ndarray:
+def _first_activation(derivs: ActivationDerivs, w0t, q, out) -> np.ndarray:
     """State after the first activation, from the pre-activation derivatives alone.
 
     The incoming derivative columns are W0^T for every sample and the
     incoming operator column is zero, so :func:`taylor_forward_activation`
-    reduces to ``(s0, s1 * W0^T, s2 * q)``.
+    reduces to ``(s0, s1 * W0^T, s2 * q)``, written into ``out``.
     """
-    n, h = derivs.s0.shape
     d = w0t.shape[0]
-    z_out = np.empty((n, d + 2, h))
-    z_out[:, 0, :] = derivs.s0
-    np.multiply(derivs.s1[:, None, :], w0t, out=z_out[:, 1 : d + 1, :])
-    np.multiply(derivs.s2, q, out=z_out[:, d + 1, :])
-    return z_out
+    out[:, 0, :] = derivs.s0
+    np.multiply(derivs.s1[:, None, :], w0t, out=out[:, 1 : d + 1, :])
+    np.multiply(derivs.s2, q, out=out[:, d + 1, :])
+    return out
 
 
-def _apply_linear(w, z_in):
-    n, s, h_in = z_in.shape
-    flat = z_in.reshape(n * s, h_in) @ w.T
-    return flat.reshape(n, s, w.shape[0])
+def taylor_forward_linear(w, b, z_in, workspace=None, layer=None) -> np.ndarray:
+    """Linear layer: every column is multiplied by W, bias hits the value column.
 
-
-def taylor_forward_linear(w, b, z_in) -> np.ndarray:
-    """Linear layer: every column is multiplied by W, bias hits the value column."""
+    The output is the workspace's state array of index ``layer``.
+    """
     w = np.asarray(w, dtype=np.float64)
     z_in = np.asarray(z_in, dtype=np.float64)
     if z_in.shape[2] != w.shape[1]:
         raise ValueError(f"state width {z_in.shape[2]} does not match weight {w.shape}")
-    z_out = _apply_linear(w, z_in)
+    if workspace is None:
+        workspace = Workspace()
+    n, s, h_in = z_in.shape
+    z_out = workspace.array((n, s, w.shape[0]), "state", layer)
+    np.matmul(z_in.reshape(n * s, h_in), w.T, out=z_out.reshape(n * s, w.shape[0]))
     z_out[:, 0, :] += b
     return z_out
 
 
-def taylor_forward_activation(derivs: ActivationDerivs, z_in, coeffs: OperatorCoeffs) -> np.ndarray:
+def taylor_forward_activation(
+    derivs: ActivationDerivs, z_in, coeffs: OperatorCoeffs, workspace=None, layer=None
+) -> np.ndarray:
     """Element-wise activation layer.
 
     Value and derivative columns follow the chain rule; the operator column
     picks up the quadratic first-derivative term:
 
         L z_out = s1 * L z_in + sum_ij c_ij * s2 * dz_i * dz_j
+
+    The output is the workspace's state array of index ``layer``.
     """
     z_in = np.asarray(z_in, dtype=np.float64)
     d = coeffs.dim
     if z_in.shape[1] != d + 2:
         raise ValueError(f"state has {z_in.shape[1]} columns, operator expects {d + 2}")
+    if workspace is None:
+        workspace = Workspace()
     g = z_in[:, 1 : d + 1, :]
-    z_out = np.empty_like(z_in)
+    z_out = workspace.array(z_in.shape, "state", layer)
     z_out[:, 0, :] = derivs.s0
-    z_out[:, 1 : d + 1, :] = derivs.s1[:, None, :] * g
-    quad = np.sum(coeffs.apply(g) * g, axis=1)
-    z_out[:, d + 1, :] = derivs.s1 * z_in[:, d + 1, :] + derivs.s2 * quad
+    np.multiply(derivs.s1[:, None, :], g, out=z_out[:, 1 : d + 1, :])
+    quad = _quadratic_term(_contract_coeffs(coeffs, g, workspace), g, workspace)
+    quad *= derivs.s2
+    np.multiply(derivs.s1, z_in[:, d + 1, :], out=z_out[:, d + 1, :])
+    z_out[:, d + 1, :] += quad
     return z_out
 
 
@@ -281,29 +377,37 @@ def _linear_net_output(x, pre, w0) -> TaylorOutput:
     )
 
 
-def _hidden_activation(params: Parameters, pre, coeffs: OperatorCoeffs, first) -> np.ndarray:
-    """Full state after the activation of pre-activation ``pre``.
+def _hidden_activation(
+    params: Parameters, pre, coeffs: OperatorCoeffs, first, workspace, layer
+) -> np.ndarray:
+    """Full state after the activation of pre-activation ``pre``, as state ``layer``.
 
     A two-dimensional ``pre`` is the first linear layer's value column and
     takes the closed form with ``first = (W0^T, q)``.
     """
     if pre.ndim == 2:
-        return _first_activation(activation_derivs(pre, params.activation, order=2), *first)
-    derivs = activation_derivs(pre[:, 0, :], params.activation, order=2)
-    return taylor_forward_activation(derivs, pre, coeffs)
+        derivs = _derivs(pre, params.activation, 2, workspace)
+        n, h = pre.shape
+        out = workspace.array((n, coeffs.dim + 2, h), "state", layer)
+        return _first_activation(derivs, *first, out)
+    derivs = _derivs(pre[:, 0, :], params.activation, 2, workspace)
+    return taylor_forward_activation(derivs, pre, coeffs, workspace, layer)
 
 
-def _forward_to_last_activation(params: Parameters, x, coeffs: OperatorCoeffs, states=None) -> tuple:
+def _forward_to_last_activation(
+    params: Parameters, x, coeffs: OperatorCoeffs, workspace, states=None
+) -> tuple:
     """Propagate x up to the pre-activation of the last hidden activation.
 
     Returns ``(pre, first)``.  ``pre`` is the (N, h1) first pre-activation
     when the net has at most one hidden layer, else the (N, S, h) output
     state of the second-to-last linear layer; ``first = (W0^T, q)`` are the
     first activation's constants (None for a linear net).  Every state
-    computed on the way is appended to ``states`` when it is given.
+    computed on the way is appended to ``states`` when it is given.  State
+    i of the forward list lives in the workspace's state array of index i.
     """
     w0 = params.weights[0]
-    pre = x @ w0.T
+    pre = np.matmul(x, w0.T, out=workspace.array((x.shape[0], w0.shape[0]), "state", 1))
     pre += params.biases[0]
     if states is not None:
         states.append(pre)
@@ -312,14 +416,16 @@ def _forward_to_last_activation(params: Parameters, x, coeffs: OperatorCoeffs, s
     w0t, _, q = _first_layer_constants(w0, coeffs)
     first = (w0t, q)
     for l in range(1, params.n_linear - 1):
-        z = _hidden_activation(params, pre, coeffs, first)
-        pre = taylor_forward_linear(params.weights[l], params.biases[l], z)
+        z = _hidden_activation(params, pre, coeffs, first, workspace, linear_input_index(l))
+        pre = taylor_forward_linear(
+            params.weights[l], params.biases[l], z, workspace, linear_output_index(l)
+        )
         if states is not None:
             states.extend((z, pre))
     return pre, first
 
 
-def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs) -> tuple:
+def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None) -> tuple:
     """Propagate value, gradient and operator columns through the net.
 
     Returns ``(states, out)``.  ``states[0]`` is the (N, d) array of points
@@ -329,15 +435,23 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs) -> tuple:
     entry is the full (N, S, h) output state of one sequential layer,
     activation and linear interleaved.  ``out`` is the
     :class:`TaylorOutput` triple of the scalar network output.
+
+    The states live in ``workspace`` (a fresh one when None) and stay valid
+    until the next forward pass through the same workspace.
     """
     x = _check_points(params, x, coeffs)
+    if workspace is None:
+        workspace = Workspace()
     states = [x]
-    pre, first = _forward_to_last_activation(params, x, coeffs, states)
+    pre, first = _forward_to_last_activation(params, x, coeffs, workspace, states)
     if first is None:
         return states, _linear_net_output(x, pre, params.weights[0])
-    z = _hidden_activation(params, pre, coeffs, first)
+    last = params.n_linear - 1
+    z = _hidden_activation(params, pre, coeffs, first, workspace, linear_input_index(last))
     states.append(z)
-    z = taylor_forward_linear(params.weights[-1], params.biases[-1], z)
+    z = taylor_forward_linear(
+        params.weights[-1], params.biases[-1], z, workspace, linear_output_index(last)
+    )
     states.append(z)
     d = x.shape[1]
     out = TaylorOutput(
@@ -348,7 +462,7 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs) -> tuple:
     return states, out
 
 
-def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs) -> TaylorOutput:
+def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None) -> TaylorOutput:
     """The output triple of :func:`taylor_forward` without any layer state.
 
     The output layer has width 1, so the last hidden activation is
@@ -360,32 +474,37 @@ def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs) -> TaylorOutput
         operator = (s1 * ell + s2 * quad) . w,   quad = sum_ij c_ij g_i g_j
 
     For one hidden layer g = W0^T, ell = 0 and quad = q, so only (N, h1)
-    and (N, d) arrays are formed.
+    and (N, d) arrays are formed.  The (N, h1) arrays live in a nested part
+    of ``workspace``, so a loss-only pass leaves the states that
+    :func:`taylor_forward` wrote into the same workspace intact.
     """
     x = _check_points(params, x, coeffs)
-    pre, first = _forward_to_last_activation(params, x, coeffs)
+    workspace = Workspace() if workspace is None else workspace.nested("taylor_output")
+    pre, first = _forward_to_last_activation(params, x, coeffs, workspace)
     if first is None:
         return _linear_net_output(x, pre, params.weights[0])
     w = params.weights[-1][0]
     b = params.biases[-1][0]
     if pre.ndim == 2:
-        s = activation_derivs(pre, params.activation, order=2)
+        s = _derivs(pre, params.activation, 2, workspace)
         gradient = s.s1 @ (w[:, None] * params.weights[0])
         operator = s.s2 @ (first[1] * w)
     else:
         d = x.shape[1]
-        s = activation_derivs(pre[:, 0, :], params.activation, order=2)
+        s = _derivs(pre[:, 0, :], params.activation, 2, workspace)
         g = pre[:, 1 : d + 1, :]
         gradient = np.einsum("nih,nh->ni", g, s.s1 * w)
-        lz = np.sum(coeffs.apply(g) * g, axis=1)
+        lz = _quadratic_term(_contract_coeffs(coeffs, g, workspace), g, workspace)
         lz *= s.s2
         lz += s.s1 * pre[:, d + 1, :]
         operator = lz @ w
     return TaylorOutput(value=s.s0 @ w + b, gradient=gradient, operator=operator)
 
 
-def _activation_backward(z_in, g_out, coeffs: OperatorCoeffs, activation: str) -> np.ndarray:
-    """Adjoint of :func:`taylor_forward_activation`.
+def _activation_backward(
+    z_in, g_out, coeffs: OperatorCoeffs, activation: str, workspace=None
+) -> np.ndarray:
+    """Adjoint of :func:`taylor_forward_activation`, in place.
 
     With input columns (z, g_i, ell) and output adjoints (vb, gb_i, lb):
 
@@ -396,56 +515,77 @@ def _activation_backward(z_in, g_out, coeffs: OperatorCoeffs, activation: str) -
 
     The s3 term is the derivative of the quadratic part w.r.t. the
     pre-activation value, which is why third derivatives are required.
+    ``g_out`` is overwritten with the input adjoint and returned: the value
+    column first and the operator column last, because each reads the
+    incoming columns after it.
     """
+    if workspace is None:
+        workspace = Workspace()
     d = coeffs.dim
-    s = activation_derivs(z_in[:, 0, :], activation)
+    s = _derivs(z_in[:, 0, :], activation, 3, workspace)
     g = z_in[:, 1 : d + 1, :]
     ell = z_in[:, d + 1, :]
     vb = g_out[:, 0, :]
     gb = g_out[:, 1 : d + 1, :]
     lb = g_out[:, d + 1, :]
 
-    cg = coeffs.apply(g)
-    quad = np.sum(cg * g, axis=1)
+    cg = _contract_coeffs(coeffs, g, workspace)
+    quad = _quadratic_term(cg, g, workspace)
+    scratch = workspace.array(g.shape, "scratch")
 
-    g_in = np.empty_like(g_out)
-    g_in[:, d + 1, :] = s.s1 * lb
-    g_in[:, 1 : d + 1, :] = s.s1[:, None, :] * gb + 2.0 * s.s2[:, None, :] * cg * lb[:, None, :]
-    g_in[:, 0, :] = (
-        s.s1 * vb
-        + s.s2 * np.sum(g * gb, axis=1)
-        + s.s2 * ell * lb
-        + s.s3 * quad * lb
-    )
-    return g_in
+    vb *= s.s1
+    vb += s.s2 * np.sum(np.multiply(g, gb, out=scratch), axis=1)
+    vb += s.s2 * ell * lb
+    vb += s.s3 * quad * lb
+    np.multiply((2.0 * s.s2)[:, None, :], cg, out=scratch)
+    scratch *= lb[:, None, :]
+    gb *= s.s1[:, None, :]
+    gb += scratch
+    lb *= s.s1
+    return g_out
 
 
-def _first_activation_backward(pre, g_out, consts: tuple, activation: str) -> np.ndarray:
+def _first_activation_backward(
+    pre, g_out, consts: tuple, activation: str, workspace=None
+) -> np.ndarray:
     """Adjoint of :func:`_first_activation`, i.e. :func:`_activation_backward`
-    with the incoming derivative columns W0^T and a zero operator column."""
+    with the incoming derivative columns W0^T and a zero operator column;
+    in place on ``g_out`` like it."""
+    if workspace is None:
+        workspace = Workspace()
     w0t, cw0t, q = consts
     d = w0t.shape[0]
-    s = activation_derivs(pre, activation)
+    s = _derivs(pre, activation, 3, workspace)
     vb = g_out[:, 0, :]
     gb = g_out[:, 1 : d + 1, :]
     lb = g_out[:, d + 1, :]
+    scratch = workspace.array(gb.shape, "scratch")
 
-    g_in = np.empty_like(g_out)
-    np.multiply(s.s1, lb, out=g_in[:, d + 1, :])
-    np.multiply(s.s1[:, None, :], gb, out=g_in[:, 1 : d + 1, :])
-    g_in[:, 1 : d + 1, :] += (2.0 * s.s2 * lb)[:, None, :] * cw0t
-    g_in[:, 0, :] = s.s1 * vb + s.s2 * np.sum(w0t * gb, axis=1) + s.s3 * q * lb
-    return g_in
+    vb *= s.s1
+    vb += s.s2 * np.sum(np.multiply(w0t, gb, out=scratch), axis=1)
+    vb += s.s3 * q * lb
+    np.multiply((2.0 * s.s2 * lb)[:, None, :], cw0t, out=scratch)
+    gb *= s.s1[:, None, :]
+    gb += scratch
+    lb *= s.s1
+    return g_out
 
 
-def taylor_backward(params: Parameters, states: list, seeds, coeffs: OperatorCoeffs) -> TaylorGrads:
+def taylor_backward(
+    params: Parameters, states: list, seeds, coeffs: OperatorCoeffs, workspace=None
+) -> TaylorGrads:
     """Reverse pass through the states produced by :func:`taylor_forward`.
 
     ``seeds`` has shape (N, S) and holds, per sample, the adjoint of the
     output triple in column layout ``[u_bar, grad_bar..., op_bar]``.  The
     per-sample layer adjoints feed the gradient and the curvature assembly
-    in :mod:`pinnopt.curvature`.  The pass ends at the first linear layer's
-    output adjoint ``layer_grads[1]``; ``layer_grads[0]`` is left None.
+    in :mod:`pinnopt.curvature`.  Only the linear layers' output adjoints
+    are kept; the pass ends at the first linear layer's, ``layer_grads[1]``.
+
+    Linear layer l's output adjoint is formed as ``g @ W_{l+1}`` in the
+    workspace's adjoint array of index l and taken through the activation
+    in place.  A width-1 layer (the head) makes that product the outer
+    product of g and its weight row, written by one broadcast multiply.
     """
     seeds = np.asarray(seeds, dtype=np.float64)
     d = coeffs.dim
@@ -454,19 +594,25 @@ def taylor_backward(params: Parameters, states: list, seeds, coeffs: OperatorCoe
         raise ValueError(f"seeds must have shape ({n}, {d + 2}), got {seeds.shape}")
     if len(states) != 2 * params.n_linear:
         raise ValueError("states do not match the network layout")
+    if workspace is None:
+        workspace = Workspace()
 
     layer_grads = [None] * len(states)
     g = seeds[:, :, None]
-    for l in reversed(range(params.n_linear)):
-        in_idx = linear_input_index(l)
-        layer_grads[linear_output_index(l)] = g
-        if l == 0:
-            break
-        g = np.matmul(g, params.weights[l])
-        layer_grads[in_idx] = g
+    layer_grads[linear_output_index(params.n_linear - 1)] = g
+    for l in reversed(range(1, params.n_linear)):
+        w = params.weights[l]
+        adjoint = workspace.array((n, d + 2, w.shape[1]), "adjoint", l - 1)
+        if w.shape[0] == 1:
+            # a matmul with inner dimension 1 is one tiny gemm per sample
+            np.multiply(g, w[0], out=adjoint)
+        else:
+            np.matmul(g, w, out=adjoint)
         if l == 1:
             consts = _first_layer_constants(params.weights[0], coeffs)
-            g = _first_activation_backward(states[1], g, consts, params.activation)
+            _first_activation_backward(states[1], adjoint, consts, params.activation, workspace)
         else:
-            g = _activation_backward(states[in_idx - 1], g, coeffs, params.activation)
+            z_in = states[linear_input_index(l) - 1]
+            _activation_backward(z_in, adjoint, coeffs, params.activation, workspace)
+        layer_grads[linear_output_index(l - 1)] = g = adjoint
     return TaylorGrads(layer_grads)

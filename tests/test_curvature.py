@@ -419,7 +419,9 @@ class TestInputLayerClosedForm:
         derivs = activation_derivs(z1[:, 0, :], p.activation, order=2)
         z2 = taylor_forward_activation(derivs, z1, co)
         assert np.max(np.abs(states[2] - z2)) <= 1e-12 * max(1.0, np.max(np.abs(z2)))
-        g_ref = _activation_backward(z1, tg.layer_grads[2], co, p.activation)
+        # the reverse pass keeps only linear-layer output adjoints, so the
+        # first activation's output adjoint is formed here from layer 1's
+        g_ref = _activation_backward(z1, np.matmul(tg.layer_grads[3], p.weights[1]), co, p.activation)
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * max(1.0, np.max(np.abs(g_ref)))
 
 
