@@ -7,8 +7,9 @@ Usage (from the repository root)::
 
 The committed files of ``--baseline`` are exported with ``git archive``
 into ``.paired-tmp/<sha>/``.  Each tree then runs its own, unchanged
-``perfbench/run.py --workload W --seed S --seconds T`` as a child process,
-one run at a time.  A pair is one baseline run and one working-tree run at
+``perfbench/run.py --workload all --seed S --seconds T`` as a child
+process, one run at a time, with T the ``run_seconds`` of
+``BENCHMARK.json``.  A pair is one baseline run and one working-tree run at
 the same seed; the side that runs first alternates from pair to pair
 (AB, BA, AB, ...), so slow drift of the host hits both sides alike.
 
@@ -16,11 +17,18 @@ From the JSON object on the last line of each run, the script reports per
 workload and end-to-end metric of ``BENCHMARK.json``: each side's median
 and quartiles over the pairs, the change/baseline ratio of the medians,
 and the number of pairs the change won (ties count for neither side).  A
-gain is claimed only when the change wins at least 9 of 10 pairs and its
-median beats the baseline's by more than the baseline's interquartile
-range; a regression is a median worse than the baseline's by more than
+gain is claimed only when there are at least 10 pairs, the change wins at
+least 9 in 10 of them and its median beats the baseline's by more than
+the baseline's interquartile range; a regression is a median worse than the baseline's by more than
 the metric's bound.  The held-out seed is one more pair, run after the
-others, on a seed that was not used while the change was written.
+others, on a seed that was not used while the change was written; for it
+only the two values, their ratio and which side won are reported, since
+one pair cannot carry the win-share and IQR rules.
+
+The working tree is identified by ``HEAD``, whether it differs from it,
+and the git tree object of its tracked files as they are on disk: equal
+to ``git rev-parse <commit>^{tree}`` exactly when the measured files are
+those of that commit.  Untracked files are listed by name.
 
 Everything is printed and, with ``--out``, written as one JSON file.
 """
@@ -34,18 +42,36 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TMP_PARENT = os.path.join(ROOT, ".paired-tmp")
 SIDES = ("baseline", "change")
 WIN_SHARE = 0.9
+MIN_PAIRS = 10
 
 
-def git(*args) -> str:
+def git(*args, env=None) -> str:
     return subprocess.run(
-        ["git", "-C", ROOT, *args], check=True, capture_output=True, text=True
+        ["git", "-C", ROOT, *args], check=True, capture_output=True, text=True, env=env
     ).stdout.strip()
+
+
+def working_tree() -> dict:
+    """``HEAD``, whether the tracked files differ from it, their tree object, and untracked files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+        git("read-tree", "HEAD", env=env)
+        git("add", "--update", env=env)
+        tree = git("write-tree", env=env)
+    head = git("rev-parse", "HEAD")
+    return {
+        "head": head,
+        "dirty": tree != git("rev-parse", "HEAD^{tree}"),
+        "tree": tree,
+        "untracked": git("ls-files", "--others", "--exclude-standard").splitlines(),
+    }
 
 
 def export_revision(sha: str) -> str:
@@ -61,10 +87,10 @@ def export_revision(sha: str) -> str:
     return dest
 
 
-def run_benchmark(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_benchmark(tree: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``tree``; returns its last-line JSON plus the environment line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "all",
            "--seed", str(seed), "--seconds", str(seconds)]
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
@@ -73,9 +99,7 @@ def run_benchmark(tree: str, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return {"correct": False, "error": f"exit {proc.returncode}: {proc.stderr[-2000:]}", "metrics": {}}
-    metrics = {}
-    for key, entry in result["metrics"].items():
-        metrics[key if workload == "all" else f"{workload}.{key}"] = entry["value"]
+    metrics = {key: entry["value"] for key, entry in result["metrics"].items()}
     env_line = next((l for l in lines if l.startswith("environment: ")), None)
     return {
         "correct": result["correct"],
@@ -87,11 +111,11 @@ def run_benchmark(tree: str, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def run_pair(trees: dict, index: int, workload: str, seed: int, seconds: float) -> dict:
+def run_pair(trees: dict, index: int, seed: int, seconds: float) -> dict:
     order = SIDES if index % 2 == 0 else SIDES[::-1]
     pair = {"seed": seed, "order": list(order)}
     for side in order:
-        pair[side] = run_benchmark(trees[side], workload, seed, seconds)
+        pair[side] = run_benchmark(trees[side], seed, seconds)
         p50 = {k.split(".", 1)[0]: round(v, 2) for k, v in pair[side]["metrics"].items()
                if k.endswith(".step_ms_p50")}
         print(f"  seed {seed} {side:8s} correct={pair[side]['correct']} step_ms_p50={p50}", flush=True)
@@ -109,19 +133,24 @@ def better(a: float, b: float, direction: str) -> bool:
     return a < b if direction == "lower" else a > b
 
 
-def summarize(pairs: list, spec: dict) -> dict:
-    """Per workload and metric: medians, quartiles, ratio, wins, and the gain/regression rules."""
+def paired_values(pairs: list, spec: dict):
+    """``(key, metric spec, [(baseline, change), ...])`` per end-to-end workload metric."""
     keys = sorted({k for p in pairs for side in SIDES for k in p[side]["metrics"]})
-    out = {}
     for key in keys:
         metric = key.split(".", 1)[1]
         if metric not in spec:
             continue
-        direction, bound = spec[metric]["better"], spec[metric]["bound"]
         both = [(p["baseline"]["metrics"][key], p["change"]["metrics"][key]) for p in pairs
                 if key in p["baseline"]["metrics"] and key in p["change"]["metrics"]]
-        if not both:
-            continue
+        if both:
+            yield key, spec[metric], both
+
+
+def summarize(pairs: list, spec: dict) -> dict:
+    """Per workload and metric: medians, quartiles, ratio, wins, and the gain/regression rules."""
+    out = {}
+    for key, m, both in paired_values(pairs, spec):
+        direction, bound = m["better"], m["bound"]
         base = [b for b, _ in both]
         change = [c for _, c in both]
         bq, cq = quartiles(base), quartiles(change)
@@ -129,17 +158,27 @@ def summarize(pairs: list, spec: dict) -> dict:
         gap = cq[1] - bq[1]
         worse_by = gap / bq[1] if direction == "lower" else -gap / bq[1]
         out[key] = {
-            "unit": spec[metric]["unit"],
+            "unit": m["unit"],
             "better": direction,
             "pairs": len(both),
             "baseline": {"median": bq[1], "q1": bq[0], "q3": bq[2], "iqr": bq[2] - bq[0]},
             "change": {"median": cq[1], "q1": cq[0], "q3": cq[2], "iqr": cq[2] - cq[0]},
             "ratio": cq[1] / bq[1] if bq[1] else None,
             "wins": wins,
-            "gain": wins >= WIN_SHARE * len(both) and better(cq[1], bq[1], direction)
+            "gain": len(both) >= MIN_PAIRS and wins >= WIN_SHARE * len(both)
+            and better(cq[1], bq[1], direction)
             and abs(gap) > bq[2] - bq[0],
             "regression": worse_by > bound,
         }
+    return out
+
+
+def held_out_summary(pair: dict, spec: dict) -> dict:
+    """Per workload and metric of one pair: both values, their ratio and whether the change won."""
+    out = {}
+    for key, m, [(b, c)] in paired_values([pair], spec):
+        out[key] = {"unit": m["unit"], "better": m["better"], "baseline": b, "change": c,
+                    "ratio": c / b if b else None, "change_won": better(c, b, m["better"])}
     return out
 
 
@@ -148,23 +187,21 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", required=True, help="git revision to compare the working tree against")
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
     parser.add_argument("--held-out", type=int, help="seed of one more pair, reported on its own")
-    parser.add_argument("--workload", default="all")
-    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--out", help="JSON file to write")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     spec = {m["name"]: m for m in bench["end_to_end"]}
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     sha = git("rev-parse", "--verify", f"{args.baseline}^{{commit}}")
     report = {
         "command": "python3 scripts/paired_bench.py " + " ".join(sys.argv[1:] if argv is None else argv),
         "baseline": {"rev": args.baseline, "sha": sha},
-        "change": {"head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
-        "workload": args.workload,
+        "change": working_tree(),
         "seconds": seconds,
-        "rules": f"gain: wins >= {WIN_SHARE:g} of pairs and |median gap| > baseline IQR; "
+        "rules": f"gain: at least {MIN_PAIRS} pairs, wins >= {WIN_SHARE:g} of pairs "
+        "and |median gap| > baseline IQR; "
         "regression: median worse than the baseline's by more than the BENCHMARK.json bound",
     }
     trees = {"baseline": export_revision(sha), "change": ROOT}
@@ -172,13 +209,13 @@ def main(argv=None) -> int:
         pairs = []
         for i, seed in enumerate(args.seeds):
             print(f"pair {i + 1}/{len(args.seeds)}", flush=True)
-            pairs.append(run_pair(trees, i, args.workload, seed, seconds))
+            pairs.append(run_pair(trees, i, seed, seconds))
         report["pairs"] = pairs
         report["summary"] = summarize(pairs, spec)
         if args.held_out is not None:
             print("held-out pair", flush=True)
-            held = run_pair(trees, len(pairs), args.workload, args.held_out, seconds)
-            report["held_out"] = {"pair": held, "summary": summarize([held], spec)}
+            held = run_pair(trees, len(pairs), args.held_out, seconds)
+            report["held_out"] = {"pair": held, "summary": held_out_summary(held, spec)}
     finally:
         shutil.rmtree(trees["baseline"], ignore_errors=True)
         try:
@@ -199,8 +236,9 @@ def main(argv=None) -> int:
               + f"{s['ratio']:7.3f} {s['wins']:3d}/{s['pairs']:<2d}  {verdict}")
     if "held_out" in report:
         for key, s in report["held_out"]["summary"].items():
-            print(f"held-out seed {args.held_out} {key:44s} baseline {s['baseline']['median']:.4g} "
-                  f"change {s['change']['median']:.4g} ratio {s['ratio']:.3f}")
+            print(f"held-out seed {args.held_out} {key:44s} baseline {s['baseline']:.4g} "
+                  f"change {s['change']:.4g} ratio {s['ratio']:.3f} "
+                  f"{'change won' if s['change_won'] else 'baseline won or tie'}")
     incorrect = [(p["seed"], side) for p in report["pairs"] for side in SIDES if not p[side]["correct"]]
     if incorrect:
         print(f"runs that failed their checks: {incorrect}")

@@ -277,7 +277,7 @@ def _jacobian_rows(record):
     return rows
 
 
-def _projected_rows(record, basis, workspace=None):
+def _projected_rows(record, basis, workspace: Workspace):
     """One loss term's residual Jacobian applied to k directions, ``J V`` (N, k).
 
     ``basis[k]`` is a list of per-layer ``[dW | db]`` matrices.  Per layer
@@ -285,8 +285,6 @@ def _projected_rows(record, basis, workspace=None):
     docstring), one (N S, h_in) x (h_in, h_out) product per direction into
     the workspace's scratch array; no row is formed.
     """
-    if workspace is None:
-        workspace = Workspace()
     n = record[0][1].shape[0]
     out = np.zeros((n, len(basis)))
     for l, (z, g) in enumerate(record):
@@ -308,12 +306,14 @@ def _projected_rows(record, basis, workspace=None):
 
 # one entry per loss term, so that perfbench/tracing.py can time each by name
 def _interior_jacobian_rows(interior, basis=None, workspace=None):
-    """Interior residual Jacobian rows (N, D) from the interior record, or ``J V`` for a basis."""
+    """Interior residual Jacobian rows (N, D) from the interior record, or ``J V`` for a
+    basis, which needs a workspace."""
     return _jacobian_rows(interior) if basis is None else _projected_rows(interior, basis, workspace)
 
 
 def _boundary_jacobian_rows(boundary, basis=None, workspace=None):
-    """Condition residual Jacobian rows (N, D) from the condition record, or ``J V`` for a basis."""
+    """Condition residual Jacobian rows (N, D) from the condition record, or ``J V`` for a
+    basis, which needs a workspace."""
     return _jacobian_rows(boundary) if basis is None else _projected_rows(boundary, basis, workspace)
 
 
@@ -322,12 +322,15 @@ def loss_gradient(interior: list, r_int, boundary: list, r_bnd, workspace=None) 
 
     The residual-weighted contraction of the records the Jacobian rows are
     built from, with term weights 1/N each: ``sum_n r_n / N * row_n`` for
-    the interior and the condition term.
+    the interior and the condition term.  None for ``workspace`` means a
+    fresh one.
     """
+    if workspace is None:
+        workspace = Workspace()
     w_int = r_int / max(r_int.size, 1)
     w_bnd = r_bnd / max(r_bnd.size, 1)
     return [
-        param_grad_matrix(zi, gi, w_int, workspace) + param_grad_matrix(zb, gb, w_bnd, workspace)
+        param_grad_matrix(zi, gi, workspace, w_int) + param_grad_matrix(zb, gb, workspace, w_bnd)
         for (zi, gi), (zb, gb) in zip(interior, boundary)
     ]
 

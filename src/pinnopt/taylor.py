@@ -95,9 +95,10 @@ class Workspace:
     and a layer index, never of a shape, so two layers of equal width get
     distinct arrays.  Each key owns one flat buffer that only grows: a
     later request under the same key returns a view of the same memory and
-    overwrites what the previous array under that key held.  The passes
-    take ``workspace=None`` to mean a fresh workspace of their own, which
-    runs the same code and keeps nothing.
+    overwrites what the previous array under that key held.  The public
+    passes :func:`taylor_forward`, :func:`taylor_output` and
+    :func:`taylor_backward` take ``workspace=None`` to mean a fresh
+    workspace of their own, which runs the same code and keeps nothing.
 
     The roles in :data:`TRANSIENT_ROLES` hold arrays that no result keeps
     past the function that fills them, so :meth:`nested` workspaces share
@@ -230,7 +231,7 @@ def initial_state(x) -> np.ndarray:
     return z
 
 
-def param_grad_matrix(z_in, g, weights=None, workspace=None) -> np.ndarray:
+def param_grad_matrix(z_in, g, workspace: Workspace, weights=None) -> np.ndarray:
     """Batch-summed ``[dW | db]`` of one linear layer, ``sum_n w_n sum_s g_ns zhat_ns^T``.
 
     ``z_in`` is the layer's input state and ``g`` the (N, S, h_out) adjoint
@@ -242,8 +243,6 @@ def param_grad_matrix(z_in, g, weights=None, workspace=None) -> np.ndarray:
     The scaled adjoint columns that are read go to the workspace's scratch
     array: for points, the operator column is never read.
     """
-    if workspace is None:
-        workspace = Workspace()
     n, s, q = g.shape
     if z_in.ndim == 2:
         d = z_in.shape[1]
@@ -308,7 +307,7 @@ def _first_activation(derivs: ActivationDerivs, w0t, q, out) -> np.ndarray:
     return out
 
 
-def taylor_forward_linear(w, b, z_in, workspace=None, layer=None) -> np.ndarray:
+def taylor_forward_linear(w, b, z_in, workspace: Workspace, layer=None) -> np.ndarray:
     """Linear layer: every column is multiplied by W, bias hits the value column.
 
     The output is the workspace's state array of index ``layer``.
@@ -317,8 +316,6 @@ def taylor_forward_linear(w, b, z_in, workspace=None, layer=None) -> np.ndarray:
     z_in = np.asarray(z_in, dtype=np.float64)
     if z_in.shape[2] != w.shape[1]:
         raise ValueError(f"state width {z_in.shape[2]} does not match weight {w.shape}")
-    if workspace is None:
-        workspace = Workspace()
     n, s, h_in = z_in.shape
     z_out = workspace.array((n, s, w.shape[0]), "state", layer)
     np.matmul(z_in.reshape(n * s, h_in), w.T, out=z_out.reshape(n * s, w.shape[0]))
@@ -327,7 +324,7 @@ def taylor_forward_linear(w, b, z_in, workspace=None, layer=None) -> np.ndarray:
 
 
 def taylor_forward_activation(
-    derivs: ActivationDerivs, z_in, coeffs: OperatorCoeffs, workspace=None, layer=None
+    derivs: ActivationDerivs, z_in, coeffs: OperatorCoeffs, workspace: Workspace, layer=None
 ) -> np.ndarray:
     """Element-wise activation layer.
 
@@ -342,8 +339,6 @@ def taylor_forward_activation(
     d = coeffs.dim
     if z_in.shape[1] != d + 2:
         raise ValueError(f"state has {z_in.shape[1]} columns, operator expects {d + 2}")
-    if workspace is None:
-        workspace = Workspace()
     g = z_in[:, 1 : d + 1, :]
     z_out = workspace.array(z_in.shape, "state", layer)
     z_out[:, 0, :] = derivs.s0
@@ -502,7 +497,7 @@ def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None)
 
 
 def _activation_backward(
-    z_in, g_out, coeffs: OperatorCoeffs, activation: str, workspace=None
+    z_in, g_out, coeffs: OperatorCoeffs, activation: str, workspace: Workspace
 ) -> np.ndarray:
     """Adjoint of :func:`taylor_forward_activation`, in place.
 
@@ -519,8 +514,6 @@ def _activation_backward(
     column first and the operator column last, because each reads the
     incoming columns after it.
     """
-    if workspace is None:
-        workspace = Workspace()
     d = coeffs.dim
     s = _derivs(z_in[:, 0, :], activation, 3, workspace)
     g = z_in[:, 1 : d + 1, :]
@@ -546,13 +539,11 @@ def _activation_backward(
 
 
 def _first_activation_backward(
-    pre, g_out, consts: tuple, activation: str, workspace=None
+    pre, g_out, consts: tuple, activation: str, workspace: Workspace
 ) -> np.ndarray:
     """Adjoint of :func:`_first_activation`, i.e. :func:`_activation_backward`
     with the incoming derivative columns W0^T and a zero operator column;
     in place on ``g_out`` like it."""
-    if workspace is None:
-        workspace = Workspace()
     w0t, cw0t, q = consts
     d = w0t.shape[0]
     s = _derivs(pre, activation, 3, workspace)

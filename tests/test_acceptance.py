@@ -15,7 +15,13 @@ import oracle
 from pinnopt import curvature, harness, network, pde
 from pinnopt.network import Architecture, init_params
 from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, optimizer_step
-from pinnopt.taylor import OperatorCoeffs, initial_state, param_grad_matrix, taylor_forward
+from pinnopt.taylor import (
+    OperatorCoeffs,
+    Workspace,
+    initial_state,
+    param_grad_matrix,
+    taylor_forward,
+)
 
 
 def report(name, ok, detail):
@@ -72,7 +78,7 @@ def test_criterion_2_backward_engine():
     tg = taylor_backward(params, states, seeds, co)
     analytic_vec = network.mats_to_vec(
         [
-            param_grad_matrix(z, g)
+            param_grad_matrix(z, g, Workspace())
             for z, g in curvature.layer_pairs(params, states, tg.layer_grads)
         ]
     )

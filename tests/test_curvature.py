@@ -18,6 +18,7 @@ from pinnopt.network import Architecture, Parameters, activation_derivs, init_pa
 from pinnopt.optim import OptimizerConfig, evaluate_batch
 from pinnopt.taylor import (
     OperatorCoeffs,
+    Workspace,
     _activation_backward,
     initial_state,
     param_grad_matrix,
@@ -385,7 +386,7 @@ class TestInputLayerClosedForm:
         p, problem, batch, ev, zhat, g = case
         n, s, _ = zhat.shape
         ref = sum(np.outer(g[i, j], zhat[i, j]) for i in range(n) for j in range(s))
-        got = param_grad_matrix(*ev.interior[0])
+        got = param_grad_matrix(*ev.interior[0], Workspace())
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
         assert _taylor_passes(p, batch, problem)[1].layer_grads[0] is None
 
@@ -406,7 +407,7 @@ class TestInputLayerClosedForm:
         p, problem, batch, _, zhat, g = case
         co = problem.coeffs
         states, tg = _taylor_passes(p, batch, problem)
-        z1 = taylor_forward_linear(p.weights[0], p.biases[0], initial_state(batch.interior))
+        z1 = taylor_forward_linear(p.weights[0], p.biases[0], initial_state(batch.interior), Workspace())
         assert np.max(np.abs(states[1] - z1[:, 0, :])) <= 1e-12
         if p.n_linear == 1:
             # the output adjoint is the residual seed of the materialised output
@@ -417,11 +418,13 @@ class TestInputLayerClosedForm:
             assert np.max(np.abs(g[:, :, 0] - seeds)) <= 1e-12
             return
         derivs = activation_derivs(z1[:, 0, :], p.activation, order=2)
-        z2 = taylor_forward_activation(derivs, z1, co)
+        z2 = taylor_forward_activation(derivs, z1, co, Workspace())
         assert np.max(np.abs(states[2] - z2)) <= 1e-12 * max(1.0, np.max(np.abs(z2)))
         # the reverse pass keeps only linear-layer output adjoints, so the
         # first activation's output adjoint is formed here from layer 1's
-        g_ref = _activation_backward(z1, np.matmul(tg.layer_grads[3], p.weights[1]), co, p.activation)
+        g_ref = _activation_backward(
+            z1, np.matmul(tg.layer_grads[3], p.weights[1]), co, p.activation, Workspace()
+        )
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * max(1.0, np.max(np.abs(g_ref)))
 
 
@@ -449,6 +452,6 @@ class TestProjectedRows:
             (curvature._boundary_jacobian_rows, ev.boundary),
         ):
             want = rows_of(record) @ v
-            got = rows_of(record, basis)
+            got = rows_of(record, basis, Workspace())
             assert got.shape == want.shape == (record[0][1].shape[0], k)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -16,7 +16,7 @@ from pinnopt.network import (
     params_to_vec,
     vec_to_params,
 )
-from pinnopt.taylor import param_grad_matrix
+from pinnopt.taylor import Workspace, param_grad_matrix
 
 
 class TestArchitecture:
@@ -182,7 +182,7 @@ class TestBackward:
         pts = np.random.default_rng(3).uniform(-1, 1, size=(4, 2))
         u, trace = forward_batch(p, pts)
         grads = network.backward_batch(p, trace, np.ones(4))
-        mats = [param_grad_matrix(z, g) for z, g in boundary_pairs(trace, grads)]
+        mats = [param_grad_matrix(z, g, Workspace()) for z, g in boundary_pairs(trace, grads)]
         vec = params_to_vec(p)
         analytic = network.mats_to_vec(mats)
         h = 1e-6

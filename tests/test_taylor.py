@@ -8,6 +8,7 @@ from pinnopt import curvature, network, pde
 from pinnopt.network import Architecture, Parameters, activation_derivs, init_params
 from pinnopt.taylor import (
     OperatorCoeffs,
+    Workspace,
     initial_state,
     param_grad_matrix,
     taylor_backward,
@@ -24,7 +25,7 @@ def net_fn(params):
 
 def seeded_param_grads(params, states, tg):
     """Batch-summed ``[dW | db]`` per linear layer of the seeded reverse pass."""
-    return [param_grad_matrix(z, g) for z, g in curvature.layer_pairs(params, states, tg.layer_grads)]
+    return [param_grad_matrix(z, g, Workspace()) for z, g in curvature.layer_pairs(params, states, tg.layer_grads)]
 
 
 def random_coeffs(rng, d):
@@ -62,12 +63,12 @@ class TestInitialState:
 class TestForwardLinear:
     def test_identity_layer(self):
         z = initial_state(np.array([[0.5, -0.5]]))
-        out = taylor_forward_linear(np.eye(2), np.zeros(2), z)
+        out = taylor_forward_linear(np.eye(2), np.zeros(2), z, Workspace())
         assert np.array_equal(out, z)
 
     def test_bias_touches_only_value_column(self):
         z = initial_state(np.array([[3.0, 4.0]]))
-        out = taylor_forward_linear(np.array([[1.0, 2.0]]), np.array([5.0]), z)
+        out = taylor_forward_linear(np.array([[1.0, 2.0]]), np.array([5.0]), z, Workspace())
         assert out[0, 0, 0] == 16.0
         assert out[0, 1, 0] == 1.0
         assert out[0, 2, 0] == 2.0
@@ -78,7 +79,7 @@ class TestForwardLinear:
         z = rng.standard_normal((3, 5, 4))
         w = rng.standard_normal((6, 4))
         b = rng.standard_normal(6)
-        out = taylor_forward_linear(w, b, z)
+        out = taylor_forward_linear(w, b, z, Workspace())
         for n in range(3):
             for s in range(5):
                 want = w @ z[n, s]
@@ -94,7 +95,7 @@ class TestForwardActivation:
         z[0, 1:3, :] = np.random.default_rng(0).standard_normal((2, 3))
         z[0, 3, :] = [1.0, 2.0, 3.0]
         derivs = activation_derivs(z[:, 0, :])
-        out = taylor_forward_activation(derivs, z, OperatorCoeffs.laplacian(2))
+        out = taylor_forward_activation(derivs, z, OperatorCoeffs.laplacian(2), Workspace())
         assert np.array_equal(out[:, 0, :], np.zeros((1, 3)))
         assert np.array_equal(out[:, 1:3, :], z[:, 1:3, :])
         assert np.array_equal(out[:, 3, :], z[:, 3, :])
@@ -103,7 +104,7 @@ class TestForwardActivation:
         rng = np.random.default_rng(2)
         z = rng.standard_normal((2, 4, 3))
         derivs = activation_derivs(z[:, 0, :])
-        out = taylor_forward_activation(derivs, z, OperatorCoeffs(np.zeros((2, 2))))
+        out = taylor_forward_activation(derivs, z, OperatorCoeffs(np.zeros((2, 2))), Workspace())
         assert np.allclose(out[:, 3, :], derivs.s1 * z[:, 3, :], atol=1e-14)
 
     def test_operator_column_matches_directional_second_differences(self):
@@ -113,7 +114,7 @@ class TestForwardActivation:
         z = rng.standard_normal((1, 4, 5)) * 0.5
         derivs = activation_derivs(z[:, 0, :])
         co = OperatorCoeffs.laplacian(2)
-        out = taylor_forward_activation(derivs, z, co)
+        out = taylor_forward_activation(derivs, z, co, Workspace())
         h = 1e-4
         for unit in range(5):
             val = z[0, 0, unit]
@@ -194,9 +195,9 @@ class TestTaylorForward:
 
         def propagate(z):
             for l, (w, b) in enumerate(zip(p.weights, p.biases)):
-                z = taylor_forward_linear(w, b, z)
+                z = taylor_forward_linear(w, b, z, Workspace())
                 if l < p.n_linear - 1:
-                    z = taylor_forward_activation(activation_derivs(z[:, 0, :]), z, co)
+                    z = taylor_forward_activation(activation_derivs(z[:, 0, :]), z, co, Workspace())
             return z
 
         a, b = propagate(z0), propagate(z0_junk)
