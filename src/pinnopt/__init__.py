@@ -9,8 +9,8 @@ harness with a small PDE catalog.
 
 from .curvature import exact_gramian, gramian_vec, init_kfac_state, precondition_gradient
 from .harness import RunConfig, TrainLog, eval_l2, run_training
-from .linalg import inv_sqrt_psd, kron_sum_solve, pinv_psd, sym_eig
-from .network import Architecture, Parameters, forward, forward_batch, init_params
+from .linalg import kron_sum_solve, pinv_psd, sym_eig
+from .network import Architecture, Parameters, forward_batch, init_params
 from .optim import OptimizerConfig, init_train_state, optimizer_step
 from .pde import PROBLEM_NAMES, make_problem, sample_batch
 from .taylor import OperatorCoeffs, taylor_backward, taylor_forward
@@ -27,13 +27,11 @@ __all__ = [
     "TrainLog",
     "eval_l2",
     "exact_gramian",
-    "forward",
     "forward_batch",
     "gramian_vec",
     "init_kfac_state",
     "init_params",
     "init_train_state",
-    "inv_sqrt_psd",
     "kron_sum_solve",
     "make_problem",
     "optimizer_step",

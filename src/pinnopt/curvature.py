@@ -60,7 +60,6 @@ from .linalg import kron_sum_solve
 from .taylor import (
     Workspace,
     linear_input_index,
-    linear_output_index,
     param_grad_matrix,
     taylor_backward,
     taylor_forward,
@@ -107,7 +106,6 @@ class KfacState:
     b_boundary: list
     ema: float
     damping: float
-    init_mode: str = "identity"
 
 
 def init_kfac_state(params, ema: float, damping: float, init_mode: str = "identity") -> KfacState:
@@ -124,7 +122,7 @@ def init_kfac_state(params, ema: float, damping: float, init_mode: str = "identi
         b_int.append(fresh(w.shape[0]))
         a_bnd.append(fresh(w.shape[1] + 1))
         b_bnd.append(fresh(w.shape[0]))
-    return KfacState(a_int, b_int, a_bnd, b_bnd, ema, damping, init_mode)
+    return KfacState(a_int, b_int, a_bnd, b_bnd, ema, damping)
 
 
 def ema_update(old, new, beta: float) -> np.ndarray:
@@ -136,16 +134,14 @@ def ema_update(old, new, beta: float) -> np.ndarray:
     return beta * old + (1.0 - beta) * new
 
 
-def layer_pairs(params, states: list, layer_grads: list) -> list:
+def layer_pairs(params, states: list, adjoints: list) -> list:
     """The interior record: (input state, output adjoint) per linear layer.
 
-    Taken from the Taylor-mode forward states and reverse-pass adjoints;
-    layer 0's input is the (N, d) array of points (module docstring).
+    Taken from the Taylor-mode forward states and the reverse pass's
+    per-layer adjoints; layer 0's input is the (N, d) array of points
+    (module docstring).
     """
-    return [
-        (states[linear_input_index(l)], layer_grads[linear_output_index(l)])
-        for l in range(params.n_linear)
-    ]
+    return [(states[linear_input_index(l)], adjoints[l]) for l in range(params.n_linear)]
 
 
 def boundary_pairs(trace, grads: list) -> list:
@@ -346,11 +342,11 @@ def residual_jacobian_rows(params, batch: pde.Batch, problem) -> tuple:
     states, out = taylor_forward(params, batch.interior, problem.coeffs)
     du, dgrad, dop = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
     seeds = np.concatenate([du[:, None], dgrad, dop[:, None]], axis=1)
-    tg = taylor_backward(params, states, seeds, problem.coeffs)
+    adjoints = taylor_backward(params, states, seeds, problem.coeffs)
     _, trace = network.forward_batch(params, batch.boundary)
     grads = network.backward_batch(params, trace, np.ones(batch.boundary.shape[0]))
     return (
-        _interior_jacobian_rows(layer_pairs(params, states, tg.layer_grads)),
+        _interior_jacobian_rows(layer_pairs(params, states, adjoints)),
         _boundary_jacobian_rows(boundary_pairs(trace, grads)),
     )
 

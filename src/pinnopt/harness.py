@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, network, pde
+from . import linalg, network, optim, pde
 from .optim import (
     LineSearchError,
     OptimizerConfig,
@@ -139,10 +139,8 @@ class RunConfig:
 
 
 def require_optimizer(name: str) -> str:
-    from .optim import OPTIMIZER_KINDS
-
-    if name not in OPTIMIZER_KINDS:
-        raise ValueError(f"unknown optimizer {name!r}; known: {OPTIMIZER_KINDS}")
+    if name not in optim.OPTIMIZER_KINDS:
+        raise ValueError(f"unknown optimizer {name!r}; known: {optim.OPTIMIZER_KINDS}")
     return name
 
 
@@ -210,11 +208,11 @@ def save_checkpoint(path, params, config: RunConfig | None = None):
     """Write parameters (and the run config, if given) as JSON.
 
     Layer values are stored row-major; floats round-trip exactly through
-    ``repr``.
+    ``repr``.  ``activation`` is always ``"tanh"``.
     """
     payload = {
         "widths": list(params.widths),
-        "activation": params.activation,
+        "activation": "tanh",
         "layers": [
             {
                 "shape": list(w.shape),
@@ -231,15 +229,21 @@ def save_checkpoint(path, params, config: RunConfig | None = None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns ``(params, config_dict_or_None)``."""
+    """Read a checkpoint; returns ``(params, config_dict_or_None)``.
+
+    Raises ValueError for an activation other than tanh.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    activation = payload.get("activation", "tanh")
+    if activation != "tanh":
+        raise ValueError(f"unsupported activation {activation!r}; only 'tanh' is implemented")
     weights, biases = [], []
     for layer in payload["layers"]:
         shape = tuple(layer["shape"])
         weights.append(np.array(layer["weight"], dtype=np.float64).reshape(shape))
         biases.append(np.array(layer["bias"], dtype=np.float64))
-    params = network.Parameters(weights, biases, payload.get("activation", "tanh"))
+    params = network.Parameters(weights, biases)
     return params, payload.get("config")
 
 
@@ -254,7 +258,7 @@ def run_training(config: RunConfig) -> TrainLog:
     written.
     """
     problem = pde.make_problem(config.problem, **config.problem_params)
-    arch = network.Architecture(tuple(config.widths), "tanh")
+    arch = network.Architecture(tuple(config.widths))
     if arch.input_dim != problem.dim:
         raise ValueError(
             f"network input width {arch.input_dim} does not match problem dim {problem.dim}"
@@ -297,7 +301,7 @@ def run_training(config: RunConfig) -> TrainLog:
     batch = pde.sample_batch(
         problem, config.n_interior, config.n_boundary, _stream_seed(config.seed, STREAM_BATCH, 0)
     )
-    l_int, l_bnd = _initial_losses(state.params, batch, problem)
+    l_int, l_bnd = optim.evaluate_losses(state.params, batch, problem, state.workspace)
     record(0, l_int, l_bnd, 0.0, 0.0)
 
     resample_count = 0
@@ -334,12 +338,6 @@ def run_training(config: RunConfig) -> TrainLog:
         writer.close()
         save_checkpoint(os.path.join(out_dir, "checkpoint.json"), state.params, config)
     return log
-
-
-def _initial_losses(params, batch, problem):
-    from .optim import evaluate_losses
-
-    return evaluate_losses(params, batch, problem)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ __all__ = [
     "NotPositiveSemidefiniteError",
     "SymEig",
     "sym_eig",
-    "inv_sqrt_psd",
     "pinv_psd",
     "kron_sum_solve",
 ]
@@ -86,25 +85,6 @@ def _check_psd(evals, norm, what):
         raise NotPositiveSemidefiniteError(
             f"{what}: smallest eigenvalue {evals[0]:.3e} below -{PSD_TOL:g} * norm"
         )
-
-
-def inv_sqrt_psd(m, jitter: float = 0.0) -> np.ndarray:
-    """Inverse matrix square root of a symmetric PSD matrix.
-
-    Returns ``Q diag((lam_i + jitter)^(-1/2)) Q^T`` where negative
-    eigenvalues (roundoff) are clipped to zero before the jitter shift.
-    With ``jitter == 0`` the matrix must be strictly positive definite for
-    the result to be finite; callers that damp pass ``jitter > 0``.
-    """
-    if jitter < 0:
-        raise ValueError("jitter must be >= 0")
-    evals, q = sym_eig(m, "inv_sqrt_psd(m)")
-    norm = float(np.max(np.abs(evals))) if evals.size else 0.0
-    _check_psd(evals, norm, "inv_sqrt_psd")
-    lam = np.clip(evals, 0.0, None) + jitter
-    with np.errstate(divide="ignore"):
-        scale = lam ** -0.5
-    return (q * scale) @ q.T
 
 
 def pinv_psd(m, rcond: float) -> np.ndarray:

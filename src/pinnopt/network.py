@@ -1,10 +1,10 @@
 """Tanh multi-layer perceptron with explicit parameters.
 
-The net alternates fully-connected and element-wise activation layers:
-``linear -> act -> linear -> ... -> linear`` with a scalar output.  Weights
-and biases are stored per linear layer; the activation is smooth and
-exposes derivatives up to third order, which the differential-operator
-propagation in :mod:`pinnopt.taylor` requires.
+The net alternates fully-connected layers and tanh:
+``linear -> tanh -> linear -> ... -> linear`` with a scalar output.  Weights
+and biases are stored per linear layer.  tanh is the only activation;
+:func:`tanh_derivs` gives its derivatives up to third order, which the
+differential-operator propagation in :mod:`pinnopt.taylor` requires.
 
 Parameter flattening convention (shared by the whole package): per linear
 layer the weight and bias are joined into the augmented matrix ``[W | b]``
@@ -23,9 +23,8 @@ __all__ = [
     "ActivationDerivs",
     "Parameters",
     "ForwardTrace",
-    "activation_derivs",
+    "tanh_derivs",
     "init_params",
-    "forward",
     "forward_batch",
     "backward_batch",
     "params_to_vec",
@@ -78,24 +77,11 @@ def tanh_derivs(z, order: int = 3, out=None) -> ActivationDerivs:
     return ActivationDerivs(s0, s1, s2, s3)
 
 
-ACTIVATIONS = {"tanh": tanh_derivs}
-
-
-def activation_derivs(z, activation: str = "tanh", order: int = 3, out=None) -> ActivationDerivs:
-    """Evaluate the named activation and its derivatives up to ``order``, into ``out`` if given."""
-    try:
-        fn = ACTIVATIONS[activation]
-    except KeyError:
-        raise ValueError(f"unknown activation {activation!r}") from None
-    return fn(z, order, out)
-
-
 @dataclass(frozen=True)
 class Architecture:
-    """Layer widths ``(d, h_1, ..., 1)`` plus the activation name."""
+    """Layer widths ``(d, h_1, ..., 1)``."""
 
     widths: tuple
-    activation: str = "tanh"
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.widths)
@@ -106,8 +92,6 @@ class Architecture:
             raise ValueError(f"all widths must be >= 1, got {widths}")
         if widths[-1] != 1:
             raise ValueError(f"output width must be 1, got {widths[-1]}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def input_dim(self) -> int:
@@ -124,7 +108,6 @@ class Parameters:
 
     weights: list
     biases: list
-    activation: str = "tanh"
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases):
@@ -151,15 +134,8 @@ class Parameters:
     def n_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-    def architecture(self) -> Architecture:
-        return Architecture(self.widths, self.activation)
-
     def copy(self) -> "Parameters":
-        return Parameters(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
+        return Parameters([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 def init_params(arch: Architecture, seed: int) -> Parameters:
@@ -174,27 +150,7 @@ def init_params(arch: Architecture, seed: int) -> Parameters:
         bound = 1.0 / np.sqrt(h_in)
         weights.append(rng.uniform(-bound, bound, size=(h_out, h_in)))
         biases.append(rng.uniform(-bound, bound, size=h_out))
-    return Parameters(weights, biases, arch.activation)
-
-
-def forward(params: Parameters, x) -> tuple:
-    """Evaluate the net at a single point.
-
-    Returns ``(u, zs)`` where ``zs`` lists the output of every sequential
-    layer (linear and activation layers interleaved) in order.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.input_dim,):
-        raise ValueError(f"expected input of shape ({params.input_dim},), got {x.shape}")
-    zs = []
-    z = x
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = w @ z + b
-        zs.append(z)
-        if l < params.n_linear - 1:
-            z = activation_derivs(z, params.activation, order=0).s0
-            zs.append(z)
-    return float(z[0]), zs
+    return Parameters(weights, biases)
 
 
 @dataclass
@@ -225,7 +181,7 @@ def forward_batch(params: Parameters, x) -> tuple:
         z = z @ w.T + b
         trace.pre_activations.append(z)
         if l < params.n_linear - 1:
-            z = activation_derivs(z, params.activation, order=0).s0
+            z = tanh_derivs(z, order=0).s0
     return trace.output, trace
 
 
@@ -243,7 +199,7 @@ def backward_batch(params: Parameters, trace: ForwardTrace, seed) -> list:
         grads[l] = g
         if l > 0:
             g = g @ params.weights[l]
-            s1 = activation_derivs(trace.pre_activations[l - 1], params.activation, order=1).s1
+            s1 = tanh_derivs(trace.pre_activations[l - 1], order=1).s1
             g = g * s1
     return grads
 
@@ -284,11 +240,7 @@ def params_to_vec(params: Parameters) -> np.ndarray:
 def vec_to_params(vec, template: Parameters) -> Parameters:
     """Rebuild :class:`Parameters` from a flat vector, shapes from ``template``."""
     mats = vec_to_mats(vec, template)
-    return Parameters(
-        [m[:, :-1].copy() for m in mats],
-        [m[:, -1].copy() for m in mats],
-        template.activation,
-    )
+    return Parameters([m[:, :-1].copy() for m in mats], [m[:, -1].copy() for m in mats])
 
 
 def add_scaled(params: Parameters, mats: list, alpha: float) -> Parameters:
@@ -297,4 +249,4 @@ def add_scaled(params: Parameters, mats: list, alpha: float) -> Parameters:
     for w, b, m in zip(params.weights, params.biases, mats):
         weights.append(w + alpha * m[:, :-1])
         biases.append(b + alpha * m[:, -1])
-    return Parameters(weights, biases, params.activation)
+    return Parameters(weights, biases)

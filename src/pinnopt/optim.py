@@ -141,8 +141,11 @@ class BatchEval:
     Gauss-Newton rows and, contracted with the residuals, ``grad_mats``.
 
     The interior record's arrays live in the workspace :func:`evaluate_batch`
-    was given, so a step's ``BatchEval`` stays valid until the next step of
-    the same :class:`TrainState`; copy what must outlive it.
+    was given, so a ``BatchEval`` stays valid only until the next pass
+    through that workspace; copy what must outlive it.  The line search of
+    kfac and engd is such a pass (:func:`evaluate_losses`), so those steps
+    read the records, ``grad_mats`` and the direction before it and only
+    the loss floats after it.
     """
 
     loss_interior: float
@@ -163,8 +166,9 @@ def evaluate_losses(params, batch: pde.Batch, problem, workspace=None) -> tuple:
 
     The interior term comes from :func:`pde.interior_loss`, whose forward
     pass keeps no layer state; the losses equal those of
-    :func:`evaluate_batch` up to rounding in the last bits.  A
-    ``BatchEval`` in the same workspace stays valid.
+    :func:`evaluate_batch` up to rounding in the last bits.  The hidden
+    states are written into ``workspace`` and overwrite the record of a
+    ``BatchEval`` made in it.
     """
     loss_int = pde.interior_loss(problem, params, batch, workspace)
     loss_bnd, _, _ = pde.boundary_loss(problem, params, batch)
@@ -183,8 +187,8 @@ def evaluate_batch(params, batch: pde.Batch, problem, workspace=None) -> BatchEv
     )
     du, dgrad, dop = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
     seeds = np.concatenate([du[:, None], dgrad, dop[:, None]], axis=1)
-    tg = taylor_backward(params, states, seeds, problem.coeffs, workspace)
-    interior = curvature.layer_pairs(params, states, tg.layer_grads)
+    adjoints = taylor_backward(params, states, seeds, problem.coeffs, workspace)
+    interior = curvature.layer_pairs(params, states, adjoints)
 
     loss_bnd, r_bnd, trace = pde.boundary_loss(problem, params, batch)
     bgrads = network.backward_batch(params, trace, np.ones(r_bnd.size))

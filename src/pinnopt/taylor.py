@@ -15,8 +15,7 @@ the flattened (N * S, h) view.  Per-sample column identity is preserved so
 the curvature factors can be assembled from the same intermediates.
 
 The input state and the first linear layer's output state are never
-materialised in this layout.  The input state :func:`initial_state`, kept
-as the reference for tests, is the same for every point
+materialised in this layout.  The input state is the same for every point
 apart from its value column (x, then the unit vectors e_i, then 0), so the
 first linear layer's derivative columns are the columns of W0^T for every
 sample and its operator column is zero.  The forward pass therefore keeps
@@ -42,24 +41,25 @@ and with one hidden layer (g = W0^T, ell = 0) this is
 ``(s0 . w + b, s1 (w * W0), s2 . (q * w))`` on (N, h1) arrays alone.
 
 The reverse pass propagates adjoints with the same column layout through
-the states of :func:`taylor_forward`.  It stops at the first linear
-layer's output adjoint and forms no adjoint of the input.  A layer's
-parameter gradient of any linear combination of (u, grad u, L u) is
-:func:`param_grad_matrix` of its (input state, output adjoint) pair; for
-the first layer that is ``g_0^T [x 1]`` plus the batch sum of the
-derivative-column block.  Each activation's adjoint is computed in place:
-the product ``g W_l`` is written into the array that, overwritten by the
-activation's adjoint, becomes linear layer l - 1's output adjoint.  The
-width-1 head makes that product the outer product ``seeds (x) w``, one
-broadcast multiply instead of a matrix product with inner dimension 1.
-Only the linear layers' output adjoints are kept; no record reads the
-adjoint of an activation's output.
+the states of :func:`taylor_forward` and returns one output adjoint per
+linear layer.  It stops at the first linear layer's output adjoint and
+forms no adjoint of the input.  A layer's parameter gradient of any
+linear combination of (u, grad u, L u) is :func:`param_grad_matrix` of
+its (input state, output adjoint) pair; for the first layer that is
+``g_0^T [x 1]`` plus the batch sum of the derivative-column block.
+Each activation's adjoint is computed in place: the product ``g W_l`` is
+written into the array that, overwritten by the activation's adjoint,
+becomes linear layer l - 1's output adjoint.  The width-1 head makes that
+product the outer product ``seeds (x) w``, one broadcast multiply instead
+of a matrix product with inner dimension 1.  No record reads the adjoint
+of an activation's output, so none is kept.
 
-A training loop passes a :class:`Workspace` through both passes: states,
+A training loop passes one :class:`Workspace` through every pass: states,
 adjoints and the few full-size temporaries are written into arrays kept
 from one step to the next, so a step in steady state allocates only
 (N, h)-sized and smaller arrays.  Every array of a pass stays valid until
-the next pass through the same workspace.
+the next pass through the same workspace; :func:`taylor_output` writes
+the same state arrays as :func:`taylor_forward`.
 """
 
 from __future__ import annotations
@@ -69,14 +69,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ActivationDerivs, Parameters, activation_derivs
+from .network import ActivationDerivs, Parameters, tanh_derivs
 
 __all__ = [
     "Workspace",
     "OperatorCoeffs",
     "TaylorOutput",
-    "TaylorGrads",
-    "initial_state",
     "param_grad_matrix",
     "taylor_forward_linear",
     "taylor_forward_activation",
@@ -99,33 +97,17 @@ class Workspace:
     passes :func:`taylor_forward`, :func:`taylor_output` and
     :func:`taylor_backward` take ``workspace=None`` to mean a fresh
     workspace of their own, which runs the same code and keeps nothing.
-
-    The roles in :data:`TRANSIENT_ROLES` hold arrays that no result keeps
-    past the function that fills them, so :meth:`nested` workspaces share
-    them; every other role is private to its (nested) workspace.
     """
-
-    TRANSIENT_ROLES = ("derivs", "coeffs", "scratch")
 
     def __init__(self):
         self._buffers = {}
-        self._scope = ()
 
     def array(self, shape, role: str, layer=None) -> np.ndarray:
         size = math.prod(shape)
-        key = (role, layer) if role in self.TRANSIENT_ROLES else self._scope + (role, layer)
-        flat = self._buffers.get(key)
+        flat = self._buffers.get((role, layer))
         if flat is None or flat.size < size:
-            flat = self._buffers[key] = np.empty(size)
+            flat = self._buffers[(role, layer)] = np.empty(size)
         return flat[:size].reshape(shape)
-
-    def nested(self, scope: str) -> "Workspace":
-        """A workspace whose non-transient arrays are its own, for a pass
-        that must leave this one's results intact."""
-        child = Workspace()
-        child._buffers = self._buffers
-        child._scope = self._scope + (scope,)
-        return child
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,24 +175,6 @@ class TaylorOutput:
     operator: np.ndarray  # (N,)  L u
 
 
-@dataclass
-class TaylorGrads:
-    """Result of the reverse pass.
-
-    ``layer_grads[linear_output_index(l)]`` is the (N, S, h) adjoint of
-    linear layer l's output state, in full column layout; for layer 0 it is
-    the adjoint of the complete output state, although the forward pass
-    kept only its value column.  The other entries (activation outputs and
-    the input) are not kept and stay None.  A linear layer's parameter
-    gradient is :func:`param_grad_matrix` of its (input state, output
-    adjoint) pair.  The head's adjoint is a view of the seeds; the others
-    live in the workspace of :func:`taylor_backward` and stay valid until
-    its next reverse pass.
-    """
-
-    layer_grads: list
-
-
 def linear_input_index(layer: int) -> int:
     """Index into the forward states list of linear layer ``layer``'s input."""
     return 2 * layer
@@ -221,23 +185,13 @@ def linear_output_index(layer: int) -> int:
     return 2 * layer + 1
 
 
-def initial_state(x) -> np.ndarray:
-    """Input-layer state: value column x, derivative columns e_i, operator 0."""
-    x = np.asarray(x, dtype=np.float64)
-    n, d = x.shape
-    z = np.zeros((n, d + 2, d))
-    z[:, 0, :] = x
-    z[:, 1 : d + 1, :] = np.eye(d)
-    return z
-
-
 def param_grad_matrix(z_in, g, workspace: Workspace, weights=None) -> np.ndarray:
     """Batch-summed ``[dW | db]`` of one linear layer, ``sum_n w_n sum_s g_ns zhat_ns^T``.
 
     ``z_in`` is the layer's input state and ``g`` the (N, S, h_out) adjoint
     of its output; ``zhat`` appends the bias entry (1 in the value column,
     0 elsewhere).  A two-dimensional ``z_in`` holds the points x and stands
-    for :func:`initial_state` ``(x)``, whose column sum per sample is
+    for the input state (x, e_i, 0), whose column sum per sample is
     ``g_n0 [x_n 1]^T + [G_n^T 0]`` with ``G_n`` the derivative-column block
     of ``g_n``.  ``weights`` (N,) scale the samples; None means all ones.
     The scaled adjoint columns that are read go to the workspace's scratch
@@ -273,10 +227,9 @@ def _quadratic_term(cg, g, workspace: Workspace) -> np.ndarray:
     return np.sum(np.multiply(cg, g, out=workspace.array(g.shape, "scratch")), axis=1)
 
 
-def _derivs(z, activation: str, order: int, workspace: Workspace) -> ActivationDerivs:
-    """Activation derivatives of ``z`` up to ``order``, in the workspace's derivative array."""
-    out = workspace.array((order + 1,) + z.shape, "derivs")
-    return activation_derivs(z, activation, order, out)
+def _derivs(z, order: int, workspace: Workspace) -> ActivationDerivs:
+    """tanh derivatives of ``z`` up to ``order``, in the workspace's derivative array."""
+    return tanh_derivs(z, order, workspace.array((order + 1,) + z.shape, "derivs"))
 
 
 def _first_layer_constants(w0, coeffs: OperatorCoeffs) -> tuple:
@@ -372,20 +325,18 @@ def _linear_net_output(x, pre, w0) -> TaylorOutput:
     )
 
 
-def _hidden_activation(
-    params: Parameters, pre, coeffs: OperatorCoeffs, first, workspace, layer
-) -> np.ndarray:
+def _hidden_activation(pre, coeffs: OperatorCoeffs, first, workspace, layer) -> np.ndarray:
     """Full state after the activation of pre-activation ``pre``, as state ``layer``.
 
     A two-dimensional ``pre`` is the first linear layer's value column and
     takes the closed form with ``first = (W0^T, q)``.
     """
     if pre.ndim == 2:
-        derivs = _derivs(pre, params.activation, 2, workspace)
+        derivs = _derivs(pre, 2, workspace)
         n, h = pre.shape
         out = workspace.array((n, coeffs.dim + 2, h), "state", layer)
         return _first_activation(derivs, *first, out)
-    derivs = _derivs(pre[:, 0, :], params.activation, 2, workspace)
+    derivs = _derivs(pre[:, 0, :], 2, workspace)
     return taylor_forward_activation(derivs, pre, coeffs, workspace, layer)
 
 
@@ -411,7 +362,7 @@ def _forward_to_last_activation(
     w0t, _, q = _first_layer_constants(w0, coeffs)
     first = (w0t, q)
     for l in range(1, params.n_linear - 1):
-        z = _hidden_activation(params, pre, coeffs, first, workspace, linear_input_index(l))
+        z = _hidden_activation(pre, coeffs, first, workspace, linear_input_index(l))
         pre = taylor_forward_linear(
             params.weights[l], params.biases[l], z, workspace, linear_output_index(l)
         )
@@ -432,7 +383,8 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
     :class:`TaylorOutput` triple of the scalar network output.
 
     The states live in ``workspace`` (a fresh one when None) and stay valid
-    until the next forward pass through the same workspace.
+    until the next :func:`taylor_forward` or :func:`taylor_output` through
+    the same workspace.
     """
     x = _check_points(params, x, coeffs)
     if workspace is None:
@@ -442,7 +394,7 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
     if first is None:
         return states, _linear_net_output(x, pre, params.weights[0])
     last = params.n_linear - 1
-    z = _hidden_activation(params, pre, coeffs, first, workspace, linear_input_index(last))
+    z = _hidden_activation(pre, coeffs, first, workspace, linear_input_index(last))
     states.append(z)
     z = taylor_forward_linear(
         params.weights[-1], params.biases[-1], z, workspace, linear_output_index(last)
@@ -469,24 +421,25 @@ def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None)
         operator = (s1 * ell + s2 * quad) . w,   quad = sum_ij c_ij g_i g_j
 
     For one hidden layer g = W0^T, ell = 0 and quad = q, so only (N, h1)
-    and (N, d) arrays are formed.  The (N, h1) arrays live in a nested part
-    of ``workspace``, so a loss-only pass leaves the states that
-    :func:`taylor_forward` wrote into the same workspace intact.
+    and (N, d) arrays are formed.  The hidden states are written into the
+    state arrays of ``workspace`` (a fresh one when None), over those of
+    an earlier :func:`taylor_forward` through it.
     """
     x = _check_points(params, x, coeffs)
-    workspace = Workspace() if workspace is None else workspace.nested("taylor_output")
+    if workspace is None:
+        workspace = Workspace()
     pre, first = _forward_to_last_activation(params, x, coeffs, workspace)
     if first is None:
         return _linear_net_output(x, pre, params.weights[0])
     w = params.weights[-1][0]
     b = params.biases[-1][0]
     if pre.ndim == 2:
-        s = _derivs(pre, params.activation, 2, workspace)
+        s = _derivs(pre, 2, workspace)
         gradient = s.s1 @ (w[:, None] * params.weights[0])
         operator = s.s2 @ (first[1] * w)
     else:
         d = x.shape[1]
-        s = _derivs(pre[:, 0, :], params.activation, 2, workspace)
+        s = _derivs(pre[:, 0, :], 2, workspace)
         g = pre[:, 1 : d + 1, :]
         gradient = np.einsum("nih,nh->ni", g, s.s1 * w)
         lz = _quadratic_term(_contract_coeffs(coeffs, g, workspace), g, workspace)
@@ -496,9 +449,7 @@ def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None)
     return TaylorOutput(value=s.s0 @ w + b, gradient=gradient, operator=operator)
 
 
-def _activation_backward(
-    z_in, g_out, coeffs: OperatorCoeffs, activation: str, workspace: Workspace
-) -> np.ndarray:
+def _activation_backward(z_in, g_out, coeffs: OperatorCoeffs, workspace: Workspace) -> np.ndarray:
     """Adjoint of :func:`taylor_forward_activation`, in place.
 
     With input columns (z, g_i, ell) and output adjoints (vb, gb_i, lb):
@@ -515,7 +466,7 @@ def _activation_backward(
     incoming columns after it.
     """
     d = coeffs.dim
-    s = _derivs(z_in[:, 0, :], activation, 3, workspace)
+    s = _derivs(z_in[:, 0, :], 3, workspace)
     g = z_in[:, 1 : d + 1, :]
     ell = z_in[:, d + 1, :]
     vb = g_out[:, 0, :]
@@ -538,15 +489,13 @@ def _activation_backward(
     return g_out
 
 
-def _first_activation_backward(
-    pre, g_out, consts: tuple, activation: str, workspace: Workspace
-) -> np.ndarray:
+def _first_activation_backward(pre, g_out, consts: tuple, workspace: Workspace) -> np.ndarray:
     """Adjoint of :func:`_first_activation`, i.e. :func:`_activation_backward`
     with the incoming derivative columns W0^T and a zero operator column;
     in place on ``g_out`` like it."""
     w0t, cw0t, q = consts
     d = w0t.shape[0]
-    s = _derivs(pre, activation, 3, workspace)
+    s = _derivs(pre, 3, workspace)
     vb = g_out[:, 0, :]
     gb = g_out[:, 1 : d + 1, :]
     lb = g_out[:, d + 1, :]
@@ -564,18 +513,23 @@ def _first_activation_backward(
 
 def taylor_backward(
     params: Parameters, states: list, seeds, coeffs: OperatorCoeffs, workspace=None
-) -> TaylorGrads:
+) -> list:
     """Reverse pass through the states produced by :func:`taylor_forward`.
 
     ``seeds`` has shape (N, S) and holds, per sample, the adjoint of the
-    output triple in column layout ``[u_bar, grad_bar..., op_bar]``.  The
-    per-sample layer adjoints feed the gradient and the curvature assembly
-    in :mod:`pinnopt.curvature`.  Only the linear layers' output adjoints
-    are kept; the pass ends at the first linear layer's, ``layer_grads[1]``.
+    output triple in column layout ``[u_bar, grad_bar..., op_bar]``.
+    Returns ``adjoints``: ``adjoints[l]`` is the (N, S, h) adjoint of
+    linear layer l's output state in full column layout, for layer 0 of
+    the complete output state although the forward pass kept only its
+    value column.  Layer l's parameter gradient is
+    :func:`param_grad_matrix` of its (input state, output adjoint) pair,
+    and these pairs feed the curvature assembly in :mod:`pinnopt.curvature`.
 
-    Linear layer l's output adjoint is formed as ``g @ W_{l+1}`` in the
-    workspace's adjoint array of index l and taken through the activation
-    in place.  A width-1 layer (the head) makes that product the outer
+    The head's adjoint is a view of the seeds.  Every other adjoint l is
+    formed as ``g @ W_{l+1}`` in the workspace's adjoint array of index l
+    (a fresh workspace when None) and taken through the activation in
+    place; it stays valid until the next reverse pass through the same
+    workspace.  A width-1 layer (the head) makes that product the outer
     product of g and its weight row, written by one broadcast multiply.
     """
     seeds = np.asarray(seeds, dtype=np.float64)
@@ -588,9 +542,8 @@ def taylor_backward(
     if workspace is None:
         workspace = Workspace()
 
-    layer_grads = [None] * len(states)
-    g = seeds[:, :, None]
-    layer_grads[linear_output_index(params.n_linear - 1)] = g
+    adjoints = [None] * params.n_linear
+    g = adjoints[-1] = seeds[:, :, None]
     for l in reversed(range(1, params.n_linear)):
         w = params.weights[l]
         adjoint = workspace.array((n, d + 2, w.shape[1]), "adjoint", l - 1)
@@ -601,9 +554,8 @@ def taylor_backward(
             np.matmul(g, w, out=adjoint)
         if l == 1:
             consts = _first_layer_constants(params.weights[0], coeffs)
-            _first_activation_backward(states[1], adjoint, consts, params.activation, workspace)
+            _first_activation_backward(states[1], adjoint, consts, workspace)
         else:
-            z_in = states[linear_input_index(l) - 1]
-            _activation_backward(z_in, adjoint, coeffs, params.activation, workspace)
-        layer_grads[linear_output_index(l - 1)] = g = adjoint
-    return TaylorGrads(layer_grads)
+            _activation_backward(states[linear_input_index(l) - 1], adjoint, coeffs, workspace)
+        adjoints[l - 1] = g = adjoint
+    return adjoints

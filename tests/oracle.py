@@ -1,9 +1,10 @@
 """Independent brute-force references the tests check the engines against.
 
 These deliberately know nothing about the operator-column propagation in
-:mod:`pinnopt.taylor`: they only call :func:`pinnopt.network.forward` and do
-scalar arithmetic, so agreement with the fast engine is evidence, not
-tautology.
+:mod:`pinnopt.taylor`: they only call the single-point :func:`forward` and
+do scalar arithmetic, so agreement with the fast engine is evidence, not
+tautology.  :func:`initial_state` is the materialised input state that the
+engines never form, for checking their closed-form first layer.
 """
 
 from __future__ import annotations
@@ -15,12 +16,44 @@ import numpy as np
 from pinnopt import network
 
 __all__ = [
+    "forward",
+    "initial_state",
     "FdSpec",
     "fd_gradient",
     "fd_operator",
     "fd_residual_jacobian",
     "rel_error",
 ]
+
+
+def forward(params: network.Parameters, x) -> tuple:
+    """Evaluate the net at a single point.
+
+    Returns ``(u, zs)`` where ``zs`` lists the output of every sequential
+    layer (linear and tanh layers interleaved) in order.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (params.input_dim,):
+        raise ValueError(f"expected input of shape ({params.input_dim},), got {x.shape}")
+    zs = []
+    z = x
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = w @ z + b
+        zs.append(z)
+        if l < params.n_linear - 1:
+            z = np.tanh(z)
+            zs.append(z)
+    return float(z[0]), zs
+
+
+def initial_state(x) -> np.ndarray:
+    """Input-layer state of a batch: value column x, derivative columns e_i, operator 0."""
+    x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    z = np.zeros((n, d + 2, d))
+    z[:, 0, :] = x
+    z[:, 1 : d + 1, :] = np.eye(d)
+    return z
 
 
 @dataclass(frozen=True)
@@ -108,7 +141,7 @@ def _residual_from_forward(problem, params, x, spec: FdSpec) -> float:
     """Interior residual at one point with all network derivatives from stencils."""
 
     def f(y):
-        return network.forward(params, y)[0]
+        return forward(params, y)[0]
 
     u = f(x)
     grad = fd_gradient(f, x, spec)

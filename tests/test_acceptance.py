@@ -18,7 +18,6 @@ from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, opt
 from pinnopt.taylor import (
     OperatorCoeffs,
     Workspace,
-    initial_state,
     param_grad_matrix,
     taylor_forward,
 )
@@ -42,7 +41,7 @@ def test_criterion_1_forward_engine():
         coeff_sets = [OperatorCoeffs.laplacian(d), OperatorCoeffs(0.5 * (rand_c + rand_c.T))]
         if d == 5:
             coeff_sets.append(OperatorCoeffs(np.diag([0.0, 1.0, 1.0, 1.0, 1.0])))
-        f = lambda y: network.forward(params, y)[0]
+        f = lambda y: oracle.forward(params, y)[0]
         _, out = taylor_forward(params, pts, coeff_sets[0])
         for i, x in enumerate(pts):
             worst_grad = max(worst_grad, oracle.rel_error(out.gradient[i], oracle.fd_gradient(f, x)))
@@ -75,11 +74,11 @@ def test_criterion_2_backward_engine():
     seeds[0, 3] = 1.0
     from pinnopt.taylor import taylor_backward
 
-    tg = taylor_backward(params, states, seeds, co)
+    adjoints = taylor_backward(params, states, seeds, co)
     analytic_vec = network.mats_to_vec(
         [
             param_grad_matrix(z, g, Workspace())
-            for z, g in curvature.layer_pairs(params, states, tg.layer_grads)
+            for z, g in curvature.layer_pairs(params, states, adjoints)
         ]
     )
     h = 1e-6
@@ -193,7 +192,7 @@ def test_criterion_4_factor_transcription():
     # literal loops over bias-augmented inputs; layer 0 from the full input state
     _, trace = network.forward_batch(params, batch.boundary)
     grads = network.backward_batch(params, trace, np.ones(batch.boundary.shape[0]))
-    ref_in = [initial_state(batch.interior)] + [z for z, _ in ev.interior[1:]]
+    ref_in = [oracle.initial_state(batch.interior)] + [z for z, _ in ev.interior[1:]]
     worst = 0.0
     for l, (_, g) in enumerate(ev.interior):
         n, s, h = ref_in[l].shape

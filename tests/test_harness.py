@@ -151,6 +151,16 @@ class TestRunTraining:
         )
         assert err == pytest.approx(log.final[5], abs=1e-12)
 
+    def test_checkpoint_is_tanh_and_other_activations_are_rejected(self, tmp_path):
+        run_training(tiny_config(tmp_path, max_steps=0))
+        path = tmp_path / "run" / "checkpoint.json"
+        payload = json.loads(path.read_text())
+        assert payload["activation"] == "tanh"
+        payload["activation"] = "relu"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="relu"):
+            load_checkpoint(str(path))
+
     def test_training_and_eval_streams_disjoint(self, tmp_path):
         cfg = tiny_config(tmp_path, max_steps=0)
         problem = pde.make_problem(cfg.problem)
@@ -199,6 +209,15 @@ class TestCli:
         lines = (tmp_path / "run" / "log.csv").read_text().splitlines()
         final_err = float(lines[-1].split(",")[5])
         assert printed == pytest.approx(final_err, abs=1e-12)
+
+    def test_eval_of_non_tanh_checkpoint_returns_2(self, tmp_path, capsys):
+        run_training(tiny_config(tmp_path, max_steps=0))
+        path = tmp_path / "run" / "checkpoint.json"
+        payload = json.loads(path.read_text())
+        payload["activation"] = "relu"
+        path.write_text(json.dumps(payload))
+        assert main(["eval", "--checkpoint", str(path)]) == 2
+        assert "relu" in capsys.readouterr().err
 
     def test_missing_config_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from pinnopt.linalg import (
     NotPositiveSemidefiniteError,
     NotSymmetricError,
-    inv_sqrt_psd,
     kron_sum_solve,
     pinv_psd,
     sym_eig,
@@ -70,28 +69,6 @@ class TestSymEig:
         evals, q = sym_eig(m)
         assert np.max(np.abs(q.T @ q - np.eye(64))) <= 1e-10
         assert np.max(np.abs((q * evals) @ q.T - m)) <= 1e-8 * np.max(np.abs(m))
-
-
-class TestInvSqrtPsd:
-    def test_identity(self):
-        assert np.allclose(inv_sqrt_psd(np.eye(4), 0.0), np.eye(4), atol=1e-14)
-
-    def test_diagonal(self):
-        got = inv_sqrt_psd(np.diag([4.0, 9.0]), 0.0)
-        assert np.allclose(got, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
-
-    def test_multiplicative_inverse(self):
-        m = random_spd(np.random.default_rng(1), 5)
-        r = inv_sqrt_psd(m, 0.0)
-        assert np.max(np.abs(r @ r @ m - np.eye(5))) <= 1e-8
-
-    def test_jitter_shifts_eigenvalues(self):
-        got = inv_sqrt_psd(np.diag([3.0, 0.0]), 1.0)
-        assert np.allclose(got, np.diag([0.5, 1.0]), atol=1e-14)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveSemidefiniteError):
-            inv_sqrt_psd(np.diag([1.0, -1.0]), 0.0)
 
 
 class TestPinvPsd:

@@ -24,7 +24,7 @@ class TestFdGradient:
         p = init_params(Architecture((3, 10, 1)), 1)
         x = np.array([0.2, -0.4, 0.6])
         _, out = taylor_forward(p, x[None], OperatorCoeffs.laplacian(3))
-        got = fd_gradient(lambda y: network.forward(p, y)[0], x)
+        got = fd_gradient(lambda y: oracle.forward(p, y)[0], x)
         assert rel_error(out.gradient[0], got) <= 1e-8
 
 
@@ -43,7 +43,7 @@ class TestFdOperator:
         x = np.array([0.5, -0.1])
         co = OperatorCoeffs.laplacian(2)
         _, out = taylor_forward(p, x[None], co)
-        got = fd_operator(lambda y: network.forward(p, y)[0], x, co)
+        got = fd_operator(lambda y: oracle.forward(p, y)[0], x, co)
         assert rel_error(out.operator[0], got) <= 1e-6
 
 
@@ -58,7 +58,7 @@ class TestFdResidualJacobian:
 
         def bres(v):
             q = network.vec_to_params(v, p)
-            return network.forward(q, xb)[0]
+            return oracle.forward(q, xb)[0]
 
         vec = network.params_to_vec(p)
         h = 1e-6

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import analytic
+import oracle
 from pinnopt import network, pde
 from pinnopt.network import Architecture, init_params
 from pinnopt.pde import (
@@ -189,7 +190,7 @@ class TestLosses:
         batch = sample_batch(problem, 3, 9, seed=6)
         _, res, _ = boundary_loss(problem, p, batch)
         for i, xb in enumerate(batch.boundary):
-            u, _ = network.forward(p, xb)
+            u, _ = oracle.forward(p, xb)
             assert abs(res[i] - (u - batch.boundary_targets[i])) <= 1e-12
 
     def test_interior_matches_fd_laplacian_recomputation(self):
@@ -197,9 +198,7 @@ class TestLosses:
         p = init_params(Architecture((2, 8, 1)), 2)
         batch = sample_batch(problem, 5, 4, seed=7)
         loss, r, _, _ = interior_loss_and_residuals(problem, p, batch)
-        import oracle
-
-        f = lambda y: network.forward(p, y)[0]
+        f = lambda y: oracle.forward(p, y)[0]
         total = 0.0
         for i, x in enumerate(batch.interior):
             op = oracle.fd_operator(f, x, problem.coeffs)

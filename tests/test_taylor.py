@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 import oracle
 from pinnopt import curvature, network, pde
-from pinnopt.network import Architecture, Parameters, activation_derivs, init_params
+from pinnopt.network import Architecture, Parameters, init_params, tanh_derivs
 from pinnopt.taylor import (
     OperatorCoeffs,
     Workspace,
-    initial_state,
     param_grad_matrix,
     taylor_backward,
     taylor_forward,
@@ -20,12 +19,12 @@ from pinnopt.taylor import (
 
 
 def net_fn(params):
-    return lambda x: network.forward(params, x)[0]
+    return lambda x: oracle.forward(params, x)[0]
 
 
-def seeded_param_grads(params, states, tg):
+def seeded_param_grads(params, states, adjoints):
     """Batch-summed ``[dW | db]`` per linear layer of the seeded reverse pass."""
-    return [param_grad_matrix(z, g, Workspace()) for z, g in curvature.layer_pairs(params, states, tg.layer_grads)]
+    return [param_grad_matrix(z, g, Workspace()) for z, g in curvature.layer_pairs(params, states, adjoints)]
 
 
 def random_coeffs(rng, d):
@@ -53,7 +52,7 @@ class TestOperatorCoeffs:
 class TestInitialState:
     def test_layout(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        z = initial_state(x)
+        z = oracle.initial_state(x)
         assert z.shape == (2, 4, 2)
         assert np.array_equal(z[:, 0, :], x)
         assert np.array_equal(z[0, 1:3, :], np.eye(2))
@@ -62,12 +61,12 @@ class TestInitialState:
 
 class TestForwardLinear:
     def test_identity_layer(self):
-        z = initial_state(np.array([[0.5, -0.5]]))
+        z = oracle.initial_state(np.array([[0.5, -0.5]]))
         out = taylor_forward_linear(np.eye(2), np.zeros(2), z, Workspace())
         assert np.array_equal(out, z)
 
     def test_bias_touches_only_value_column(self):
-        z = initial_state(np.array([[3.0, 4.0]]))
+        z = oracle.initial_state(np.array([[3.0, 4.0]]))
         out = taylor_forward_linear(np.array([[1.0, 2.0]]), np.array([5.0]), z, Workspace())
         assert out[0, 0, 0] == 16.0
         assert out[0, 1, 0] == 1.0
@@ -94,7 +93,7 @@ class TestForwardActivation:
         z = np.zeros((1, 4, 3))
         z[0, 1:3, :] = np.random.default_rng(0).standard_normal((2, 3))
         z[0, 3, :] = [1.0, 2.0, 3.0]
-        derivs = activation_derivs(z[:, 0, :])
+        derivs = tanh_derivs(z[:, 0, :])
         out = taylor_forward_activation(derivs, z, OperatorCoeffs.laplacian(2), Workspace())
         assert np.array_equal(out[:, 0, :], np.zeros((1, 3)))
         assert np.array_equal(out[:, 1:3, :], z[:, 1:3, :])
@@ -103,7 +102,7 @@ class TestForwardActivation:
     def test_zero_coefficients_drop_quadratic_term(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((2, 4, 3))
-        derivs = activation_derivs(z[:, 0, :])
+        derivs = tanh_derivs(z[:, 0, :])
         out = taylor_forward_activation(derivs, z, OperatorCoeffs(np.zeros((2, 2))), Workspace())
         assert np.allclose(out[:, 3, :], derivs.s1 * z[:, 3, :], atol=1e-14)
 
@@ -112,7 +111,7 @@ class TestForwardActivation:
         # the propagated operator column for c = I
         rng = np.random.default_rng(3)
         z = rng.standard_normal((1, 4, 5)) * 0.5
-        derivs = activation_derivs(z[:, 0, :])
+        derivs = tanh_derivs(z[:, 0, :])
         co = OperatorCoeffs.laplacian(2)
         out = taylor_forward_activation(derivs, z, co, Workspace())
         h = 1e-4
@@ -177,7 +176,7 @@ class TestTaylorForward:
         a = p.weights[1][0]
         for i, x in enumerate(pts):
             pre = w1 @ x + b1
-            d = activation_derivs(pre)
+            d = tanh_derivs(pre)
             lap = float(np.sum(a * d.s2 * np.sum(w1**2, axis=1)))
             grad = w1.T @ (a * d.s1)
             assert abs(out.operator[i] - lap) <= 1e-10
@@ -189,7 +188,7 @@ class TestTaylorForward:
         p = init_params(Architecture((3, 6, 1)), 10)
         x = np.random.default_rng(11).standard_normal((2, 3))
         co = OperatorCoeffs.partial_laplacian(3, [1, 2])
-        z0 = initial_state(x)
+        z0 = oracle.initial_state(x)
         z0_junk = z0.copy()
         z0_junk[:, 1, :] = 123.456  # time-direction derivative column
 
@@ -197,7 +196,7 @@ class TestTaylorForward:
             for l, (w, b) in enumerate(zip(p.weights, p.biases)):
                 z = taylor_forward_linear(w, b, z, Workspace())
                 if l < p.n_linear - 1:
-                    z = taylor_forward_activation(activation_derivs(z[:, 0, :]), z, co, Workspace())
+                    z = taylor_forward_activation(tanh_derivs(z[:, 0, :]), z, co, Workspace())
             return z
 
         a, b = propagate(z0), propagate(z0_junk)
@@ -235,8 +234,8 @@ class TestTaylorBackward:
         p = Parameters([np.array([[1.5, -2.5]])], [np.array([0.3])])
         states, _ = taylor_forward(p, np.array([[1.0, 2.0]]), OperatorCoeffs.laplacian(2))
         seeds = np.array([[0.0, 0.0, 0.0, 1.0]])
-        tg = taylor_backward(p, states, seeds, OperatorCoeffs.laplacian(2))
-        m = seeded_param_grads(p, states, tg)[0]
+        adjoints = taylor_backward(p, states, seeds, OperatorCoeffs.laplacian(2))
+        m = seeded_param_grads(p, states, adjoints)[0]
         assert np.array_equal(m[:, :-1], np.zeros((1, 2)))
         assert np.array_equal(m[:, -1], np.zeros(1))
 
@@ -247,14 +246,14 @@ class TestTaylorBackward:
         states, _ = taylor_forward(p, pts, co)
         seeds = np.zeros((5, 4))
         seeds[:, 0] = 1.0
-        tg = taylor_backward(p, states, seeds, co)
+        adjoints = taylor_backward(p, states, seeds, co)
         u, trace = network.forward_batch(p, pts)
         grads = network.backward_batch(p, trace, np.ones(5))
         mats = [
             sum(np.outer(g[n], np.append(z[n], 1.0)) for n in range(5))
             for z, g in zip(trace.linear_inputs, grads)
         ]
-        got = seeded_param_grads(p, states, tg)
+        got = seeded_param_grads(p, states, adjoints)
         for l in range(p.n_linear):
             assert np.max(np.abs(got[l][:, :-1] - mats[l][:, :-1])) <= 1e-12
             assert np.max(np.abs(got[l][:, -1] - mats[l][:, -1])) <= 1e-12
@@ -266,8 +265,8 @@ class TestTaylorBackward:
         states, _ = taylor_forward(p, x, co)
         seeds = np.zeros((1, 4))
         seeds[0, 3] = 1.0
-        tg = taylor_backward(p, states, seeds, co)
-        analytic = network.mats_to_vec(seeded_param_grads(p, states, tg))
+        adjoints = taylor_backward(p, states, seeds, co)
+        analytic = network.mats_to_vec(seeded_param_grads(p, states, adjoints))
         vec = network.params_to_vec(p)
         h = 1e-6
         for k in range(vec.size):
@@ -290,8 +289,8 @@ class TestTaylorBackward:
         co = random_coeffs(rng, 2)
         states, _ = taylor_forward(p, x, co)
         seeds = rng.standard_normal((3, 4))
-        tg = taylor_backward(p, states, seeds, co)
-        grads_vec = network.mats_to_vec(seeded_param_grads(p, states, tg))
+        adjoints = taylor_backward(p, states, seeds, co)
+        grads_vec = network.mats_to_vec(seeded_param_grads(p, states, adjoints))
         w_dir = rng.standard_normal(grads_vec.size)
         rhs = float(grads_vec @ w_dir)
 

@@ -34,9 +34,6 @@ class FreshWorkspace(Workspace):
     def array(self, shape, role, layer=None):
         return np.empty(shape)
 
-    def nested(self, scope):
-        return self
-
 
 def _records_equal(a, b):
     for (za, ga), (zb, gb) in zip(a, b):
@@ -86,9 +83,6 @@ class TestBufferReuse:
         b = ws.array((3, 4, 5), "state", 3)
         assert not np.shares_memory(a, b)
         assert np.shares_memory(a, ws.array((2, 4, 5), "state", 2))
-        nested = ws.nested("inner")
-        assert not np.shares_memory(a, nested.array((3, 4, 5), "state", 2))
-        assert np.shares_memory(ws.array((10,), "scratch"), nested.array((10,), "scratch"))
 
 
 def _workload_config(name):
