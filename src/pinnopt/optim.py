@@ -85,7 +85,8 @@ class TrainState:
     """Mutable optimizer state owned by one training loop.
 
     ``workspace`` holds the arrays a step writes its records, projected
-    rows and line-search candidates into; it is reused from one step to
+    rows and line-search candidates into, and those of the step-0 losses
+    of :func:`pinnopt.harness.run_training`; it is reused from one step to
     the next.
     """
 

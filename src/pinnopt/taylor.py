@@ -93,7 +93,10 @@ class Workspace:
     and a layer index, never of a shape, so two layers of equal width get
     distinct arrays.  Each key owns one flat buffer that only grows: a
     later request under the same key returns a view of the same memory and
-    overwrites what the previous array under that key held.  The public
+    overwrites what the previous array under that key held.  Every pass
+    uses the same keys: :func:`taylor_output` writes the state arrays of
+    :func:`taylor_forward`, so a loss-only pass overwrites the states (and
+    the records built on them) of an earlier training pass.  The public
     passes :func:`taylor_forward`, :func:`taylor_output` and
     :func:`taylor_backward` take ``workspace=None`` to mean a fresh
     workspace of their own, which runs the same code and keeps nothing.
