@@ -198,9 +198,9 @@ def backward_batch(params: Parameters, trace: ForwardTrace, seed) -> list:
     for l in reversed(range(n_lin)):
         grads[l] = g
         if l > 0:
+            z = trace.linear_inputs[l]  # tanh of layer l - 1's output
             g = g @ params.weights[l]
-            s1 = tanh_derivs(trace.pre_activations[l - 1], order=1).s1
-            g = g * s1
+            g = g * (1.0 - z * z)
     return grads
 
 

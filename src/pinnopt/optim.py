@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 OPTIMIZER_KINDS = ("kfac", "kfac_star", "engd", "sgd", "adam")
+LINE_SEARCH_GRID = tuple(2.0 ** e for e in range(-30, 1))  # kfac / engd step sizes
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class LineSearchError(RuntimeError):
@@ -51,11 +53,6 @@ class OptimizerConfig:
     damping: float = 1e-2         # kfac / kfac_star (and optional engd shift)
     init_mode: str = "identity"   # curvature init: zero | identity
     rcond: float = 1e-10          # engd pseudo-inverse cutoff
-    line_search_min_exp: int = -30
-    line_search_max_exp: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         self.validate()
@@ -73,11 +70,6 @@ class OptimizerConfig:
             raise ValueError(f"{self.kind} requires lr > 0")
         if self.kind == "engd" and self.damping < 0.0:
             raise ValueError("engd damping must be >= 0")
-        if self.line_search_min_exp > self.line_search_max_exp:
-            raise ValueError("line search exponent range is empty")
-
-    def line_search_grid(self):
-        return [2.0 ** e for e in range(self.line_search_min_exp, self.line_search_max_exp + 1)]
 
 
 @dataclass
@@ -268,7 +260,7 @@ def kfac_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     def loss_fn(p):
         return sum(evaluate_losses(p, batch, problem, state.workspace))
 
-    alpha, _ = line_search(loss_fn, state.params, direction, cfg.line_search_grid())
+    alpha, _ = line_search(loss_fn, state.params, direction, LINE_SEARCH_GRID)
     state.params = network.add_scaled(state.params, direction, alpha)
     state.prev_update = _mats_scale(direction, alpha)
     state.step += 1
@@ -361,7 +353,7 @@ def engd_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     def loss_fn(p):
         return sum(evaluate_losses(p, batch, problem, state.workspace))
 
-    alpha, _ = line_search(loss_fn, state.params, direction, cfg.line_search_grid())
+    alpha, _ = line_search(loss_fn, state.params, direction, LINE_SEARCH_GRID)
     state.params = network.add_scaled(state.params, direction, alpha)
     state.prev_update = _mats_scale(direction, alpha)
     state.step += 1
@@ -382,14 +374,14 @@ def adam_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     cfg = state.config
     ev = evaluate_batch(state.params, batch, problem, state.workspace)
     t = state.step + 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     update = []
     for l, g in enumerate(ev.grad_mats):
         state.adam_m[l] = b1 * state.adam_m[l] + (1.0 - b1) * g
         state.adam_v[l] = b2 * state.adam_v[l] + (1.0 - b2) * g * g
         m_hat = state.adam_m[l] / (1.0 - b1 ** t)
         v_hat = state.adam_v[l] / (1.0 - b2 ** t)
-        update.append(-cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps))
+        update.append(-cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     state.params = network.add_scaled(state.params, update, 1.0)
     state.prev_update = update
     state.step += 1

@@ -19,11 +19,13 @@ materialised in this layout.  The input state is the same for every point
 apart from its value column (x, then the unit vectors e_i, then 0), so the
 first linear layer's derivative columns are the columns of W0^T for every
 sample and its operator column is zero.  The forward pass therefore keeps
-only the points x (N, d) and the first pre-activation x W0^T + b0 (N, h1),
-and builds the first activation's state in closed form:
+only the points x (N, d) and the first pre-activation x W0^T + b0 (N, h1).
+Every hidden activation, forward and reverse, runs one body on its
+incoming columns (value, g, ell); for the first one these are the
+pre-activation, W0^T as a (1, d, h1) stack that broadcasts over the batch,
+and no operator column, so the shared body yields
 
-    derivative columns : s1 * W0^T
-    operator column    : s2 * q,   q_k = sum_ij c_ij W0[k, i] W0[k, j]
+    (s0, s1 * W0^T, s2 * q),   q_k = sum_ij c_ij W0[k, i] W0[k, j]
 
 Two forward passes share the hidden layers and differ in the head.
 :func:`taylor_forward` serves training steps: it keeps every layer state,
@@ -235,32 +237,18 @@ def _derivs(z, order: int, workspace: Workspace) -> ActivationDerivs:
     return tanh_derivs(z, order, workspace.array((order + 1,) + z.shape, "derivs"))
 
 
-def _first_layer_constants(w0, coeffs: OperatorCoeffs) -> tuple:
-    """Sample-independent columns of the first linear layer's output state.
+def _incoming_columns(pre, w0t, d: int) -> tuple:
+    """Incoming columns ``(value, g, ell)`` of the activation after ``pre``.
 
-    Returns ``(w0t, cw0t, q)``: the derivative columns W0^T (d, h1), their
-    contraction with the coefficients (c W0^T), and the quadratic term
-    ``q_k = sum_ij c_ij W0[k, i] W0[k, j]`` that the first activation's
-    operator column picks up.
+    A two-dimensional ``pre`` is the first pre-activation: its derivative
+    columns are ``w0t`` = W0^T for every sample, returned as a (1, d, h1)
+    stack that broadcasts over the batch, and its operator column is zero,
+    returned as None.  Otherwise they are the column slices of the
+    (N, S, h) state ``pre``.
     """
-    w0t = np.ascontiguousarray(w0.T)
-    cw0t = coeffs.apply(w0t[None])[0]
-    q = np.sum(cw0t * w0t, axis=0)
-    return w0t, cw0t, q
-
-
-def _first_activation(derivs: ActivationDerivs, w0t, q, out) -> np.ndarray:
-    """State after the first activation, from the pre-activation derivatives alone.
-
-    The incoming derivative columns are W0^T for every sample and the
-    incoming operator column is zero, so :func:`taylor_forward_activation`
-    reduces to ``(s0, s1 * W0^T, s2 * q)``, written into ``out``.
-    """
-    d = w0t.shape[0]
-    out[:, 0, :] = derivs.s0
-    np.multiply(derivs.s1[:, None, :], w0t, out=out[:, 1 : d + 1, :])
-    np.multiply(derivs.s2, q, out=out[:, d + 1, :])
-    return out
+    if pre.ndim == 2:
+        return pre, w0t[None], None
+    return pre[:, 0, :], pre[:, 1 : d + 1, :], pre[:, d + 1, :]
 
 
 def taylor_forward_linear(w, b, z_in, workspace: Workspace, layer=None) -> np.ndarray:
@@ -276,6 +264,24 @@ def taylor_forward_linear(w, b, z_in, workspace: Workspace, layer=None) -> np.nd
     z_out = workspace.array((n, s, w.shape[0]), "state", layer)
     np.matmul(z_in.reshape(n * s, h_in), w.T, out=z_out.reshape(n * s, w.shape[0]))
     z_out[:, 0, :] += b
+    return z_out
+
+
+def _activation_state(derivs: ActivationDerivs, g, ell, coeffs, workspace, layer) -> np.ndarray:
+    """Body of :func:`taylor_forward_activation` on the incoming columns.
+
+    Writes ``(s0, s1 * g, s2 * quad + s1 * ell)`` into the workspace's state
+    array of index ``layer``; ``ell`` None is a zero operator column.
+    """
+    n, h = derivs.s0.shape
+    d = coeffs.dim
+    z_out = workspace.array((n, d + 2, h), "state", layer)
+    z_out[:, 0, :] = derivs.s0
+    np.multiply(derivs.s1[:, None, :], g, out=z_out[:, 1 : d + 1, :])
+    quad = _quadratic_term(_contract_coeffs(coeffs, g, workspace), g, workspace)
+    np.multiply(derivs.s2, quad, out=z_out[:, d + 1, :])
+    if ell is not None:
+        z_out[:, d + 1, :] += derivs.s1 * ell
     return z_out
 
 
@@ -295,15 +301,8 @@ def taylor_forward_activation(
     d = coeffs.dim
     if z_in.shape[1] != d + 2:
         raise ValueError(f"state has {z_in.shape[1]} columns, operator expects {d + 2}")
-    g = z_in[:, 1 : d + 1, :]
-    z_out = workspace.array(z_in.shape, "state", layer)
-    z_out[:, 0, :] = derivs.s0
-    np.multiply(derivs.s1[:, None, :], g, out=z_out[:, 1 : d + 1, :])
-    quad = _quadratic_term(_contract_coeffs(coeffs, g, workspace), g, workspace)
-    quad *= derivs.s2
-    np.multiply(derivs.s1, z_in[:, d + 1, :], out=z_out[:, d + 1, :])
-    z_out[:, d + 1, :] += quad
-    return z_out
+    _, g, ell = _incoming_columns(z_in, None, d)
+    return _activation_state(derivs, g, ell, coeffs, workspace, layer)
 
 
 def _check_points(params: Parameters, x, coeffs: OperatorCoeffs) -> np.ndarray:
@@ -328,19 +327,10 @@ def _linear_net_output(x, pre, w0) -> TaylorOutput:
     )
 
 
-def _hidden_activation(pre, coeffs: OperatorCoeffs, first, workspace, layer) -> np.ndarray:
-    """Full state after the activation of pre-activation ``pre``, as state ``layer``.
-
-    A two-dimensional ``pre`` is the first linear layer's value column and
-    takes the closed form with ``first = (W0^T, q)``.
-    """
-    if pre.ndim == 2:
-        derivs = _derivs(pre, 2, workspace)
-        n, h = pre.shape
-        out = workspace.array((n, coeffs.dim + 2, h), "state", layer)
-        return _first_activation(derivs, *first, out)
-    derivs = _derivs(pre[:, 0, :], 2, workspace)
-    return taylor_forward_activation(derivs, pre, coeffs, workspace, layer)
+def _hidden_activation(pre, w0t, coeffs: OperatorCoeffs, workspace, layer) -> np.ndarray:
+    """Full state after the activation of pre-activation ``pre``, as state ``layer``."""
+    value, g, ell = _incoming_columns(pre, w0t, coeffs.dim)
+    return _activation_state(_derivs(value, 2, workspace), g, ell, coeffs, workspace, layer)
 
 
 def _forward_to_last_activation(
@@ -348,30 +338,27 @@ def _forward_to_last_activation(
 ) -> tuple:
     """Propagate x up to the pre-activation of the last hidden activation.
 
-    Returns ``(pre, first)``.  ``pre`` is the (N, h1) first pre-activation
+    Returns ``(pre, w0t)``.  ``pre`` is the (N, h1) first pre-activation
     when the net has at most one hidden layer, else the (N, S, h) output
-    state of the second-to-last linear layer; ``first = (W0^T, q)`` are the
-    first activation's constants (None for a linear net).  Every state
-    computed on the way is appended to ``states`` when it is given.  State
-    i of the forward list lives in the workspace's state array of index i.
+    state of the second-to-last linear layer; ``w0t`` is W0^T (d, h1), the
+    first linear layer's derivative columns.  Every state computed on the
+    way is appended to ``states`` when it is given.  State i of the
+    forward list lives in the workspace's state array of index i.
     """
     w0 = params.weights[0]
     pre = np.matmul(x, w0.T, out=workspace.array((x.shape[0], w0.shape[0]), "state", 1))
     pre += params.biases[0]
     if states is not None:
         states.append(pre)
-    if params.n_linear == 1:
-        return pre, None
-    w0t, _, q = _first_layer_constants(w0, coeffs)
-    first = (w0t, q)
+    w0t = np.ascontiguousarray(w0.T)
     for l in range(1, params.n_linear - 1):
-        z = _hidden_activation(pre, coeffs, first, workspace, linear_input_index(l))
+        z = _hidden_activation(pre, w0t, coeffs, workspace, linear_input_index(l))
         pre = taylor_forward_linear(
             params.weights[l], params.biases[l], z, workspace, linear_output_index(l)
         )
         if states is not None:
             states.extend((z, pre))
-    return pre, first
+    return pre, w0t
 
 
 def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None) -> tuple:
@@ -393,11 +380,11 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
     if workspace is None:
         workspace = Workspace()
     states = [x]
-    pre, first = _forward_to_last_activation(params, x, coeffs, workspace, states)
-    if first is None:
+    pre, w0t = _forward_to_last_activation(params, x, coeffs, workspace, states)
+    if params.n_linear == 1:
         return states, _linear_net_output(x, pre, params.weights[0])
     last = params.n_linear - 1
-    z = _hidden_activation(pre, coeffs, first, workspace, linear_input_index(last))
+    z = _hidden_activation(pre, w0t, coeffs, workspace, linear_input_index(last))
     states.append(z)
     z = taylor_forward_linear(
         params.weights[-1], params.biases[-1], z, workspace, linear_output_index(last)
@@ -431,31 +418,33 @@ def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None)
     x = _check_points(params, x, coeffs)
     if workspace is None:
         workspace = Workspace()
-    pre, first = _forward_to_last_activation(params, x, coeffs, workspace)
-    if first is None:
+    pre, w0t = _forward_to_last_activation(params, x, coeffs, workspace)
+    if params.n_linear == 1:
         return _linear_net_output(x, pre, params.weights[0])
     w = params.weights[-1][0]
     b = params.biases[-1][0]
-    if pre.ndim == 2:
-        s = _derivs(pre, 2, workspace)
+    value, g, ell = _incoming_columns(pre, w0t, coeffs.dim)
+    s = _derivs(value, 2, workspace)
+    quad = _quadratic_term(_contract_coeffs(coeffs, g, workspace), g, workspace)
+    if ell is None:
+        # (N, h1) matrix products instead of a broadcast over the (1, d, h1) g
         gradient = s.s1 @ (w[:, None] * params.weights[0])
-        operator = s.s2 @ (first[1] * w)
+        operator = s.s2 @ (quad[0] * w)
     else:
-        d = x.shape[1]
-        s = _derivs(pre[:, 0, :], 2, workspace)
-        g = pre[:, 1 : d + 1, :]
         gradient = np.einsum("nih,nh->ni", g, s.s1 * w)
-        lz = _quadratic_term(_contract_coeffs(coeffs, g, workspace), g, workspace)
-        lz *= s.s2
-        lz += s.s1 * pre[:, d + 1, :]
-        operator = lz @ w
+        quad *= s.s2
+        quad += s.s1 * ell
+        operator = quad @ w
     return TaylorOutput(value=s.s0 @ w + b, gradient=gradient, operator=operator)
 
 
-def _activation_backward(z_in, g_out, coeffs: OperatorCoeffs, workspace: Workspace) -> np.ndarray:
+def _activation_backward(
+    derivs: ActivationDerivs, g, ell, g_out, coeffs: OperatorCoeffs, workspace: Workspace
+) -> np.ndarray:
     """Adjoint of :func:`taylor_forward_activation`, in place.
 
-    With input columns (z, g_i, ell) and output adjoints (vb, gb_i, lb):
+    With incoming columns (z, g_i, ell), ``derivs`` the tanh derivatives of
+    z up to third order, and output adjoints (vb, gb_i, lb):
 
         lb_in   = s1 * lb
         gb_in,i = s1 * gb_i + 2 sum_j c_ij s2 * g_j * lb
@@ -464,50 +453,27 @@ def _activation_backward(z_in, g_out, coeffs: OperatorCoeffs, workspace: Workspa
 
     The s3 term is the derivative of the quadratic part w.r.t. the
     pre-activation value, which is why third derivatives are required.
-    ``g_out`` is overwritten with the input adjoint and returned: the value
-    column first and the operator column last, because each reads the
-    incoming columns after it.
+    ``g`` may broadcast over the batch and ``ell`` None is a zero operator
+    column (:func:`_incoming_columns`).  ``g_out`` is overwritten with the
+    input adjoint and returned: the value column first and the operator
+    column last, because each reads the incoming columns after it.
     """
     d = coeffs.dim
-    s = _derivs(z_in[:, 0, :], 3, workspace)
-    g = z_in[:, 1 : d + 1, :]
-    ell = z_in[:, d + 1, :]
+    s = derivs
     vb = g_out[:, 0, :]
     gb = g_out[:, 1 : d + 1, :]
     lb = g_out[:, d + 1, :]
 
     cg = _contract_coeffs(coeffs, g, workspace)
     quad = _quadratic_term(cg, g, workspace)
-    scratch = workspace.array(g.shape, "scratch")
-
-    vb *= s.s1
-    vb += s.s2 * np.sum(np.multiply(g, gb, out=scratch), axis=1)
-    vb += s.s2 * ell * lb
-    vb += s.s3 * quad * lb
-    np.multiply((2.0 * s.s2)[:, None, :], cg, out=scratch)
-    scratch *= lb[:, None, :]
-    gb *= s.s1[:, None, :]
-    gb += scratch
-    lb *= s.s1
-    return g_out
-
-
-def _first_activation_backward(pre, g_out, consts: tuple, workspace: Workspace) -> np.ndarray:
-    """Adjoint of :func:`_first_activation`, i.e. :func:`_activation_backward`
-    with the incoming derivative columns W0^T and a zero operator column;
-    in place on ``g_out`` like it."""
-    w0t, cw0t, q = consts
-    d = w0t.shape[0]
-    s = _derivs(pre, 3, workspace)
-    vb = g_out[:, 0, :]
-    gb = g_out[:, 1 : d + 1, :]
-    lb = g_out[:, d + 1, :]
     scratch = workspace.array(gb.shape, "scratch")
 
     vb *= s.s1
-    vb += s.s2 * np.sum(np.multiply(w0t, gb, out=scratch), axis=1)
-    vb += s.s3 * q * lb
-    np.multiply((2.0 * s.s2 * lb)[:, None, :], cw0t, out=scratch)
+    vb += s.s2 * np.sum(np.multiply(g, gb, out=scratch), axis=1)
+    if ell is not None:
+        vb += s.s2 * ell * lb
+    vb += s.s3 * quad * lb
+    np.multiply((2.0 * s.s2 * lb)[:, None, :], cg, out=scratch)
     gb *= s.s1[:, None, :]
     gb += scratch
     lb *= s.s1
@@ -545,6 +511,7 @@ def taylor_backward(
     if workspace is None:
         workspace = Workspace()
 
+    w0t = np.ascontiguousarray(params.weights[0].T)
     adjoints = [None] * params.n_linear
     g = adjoints[-1] = seeds[:, :, None]
     for l in reversed(range(1, params.n_linear)):
@@ -555,10 +522,8 @@ def taylor_backward(
             np.multiply(g, w[0], out=adjoint)
         else:
             np.matmul(g, w, out=adjoint)
-        if l == 1:
-            consts = _first_layer_constants(params.weights[0], coeffs)
-            _first_activation_backward(states[1], adjoint, consts, workspace)
-        else:
-            _activation_backward(states[linear_input_index(l) - 1], adjoint, coeffs, workspace)
+        value, g_in, ell = _incoming_columns(states[linear_output_index(l - 1)], w0t, d)
+        derivs = _derivs(value, 3, workspace)
+        _activation_backward(derivs, g_in, ell, adjoint, coeffs, workspace)
         adjoints[l - 1] = g = adjoint
     return adjoints

@@ -402,8 +402,8 @@ class TestInputLayerClosedForm:
         assert np.max(np.abs(ev.grad_mats[0] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_first_layer_adjoint_matches_materialised_state(self, case):
-        # the closed-form first activation and its adjoint against the
-        # generic operator-column layers applied to the full input state
+        # the first activation and its adjoint on the broadcast W0^T input
+        # against the same bodies on the materialised per-sample state
         p, problem, batch, _, zhat, g = case
         co = problem.coeffs
         states, adjoints = _taylor_passes(p, batch, problem)
@@ -423,8 +423,10 @@ class TestInputLayerClosedForm:
         assert np.max(np.abs(states[2] - z2)) <= 1e-12 * max(1.0, np.max(np.abs(z2)))
         # the reverse pass keeps only linear-layer output adjoints, so the
         # first activation's output adjoint is formed here from layer 1's
+        d = batch.interior.shape[1]
         g_ref = _activation_backward(
-            z1, np.matmul(adjoints[1], p.weights[1]), co, Workspace()
+            tanh_derivs(z1[:, 0, :]), z1[:, 1 : d + 1, :], z1[:, d + 1, :],
+            np.matmul(adjoints[1], p.weights[1]), co, Workspace(),
         )
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * max(1.0, np.max(np.abs(g_ref)))
 

@@ -40,7 +40,7 @@ class TestConfig:
             OptimizerConfig(kind="sgd", lr=0.1, momentum=-1.0)
 
     def test_grid(self):
-        grid = OptimizerConfig(kind="kfac", damping=1e-2).line_search_grid()
+        grid = optim.LINE_SEARCH_GRID
         assert len(grid) == 31
         assert grid[0] == 2.0**-30
         assert grid[-1] == 1.0
@@ -48,7 +48,7 @@ class TestConfig:
 
 class TestLineSearch:
     def grid(self):
-        return OptimizerConfig(kind="kfac", damping=1e-2).line_search_grid()
+        return optim.LINE_SEARCH_GRID
 
     def test_quadratic_minimized_at_one(self):
         # loss(theta) = (theta - 1)^2 / 2 from theta = 0 along direction 1:
@@ -402,7 +402,7 @@ class TestFirstOrder:
         p = Parameters([np.zeros((1, 2))], [np.array([1.0])])
         batch = pde.Batch(np.zeros((0, 2)), np.array([[0.0, 0.0]]), np.zeros(1))
         lr, eps = 1e-3, 1e-8
-        state = init_train_state(p, OptimizerConfig(kind="adam", lr=lr, adam_eps=eps))
+        state = init_train_state(p, OptimizerConfig(kind="adam", lr=lr))
         optimizer_step(state, batch, poisson)
         # gradient of (b - 0)^2/2 at b=1 is exactly 1
         expect = 1.0 - lr * 1.0 / (1.0 + eps)

@@ -48,7 +48,7 @@ class TestBufferReuse:
     @pytest.mark.parametrize("kind", ["kfac", "kfac_star", "engd"])
     def test_reused_workspace_matches_fresh_allocation(self, name, kind):
         problem = PROBLEMS[name]()
-        config = OptimizerConfig(kind=kind, momentum=0.5, damping=1e-3, line_search_min_exp=-8)
+        config = OptimizerConfig(kind=kind, momentum=0.5, damping=1e-3)
         params = init_params(Architecture(EQUAL_WIDTHS), 3)
         reused = init_train_state(params.copy(), config)
         fresh = init_train_state(params.copy(), config)
