@@ -281,7 +281,7 @@ def _activation_state(derivs: ActivationDerivs, g, ell, coeffs, workspace, layer
     quad = _quadratic_term(_contract_coeffs(coeffs, g, workspace), g, workspace)
     np.multiply(derivs.s2, quad, out=z_out[:, d + 1, :])
     if ell is not None:
-        z_out[:, d + 1, :] += derivs.s1 * ell
+        z_out[:, d + 1, :] += np.multiply(derivs.s1, ell, out=quad)
     return z_out
 
 
