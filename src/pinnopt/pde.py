@@ -35,9 +35,13 @@ __all__ = [
 class PdeProblem:
     """A PDE with its operator, residual map, boundary data and solution.
 
-    ``residual(x, u, grad, op)`` returns the per-sample interior residual;
-    ``residual_grads`` its derivatives w.r.t. (u, grad, op), used both for
-    loss gradients and for Gauss-Newton seeds of nonlinear residuals.
+    ``source(x)`` is the per-point source term f of the equation, the part
+    of the residual that depends on the point alone; :func:`sample_batch`
+    evaluates it once per batch.  ``residual(x, f, u, grad, op)`` returns
+    the per-sample interior residual given those source values;
+    ``residual_grads(x, u, grad, op)`` its derivatives w.r.t. (u, grad,
+    op), used both for loss gradients and for Gauss-Newton seeds of
+    nonlinear residuals.
     """
 
     name: str
@@ -46,6 +50,7 @@ class PdeProblem:
     lower: np.ndarray
     upper: np.ndarray
     boundary_kind: str  # "faces" | "heat" | "initial"
+    source: Callable
     residual: Callable
     residual_grads: Callable
     boundary_target: Callable
@@ -54,15 +59,20 @@ class PdeProblem:
 
 @dataclass
 class Batch:
-    """Sampled collocation points and boundary/initial targets."""
+    """Sampled collocation points, their source term, and boundary/initial targets."""
 
     interior: np.ndarray          # (N, d)
     boundary: np.ndarray          # (Nb, d)
     boundary_targets: np.ndarray  # (Nb,)
+    source: np.ndarray            # (N,)  problem.source(interior)
 
 
 def _unit_box(d):
     return np.zeros(d), np.ones(d)
+
+
+def _no_source(x):
+    return np.zeros(x.shape[0])
 
 
 def _poisson2d_sin() -> PdeProblem:
@@ -72,8 +82,11 @@ def _poisson2d_sin() -> PdeProblem:
     def true_solution(x):
         return np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
 
-    def residual(x, u, grad, op):
-        return -op - 2.0 * np.pi ** 2 * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+    def source(x):
+        return 2.0 * np.pi ** 2 * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+
+    def residual(x, f, u, grad, op):
+        return -op - f
 
     def residual_grads(x, u, grad, op):
         n = x.shape[0]
@@ -86,6 +99,7 @@ def _poisson2d_sin() -> PdeProblem:
         lower=lower,
         upper=upper,
         boundary_kind="faces",
+        source=source,
         residual=residual,
         residual_grads=residual_grads,
         boundary_target=lambda x: np.zeros(x.shape[0]),
@@ -101,8 +115,11 @@ def _poisson_cos_sum() -> PdeProblem:
     def true_solution(x):
         return np.cos(np.pi * x).sum(axis=1)
 
-    def residual(x, u, grad, op):
-        return -op - np.pi ** 2 * np.cos(np.pi * x).sum(axis=1)
+    def source(x):
+        return np.pi ** 2 * np.cos(np.pi * x).sum(axis=1)
+
+    def residual(x, f, u, grad, op):
+        return -op - f
 
     def residual_grads(x, u, grad, op):
         n = x.shape[0]
@@ -115,6 +132,7 @@ def _poisson_cos_sum() -> PdeProblem:
         lower=lower,
         upper=upper,
         boundary_kind="faces",
+        source=source,
         residual=residual,
         residual_grads=residual_grads,
         boundary_target=true_solution,
@@ -130,8 +148,8 @@ def _poisson_harmonic_mixed() -> PdeProblem:
     def true_solution(x):
         return np.einsum("nk,nk->n", x[:, 0::2], x[:, 1::2])
 
-    def residual(x, u, grad, op):
-        return -op
+    def residual(x, f, u, grad, op):
+        return -op - f
 
     def residual_grads(x, u, grad, op):
         n = x.shape[0]
@@ -144,6 +162,7 @@ def _poisson_harmonic_mixed() -> PdeProblem:
         lower=lower,
         upper=upper,
         boundary_kind="faces",
+        source=_no_source,
         residual=residual,
         residual_grads=residual_grads,
         boundary_target=true_solution,
@@ -161,8 +180,11 @@ def _poisson_norm2(dim: int = 100) -> PdeProblem:
     def true_solution(x):
         return np.einsum("ni,ni->n", x, x)
 
-    def residual(x, u, grad, op):
-        return -op + 2.0 * d
+    def source(x):
+        return np.full(x.shape[0], -2.0 * d)
+
+    def residual(x, f, u, grad, op):
+        return -op - f
 
     def residual_grads(x, u, grad, op):
         n = x.shape[0]
@@ -175,6 +197,7 @@ def _poisson_norm2(dim: int = 100) -> PdeProblem:
         lower=lower,
         upper=upper,
         boundary_kind="faces",
+        source=source,
         residual=residual,
         residual_grads=residual_grads,
         boundary_target=true_solution,
@@ -209,8 +232,8 @@ def _heat(spatial_dim: int = 1, kappa: float = 0.25) -> PdeProblem:
         def true_solution(x):
             return np.exp(-x[:, 0]) * np.sin(2.0 * x[:, 1:]).sum(axis=1)
 
-    def residual(x, u, grad, op):
-        return grad[:, 0] - kappa * op
+    def residual(x, f, u, grad, op):
+        return grad[:, 0] - kappa * op - f
 
     def residual_grads(x, u, grad, op):
         n = x.shape[0]
@@ -225,6 +248,7 @@ def _heat(spatial_dim: int = 1, kappa: float = 0.25) -> PdeProblem:
         lower=lower,
         upper=upper,
         boundary_kind="heat",
+        source=_no_source,
         residual=residual,
         residual_grads=residual_grads,
         boundary_target=true_solution,
@@ -251,10 +275,13 @@ def _log_fokker_planck() -> PdeProblem:
         sq = np.einsum("ni,ni->n", x[:, 1:], x[:, 1:])
         return -0.5 * s * np.log(2.0 * np.pi * var) - sq / (2.0 * var)
 
-    def residual(x, u, grad, op):
+    def source(x):
+        return np.full(x.shape[0], 0.5 * s)
+
+    def residual(x, f, u, grad, op):
         gx = grad[:, 1:]
         drift = np.einsum("ni,ni->n", gx, x[:, 1:])
-        return grad[:, 0] - 0.5 * s - 0.5 * drift - np.einsum("ni,ni->n", gx, gx) - op
+        return grad[:, 0] - f - 0.5 * drift - np.einsum("ni,ni->n", gx, gx) - op
 
     def residual_grads(x, u, grad, op):
         n = x.shape[0]
@@ -270,6 +297,7 @@ def _log_fokker_planck() -> PdeProblem:
         lower=lower,
         upper=upper,
         boundary_kind="initial",
+        source=source,
         residual=residual,
         residual_grads=residual_grads,
         boundary_target=true_solution,
@@ -339,7 +367,7 @@ def sample_batch(problem: PdeProblem, n_interior: int, n_boundary: int, seed: in
     else:
         raise ValueError(f"unknown boundary kind {problem.boundary_kind!r}")
 
-    return Batch(interior, boundary, problem.boundary_target(boundary))
+    return Batch(interior, boundary, problem.boundary_target(boundary), problem.source(interior))
 
 
 def _half_mean_square(r) -> float:
@@ -353,7 +381,7 @@ def interior_loss_and_residuals(problem: PdeProblem, params, batch: Batch, works
     The layer states live in ``workspace`` (see :func:`taylor.taylor_forward`).
     """
     states, out = taylor_forward(params, batch.interior, problem.coeffs, workspace)
-    r = problem.residual(batch.interior, out.value, out.gradient, out.operator)
+    r = problem.residual(batch.interior, batch.source, out.value, out.gradient, out.operator)
     return _half_mean_square(r), r, states, out
 
 
@@ -365,7 +393,8 @@ def interior_loss(problem: PdeProblem, params, batch: Batch, workspace=None) -> 
     ``workspace`` (see :func:`taylor.taylor_output`).
     """
     out = taylor_output(params, batch.interior, problem.coeffs, workspace)
-    return _half_mean_square(problem.residual(batch.interior, out.value, out.gradient, out.operator))
+    r = problem.residual(batch.interior, batch.source, out.value, out.gradient, out.operator)
+    return _half_mean_square(r)
 
 
 def boundary_loss(problem: PdeProblem, params, batch: Batch):

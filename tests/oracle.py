@@ -147,7 +147,7 @@ def _residual_from_forward(problem, params, x, spec: FdSpec) -> float:
     grad = fd_gradient(f, x, spec)
     op = fd_operator(f, x, problem.coeffs, spec)
     return float(
-        problem.residual(x[None, :], np.array([u]), grad[None, :], np.array([op]))[0]
+        problem.residual(x[None, :], problem.source(x[None, :]), np.array([u]), grad[None, :], np.array([op]))[0]
     )
 
 

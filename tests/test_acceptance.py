@@ -163,7 +163,7 @@ def test_criterion_3_curvature():
 
     # (d) single-sample condition factors are exact
     lin = network.Parameters([np.array([[1.5, -2.0]])], [np.array([0.5])])
-    one = pde.Batch(np.zeros((0, 2)), np.array([[3.0, 4.0]]), np.zeros(1))
+    one = pde.Batch(np.zeros((0, 2)), np.array([[3.0, 4.0]]), np.zeros(1), np.zeros(0))
     gram1 = curvature.exact_gramian(lin, one, problem)
     state = curvature.init_kfac_state(lin, ema=0.0, damping=1.0, init_mode="zero")
     _, trace = network.forward_batch(lin, one.boundary)
@@ -230,7 +230,7 @@ def test_criterion_5_true_solution_residuals():
         rng = np.random.default_rng(19)
         x = rng.uniform(problem.lower, problem.upper, size=(20, problem.dim))
         u, grad, op = analytic.triples_for(problem, x)
-        r = problem.residual(x, u, grad, op)
+        r = problem.residual(x, problem.source(x), u, grad, op)
         worst = max(worst, float(np.max(np.abs(r))))
     report(
         "criterion 5 true-solution residuals",

@@ -209,7 +209,7 @@ class TestPrecondition:
 class TestExactGramian:
     def test_boundary_only_consistency(self, poisson):
         p = Parameters([np.array([[1.5, -2.0]])], [np.array([0.5])])
-        batch = pde.Batch(np.zeros((0, 2)), np.array([[3.0, 4.0]]), np.zeros(1))
+        batch = pde.Batch(np.zeros((0, 2)), np.array([[3.0, 4.0]]), np.zeros(1), np.zeros(0))
         g = exact_gramian(p, batch, poisson)
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
         _, trace = network.forward_batch(p, batch.boundary)

@@ -57,6 +57,7 @@ def _rigged_problem():
         lower=problem.lower,
         upper=problem.upper,
         boundary_kind=problem.boundary_kind,
+        source=problem.source,
         residual=problem.residual,
         residual_grads=problem.residual_grads,
         boundary_target=problem.boundary_target,
@@ -260,7 +261,7 @@ class TestCli:
         def nan_problem(name, **params):
             problem = make_problem(name, **params)
             return dataclasses.replace(
-                problem, residual=lambda x, u, grad, op: np.full(x.shape[0], np.nan)
+                problem, residual=lambda x, f, u, grad, op: np.full(x.shape[0], np.nan)
             )
 
         monkeypatch.setattr(harness.pde, "make_problem", nan_problem)

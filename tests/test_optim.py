@@ -328,7 +328,7 @@ class TestEngd:
         xb = rng.uniform(0, 1, size=(8, 2))
         w_true = np.array([0.7, -0.3])
         targets = xb @ w_true + 0.25
-        batch = pde.Batch(np.zeros((0, 2)), xb, targets)
+        batch = pde.Batch(np.zeros((0, 2)), xb, targets, np.zeros(0))
         state = init_train_state(params, OptimizerConfig(kind="engd", ema=0.0, damping=0.0))
         optimizer_step(state, batch, poisson)
         u, _ = network.forward_batch(state.params, xb)
@@ -376,11 +376,8 @@ class TestFirstOrder:
         problem = pde.make_problem("poisson_harmonic_mixed")
         p = init_params(Architecture((10, 4, 1)), 0)
         p = Parameters([np.zeros_like(w) for w in p.weights], [np.zeros_like(b) for b in p.biases])
-        batch = pde.Batch(
-            np.random.default_rng(0).uniform(0, 1, (4, 10)),
-            np.zeros((1, 10)),
-            np.zeros(1),
-        )
+        x = np.random.default_rng(0).uniform(0, 1, (4, 10))
+        batch = pde.Batch(x, np.zeros((1, 10)), np.zeros(1), problem.source(x))
         state = init_train_state(p, OptimizerConfig(kind="sgd", lr=0.1))
         optimizer_step(state, batch, problem)
         for w in state.params.weights:
@@ -391,7 +388,7 @@ class TestFirstOrder:
         # loss theta^2 / 2 (single boundary point at the origin, target 0,
         # so the weights receive no gradient)
         p = Parameters([np.zeros((1, 2))], [np.array([1.0])])
-        batch = pde.Batch(np.zeros((0, 2)), np.zeros((1, 2)), np.zeros(1))
+        batch = pde.Batch(np.zeros((0, 2)), np.zeros((1, 2)), np.zeros(1), np.zeros(0))
         state = init_train_state(p, OptimizerConfig(kind="sgd", lr=0.1, momentum=0.0))
         for t in range(1, 4):
             optimizer_step(state, batch, poisson)
@@ -400,7 +397,7 @@ class TestFirstOrder:
     def test_adam_first_step_formula(self, poisson):
         # unit gradient: first update is -lr / (1 + eps-correction)
         p = Parameters([np.zeros((1, 2))], [np.array([1.0])])
-        batch = pde.Batch(np.zeros((0, 2)), np.array([[0.0, 0.0]]), np.zeros(1))
+        batch = pde.Batch(np.zeros((0, 2)), np.array([[0.0, 0.0]]), np.zeros(1), np.zeros(0))
         lr, eps = 1e-3, 1e-8
         state = init_train_state(p, OptimizerConfig(kind="adam", lr=lr))
         optimizer_step(state, batch, poisson)

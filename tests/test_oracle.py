@@ -84,7 +84,7 @@ class TestFdResidualJacobian:
         problem = pde.make_problem("poisson2d_sin")
         p = init_params(Architecture((2, 5, 1)), 4)
         x = np.array([[0.3, 0.8]])
-        batch = pde.Batch(x, np.zeros((1, 2)), np.zeros(1))
+        batch = pde.Batch(x, np.zeros((1, 2)), np.zeros(1), problem.source(x))
         rows, _ = residual_jacobian_rows(p, batch, problem)
         jac = fd_residual_jacobian(problem, p, x[0])
         assert rel_error(rows[0], jac) <= 1e-5

@@ -46,7 +46,7 @@ class TestCatalog:
         # residual there reduces to -op - 2 pi^2
         problem = make_problem("poisson2d_sin")
         x = np.array([[0.5, 0.5]])
-        r = problem.residual(x, np.zeros(1), np.zeros((1, 2)), np.zeros(1))
+        r = problem.residual(x, problem.source(x), np.zeros(1), np.zeros((1, 2)), np.zeros(1))
         assert r[0] == pytest.approx(-2.0 * np.pi**2, abs=1e-12)
         assert 2.0 * np.pi**2 == pytest.approx(19.7392, abs=5e-5)
 
@@ -56,14 +56,14 @@ class TestCatalog:
         rng = np.random.default_rng(17)
         x = rng.uniform(problem.lower, problem.upper, size=(20, problem.dim))
         u, grad, op = analytic.triples_for(problem, x)
-        r = problem.residual(x, u, grad, op)
+        r = problem.residual(x, problem.source(x), u, grad, op)
         assert np.max(np.abs(r)) <= 1e-10
 
     def test_poisson_norm2_polynomial_identity(self):
         problem = make_problem("poisson_norm2", dim=4)
         x = np.random.default_rng(0).uniform(0, 1, size=(5, 4))
         op = np.full(5, 8.0)  # Laplacian of ||x||^2 in 4d
-        r = problem.residual(x, None, None, op)
+        r = problem.residual(x, problem.source(x), None, None, op)
         assert np.array_equal(r, np.zeros(5))
 
     def test_heat_residual_on_analytic_solution(self):
@@ -71,7 +71,7 @@ class TestCatalog:
         rng = np.random.default_rng(21)
         x = rng.uniform(problem.lower, problem.upper, size=(20, 2))
         u, grad, op = analytic.triples_for(problem, x)
-        assert np.max(np.abs(problem.residual(x, u, grad, op))) <= 1e-10
+        assert np.max(np.abs(problem.residual(x, problem.source(x), u, grad, op))) <= 1e-10
 
     @pytest.mark.parametrize("name,kwargs", ALL_PROBLEMS)
     def test_residual_grads_match_finite_differences(self, name, kwargs):
@@ -86,7 +86,7 @@ class TestCatalog:
         h = 1e-6
 
         def r(u_, grad_, op_):
-            return problem.residual(x, u_, grad_, op_)
+            return problem.residual(x, problem.source(x), u_, grad_, op_)
 
         fd_u = (r(u + h, grad, op) - r(u - h, grad, op)) / (2 * h)
         assert np.max(np.abs(fd_u - du)) <= 1e-6
@@ -165,7 +165,8 @@ class TestLosses:
     def test_interior_loss_arithmetic(self):
         # one sample with residual 3 gives loss 4.5
         problem = make_problem("poisson_norm2", dim=2)
-        batch = pde.Batch(np.array([[0.5, 0.5]]), np.zeros((1, 2)), np.zeros(1))
+        x = np.array([[0.5, 0.5]])
+        batch = pde.Batch(x, np.zeros((1, 2)), np.zeros(1), problem.source(x))
         p = network.Parameters([np.array([[0.0, 0.0]])], [np.array([0.0])])
         # residual = -op + 2d = 4 for op = 0 ... rescale by choosing op via bias-free net
         loss, r, _, _ = interior_loss_and_residuals(problem, p, batch)
@@ -179,6 +180,7 @@ class TestLosses:
             np.zeros((1, 2)),
             np.array([[0.0, 0.5], [1.0, 0.5]]),
             np.array([2.0, 0.0]),  # residuals 1 - 2 = -1 and 1 - 0 = 1
+            problem.source(np.zeros((1, 2))),
         )
         loss, res, _ = boundary_loss(problem, p, batch)
         assert np.array_equal(res, [-1.0, 1.0])
@@ -204,7 +206,7 @@ class TestLosses:
             op = oracle.fd_operator(f, x, problem.coeffs)
             u = f(x)
             grad = oracle.fd_gradient(f, x)
-            r_ref = problem.residual(x[None], np.array([u]), grad[None], np.array([op]))[0]
+            r_ref = problem.residual(x[None], problem.source(x[None]), np.array([u]), grad[None], np.array([op]))[0]
             assert abs(r[i] - r_ref) <= 1e-5 * max(1.0, abs(r_ref))
             total += r_ref**2
         assert loss == pytest.approx(total / (2 * 5), rel=1e-5)
