@@ -25,6 +25,12 @@ others, on a seed that was not used while the change was written; for it
 only the two values, their ratio and which side won are reported, since
 one pair cannot carry the win-share and IQR rules.
 
+Each run also records the host's CPU steal share over the run, from the
+``/proc/stat`` counters read before and after it (None where the file is
+missing), and the number of CPUs the process may run on.  Both sides'
+median steal shares are reported next to the metrics, so that a result on
+a contended host can be told apart from a change of the program.
+
 The working tree is identified by ``HEAD``, whether it differs from it,
 and the git tree object of its tracked files as they are on disk: equal
 to ``git rev-parse <commit>^{tree}`` exactly when the measured files are
@@ -87,18 +93,43 @@ def export_revision(sha: str) -> str:
     return dest
 
 
+def cpu_ticks():
+    """``(steal, total)`` CPU ticks of the whole host since boot, or None without ``/proc/stat``.
+
+    The total counts user, nice, system, idle, iowait, irq, softirq and
+    steal; guest time is already part of user and nice.
+    """
+    try:
+        with open("/proc/stat", encoding="utf-8") as fh:
+            fields = fh.readline().split()
+    except OSError:
+        return None
+    ticks = [int(v) for v in fields[1:9]]
+    return ticks[7], sum(ticks)
+
+
+def steal_share(before, after):
+    """Share of the host's CPU ticks between two :func:`cpu_ticks` readings that were stolen."""
+    if before is None or after is None or after[1] == before[1]:
+        return None
+    return (after[0] - before[0]) / (after[1] - before[1])
+
+
 def run_benchmark(tree: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``tree``; returns its last-line JSON plus the environment line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "all",
            "--seed", str(seed), "--seconds", str(seconds)]
     start = time.perf_counter()
+    ticks = cpu_ticks()
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    host = {"steal_share": steal_share(ticks, cpu_ticks()), "affinity": len(os.sched_getaffinity(0))}
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"correct": False, "error": f"exit {proc.returncode}: {proc.stderr[-2000:]}", "metrics": {}}
+        return {"correct": False, "error": f"exit {proc.returncode}: {proc.stderr[-2000:]}", "metrics": {},
+                "host": host}
     metrics = {key: entry["value"] for key, entry in result["metrics"].items()}
     env_line = next((l for l in lines if l.startswith("environment: ")), None)
     return {
@@ -107,6 +138,7 @@ def run_benchmark(tree: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "metrics": metrics,
         "environment": json.loads(env_line[len("environment: "):]) if env_line else None,
+        "host": host,
         "wall_s": time.perf_counter() - start,
     }
 
@@ -118,7 +150,8 @@ def run_pair(trees: dict, index: int, seed: int, seconds: float) -> dict:
         pair[side] = run_benchmark(trees[side], seed, seconds)
         p50 = {k.split(".", 1)[0]: round(v, 2) for k, v in pair[side]["metrics"].items()
                if k.endswith(".step_ms_p50")}
-        print(f"  seed {seed} {side:8s} correct={pair[side]['correct']} step_ms_p50={p50}", flush=True)
+        print(f"  seed {seed} {side:8s} correct={pair[side]['correct']} step_ms_p50={p50} "
+              f"host={pair[side]['host']}", flush=True)
     return pair
 
 
@@ -173,6 +206,19 @@ def summarize(pairs: list, spec: dict) -> dict:
     return out
 
 
+def host_summary(pairs: list) -> dict:
+    """Per side the median and the largest CPU steal share of its runs, and the CPUs it could use."""
+    out = {}
+    for side in SIDES:
+        shares = [p[side]["host"]["steal_share"] for p in pairs if p[side]["host"]["steal_share"] is not None]
+        out[side] = {
+            "steal_share_median": statistics.median(shares) if shares else None,
+            "steal_share_max": max(shares) if shares else None,
+            "affinity": sorted({p[side]["host"]["affinity"] for p in pairs}),
+        }
+    return out
+
+
 def held_out_summary(pair: dict, spec: dict) -> dict:
     """Per workload and metric of one pair: both values, their ratio and whether the change won."""
     out = {}
@@ -212,6 +258,7 @@ def main(argv=None) -> int:
             pairs.append(run_pair(trees, i, seed, seconds))
         report["pairs"] = pairs
         report["summary"] = summarize(pairs, spec)
+        report["host"] = host_summary(pairs)
         if args.held_out is not None:
             print("held-out pair", flush=True)
             held = run_pair(trees, len(pairs), args.held_out, seconds)
@@ -234,6 +281,9 @@ def main(argv=None) -> int:
         print(f"{key:44s} {b['median']:10.4g} [{b['q1']:.4g}, {b['q3']:.4g}]".ljust(74)
               + f"{c['median']:10.4g} [{c['q1']:.4g}, {c['q3']:.4g}]".ljust(30)
               + f"{s['ratio']:7.3f} {s['wins']:3d}/{s['pairs']:<2d}  {verdict}")
+    for side, h in report["host"].items():
+        print(f"{side} host: CPU steal share median {h['steal_share_median']}, "
+              f"max {h['steal_share_max']}, CPUs usable {h['affinity']}")
     if "held_out" in report:
         for key, s in report["held_out"]["summary"].items():
             print(f"held-out seed {args.held_out} {key:44s} baseline {s['baseline']:.4g} "

@@ -47,6 +47,18 @@ the first as one (N S, h_in) x (h_in, h_out) product per direction, the
 second with G_n read as one (N, d h1) matrix.  ``V^T G V`` is then the
 Gramian-vector product of the (N, k) rows with the coordinate vectors.
 Only engd and :func:`exact_gramian` form the (N, D) rows.
+
+The interior term's per-sample work runs over the two fixed halves of
+the batch of :meth:`pinnopt.taylor.Workspace.split`, on the calling
+thread and a training state's worker thread: each half writes its rows
+of ``J V``, and every batch sum (the factors' ``sum zhat zhat^T`` and
+``sum g g^T``, the gradient) is the half-0 sum plus the half-1 sum, in
+that order.  The results therefore do not depend on which thread took
+which half or on the number of cores; they differ from one sum over the
+whole batch by rounding only.  The condition term (about a hundred
+points) and :func:`precondition_gradient` stay on the caller: the
+solver's ``kron_sum_solve`` and ``sym_eig`` are traced functions, and the
+benchmark's tracer records spans of the calling thread only.
 """
 
 from __future__ import annotations
@@ -149,8 +161,13 @@ def boundary_pairs(trace, grads: list) -> list:
     return [(z[:, None, :], g[:, None, :]) for z, g in zip(trace.linear_inputs, grads)]
 
 
-def _input_factor(z, s):
-    """``sum_{n,s} zhat_ns zhat_ns^T / (N S)`` with the bias entry implicit.
+def _rows(record, rows: slice) -> list:
+    """The samples ``rows`` of a record."""
+    return [(z[rows], g[rows]) for z, g in record]
+
+
+def _input_gram(z):
+    """``sum_{n,s} zhat_ns zhat_ns^T`` with the bias entry implicit.
 
     A two-dimensional ``z`` holds the points of the input state, whose
     derivative columns add N to the diagonal of the weight block.
@@ -168,35 +185,54 @@ def _input_factor(z, s):
     a[:h, :h] = gram
     a[:h, h] = a[h, :h] = value.sum(axis=0)
     a[h, h] = n
-    return a / (n * s)
+    return a
 
 
-def _factor_update(record, a_factors: list, b_factors: list, ema: float) -> None:
-    """Moving-average update of one loss term's factors from its record.
-
-    ``record[l] = (z, g)`` with g the (N, S, h_out) output gradients; the
-    batch factors ``A_l`` and ``B_l`` of the module docstring enter
-    ``a_factors[l]`` and ``b_factors[l]`` through the moving average.
-    """
+def _factor_sums(record) -> list:
+    """Per layer the batch sums ``(sum zhat zhat^T, sum g g^T)`` of a record."""
+    sums = []
     for l, (z, g) in enumerate(record):
         n, s, q = g.shape
         columns = z.shape[1] + 2 if z.ndim == 2 else z.shape[1]
         if z.shape[0] != n or columns != s:
             raise ValueError(f"layer {l}: input {z.shape} does not match gradient {g.shape}")
         gf = g.reshape(n * s, q)
-        a_factors[l] = ema_update(a_factors[l], _symmetrize(_input_factor(z, s)), ema)
-        b_factors[l] = ema_update(b_factors[l], _symmetrize(gf.T @ gf / n), ema)
+        sums.append((_input_gram(z), gf.T @ gf))
+    return sums
 
 
-def interior_factor_update(state: KfacState, interior: list) -> KfacState:
-    """Accumulate the interior factors from the interior record (:func:`layer_pairs`)."""
-    _factor_update(interior, state.a_interior, state.b_interior, state.ema)
+def _factor_update(record, sums: list, a_factors: list, b_factors: list, ema: float) -> None:
+    """Moving-average update of one loss term's factors from its record's batch sums.
+
+    ``record[l] = (z, g)`` with g the (N, S, h_out) output gradients and
+    ``sums`` their :func:`_factor_sums`; the batch factors ``A_l`` and
+    ``B_l`` of the module docstring enter ``a_factors[l]`` and
+    ``b_factors[l]`` through the moving average.
+    """
+    for l, ((_, g), (a, b)) in enumerate(zip(record, sums)):
+        n, s, _ = g.shape
+        a_factors[l] = ema_update(a_factors[l], _symmetrize(a / (n * s)), ema)
+        b_factors[l] = ema_update(b_factors[l], _symmetrize(b / n), ema)
+
+
+def interior_factor_update(state: KfacState, interior: list, workspace=None) -> KfacState:
+    """Accumulate the interior factors from the interior record (:func:`layer_pairs`).
+
+    The batch sums run over the two halves of :meth:`Workspace.split`
+    (None means a fresh workspace) and are added as half 0 + half 1.
+    """
+    if workspace is None:
+        workspace = Workspace()
+    n = interior[0][1].shape[0]
+    first, second = workspace.split(n, lambda half: _factor_sums(_rows(interior, half.rows)))
+    sums = [(a0 + a1, b0 + b1) for (a0, b0), (a1, b1) in zip(first, second)]
+    _factor_update(interior, sums, state.a_interior, state.b_interior, state.ema)
     return state
 
 
 def boundary_factor_update(state: KfacState, boundary: list) -> KfacState:
     """Accumulate the condition-term factors from the condition record (:func:`boundary_pairs`)."""
-    _factor_update(boundary, state.a_boundary, state.b_boundary, state.ema)
+    _factor_update(boundary, _factor_sums(boundary), state.a_boundary, state.b_boundary, state.ema)
     return state
 
 
@@ -273,7 +309,7 @@ def _jacobian_rows(record):
     return rows
 
 
-def _projected_rows(record, basis, workspace: Workspace):
+def _projected_rows(record, basis, workspace):
     """One loss term's residual Jacobian applied to k directions, ``J V`` (N, k).
 
     ``basis[k]`` is a list of per-layer ``[dW | db]`` matrices.  Per layer
@@ -303,8 +339,15 @@ def _projected_rows(record, basis, workspace: Workspace):
 # one entry per loss term, so that perfbench/tracing.py can time each by name
 def _interior_jacobian_rows(interior, basis=None, workspace=None):
     """Interior residual Jacobian rows (N, D) from the interior record, or ``J V`` for a
-    basis, which needs a workspace."""
-    return _jacobian_rows(interior) if basis is None else _projected_rows(interior, basis, workspace)
+    basis, which needs a workspace; ``J V`` is stacked from its rows over the two
+    halves of :meth:`Workspace.split`."""
+    if basis is None:
+        return _jacobian_rows(interior)
+
+    def half_rows(half):
+        return _projected_rows(_rows(interior, half.rows), basis, half)
+
+    return np.concatenate(workspace.split(interior[0][1].shape[0], half_rows))
 
 
 def _boundary_jacobian_rows(boundary, basis=None, workspace=None):
@@ -318,16 +361,23 @@ def loss_gradient(interior: list, r_int, boundary: list, r_bnd, workspace=None) 
 
     The residual-weighted contraction of the records the Jacobian rows are
     built from, with term weights 1/N each: ``sum_n r_n / N * row_n`` for
-    the interior and the condition term.  None for ``workspace`` means a
-    fresh one.
+    the interior and the condition term.  The interior sum runs over the
+    two halves of :meth:`Workspace.split` (None means a fresh workspace);
+    each layer's gradient is (half 0 + half 1) + condition term.
     """
     if workspace is None:
         workspace = Workspace()
     w_int = r_int / max(r_int.size, 1)
     w_bnd = r_bnd / max(r_bnd.size, 1)
+
+    def interior_rows(half):
+        weights = w_int[half.rows]
+        return [param_grad_matrix(z, g, half, weights) for z, g in _rows(interior, half.rows)]
+
+    first, second = workspace.split(r_int.size, interior_rows)
     return [
-        param_grad_matrix(zi, gi, workspace, w_int) + param_grad_matrix(zb, gb, workspace, w_bnd)
-        for (zi, gi), (zb, gb) in zip(interior, boundary)
+        m0 + m1 + param_grad_matrix(zb, gb, workspace, w_bnd)
+        for m0, m1, (zb, gb) in zip(first, second, boundary)
     ]
 
 

@@ -335,6 +335,7 @@ def run_training(config: RunConfig) -> TrainLog:
         log.diverged = True
         writer.comment(f"diverged: {exc}")
     finally:
+        state.workspace.close()
         writer.close()
         save_checkpoint(os.path.join(out_dir, "checkpoint.json"), state.params, config)
     return log

@@ -90,7 +90,7 @@ class TrainState:
     adam_m: list = field(default_factory=list)
     adam_v: list = field(default_factory=list)
     gramian_ema: np.ndarray | None = None
-    workspace: Workspace = field(default_factory=Workspace, repr=False)
+    workspace: Workspace = field(default_factory=lambda: Workspace(worker=True), repr=False)
 
 
 def _zero_mats(params):
@@ -246,7 +246,7 @@ def _mats_scale(a, s):
 def _kfac_common(state: TrainState, batch, problem):
     """Shared start of both Kronecker steps: factors, gradient, direction."""
     ev = evaluate_batch(state.params, batch, problem, state.workspace)
-    curvature.interior_factor_update(state.kfac, ev.interior)
+    curvature.interior_factor_update(state.kfac, ev.interior, state.workspace)
     curvature.boundary_factor_update(state.kfac, ev.boundary)
     delta = curvature.precondition_gradient(state.kfac, ev.grad_mats)
     return ev, delta

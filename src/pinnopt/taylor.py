@@ -62,11 +62,25 @@ from one step to the next, so a step in steady state allocates only
 (N, h)-sized and smaller arrays.  Every array of a pass stays valid until
 the next pass through the same workspace; :func:`taylor_output` writes
 the same state arrays as :func:`taylor_forward`.
+
+No row of a state or adjoint depends on another row, so
+:func:`taylor_forward` and :func:`taylor_backward` run over two fixed,
+contiguous halves of the batch (:meth:`Workspace.split`).  Each half
+writes its row slice of the full (N, S, h) arrays, so every state and
+adjoint stays one array for its consumers, bit-identical to one pass over
+the whole batch; each half has temporaries of its own.  A training
+state's workspace runs the halves on the calling thread plus one worker
+thread, which starts at the first split and stops at
+:meth:`Workspace.close` (:func:`pinnopt.harness.run_training` closes it
+in its ``finally``).  :func:`taylor_output`, the line search's pass,
+stays on the caller.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,17 +116,179 @@ class Workspace:
     passes :func:`taylor_forward`, :func:`taylor_output` and
     :func:`taylor_backward` take ``workspace=None`` to mean a fresh
     workspace of their own, which runs the same code and keeps nothing.
+
+    The per-sample passes run through :meth:`split` over two fixed,
+    contiguous halves of the batch.  A workspace made with ``worker=True``
+    (a training state's) runs them on the calling thread plus one worker
+    thread of its own, which starts at the first :meth:`split` and stops at
+    :meth:`close`; any other workspace, and one that is closed, runs both
+    halves on the caller.  The results do not depend on which thread took
+    which half.
     """
 
-    def __init__(self):
+    def __init__(self, worker: bool = False):
         self._buffers = {}
+        self._worker = _Worker() if worker else None
+        if self._worker is not None:
+            # a workspace dropped without close() still stops its thread
+            weakref.finalize(self, self._worker.close)
+
+    def __deepcopy__(self, memo) -> "Workspace":
+        # arrays are handed out uninitialised, so a fresh workspace is a full copy
+        return Workspace(worker=self._worker is not None)
 
     def array(self, shape, role: str, layer=None) -> np.ndarray:
         size = math.prod(shape)
+        return self._buffer(size, role, layer)[:size].reshape(shape)
+
+    def _buffer(self, size: int, role: str, layer) -> np.ndarray:
+        """The whole flat buffer of a key, grown to at least ``size``."""
         flat = self._buffers.get((role, layer))
         if flat is None or flat.size < size:
             flat = self._buffers[(role, layer)] = np.empty(size)
-        return flat[:size].reshape(shape)
+        return flat
+
+    def split(self, n: int, fn, records=None) -> list:
+        """``[fn(half 0), fn(half 1)]`` over rows ``[0, ceil(n/2))`` and ``[ceil(n/2), n)``.
+
+        Each half is a :class:`_Half`: ``half.rows`` is its row slice and
+        ``half.array`` serves it like :meth:`array`, with the rows
+        ``half.rows`` of ``records[(role, layer)]`` under a key that
+        ``records`` holds (full-batch arrays the caller allocated) and a
+        temporary of its own under any other key.  ``fn`` runs on either
+        thread, so it writes only its own rows and temporaries, and the
+        caller adds results that are batch sums in half order.  The caller
+        and the worker take halves from a lock-protected counter, so a
+        worker that is slow to wake never stalls the caller, who then
+        takes both.  Once both halves are done, the first exception a half
+        raised, in half order, is raised here.
+        """
+        cut = (n + 1) // 2
+        halves = [
+            _Half(self, index, rows, records or {})
+            for index, rows in enumerate((slice(0, cut), slice(cut, n)))
+        ]
+        job = _Split(fn, halves)
+        if self._worker is not None:
+            self._worker.post(job)
+        job.run()
+        return job.outcome()
+
+    def close(self) -> None:
+        """Stop the worker thread, if one was started; later splits run on the caller."""
+        if self._worker is not None:
+            self._worker.close()
+
+
+class _Half:
+    """One half of a :meth:`Workspace.split`: its rows, and arrays for them."""
+
+    def __init__(self, workspace: Workspace, index: int, rows: slice, records: dict):
+        self.rows = rows
+        self._index = index
+        self._workspace = workspace
+        self._records = records
+
+    def array(self, shape, role: str, layer=None) -> np.ndarray:
+        """The rows of a record the caller allocated, or a temporary of this half.
+
+        Half 0 takes its temporaries from the front of the workspace's
+        buffer under the key and half 1 from the back.  Each grows the
+        buffer to twice its own request, so the two parts never meet, and
+        together they hold no more than one pass over the whole batch.
+        """
+        full = self._records.get((role, layer))
+        if full is not None:
+            return full[self.rows]
+        size = math.prod(shape)
+        flat = self._workspace._buffer(2 * size, role, layer)
+        start = 0 if self._index == 0 else flat.size - size
+        return flat[start : start + size].reshape(shape)
+
+
+class _Split:
+    """The two halves of one split pass, taken by whichever thread asks first."""
+
+    def __init__(self, fn, halves: list):
+        self._fn = fn
+        self._halves = halves
+        self._lock = threading.Lock()
+        self._taken = 0
+        self._left = len(halves)
+        self._done = threading.Event()
+        self._results = [None] * len(halves)
+        self._errors = [None] * len(halves)
+
+    def run(self) -> None:
+        """Take and run halves until none is left."""
+        while True:
+            with self._lock:
+                index = self._taken
+                if index == len(self._halves):
+                    return
+                self._taken += 1
+            try:
+                self._results[index] = self._fn(self._halves[index])
+            except Exception as exc:  # raised on the caller by outcome()
+                self._errors[index] = exc
+            with self._lock:
+                self._left -= 1
+                if self._left == 0:
+                    self._done.set()
+
+    def outcome(self) -> list:
+        """Wait for both halves; their results, or the first error in half order."""
+        self._done.wait()
+        for error in self._errors:
+            if error is not None:
+                raise error
+        return self._results
+
+
+class _Worker:
+    """One daemon thread that joins the split passes posted to it.
+
+    It holds at most the latest posted split and drops each one it has
+    run, finished or not, so it keeps no workspace alive.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._job = None
+        self._closed = False
+        self._thread = None
+
+    def post(self, job: _Split) -> None:
+        with self._cond:
+            if self._closed:
+                return
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._serve, name="pinnopt-split", daemon=True
+                )
+                self._thread.start()
+            self._job = job
+            self._cond.notify()
+
+    def _serve(self) -> None:
+        while True:
+            with self._cond:
+                while self._job is None and not self._closed:
+                    self._cond.wait()
+                if self._closed:
+                    return
+                job, self._job = self._job, None
+            job.run()
+            job = None
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._job = None
+            self._cond.notify()
+            thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
+            thread.join()
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,32 +509,31 @@ def _hidden_activation(pre, w0t, coeffs: OperatorCoeffs, workspace, layer) -> np
     return _activation_state(_derivs(value, 2, workspace), g, ell, coeffs, workspace, layer)
 
 
-def _forward_to_last_activation(
-    params: Parameters, x, coeffs: OperatorCoeffs, workspace, states=None
-) -> tuple:
+def _forward_to_last_activation(params: Parameters, x, coeffs: OperatorCoeffs, workspace) -> tuple:
     """Propagate x up to the pre-activation of the last hidden activation.
 
     Returns ``(pre, w0t)``.  ``pre`` is the (N, h1) first pre-activation
     when the net has at most one hidden layer, else the (N, S, h) output
     state of the second-to-last linear layer; ``w0t`` is W0^T (d, h1), the
-    first linear layer's derivative columns.  Every state computed on the
-    way is appended to ``states`` when it is given.  State i of the
-    forward list lives in the workspace's state array of index i.
+    first linear layer's derivative columns.  State i of the forward list
+    is written into the workspace's state array of index i.
     """
     w0 = params.weights[0]
     pre = np.matmul(x, w0.T, out=workspace.array((x.shape[0], w0.shape[0]), "state", 1))
     pre += params.biases[0]
-    if states is not None:
-        states.append(pre)
     w0t = np.ascontiguousarray(w0.T)
     for l in range(1, params.n_linear - 1):
         z = _hidden_activation(pre, w0t, coeffs, workspace, linear_input_index(l))
         pre = taylor_forward_linear(
             params.weights[l], params.biases[l], z, workspace, linear_output_index(l)
         )
-        if states is not None:
-            states.extend((z, pre))
     return pre, w0t
+
+
+def _state_shapes(params: Parameters, n: int, s: int) -> list:
+    """Shapes of forward states 1, 2, ...: the (N, h1) first pre-activation, then (N, S, h)."""
+    widths = params.widths
+    return [(n, widths[1])] + [(n, s, widths[(i + 1) // 2]) for i in range(2, 2 * params.n_linear)]
 
 
 def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None) -> tuple:
@@ -374,23 +549,29 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
 
     The states live in ``workspace`` (a fresh one when None) and stay valid
     until the next :func:`taylor_forward` or :func:`taylor_output` through
-    the same workspace.
+    the same workspace.  Each half of :meth:`Workspace.split` writes its
+    rows of every state; no row depends on another.
     """
     x = _check_points(params, x, coeffs)
     if workspace is None:
         workspace = Workspace()
-    states = [x]
-    pre, w0t = _forward_to_last_activation(params, x, coeffs, workspace, states)
+    n, d = x.shape
+    shapes = _state_shapes(params, n, d + 2)
+    states = [x] + [workspace.array(shape, "state", i) for i, shape in enumerate(shapes, 1)]
+
+    def forward_rows(half):
+        pre, w0t = _forward_to_last_activation(params, x[half.rows], coeffs, half)
+        if params.n_linear > 1:
+            last = params.n_linear - 1
+            z = _hidden_activation(pre, w0t, coeffs, half, linear_input_index(last))
+            taylor_forward_linear(
+                params.weights[-1], params.biases[-1], z, half, linear_output_index(last)
+            )
+
+    workspace.split(n, forward_rows, {("state", i): state for i, state in enumerate(states) if i})
     if params.n_linear == 1:
-        return states, _linear_net_output(x, pre, params.weights[0])
-    last = params.n_linear - 1
-    z = _hidden_activation(pre, w0t, coeffs, workspace, linear_input_index(last))
-    states.append(z)
-    z = taylor_forward_linear(
-        params.weights[-1], params.biases[-1], z, workspace, linear_output_index(last)
-    )
-    states.append(z)
-    d = x.shape[1]
+        return states, _linear_net_output(x, states[1], params.weights[0])
+    z = states[-1]
     out = TaylorOutput(
         value=z[:, 0, 0].copy(),
         gradient=z[:, 1 : d + 1, 0].copy(),
@@ -500,6 +681,7 @@ def taylor_backward(
     place; it stays valid until the next reverse pass through the same
     workspace.  A width-1 layer (the head) makes that product the outer
     product of g and its weight row, written by one broadcast multiply.
+    Each half of :meth:`Workspace.split` writes its rows of every adjoint.
     """
     seeds = np.asarray(seeds, dtype=np.float64)
     d = coeffs.dim
@@ -512,18 +694,25 @@ def taylor_backward(
         workspace = Workspace()
 
     w0t = np.ascontiguousarray(params.weights[0].T)
-    adjoints = [None] * params.n_linear
-    g = adjoints[-1] = seeds[:, :, None]
-    for l in reversed(range(1, params.n_linear)):
-        w = params.weights[l]
-        adjoint = workspace.array((n, d + 2, w.shape[1]), "adjoint", l - 1)
-        if w.shape[0] == 1:
-            # a matmul with inner dimension 1 is one tiny gemm per sample
-            np.multiply(g, w[0], out=adjoint)
-        else:
-            np.matmul(g, w, out=adjoint)
-        value, g_in, ell = _incoming_columns(states[linear_output_index(l - 1)], w0t, d)
-        derivs = _derivs(value, 3, workspace)
-        _activation_backward(derivs, g_in, ell, adjoint, coeffs, workspace)
-        adjoints[l - 1] = g = adjoint
+    adjoints = [
+        workspace.array((n, d + 2, w.shape[1]), "adjoint", l) for l, w in enumerate(params.weights[1:])
+    ]
+    adjoints.append(seeds[:, :, None])
+
+    def backward_rows(half):
+        g = adjoints[-1][half.rows]
+        for l in reversed(range(1, params.n_linear)):
+            w = params.weights[l]
+            adjoint = adjoints[l - 1][half.rows]
+            if w.shape[0] == 1:
+                # a matmul with inner dimension 1 is one tiny gemm per sample
+                np.multiply(g, w[0], out=adjoint)
+            else:
+                np.matmul(g, w, out=adjoint)
+            pre = states[linear_output_index(l - 1)][half.rows]
+            value, g_in, ell = _incoming_columns(pre, w0t, d)
+            _activation_backward(_derivs(value, 3, half), g_in, ell, adjoint, coeffs, half)
+            g = adjoint
+
+    workspace.split(n, backward_rows)
     return adjoints

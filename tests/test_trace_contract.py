@@ -12,6 +12,13 @@ The same run guards the size of what kfac_star builds per step: its
 quadratic model needs only the (N, k) products J V, so the
 ``curvature.jacobian_rows`` spans must stay far below the N x D rows
 (40 MB per step on fokker10d).
+
+It also guards the tracer's premise that every wrapped call runs on the
+calling thread: the tracer keeps one stack of open spans, so a wrapped
+function entered from a split pass's worker thread would record spans
+that stick out of their parent or overlap a sibling.  Every span must lie
+inside its parent's interval, no two children of one parent may overlap,
+and no wrapped function may be entered off the main thread.
 """
 
 import json
@@ -22,19 +29,59 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHILD = r"""
-import json, os, sys
+import functools, json, os, sys, threading
 import tracing
 from workloads import WORKLOADS
 from pinnopt import harness
 
-tracer = tracing.Tracer("trace-contract")
+off_thread = []
+
+
+class ThreadCheckingTracer(tracing.Tracer):
+    # records every wrapped call made on a thread other than the main one
+    def wrap(self, fn, site):
+        traced = super().wrap(fn, site)
+
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_thread.append(site.span)
+            return traced(*args, **kwargs)
+
+        return checked
+
+
+tracer = ThreadCheckingTracer("trace-contract")
 tracing.install(tracer)
+by_id = {}
+
+
+def nesting_errors(spans):
+    # spans outside their parent's interval, and overlapping children of one parent
+    errors, children = [], {}
+    for span in spans:
+        parent = by_id.get(span[1])
+        if parent is None:
+            continue
+        if span[3] < parent[3] or span[4] > parent[4]:
+            errors.append(f"{span[2]} #{span[0]} outside its parent {parent[2]} #{parent[0]}")
+        children.setdefault(parent[0], []).append(span)
+    for kids in children.values():
+        kids.sort(key=lambda span: span[3])
+        for a, b in zip(kids, kids[1:]):
+            if b[3] < a[4]:
+                errors.append(f"{a[2]} #{a[0]} overlaps its sibling {b[2]} #{b[0]}")
+    return errors
+
+
 report = {}
 for name, workload in WORKLOADS.items():
     first = len(tracer.spans)
     config = dict(workload["config"], max_steps=2, output_dir=os.path.join(sys.argv[1], name))
+    off_thread.clear()
     log = harness.run_training(harness.RunConfig.from_dict(config))
     spans = tracer.spans[first:]
+    by_id.update((span[0], span) for span in spans)
     steps = sum(span[2] == tracing.STEP_SPAN for span in spans)
     report[name] = {
         "diverged": log.diverged,
@@ -42,6 +89,8 @@ for name, workload in WORKLOADS.items():
         "rows_mb_per_step": sum(
             span[5]["mb"] for span in spans if span[2] == "curvature.jacobian_rows"
         ) / steps,
+        "nesting_errors": nesting_errors(spans)[:5],
+        "off_thread": sorted(set(off_thread)),
         "expect_calls": list(workload["expect_calls"]),
         "expect_no_calls": list(workload["expect_no_calls"]),
     }
@@ -69,6 +118,8 @@ def test_traced_workloads_record_their_spans(tmp_path):
     assert report
     for name, run in report.items():
         assert not run["diverged"], name
+        assert run["nesting_errors"] == [], name
+        assert run["off_thread"] == [], name
         recorded = set(run["recorded"])
         assert sorted(set(run["expect_calls"]) - recorded) == [], name
         assert sorted(set(run["expect_no_calls"]) & recorded) == [], name
