@@ -128,8 +128,9 @@ class Workspace:
 
     def __init__(self, worker: bool = False):
         self._buffers = {}
-        self._worker = _Worker() if worker else None
-        if self._worker is not None:
+        self._worker = None
+        if worker:
+            self._worker = _Worker()
             # a workspace dropped without close() still stops its thread
             weakref.finalize(self, self._worker.close)
 
