@@ -7,7 +7,7 @@ intermediates, and wraps the optimizers in a reproducible training
 harness with a small PDE catalog.
 """
 
-from .curvature import exact_gramian, gramian_vec, init_kfac_state, precondition_gradient
+from .curvature import init_kfac_state, precondition_gradient
 from .harness import RunConfig, TrainLog, eval_l2, run_training
 from .linalg import kron_sum_solve, pinv_psd, sym_eig
 from .network import Architecture, Parameters, forward_batch, init_params
@@ -26,9 +26,7 @@ __all__ = [
     "RunConfig",
     "TrainLog",
     "eval_l2",
-    "exact_gramian",
     "forward_batch",
-    "gramian_vec",
     "init_kfac_state",
     "init_params",
     "init_train_state",

@@ -46,11 +46,13 @@ direction k, each layer adds
 the first as one (N S, h_in) x (h_in, h_out) product per direction, the
 second with G_n read as one (N, d h1) matrix.  ``V^T G V`` is then the
 Gramian-vector product of the (N, k) rows with the coordinate vectors.
-Only engd and :func:`exact_gramian` form the (N, D) rows.
+Only engd forms the (N, D) rows.
 
 The interior term's per-sample work runs over the two fixed halves of
 the batch of :meth:`pinnopt.taylor.Workspace.split`, on the calling
-thread and a training state's worker thread: each half writes its rows
+thread and the one thread of a training state's executor (a half the
+worker has not started when the caller is done runs on the caller
+instead): each half writes its rows
 of ``J V``, and every batch sum (the factors' ``sum zhat zhat^T`` and
 ``sum g g^T``, the gradient) is the half-0 sum plus the half-1 sum, in
 that order.  The results therefore do not depend on which thread took
@@ -87,8 +89,6 @@ __all__ = [
     "boundary_factor_update",
     "precondition_gradient",
     "gramian_from_rows",
-    "exact_gramian",
-    "gramian_vec",
     "residual_jacobian_rows",
     "loss_gradient",
 ]
@@ -410,25 +410,6 @@ def gramian_from_rows(rows_int, rows_bnd) -> np.ndarray:
     if rows_bnd.shape[0]:
         g += rows_bnd.T @ rows_bnd / rows_bnd.shape[0]
     return _symmetrize(g)
-
-
-def exact_gramian(params, batch: pde.Batch, problem, cap: int = DENSE_GRAMIAN_CAP) -> np.ndarray:
-    """Dense Gauss-Newton matrix of the batch, for at most ``cap`` parameters."""
-    if params.n_params > cap:
-        raise ValueError(f"parameter count {params.n_params} exceeds dense cap {cap}")
-    return gramian_from_rows(*residual_jacobian_rows(params, batch, problem))
-
-
-def gramian_vec(params, batch: pde.Batch, problem, v) -> np.ndarray:
-    """Gramian-vector product without materializing the Gramian.
-
-    Damping is not included; callers add ``lam * v`` themselves.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (params.n_params,):
-        raise ValueError(f"vector must have length {params.n_params}, got shape {v.shape}")
-    rows_int, rows_bnd = residual_jacobian_rows(params, batch, problem)
-    return gramian_vec_from_rows(rows_int, rows_bnd, v)
 
 
 def gramian_vec_from_rows(rows_int, rows_bnd, v) -> np.ndarray:

@@ -368,7 +368,7 @@ def _cmd_eval(args) -> int:
         "problem_params", {}
     )
     problem = pde.make_problem(name, **problem_params)
-    n_points = args.n_points or cfg.get("n_eval_points", 2000)
+    n_points = args.n_points if args.n_points is not None else cfg.get("n_eval_points", 2000)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     err = eval_l2(params, problem, n_points, _stream_seed(seed, STREAM_EVAL))
     print(_fmt(err))

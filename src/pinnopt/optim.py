@@ -64,6 +64,10 @@ class OptimizerConfig:
             raise ValueError(f"ema must lie in [0, 1), got {self.ema}")
         if self.momentum < 0.0:
             raise ValueError(f"momentum must be >= 0, got {self.momentum}")
+        if self.init_mode not in ("zero", "identity"):
+            raise ValueError(f"init_mode must be 'zero' or 'identity', got {self.init_mode!r}")
+        if not self.rcond >= 0.0:
+            raise ValueError(f"rcond must be >= 0, got {self.rcond}")
         if self.kind in ("kfac", "kfac_star") and self.damping <= 0.0:
             raise ValueError(f"{self.kind} requires damping > 0")
         if self.kind in ("sgd", "adam") and self.lr <= 0.0:

@@ -69,18 +69,17 @@ contiguous halves of the batch (:meth:`Workspace.split`).  Each half
 writes its row slice of the full (N, S, h) arrays, so every state and
 adjoint stays one array for its consumers, bit-identical to one pass over
 the whole batch; each half has temporaries of its own.  A training
-state's workspace runs the halves on the calling thread plus one worker
-thread, which starts at the first split and stops at
-:meth:`Workspace.close` (:func:`pinnopt.harness.run_training` closes it
-in its ``finally``).  :func:`taylor_output`, the line search's pass,
-stays on the caller.
+state's workspace runs the halves on the calling thread plus the one
+thread of a :class:`concurrent.futures.ThreadPoolExecutor`, which starts
+at the first split and stops at :meth:`Workspace.close`
+(:func:`pinnopt.harness.run_training` closes it in its ``finally``).
+:func:`taylor_output`, the line search's pass, stays on the caller.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,24 +118,24 @@ class Workspace:
 
     The per-sample passes run through :meth:`split` over two fixed,
     contiguous halves of the batch.  A workspace made with ``worker=True``
-    (a training state's) runs them on the calling thread plus one worker
-    thread of its own, which starts at the first :meth:`split` and stops at
-    :meth:`close`; any other workspace, and one that is closed, runs both
-    halves on the caller.  The results do not depend on which thread took
-    which half.
+    (a training state's) runs them on the calling thread plus the one
+    thread of its own single-worker executor, which starts at the first
+    :meth:`split` and stops at :meth:`close`; any other workspace, and one
+    that is closed, runs both halves on the caller.  The results do not
+    depend on which thread took which half.
     """
 
     def __init__(self, worker: bool = False):
         self._buffers = {}
-        self._worker = None
-        if worker:
-            self._worker = _Worker()
-            # a workspace dropped without close() still stops its thread
-            weakref.finalize(self, self._worker.close)
+        # its thread starts at the first submit and ends when the executor is
+        # shut down or, for a workspace dropped without close(), collected
+        self._executor = (
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="pinnopt-split") if worker else None
+        )
 
     def __deepcopy__(self, memo) -> "Workspace":
         # arrays are handed out uninitialised, so a fresh workspace is a full copy
-        return Workspace(worker=self._worker is not None)
+        return Workspace(worker=self._executor is not None)
 
     def array(self, shape, role: str, layer=None) -> np.ndarray:
         size = math.prod(shape)
@@ -158,27 +157,40 @@ class Workspace:
         ``records`` holds (full-batch arrays the caller allocated) and a
         temporary of its own under any other key.  ``fn`` runs on either
         thread, so it writes only its own rows and temporaries, and the
-        caller adds results that are batch sums in half order.  The caller
-        and the worker take halves from a lock-protected counter, so a
-        worker that is slow to wake never stalls the caller, who then
-        takes both.  Once both halves are done, the first exception a half
-        raised, in half order, is raised here.
+        caller adds results that are batch sums in half order.  Half 1 is
+        submitted to the worker and half 0 runs on the caller, who then
+        cancels half 1 and runs it too if the worker has not started it,
+        so a worker that is slow to wake never stalls the caller.  Once
+        both halves are done, the first exception a half raised, in half
+        order, is raised here.
         """
         cut = (n + 1) // 2
         halves = [
             _Half(self, index, rows, records or {})
             for index, rows in enumerate((slice(0, cut), slice(cut, n)))
         ]
-        job = _Split(fn, halves)
-        if self._worker is not None:
-            self._worker.post(job)
-        job.run()
-        return job.outcome()
+        second = None if self._executor is None else self._executor.submit(fn, halves[1])
+        first = _run(fn, halves[0])
+        if second is None or second.cancel():
+            second = _run(fn, halves[1])
+        second.exception()  # wait for the worker's half before anything is raised
+        return [first.result(), second.result()]
 
     def close(self) -> None:
-        """Stop the worker thread, if one was started; later splits run on the caller."""
-        if self._worker is not None:
-            self._worker.close()
+        """Shut the worker thread down, if one was started; later splits run on the caller."""
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+
+def _run(fn, half) -> Future:
+    """``fn(half)`` run on the calling thread, its result or exception held as a future."""
+    future = Future()
+    try:
+        future.set_result(fn(half))
+    except Exception as exc:  # raised on the caller by Workspace.split
+        future.set_exception(exc)
+    return future
 
 
 class _Half:
@@ -205,91 +217,6 @@ class _Half:
         flat = self._workspace._buffer(2 * size, role, layer)
         start = 0 if self._index == 0 else flat.size - size
         return flat[start : start + size].reshape(shape)
-
-
-class _Split:
-    """The two halves of one split pass, taken by whichever thread asks first."""
-
-    def __init__(self, fn, halves: list):
-        self._fn = fn
-        self._halves = halves
-        self._lock = threading.Lock()
-        self._taken = 0
-        self._left = len(halves)
-        self._done = threading.Event()
-        self._results = [None] * len(halves)
-        self._errors = [None] * len(halves)
-
-    def run(self) -> None:
-        """Take and run halves until none is left."""
-        while True:
-            with self._lock:
-                index = self._taken
-                if index == len(self._halves):
-                    return
-                self._taken += 1
-            try:
-                self._results[index] = self._fn(self._halves[index])
-            except Exception as exc:  # raised on the caller by outcome()
-                self._errors[index] = exc
-            with self._lock:
-                self._left -= 1
-                if self._left == 0:
-                    self._done.set()
-
-    def outcome(self) -> list:
-        """Wait for both halves; their results, or the first error in half order."""
-        self._done.wait()
-        for error in self._errors:
-            if error is not None:
-                raise error
-        return self._results
-
-
-class _Worker:
-    """One daemon thread that joins the split passes posted to it.
-
-    It holds at most the latest posted split and drops each one it has
-    run, finished or not, so it keeps no workspace alive.
-    """
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._job = None
-        self._closed = False
-        self._thread = None
-
-    def post(self, job: _Split) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._serve, name="pinnopt-split", daemon=True
-                )
-                self._thread.start()
-            self._job = job
-            self._cond.notify()
-
-    def _serve(self) -> None:
-        while True:
-            with self._cond:
-                while self._job is None and not self._closed:
-                    self._cond.wait()
-                if self._closed:
-                    return
-                job, self._job = self._job, None
-            job.run()
-            job = None
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._job = None
-            self._cond.notify()
-            thread = self._thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join()
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,12 @@ These deliberately know nothing about the operator-column propagation in
 do scalar arithmetic, so agreement with the fast engine is evidence, not
 tautology.  :func:`initial_state` is the materialised input state that the
 engines never form, for checking their closed-form first layer.
+
+:func:`exact_gramian` and :func:`gramian_vec` are the exception: dense
+Gauss-Newton references formed from the package's own residual Jacobian
+rows (:func:`pinnopt.curvature.residual_jacobian_rows`, which the
+finite-difference tests check), for checking the Kronecker factors and
+the projected rows that training uses instead.
 """
 
 from __future__ import annotations
@@ -13,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pinnopt import network
+from pinnopt import curvature, network
 
 __all__ = [
     "forward",
     "initial_state",
+    "exact_gramian",
+    "gramian_vec",
     "FdSpec",
     "fd_gradient",
     "fd_operator",
@@ -54,6 +62,20 @@ def initial_state(x) -> np.ndarray:
     z[:, 0, :] = x
     z[:, 1 : d + 1, :] = np.eye(d)
     return z
+
+
+def exact_gramian(params, batch, problem) -> np.ndarray:
+    """Dense Gauss-Newton matrix ``J_int^T J_int / N + J_cond^T J_cond / N_cond`` of the batch."""
+    return curvature.gramian_from_rows(*curvature.residual_jacobian_rows(params, batch, problem))
+
+
+def gramian_vec(params, batch, problem, v) -> np.ndarray:
+    """Gramian-vector product of the batch from the dense rows, without damping."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (params.n_params,):
+        raise ValueError(f"vector must have length {params.n_params}, got shape {v.shape}")
+    rows_int, rows_bnd = curvature.residual_jacobian_rows(params, batch, problem)
+    return curvature.gramian_vec_from_rows(rows_int, rows_bnd, v)
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ def test_criterion_3_curvature():
     params = init_params(Architecture((2, 12, 12, 1)), 13)
     assert params.n_params <= 500
     batch = pde.sample_batch(problem, 16, 8, seed=7)
-    gram = curvature.exact_gramian(params, batch, problem)
+    gram = oracle.exact_gramian(params, batch, problem)
     sym_err = float(np.max(np.abs(gram - gram.T)))
     min_eig = float(np.linalg.eigvalsh(gram)[0])
     ok_a = sym_err == 0.0 and min_eig >= -1e-10 * np.max(np.abs(gram))
@@ -141,7 +141,7 @@ def test_criterion_3_curvature():
     for k in range(d_total):
         e = np.zeros(d_total)
         e[k] = 1.0
-        col = curvature.gramian_vec(params, batch, problem, e)
+        col = oracle.gramian_vec(params, batch, problem, e)
         denom = max(1.0, float(np.max(np.abs(gram[:, k]))))
         worst_col = max(worst_col, float(np.max(np.abs(col - gram[:, k]))) / denom)
     ok_b = worst_col <= 1e-10
@@ -164,7 +164,7 @@ def test_criterion_3_curvature():
     # (d) single-sample condition factors are exact
     lin = network.Parameters([np.array([[1.5, -2.0]])], [np.array([0.5])])
     one = pde.Batch(np.zeros((0, 2)), np.array([[3.0, 4.0]]), np.zeros(1), np.zeros(0))
-    gram1 = curvature.exact_gramian(lin, one, problem)
+    gram1 = oracle.exact_gramian(lin, one, problem)
     state = curvature.init_kfac_state(lin, ema=0.0, damping=1.0, init_mode="zero")
     _, trace = network.forward_batch(lin, one.boundary)
     grads = network.backward_batch(lin, trace, np.ones(1))
@@ -324,8 +324,8 @@ def test_criterion_8_quadratic_model_optimality():
         pv = rng.standard_normal(dv.size) * np.linalg.norm(dv)  # previous update stand-in
         gv = network.mats_to_vec(ev.grad_mats)
         lam = state.config.damping
-        g_dv = curvature.gramian_vec(state.params, batch, problem, dv)
-        g_pv = curvature.gramian_vec(state.params, batch, problem, pv)
+        g_dv = oracle.gramian_vec(state.params, batch, problem, dv)
+        g_pv = oracle.gramian_vec(state.params, batch, problem, pv)
         m11 = float(dv @ g_dv + lam * dv @ dv)
         m12 = float(dv @ g_pv + lam * dv @ pv)
         m22 = float(pv @ g_pv + lam * pv @ pv)

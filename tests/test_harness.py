@@ -228,6 +228,18 @@ class TestCli:
     def test_bad_config_path_returns_2(self, capsys):
         assert main(["train", "--config", "/nonexistent/cfg.json"]) == 2
 
+    @pytest.mark.parametrize("override", [{"init_mode": "bogus"}, {"rcond": -1.0}])
+    def test_bad_optimizer_field_returns_2_before_logging(self, tmp_path, capsys, override):
+        assert train_cli(tmp_path, optimizer="engd", **override) == 2
+        assert next(iter(override)) in capsys.readouterr().err
+        assert not (tmp_path / "run" / "log.csv").exists()
+
+    def test_eval_of_zero_points_returns_2(self, tmp_path, capsys):
+        run_training(tiny_config(tmp_path, max_steps=0))
+        path = tmp_path / "run" / "checkpoint.json"
+        assert main(["eval", "--checkpoint", str(path), "--n-points", "0"]) == 2
+        assert "evaluation point" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "error",
         [np.linalg.LinAlgError, linalg.NotPositiveSemidefiniteError, linalg.NotSymmetricError],

@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+import oracle
 from pinnopt import curvature, harness, network, optim, pde
 from pinnopt.network import Architecture, Parameters, init_params
 from pinnopt.optim import (
@@ -38,6 +39,14 @@ class TestConfig:
             OptimizerConfig(kind="kfac", ema=-0.1, damping=1e-2)
         with pytest.raises(ValueError):
             OptimizerConfig(kind="sgd", lr=0.1, momentum=-1.0)
+        for kind in optim.OPTIMIZER_KINDS:
+            with pytest.raises(ValueError, match="init_mode"):
+                OptimizerConfig(kind=kind, init_mode="bogus")
+            with pytest.raises(ValueError, match="rcond"):
+                OptimizerConfig(kind=kind, rcond=-1e-10)
+            with pytest.raises(ValueError, match="rcond"):
+                OptimizerConfig(kind=kind, rcond=float("nan"))
+            OptimizerConfig(kind=kind, init_mode="zero", rcond=0.0)
 
     def test_grid(self):
         grid = optim.LINE_SEARCH_GRID
@@ -204,7 +213,7 @@ class TestKfacStar:
         delta = curvature.precondition_gradient(kf, ev.grad_mats)
         dv = network.mats_to_vec(delta)
         gv = network.mats_to_vec(ev.grad_mats)
-        g_dv = curvature.gramian_vec(state.params, batch, poisson, dv)
+        g_dv = oracle.gramian_vec(state.params, batch, poisson, dv)
         lam = state.config.damping
         expect_alpha = -float(dv @ gv) / float(dv @ g_dv + lam * dv @ dv)
         info = optimizer_step(state, batch, poisson)
@@ -249,8 +258,8 @@ class TestKfacStar:
         pv = network.mats_to_vec(state.prev_update)
         gv = network.mats_to_vec(ev.grad_mats)
         lam = state.config.damping
-        g_dv = curvature.gramian_vec(state.params, batch, poisson, dv)
-        g_pv = curvature.gramian_vec(state.params, batch, poisson, pv)
+        g_dv = oracle.gramian_vec(state.params, batch, poisson, dv)
+        g_pv = oracle.gramian_vec(state.params, batch, poisson, pv)
         m11 = float(dv @ g_dv + lam * dv @ dv)
         m12 = float(dv @ g_pv + lam * dv @ pv)
         m22 = float(pv @ g_pv + lam * pv @ pv)
@@ -290,8 +299,8 @@ class TestKfacStar:
                 pv = network.mats_to_vec(ref.prev_update)
                 gv = network.mats_to_vec(ev.grad_mats)
                 lam = ref.config.damping
-                g_dv = curvature.gramian_vec(ref.params, batch, problem, dv)
-                g_pv = curvature.gramian_vec(ref.params, batch, problem, pv)
+                g_dv = oracle.gramian_vec(ref.params, batch, problem, dv)
+                g_pv = oracle.gramian_vec(ref.params, batch, problem, pv)
                 alpha, mu = solve_quadratic_model(
                     step > 0,
                     float(dv @ g_dv + lam * dv @ dv),
@@ -338,7 +347,7 @@ class TestEngd:
         state = small_state("engd", seed=5, ema=0.0, damping=1e-6)
         batch = pde.sample_batch(poisson, 10, 6, seed=8)
         ev = evaluate_batch(state.params, batch, poisson)
-        gram = curvature.exact_gramian(state.params, batch, poisson) + 1e-6 * np.eye(state.params.n_params)
+        gram = oracle.exact_gramian(state.params, batch, poisson) + 1e-6 * np.eye(state.params.n_params)
         from pinnopt.linalg import pinv_psd
 
         gv = network.mats_to_vec(ev.grad_mats)

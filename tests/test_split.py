@@ -1,8 +1,11 @@
 """The two halves of a split pass: the same bits on any thread, failures
 that end the run as diverged, and no thread left behind."""
 
+import gc
 import sys
 import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,12 +17,42 @@ from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, opt
 from test_harness import tiny_config, train_cli
 from test_workspace import _workload_config
 
-WORKER_NAME = "pinnopt-split"
+WORKER_PREFIX = "pinnopt-split"  # the executor names its thread pinnopt-split_0
 JOIN_TIMEOUT_S = 120
+
+
+def _is_worker(thread_name: str) -> bool:
+    return thread_name.startswith(WORKER_PREFIX)
 
 
 def _log_without_wall_time(config):
     return [row[:1] + row[2:] for row in harness.run_training(config).rows]
+
+
+class _PendingExecutor:
+    """Stands in for a workspace's executor; no future it returns ever starts."""
+
+    def __init__(self, **kwargs):
+        pass
+
+    def submit(self, fn, *args):
+        return Future()
+
+    def shutdown(self):
+        pass
+
+
+def _count_thread_starts(monkeypatch) -> list:
+    """The names of the threads started from now on, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
 
 
 class TestThreadIndependence:
@@ -30,19 +63,19 @@ class TestThreadIndependence:
         config.output_dir = str(tmp_path / "worker")
         threads_before = threading.active_count()
         ran_on = set()
-        run = taylor._Split.run
+        backward = taylor._activation_backward
 
-        def spy(job):
+        def spy(*args):
             ran_on.add(threading.current_thread().name)
-            run(job)
+            return backward(*args)
 
-        monkeypatch.setattr(taylor._Split, "run", spy)
+        monkeypatch.setattr(taylor, "_activation_backward", spy)
         with_worker = _log_without_wall_time(config)
-        assert WORKER_NAME in ran_on
+        assert any(_is_worker(thread) for thread in ran_on)
         assert threading.active_count() == threads_before
 
-        # never hand a half to the worker: the caller takes both, and no thread starts
-        monkeypatch.setattr(taylor._Worker, "post", lambda self, job: None)
+        # the worker never starts a half: the caller cancels and runs each half 1 itself
+        monkeypatch.setattr(taylor, "ThreadPoolExecutor", _PendingExecutor)
         ran_on.clear()
         config.output_dir = str(tmp_path / "caller")
         assert _log_without_wall_time(config) == with_worker
@@ -119,7 +152,7 @@ def _fail_in_worker_half(monkeypatch):
         return batch
 
     def checked_backward(derivs, g, ell, g_out, coeffs, workspace):
-        if threading.current_thread().name == WORKER_NAME:
+        if _is_worker(threading.current_thread().name):
             worker_started.set()
         else:
             worker_started.wait(timeout=JOIN_TIMEOUT_S)
@@ -140,7 +173,7 @@ class TestFailureAndLifetime:
         raised_on = _fail_in_worker_half(monkeypatch)
         log = harness.run_training(tiny_config(tmp_path, optimizer="kfac_star", damping=1e-3))
         assert log.diverged
-        assert raised_on == [WORKER_NAME]
+        assert [_is_worker(thread) for thread in raised_on] == [True]
         assert "# diverged: non-finite activation in the reverse pass" in (tmp_path / "run" / "log.csv").read_text()
         assert threading.active_count() == threads_before
 
@@ -148,17 +181,10 @@ class TestFailureAndLifetime:
     def test_failure_in_worker_half_exits_3(self, tmp_path, monkeypatch):
         raised_on = _fail_in_worker_half(monkeypatch)
         assert train_cli(tmp_path, optimizer="kfac_star", damping=1e-3) == 3
-        assert raised_on == [WORKER_NAME]
+        assert [_is_worker(thread) for thread in raised_on] == [True]
 
     def test_public_passes_without_workspace_start_no_thread(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-
-        def counting_start(thread):
-            started.append(thread.name)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        started = _count_thread_starts(monkeypatch)
         threads_before = threading.active_count()
         problem = pde.make_problem("log_fokker_planck")
         params = init_params(Architecture((10, 6, 5, 1)), 0)
@@ -175,3 +201,96 @@ class TestFailureAndLifetime:
             curvature._interior_jacobian_rows(ev.interior, basis, taylor.Workspace())
         assert started == []
         assert threading.active_count() == threads_before
+
+    def test_closed_workspace_runs_both_halves_on_caller(self, monkeypatch):
+        threads_before = threading.active_count()
+        workspace = taylor.Workspace(worker=True)
+        workspace.split(6, lambda half: half.rows)  # starts the worker thread
+        workspace.close()
+        assert threading.active_count() == threads_before
+
+        started = _count_thread_starts(monkeypatch)
+        ran_on = []
+
+        def rows(half):
+            ran_on.append(threading.current_thread().name)
+            return half.rows
+
+        assert workspace.split(5, rows) == [slice(0, 3), slice(3, 5)]
+        assert ran_on == [threading.current_thread().name] * 2
+        assert started == []
+
+    def test_dropped_state_ends_its_thread(self):
+        threads_before = threading.active_count()
+        workers_before = set(threading.enumerate())
+        problem = pde.make_problem("poisson2d_sin")
+        state = init_train_state(init_params(Architecture((2, 8, 1)), 0), OptimizerConfig(kind="kfac", damping=1e-3))
+        optimizer_step(state, pde.sample_batch(problem, 20, 8, seed=0), problem)
+        workers = [
+            thread for thread in set(threading.enumerate()) - workers_before if _is_worker(thread.name)
+        ]
+        assert len(workers) == 1
+
+        del state  # never closed
+        gc.collect()
+        workers[0].join(timeout=JOIN_TIMEOUT_S)
+        assert threading.active_count() == threads_before
+
+
+@pytest.fixture
+def worker_workspace():
+    workspace = taylor.Workspace(worker=True)
+    yield workspace
+    workspace.close()
+
+
+def _split_on_two_threads(workspace, caller_half, worker_half) -> list:
+    """``workspace.split`` with half 1 surely run on the worker.
+
+    Half 0 waits until the worker has started half 1, so the caller cannot
+    cancel it and take it over.
+    """
+    worker_started = threading.Event()
+
+    def fn(half):
+        if half.rows.start == 0:
+            assert worker_started.wait(timeout=JOIN_TIMEOUT_S)
+            return caller_half()
+        worker_started.set()
+        return worker_half()
+
+    return workspace.split(8, fn)
+
+
+def _fail(message: str):
+    raise ValueError(message)
+
+
+class TestSplitErrors:
+    def test_results_in_half_order(self, worker_workspace):
+        halves = _split_on_two_threads(worker_workspace, lambda: "half 0", lambda: "half 1")
+        assert halves == ["half 0", "half 1"]
+
+    def test_both_halves_raise_half_0_error_after_both_are_done(self, worker_workspace):
+        finished_on = []
+
+        def slow_failure():
+            time.sleep(0.05)
+            finished_on.append(threading.current_thread().name)
+            _fail("half 1")
+
+        with pytest.raises(ValueError, match="half 0"):
+            _split_on_two_threads(worker_workspace, lambda: _fail("half 0"), slow_failure)
+        # checked before the fixture's close() waits for the worker
+        assert [_is_worker(thread) for thread in finished_on] == [True]
+
+    def test_error_of_worker_half_is_raised_on_caller(self, worker_workspace):
+        raised_on = []
+
+        def failure():
+            raised_on.append(threading.current_thread().name)
+            _fail("half 1")
+
+        with pytest.raises(ValueError, match="half 1"):
+            _split_on_two_threads(worker_workspace, lambda: "half 0", failure)
+        assert [_is_worker(thread) for thread in raised_on] == [True]
