@@ -222,18 +222,19 @@ class TestFailureAndLifetime:
 
     def test_dropped_state_ends_its_thread(self):
         threads_before = threading.active_count()
-        workers_before = set(threading.enumerate())
+        running_before = set(threading.enumerate())
         problem = pde.make_problem("poisson2d_sin")
         state = init_train_state(init_params(Architecture((2, 8, 1)), 0), OptimizerConfig(kind="kfac", damping=1e-3))
         optimizer_step(state, pde.sample_batch(problem, 20, 8, seed=0), problem)
         workers = [
-            thread for thread in set(threading.enumerate()) - workers_before if _is_worker(thread.name)
+            thread for thread in set(threading.enumerate()) - running_before if _is_worker(thread.name)
         ]
         assert len(workers) == 1
 
         del state  # never closed
         gc.collect()
         workers[0].join(timeout=JOIN_TIMEOUT_S)
+        assert not workers[0].is_alive()
         assert threading.active_count() == threads_before
 
 
