@@ -71,6 +71,17 @@ STEP_FAILURES = (
 )
 
 
+#: the types a RunConfig field accepts, by its annotation (bool is never an int)
+_FIELD_TYPES = {
+    "str": str,
+    "list": (list, tuple),
+    "dict": dict,
+    "int": int,
+    "int | None": (int, type(None)),
+    "float": (int, float),
+}
+
+
 def _stream_seed(seed: int, tag: int, index: int = 0) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
     return int(ss.generate_state(1)[0])
@@ -101,21 +112,36 @@ class RunConfig:
     output_dir: str = "runs/out"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or isinstance(value, bool):
+                raise ValueError(f"config field {f.name} must be {f.type}, got {value!r}")
         if self.n_interior < 1 or self.n_boundary < 1:
             raise ValueError("batch sizes must be positive")
         if self.max_steps < 0 or self.eval_every < 1 or self.n_eval_points < 1:
             raise ValueError("step and evaluation counts must be positive")
+        self.optimizer_config()  # validates the optimizer fields
         if self.resample_every is None:
-            self.resample_every = DEFAULT_RESAMPLE_EVERY[require_optimizer(self.optimizer)]
+            self.resample_every = DEFAULT_RESAMPLE_EVERY[self.optimizer]
         if self.resample_every < 0:
             raise ValueError("resample_every must be >= 0 (0 keeps the batch fixed)")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ValueError(f"a run config must be a JSON object, got {d!r}")
+        fields = dataclasses.fields(cls)
+        unknown = set(d) - {f.name for f in fields}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        required = {
+            f.name
+            for f in fields
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        }
+        missing = sorted(required - set(d))
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
         return cls(**d)
 
     @classmethod
@@ -136,12 +162,6 @@ class RunConfig:
             init_mode=self.init_mode,
             rcond=self.rcond,
         )
-
-
-def require_optimizer(name: str) -> str:
-    if name not in optim.OPTIMIZER_KINDS:
-        raise ValueError(f"unknown optimizer {name!r}; known: {optim.OPTIMIZER_KINDS}")
-    return name
 
 
 @dataclass
@@ -367,6 +387,8 @@ def _cmd_eval(args) -> int:
     problem_params = json.loads(args.problem_params) if args.problem_params else cfg.get(
         "problem_params", {}
     )
+    if not isinstance(problem_params, dict):
+        raise ValueError(f"problem parameters must be a JSON object, got {problem_params!r}")
     problem = pde.make_problem(name, **problem_params)
     n_points = args.n_points if args.n_points is not None else cfg.get("n_eval_points", 2000)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)

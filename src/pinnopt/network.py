@@ -14,6 +14,7 @@ index varies fastest); layers are concatenated in order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,6 @@ __all__ = [
     "init_params",
     "forward_batch",
     "backward_batch",
-    "params_to_vec",
-    "vec_to_params",
     "mats_to_vec",
     "vec_to_mats",
     "add_scaled",
@@ -84,7 +83,10 @@ class Architecture:
     widths: tuple
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.widths)
+        try:
+            widths = tuple(operator.index(w) for w in self.widths)
+        except TypeError:
+            raise ValueError(f"widths must be integers, got {self.widths!r}") from None
         object.__setattr__(self, "widths", widths)
         if len(widths) < 2:
             raise ValueError("need at least input and output widths")
@@ -228,19 +230,6 @@ def vec_to_mats(vec, params: Parameters) -> list:
     if start != vec.size:
         raise ValueError(f"vector of length {vec.size} does not match parameter count {start}")
     return mats
-
-
-def params_to_vec(params: Parameters) -> np.ndarray:
-    """Flatten all parameters in the package-wide convention."""
-    return mats_to_vec(
-        [np.concatenate([w, b[:, None]], axis=1) for w, b in zip(params.weights, params.biases)]
-    )
-
-
-def vec_to_params(vec, template: Parameters) -> Parameters:
-    """Rebuild :class:`Parameters` from a flat vector, shapes from ``template``."""
-    mats = vec_to_mats(vec, template)
-    return Parameters([m[:, :-1].copy() for m in mats], [m[:, -1].copy() for m in mats])
 
 
 def add_scaled(params: Parameters, mats: list, alpha: float) -> Parameters:

@@ -8,8 +8,9 @@ J [Delta, prev] without the N x D Jacobian rows) and ``engd`` (exact
 Gramian pseudo-inverse, the one optimizer that forms the rows).
 First-order baselines: heavy-ball ``sgd`` and ``adam``.
 
-A step consumes the current batch, mutates the :class:`TrainState` in
-place and reports the losses it saw plus the step-size pair it used.
+A step consumes the current batch and returns its update, the losses it
+saw and the step-size pair it used; :func:`optimizer_step` applies the
+update to the :class:`TrainState`.
 """
 
 from __future__ import annotations
@@ -153,10 +154,6 @@ class BatchEval:
     boundary: list
     grad_mats: list
 
-    @property
-    def loss_total(self) -> float:
-        return self.loss_interior + self.loss_boundary
-
 
 def evaluate_losses(params, batch: pde.Batch, problem, workspace=None) -> tuple:
     """Interior and condition losses only, for the kfac and engd line search.
@@ -256,19 +253,22 @@ def _kfac_common(state: TrainState, batch, problem):
     return ev, delta
 
 
-def kfac_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
-    cfg = state.config
-    ev, delta = _kfac_common(state, batch, problem)
-    direction = _mats_add(delta, state.prev_update, scale=cfg.momentum)
+def _line_search_update(state: TrainState, batch: pde.Batch, problem, direction) -> tuple:
+    """Grid line search along ``direction`` (kfac, engd): ``(alpha * direction, alpha)``."""
 
     def loss_fn(p):
         return sum(evaluate_losses(p, batch, problem, state.workspace))
 
     alpha, _ = line_search(loss_fn, state.params, direction, LINE_SEARCH_GRID)
-    state.params = network.add_scaled(state.params, direction, alpha)
-    state.prev_update = _mats_scale(direction, alpha)
-    state.step += 1
-    return StepInfo(alpha, cfg.momentum, ev.loss_interior, ev.loss_boundary)
+    return _mats_scale(direction, alpha), alpha
+
+
+def kfac_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
+    mu = state.config.momentum
+    ev, delta = _kfac_common(state, batch, problem)
+    direction = _mats_add(delta, state.prev_update, scale=mu)
+    update, alpha = _line_search_update(state, batch, problem, direction)
+    return ev, update, alpha, mu
 
 
 def solve_quadratic_model(have_prev, m11, m12, m22, rhs1, rhs2) -> tuple:
@@ -291,7 +291,7 @@ def solve_quadratic_model(have_prev, m11, m12, m22, rhs1, rhs2) -> tuple:
     return -rhs1 / m11, 0.0
 
 
-def kfac_star_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
+def kfac_star_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
     """Kronecker-preconditioned direction with model-optimal (alpha, mu).
 
     The update is ``alpha * Delta + mu * prev``.  The model matrix is
@@ -325,13 +325,10 @@ def kfac_star_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     alpha, mu = solve_quadratic_model(have_prev, m11, m12, m22, rhs1, rhs2)
 
     update = _mats_add(_mats_scale(delta, alpha), state.prev_update, scale=mu)
-    state.params = network.add_scaled(state.params, update, 1.0)
-    state.prev_update = update
-    state.step += 1
-    return StepInfo(alpha, mu, ev.loss_interior, ev.loss_boundary)
+    return ev, update, alpha, mu
 
 
-def engd_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
+def engd_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
     cfg = state.config
     d = state.params.n_params
     if d > curvature.DENSE_GRAMIAN_CAP:
@@ -353,28 +350,18 @@ def engd_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     gv = network.mats_to_vec(ev.grad_mats)
     direction_vec = -(pinv_psd(gram, cfg.rcond) @ gv)
     direction = network.vec_to_mats(direction_vec, state.params)
-
-    def loss_fn(p):
-        return sum(evaluate_losses(p, batch, problem, state.workspace))
-
-    alpha, _ = line_search(loss_fn, state.params, direction, LINE_SEARCH_GRID)
-    state.params = network.add_scaled(state.params, direction, alpha)
-    state.prev_update = _mats_scale(direction, alpha)
-    state.step += 1
-    return StepInfo(alpha, 0.0, ev.loss_interior, ev.loss_boundary)
+    update, alpha = _line_search_update(state, batch, problem, direction)
+    return ev, update, alpha, 0.0
 
 
-def sgd_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
+def sgd_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
     cfg = state.config
     ev = evaluate_batch(state.params, batch, problem, state.workspace)
     velocity = _mats_add(_mats_scale(state.prev_update, cfg.momentum), ev.grad_mats, -cfg.lr)
-    state.params = network.add_scaled(state.params, velocity, 1.0)
-    state.prev_update = velocity
-    state.step += 1
-    return StepInfo(cfg.lr, cfg.momentum, ev.loss_interior, ev.loss_boundary)
+    return ev, velocity, cfg.lr, cfg.momentum
 
 
-def adam_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
+def adam_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
     cfg = state.config
     ev = evaluate_batch(state.params, batch, problem, state.workspace)
     t = state.step + 1
@@ -386,10 +373,7 @@ def adam_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
         m_hat = state.adam_m[l] / (1.0 - b1 ** t)
         v_hat = state.adam_v[l] / (1.0 - b2 ** t)
         update.append(-cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    state.params = network.add_scaled(state.params, update, 1.0)
-    state.prev_update = update
-    state.step += 1
-    return StepInfo(cfg.lr, 0.0, ev.loss_interior, ev.loss_boundary)
+    return ev, update, cfg.lr, 0.0
 
 
 _STEP_FNS = {
@@ -402,9 +386,16 @@ _STEP_FNS = {
 
 
 def optimizer_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
-    """Dispatch one optimization step; raises on non-finite parameters."""
-    info = _STEP_FNS[state.config.kind](state, batch, problem)
+    """One step of ``state.config.kind``; raises on non-finite parameters.
+
+    The kind's step function returns ``(ev, update, alpha, mu)``; this is
+    the one place that applies the update and advances the state.
+    """
+    ev, update, alpha, mu = _STEP_FNS[state.config.kind](state, batch, problem)
+    state.params = network.add_scaled(state.params, update, 1.0)
+    state.prev_update = update
+    state.step += 1
     for w, b in zip(state.params.weights, state.params.biases):
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise FloatingPointError("parameters became non-finite during the step")
-    return info
+    return StepInfo(alpha, mu, ev.loss_interior, ev.loss_boundary)

@@ -6,11 +6,14 @@ the problem's second-order operator; boundary/initial conditions are a
 single regression term with targets from the known solution.  Time, where
 present, is input coordinate 0 and is an ordinary network input; first
 derivatives in time are read from the gradient, and the operator
-coefficients have a zero row/column for it.
+coefficients have a zero row/column for it.  The four Poisson problems
+are one equation, -Laplace u = f on the unit box: :func:`_poisson` builds
+each from its dimension, solution and source.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,9 +78,37 @@ def _no_source(x):
     return np.zeros(x.shape[0])
 
 
+def _poisson(name, d, true_solution, source=_no_source, boundary_target=None) -> PdeProblem:
+    """-Laplace u = source on the unit box in d dimensions, Dirichlet data on its faces.
+
+    ``boundary_target`` defaults to the true solution.
+    """
+    lower, upper = _unit_box(d)
+
+    def residual(x, f, u, grad, op):
+        return -op - f
+
+    def residual_grads(x, u, grad, op):
+        n = x.shape[0]
+        return np.zeros(n), np.zeros((n, d)), -np.ones(n)
+
+    return PdeProblem(
+        name=name,
+        dim=d,
+        coeffs=OperatorCoeffs.laplacian(d),
+        lower=lower,
+        upper=upper,
+        boundary_kind="faces",
+        source=source,
+        residual=residual,
+        residual_grads=residual_grads,
+        boundary_target=boundary_target or true_solution,
+        true_solution=true_solution,
+    )
+
+
 def _poisson2d_sin() -> PdeProblem:
     """-Laplace u = 2 pi^2 sin(pi x) sin(pi y) on the unit square, zero boundary."""
-    lower, upper = _unit_box(2)
 
     def true_solution(x):
         return np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
@@ -85,32 +116,12 @@ def _poisson2d_sin() -> PdeProblem:
     def source(x):
         return 2.0 * np.pi ** 2 * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
 
-    def residual(x, f, u, grad, op):
-        return -op - f
-
-    def residual_grads(x, u, grad, op):
-        n = x.shape[0]
-        return np.zeros(n), np.zeros((n, 2)), -np.ones(n)
-
-    return PdeProblem(
-        name="poisson2d_sin",
-        dim=2,
-        coeffs=OperatorCoeffs.laplacian(2),
-        lower=lower,
-        upper=upper,
-        boundary_kind="faces",
-        source=source,
-        residual=residual,
-        residual_grads=residual_grads,
-        boundary_target=lambda x: np.zeros(x.shape[0]),
-        true_solution=true_solution,
-    )
+    # exact zeros: the true solution is only about 1e-16 on the faces
+    return _poisson("poisson2d_sin", 2, true_solution, source, boundary_target=_no_source)
 
 
 def _poisson_cos_sum() -> PdeProblem:
     """-Laplace u = pi^2 sum_i cos(pi x_i) in d=5, solution sum_i cos(pi x_i)."""
-    d = 5
-    lower, upper = _unit_box(d)
 
     def true_solution(x):
         return np.cos(np.pi * x).sum(axis=1)
@@ -118,64 +129,23 @@ def _poisson_cos_sum() -> PdeProblem:
     def source(x):
         return np.pi ** 2 * np.cos(np.pi * x).sum(axis=1)
 
-    def residual(x, f, u, grad, op):
-        return -op - f
-
-    def residual_grads(x, u, grad, op):
-        n = x.shape[0]
-        return np.zeros(n), np.zeros((n, d)), -np.ones(n)
-
-    return PdeProblem(
-        name="poisson_cos_sum",
-        dim=d,
-        coeffs=OperatorCoeffs.laplacian(d),
-        lower=lower,
-        upper=upper,
-        boundary_kind="faces",
-        source=source,
-        residual=residual,
-        residual_grads=residual_grads,
-        boundary_target=true_solution,
-        true_solution=true_solution,
-    )
+    return _poisson("poisson_cos_sum", 5, true_solution, source)
 
 
 def _poisson_harmonic_mixed() -> PdeProblem:
     """-Laplace u = 0 in d=10 with the harmonic solution sum_k x_{2k-1} x_{2k}."""
-    d = 10
-    lower, upper = _unit_box(d)
 
     def true_solution(x):
         return np.einsum("nk,nk->n", x[:, 0::2], x[:, 1::2])
 
-    def residual(x, f, u, grad, op):
-        return -op - f
-
-    def residual_grads(x, u, grad, op):
-        n = x.shape[0]
-        return np.zeros(n), np.zeros((n, d)), -np.ones(n)
-
-    return PdeProblem(
-        name="poisson_harmonic_mixed",
-        dim=d,
-        coeffs=OperatorCoeffs.laplacian(d),
-        lower=lower,
-        upper=upper,
-        boundary_kind="faces",
-        source=_no_source,
-        residual=residual,
-        residual_grads=residual_grads,
-        boundary_target=true_solution,
-        true_solution=true_solution,
-    )
+    return _poisson("poisson_harmonic_mixed", 10, true_solution)
 
 
 def _poisson_norm2(dim: int = 100) -> PdeProblem:
     """-Laplace u = -2d with solution ||x||^2 (dim is configurable)."""
-    d = int(dim)
+    d = operator.index(dim)
     if d < 1:
         raise ValueError(f"poisson_norm2 needs dim >= 1, got {dim}")
-    lower, upper = _unit_box(d)
 
     def true_solution(x):
         return np.einsum("ni,ni->n", x, x)
@@ -183,26 +153,7 @@ def _poisson_norm2(dim: int = 100) -> PdeProblem:
     def source(x):
         return np.full(x.shape[0], -2.0 * d)
 
-    def residual(x, f, u, grad, op):
-        return -op - f
-
-    def residual_grads(x, u, grad, op):
-        n = x.shape[0]
-        return np.zeros(n), np.zeros((n, d)), -np.ones(n)
-
-    return PdeProblem(
-        name="poisson_norm2",
-        dim=d,
-        coeffs=OperatorCoeffs.laplacian(d),
-        lower=lower,
-        upper=upper,
-        boundary_kind="faces",
-        source=source,
-        residual=residual,
-        residual_grads=residual_grads,
-        boundary_target=true_solution,
-        true_solution=true_solution,
-    )
+    return _poisson("poisson_norm2", d, true_solution, source)
 
 
 def _heat(spatial_dim: int = 1, kappa: float = 0.25) -> PdeProblem:
@@ -213,7 +164,7 @@ def _heat(spatial_dim: int = 1, kappa: float = 0.25) -> PdeProblem:
     Initial and spatial-boundary conditions are merged into one condition
     term with targets from the true solution.
     """
-    s = int(spatial_dim)
+    s = operator.index(spatial_dim)
     if s not in (1, 4):
         raise ValueError(f"heat supports spatial_dim in {{1, 4}}, got {spatial_dim}")
     if abs(kappa - 0.25) > 0:
@@ -318,12 +269,19 @@ PROBLEM_NAMES = tuple(sorted(_FACTORIES))
 
 
 def make_problem(name: str, **params) -> PdeProblem:
-    """Build a catalog problem by name; extra keyword params where supported."""
+    """Build a catalog problem by name; extra keyword params where supported.
+
+    Raises ValueError for an unknown name and for parameters the problem
+    does not take or of the wrong type.
+    """
     try:
         factory = _FACTORIES[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown problem {name!r}; known: {', '.join(PROBLEM_NAMES)}") from None
-    return factory(**params)
+    try:
+        return factory(**params)
+    except TypeError as exc:
+        raise ValueError(f"bad parameters for problem {name!r}: {exc}") from None
 
 
 def _sample_faces(rng, lower, upper, n):

@@ -92,7 +92,6 @@ __all__ = [
     "TaylorOutput",
     "param_grad_matrix",
     "taylor_forward_linear",
-    "taylor_forward_activation",
     "taylor_forward",
     "taylor_output",
     "taylor_backward",
@@ -372,7 +371,12 @@ def taylor_forward_linear(w, b, z_in, workspace: Workspace, layer=None) -> np.nd
 
 
 def _activation_state(derivs: ActivationDerivs, g, ell, coeffs, workspace, layer) -> np.ndarray:
-    """Body of :func:`taylor_forward_activation` on the incoming columns.
+    """Element-wise activation layer on the incoming columns (z, g, ell).
+
+    Value and derivative columns follow the chain rule; the operator column
+    picks up the quadratic first-derivative term:
+
+        L z_out = s1 * L z_in + sum_ij c_ij * s2 * dz_i * dz_j
 
     Writes ``(s0, s1 * g, s2 * quad + s1 * ell)`` into the workspace's state
     array of index ``layer``; ``ell`` None is a zero operator column.
@@ -387,26 +391,6 @@ def _activation_state(derivs: ActivationDerivs, g, ell, coeffs, workspace, layer
     if ell is not None:
         z_out[:, d + 1, :] += np.multiply(derivs.s1, ell, out=quad)
     return z_out
-
-
-def taylor_forward_activation(
-    derivs: ActivationDerivs, z_in, coeffs: OperatorCoeffs, workspace: Workspace, layer=None
-) -> np.ndarray:
-    """Element-wise activation layer.
-
-    Value and derivative columns follow the chain rule; the operator column
-    picks up the quadratic first-derivative term:
-
-        L z_out = s1 * L z_in + sum_ij c_ij * s2 * dz_i * dz_j
-
-    The output is the workspace's state array of index ``layer``.
-    """
-    z_in = np.asarray(z_in, dtype=np.float64)
-    d = coeffs.dim
-    if z_in.shape[1] != d + 2:
-        raise ValueError(f"state has {z_in.shape[1]} columns, operator expects {d + 2}")
-    _, g, ell = _incoming_columns(z_in, None, d)
-    return _activation_state(derivs, g, ell, coeffs, workspace, layer)
 
 
 def _check_points(params: Parameters, x, coeffs: OperatorCoeffs) -> np.ndarray:
@@ -550,7 +534,7 @@ def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None)
 def _activation_backward(
     derivs: ActivationDerivs, g, ell, g_out, coeffs: OperatorCoeffs, workspace: Workspace
 ) -> np.ndarray:
-    """Adjoint of :func:`taylor_forward_activation`, in place.
+    """Adjoint of :func:`_activation_state`, in place.
 
     With incoming columns (z, g_i, ell), ``derivs`` the tanh derivatives of
     z up to third order, and output adjoints (vb, gb_i, lb):

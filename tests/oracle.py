@@ -11,6 +11,9 @@ Gauss-Newton references formed from the package's own residual Jacobian
 rows (:func:`pinnopt.curvature.residual_jacobian_rows`, which the
 finite-difference tests check), for checking the Kronecker factors and
 the projected rows that training uses instead.
+
+:func:`params_to_vec` and :func:`vec_to_params` give the flat parameter
+vector of the finite-difference checks; only the tests use them.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import numpy as np
 from pinnopt import curvature, network
 
 __all__ = [
+    "params_to_vec",
+    "vec_to_params",
     "forward",
     "initial_state",
     "exact_gramian",
@@ -32,6 +37,19 @@ __all__ = [
     "fd_residual_jacobian",
     "rel_error",
 ]
+
+
+def params_to_vec(params: network.Parameters) -> np.ndarray:
+    """Flatten all parameters in the package-wide convention."""
+    return network.mats_to_vec(
+        [np.concatenate([w, b[:, None]], axis=1) for w, b in zip(params.weights, params.biases)]
+    )
+
+
+def vec_to_params(vec, template: network.Parameters) -> network.Parameters:
+    """Rebuild :class:`Parameters` from a flat vector, shapes from ``template``."""
+    mats = network.vec_to_mats(vec, template)
+    return network.Parameters([m[:, :-1].copy() for m in mats], [m[:, -1].copy() for m in mats])
 
 
 def forward(params: network.Parameters, x) -> tuple:
@@ -194,14 +212,14 @@ def fd_residual_jacobian(
     result lines up with the analytic residual Jacobian rows.
     """
     point = np.asarray(point, dtype=np.float64)
-    vec = network.params_to_vec(params)
+    vec = params_to_vec(params)
     jac = np.zeros(vec.size)
     for k in range(vec.size):
         vp = vec.copy()
         vm = vec.copy()
         vp[k] += param_step
         vm[k] -= param_step
-        rp = _residual_from_forward(problem, network.vec_to_params(vp, params), point, spec)
-        rm = _residual_from_forward(problem, network.vec_to_params(vm, params), point, spec)
+        rp = _residual_from_forward(problem, vec_to_params(vp, params), point, spec)
+        rm = _residual_from_forward(problem, vec_to_params(vm, params), point, spec)
         jac[k] = (rp - rm) / (2.0 * param_step)
     return jac

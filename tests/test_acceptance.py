@@ -64,7 +64,7 @@ def test_criterion_2_backward_engine():
     widths = (2, 24, 24, 1)
     params = init_params(Architecture(widths), 11)
     assert params.n_params <= 1000
-    vec = network.params_to_vec(params)
+    vec = oracle.params_to_vec(params)
     co = problem.coeffs
     x = np.random.default_rng(103).uniform(0.0, 1.0, size=(1, 2))
 
@@ -87,8 +87,8 @@ def test_criterion_2_backward_engine():
         vp, vm = vec.copy(), vec.copy()
         vp[k] += h
         vm[k] -= h
-        _, op = taylor_forward(network.vec_to_params(vp, params), x, co)
-        _, om = taylor_forward(network.vec_to_params(vm, params), x, co)
+        _, op = taylor_forward(oracle.vec_to_params(vp, params), x, co)
+        _, om = taylor_forward(oracle.vec_to_params(vm, params), x, co)
         fd = (op.operator[0] - om.operator[0]) / (2 * h)
         worst = max(worst, abs(fd - analytic_vec[k]) / max(1.0, abs(fd)))
 
@@ -98,7 +98,7 @@ def test_criterion_2_backward_engine():
     grad_vec = network.mats_to_vec(ev.grad_mats)
 
     def losses(v):
-        q = network.vec_to_params(v, params)
+        q = oracle.vec_to_params(v, params)
         l_int, _, _, _ = pde.interior_loss_and_residuals(problem, q, batch)
         l_bnd, _, _ = pde.boundary_loss(problem, q, batch)
         return l_int, l_bnd

@@ -22,9 +22,10 @@ from pinnopt.taylor import (
     param_grad_matrix,
     taylor_backward,
     taylor_forward,
-    taylor_forward_activation,
     taylor_forward_linear,
 )
+
+from test_taylor import taylor_forward_activation
 
 
 def with_bias(z):

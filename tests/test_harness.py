@@ -18,7 +18,7 @@ from pinnopt.harness import (
 from pinnopt.network import Architecture, Parameters, init_params
 
 
-def tiny_config(tmp_path, **overrides):
+def tiny_dict(tmp_path, **overrides) -> dict:
     base = dict(
         problem="poisson2d_sin",
         widths=[2, 8, 1],
@@ -33,13 +33,17 @@ def tiny_config(tmp_path, **overrides):
         output_dir=str(tmp_path / "run"),
     )
     base.update(overrides)
-    return RunConfig.from_dict(base)
+    return base
+
+
+def tiny_config(tmp_path, **overrides):
+    return RunConfig.from_dict(tiny_dict(tmp_path, **overrides))
 
 
 def train_cli(tmp_path, **overrides) -> int:
     """``pinnopt train`` on a tiny config written to ``tmp_path``; returns the exit code."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(tiny_config(tmp_path, **overrides).to_dict()))
+    cfg_path.write_text(json.dumps(tiny_dict(tmp_path, **overrides)))
     return main(["train", "--config", str(cfg_path)])
 
 
@@ -85,6 +89,10 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             RunConfig.from_dict({"problem": "poisson2d_sin", "widths": [2, 1], "optimizer": "adam", "typo": 1})
+
+    def test_missing_key_rejected(self):
+        with pytest.raises(ValueError, match="missing config keys: \\['widths'\\]"):
+            RunConfig.from_dict({"problem": "poisson2d_sin", "optimizer": "adam"})
 
     def test_resample_defaults_per_optimizer(self):
         a = RunConfig(problem="poisson2d_sin", widths=[2, 1], optimizer="adam")
@@ -232,6 +240,43 @@ class TestCli:
     def test_bad_optimizer_field_returns_2_before_logging(self, tmp_path, capsys, override):
         assert train_cli(tmp_path, optimizer="engd", **override) == 2
         assert next(iter(override)) in capsys.readouterr().err
+        assert not (tmp_path / "run" / "log.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("train", {"problem_params": {"dim": 3}}),
+            ("train", {"problem_params": [1]}),
+            ("train", {"problem": ["poisson2d_sin"]}),
+            ("train", {"seed": 1.5}),
+            ("train", {"damping": "x"}),
+            ("train", {"optimizer": "newton"}),
+            ("train", {"n_interior": 10.5}),
+            ("train", {"n_eval_points": 10.5}),
+            ("train", {"max_steps": 2.5}),
+            ("train", {"max_steps": True}),
+            ("train", {"max_wall_seconds": "1"}),
+            ("train", {"eval_every": 1.5}),
+            ("train", {"resample_every": 1.5}),
+            ("train", {"widths": [2, 8.7, 1]}),
+            ("train", 5),
+            ("eval", '{"dim": 3}'),
+            ("eval", "[1]"),
+        ],
+        ids=str,
+    )
+    def test_malformed_config_returns_2_without_log(self, tmp_path, capsys, command, bad):
+        # a config error is reported as one line and exit 2, before log.csv is opened
+        if command == "eval":
+            run_training(tiny_config(tmp_path, max_steps=0, output_dir=str(tmp_path / "ckpt")))
+            checkpoint = str(tmp_path / "ckpt" / "checkpoint.json")
+            argv = ["eval", "--checkpoint", checkpoint, "--problem-params", bad]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(tiny_dict(tmp_path, **bad) if isinstance(bad, dict) else bad))
+            argv = ["train", "--config", str(cfg_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run" / "log.csv").exists()
 
     def test_eval_of_zero_points_returns_2(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from oracle import params_to_vec, vec_to_params
 from pinnopt import network
 from pinnopt.curvature import boundary_pairs
 from pinnopt.network import (
@@ -12,9 +13,7 @@ from pinnopt.network import (
     add_scaled,
     forward_batch,
     init_params,
-    params_to_vec,
     tanh_derivs,
-    vec_to_params,
 )
 from pinnopt.taylor import Workspace, param_grad_matrix
 

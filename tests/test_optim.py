@@ -55,6 +55,36 @@ class TestConfig:
         assert grid[-1] == 1.0
 
 
+class TestUpdatePath:
+    @pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
+    def test_step_applies_the_update_it_reports(self, poisson, kind):
+        # optimizer_step applies the kind's update once and reports its (alpha, mu)
+        import copy
+
+        cfg = dict(kfac={"momentum": 0.9}, sgd={"lr": 0.05, "momentum": 0.5}, adam={"lr": 0.01})
+        state = small_state(kind, damping=1e-3, **cfg.get(kind, {}))
+        batch = pde.sample_batch(poisson, 12, 8, seed=9)
+        for step in range(3):
+            old = state.params.copy()
+            _, update, alpha, mu = optim._STEP_FNS[kind](copy.deepcopy(state), batch, poisson)
+            info = optimizer_step(state, batch, poisson)
+            assert state.step == step + 1
+            assert all(np.array_equal(p, u) for p, u in zip(state.prev_update, update))
+            new = network.add_scaled(old, state.prev_update, 1.0)
+            for got, want in zip(state.params.weights + state.params.biases, new.weights + new.biases):
+                assert np.array_equal(got, want)
+            assert (info.alpha, info.mu) == (alpha, mu)
+            if kind in ("kfac", "engd"):
+                assert info.alpha in optim.LINE_SEARCH_GRID
+            if kind in ("sgd", "adam"):
+                assert info.alpha == state.config.lr
+            if kind == "kfac_star":
+                # the model's pair: alpha only on the first step, then both
+                assert (info.mu == 0.0) == (step == 0)
+            else:
+                assert info.mu == {"kfac": 0.9, "sgd": 0.5}.get(kind, 0.0)
+
+
 class TestLineSearch:
     def grid(self):
         return optim.LINE_SEARCH_GRID

@@ -6,7 +6,7 @@ import pytest
 
 import oracle
 from oracle import FdSpec, fd_gradient, fd_operator, fd_residual_jacobian, rel_error
-from pinnopt import network, pde
+from pinnopt import pde
 from pinnopt.network import Architecture, Parameters, init_params
 from pinnopt.taylor import OperatorCoeffs, taylor_forward
 
@@ -57,10 +57,10 @@ class TestFdResidualJacobian:
         xb = np.array([3.0, 4.0])
 
         def bres(v):
-            q = network.vec_to_params(v, p)
+            q = oracle.vec_to_params(v, p)
             return oracle.forward(q, xb)[0]
 
-        vec = network.params_to_vec(p)
+        vec = oracle.params_to_vec(p)
         h = 1e-6
         row = np.array(
             [

@@ -24,11 +24,36 @@ ALL_PROBLEMS = [
     ("log_fokker_planck", {}),
 ]
 
+# per configuration of ALL_PROBLEMS: name, dim, boundary kind, box, operator diagonal
+UNIT = (0.0, 1.0)
+CATALOG = [
+    ("poisson2d_sin", {}, 2, "faces", [UNIT] * 2, [1.0] * 2),
+    ("poisson_cos_sum", {}, 5, "faces", [UNIT] * 5, [1.0] * 5),
+    ("poisson_harmonic_mixed", {}, 10, "faces", [UNIT] * 10, [1.0] * 10),
+    ("poisson_norm2", {"dim": 7}, 7, "faces", [UNIT] * 7, [1.0] * 7),
+    ("heat", {"spatial_dim": 1}, 2, "heat", [UNIT] * 2, [0.0, 1.0]),
+    ("heat", {"spatial_dim": 4}, 5, "heat", [UNIT] * 5, [0.0] + [1.0] * 4),
+    ("log_fokker_planck", {}, 10, "initial", [UNIT] + [(-5.0, 5.0)] * 9, [0.0] + [1.0] * 9),
+]
+
 
 class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_problem("wave")
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("poisson2d_sin", {"dim": 3}),
+            ("poisson_norm2", {"dim": 2.5}),
+            ("heat", {"spatial_dim": "1"}),
+            ("heat", {"spatial_dim": 1, "kappa": "x"}),
+        ],
+    )
+    def test_bad_parameters_name_the_problem(self, name, kwargs):
+        with pytest.raises(ValueError, match=f"bad parameters for problem '{name}'"):
+            make_problem(name, **kwargs)
 
     def test_poisson_norm2_default_dim(self):
         assert make_problem("poisson_norm2").dim == 100
@@ -97,6 +122,25 @@ class TestCatalog:
             bump[:, j] = h
             fd_g = (r(u, grad + bump, op) - r(u, grad - bump, op)) / (2 * h)
             assert np.max(np.abs(fd_g - dgrad[:, j])) <= 1e-5
+
+    def test_catalog_table_covers_all_problems(self):
+        assert [(name, kwargs) for name, kwargs, *_ in CATALOG] == ALL_PROBLEMS
+
+    @pytest.mark.parametrize("name,kwargs,dim,kind,box,diagonal", CATALOG)
+    def test_declared_data(self, name, kwargs, dim, kind, box, diagonal):
+        problem = make_problem(name, **kwargs)
+        assert (problem.name, problem.dim, problem.boundary_kind) == (name, dim, kind)
+        assert np.array_equal(problem.lower, [lo for lo, _ in box])
+        assert np.array_equal(problem.upper, [hi for _, hi in box])
+        assert np.array_equal(problem.coeffs.c, np.diag(diagonal))
+
+    def test_poisson2d_boundary_targets_are_exact_zeros(self):
+        # the true solution is only about 1e-16 on the faces, so the zero
+        # targets are declared, not read from it
+        problem = make_problem("poisson2d_sin")
+        batch = sample_batch(problem, 4, 64, seed=0)
+        assert np.array_equal(batch.boundary_targets, np.zeros(64))
+        assert np.any(problem.true_solution(batch.boundary) != 0.0)
 
     def test_time_row_of_operator_coefficients_is_zero(self):
         for name, kwargs in [("heat", {"spatial_dim": 4}), ("log_fokker_planck", {})]:

@@ -10,7 +10,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from pinnopt import curvature, harness, network, pde, taylor
+import oracle
+from pinnopt import curvature, harness, pde, taylor
 from pinnopt.network import Architecture, init_params
 from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, optimizer_step
 
@@ -105,7 +106,7 @@ class TestThreadIndependence:
             for batch in batches:
                 info = optimizer_step(state, batch, problem)
                 out.append((info.alpha, info.mu, info.loss_interior, info.loss_boundary))
-            out.append(network.params_to_vec(state.params).tobytes())
+            out.append(oracle.params_to_vec(state.params).tobytes())
 
         references = []
         for case in cases:

@@ -9,10 +9,11 @@ from pinnopt.network import Architecture, Parameters, init_params, tanh_derivs
 from pinnopt.taylor import (
     OperatorCoeffs,
     Workspace,
+    _activation_state,
+    _incoming_columns,
     param_grad_matrix,
     taylor_backward,
     taylor_forward,
-    taylor_forward_activation,
     taylor_forward_linear,
     taylor_output,
 )
@@ -25,6 +26,19 @@ def net_fn(params):
 def seeded_param_grads(params, states, adjoints):
     """Batch-summed ``[dW | db]`` per linear layer of the seeded reverse pass."""
     return [param_grad_matrix(z, g, Workspace()) for z, g in curvature.layer_pairs(params, states, adjoints)]
+
+
+def taylor_forward_activation(derivs, z_in, coeffs, workspace, layer=None) -> np.ndarray:
+    """The engine's activation layer on a materialised (N, d + 2, h) state.
+
+    The output is the workspace's state array of index ``layer``.
+    """
+    z_in = np.asarray(z_in, dtype=np.float64)
+    d = coeffs.dim
+    if z_in.shape[1] != d + 2:
+        raise ValueError(f"state has {z_in.shape[1]} columns, operator expects {d + 2}")
+    _, g, ell = _incoming_columns(z_in, None, d)
+    return _activation_state(derivs, g, ell, coeffs, workspace, layer)
 
 
 def random_coeffs(rng, d):
@@ -267,14 +281,14 @@ class TestTaylorBackward:
         seeds[0, 3] = 1.0
         adjoints = taylor_backward(p, states, seeds, co)
         analytic = network.mats_to_vec(seeded_param_grads(p, states, adjoints))
-        vec = network.params_to_vec(p)
+        vec = oracle.params_to_vec(p)
         h = 1e-6
         for k in range(vec.size):
             vp, vm = vec.copy(), vec.copy()
             vp[k] += h
             vm[k] -= h
-            _, op = taylor_forward(network.vec_to_params(vp, p), x, co)
-            _, om = taylor_forward(network.vec_to_params(vm, p), x, co)
+            _, op = taylor_forward(oracle.vec_to_params(vp, p), x, co)
+            _, om = taylor_forward(oracle.vec_to_params(vm, p), x, co)
             fd = (op.operator[0] - om.operator[0]) / (2 * h)
             assert abs(fd - analytic[k]) <= 1e-5 * max(1.0, abs(fd))
 
@@ -294,11 +308,11 @@ class TestTaylorBackward:
         w_dir = rng.standard_normal(grads_vec.size)
         rhs = float(grads_vec @ w_dir)
 
-        vec = network.params_to_vec(p)
+        vec = oracle.params_to_vec(p)
         h = 1e-6
 
         def seeded_outputs(v):
-            _, out = taylor_forward(network.vec_to_params(v, p), x, co)
+            _, out = taylor_forward(oracle.vec_to_params(v, p), x, co)
             stacked = np.concatenate([out.value[:, None], out.gradient, out.operator[:, None]], axis=1)
             return float(np.sum(seeds * stacked))
 
