@@ -236,47 +236,34 @@ def boundary_factor_update(state: KfacState, boundary: list) -> KfacState:
     return state
 
 
-def precondition_gradient(state: KfacState, grad_mats: list) -> list:
+def precondition_gradient(state: KfacState, grad) -> np.ndarray:
     """Solve the damped two-term Kronecker system per layer.
 
-    Given per-layer gradient matrices ``[dW | db]`` returns the update
-    directions ``-(A_int (x) B_int + A_cond (x) B_cond)^-1 g`` with
-    ``damping * I`` added to each factor first.
+    Given the parameter-space gradient vector ``g`` returns the direction
+    ``-(A_int (x) B_int + A_cond (x) B_cond)^-1 g``, layer by layer, with
+    ``damping * I`` added to each factor first.  Each layer's segment of
+    ``g`` is already the column-stacked vector the solver takes.
     """
     lam = state.damping
     if lam <= 0:
         raise ValueError("damping must be positive for Kronecker preconditioning")
-    out = []
-    for l, g in enumerate(grad_mats):
-        q, p = g.shape
-        eye_a = np.eye(p)
-        eye_b = np.eye(q)
+    shapes = [(a.shape[0], b.shape[0]) for a, b in zip(state.a_interior, state.b_interior)]
+    out = np.empty_like(grad)
+    for l, (g, o) in enumerate(zip(network.layer_blocks(grad, shapes), network.layer_blocks(out, shapes))):
+        eye_a, eye_b = np.eye(o.shape[0]), np.eye(o.shape[1])
         v = kron_sum_solve(
             state.a_interior[l] + lam * eye_a,
             state.b_interior[l] + lam * eye_b,
             state.a_boundary[l] + lam * eye_a,
             state.b_boundary[l] + lam * eye_b,
-            g.flatten(order="F"),
+            g.reshape(-1),
         )
-        out.append(-v.reshape((q, p), order="F"))
+        o[...] = -v.reshape(o.shape)
     return out
 
 
 # ---------------------------------------------------------------------------
 # exact Gramian and Gramian-vector products
-
-def _row_blocks(rows, shapes):
-    """Views of the column segments of ``rows`` as (N, p, q) per-layer blocks.
-
-    Splitting the contiguous last axis of a column slice is always a view,
-    so writing a block writes the rows.
-    """
-    n, start, views = rows.shape[0], 0, []
-    for p, q in shapes:
-        views.append(rows[:, start : start + p * q].reshape(n, p, q))
-        start += p * q
-    return views
-
 
 def _input_layer_rows(x, g, out):
     """Write the weight rows ``x_n g_n0^T + G_n`` of the layer-0 blocks into ``out`` (N, d, h1).
@@ -292,14 +279,14 @@ def _input_layer_rows(x, g, out):
 def _jacobian_rows(record):
     """Stack one loss term's per-sample residual Jacobians into an (N, D) matrix.
 
-    Per layer the row segment is the column-stacked ``sum_s g_ns zhat_ns^T``;
-    its transpose (N, h_in + 1, h_out) is written in place, so the C-order
-    layout is the column-stacked flattening.  The weight rows are
+    Per layer the row segment is the column-stacked ``sum_s g_ns zhat_ns^T``,
+    written in place through its per-sample ``[W | b]^T`` blocks
+    (:func:`pinnopt.network.layer_blocks`).  The weight rows are
     ``z_n^T g_n`` (layer-0 points in closed form), the bias row is ``g_n0``.
     """
     shapes = [(z.shape[-1] + 1, g.shape[2]) for z, g in record]
     rows = np.empty((record[0][1].shape[0], sum(p * q for p, q in shapes)))
-    for view, (z, g) in zip(_row_blocks(rows, shapes), record):
+    for view, (z, g) in zip(network.layer_blocks(rows, shapes), record):
         h = z.shape[-1]
         if z.ndim == 2:
             _input_layer_rows(z, g, view[:, :h, :])
@@ -312,25 +299,26 @@ def _jacobian_rows(record):
 def _projected_rows(record, basis, workspace):
     """One loss term's residual Jacobian applied to k directions, ``J V`` (N, k).
 
-    ``basis[k]`` is a list of per-layer ``[dW | db]`` matrices.  Per layer
+    ``basis[k]`` is a parameter-space vector.  Per layer
     ``(J V)_nk += sum_s g_ns . (dW_k z_ns) + g_n0 . db_k`` (module
     docstring), one (N S, h_in) x (h_in, h_out) product per direction into
     the workspace's scratch array; no row is formed.
     """
     n = record[0][1].shape[0]
+    blocks = network.layer_blocks(np.asarray(basis), [(z.shape[-1] + 1, g.shape[2]) for z, g in record])
     out = np.zeros((n, len(basis)))
     for l, (z, g) in enumerate(record):
         _, s, q = g.shape
         h = z.shape[-1]
-        for k, mats in enumerate(basis):
-            w, b = mats[l][:, :h], mats[l][:, h]
+        for k, block in enumerate(blocks[l]):
+            w_t, b = block[:h], block[h]
             if z.ndim == 2:
                 # derivative block G_n read as one (N, d h1) matrix (a view)
-                out[:, k] += g[:, 1 : 1 + h, :].reshape(n, h * q) @ w.T.reshape(-1)
-                out[:, k] += np.einsum("ij,ij->i", z @ w.T + b, g[:, 0, :])
+                out[:, k] += g[:, 1 : 1 + h, :].reshape(n, h * q) @ w_t.reshape(-1)
+                out[:, k] += np.einsum("ij,ij->i", z @ w_t + b, g[:, 0, :])
             else:
                 zw = workspace.array((n * s, q), "scratch")
-                np.matmul(z.reshape(n * s, h), w.T, out=zw)
+                np.matmul(z.reshape(n * s, h), w_t, out=zw)
                 out[:, k] += np.einsum("ij,ij->i", zw, g.reshape(n * s, q)).reshape(n, s).sum(axis=1)
                 out[:, k] += g[:, 0, :] @ b
     return out
@@ -356,8 +344,8 @@ def _boundary_jacobian_rows(boundary, basis=None, workspace=None):
     return _jacobian_rows(boundary) if basis is None else _projected_rows(boundary, basis, workspace)
 
 
-def loss_gradient(interior: list, r_int, boundary: list, r_bnd, workspace=None) -> list:
-    """Per-layer ``[dW | db]`` gradient of the two-term loss.
+def loss_gradient(interior: list, r_int, boundary: list, r_bnd, workspace=None) -> np.ndarray:
+    """Parameter-space gradient vector of the two-term loss.
 
     The residual-weighted contraction of the records the Jacobian rows are
     built from, with term weights 1/N each: ``sum_n r_n / N * row_n`` for
@@ -375,10 +363,10 @@ def loss_gradient(interior: list, r_int, boundary: list, r_bnd, workspace=None) 
         return [param_grad_matrix(z, g, half, weights) for z, g in _rows(interior, half.rows)]
 
     first, second = workspace.split(r_int.size, interior_rows)
-    return [
-        m0 + m1 + param_grad_matrix(zb, gb, workspace, w_bnd)
+    return np.concatenate([
+        (m0 + m1 + param_grad_matrix(zb, gb, workspace, w_bnd)).ravel(order="F")
         for m0, m1, (zb, gb) in zip(first, second, boundary)
-    ]
+    ])
 
 
 def residual_jacobian_rows(params, batch: pde.Batch, problem) -> tuple:

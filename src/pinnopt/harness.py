@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -53,8 +54,6 @@ CSV_COLUMNS = (
 STREAM_INIT = 0
 STREAM_BATCH = 1
 STREAM_EVAL = 2
-
-OUTPUT_DIR_ENV = "PINNOPT_OUTPUT_DIR"
 
 #: default batch re-sampling period per optimizer (0 = never re-sample)
 DEFAULT_RESAMPLE_EVERY = {"sgd": 1, "adam": 1, "engd": 1, "kfac": 100, "kfac_star": 100}
@@ -116,6 +115,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if not isinstance(value, _FIELD_TYPES[f.type]) or isinstance(value, bool):
                 raise ValueError(f"config field {f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"config field {f.name} must be finite, got {value!r}")
         if self.n_interior < 1 or self.n_boundary < 1:
             raise ValueError("batch sizes must be positive")
         if self.max_steps < 0 or self.eval_every < 1 or self.n_eval_points < 1:
@@ -170,10 +171,6 @@ class TrainLog:
 
     rows: list = field(default_factory=list)
     diverged: bool = False
-
-    def column(self, name: str) -> list:
-        idx = CSV_COLUMNS.index(name)
-        return [row[idx] for row in self.rows]
 
     @property
     def final(self):
@@ -286,8 +283,7 @@ def run_training(config: RunConfig) -> TrainLog:
     params = network.init_params(arch, _stream_seed(config.seed, STREAM_INIT))
     state = init_train_state(params, config.optimizer_config())
 
-    out_dir = os.environ.get(OUTPUT_DIR_ENV) or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(config.output_dir, exist_ok=True)
     meta = json.dumps(
         {
             "format": "pinnopt-log-v1",
@@ -297,7 +293,7 @@ def run_training(config: RunConfig) -> TrainLog:
         },
         sort_keys=True,
     )
-    writer = _CsvWriter(os.path.join(out_dir, "log.csv"), meta)
+    writer = _CsvWriter(os.path.join(config.output_dir, "log.csv"), meta)
     eval_seed = _stream_seed(config.seed, STREAM_EVAL)
 
     log = TrainLog()
@@ -357,7 +353,7 @@ def run_training(config: RunConfig) -> TrainLog:
     finally:
         state.workspace.close()
         writer.close()
-        save_checkpoint(os.path.join(out_dir, "checkpoint.json"), state.params, config)
+        save_checkpoint(os.path.join(config.output_dir, "checkpoint.json"), state.params, config)
     return log
 
 

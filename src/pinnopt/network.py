@@ -9,7 +9,10 @@ differential-operator propagation in :mod:`pinnopt.taylor` requires.
 Parameter flattening convention (shared by the whole package): per linear
 layer the weight and bias are joined into the augmented matrix ``[W | b]``
 of shape ``h_out x (h_in + 1)`` and vectorized column-by-column (first
-index varies fastest); layers are concatenated in order.
+index varies fastest); layers are concatenated in order.  Every
+parameter-space quantity (gradient, direction, update, momentum, Adam
+moment) is one float64 vector of length D in this layout, and
+:func:`layer_blocks` views its layers as ``[W | b]^T`` blocks.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ __all__ = [
     "init_params",
     "forward_batch",
     "backward_batch",
-    "mats_to_vec",
-    "vec_to_mats",
+    "layer_blocks",
     "add_scaled",
 ]
 
@@ -207,35 +209,33 @@ def backward_batch(params: Parameters, trace: ForwardTrace, seed) -> list:
 
 
 # ---------------------------------------------------------------------------
-# flattening helpers (column-stacked [W | b] per layer, layers concatenated)
+# parameter-space vectors (column-stacked [W | b] per layer, layers concatenated)
 
-def _vec_of_mat(m) -> np.ndarray:
-    return np.asarray(m, dtype=np.float64).flatten(order="F")
+def layer_blocks(vec, shapes) -> list:
+    """Per-layer views of the last axis of ``vec`` as ``(..., p, q)`` blocks.
 
-
-def mats_to_vec(mats: list) -> np.ndarray:
-    """Flatten a list of per-layer ``[W | b]`` matrices into one vector."""
-    return np.concatenate([_vec_of_mat(m) for m in mats])
-
-
-def vec_to_mats(vec, params: Parameters) -> list:
-    """Inverse of :func:`mats_to_vec` for the layer shapes of ``params``."""
-    vec = np.asarray(vec, dtype=np.float64)
-    mats, start = [], 0
-    for w in params.weights:
-        q, p = w.shape[0], w.shape[1] + 1
-        seg = vec[start : start + p * q]
-        mats.append(seg.reshape((q, p), order="F"))
-        start += p * q
-    if start != vec.size:
-        raise ValueError(f"vector of length {vec.size} does not match parameter count {start}")
-    return mats
+    ``shapes`` lists ``(p, q) = (h_in + 1, h_out)`` per layer.  A layer's
+    segment of the column-stacked flattening of ``[W | b]`` is, read in C
+    order, ``[W | b]^T``: block rows ``:h_in`` hold ``W^T`` and row ``h_in``
+    the bias.  Splitting the last axis is always a view, so writing a block
+    writes ``vec``; a leading axis, such as the samples of (N, D) Jacobian
+    rows, gives per-sample blocks.
+    """
+    sizes = [p * q for p, q in shapes]
+    if sum(sizes) != vec.shape[-1]:
+        raise ValueError(f"vector of length {vec.shape[-1]} does not match parameter count {sum(sizes)}")
+    blocks, start = [], 0
+    for (p, q), size in zip(shapes, sizes):
+        blocks.append(vec[..., start : start + size].reshape(*vec.shape[:-1], p, q))
+        start += size
+    return blocks
 
 
-def add_scaled(params: Parameters, mats: list, alpha: float) -> Parameters:
-    """Return ``params + alpha * mats`` where ``mats`` are ``[dW | db]`` blocks."""
+def add_scaled(params: Parameters, vec, alpha: float) -> Parameters:
+    """Return ``params + alpha * vec`` for a parameter-space vector ``vec``."""
+    shapes = [(w.shape[1] + 1, w.shape[0]) for w in params.weights]
     weights, biases = [], []
-    for w, b, m in zip(params.weights, params.biases, mats):
-        weights.append(w + alpha * m[:, :-1])
-        biases.append(b + alpha * m[:, -1])
+    for w, b, m in zip(params.weights, params.biases, layer_blocks(vec, shapes)):
+        weights.append(w + alpha * m[:-1].T)
+        biases.append(b + alpha * m[-1])
     return Parameters(weights, biases)

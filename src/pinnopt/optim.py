@@ -15,6 +15,7 @@ update to the :class:`TrainState`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,9 @@ class OptimizerConfig:
     def validate(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer {self.kind!r}; known: {OPTIMIZER_KINDS}")
+        for name in ("lr", "momentum", "damping", "rcond"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.ema < 1.0:
             raise ValueError(f"ema must lie in [0, 1), got {self.ema}")
         if self.momentum < 0.0:
@@ -90,33 +94,37 @@ class TrainState:
     params: network.Parameters
     config: OptimizerConfig
     step: int = 0
-    prev_update: list = field(default_factory=list)  # per-layer [dW | db] mats
+    prev_update: np.ndarray | None = None  # parameter-space vector
     kfac: curvature.KfacState | None = None
-    adam_m: list = field(default_factory=list)
-    adam_v: list = field(default_factory=list)
+    adam_m: np.ndarray | None = None
+    adam_v: np.ndarray | None = None
     gramian_ema: np.ndarray | None = None
     workspace: Workspace = field(default_factory=lambda: Workspace(worker=True), repr=False)
 
 
-def _zero_mats(params):
-    return [
-        np.zeros((w.shape[0], w.shape[1] + 1))
-        for w in params.weights
-    ]
-
-
 def init_train_state(params: network.Parameters, config: OptimizerConfig) -> TrainState:
+    """Fresh state for ``config``; raises ValueError for a config the net cannot run.
+
+    engd's dense Gramian is refused here, above
+    :data:`curvature.DENSE_GRAMIAN_CAP` parameters, so that
+    :func:`pinnopt.harness.run_training` reports it before opening its log.
+    """
     config.validate()
-    state = TrainState(params=params, config=config, prev_update=_zero_mats(params))
+    d = params.n_params
+    if config.kind == "engd" and d > curvature.DENSE_GRAMIAN_CAP:
+        raise ValueError(
+            f"engd materializes the dense Gramian; {d} parameters exceed the "
+            f"cap {curvature.DENSE_GRAMIAN_CAP}"
+        )
+    state = TrainState(params=params, config=config, prev_update=np.zeros(d))
     if config.kind in ("kfac", "kfac_star"):
         state.kfac = curvature.init_kfac_state(
             params, config.ema, config.damping, config.init_mode
         )
     if config.kind == "adam":
-        state.adam_m = _zero_mats(params)
-        state.adam_v = _zero_mats(params)
+        state.adam_m = np.zeros(d)
+        state.adam_v = np.zeros(d)
     if config.kind == "engd" and config.ema > 0.0:
-        d = params.n_params
         state.gramian_ema = (
             np.zeros((d, d)) if config.init_mode == "zero" else np.eye(d)
         )
@@ -136,13 +144,13 @@ class BatchEval:
     :func:`curvature.boundary_pairs` (S = 1).  The reverse passes are
     seeded with the residuals' output derivatives, not the residual
     values, so the same records give the Kronecker factors, the
-    Gauss-Newton rows and, contracted with the residuals, ``grad_mats``.
+    Gauss-Newton rows and, contracted with the residuals, the gradient vector ``grad``.
 
     The interior record's arrays live in the workspace :func:`evaluate_batch`
     was given, so a ``BatchEval`` stays valid only until the next pass
     through that workspace; copy what must outlive it.  The line search of
     kfac and engd is such a pass (:func:`evaluate_losses`), so those steps
-    read the records, ``grad_mats`` and the direction before it and only
+    read the records, ``grad`` and the direction before it and only
     the loss floats after it.
     """
 
@@ -152,7 +160,7 @@ class BatchEval:
     residuals_bnd: np.ndarray
     interior: list
     boundary: list
-    grad_mats: list
+    grad: np.ndarray
 
 
 def evaluate_losses(params, batch: pde.Batch, problem, workspace=None) -> tuple:
@@ -195,7 +203,7 @@ def evaluate_batch(params, batch: pde.Batch, problem, workspace=None) -> BatchEv
         residuals_bnd=r_bnd,
         interior=interior,
         boundary=boundary,
-        grad_mats=curvature.loss_gradient(interior, r_int, boundary, r_bnd, workspace),
+        grad=curvature.loss_gradient(interior, r_int, boundary, r_bnd, workspace),
     )
 
 
@@ -236,21 +244,12 @@ class StepInfo:
         return self.loss_interior + self.loss_boundary
 
 
-def _mats_add(a, b, scale=1.0):
-    return [x + scale * y for x, y in zip(a, b)]
-
-
-def _mats_scale(a, s):
-    return [s * x for x in a]
-
-
 def _kfac_common(state: TrainState, batch, problem):
     """Shared start of both Kronecker steps: factors, gradient, direction."""
     ev = evaluate_batch(state.params, batch, problem, state.workspace)
     curvature.interior_factor_update(state.kfac, ev.interior, state.workspace)
     curvature.boundary_factor_update(state.kfac, ev.boundary)
-    delta = curvature.precondition_gradient(state.kfac, ev.grad_mats)
-    return ev, delta
+    return ev, curvature.precondition_gradient(state.kfac, ev.grad)
 
 
 def _line_search_update(state: TrainState, batch: pde.Batch, problem, direction) -> tuple:
@@ -260,14 +259,13 @@ def _line_search_update(state: TrainState, batch: pde.Batch, problem, direction)
         return sum(evaluate_losses(p, batch, problem, state.workspace))
 
     alpha, _ = line_search(loss_fn, state.params, direction, LINE_SEARCH_GRID)
-    return _mats_scale(direction, alpha), alpha
+    return alpha * direction, alpha
 
 
 def kfac_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
     mu = state.config.momentum
     ev, delta = _kfac_common(state, batch, problem)
-    direction = _mats_add(delta, state.prev_update, scale=mu)
-    update, alpha = _line_search_update(state, batch, problem, direction)
+    update, alpha = _line_search_update(state, batch, problem, delta + mu * state.prev_update)
     return ev, update, alpha, mu
 
 
@@ -301,16 +299,13 @@ def kfac_star_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
     Jacobian row is formed.
     """
     cfg = state.config
-    ev, delta = _kfac_common(state, batch, problem)
-
-    dv = network.mats_to_vec(delta)
-    pv = network.mats_to_vec(state.prev_update)
-    gv = network.mats_to_vec(ev.grad_mats)
+    ev, dv = _kfac_common(state, batch, problem)
+    pv, gv = state.prev_update, ev.grad
     lam = cfg.damping
     have_prev = bool(pv @ pv > 0.0)
 
     # the Gramian restricted to span{Delta, prev}: V^T G V from the (N, k) products J V
-    basis = [delta, state.prev_update] if have_prev else [delta]
+    basis = [dv, pv] if have_prev else [dv]
     proj_int = curvature._interior_jacobian_rows(ev.interior, basis, state.workspace)
     proj_bnd = curvature._boundary_jacobian_rows(ev.boundary, basis, state.workspace)
     gram = [curvature.gramian_vec_from_rows(proj_int, proj_bnd, e) for e in np.eye(len(basis))]
@@ -324,18 +319,11 @@ def kfac_star_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
         m12 = m22 = rhs2 = 0.0
     alpha, mu = solve_quadratic_model(have_prev, m11, m12, m22, rhs1, rhs2)
 
-    update = _mats_add(_mats_scale(delta, alpha), state.prev_update, scale=mu)
-    return ev, update, alpha, mu
+    return ev, alpha * dv + mu * pv, alpha, mu
 
 
 def engd_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
     cfg = state.config
-    d = state.params.n_params
-    if d > curvature.DENSE_GRAMIAN_CAP:
-        raise ValueError(
-            f"engd materializes the dense Gramian; {d} parameters exceed the "
-            f"cap {curvature.DENSE_GRAMIAN_CAP}"
-        )
     ev = evaluate_batch(state.params, batch, problem, state.workspace)
     gram = curvature.gramian_from_rows(
         curvature._interior_jacobian_rows(ev.interior),
@@ -345,11 +333,9 @@ def engd_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
         state.gramian_ema = curvature.ema_update(state.gramian_ema, gram, cfg.ema)
         gram = state.gramian_ema
     if cfg.damping > 0.0:
-        gram = gram + cfg.damping * np.eye(d)
+        gram = gram + cfg.damping * np.eye(gram.shape[0])
 
-    gv = network.mats_to_vec(ev.grad_mats)
-    direction_vec = -(pinv_psd(gram, cfg.rcond) @ gv)
-    direction = network.vec_to_mats(direction_vec, state.params)
+    direction = -(pinv_psd(gram, cfg.rcond) @ ev.grad)
     update, alpha = _line_search_update(state, batch, problem, direction)
     return ev, update, alpha, 0.0
 
@@ -357,7 +343,7 @@ def engd_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
 def sgd_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
     cfg = state.config
     ev = evaluate_batch(state.params, batch, problem, state.workspace)
-    velocity = _mats_add(_mats_scale(state.prev_update, cfg.momentum), ev.grad_mats, -cfg.lr)
+    velocity = cfg.momentum * state.prev_update + -cfg.lr * ev.grad
     return ev, velocity, cfg.lr, cfg.momentum
 
 
@@ -365,15 +351,12 @@ def adam_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
     cfg = state.config
     ev = evaluate_batch(state.params, batch, problem, state.workspace)
     t = state.step + 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    update = []
-    for l, g in enumerate(ev.grad_mats):
-        state.adam_m[l] = b1 * state.adam_m[l] + (1.0 - b1) * g
-        state.adam_v[l] = b2 * state.adam_v[l] + (1.0 - b2) * g * g
-        m_hat = state.adam_m[l] / (1.0 - b1 ** t)
-        v_hat = state.adam_v[l] / (1.0 - b2 ** t)
-        update.append(-cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    return ev, update, cfg.lr, 0.0
+    b1, b2, g = ADAM_BETA1, ADAM_BETA2, ev.grad
+    state.adam_m = b1 * state.adam_m + (1.0 - b1) * g
+    state.adam_v = b2 * state.adam_v + (1.0 - b2) * g * g
+    m_hat = state.adam_m / (1.0 - b1 ** t)
+    v_hat = state.adam_v / (1.0 - b2 ** t)
+    return ev, -cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), cfg.lr, 0.0
 
 
 _STEP_FNS = {

@@ -13,7 +13,9 @@ finite-difference tests check), for checking the Kronecker factors and
 the projected rows that training uses instead.
 
 :func:`params_to_vec` and :func:`vec_to_params` give the flat parameter
-vector of the finite-difference checks; only the tests use them.
+vector of the finite-difference checks, and :func:`flatten_mats` the
+same flattening of per-layer ``[dW | db]`` matrices, written without
+:func:`pinnopt.network.layer_blocks` so that the tests can check it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from pinnopt import curvature, network
 
 __all__ = [
+    "flatten_mats",
     "params_to_vec",
     "vec_to_params",
     "forward",
@@ -39,17 +42,29 @@ __all__ = [
 ]
 
 
+def flatten_mats(mats: list) -> np.ndarray:
+    """Concatenate per-layer ``[W | b]``-shaped matrices, each vectorized column by column."""
+    return np.concatenate([np.asarray(m, dtype=np.float64).flatten(order="F") for m in mats])
+
+
 def params_to_vec(params: network.Parameters) -> np.ndarray:
     """Flatten all parameters in the package-wide convention."""
-    return network.mats_to_vec(
-        [np.concatenate([w, b[:, None]], axis=1) for w, b in zip(params.weights, params.biases)]
-    )
+    return flatten_mats([np.concatenate([w, b[:, None]], axis=1) for w, b in zip(params.weights, params.biases)])
 
 
 def vec_to_params(vec, template: network.Parameters) -> network.Parameters:
     """Rebuild :class:`Parameters` from a flat vector, shapes from ``template``."""
-    mats = network.vec_to_mats(vec, template)
-    return network.Parameters([m[:, :-1].copy() for m in mats], [m[:, -1].copy() for m in mats])
+    vec = np.asarray(vec, dtype=np.float64)
+    weights, biases, start = [], [], 0
+    for w in template.weights:
+        q, p = w.shape[0], w.shape[1] + 1
+        m = vec[start : start + p * q].reshape((q, p), order="F")
+        weights.append(m[:, :-1].copy())
+        biases.append(m[:, -1].copy())
+        start += p * q
+    if start != vec.size:
+        raise ValueError(f"vector of length {vec.size} does not match parameter count {start}")
+    return network.Parameters(weights, biases)
 
 
 def forward(params: network.Parameters, x) -> tuple:

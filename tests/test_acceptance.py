@@ -75,7 +75,7 @@ def test_criterion_2_backward_engine():
     from pinnopt.taylor import taylor_backward
 
     adjoints = taylor_backward(params, states, seeds, co)
-    analytic_vec = network.mats_to_vec(
+    analytic_vec = oracle.flatten_mats(
         [
             param_grad_matrix(z, g, Workspace())
             for z, g in curvature.layer_pairs(params, states, adjoints)
@@ -95,7 +95,7 @@ def test_criterion_2_backward_engine():
     # gradients of both loss terms
     batch = pde.sample_batch(problem, 12, 8, seed=5)
     ev = evaluate_batch(params, batch, problem)
-    grad_vec = network.mats_to_vec(ev.grad_mats)
+    grad_vec = ev.grad
 
     def losses(v):
         q = oracle.vec_to_params(v, params)
@@ -319,10 +319,9 @@ def test_criterion_8_quadratic_model_optimality():
         ev = evaluate_batch(state.params, batch, problem)
         curvature.interior_factor_update(state.kfac, ev.interior)
         curvature.boundary_factor_update(state.kfac, ev.boundary)
-        delta = curvature.precondition_gradient(state.kfac, ev.grad_mats)
-        dv = network.mats_to_vec(delta)
+        dv = curvature.precondition_gradient(state.kfac, ev.grad)
         pv = rng.standard_normal(dv.size) * np.linalg.norm(dv)  # previous update stand-in
-        gv = network.mats_to_vec(ev.grad_mats)
+        gv = ev.grad
         lam = state.config.damping
         g_dv = oracle.gramian_vec(state.params, batch, problem, dv)
         g_pv = oracle.gramian_vec(state.params, batch, problem, pv)

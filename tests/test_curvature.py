@@ -151,10 +151,9 @@ class TestPrecondition:
     def test_zero_factors_damping_only(self):
         p = init_params(Architecture((2, 3, 1)), 0)
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        grads = [np.ones((3, 3)), np.ones((1, 4))]
-        out = precondition_gradient(state, grads)
-        for g, d in zip(grads, out):
-            assert np.allclose(d, -g / 2.0, atol=1e-12)
+        grad = np.ones(13)
+        out = precondition_gradient(state, grad)
+        assert np.allclose(out, -grad / 2.0, atol=1e-12)
 
     def test_matches_dense_block_inverse(self):
         rng = np.random.default_rng(4)
@@ -169,14 +168,14 @@ class TestPrecondition:
                     a = rng.standard_normal((k, k))
                     mats[l] = a @ a.T
         grads = [rng.standard_normal((4, 4)), rng.standard_normal((1, 5))]
-        out = precondition_gradient(state, grads)
+        out = np.split(precondition_gradient(state, oracle.flatten_mats(grads)), [grads[0].size])
         lam = state.damping
         for l, g in enumerate(grads):
             q, pdim = g.shape
             dense = np.kron(state.a_interior[l] + lam * np.eye(pdim), state.b_interior[l] + lam * np.eye(q))
             dense += np.kron(state.a_boundary[l] + lam * np.eye(pdim), state.b_boundary[l] + lam * np.eye(q))
             want = -np.linalg.solve(dense, g.flatten(order="F"))
-            got = out[l].flatten(order="F")
+            got = out[l]
             assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_interior_rank_one_approaches_pinv_step(self, poisson):
@@ -194,15 +193,15 @@ class TestPrecondition:
         jac = np.kron(zhat[:, None], g[0, 0][:, None])
         block = jac @ jac.T
         grad_vec = (jac @ jac.T) @ rng.standard_normal(3)  # keep g in the range of the block
-        out = precondition_gradient(state, [grad_vec.reshape((1, 3), order="F")])
+        out = precondition_gradient(state, grad_vec)
         want = -pinv_psd(block, 1e-12) @ grad_vec
-        assert np.linalg.norm(out[0].flatten(order="F") - want) <= 1e-5 * np.linalg.norm(want)
+        assert np.linalg.norm(out - want) <= 1e-5 * np.linalg.norm(want)
 
     def test_requires_positive_damping(self):
         p = init_params(Architecture((2, 3, 1)), 0)
         state = init_kfac_state(p, ema=0.0, damping=0.0, init_mode="zero")
         with pytest.raises(ValueError):
-            precondition_gradient(state, [np.ones((3, 3)), np.ones((1, 4))])
+            precondition_gradient(state, np.ones(13))
 
 
 class TestExactGramian:
@@ -305,13 +304,13 @@ class TestFlatteningConsistency:
         b = rng.standard_normal((2, 2))
         state.b_interior[0] = b @ b.T
         g = rng.standard_normal((2, 4))
-        out = precondition_gradient(state, [g])[0]
+        out = precondition_gradient(state, g.flatten(order="F"))
         lam = 0.1
         # zero condition-term factors contribute lam^2 * I after damping
         dense = np.kron(state.a_interior[0] + lam * np.eye(4), state.b_interior[0] + lam * np.eye(2))
         dense += lam * lam * np.eye(8)
         want = -np.linalg.solve(dense, g.flatten(order="F"))
-        assert np.linalg.norm(out.flatten(order="F") - want) <= 1e-8 * np.linalg.norm(want)
+        assert np.linalg.norm(out - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def _nondiagonal_problem():
@@ -392,7 +391,8 @@ class TestInputLayerClosedForm:
         gb = ev.boundary[0][1][:, 0, :]
         w_bnd = ev.residuals_bnd / zb.shape[0]
         ref = ref + sum(w_bnd[i] * np.outer(gb[i], zb[i]) for i in range(zb.shape[0]))
-        assert np.max(np.abs(ev.grad_mats[0] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        got = ev.grad[: ref.size].reshape(ref.shape, order="F")
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_first_layer_adjoint_matches_materialised_state(self, case):
         # the first activation and its adjoint on the broadcast W0^T input
@@ -441,8 +441,8 @@ class TestProjectedRows:
         p = init_params(Architecture((problem.dim,) + hidden + (1,)), 41)
         ev = evaluate_batch(p, pde.sample_batch(problem, 6, 5, seed=42), problem)
         rng = np.random.default_rng(43)
-        basis = [[rng.standard_normal(m.shape) for m in ev.grad_mats] for _ in range(k)]
-        v = np.stack([network.mats_to_vec(mats) for mats in basis], axis=1)
+        basis = [rng.standard_normal(ev.grad.size) for _ in range(k)]
+        v = np.stack(basis, axis=1)
         for rows_of, record in (
             (curvature._interior_jacobian_rows, ev.interior),
             (curvature._boundary_jacobian_rows, ev.boundary),

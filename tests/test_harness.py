@@ -189,12 +189,6 @@ class TestRunTraining:
         log = run_training(cfg)
         assert log.rows[-1][0] < 100_000
 
-    def test_output_dir_env_override(self, tmp_path, monkeypatch):
-        override = tmp_path / "elsewhere"
-        monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(override))
-        run_training(tiny_config(tmp_path, max_steps=0))
-        assert (override / "log.csv").exists()
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_marks_and_stops(self, tmp_path):
         # an absurd sgd learning rate blows the parameters up quickly
@@ -236,6 +230,18 @@ class TestCli:
     def test_bad_config_path_returns_2(self, capsys):
         assert main(["train", "--config", "/nonexistent/cfg.json"]) == 2
 
+    def test_output_dir_flag_overrides_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_dict(tmp_path, max_steps=1)))
+        flag_dir = tmp_path / "flag"
+        assert main(["train", "--config", str(cfg_path), "--output-dir", str(flag_dir)]) == 0
+        assert (flag_dir / "log.csv").exists()
+        assert (flag_dir / "checkpoint.json").exists()
+        assert not (tmp_path / "run").exists()
+        header = json.loads((flag_dir / "log.csv").read_text().splitlines()[0][2:])
+        assert header["config"]["output_dir"] == str(flag_dir)
+        assert json.loads((flag_dir / "checkpoint.json").read_text())["config"]["output_dir"] == str(flag_dir)
+
     @pytest.mark.parametrize("override", [{"init_mode": "bogus"}, {"rcond": -1.0}])
     def test_bad_optimizer_field_returns_2_before_logging(self, tmp_path, capsys, override):
         assert train_cli(tmp_path, optimizer="engd", **override) == 2
@@ -259,6 +265,13 @@ class TestCli:
             ("train", {"eval_every": 1.5}),
             ("train", {"resample_every": 1.5}),
             ("train", {"widths": [2, 8.7, 1]}),
+            ("train", {"optimizer": "kfac", "damping": float("nan")}),
+            ("train", {"optimizer": "kfac", "damping": float("inf")}),
+            ("train", {"optimizer": "kfac", "momentum": float("nan")}),
+            ("train", {"optimizer": "sgd", "lr": float("nan")}),
+            ("train", {"optimizer": "adam", "lr": float("nan")}),
+            ("train", {"optimizer": "engd", "rcond": float("inf")}),
+            ("train", {"max_wall_seconds": float("nan")}),
             ("train", 5),
             ("eval", '{"dim": 3}'),
             ("eval", "[1]"),
@@ -275,6 +288,7 @@ class TestCli:
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps(tiny_dict(tmp_path, **bad) if isinstance(bad, dict) else bad))
             argv = ["train", "--config", str(cfg_path)]
+        # json.dumps writes non-finite floats as the JSON literals NaN and Infinity
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run" / "log.csv").exists()
@@ -336,9 +350,9 @@ class TestCli:
         # into a NaN direction; the diverged line names the factor's slot
         precondition = curvature.precondition_gradient
 
-        def poisoned(state, grad_mats):
+        def poisoned(state, grad):
             getattr(state, factor)[-1][0, 0] = np.nan
-            return precondition(state, grad_mats)
+            return precondition(state, grad)
 
         monkeypatch.setattr(curvature, "precondition_gradient", poisoned)
         assert train_cli(tmp_path, optimizer=optimizer, max_steps=3, eval_every=1) == 3
@@ -351,3 +365,4 @@ class TestCli:
         # 20801 parameters exceed the dense Gramian cap before any numerics run
         assert train_cli(tmp_path, optimizer="engd", widths=[2, 200, 100, 1], max_steps=1) == 2
         assert "exceed the cap" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "log.csv").exists()

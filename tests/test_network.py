@@ -13,6 +13,7 @@ from pinnopt.network import (
     add_scaled,
     forward_batch,
     init_params,
+    layer_blocks,
     tanh_derivs,
 )
 from pinnopt.taylor import Workspace, param_grad_matrix
@@ -145,6 +146,9 @@ class TestActivationDerivs:
 
 
 class TestFlattening:
+    # widths (2, 3, 1): blocks (h_in + 1, h_out) = (3, 3) and (4, 1), D = 13
+    SHAPES = [(3, 3), (4, 1)]
+
     def test_round_trip(self):
         p = init_params(Architecture((3, 4, 1)), 11)
         v = params_to_vec(p)
@@ -162,13 +166,45 @@ class TestFlattening:
         # but Parameters itself only checks shape consistency
         v = params_to_vec(p)
         assert np.array_equal(v, [1.0, 3.0, 2.0, 4.0, 5.0, 6.0])
+        # the layer's block is [W | b]^T
+        (block,) = layer_blocks(v, [(3, 2)])
+        assert np.array_equal(block, [[1.0, 3.0], [2.0, 4.0], [5.0, 6.0]])
 
     def test_add_scaled(self):
+        # a vector's blocks follow the oracle's column-stacked order layer by layer
         p = init_params(Architecture((2, 3, 1)), 0)
-        mats = [np.ones((3, 3)), np.ones((1, 4))]
-        q = add_scaled(p, mats, 0.5)
-        assert np.allclose(q.weights[0], p.weights[0] + 0.5)
-        assert np.allclose(q.biases[1], p.biases[1] + 0.5)
+        q = init_params(Architecture((2, 3, 1)), 1)
+        r = add_scaled(p, params_to_vec(q), 1.0)
+        for a, b, c in zip(p.weights + p.biases, q.weights + q.biases, r.weights + r.biases):
+            assert np.array_equal(c, a + b)
+        half = add_scaled(p, np.ones(p.n_params), 0.5)
+        assert np.array_equal(half.weights[0], p.weights[0] + 0.5)
+        assert np.array_equal(half.biases[1], p.biases[1] + 0.5)
+
+    def test_writing_a_block_writes_the_vector(self):
+        vec = np.zeros(13)
+        first, second = layer_blocks(vec, self.SHAPES)
+        first[...] = np.arange(9.0).reshape(3, 3)
+        second[2, 0] = 7.0
+        assert np.array_equal(vec[:9], np.arange(9.0))
+        assert vec[9 + 2] == 7.0
+        assert np.count_nonzero(vec[9:]) == 1
+
+    def test_length_mismatch_raises(self):
+        for size in (12, 14):
+            with pytest.raises(ValueError, match="parameter count 13"):
+                layer_blocks(np.zeros(size), self.SHAPES)
+
+    def test_rows_get_per_sample_blocks(self):
+        rows = np.random.default_rng(0).standard_normal((4, 13))
+        blocks = layer_blocks(rows, self.SHAPES)
+        assert [b.shape for b in blocks] == [(4, 3, 3), (4, 4, 1)]
+        for n in range(4):
+            for got, want in zip(blocks, layer_blocks(rows[n], self.SHAPES)):
+                assert np.array_equal(got[n], want)
+        blocks[1][2] = 0.0  # writing a sample's block writes its row
+        assert np.count_nonzero(rows[2, 9:]) == 0
+        assert np.count_nonzero(rows[[0, 1, 3], 9:]) == 12
 
 
 class TestBackward:
@@ -179,7 +215,7 @@ class TestBackward:
         grads = network.backward_batch(p, trace, np.ones(4))
         mats = [param_grad_matrix(z, g, Workspace()) for z, g in boundary_pairs(trace, grads)]
         vec = params_to_vec(p)
-        analytic = network.mats_to_vec(mats)
+        analytic = oracle.flatten_mats(mats)
         h = 1e-6
         for k in range(vec.size):
             vp, vm = vec.copy(), vec.copy()

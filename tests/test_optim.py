@@ -69,7 +69,7 @@ class TestUpdatePath:
             _, update, alpha, mu = optim._STEP_FNS[kind](copy.deepcopy(state), batch, poisson)
             info = optimizer_step(state, batch, poisson)
             assert state.step == step + 1
-            assert all(np.array_equal(p, u) for p, u in zip(state.prev_update, update))
+            assert np.array_equal(state.prev_update, update)
             new = network.add_scaled(old, state.prev_update, 1.0)
             for got, want in zip(state.params.weights + state.params.biases, new.weights + new.biases):
                 assert np.array_equal(got, want)
@@ -97,7 +97,7 @@ class TestLineSearch:
         def loss_fn(q):
             return 0.5 * (q.weights[0][0, 0] - 1.0) ** 2
 
-        alpha, loss = line_search(loss_fn, p, [np.array([[1.0, 0.0]])], self.grid())
+        alpha, loss = line_search(loss_fn, p, np.array([1.0, 0.0]), self.grid())
         assert alpha == 1.0
         assert loss == 0.0
 
@@ -107,7 +107,7 @@ class TestLineSearch:
         def loss_fn(q):
             return float(q.weights[0][0, 0] ** 2)
 
-        alpha, _ = line_search(loss_fn, p, [np.zeros((1, 2))], self.grid())
+        alpha, _ = line_search(loss_fn, p, np.zeros(2), self.grid())
         assert alpha == 2.0**-30
 
     def test_matches_brute_force_scan(self):
@@ -117,13 +117,13 @@ class TestLineSearch:
         theta = rng.standard_normal(2)
         direction = rng.standard_normal(2)
         p = Parameters([theta[None, :]], [np.zeros(1)])
-        mats = [np.array([[direction[0], direction[1], 0.0]])]
+        vec = np.array([direction[0], direction[1], 0.0])
 
         def loss_fn(q):
             v = q.weights[0][0]
             return float(0.5 * v @ h @ v)
 
-        alpha, _ = line_search(loss_fn, p, mats, self.grid())
+        alpha, _ = line_search(loss_fn, p, vec, self.grid())
         scan = [(float(0.5 * (theta + a_ * direction) @ h @ (theta + a_ * direction)), a_) for a_ in self.grid()]
         best = min(scan)[1]
         assert alpha == best
@@ -135,7 +135,7 @@ class TestLineSearch:
             return float("nan")
 
         with pytest.raises(LineSearchError):
-            line_search(loss_fn, p, [np.ones((1, 2))], self.grid())
+            line_search(loss_fn, p, np.ones(2), self.grid())
 
 
     def test_output_only_loss_picks_the_same_step(self, tmp_path, monkeypatch):
@@ -181,7 +181,7 @@ class TestKfacStep:
         state = small_state("kfac", damping=1e-2, ema=0.5, momentum=1.0)
         batch = pde.sample_batch(poisson, 10, 6, seed=0)
         optimizer_step(state, batch, poisson)
-        first_update = [m.copy() for m in state.prev_update]
+        first_update = state.prev_update.copy()
         params_before = state.params.copy()
         kf = state.kfac
         ev = evaluate_batch(state.params, batch, poisson)
@@ -190,12 +190,12 @@ class TestKfacStep:
         kf2 = copy.deepcopy(kf)
         curvature.interior_factor_update(kf2, ev.interior)
         curvature.boundary_factor_update(kf2, ev.boundary)
-        delta = curvature.precondition_gradient(kf2, ev.grad_mats)
+        delta = curvature.precondition_gradient(kf2, ev.grad)
         info = optimizer_step(state, batch, poisson)
+        expect = oracle.vec_to_params(info.alpha * (delta + first_update), state.params)
         for l in range(state.params.n_linear):
-            expect = info.alpha * (delta[l] + first_update[l])
             got = state.params.weights[l] - params_before.weights[l]
-            assert np.max(np.abs(got - expect[:, :-1])) <= 1e-12
+            assert np.max(np.abs(got - expect.weights[l])) <= 1e-12
 
     def test_loss_decreases_over_training(self, poisson):
         state = small_state("kfac", widths=(2, 12, 1), damping=1e-3, ema=0.9, momentum=0.9)
@@ -214,9 +214,8 @@ class TestKfacStep:
         kf = state.kfac
         curvature.interior_factor_update(kf, ev.interior)
         curvature.boundary_factor_update(kf, ev.boundary)
-        delta = curvature.precondition_gradient(kf, ev.grad_mats)
-        dv = network.mats_to_vec(delta)
-        gv = network.mats_to_vec(ev.grad_mats)
+        dv = curvature.precondition_gradient(kf, ev.grad)
+        gv = ev.grad
         cos = -(dv @ gv) / (np.linalg.norm(dv) * np.linalg.norm(gv))
         assert cos >= 0.999
 
@@ -240,9 +239,8 @@ class TestKfacStar:
         kf = copy.deepcopy(state.kfac)
         curvature.interior_factor_update(kf, ev.interior)
         curvature.boundary_factor_update(kf, ev.boundary)
-        delta = curvature.precondition_gradient(kf, ev.grad_mats)
-        dv = network.mats_to_vec(delta)
-        gv = network.mats_to_vec(ev.grad_mats)
+        dv = curvature.precondition_gradient(kf, ev.grad)
+        gv = ev.grad
         g_dv = oracle.gramian_vec(state.params, batch, poisson, dv)
         lam = state.config.damping
         expect_alpha = -float(dv @ gv) / float(dv @ g_dv + lam * dv @ dv)
@@ -283,10 +281,9 @@ class TestKfacStar:
         kf = copy.deepcopy(state.kfac)
         curvature.interior_factor_update(kf, ev.interior)
         curvature.boundary_factor_update(kf, ev.boundary)
-        delta = curvature.precondition_gradient(kf, ev.grad_mats)
-        dv = network.mats_to_vec(delta)
-        pv = network.mats_to_vec(state.prev_update)
-        gv = network.mats_to_vec(ev.grad_mats)
+        dv = curvature.precondition_gradient(kf, ev.grad)
+        pv = state.prev_update
+        gv = ev.grad
         lam = state.config.damping
         g_dv = oracle.gramian_vec(state.params, batch, poisson, dv)
         g_pv = oracle.gramian_vec(state.params, batch, poisson, pv)
@@ -324,10 +321,9 @@ class TestKfacStar:
             for step in range(10):
                 batch = pde.sample_batch(problem, 100, 50, seed=100 * seed + step)
                 ref = copy.deepcopy(state)
-                ev, delta = optim._kfac_common(ref, batch, problem)
-                dv = network.mats_to_vec(delta)
-                pv = network.mats_to_vec(ref.prev_update)
-                gv = network.mats_to_vec(ev.grad_mats)
+                ev, dv = optim._kfac_common(ref, batch, problem)
+                pv = ref.prev_update
+                gv = ev.grad
                 lam = ref.config.damping
                 g_dv = oracle.gramian_vec(ref.params, batch, problem, dv)
                 g_pv = oracle.gramian_vec(ref.params, batch, problem, pv)
@@ -380,7 +376,7 @@ class TestEngd:
         gram = oracle.exact_gramian(state.params, batch, poisson) + 1e-6 * np.eye(state.params.n_params)
         from pinnopt.linalg import pinv_psd
 
-        gv = network.mats_to_vec(ev.grad_mats)
+        gv = ev.grad
         direction = -pinv_psd(gram, 1e-10) @ gv
         assert direction @ gv < 0.0
 
@@ -400,12 +396,10 @@ class TestEngd:
             info = optimizer_step(state, batch, poisson)
         assert info.loss_total <= first / 100.0
 
-    def test_dense_cap_enforced(self, poisson, monkeypatch):
+    def test_dense_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(curvature, "DENSE_GRAMIAN_CAP", 10)
-        state = small_state("engd")
-        batch = pde.sample_batch(poisson, 4, 4, seed=12)
-        with pytest.raises(ValueError):
-            optimizer_step(state, batch, poisson)
+        with pytest.raises(ValueError, match="exceed the cap"):
+            small_state("engd")
 
 
 class TestFirstOrder:

@@ -193,7 +193,7 @@ class TestFailureAndLifetime:
         ev = evaluate_batch(params, batch, problem)
         seeds = np.ones((9, 12))
         kfac = curvature.init_kfac_state(params, 0.9, 1e-3)
-        basis = [ev.grad_mats]
+        basis = [ev.grad]
         for _ in range(40):
             states, _ = taylor.taylor_forward(params, batch.interior, problem.coeffs)
             taylor.taylor_backward(params, states, seeds, problem.coeffs)

@@ -280,7 +280,7 @@ class TestTaylorBackward:
         seeds = np.zeros((1, 4))
         seeds[0, 3] = 1.0
         adjoints = taylor_backward(p, states, seeds, co)
-        analytic = network.mats_to_vec(seeded_param_grads(p, states, adjoints))
+        analytic = oracle.flatten_mats(seeded_param_grads(p, states, adjoints))
         vec = oracle.params_to_vec(p)
         h = 1e-6
         for k in range(vec.size):
@@ -304,7 +304,7 @@ class TestTaylorBackward:
         states, _ = taylor_forward(p, x, co)
         seeds = rng.standard_normal((3, 4))
         adjoints = taylor_backward(p, states, seeds, co)
-        grads_vec = network.mats_to_vec(seeded_param_grads(p, states, adjoints))
+        grads_vec = oracle.flatten_mats(seeded_param_grads(p, states, adjoints))
         w_dir = rng.standard_normal(grads_vec.size)
         rhs = float(grads_vec @ w_dir)
 

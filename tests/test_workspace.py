@@ -61,8 +61,7 @@ class TestBufferReuse:
             want = evaluate_batch(fresh.params, batch, problem, fresh.workspace)
             _records_equal(ev.interior, want.interior)
             _records_equal(ev.boundary, want.boundary)
-            for got, ref in zip(ev.grad_mats, want.grad_mats):
-                assert np.array_equal(got, ref)
+            assert np.array_equal(ev.grad, want.grad)
             if previous is not None and previous.shape == ev.interior[1][0].shape:
                 # the same batch size writes into the previous step's arrays
                 assert np.shares_memory(previous, ev.interior[1][0])
