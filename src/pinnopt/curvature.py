@@ -156,9 +156,10 @@ def layer_pairs(params, states: list, adjoints: list) -> list:
     return [(states[linear_input_index(l)], adjoints[l]) for l in range(params.n_linear)]
 
 
-def boundary_pairs(trace, grads: list) -> list:
-    """The condition record: (N, 1, h) views of a plain forward/backward pass (S = 1)."""
-    return [(z[:, None, :], g[:, None, :]) for z, g in zip(trace.linear_inputs, grads)]
+def boundary_pairs(inputs: list, grads: list) -> list:
+    """The condition record (S = 1): (N, 1, h) views of the layer inputs of
+    :func:`network.forward_batch` and the gradients :func:`network.backward_batch`."""
+    return [(z[:, None, :], g[:, None, :]) for z, g in zip(inputs, grads)]
 
 
 def _rows(record, rows: slice) -> list:
@@ -378,14 +379,12 @@ def residual_jacobian_rows(params, batch: pde.Batch, problem) -> tuple:
     Gramian assembly.
     """
     states, out = taylor_forward(params, batch.interior, problem.coeffs)
-    du, dgrad, dop = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
-    seeds = np.concatenate([du[:, None], dgrad, dop[:, None]], axis=1)
+    seeds = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
     adjoints = taylor_backward(params, states, seeds, problem.coeffs)
-    _, trace = network.forward_batch(params, batch.boundary)
-    grads = network.backward_batch(params, trace, np.ones(batch.boundary.shape[0]))
+    _, inputs = network.forward_batch(params, batch.boundary)
     return (
         _interior_jacobian_rows(layer_pairs(params, states, adjoints)),
-        _boundary_jacobian_rows(boundary_pairs(trace, grads)),
+        _boundary_jacobian_rows(boundary_pairs(inputs, network.backward_batch(params, inputs))),
     )
 
 

@@ -121,6 +121,8 @@ class RunConfig:
             raise ValueError("batch sizes must be positive")
         if self.max_steps < 0 or self.eval_every < 1 or self.n_eval_points < 1:
             raise ValueError("step and evaluation counts must be positive")
+        if self.max_wall_seconds < 0:
+            raise ValueError("max_wall_seconds must be >= 0 (0 means no wall budget)")
         self.optimizer_config()  # validates the optimizer fields
         if self.resample_every is None:
             self.resample_every = DEFAULT_RESAMPLE_EVERY[self.optimizer]
@@ -248,18 +250,24 @@ def save_checkpoint(path, params, config: RunConfig | None = None):
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(params, config_dict_or_None)``.
 
-    Raises ValueError for an activation other than tanh.
+    Raises ValueError for an activation other than tanh and for a payload
+    that is not an object with a non-empty ``layers`` list of well-formed layers.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict) or not isinstance(payload.get("layers"), list) or not payload["layers"]:
+        raise ValueError(f"checkpoint {path} must be a JSON object with a non-empty 'layers' list")
     activation = payload.get("activation", "tanh")
     if activation != "tanh":
         raise ValueError(f"unsupported activation {activation!r}; only 'tanh' is implemented")
     weights, biases = [], []
-    for layer in payload["layers"]:
-        shape = tuple(layer["shape"])
-        weights.append(np.array(layer["weight"], dtype=np.float64).reshape(shape))
-        biases.append(np.array(layer["bias"], dtype=np.float64))
+    for i, layer in enumerate(payload["layers"]):
+        try:
+            shape = tuple(layer["shape"])
+            weights.append(np.array(layer["weight"], dtype=np.float64).reshape(shape))
+            biases.append(np.array(layer["bias"], dtype=np.float64))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"checkpoint layer {i} is malformed: {type(exc).__name__}: {exc}") from None
     params = network.Parameters(weights, biases)
     return params, payload.get("config")
 

@@ -18,7 +18,7 @@ moment) is one float64 vector of length D in this layout, and
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,8 @@ __all__ = [
     "Architecture",
     "ActivationDerivs",
     "Parameters",
-    "ForwardTrace",
     "tanh_derivs",
+    "as_index",
     "init_params",
     "forward_batch",
     "backward_batch",
@@ -78,6 +78,13 @@ def tanh_derivs(z, order: int = 3, out=None) -> ActivationDerivs:
     return ActivationDerivs(s0, s1, s2, s3)
 
 
+def as_index(value) -> int:
+    """``operator.index`` that also refuses bool, which a JSON config can carry as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Layer widths ``(d, h_1, ..., 1)``."""
@@ -86,7 +93,7 @@ class Architecture:
 
     def __post_init__(self):
         try:
-            widths = tuple(operator.index(w) for w in self.widths)
+            widths = tuple(as_index(w) for w in self.widths)
         except TypeError:
             raise ValueError(f"widths must be integers, got {self.widths!r}") from None
         object.__setattr__(self, "widths", widths)
@@ -157,52 +164,33 @@ def init_params(arch: Architecture, seed: int) -> Parameters:
     return Parameters(weights, biases)
 
 
-@dataclass
-class ForwardTrace:
-    """Intermediates of a batched forward pass.
-
-    ``linear_inputs[l]`` is the (N, h_in) input reaching linear layer l,
-    ``pre_activations[l]`` its (N, h_out) output before any activation.
-    """
-
-    linear_inputs: list = field(default_factory=list)
-    pre_activations: list = field(default_factory=list)
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.pre_activations[-1][:, 0]
-
-
 def forward_batch(params: Parameters, x) -> tuple:
-    """Vectorized forward pass over a batch of points (rows of ``x``)."""
+    """Batched forward pass over the rows of ``x``: ``(u, inputs)``, the (N,)
+    outputs and per linear layer l the (N, h_in) input ``inputs[l]`` reaching it."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"expected (N, {params.input_dim}) inputs, got {x.shape}")
-    trace = ForwardTrace()
+    inputs = []
     z = x
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        trace.linear_inputs.append(z)
+        inputs.append(z)
         z = z @ w.T + b
-        trace.pre_activations.append(z)
         if l < params.n_linear - 1:
             z = tanh_derivs(z, order=0).s0
-    return trace.output, trace
+    return z[:, 0], inputs
 
 
-def backward_batch(params: Parameters, trace: ForwardTrace, seed) -> list:
-    """Per-sample gradients of ``seed_n * u_n`` w.r.t. each linear layer output.
-
-    ``seed`` has shape (N,).  Returns one (N, h_out) array per linear
-    layer; entry l is the gradient at the pre-activation output of layer l.
-    """
-    seed = np.asarray(seed, dtype=np.float64)
+def backward_batch(params: Parameters, inputs: list) -> list:
+    """Per-sample gradients of u w.r.t. each linear layer output, from the
+    ``inputs`` of :func:`forward_batch`: one (N, h_out) array per linear layer,
+    entry l at the pre-activation output of layer l."""
     n_lin = params.n_linear
     grads = [None] * n_lin
-    g = seed[:, None]
+    g = np.ones((inputs[0].shape[0], 1))
     for l in reversed(range(n_lin)):
         grads[l] = g
         if l > 0:
-            z = trace.linear_inputs[l]  # tanh of layer l - 1's output
+            z = inputs[l]  # tanh of layer l - 1's output
             g = g @ params.weights[l]
             g = g * (1.0 - z * z)
     return grads

@@ -8,9 +8,8 @@ J [Delta, prev] without the N x D Jacobian rows) and ``engd`` (exact
 Gramian pseudo-inverse, the one optimizer that forms the rows).
 First-order baselines: heavy-ball ``sgd`` and ``adam``.
 
-A step consumes the current batch and returns its update, the losses it
-saw and the step-size pair it used; :func:`optimizer_step` applies the
-update to the :class:`TrainState`.
+:func:`optimizer_step` evaluates the batch once; the kind's update rule
+turns that evaluation into an update and the step-size pair it used.
 """
 
 from __future__ import annotations
@@ -143,8 +142,9 @@ class BatchEval:
     :func:`curvature.layer_pairs` (S = d + 2 operator columns) and
     :func:`curvature.boundary_pairs` (S = 1).  The reverse passes are
     seeded with the residuals' output derivatives, not the residual
-    values, so the same records give the Kronecker factors, the
-    Gauss-Newton rows and, contracted with the residuals, the gradient vector ``grad``.
+    values (``problem.residual_grads``; dr/du = 1 for the condition), so the
+    same records give the Kronecker factors, the Gauss-Newton rows and,
+    contracted with the residuals, the gradient vector ``grad``.
 
     The interior record's arrays live in the workspace :func:`evaluate_batch`
     was given, so a ``BatchEval`` stays valid only until the next pass
@@ -187,14 +187,12 @@ def evaluate_batch(params, batch: pde.Batch, problem, workspace=None) -> BatchEv
     loss_int, r_int, states, out = pde.interior_loss_and_residuals(
         problem, params, batch, workspace
     )
-    du, dgrad, dop = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
-    seeds = np.concatenate([du[:, None], dgrad, dop[:, None]], axis=1)
+    seeds = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
     adjoints = taylor_backward(params, states, seeds, problem.coeffs, workspace)
     interior = curvature.layer_pairs(params, states, adjoints)
 
-    loss_bnd, r_bnd, trace = pde.boundary_loss(problem, params, batch)
-    bgrads = network.backward_batch(params, trace, np.ones(r_bnd.size))
-    boundary = curvature.boundary_pairs(trace, bgrads)
+    loss_bnd, r_bnd, inputs = pde.boundary_loss(problem, params, batch)
+    boundary = curvature.boundary_pairs(inputs, network.backward_batch(params, inputs))
 
     return BatchEval(
         loss_interior=loss_int,
@@ -230,7 +228,7 @@ def line_search(loss_fn, params, direction, grid) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# steps
+# steps: each kind's update rule maps (state, ev, batch, problem) to (update, alpha, mu)
 
 @dataclass
 class StepInfo:
@@ -244,12 +242,11 @@ class StepInfo:
         return self.loss_interior + self.loss_boundary
 
 
-def _kfac_common(state: TrainState, batch, problem):
-    """Shared start of both Kronecker steps: factors, gradient, direction."""
-    ev = evaluate_batch(state.params, batch, problem, state.workspace)
+def _kfac_direction(state: TrainState, ev: BatchEval) -> np.ndarray:
+    """Shared start of both Kronecker steps: factor updates, then the preconditioned gradient."""
     curvature.interior_factor_update(state.kfac, ev.interior, state.workspace)
     curvature.boundary_factor_update(state.kfac, ev.boundary)
-    return ev, curvature.precondition_gradient(state.kfac, ev.grad)
+    return curvature.precondition_gradient(state.kfac, ev.grad)
 
 
 def _line_search_update(state: TrainState, batch: pde.Batch, problem, direction) -> tuple:
@@ -262,11 +259,11 @@ def _line_search_update(state: TrainState, batch: pde.Batch, problem, direction)
     return alpha * direction, alpha
 
 
-def kfac_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
+def kfac_step(state: TrainState, ev: BatchEval, batch: pde.Batch, problem) -> tuple:
     mu = state.config.momentum
-    ev, delta = _kfac_common(state, batch, problem)
+    delta = _kfac_direction(state, ev)
     update, alpha = _line_search_update(state, batch, problem, delta + mu * state.prev_update)
-    return ev, update, alpha, mu
+    return update, alpha, mu
 
 
 def solve_quadratic_model(have_prev, m11, m12, m22, rhs1, rhs2) -> tuple:
@@ -289,7 +286,7 @@ def solve_quadratic_model(have_prev, m11, m12, m22, rhs1, rhs2) -> tuple:
     return -rhs1 / m11, 0.0
 
 
-def kfac_star_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
+def kfac_star_step(state: TrainState, ev: BatchEval, batch: pde.Batch, problem) -> tuple:
     """Kronecker-preconditioned direction with model-optimal (alpha, mu).
 
     The update is ``alpha * Delta + mu * prev``.  The model matrix is
@@ -299,7 +296,7 @@ def kfac_star_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
     Jacobian row is formed.
     """
     cfg = state.config
-    ev, dv = _kfac_common(state, batch, problem)
+    dv = _kfac_direction(state, ev)
     pv, gv = state.prev_update, ev.grad
     lam = cfg.damping
     have_prev = bool(pv @ pv > 0.0)
@@ -319,12 +316,11 @@ def kfac_star_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
         m12 = m22 = rhs2 = 0.0
     alpha, mu = solve_quadratic_model(have_prev, m11, m12, m22, rhs1, rhs2)
 
-    return ev, alpha * dv + mu * pv, alpha, mu
+    return alpha * dv + mu * pv, alpha, mu
 
 
-def engd_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
+def engd_step(state: TrainState, ev: BatchEval, batch: pde.Batch, problem) -> tuple:
     cfg = state.config
-    ev = evaluate_batch(state.params, batch, problem, state.workspace)
     gram = curvature.gramian_from_rows(
         curvature._interior_jacobian_rows(ev.interior),
         curvature._boundary_jacobian_rows(ev.boundary),
@@ -337,26 +333,24 @@ def engd_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
 
     direction = -(pinv_psd(gram, cfg.rcond) @ ev.grad)
     update, alpha = _line_search_update(state, batch, problem, direction)
-    return ev, update, alpha, 0.0
+    return update, alpha, 0.0
 
 
-def sgd_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
+def sgd_step(state: TrainState, ev: BatchEval, batch: pde.Batch, problem) -> tuple:
     cfg = state.config
-    ev = evaluate_batch(state.params, batch, problem, state.workspace)
     velocity = cfg.momentum * state.prev_update + -cfg.lr * ev.grad
-    return ev, velocity, cfg.lr, cfg.momentum
+    return velocity, cfg.lr, cfg.momentum
 
 
-def adam_step(state: TrainState, batch: pde.Batch, problem) -> tuple:
+def adam_step(state: TrainState, ev: BatchEval, batch: pde.Batch, problem) -> tuple:
     cfg = state.config
-    ev = evaluate_batch(state.params, batch, problem, state.workspace)
     t = state.step + 1
     b1, b2, g = ADAM_BETA1, ADAM_BETA2, ev.grad
     state.adam_m = b1 * state.adam_m + (1.0 - b1) * g
     state.adam_v = b2 * state.adam_v + (1.0 - b2) * g * g
     m_hat = state.adam_m / (1.0 - b1 ** t)
     v_hat = state.adam_v / (1.0 - b2 ** t)
-    return ev, -cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), cfg.lr, 0.0
+    return -cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), cfg.lr, 0.0
 
 
 _STEP_FNS = {
@@ -371,10 +365,11 @@ _STEP_FNS = {
 def optimizer_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     """One step of ``state.config.kind``; raises on non-finite parameters.
 
-    The kind's step function returns ``(ev, update, alpha, mu)``; this is
-    the one place that applies the update and advances the state.
+    The one evaluation of the batch and the one place that applies the
+    update ``(update, alpha, mu)`` of the kind's rule and advances the state.
     """
-    ev, update, alpha, mu = _STEP_FNS[state.config.kind](state, batch, problem)
+    ev = evaluate_batch(state.params, batch, problem, state.workspace)
+    update, alpha, mu = _STEP_FNS[state.config.kind](state, ev, batch, problem)
     state.params = network.add_scaled(state.params, update, 1.0)
     state.prev_update = update
     state.step += 1

@@ -13,7 +13,6 @@ each from its dimension, solution and source.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,9 +41,9 @@ class PdeProblem:
     of the residual that depends on the point alone; :func:`sample_batch`
     evaluates it once per batch.  ``residual(x, f, u, grad, op)`` returns
     the per-sample interior residual given those source values;
-    ``residual_grads(x, u, grad, op)`` its derivatives w.r.t. (u, grad,
-    op), used both for loss gradients and for Gauss-Newton seeds of
-    nonlinear residuals.
+    ``residual_grads(x, u, grad, op)`` its derivatives as the (N, d + 2) seed
+    matrix ``[dr/du, dr/d(grad_1 u) ... dr/d(grad_d u), dr/d(L u)]`` that
+    :func:`taylor.taylor_backward` takes, for loss gradients and Gauss-Newton rows.
     """
 
     name: str
@@ -89,8 +88,9 @@ def _poisson(name, d, true_solution, source=_no_source, boundary_target=None) ->
         return -op - f
 
     def residual_grads(x, u, grad, op):
-        n = x.shape[0]
-        return np.zeros(n), np.zeros((n, d)), -np.ones(n)
+        seeds = np.zeros((x.shape[0], d + 2))
+        seeds[:, -1] = -1.0
+        return seeds
 
     return PdeProblem(
         name=name,
@@ -143,7 +143,7 @@ def _poisson_harmonic_mixed() -> PdeProblem:
 
 def _poisson_norm2(dim: int = 100) -> PdeProblem:
     """-Laplace u = -2d with solution ||x||^2 (dim is configurable)."""
-    d = operator.index(dim)
+    d = network.as_index(dim)
     if d < 1:
         raise ValueError(f"poisson_norm2 needs dim >= 1, got {dim}")
 
@@ -164,10 +164,10 @@ def _heat(spatial_dim: int = 1, kappa: float = 0.25) -> PdeProblem:
     Initial and spatial-boundary conditions are merged into one condition
     term with targets from the true solution.
     """
-    s = operator.index(spatial_dim)
+    s = network.as_index(spatial_dim)
     if s not in (1, 4):
         raise ValueError(f"heat supports spatial_dim in {{1, 4}}, got {spatial_dim}")
-    if abs(kappa - 0.25) > 0:
+    if kappa - 0.25 != 0:  # NaN compares unequal; a non-number raises TypeError
         raise ValueError("the catalog heat solutions require kappa = 1/4")
     d = s + 1
     lower, upper = _unit_box(d)
@@ -187,10 +187,10 @@ def _heat(spatial_dim: int = 1, kappa: float = 0.25) -> PdeProblem:
         return grad[:, 0] - kappa * op - f
 
     def residual_grads(x, u, grad, op):
-        n = x.shape[0]
-        dgrad = np.zeros((n, d))
-        dgrad[:, 0] = 1.0
-        return np.zeros(n), dgrad, -kappa * np.ones(n)
+        seeds = np.zeros((x.shape[0], d + 2))
+        seeds[:, 1] = 1.0
+        seeds[:, -1] = -kappa
+        return seeds
 
     return PdeProblem(
         name="heat",
@@ -235,11 +235,11 @@ def _log_fokker_planck() -> PdeProblem:
         return grad[:, 0] - f - 0.5 * drift - np.einsum("ni,ni->n", gx, gx) - op
 
     def residual_grads(x, u, grad, op):
-        n = x.shape[0]
-        dgrad = np.zeros((n, d))
-        dgrad[:, 0] = 1.0
-        dgrad[:, 1:] = -0.5 * x[:, 1:] - 2.0 * grad[:, 1:]
-        return np.zeros(n), dgrad, -np.ones(n)
+        seeds = np.zeros((x.shape[0], d + 2))
+        seeds[:, 1] = 1.0
+        seeds[:, 2:-1] = -0.5 * x[:, 1:] - 2.0 * grad[:, 1:]
+        seeds[:, -1] = -1.0
+        return seeds
 
     return PdeProblem(
         name="log_fokker_planck",
@@ -356,7 +356,8 @@ def interior_loss(problem: PdeProblem, params, batch: Batch, workspace=None) -> 
 
 
 def boundary_loss(problem: PdeProblem, params, batch: Batch):
-    """Condition loss ``sum (u - target)^2 / (2 N)`` plus residuals and trace."""
-    u, trace = network.forward_batch(params, batch.boundary)
+    """Condition loss ``sum (u - target)^2 / (2 N)``, residuals and the layer
+    inputs of :func:`network.forward_batch` (dr/du = 1: no seed is needed)."""
+    u, inputs = network.forward_batch(params, batch.boundary)
     res = u - batch.boundary_targets
-    return _half_mean_square(res), res, trace
+    return _half_mean_square(res), res, inputs

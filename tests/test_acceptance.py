@@ -166,9 +166,9 @@ def test_criterion_3_curvature():
     one = pde.Batch(np.zeros((0, 2)), np.array([[3.0, 4.0]]), np.zeros(1), np.zeros(0))
     gram1 = oracle.exact_gramian(lin, one, problem)
     state = curvature.init_kfac_state(lin, ema=0.0, damping=1.0, init_mode="zero")
-    _, trace = network.forward_batch(lin, one.boundary)
-    grads = network.backward_batch(lin, trace, np.ones(1))
-    curvature.boundary_factor_update(state, curvature.boundary_pairs(trace, grads))
+    _, inputs = network.forward_batch(lin, one.boundary)
+    grads = network.backward_batch(lin, inputs)
+    curvature.boundary_factor_update(state, curvature.boundary_pairs(inputs, grads))
     rank1_err = float(np.max(np.abs(np.kron(state.a_boundary[0], state.b_boundary[0]) - gram1)))
     ok_d = rank1_err <= 1e-12
 
@@ -190,8 +190,8 @@ def test_criterion_4_factor_transcription():
     curvature.boundary_factor_update(state, ev.boundary)
 
     # literal loops over bias-augmented inputs; layer 0 from the full input state
-    _, trace = network.forward_batch(params, batch.boundary)
-    grads = network.backward_batch(params, trace, np.ones(batch.boundary.shape[0]))
+    _, inputs = network.forward_batch(params, batch.boundary)
+    grads = network.backward_batch(params, inputs)
     ref_in = [oracle.initial_state(batch.interior)] + [z for z, _ in ev.interior[1:]]
     worst = 0.0
     for l, (_, g) in enumerate(ev.interior):
@@ -203,7 +203,7 @@ def test_criterion_4_factor_transcription():
         b_ref = sum(np.outer(g[i, j], g[i, j]) for i in range(n) for j in range(s)) / n
         worst = max(worst, float(np.max(np.abs(state.a_interior[l] - a_ref))))
         worst = max(worst, float(np.max(np.abs(state.b_interior[l] - b_ref))))
-        z = trace.linear_inputs[l]
+        z = inputs[l]
         zb = np.concatenate([z, np.ones((z.shape[0], 1))], axis=1)
         gb = grads[l]
         nb = zb.shape[0]

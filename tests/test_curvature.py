@@ -123,12 +123,12 @@ class TestFactorUpdates:
     def test_boundary_factors_match_literal_loop(self, poisson):
         p = init_params(Architecture((2, 4, 1)), 10)
         batch = pde.sample_batch(poisson, 3, 5, seed=14)
-        _, trace = network.forward_batch(p, batch.boundary)
-        grads = network.backward_batch(p, trace, np.ones(5))
+        _, inputs = network.forward_batch(p, batch.boundary)
+        grads = network.backward_batch(p, inputs)
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        boundary_factor_update(state, curvature.boundary_pairs(trace, grads))
+        boundary_factor_update(state, curvature.boundary_pairs(inputs, grads))
         for l in range(p.n_linear):
-            zhat = with_bias(trace.linear_inputs[l])
+            zhat = with_bias(inputs[l])
             n = zhat.shape[0]
             a_ref = sum(np.outer(zhat[i], zhat[i]) for i in range(n)) / n
             b_ref = sum(np.outer(grads[l][i], grads[l][i]) for i in range(n)) / n
@@ -210,9 +210,9 @@ class TestExactGramian:
         batch = pde.Batch(np.zeros((0, 2)), np.array([[3.0, 4.0]]), np.zeros(1), np.zeros(0))
         g = oracle.exact_gramian(p, batch, poisson)
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        _, trace = network.forward_batch(p, batch.boundary)
-        grads = network.backward_batch(p, trace, np.ones(1))
-        boundary_factor_update(state, curvature.boundary_pairs(trace, grads))
+        _, inputs = network.forward_batch(p, batch.boundary)
+        grads = network.backward_batch(p, inputs)
+        boundary_factor_update(state, curvature.boundary_pairs(inputs, grads))
         kron = np.kron(state.a_boundary[0], state.b_boundary[0])
         assert np.max(np.abs(g - kron)) <= 1e-12
 
@@ -234,12 +234,12 @@ class TestExactGramian:
         rows = np.stack(
             [oracle.fd_residual_jacobian(poisson, p, x) for x in batch.interior]
         )
-        _, trace = network.forward_batch(p, batch.boundary)
-        grads = network.backward_batch(p, trace, np.ones(2))
+        _, inputs = network.forward_batch(p, batch.boundary)
+        grads = network.backward_batch(p, inputs)
         rows_b = np.concatenate(
             [
                 (with_bias(z)[:, :, None] * gr[:, None, :]).reshape(2, -1)
-                for z, gr in zip(trace.linear_inputs, grads)
+                for z, gr in zip(inputs, grads)
             ],
             axis=1,
         )
@@ -331,8 +331,7 @@ INPUT_LAYER_CASES = {
 def _taylor_passes(p, batch, problem):
     """Forward states and residual-seeded reverse pass, as ``evaluate_batch`` makes them."""
     states, out = taylor_forward(p, batch.interior, problem.coeffs)
-    du, dgrad, dop = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
-    seeds = np.concatenate([du[:, None], dgrad, dop[:, None]], axis=1)
+    seeds = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
     return states, taylor_backward(p, states, seeds, problem.coeffs)
 
 
@@ -407,8 +406,7 @@ class TestInputLayerClosedForm:
             # the output adjoint is the residual seed of the materialised output
             d = batch.interior.shape[1]
             out = z1[:, 0, 0], z1[:, 1 : d + 1, 0], z1[:, d + 1, 0]
-            du, dgrad, dop = problem.residual_grads(batch.interior, *out)
-            seeds = np.concatenate([du[:, None], dgrad, dop[:, None]], axis=1)
+            seeds = problem.residual_grads(batch.interior, *out)
             assert np.max(np.abs(g[:, :, 0] - seeds)) <= 1e-12
             return
         derivs = tanh_derivs(z1[:, 0, :], order=2)

@@ -272,6 +272,11 @@ class TestCli:
             ("train", {"optimizer": "adam", "lr": float("nan")}),
             ("train", {"optimizer": "engd", "rcond": float("inf")}),
             ("train", {"max_wall_seconds": float("nan")}),
+            ("train", {"max_wall_seconds": -1.0}),
+            ("train", {"problem": "heat", "problem_params": {"kappa": float("nan")}}),
+            ("train", {"problem": "heat", "problem_params": {"spatial_dim": True}}),
+            ("train", {"problem": "poisson_norm2", "problem_params": {"dim": True}, "widths": [1, 8, 1]}),
+            ("train", {"widths": [2, True, 1]}),
             ("train", 5),
             ("eval", '{"dim": 3}'),
             ("eval", "[1]"),
@@ -292,6 +297,24 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run" / "log.csv").exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            {"widths": [2, 1]},
+            [1],
+            {"layers": [{"shape": [1, 2], "bias": [0.0]}]},
+            {"layers": [{"shape": None, "weight": [0.0, 0.0], "bias": [0.0]}]},
+        ],
+        ids=str,
+    )
+    def test_eval_of_malformed_checkpoint_returns_2(self, tmp_path, capsys, payload):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(payload))
+        argv = ["eval", "--checkpoint", str(path), "--problem", "poisson2d_sin"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint")
 
     def test_eval_of_zero_points_returns_2(self, tmp_path, capsys):
         run_training(tiny_config(tmp_path, max_steps=0))

@@ -211,9 +211,9 @@ class TestBackward:
     def test_gradients_match_finite_differences(self):
         p = init_params(Architecture((2, 5, 1)), 9)
         pts = np.random.default_rng(3).uniform(-1, 1, size=(4, 2))
-        u, trace = forward_batch(p, pts)
-        grads = network.backward_batch(p, trace, np.ones(4))
-        mats = [param_grad_matrix(z, g, Workspace()) for z, g in boundary_pairs(trace, grads)]
+        u, inputs = forward_batch(p, pts)
+        grads = network.backward_batch(p, inputs)
+        mats = [param_grad_matrix(z, g, Workspace()) for z, g in boundary_pairs(inputs, grads)]
         vec = params_to_vec(p)
         analytic = oracle.flatten_mats(mats)
         h = 1e-6

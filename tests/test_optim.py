@@ -66,7 +66,9 @@ class TestUpdatePath:
         batch = pde.sample_batch(poisson, 12, 8, seed=9)
         for step in range(3):
             old = state.params.copy()
-            _, update, alpha, mu = optim._STEP_FNS[kind](copy.deepcopy(state), batch, poisson)
+            ref = copy.deepcopy(state)
+            ev = evaluate_batch(ref.params, batch, poisson, ref.workspace)
+            update, alpha, mu = optim._STEP_FNS[kind](ref, ev, batch, poisson)
             info = optimizer_step(state, batch, poisson)
             assert state.step == step + 1
             assert np.array_equal(state.prev_update, update)
@@ -83,6 +85,23 @@ class TestUpdatePath:
                 assert (info.mu == 0.0) == (step == 0)
             else:
                 assert info.mu == {"kfac": 0.9, "sgd": 0.5}.get(kind, 0.0)
+
+    @pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
+    def test_one_evaluation_per_step(self, poisson, monkeypatch, kind):
+        # the update rules read the step's one BatchEval; none evaluates the batch again
+        calls = []
+        inner = optim.evaluate_batch
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "evaluate_batch", counting)
+        state = small_state(kind, damping=1e-3)
+        batch = pde.sample_batch(poisson, 12, 8, seed=9)
+        for step in range(3):
+            optimizer_step(state, batch, poisson)
+            assert len(calls) == step + 1
 
 
 class TestLineSearch:
@@ -321,7 +340,8 @@ class TestKfacStar:
             for step in range(10):
                 batch = pde.sample_batch(problem, 100, 50, seed=100 * seed + step)
                 ref = copy.deepcopy(state)
-                ev, dv = optim._kfac_common(ref, batch, problem)
+                ev = evaluate_batch(ref.params, batch, problem, ref.workspace)
+                dv = optim._kfac_direction(ref, ev)
                 pv = ref.prev_update
                 gv = ev.grad
                 lam = ref.config.damping

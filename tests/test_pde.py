@@ -107,7 +107,9 @@ class TestCatalog:
         u = rng.standard_normal(n)
         grad = rng.standard_normal((n, d))
         op = rng.standard_normal(n)
-        du, dgrad, dop = problem.residual_grads(x, u, grad, op)
+        seeds = problem.residual_grads(x, u, grad, op)
+        assert seeds.shape == (n, d + 2)
+        du, dgrad, dop = seeds[:, 0], seeds[:, 1:-1], seeds[:, -1]
         h = 1e-6
 
         def r(u_, grad_, op_):

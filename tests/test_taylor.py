@@ -170,15 +170,16 @@ class TestTaylorForward:
         p = init_params(Architecture((3, 8, 8, 1)), 6)
         pts = np.random.default_rng(7).standard_normal((4, 3))
         states, out = taylor_forward(p, pts, OperatorCoeffs.laplacian(3))
-        u, trace = network.forward_batch(p, pts)
+        u, inputs = network.forward_batch(p, pts)
         assert np.max(np.abs(out.value - u)) <= 1e-12
         for l in range(p.n_linear):
             # the first linear layer keeps only its value column (the pre-activation)
             value = states[1] if l == 0 else states[2 * l + 1][:, 0, :]
-            assert np.max(np.abs(value - trace.pre_activations[l])) <= 1e-12
+            pre_activation = inputs[l] @ p.weights[l].T + p.biases[l]
+            assert np.max(np.abs(value - pre_activation)) <= 1e-12
             # activation outputs are the next layer's plain inputs
             if l + 1 < p.n_linear:
-                assert np.max(np.abs(states[2 * l + 2][:, 0, :] - trace.linear_inputs[l + 1])) <= 1e-12
+                assert np.max(np.abs(states[2 * l + 2][:, 0, :] - inputs[l + 1])) <= 1e-12
 
     def test_one_hidden_layer_analytic_laplacian(self):
         # u(x) = sum_j a_j tanh(w_j . x + b_j) + c has the closed form
@@ -261,11 +262,11 @@ class TestTaylorBackward:
         seeds = np.zeros((5, 4))
         seeds[:, 0] = 1.0
         adjoints = taylor_backward(p, states, seeds, co)
-        u, trace = network.forward_batch(p, pts)
-        grads = network.backward_batch(p, trace, np.ones(5))
+        u, inputs = network.forward_batch(p, pts)
+        grads = network.backward_batch(p, inputs)
         mats = [
             sum(np.outer(g[n], np.append(z[n], 1.0)) for n in range(5))
-            for z, g in zip(trace.linear_inputs, grads)
+            for z, g in zip(inputs, grads)
         ]
         got = seeded_param_grads(p, states, adjoints)
         for l in range(p.n_linear):
