@@ -14,7 +14,7 @@ thread:
 * the three ``perfbench/workloads.py`` configs of the working tree at 25
   steps with ``eval_every`` 1, seeds 1 and 2;
 * each of poisson2d_sin, poisson_cos_sum, heat and log_fokker_planck with
-  each of the five optimizers at 15 steps (net [d, 16, 8, 1], 200 interior
+  each of the five optimizers at 15 steps (net [d, 32, 32, 1], 200 interior
   and 60 condition points, momentum 0.9 for kfac and sgd).
 
 For every config the script compares each ``log.csv`` row in every column
@@ -76,7 +76,7 @@ def configs() -> dict:
         for optimizer in OPTIMIZERS:
             out[f"{problem}-{optimizer}"] = {
                 "problem": problem,
-                "widths": [dim, 16, 8, 1],
+                "widths": [dim, 32, 32, 1],
                 "optimizer": optimizer,
                 "momentum": 0.9 if optimizer in ("kfac", "sgd") else 0.0,
                 "n_interior": 200,

@@ -128,13 +128,7 @@ def init_kfac_state(params, ema: float, damping: float, init_mode: str = "identi
     def fresh(size):
         return np.zeros((size, size)) if init_mode == "zero" else np.eye(size)
 
-    a_int, b_int, a_bnd, b_bnd = [], [], [], []
-    for w in params.weights:
-        a_int.append(fresh(w.shape[1] + 1))
-        b_int.append(fresh(w.shape[0]))
-        a_bnd.append(fresh(w.shape[1] + 1))
-        b_bnd.append(fresh(w.shape[0]))
-    return KfacState(a_int, b_int, a_bnd, b_bnd, ema, damping)
+    return KfacState(*([fresh(shape[i]) for shape in params.shapes] for i in (0, 1, 0, 1)), ema, damping)
 
 
 def ema_update(old, new, beta: float) -> np.ndarray:

@@ -81,6 +81,14 @@ _FIELD_TYPES = {
 }
 
 
+def _check_field(f: dataclasses.Field, value):
+    """Raise ValueError unless ``value`` fits RunConfig field ``f``'s type (and is finite, for a float)."""
+    if not isinstance(value, _FIELD_TYPES[f.type]) or isinstance(value, bool):
+        raise ValueError(f"config field {f.name} must be {f.type}, got {value!r}")
+    if f.type == "float" and not math.isfinite(value):
+        raise ValueError(f"config field {f.name} must be finite, got {value!r}")
+
+
 def _stream_seed(seed: int, tag: int, index: int = 0) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
     return int(ss.generate_state(1)[0])
@@ -112,11 +120,7 @@ class RunConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, _FIELD_TYPES[f.type]) or isinstance(value, bool):
-                raise ValueError(f"config field {f.name} must be {f.type}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"config field {f.name} must be finite, got {value!r}")
+            _check_field(f, getattr(self, f.name))
         if self.n_interior < 1 or self.n_boundary < 1:
             raise ValueError("batch sizes must be positive")
         if self.max_steps < 0 or self.eval_every < 1 or self.n_eval_points < 1:
@@ -383,19 +387,27 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     params, cfg = load_checkpoint(args.checkpoint)
-    cfg = cfg or {}
-    name = args.problem or cfg.get("problem")
+    cfg = {} if cfg is None else cfg
+    if not isinstance(cfg, dict):
+        raise ValueError(f"checkpoint config must be a JSON object, got {cfg!r}")
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+
+    def stored(name, default):
+        """The checkpoint's value of RunConfig field ``name``, checked by the field's type."""
+        value = cfg.get(name, default)
+        _check_field(fields[name], value)
+        return value
+
+    name = args.problem or stored("problem", "")
     if not name:
         print("error: no problem name given and none stored in the checkpoint", file=sys.stderr)
         return 2
-    problem_params = json.loads(args.problem_params) if args.problem_params else cfg.get(
-        "problem_params", {}
-    )
+    problem_params = json.loads(args.problem_params) if args.problem_params else stored("problem_params", {})
     if not isinstance(problem_params, dict):
         raise ValueError(f"problem parameters must be a JSON object, got {problem_params!r}")
     problem = pde.make_problem(name, **problem_params)
-    n_points = args.n_points if args.n_points is not None else cfg.get("n_eval_points", 2000)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    n_points = args.n_points if args.n_points is not None else stored("n_eval_points", 2000)
+    seed = args.seed if args.seed is not None else stored("seed", 0)
     err = eval_l2(params, problem, n_points, _stream_seed(seed, STREAM_EVAL))
     print(_fmt(err))
     return 0

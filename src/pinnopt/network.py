@@ -1,18 +1,18 @@
 """Tanh multi-layer perceptron with explicit parameters.
 
 The net alternates fully-connected layers and tanh:
-``linear -> tanh -> linear -> ... -> linear`` with a scalar output.  Weights
-and biases are stored per linear layer.  tanh is the only activation;
-:func:`tanh_derivs` gives its derivatives up to third order, which the
-differential-operator propagation in :mod:`pinnopt.taylor` requires.
+``linear -> tanh -> linear -> ... -> linear`` with a scalar output.  tanh is
+the only activation; :func:`tanh_derivs` gives its derivatives up to third
+order, which the differential-operator propagation in :mod:`pinnopt.taylor`
+requires.
 
 Parameter flattening convention (shared by the whole package): per linear
 layer the weight and bias are joined into the augmented matrix ``[W | b]``
 of shape ``h_out x (h_in + 1)`` and vectorized column-by-column (first
-index varies fastest); layers are concatenated in order.  Every
-parameter-space quantity (gradient, direction, update, momentum, Adam
-moment) is one float64 vector of length D in this layout, and
-:func:`layer_blocks` views its layers as ``[W | b]^T`` blocks.
+index varies fastest); layers are concatenated in order.  The parameters
+(:class:`Parameters`) and every parameter-space quantity (gradient,
+direction, update, momentum, Adam moment) are one float64 vector of length
+D in this layout; :func:`layer_blocks` views its layers as ``[W | b]^T`` blocks.
 """
 
 from __future__ import annotations
@@ -113,40 +113,55 @@ class Architecture:
         return len(self.widths) - 1
 
 
-@dataclass
 class Parameters:
-    """Per-linear-layer weight matrices and bias vectors."""
+    """The net's parameters as one float64 ``vector`` in the package layout.
 
-    weights: list
-    biases: list
+    ``weights[l] = block[:h_in].T`` and ``biases[l] = block[h_in]`` view layer
+    l's ``[W | b]^T`` block, of shape ``shapes[l] = (h_in + 1, h_out)``."""
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
+    def __init__(self, weights, biases):
+        if len(weights) != len(biases):
             raise ValueError("weights and biases must pair up")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ValueError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
+            if i > 0 and w.shape[1] != weights[i - 1].shape[0]:
                 raise ValueError(f"layer {i}: input width does not match previous layer")
+        blocks = [np.column_stack([w, b]).ravel(order="F") for w, b in zip(weights, biases)]
+        self._view(np.concatenate(blocks, dtype=np.float64), [(w.shape[1] + 1, w.shape[0]) for w in weights])
+
+    @classmethod
+    def from_vector(cls, vector, shapes) -> "Parameters":
+        """Parameters viewing ``vector`` (not a copy) as blocks of ``shapes``."""
+        return cls.__new__(cls)._view(vector, shapes)
+
+    def _view(self, vector, shapes) -> "Parameters":
+        self.vector, self.shapes = vector, tuple(shapes)
+        blocks = layer_blocks(vector, self.shapes)
+        self.weights, self.biases = [m[:-1].T for m in blocks], [m[-1] for m in blocks]
+        return self
 
     @property
     def widths(self) -> tuple:
-        return tuple([self.weights[0].shape[1]] + [w.shape[0] for w in self.weights])
+        return (self.input_dim,) + tuple(q for _, q in self.shapes)
 
     @property
     def n_linear(self) -> int:
-        return len(self.weights)
+        return len(self.shapes)
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.shapes[0][0] - 1
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.vector.size
 
     def copy(self) -> "Parameters":
-        return Parameters([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return Parameters.from_vector(self.vector.copy(), self.shapes)
+
+    def __deepcopy__(self, memo) -> "Parameters":
+        return self.copy()
 
 
 def init_params(arch: Architecture, seed: int) -> Parameters:
@@ -221,9 +236,4 @@ def layer_blocks(vec, shapes) -> list:
 
 def add_scaled(params: Parameters, vec, alpha: float) -> Parameters:
     """Return ``params + alpha * vec`` for a parameter-space vector ``vec``."""
-    shapes = [(w.shape[1] + 1, w.shape[0]) for w in params.weights]
-    weights, biases = [], []
-    for w, b, m in zip(params.weights, params.biases, layer_blocks(vec, shapes)):
-        weights.append(w + alpha * m[:-1].T)
-        biases.append(b + alpha * m[-1])
-    return Parameters(weights, biases)
+    return Parameters.from_vector(params.vector + alpha * vec, params.shapes)

@@ -373,7 +373,6 @@ def optimizer_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     state.params = network.add_scaled(state.params, update, 1.0)
     state.prev_update = update
     state.step += 1
-    for w, b in zip(state.params.weights, state.params.biases):
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise FloatingPointError("parameters became non-finite during the step")
+    if not np.all(np.isfinite(state.params.vector)):
+        raise FloatingPointError("parameters became non-finite during the step")
     return StepInfo(alpha, mu, ev.loss_interior, ev.loss_boundary)

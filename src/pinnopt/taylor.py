@@ -421,25 +421,22 @@ def _hidden_activation(pre, w0t, coeffs: OperatorCoeffs, workspace, layer) -> np
     return _activation_state(_derivs(value, 2, workspace), g, ell, coeffs, workspace, layer)
 
 
-def _forward_to_last_activation(params: Parameters, x, coeffs: OperatorCoeffs, workspace) -> tuple:
+def _forward_to_last_activation(params: Parameters, x, coeffs: OperatorCoeffs, workspace) -> np.ndarray:
     """Propagate x up to the pre-activation of the last hidden activation.
 
-    Returns ``(pre, w0t)``.  ``pre`` is the (N, h1) first pre-activation
-    when the net has at most one hidden layer, else the (N, S, h) output
-    state of the second-to-last linear layer; ``w0t`` is W0^T (d, h1), the
-    first linear layer's derivative columns.  State i of the forward list
-    is written into the workspace's state array of index i.
+    Returns the (N, h1) first pre-activation when the net has at most one hidden
+    layer, else the (N, S, h) output state of the second-to-last linear layer.
+    State i of the forward list is written into the workspace's state array i.
     """
     w0 = params.weights[0]
     pre = np.matmul(x, w0.T, out=workspace.array((x.shape[0], w0.shape[0]), "state", 1))
     pre += params.biases[0]
-    w0t = np.ascontiguousarray(w0.T)
     for l in range(1, params.n_linear - 1):
-        z = _hidden_activation(pre, w0t, coeffs, workspace, linear_input_index(l))
+        z = _hidden_activation(pre, w0.T, coeffs, workspace, linear_input_index(l))
         pre = taylor_forward_linear(
             params.weights[l], params.biases[l], z, workspace, linear_output_index(l)
         )
-    return pre, w0t
+    return pre
 
 
 def _state_shapes(params: Parameters, n: int, s: int) -> list:
@@ -472,10 +469,10 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
     states = [x] + [workspace.array(shape, "state", i) for i, shape in enumerate(shapes, 1)]
 
     def forward_rows(half):
-        pre, w0t = _forward_to_last_activation(params, x[half.rows], coeffs, half)
+        pre = _forward_to_last_activation(params, x[half.rows], coeffs, half)
         if params.n_linear > 1:
             last = params.n_linear - 1
-            z = _hidden_activation(pre, w0t, coeffs, half, linear_input_index(last))
+            z = _hidden_activation(pre, params.weights[0].T, coeffs, half, linear_input_index(last))
             taylor_forward_linear(
                 params.weights[-1], params.biases[-1], z, half, linear_output_index(last)
             )
@@ -511,12 +508,12 @@ def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None)
     x = _check_points(params, x, coeffs)
     if workspace is None:
         workspace = Workspace()
-    pre, w0t = _forward_to_last_activation(params, x, coeffs, workspace)
+    pre = _forward_to_last_activation(params, x, coeffs, workspace)
     if params.n_linear == 1:
         return _linear_net_output(x, pre, params.weights[0])
     w = params.weights[-1][0]
     b = params.biases[-1][0]
-    value, g, ell = _incoming_columns(pre, w0t, coeffs.dim)
+    value, g, ell = _incoming_columns(pre, params.weights[0].T, coeffs.dim)
     s = _derivs(value, 2, workspace)
     quad = _quadratic_term(_contract_coeffs(coeffs, g, workspace), g, workspace)
     if ell is None:
@@ -605,10 +602,7 @@ def taylor_backward(
     if workspace is None:
         workspace = Workspace()
 
-    w0t = np.ascontiguousarray(params.weights[0].T)
-    adjoints = [
-        workspace.array((n, d + 2, w.shape[1]), "adjoint", l) for l, w in enumerate(params.weights[1:])
-    ]
+    adjoints = [workspace.array((n, d + 2, h), "adjoint", l) for l, h in enumerate(params.widths[1:-1])]
     adjoints.append(seeds[:, :, None])
 
     def backward_rows(half):
@@ -620,9 +614,11 @@ def taylor_backward(
                 # a matmul with inner dimension 1 is one tiny gemm per sample
                 np.multiply(g, w[0], out=adjoint)
             else:
-                np.matmul(g, w, out=adjoint)
+                # 2-D product over (n S, .) views (C-contiguous rows, so out= writes the adjoint):
+                # a 3-D matmul rounds differently for the transposed-view W once w.shape[0] >= 32
+                np.matmul(g.reshape(-1, w.shape[0]), w, out=adjoint.reshape(-1, w.shape[1]))
             pre = states[linear_output_index(l - 1)][half.rows]
-            value, g_in, ell = _incoming_columns(pre, w0t, d)
+            value, g_in, ell = _incoming_columns(pre, params.weights[0].T, d)
             _activation_backward(_derivs(value, 3, half), g_in, ell, adjoint, coeffs, half)
             g = adjoint
 

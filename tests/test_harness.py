@@ -170,6 +170,13 @@ class TestRunTraining:
         with pytest.raises(ValueError, match="relu"):
             load_checkpoint(str(path))
 
+    def test_checkpoint_keeps_the_vector(self, tmp_path):
+        p = init_params(Architecture((3, 5, 4, 1)), 11)
+        save_checkpoint(str(tmp_path / "checkpoint.json"), p)
+        q, _ = load_checkpoint(str(tmp_path / "checkpoint.json"))
+        assert q.shapes == p.shapes
+        assert q.vector.tobytes() == p.vector.tobytes()
+
     def test_training_and_eval_streams_disjoint(self, tmp_path):
         cfg = tiny_config(tmp_path, max_steps=0)
         problem = pde.make_problem(cfg.problem)
@@ -315,6 +322,45 @@ class TestCli:
         argv = ["eval", "--checkpoint", str(path), "--problem", "poisson2d_sin"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: checkpoint")
+
+    def test_eval_of_unchained_checkpoint_returns_2(self, tmp_path, capsys):
+        # layer 1 takes 4 inputs, but layer 0 has 3 outputs
+        layers = [
+            {"shape": [3, 2], "weight": [0.0] * 6, "bias": [0.0] * 3},
+            {"shape": [1, 4], "weight": [0.0] * 4, "bias": [0.0]},
+        ]
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps({"layers": layers}))
+        assert main(["eval", "--checkpoint", str(path), "--problem", "poisson2d_sin"]) == 2
+        assert capsys.readouterr().err.startswith("error: layer 1: input width")
+
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            [1],
+            {"problem": 5},
+            {"problem_params": [1]},
+            {"n_eval_points": "5"},
+            {"n_eval_points": True},
+            {"n_eval_points": 2.5},
+            {"seed": "x"},
+            {"seed": 1.5},
+            {"seed": False},
+        ],
+        ids=str,
+    )
+    def test_eval_of_bad_stored_config_returns_2(self, tmp_path, capsys, stored):
+        # eval checks the stored fields it reads by RunConfig's types; flags override them
+        run_training(tiny_config(tmp_path, max_steps=0))
+        path = tmp_path / "run" / "checkpoint.json"
+        payload = json.loads(path.read_text())
+        payload["config"] = dict(payload["config"], **stored) if isinstance(stored, dict) else stored
+        path.write_text(json.dumps(payload))
+        assert main(["eval", "--checkpoint", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        if isinstance(stored, dict):
+            flags = ["--problem", "poisson2d_sin", "--problem-params", "{}", "--n-points", "50", "--seed", "3"]
+            assert main(["eval", "--checkpoint", str(path)] + flags) == 0
 
     def test_eval_of_zero_points_returns_2(self, tmp_path, capsys):
         run_training(tiny_config(tmp_path, max_steps=0))

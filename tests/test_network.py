@@ -207,6 +207,60 @@ class TestFlattening:
         assert np.count_nonzero(rows[[0, 1, 3], 9:]) == 12
 
 
+class TestParameterVector:
+    @staticmethod
+    def random_params(widths, seed) -> Parameters:
+        rng = np.random.default_rng(seed)
+        return Parameters(
+            [rng.standard_normal((h_out, h_in)) for h_in, h_out in zip(widths[:-1], widths[1:])],
+            [rng.standard_normal(h_out) for h_out in widths[1:]],
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=2, max_size=4), st.data())
+    def test_views_write_the_oracle_index(self, widths, data):
+        p = self.random_params(widths, data.draw(st.integers(0, 2**32 - 1)))
+        assert p.vector.tobytes() == params_to_vec(p).tobytes()
+        l = data.draw(st.integers(0, len(widths) - 2))
+        i = data.draw(st.integers(0, widths[l + 1] - 1))
+        j = data.draw(st.integers(0, widths[l]))  # j == h_in picks the bias
+        # the oracle's index of the entry: the one nonzero of a one-hot flattening
+        one_hot = Parameters([np.zeros_like(w) for w in p.weights], [np.zeros_like(b) for b in p.biases])
+        entry = one_hot.biases[l][i:i + 1] if j == widths[l] else one_hot.weights[l][i, j:j + 1]
+        entry[0] = 1.0
+        (index,) = np.flatnonzero(params_to_vec(one_hot))
+        before = p.vector.copy()
+        if j == widths[l]:
+            p.biases[l][i] += 1.0
+        else:
+            p.weights[l][i, j] += 1.0
+        assert np.array_equal(np.flatnonzero(p.vector != before), [index])
+        assert p.vector.tobytes() == params_to_vec(p).tobytes()
+
+    def test_deepcopy_keeps_the_views(self):
+        import copy
+
+        p = self.random_params((3, 4, 2, 1), 0)
+        q = copy.deepcopy(p)
+        assert not np.shares_memory(q.vector, p.vector)
+        q.weights[1][1, 3] = 7.0
+        q.biases[0][2] = -7.0
+        assert q.vector.tobytes() == params_to_vec(q).tobytes()
+        assert p.vector.tobytes() == params_to_vec(p).tobytes()
+        assert np.count_nonzero(q.vector != p.vector) == 2
+
+    def test_copy_and_add_scaled_are_fresh(self):
+        p = self.random_params((3, 4, 2, 1), 1)
+        before = p.vector.copy()
+        step = np.random.default_rng(2).standard_normal(p.n_params)
+        for q in (p.copy(), add_scaled(p, step, 0.5)):
+            assert not np.shares_memory(q.vector, p.vector)
+            for a, b in zip(q.weights + q.biases, p.weights + p.biases):
+                assert not np.shares_memory(a, b)
+        assert np.array_equal(p.vector, before)
+        assert np.array_equal(add_scaled(p, step, 0.5).vector, before + 0.5 * step)
+
+
 class TestBackward:
     def test_gradients_match_finite_differences(self):
         p = init_params(Architecture((2, 5, 1)), 9)

@@ -86,6 +86,17 @@ class TestUpdatePath:
             else:
                 assert info.mu == {"kfac": 0.9, "sgd": 0.5}.get(kind, 0.0)
 
+    def test_deepcopy_keeps_the_parameter_views(self):
+        import copy
+
+        state = small_state("kfac", widths=(2, 6, 3, 1), damping=1e-3)
+        ref = copy.deepcopy(state)
+        ref.params.weights[2][0, 1] = 4.0
+        ref.params.biases[1][2] = -4.0
+        assert ref.params.vector.tobytes() == oracle.params_to_vec(ref.params).tobytes()
+        assert state.params.vector.tobytes() == oracle.params_to_vec(state.params).tobytes()
+        assert np.count_nonzero(ref.params.vector != state.params.vector) == 2
+
     @pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
     def test_one_evaluation_per_step(self, poisson, monkeypatch, kind):
         # the update rules read the step's one BatchEval; none evaluates the batch again
