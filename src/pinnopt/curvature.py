@@ -30,6 +30,16 @@ taken in closed form:
     A_int  = ([x 1]^T [x 1] + N diag(1_d, 0)) / (N S)
     row_n  = [x_n; 1] g_n0^T + [G_n; 0]      (G_n: derivative block of g_n)
 
+Layer 1's interior input, the first activation's state, has the
+derivative columns ``s1 * W0^T`` for every sample (s1 = 1 - s0^2 from its
+value column s0), so the weight block of its A sum needs (N, h1) products
+only, of the value columns S0, the operator columns O and S1:
+
+    sum zhat zhat^T  =  S0^T S0 + O^T O + (S1^T S1) o (W0 W0^T)   (o: elementwise)
+
+which is why :func:`interior_factor_update` takes the parameters.  The
+condition record and layers 2 and up sum all their columns directly.
+
 The condition record's layer-0 input is ``x[:, None, :]``, three-dimensional
 like every other S = 1 input, so a two-dimensional input always means
 these points.  Only this module and :mod:`pinnopt.taylor` know the state
@@ -161,19 +171,23 @@ def _rows(record, rows: slice) -> list:
     return [(z[rows], g[rows]) for z, g in record]
 
 
-def _input_gram(z):
+def _input_gram(z, w0=None):
     """``sum_{n,s} zhat_ns zhat_ns^T`` with the bias entry implicit.
 
     A two-dimensional ``z`` holds the points of the input state, whose
-    derivative columns add N to the diagonal of the weight block.
+    derivative columns add N to the diagonal of the weight block.  With
+    ``w0`` given, ``z`` is the interior state after the first activation,
+    whose derivative columns ``s1 * W0^T`` add ``(S1^T S1) * (W0 W0^T)``.
     """
     n, h = z.shape[0], z.shape[-1]
+    value = z if z.ndim == 2 else z[:, 0, :]
     if z.ndim == 2:
-        value = z
         gram = z.T @ z
         gram[np.arange(h), np.arange(h)] += n
+    elif w0 is not None:
+        s1 = 1.0 - value * value  # tanh' as network.tanh_derivs computes it
+        gram = value.T @ value + z[:, -1, :].T @ z[:, -1, :] + (s1.T @ s1) * (w0 @ w0.T)
     else:
-        value = z[:, 0, :]
         flat = z.reshape(-1, h)
         gram = flat.T @ flat
     a = np.empty((h + 1, h + 1))
@@ -183,8 +197,11 @@ def _input_gram(z):
     return a
 
 
-def _factor_sums(record) -> list:
-    """Per layer the batch sums ``(sum zhat zhat^T, sum g g^T)`` of a record."""
+def _factor_sums(record, w0=None) -> list:
+    """Per layer the batch sums ``(sum zhat zhat^T, sum g g^T)`` of a record.
+
+    ``w0`` (the interior record's) gives layer 1's input sum in closed form.
+    """
     sums = []
     for l, (z, g) in enumerate(record):
         n, s, q = g.shape
@@ -192,7 +209,7 @@ def _factor_sums(record) -> list:
         if z.shape[0] != n or columns != s:
             raise ValueError(f"layer {l}: input {z.shape} does not match gradient {g.shape}")
         gf = g.reshape(n * s, q)
-        sums.append((_input_gram(z), gf.T @ gf))
+        sums.append((_input_gram(z, w0 if l == 1 else None), gf.T @ gf))
     return sums
 
 
@@ -210,8 +227,8 @@ def _factor_update(record, sums: list, a_factors: list, b_factors: list, ema: fl
         b_factors[l] = ema_update(b_factors[l], _symmetrize(b / n), ema)
 
 
-def interior_factor_update(state: KfacState, interior: list, workspace=None) -> KfacState:
-    """Accumulate the interior factors from the interior record (:func:`layer_pairs`).
+def interior_factor_update(state: KfacState, params, interior: list, workspace=None) -> KfacState:
+    """Accumulate the interior factors from the interior record (:func:`layer_pairs`) of ``params``.
 
     The batch sums run over the two halves of :meth:`Workspace.split`
     (None means a fresh workspace) and are added as half 0 + half 1.
@@ -219,7 +236,8 @@ def interior_factor_update(state: KfacState, interior: list, workspace=None) -> 
     if workspace is None:
         workspace = Workspace()
     n = interior[0][1].shape[0]
-    first, second = workspace.split(n, lambda half: _factor_sums(_rows(interior, half.rows)))
+    w0 = params.weights[0]
+    first, second = workspace.split(n, lambda half: _factor_sums(_rows(interior, half.rows), w0))
     sums = [(a0 + a1, b0 + b1) for (a0, b0), (a1, b1) in zip(first, second)]
     _factor_update(interior, sums, state.a_interior, state.b_interior, state.ema)
     return state
@@ -285,6 +303,9 @@ def _jacobian_rows(record):
         h = z.shape[-1]
         if z.ndim == 2:
             _input_layer_rows(z, g, view[:, :h, :])
+        elif z.shape[1] == 1:
+            # S = 1: an outer product, where a matmul with inner dimension 1 is one tiny gemm per sample
+            np.multiply(z.transpose(0, 2, 1), g, out=view[:, :h, :])
         else:
             np.matmul(z.transpose(0, 2, 1), g, out=view[:, :h, :])
         view[:, h, :] = g[:, 0, :]

@@ -127,6 +127,8 @@ class RunConfig:
             raise ValueError("step and evaluation counts must be positive")
         if self.max_wall_seconds < 0:
             raise ValueError("max_wall_seconds must be >= 0 (0 means no wall budget)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         self.optimizer_config()  # validates the optimizer fields
         if self.resample_every is None:
             self.resample_every = DEFAULT_RESAMPLE_EVERY[self.optimizer]
@@ -408,6 +410,8 @@ def _cmd_eval(args) -> int:
     problem = pde.make_problem(name, **problem_params)
     n_points = args.n_points if args.n_points is not None else stored("n_eval_points", 2000)
     seed = args.seed if args.seed is not None else stored("seed", 0)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     err = eval_l2(params, problem, n_points, _stream_seed(seed, STREAM_EVAL))
     print(_fmt(err))
     return 0

@@ -10,7 +10,9 @@ Conventions used throughout the package:
   ``A`` of size p and ``B`` of size q acts on the flattening of a q x p
   matrix ``X`` as ``vec(B @ X @ A.T)``;
 * ``kron_sum_solve`` exploits this to solve Kronecker-sum systems without
-  ever materializing the (p*q) x (p*q) matrix.
+  ever materializing the (p*q) x (p*q) matrix: each side's two factors are
+  diagonalized together by Cholesky whitening and one ``sym_eig``, and a
+  width-1 layer's system is one Cholesky solve.
 """
 
 from __future__ import annotations
@@ -71,13 +73,17 @@ def sym_eig(m, name: str = "matrix") -> SymEig:
     A NaN entry must be caught here: the symmetry test compares it as
     False and the eigensolver returns NaN eigenvalues without raising.
     """
+    return SymEig(*np.linalg.eigh(_checked(m, name)))
+
+
+def _checked(m, name):
+    """``m`` as a float64 matrix, checked to be square, finite and symmetric (see :func:`sym_eig`)."""
     m = _as_square(m, name)
     if not np.all(np.isfinite(m)):
         raise np.linalg.LinAlgError(f"{name} has non-finite entries")
     if m.size and float(np.max(np.abs(m - m.T))) > SYMMETRY_TOL:
         raise NotSymmetricError(f"{name} is not symmetric to 1e-10")
-    evals, evecs = np.linalg.eigh(m)
-    return SymEig(evals, evecs)
+    return m
 
 
 def _check_psd(evals, norm, what):
@@ -115,33 +121,46 @@ def pinv_psd(m, rcond: float) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def _pd_inv_sqrt(m, what):
-    """Eigendecompose a strictly PD matrix and return its inverse sqrt."""
-    evals, q = sym_eig(m, what)
-    norm = float(np.max(np.abs(evals))) if evals.size else 0.0
-    if evals.size == 0 or float(evals[0]) <= 1e-14 * max(norm, 1e-300):
-        raise NotPositiveSemidefiniteError(
-            f"{what}: matrix must be positive definite (min eig "
-            f"{evals[0] if evals.size else float('nan'):.3e})"
-        )
-    return (q * evals ** -0.5) @ q.T
+def _cholesky(m, what):
+    """The Cholesky factor ``L L^T = m`` of a strictly PD matrix."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise NotPositiveSemidefiniteError(f"{what}: matrix must be positive definite") from None
+
+
+def _whitened_eig(m1, m2, name1, name2):
+    """``(lam, V)`` with ``V^T m2 V = I`` and ``V^T m1 V = diag(lam)``, lam >= 0.
+
+    ``V = L^-T E`` for ``L L^T = m2`` and ``L^-1 m1 L^-T = E diag(lam) E^T``:
+    one Cholesky factorization and one eigendecomposition.
+    """
+    l_inv = np.linalg.inv(_cholesky(m2, f"kron_sum_solve({name2})"))
+    t = l_inv @ m1 @ l_inv.T
+    lam, e = sym_eig(0.5 * (t + t.T), f"kron_sum_solve({name1})")
+    _check_psd(lam, float(np.max(np.abs(lam))) if lam.size else 0.0, f"kron_sum_solve({name1})")
+    return lam, l_inv.T @ e
 
 
 def kron_sum_solve(a1, b1, a2, b2, g) -> np.ndarray:
     """Solve ``(A1 (x) B1 + A2 (x) B2) v = g`` for symmetric PD factors.
 
     ``a1, a2`` are p x p, ``b1, b2`` are q x q and ``g`` has length p*q in
-    column-stacked order (see module docstring).  The system is solved by
-    simultaneous diagonalization: with ``Ta = A2^(-1/2) A1 A2^(-1/2) =
-    Ea diag(la) Ea^T`` and the analogous ``Tb``, the Kronecker sum becomes
-    diagonal with entries ``la_i * lb_j + 1`` after the inverse-square-root
-    transform.  ``g`` is reshaped to a q x p matrix and multiplied from
-    both sides, so only p x p and q x q matrices are ever formed.
+    column-stacked order (see module docstring).  Every factor must be
+    finite and symmetric, ``a2`` and ``b2`` positive definite and ``a1``,
+    ``b1`` positive semidefinite; the error names the offending argument.
+
+    Each side is whitened by a Cholesky factor (LAPACK ``sygv``'s
+    reduction): with ``L L^T = A2`` and ``L^-1 A1 L^-T = E diag(la) E^T``,
+    ``Va = L^-T E`` gives ``Va^T A2 Va = I`` and ``Va^T A1 Va = diag(la)``,
+    and ``Vb`` likewise, so ``v = vec(Vb ((Vb^T G Va) / (lb la^T + 1)) Va^T)``
+    for ``g = vec(G)``: one eigendecomposition per side.  For q = 1 (a
+    width-1 output layer) the B factors are scalars and the system is one
+    Cholesky solve with ``b1 A1 + b2 A2``.
     """
-    a1 = _as_square(a1, "a1")
-    b1 = _as_square(b1, "b1")
-    a2 = _as_square(a2, "a2")
-    b2 = _as_square(b2, "b2")
+    a1, b1, a2, b2 = (
+        _checked(m, f"kron_sum_solve({name})") for m, name in zip((a1, b1, a2, b2), ("a1", "b1", "a2", "b2"))
+    )
     p, q = a1.shape[0], b1.shape[0]
     if a2.shape[0] != p or b2.shape[0] != q:
         raise ValueError("factor size mismatch between the two Kronecker terms")
@@ -149,20 +168,16 @@ def kron_sum_solve(a1, b1, a2, b2, g) -> np.ndarray:
     if g.shape != (p * q,):
         raise ValueError(f"g must have length p*q = {p * q}, got shape {g.shape}")
 
-    a2_isqrt = _pd_inv_sqrt(a2, "kron_sum_solve(a2)")
-    b2_isqrt = _pd_inv_sqrt(b2, "kron_sum_solve(b2)")
+    if q == 1:
+        _cholesky(b2, "kron_sum_solve(b2)")
+        _check_psd(b1[0], abs(float(b1[0, 0])), "kron_sum_solve(b1)")
+        _cholesky(a2, "kron_sum_solve(a2)")
+        # a2 and b2 are PD and b1 >= 0, so an indefinite system means a1 is not PSD
+        l = _cholesky(b1[0, 0] * a1 + b2[0, 0] * a2, "kron_sum_solve(a1)")
+        return np.linalg.solve(l.T, np.linalg.solve(l, g))
 
-    ta = a2_isqrt @ a1 @ a2_isqrt
-    tb = b2_isqrt @ b1 @ b2_isqrt
-    la, ea = sym_eig(0.5 * (ta + ta.T), "kron_sum_solve(a1)")
-    lb, eb = sym_eig(0.5 * (tb + tb.T), "kron_sum_solve(b1)")
-    _check_psd(la, float(np.max(np.abs(la))) if la.size else 0.0, "kron_sum_solve(a1)")
-    _check_psd(lb, float(np.max(np.abs(lb))) if lb.size else 0.0, "kron_sum_solve(b1)")
-
-    x = g.reshape((q, p), order="F")
-    x = b2_isqrt @ x @ a2_isqrt
-    y = eb.T @ x @ ea
-    y = y / (np.outer(lb, la) + 1.0)
-    x = eb @ y @ ea.T
-    x = b2_isqrt @ x @ a2_isqrt
-    return x.flatten(order="F")
+    la, va = _whitened_eig(a1, a2, "a1", "a2")
+    lb, vb = _whitened_eig(b1, b2, "b1", "b2")
+    y = vb.T @ g.reshape((q, p), order="F") @ va
+    y /= np.outer(lb, la) + 1.0
+    return (vb @ y @ va.T).flatten(order="F")

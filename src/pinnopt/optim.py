@@ -244,7 +244,7 @@ class StepInfo:
 
 def _kfac_direction(state: TrainState, ev: BatchEval) -> np.ndarray:
     """Shared start of both Kronecker steps: factor updates, then the preconditioned gradient."""
-    curvature.interior_factor_update(state.kfac, ev.interior, state.workspace)
+    curvature.interior_factor_update(state.kfac, state.params, ev.interior, state.workspace)
     curvature.boundary_factor_update(state.kfac, ev.boundary)
     return curvature.precondition_gradient(state.kfac, ev.grad)
 

@@ -186,7 +186,7 @@ def test_criterion_4_factor_transcription():
     batch = pde.sample_batch(problem, 3, 3, seed=13)
     ev = evaluate_batch(params, batch, problem)
     state = curvature.init_kfac_state(params, ema=0.0, damping=1.0, init_mode="zero")
-    curvature.interior_factor_update(state, ev.interior)
+    curvature.interior_factor_update(state, params, ev.interior)
     curvature.boundary_factor_update(state, ev.boundary)
 
     # literal loops over bias-augmented inputs; layer 0 from the full input state
@@ -317,7 +317,7 @@ def test_criterion_8_quadratic_model_optimality():
         batch = pde.sample_batch(problem, 12, 6, seed=500 + trial)
         state = init_train_state(params, OptimizerConfig(kind="kfac_star", damping=1e-3, ema=0.0))
         ev = evaluate_batch(state.params, batch, problem)
-        curvature.interior_factor_update(state.kfac, ev.interior)
+        curvature.interior_factor_update(state.kfac, state.params, ev.interior)
         curvature.boundary_factor_update(state.kfac, ev.boundary)
         dv = curvature.precondition_gradient(state.kfac, ev.grad)
         pv = rng.standard_normal(dv.size) * np.linalg.norm(dv)  # previous update stand-in

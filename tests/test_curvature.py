@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from pinnopt import curvature, network, pde
@@ -65,7 +67,7 @@ class TestFactorUpdates:
         z[0, 0] = [3.0, 4.0]
         g = np.zeros((1, 4, 1))
         g[0, 0] = 2.0
-        interior_factor_update(state, [(z, g)])
+        interior_factor_update(state, p, [(z, g)])
         assert np.linalg.matrix_rank(state.a_interior[0]) == 1
         zhat = np.array([3.0, 4.0, 1.0])
         assert np.allclose(state.a_interior[0], np.outer(zhat, zhat) / 4.0)
@@ -79,7 +81,7 @@ class TestFactorUpdates:
         g = rng.standard_normal((1, 1, 2))
         p = Parameters([rng.standard_normal((2, 3))], [np.zeros(2)])
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        interior_factor_update(state, [(z, g)])
+        interior_factor_update(state, p, [(z, g)])
         zhat = np.append(z[0, 0], 1.0)
         jac = np.kron(zhat[:, None], g[0, 0][:, None])  # column-stacked Jacobian
         exact = jac @ jac.T
@@ -91,7 +93,7 @@ class TestFactorUpdates:
         batch = pde.sample_batch(poisson, 3, 3, seed=13)
         ev = evaluate_batch(p, batch, poisson)
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        interior_factor_update(state, ev.interior)
+        interior_factor_update(state, p, ev.interior)
         ref_in = [oracle.initial_state(batch.interior)] + [z for z, _ in ev.interior[1:]]
         for l, (_, g) in enumerate(ev.interior):
             n, s, h = ref_in[l].shape
@@ -140,7 +142,7 @@ class TestFactorUpdates:
         batch = pde.sample_batch(poisson, 8, 8, seed=15)
         ev = evaluate_batch(p, batch, poisson)
         state = init_kfac_state(p, ema=0.5, damping=1.0, init_mode="identity")
-        interior_factor_update(state, ev.interior)
+        interior_factor_update(state, p, ev.interior)
         boundary_factor_update(state, ev.boundary)
         for mats in (state.a_interior, state.b_interior, state.a_boundary, state.b_boundary):
             for m in mats:
@@ -188,7 +190,7 @@ class TestPrecondition:
         z = rng.standard_normal((1, 1, 2))
         g = rng.standard_normal((1, 1, 1))
         state = init_kfac_state(p, ema=0.0, damping=1e-10, init_mode="zero")
-        interior_factor_update(state, [(z, g)])
+        interior_factor_update(state, p, [(z, g)])
         zhat = np.append(z[0, 0], 1.0)
         jac = np.kron(zhat[:, None], g[0, 0][:, None])
         block = jac @ jac.T
@@ -357,7 +359,7 @@ class TestInputLayerClosedForm:
     def test_factor(self, case):
         p, _, _, ev, zhat, g = case
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        interior_factor_update(state, ev.interior)
+        interior_factor_update(state, p, ev.interior)
         n, s, _ = zhat.shape
         a_ref = sum(np.outer(zhat[i, j], zhat[i, j]) for i in range(n) for j in range(s)) / (n * s)
         b_ref = sum(np.outer(g[i, j], g[i, j]) for i in range(n) for j in range(s)) / n
@@ -420,6 +422,34 @@ class TestInputLayerClosedForm:
             np.matmul(adjoints[1], p.weights[1]), co, Workspace(),
         )
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * max(1.0, np.max(np.abs(g_ref)))
+
+
+class TestFirstHiddenClosedForm:
+    """Layer 1's interior input sum from the value and operator columns and W0,
+    against the direct sum over the materialised state."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2, 10]),
+        n_linear=st.sampled_from([2, 3]),
+        coeffs=st.sampled_from(["identity", "diagonal", "full"]),
+        n=st.integers(1, 16),
+        h=st.integers(1, 8),
+    )
+    def test_matches_direct_sum(self, seed, d, n_linear, coeffs, n, h):
+        rng = np.random.default_rng(seed)
+        c = {
+            "identity": np.eye(d),
+            "diagonal": np.diag(rng.uniform(0.1, 2.0, d)),
+            "full": (lambda m: m + m.T)(rng.standard_normal((d, d))),
+        }[coeffs]
+        p = init_params(Architecture((d,) + (h,) * (n_linear - 1) + (1,)), seed % 1000)
+        states, _ = taylor_forward(p, rng.uniform(-1.0, 1.0, (n, d)), OperatorCoeffs(c))
+        z = states[2]
+        direct = curvature._input_gram(z)
+        closed = curvature._input_gram(z, p.weights[0])
+        assert np.max(np.abs(closed - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 PROJECTED_PROBLEMS = {

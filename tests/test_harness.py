@@ -430,6 +430,48 @@ class TestCli:
         assert f"# diverged: kron_sum_solve({solver_arg}) has non-finite entries" in text
         assert (tmp_path / "run" / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize(
+        "factor, solver_arg",
+        [("a_interior", "a1"), ("b_interior", "b1"), ("a_boundary", "a2"), ("b_boundary", "b2")],
+    )
+    @pytest.mark.parametrize("optimizer", ["kfac", "kfac_star"])
+    def test_indefinite_head_factor_is_divergence(self, tmp_path, monkeypatch, capsys, optimizer, factor, solver_arg):
+        # the width-1 head's factors are solved by Cholesky; a factor that is
+        # not positive (semi)definite there ends the run as diverged too
+        precondition = curvature.precondition_gradient
+
+        def indefinite(state, grad):
+            head = getattr(state, factor)[-1]
+            head[...] = -1e3 * np.eye(head.shape[0])
+            return precondition(state, grad)
+
+        monkeypatch.setattr(curvature, "precondition_gradient", indefinite)
+        assert train_cli(tmp_path, optimizer=optimizer, max_steps=3, eval_every=1) == 3
+        assert "DIVERGED" in capsys.readouterr().out
+        text = (tmp_path / "run" / "log.csv").read_text()
+        assert f"# diverged: kron_sum_solve({solver_arg})" in text
+        assert (tmp_path / "run" / "checkpoint.json").exists()
+
+    def test_negative_seed_returns_2_before_logging(self, tmp_path, capsys):
+        # numpy's SeedSequence would refuse it without naming the field
+        assert train_cli(tmp_path, seed=-1) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not (tmp_path / "run" / "log.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "stored"])
+    def test_eval_of_negative_seed_returns_2(self, tmp_path, capsys, source):
+        run_training(tiny_config(tmp_path, max_steps=0))
+        path = tmp_path / "run" / "checkpoint.json"
+        argv = ["eval", "--checkpoint", str(path)]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            payload = json.loads(path.read_text())
+            payload["config"]["seed"] = -1
+            path.write_text(json.dumps(payload))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
     def test_engd_parameter_cap_stays_config_error(self, tmp_path, capsys):
         # 20801 parameters exceed the dense Gramian cap before any numerics run
         assert train_cli(tmp_path, optimizer="engd", widths=[2, 200, 100, 1], max_steps=1) == 2

@@ -108,6 +108,19 @@ class TestPinvPsd:
         assert np.max(np.abs((p @ m).T - p @ m)) <= tol
 
 
+def factor_cases(first, *shapes):
+    """``(which, p, q)`` for each factor of ``kron_sum_solve`` and factor sizes (p, q).
+
+    Cases of the ``first`` shape are named by the factor alone, the others
+    by factor and shape; (p, 1) and (1, q) take the path of a size-1 side.
+    """
+    return [
+        pytest.param(which, p, q, id=which if (p, q) == first else f"{which}-{p}x{q}")
+        for p, q in (first,) + shapes
+        for which in ("a1", "b1", "a2", "b2")
+    ]
+
+
 class TestKronSumSolve:
     def test_all_identity(self):
         g = np.arange(4.0)
@@ -128,16 +141,29 @@ class TestKronSumSolve:
         dense = np.linalg.solve(np.kron(a1, b1) + np.kron(a2, b2), g)
         assert np.linalg.norm(v - dense) <= 1e-8 * np.linalg.norm(dense)
 
-    @pytest.mark.parametrize("which", ["a1", "b1", "a2", "b2"])
-    def test_nan_factor_raises(self, which):
+    @pytest.mark.parametrize("which, p, q", factor_cases((3, 2), (3, 1), (1, 2)))
+    def test_nan_factor_raises(self, which, p, q):
+        # (3, 1) and (1, 2) take the Cholesky path of a side of size 1
         rng = np.random.default_rng(4)
-        factors = {name: random_spd(rng, 3 if name[0] == "a" else 2) for name in ("a1", "b1", "a2", "b2")}
+        factors = {name: random_spd(rng, p if name[0] == "a" else q) for name in ("a1", "b1", "a2", "b2")}
         factors[which][0, 0] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match=rf"kron_sum_solve\({which}\) has non-finite"):
-            kron_sum_solve(factors["a1"], factors["b1"], factors["a2"], factors["b2"], np.ones(6))
+            kron_sum_solve(factors["a1"], factors["b1"], factors["a2"], factors["b2"], np.ones(p * q))
+
+    @pytest.mark.parametrize("which, p, q", factor_cases((3, 2), (3, 1), (1, 2)))
+    def test_asymmetric_factor_raises(self, which, p, q):
+        factors = {name: np.eye(p if name[0] == "a" else q) for name in ("a1", "b1", "a2", "b2")}
+        factors[which] = factors[which] + np.tri(*factors[which].shape, -1)
+        if factors[which].shape == (1, 1):
+            factors[which] = np.ones((1, 2))  # a 1 x 1 matrix is symmetric; a non-square one is not
+        with pytest.raises(NotSymmetricError, match=rf"kron_sum_solve\({which}\)"):
+            kron_sum_solve(factors["a1"], factors["b1"], factors["a2"], factors["b2"], np.ones(p * q))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))
+    @example(7, 6, 1)
+    @example(7, 1, 6)
+    @example(7, 1, 1)
     def test_solution_recovers_rhs(self, seed, p, q):
         rng = np.random.default_rng(seed)
         a1, a2 = random_spd(rng, p), random_spd(rng, p)
@@ -153,6 +179,12 @@ class TestKronSumSolve:
         with pytest.raises(ValueError):
             kron_sum_solve(np.eye(2), np.eye(2), np.eye(2), np.eye(2), np.zeros(5))
 
-    def test_rejects_non_pd(self):
-        with pytest.raises(NotPositiveSemidefiniteError):
-            kron_sum_solve(np.eye(2), np.eye(2), np.diag([1.0, 0.0]), np.eye(2), np.zeros(4))
+    @pytest.mark.parametrize("which, p, q", factor_cases((2, 2), (2, 1), (1, 2)))
+    def test_rejects_non_pd(self, which, p, q):
+        # a2 and b2 must be positive definite (singular is refused), a1 and b1
+        # positive semidefinite; the error names the factor on every path
+        factors = {name: np.eye(p if name[0] == "a" else q) for name in ("a1", "b1", "a2", "b2")}
+        k = factors[which].shape[0]
+        factors[which] = np.diag([1.0] * (k - 1) + [0.0]) if which[1] == "2" else -np.eye(k)
+        with pytest.raises(NotPositiveSemidefiniteError, match=rf"kron_sum_solve\({which}\)"):
+            kron_sum_solve(factors["a1"], factors["b1"], factors["a2"], factors["b2"], np.zeros(p * q))

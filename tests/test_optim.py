@@ -218,7 +218,7 @@ class TestKfacStep:
         import copy
 
         kf2 = copy.deepcopy(kf)
-        curvature.interior_factor_update(kf2, ev.interior)
+        curvature.interior_factor_update(kf2, state.params, ev.interior)
         curvature.boundary_factor_update(kf2, ev.boundary)
         delta = curvature.precondition_gradient(kf2, ev.grad)
         info = optimizer_step(state, batch, poisson)
@@ -242,7 +242,7 @@ class TestKfacStep:
         batch = pde.sample_batch(poisson, 10, 6, seed=2)
         ev = evaluate_batch(state.params, batch, poisson)
         kf = state.kfac
-        curvature.interior_factor_update(kf, ev.interior)
+        curvature.interior_factor_update(kf, state.params, ev.interior)
         curvature.boundary_factor_update(kf, ev.boundary)
         dv = curvature.precondition_gradient(kf, ev.grad)
         gv = ev.grad
@@ -267,7 +267,7 @@ class TestKfacStar:
         import copy
 
         kf = copy.deepcopy(state.kfac)
-        curvature.interior_factor_update(kf, ev.interior)
+        curvature.interior_factor_update(kf, state.params, ev.interior)
         curvature.boundary_factor_update(kf, ev.boundary)
         dv = curvature.precondition_gradient(kf, ev.grad)
         gv = ev.grad
@@ -309,7 +309,7 @@ class TestKfacStar:
         import copy
 
         kf = copy.deepcopy(state.kfac)
-        curvature.interior_factor_update(kf, ev.interior)
+        curvature.interior_factor_update(kf, state.params, ev.interior)
         curvature.boundary_factor_update(kf, ev.boundary)
         dv = curvature.precondition_gradient(kf, ev.grad)
         pv = state.prev_update
