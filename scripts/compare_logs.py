@@ -14,8 +14,9 @@ thread:
 * the three ``perfbench/workloads.py`` configs of the working tree at 25
   steps with ``eval_every`` 1, seeds 1 and 2;
 * each of poisson2d_sin, poisson_cos_sum, heat and log_fokker_planck with
-  each of the five optimizers at 15 steps (net [d, 32, 32, 1], 200 interior
-  and 60 condition points, momentum 0.9 for kfac and sgd).
+  each of the five optimizers at 15 steps (net [d, 32, 32, 1], 201 interior
+  points, an odd count so that the two halves of a split pass differ by a
+  row, 60 condition points, momentum 0.9 for kfac and sgd).
 
 For every config the script compares each ``log.csv`` row in every column
 except ``wall_time_s``, the log's comment lines after the header (the
@@ -79,7 +80,7 @@ def configs() -> dict:
                 "widths": [dim, 32, 32, 1],
                 "optimizer": optimizer,
                 "momentum": 0.9 if optimizer in ("kfac", "sgd") else 0.0,
-                "n_interior": 200,
+                "n_interior": 201,
                 "n_boundary": 60,
                 "max_steps": 15,
                 "eval_every": 1,

@@ -331,11 +331,11 @@ def run_training(config: RunConfig) -> TrainLog:
     batch = pde.sample_batch(
         problem, config.n_interior, config.n_boundary, _stream_seed(config.seed, STREAM_BATCH, 0)
     )
-    l_int, l_bnd = optim.evaluate_losses(state.params, batch, problem, state.workspace)
-    record(0, l_int, l_bnd, 0.0, 0.0)
-
     resample_count = 0
     try:
+        # the first split of the run: the workspace's worker thread starts here
+        [(l_int, l_bnd)] = optim.evaluate_losses([state.params], batch, problem, state.workspace)
+        record(0, l_int, l_bnd, 0.0, 0.0)
         for t in range(1, config.max_steps + 1):
             if (
                 config.resample_every > 0

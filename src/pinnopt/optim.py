@@ -149,9 +149,10 @@ class BatchEval:
     The interior record's arrays live in the workspace :func:`evaluate_batch`
     was given, so a ``BatchEval`` stays valid only until the next pass
     through that workspace; copy what must outlive it.  The line search of
-    kfac and engd is such a pass (:func:`evaluate_losses`), so those steps
-    read the records, ``grad`` and the direction before it and only
-    the loss floats after it.
+    kfac and engd is such a pass: its one :func:`evaluate_losses` call
+    writes every candidate's hidden states into the same state arrays, so
+    those steps read the records, ``grad`` and the direction before it and
+    only the loss floats after it.
     """
 
     loss_interior: float
@@ -163,18 +164,23 @@ class BatchEval:
     grad: np.ndarray
 
 
-def evaluate_losses(params, batch: pde.Batch, problem, workspace=None) -> tuple:
-    """Interior and condition losses only, for the kfac and engd line search.
+def evaluate_losses(candidates, batch: pde.Batch, problem, workspace=None) -> list:
+    """``(loss_int, loss_bnd)`` of each parameter set of ``candidates``, for the
+    kfac and engd line search and the step-0 losses.
 
-    The interior term comes from :func:`pde.interior_loss`, whose forward
-    pass keeps no layer state; the losses equal those of
-    :func:`evaluate_batch` up to rounding in the last bits.  The hidden
-    states are written into ``workspace`` and overwrite the record of a
-    ``BatchEval`` made in it.
+    The interior terms come from one :func:`pde.interior_losses` split, in
+    which each half of the batch scores every candidate with the
+    output-only forward pass; the losses equal those of
+    :func:`evaluate_batch` up to rounding in the last bits.  The condition
+    terms are computed on the caller afterwards.  The hidden states are
+    written into ``workspace`` and overwrite the record of a ``BatchEval``
+    made in it.
     """
-    loss_int = pde.interior_loss(problem, params, batch, workspace)
-    loss_bnd, _, _ = pde.boundary_loss(problem, params, batch)
-    return loss_int, loss_bnd
+    losses_int = pde.interior_losses(problem, candidates, batch, workspace)
+    return [
+        (loss_int, pde.boundary_loss(problem, params, batch)[0])
+        for loss_int, params in zip(losses_int, candidates)
+    ]
 
 
 def evaluate_batch(params, batch: pde.Batch, problem, workspace=None) -> BatchEval:
@@ -209,16 +215,19 @@ def evaluate_batch(params, batch: pde.Batch, problem, workspace=None) -> BatchEv
 # line search
 
 def line_search(loss_fn, params, direction, grid) -> tuple:
-    """Grid argmin of ``loss_fn(params + alpha * direction)``.
+    """Grid argmin of the loss over the candidates ``params + alpha * direction``.
 
-    ``grid`` is iterated in ascending order and ties keep the smaller
-    step, so a flat landscape returns the smallest candidate.  Raises
-    :class:`LineSearchError` if no candidate yields a finite loss.
+    The candidates are built once, one per ``alpha`` of ``grid``, and
+    ``loss_fn`` is called once with the whole list; it returns one loss per
+    candidate, in order.  ``grid`` is ascending and ties keep the smaller
+    step, so a flat landscape returns the smallest candidate.  A
+    non-finite loss skips its candidate.  Raises :class:`LineSearchError`
+    if no candidate yields a finite loss.
     """
+    losses = loss_fn([network.add_scaled(params, direction, alpha) for alpha in grid])
     best_alpha = None
     best_loss = np.inf
-    for alpha in grid:
-        loss = loss_fn(network.add_scaled(params, direction, alpha))
+    for alpha, loss in zip(grid, losses):
         if np.isfinite(loss) and loss < best_loss:
             best_alpha = alpha
             best_loss = loss
@@ -250,10 +259,16 @@ def _kfac_direction(state: TrainState, ev: BatchEval) -> np.ndarray:
 
 
 def _line_search_update(state: TrainState, batch: pde.Batch, problem, direction) -> tuple:
-    """Grid line search along ``direction`` (kfac, engd): ``(alpha * direction, alpha)``."""
+    """Grid line search along ``direction`` (kfac, engd): ``(alpha * direction, alpha)``.
 
-    def loss_fn(p):
-        return sum(evaluate_losses(p, batch, problem, state.workspace))
+    One :func:`evaluate_losses` call scores all the grid's candidates.
+    """
+
+    def loss_fn(candidates):
+        return [
+            loss_int + loss_bnd
+            for loss_int, loss_bnd in evaluate_losses(candidates, batch, problem, state.workspace)
+        ]
 
     alpha, _ = line_search(loss_fn, state.params, direction, LINE_SEARCH_GRID)
     return alpha * direction, alpha

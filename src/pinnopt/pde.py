@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import network
-from .taylor import OperatorCoeffs, taylor_forward, taylor_output
+from .taylor import OperatorCoeffs, Workspace, state_records, taylor_forward, taylor_output
 
 __all__ = [
     "PdeProblem",
@@ -28,7 +28,7 @@ __all__ = [
     "make_problem",
     "sample_batch",
     "interior_loss_and_residuals",
-    "interior_loss",
+    "interior_losses",
     "boundary_loss",
 ]
 
@@ -343,16 +343,34 @@ def interior_loss_and_residuals(problem: PdeProblem, params, batch: Batch, works
     return _half_mean_square(r), r, states, out
 
 
-def interior_loss(problem: PdeProblem, params, batch: Batch, workspace=None) -> float:
-    """The interior loss of :func:`interior_loss_and_residuals` alone.
+def interior_losses(problem: PdeProblem, candidates, batch: Batch, workspace=None) -> list:
+    """The interior loss of :func:`interior_loss_and_residuals` for each parameter set of ``candidates``.
 
-    Computed with the output-only forward pass, which keeps no layer state;
-    for loss-only evaluation such as the line search.  Its arrays come from
-    ``workspace`` (see :func:`taylor.taylor_output`).
+    For loss-only evaluation such as the line search: one
+    :meth:`Workspace.split` over the interior rows, in which each half runs
+    the output-only forward pass (:func:`taylor.taylor_output`, no layer
+    state kept) and the residual of every candidate on its own rows.  The
+    residuals fill the rows of one (K, N) array from ``workspace`` (a fresh
+    one when None), and each loss is taken over a full row on the caller,
+    so it equals the loss of one pass over the whole batch bit for bit.
+    The halves write the hidden states into their rows of the workspace's
+    state arrays (:func:`taylor.state_records`), over those of an earlier
+    pass through it.
     """
-    out = taylor_output(params, batch.interior, problem.coeffs, workspace)
-    r = problem.residual(batch.interior, batch.source, out.value, out.gradient, out.operator)
-    return _half_mean_square(r)
+    if workspace is None:
+        workspace = Workspace()
+    x, f = batch.interior, batch.source
+    n = x.shape[0]
+    residuals = workspace.array((len(candidates), n), "residual")
+
+    def residual_rows(half):
+        xh, fh = x[half.rows], f[half.rows]
+        for k, params in enumerate(candidates):
+            out = taylor_output(params, xh, problem.coeffs, half)
+            residuals[k, half.rows] = problem.residual(xh, fh, out.value, out.gradient, out.operator)
+
+    workspace.split(n, residual_rows, state_records(candidates[0], n, workspace))
+    return [_half_mean_square(r) for r in residuals]
 
 
 def boundary_loss(problem: PdeProblem, params, batch: Batch):

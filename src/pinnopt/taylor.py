@@ -73,7 +73,6 @@ state's workspace runs the halves on the calling thread plus the one
 thread of a :class:`concurrent.futures.ThreadPoolExecutor`, which starts
 at the first split and stops at :meth:`Workspace.close`
 (:func:`pinnopt.harness.run_training` closes it in its ``finally``).
-:func:`taylor_output`, the line search's pass, stays on the caller.
 """
 
 from __future__ import annotations
@@ -95,6 +94,7 @@ __all__ = [
     "taylor_forward",
     "taylor_output",
     "taylor_backward",
+    "state_records",
     "linear_input_index",
     "linear_output_index",
 ]
@@ -150,6 +150,12 @@ class Workspace:
     def split(self, n: int, fn, records=None) -> list:
         """``[fn(half 0), fn(half 1)]`` over rows ``[0, ceil(n/2))`` and ``[ceil(n/2), n)``.
 
+        A batch of fewer than four rows is not cut: half 0 takes it all and
+        half 1 is empty, so that no half of a longer batch is a single row.
+        numpy computes a one-row matrix-vector product, such as those at the
+        head of :func:`taylor_output`, as a dot product, which rounds
+        differently from the same row inside a longer product.
+
         Each half is a :class:`_Half`: ``half.rows`` is its row slice and
         ``half.array`` serves it like :meth:`array`, with the rows
         ``half.rows`` of ``records[(role, layer)]`` under a key that
@@ -163,7 +169,7 @@ class Workspace:
         both halves are done, the first exception a half raised, in half
         order, is raised here.
         """
-        cut = (n + 1) // 2
+        cut = n if n < 4 else (n + 1) // 2
         halves = [
             _Half(self, index, rows, records or {})
             for index, rows in enumerate((slice(0, cut), slice(cut, n)))
@@ -439,10 +445,18 @@ def _forward_to_last_activation(params: Parameters, x, coeffs: OperatorCoeffs, w
     return pre
 
 
-def _state_shapes(params: Parameters, n: int, s: int) -> list:
-    """Shapes of forward states 1, 2, ...: the (N, h1) first pre-activation, then (N, S, h)."""
+def state_records(params: Parameters, n: int, workspace: Workspace) -> dict:
+    """The workspace's forward states 1, 2, ... for ``n`` points, as :meth:`Workspace.split` records.
+
+    Keyed ``("state", i)``: the (N, h1) first pre-activation, then the
+    (N, S, h) states.  A split pass of :func:`taylor_forward` or
+    :func:`taylor_output` given them writes its rows of these full-batch
+    arrays instead of temporaries of its own.
+    """
+    s = params.input_dim + 2
     widths = params.widths
-    return [(n, widths[1])] + [(n, s, widths[(i + 1) // 2]) for i in range(2, 2 * params.n_linear)]
+    shapes = [(n, widths[1])] + [(n, s, widths[(i + 1) // 2]) for i in range(2, 2 * params.n_linear)]
+    return {("state", i): workspace.array(shape, "state", i) for i, shape in enumerate(shapes, 1)}
 
 
 def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None) -> tuple:
@@ -465,8 +479,8 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
     if workspace is None:
         workspace = Workspace()
     n, d = x.shape
-    shapes = _state_shapes(params, n, d + 2)
-    states = [x] + [workspace.array(shape, "state", i) for i, shape in enumerate(shapes, 1)]
+    records = state_records(params, n, workspace)
+    states = [x, *records.values()]
 
     def forward_rows(half):
         pre = _forward_to_last_activation(params, x[half.rows], coeffs, half)
@@ -477,7 +491,7 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
                 params.weights[-1], params.biases[-1], z, half, linear_output_index(last)
             )
 
-    workspace.split(n, forward_rows, {("state", i): state for i, state in enumerate(states) if i})
+    workspace.split(n, forward_rows, records)
     if params.n_linear == 1:
         return states, _linear_net_output(x, states[1], params.weights[0])
     z = states[-1]

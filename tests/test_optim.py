@@ -1,5 +1,3 @@
-import inspect
-
 import numpy as np
 import pytest
 
@@ -127,7 +125,7 @@ class TestLineSearch:
         def loss_fn(q):
             return 0.5 * (q.weights[0][0, 0] - 1.0) ** 2
 
-        alpha, loss = line_search(loss_fn, p, np.array([1.0, 0.0]), self.grid())
+        alpha, loss = line_search(lambda qs: [loss_fn(q) for q in qs], p, np.array([1.0, 0.0]), self.grid())
         assert alpha == 1.0
         assert loss == 0.0
 
@@ -137,7 +135,7 @@ class TestLineSearch:
         def loss_fn(q):
             return float(q.weights[0][0, 0] ** 2)
 
-        alpha, _ = line_search(loss_fn, p, np.zeros(2), self.grid())
+        alpha, _ = line_search(lambda qs: [loss_fn(q) for q in qs], p, np.zeros(2), self.grid())
         assert alpha == 2.0**-30
 
     def test_matches_brute_force_scan(self):
@@ -153,7 +151,7 @@ class TestLineSearch:
             v = q.weights[0][0]
             return float(0.5 * v @ h @ v)
 
-        alpha, _ = line_search(loss_fn, p, vec, self.grid())
+        alpha, _ = line_search(lambda qs: [loss_fn(q) for q in qs], p, vec, self.grid())
         scan = [(float(0.5 * (theta + a_ * direction) @ h @ (theta + a_ * direction)), a_) for a_ in self.grid()]
         best = min(scan)[1]
         assert alpha == best
@@ -165,7 +163,7 @@ class TestLineSearch:
             return float("nan")
 
         with pytest.raises(LineSearchError):
-            line_search(loss_fn, p, np.ones(2), self.grid())
+            line_search(lambda qs: [loss_fn(q) for q in qs], p, np.ones(2), self.grid())
 
 
     def test_output_only_loss_picks_the_same_step(self, tmp_path, monkeypatch):
@@ -173,23 +171,31 @@ class TestLineSearch:
         # line search over the loss-only evaluation (output-only forward)
         # returns the alpha that the loss from the full forward pass returns
         line_search_fn = optim.line_search
+        evaluate_losses = optim.evaluate_losses
         alphas = []
+        scored = {}
+
+        def spying_evaluate_losses(candidates, batch, problem, workspace=None):
+            scored.update(problem=problem, batch=batch)
+            return evaluate_losses(candidates, batch, problem, workspace)
 
         def checking_line_search(loss_fn, params, direction, grid):
-            scope = inspect.getclosurevars(loss_fn).nonlocals
-            problem, batch = scope["problem"], scope["batch"]
+            alpha, loss = line_search_fn(loss_fn, params, direction, grid)
+            problem, batch = scored["problem"], scored["batch"]
 
             def reference_loss(p):
                 loss_int, _, _, _ = pde.interior_loss_and_residuals(problem, p, batch)
                 return loss_int + pde.boundary_loss(problem, p, batch)[0]
 
-            alpha, loss = line_search_fn(loss_fn, params, direction, grid)
-            ref_alpha, ref_loss = line_search_fn(reference_loss, params, direction, grid)
+            ref_alpha, ref_loss = line_search_fn(
+                lambda qs: [reference_loss(q) for q in qs], params, direction, grid
+            )
             assert alpha == ref_alpha
             assert abs(loss - ref_loss) <= 1e-12 * ref_loss
             alphas.append(alpha)
             return alpha, loss
 
+        monkeypatch.setattr(optim, "evaluate_losses", spying_evaluate_losses)
         monkeypatch.setattr(optim, "line_search", checking_line_search)
         cfg = harness.RunConfig.from_dict(
             dict(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import analytic
@@ -10,9 +10,11 @@ from pinnopt.network import Architecture, init_params
 from pinnopt.pde import (
     boundary_loss,
     interior_loss_and_residuals,
+    interior_losses,
     make_problem,
     sample_batch,
 )
+from pinnopt.taylor import Workspace, taylor_output
 
 ALL_PROBLEMS = [
     ("poisson2d_sin", {}),
@@ -35,6 +37,15 @@ CATALOG = [
     ("heat", {"spatial_dim": 4}, 5, "heat", [UNIT] * 5, [0.0] + [1.0] * 4),
     ("log_fokker_planck", {}, 10, "initial", [UNIT] + [(-5.0, 5.0)] * 9, [0.0] + [1.0] * 9),
 ]
+
+# interior_losses against the un-split reference: (problem params, net widths)
+SPLIT_LOSS_CASES = {
+    "poisson2d_sin": ({}, (2, 7, 1)),
+    # diagonal, non-identity operator coefficients
+    "heat": ({"spatial_dim": 1}, (2, 6, 1)),
+    # two hidden layers and a nonlinear residual
+    "log_fokker_planck": ({}, (10, 6, 5, 1)),
+}
 
 
 class TestCatalog:
@@ -268,3 +279,34 @@ class TestLosses:
         assert l_int >= 0.0 and l_bnd >= 0.0
         assert (l_int == 0.0) == bool(np.all(r == 0.0))
         assert (l_bnd == 0.0) == bool(np.all(res == 0.0))
+
+
+class TestInteriorLosses:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SPLIT_LOSS_CASES)),
+        n=st.integers(1, 20).map(lambda k: 2 * k - 1),  # odd: the halves differ by a row
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        worker=st.booleans(),
+    )
+    # one row: half 1 is empty
+    @example(name="log_fokker_planck", n=1, k=3, seed=0, worker=True)
+    @example(name="heat", n=1, k=2, seed=1, worker=False)
+    # cut into two rows and one, the one-row half rounded differently
+    @example(name="heat", n=3, k=1, seed=1, worker=False)
+    def test_equal_to_unsplit_reference(self, name, n, k, seed, worker):
+        kwargs, widths = SPLIT_LOSS_CASES[name]
+        problem = make_problem(name, **kwargs)
+        batch = sample_batch(problem, n, 3, seed=seed)
+        candidates = [init_params(Architecture(widths), seed + j) for j in range(k)]
+        reference = []
+        for params in candidates:
+            out = taylor_output(params, batch.interior, problem.coeffs)
+            r = problem.residual(batch.interior, batch.source, out.value, out.gradient, out.operator)
+            reference.append(float(r @ r) / (2.0 * n))
+        workspace = Workspace(worker=worker)
+        try:
+            assert interior_losses(problem, candidates, batch, workspace) == reference
+        finally:
+            workspace.close()

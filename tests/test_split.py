@@ -1,6 +1,7 @@
 """The two halves of a split pass: the same bits on any thread, failures
 that end the run as diverged, and no thread left behind."""
 
+import dataclasses
 import gc
 import sys
 import threading
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracle
-from pinnopt import curvature, harness, pde, taylor
+from pinnopt import curvature, harness, network, optim, pde, taylor
 from pinnopt.network import Architecture, init_params
 from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, optimizer_step
 
@@ -237,6 +238,103 @@ class TestFailureAndLifetime:
         workers[0].join(timeout=JOIN_TIMEOUT_S)
         assert not workers[0].is_alive()
         assert threading.active_count() == threads_before
+
+
+def _poison_half_1(problem, n: int, poison, worker_started=None):
+    """``problem`` whose residual on half 1's rows of an odd batch of ``n`` goes through ``poison``.
+
+    ``poison(r)`` may write NaNs into the residuals ``r`` of those rows.
+    Only a split pass evaluates the residual on a half (the batch
+    evaluation takes the whole batch); half 1 has n // 2 rows and half 0
+    one more.  With an event ``worker_started``, half 1 sets it and half 0
+    waits for it, so a workspace with a worker surely runs half 1 there.
+    """
+    residual = problem.residual
+
+    def poisoned(x, f, u, grad, op):
+        r = residual(x, f, u, grad, op)
+        if x.shape[0] == n // 2:
+            if worker_started is not None:
+                worker_started.set()
+            poison(r)
+        elif worker_started is not None and x.shape[0] == (n + 1) // 2:
+            assert worker_started.wait(timeout=JOIN_TIMEOUT_S)
+        return r
+
+    return dataclasses.replace(problem, residual=poisoned)
+
+
+class TestLineSearchSplit:
+    def test_kfac_line_search_rows_run_on_the_worker(self, monkeypatch):
+        # both halves score every candidate, half 1 on the worker; the
+        # caller's first candidate waits until the worker has taken half 1
+        ran_on = []
+        worker_started = threading.Event()
+        output = pde.taylor_output
+
+        def spy(*args):
+            thread = threading.current_thread().name
+            ran_on.append(thread)
+            if _is_worker(thread):
+                worker_started.set()
+            elif len(ran_on) == 1:
+                worker_started.wait(timeout=JOIN_TIMEOUT_S)
+            return output(*args)
+
+        monkeypatch.setattr(pde, "taylor_output", spy)
+        problem = pde.make_problem("poisson2d_sin")
+        state = init_train_state(init_params(Architecture((2, 16, 1)), 0), OptimizerConfig(kind="kfac", damping=1e-3))
+        try:
+            optimizer_step(state, pde.sample_batch(problem, 201, 20, seed=0), problem)
+        finally:
+            state.workspace.close()
+        assert len(ran_on) == 2 * len(optim.LINE_SEARCH_GRID)
+        assert any(_is_worker(thread) for thread in ran_on)
+        assert threading.current_thread().name in ran_on
+
+    def test_nan_in_worker_half_skips_the_candidate(self):
+        problem = pde.make_problem("poisson2d_sin")
+        n = 21
+        batch = pde.sample_batch(problem, n, 8, seed=4)
+        state = init_train_state(init_params(Architecture((2, 8, 1)), 1), OptimizerConfig(kind="kfac", damping=1e-3))
+        direction = -evaluate_batch(state.params, batch, problem).grad
+        grid = optim.LINE_SEARCH_GRID
+        candidates = [network.add_scaled(state.params, direction, alpha) for alpha in grid]
+        totals = [l_int + l_bnd for l_int, l_bnd in optim.evaluate_losses(candidates, batch, problem)]
+        best = totals.index(min(totals))
+        runner_up = min((loss, k) for k, loss in enumerate(totals) if k != best)[1]
+
+        # the worker's half of the best candidate alone has a NaN residual
+        scored, nan_on = [], []
+
+        def poison(r):
+            if len(scored) == best:
+                nan_on.append(threading.current_thread().name)
+                r[-1] = np.nan
+            scored.append(None)
+
+        poisoned = _poison_half_1(problem, n, poison, threading.Event())
+        try:
+            _, alpha = optim._line_search_update(state, batch, poisoned, direction)
+        finally:
+            state.workspace.close()
+        assert len(scored) == len(grid)
+        assert [_is_worker(thread) for thread in nan_on] == [True]
+        assert alpha == grid[runner_up] != grid[best]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_at_every_step_size_exits_3(self, tmp_path, monkeypatch):
+        make_problem = pde.make_problem
+        n = 21
+
+        def nan_in_half_1(name, **params):
+            return _poison_half_1(make_problem(name, **params), n, lambda r: r.fill(np.nan))
+
+        monkeypatch.setattr(harness.pde, "make_problem", nan_in_half_1)
+        assert train_cli(tmp_path, optimizer="kfac", damping=1e-3, n_interior=n, max_steps=3, eval_every=1) == 3
+        text = (tmp_path / "run" / "log.csv").read_text()
+        assert "# diverged: loss is non-finite at every line-search step size" in text
+        assert (tmp_path / "run" / "checkpoint.json").exists()
 
 
 @pytest.fixture
