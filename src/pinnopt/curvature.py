@@ -54,9 +54,11 @@ direction k, each layer adds
     (J V)_nk += g_n0 . (dW_k x_n + db_k) + <G_n, dW_k^T>      (layer 0)
 
 the first as one (N S, h_in) x (h_in, h_out) product per direction, the
-second with G_n read as one (N, d h1) matrix.  ``V^T G V`` is then the
-Gramian-vector product of the (N, k) rows with the coordinate vectors.
-Only engd forms the (N, D) rows.
+second with G_n read as one (N, d h1) matrix.  :func:`projected_gramian`
+returns ``V^T G V``, the Gramian-vector products of the (N, k) rows with
+the coordinate vectors as columns.  Only engd forms the (N, D) rows, in
+:func:`dense_gramian`.  These two are the optimizers' only way to the
+Gauss-Newton matrix.
 
 The interior term's per-sample work runs over the two fixed halves of
 the batch of :meth:`pinnopt.taylor.Workspace.split`, on the calling
@@ -98,7 +100,8 @@ __all__ = [
     "interior_factor_update",
     "boundary_factor_update",
     "precondition_gradient",
-    "gramian_from_rows",
+    "dense_gramian",
+    "projected_gramian",
     "residual_jacobian_rows",
     "loss_gradient",
 ]
@@ -303,9 +306,6 @@ def _jacobian_rows(record):
         h = z.shape[-1]
         if z.ndim == 2:
             _input_layer_rows(z, g, view[:, :h, :])
-        elif z.shape[1] == 1:
-            # S = 1: an outer product, where a matmul with inner dimension 1 is one tiny gemm per sample
-            np.multiply(z.transpose(0, 2, 1), g, out=view[:, :h, :])
         else:
             np.matmul(z.transpose(0, 2, 1), g, out=view[:, :h, :])
         view[:, h, :] = g[:, 0, :]
@@ -403,8 +403,11 @@ def residual_jacobian_rows(params, batch: pde.Batch, problem) -> tuple:
     )
 
 
-def gramian_from_rows(rows_int, rows_bnd) -> np.ndarray:
-    """Dense Gauss-Newton matrix ``J_int^T J_int / N + J_cond^T J_cond / N_cond`` from the rows."""
+def dense_gramian(interior: list, boundary: list) -> np.ndarray:
+    """engd's dense Gauss-Newton matrix ``J_int^T J_int / N + J_cond^T J_cond / N_cond``
+    from the (N, D) rows of the two records."""
+    rows_int = _interior_jacobian_rows(interior)
+    rows_bnd = _boundary_jacobian_rows(boundary)
     d_total = rows_int.shape[1]
     g = np.zeros((d_total, d_total))
     if rows_int.shape[0]:
@@ -412,6 +415,17 @@ def gramian_from_rows(rows_int, rows_bnd) -> np.ndarray:
     if rows_bnd.shape[0]:
         g += rows_bnd.T @ rows_bnd / rows_bnd.shape[0]
     return _symmetrize(g)
+
+
+def projected_gramian(interior: list, boundary: list, basis: list, workspace) -> np.ndarray:
+    """The Gramian restricted to the span of ``basis``: the (k, k) matrix ``V^T G V``.
+
+    Column j is the Gramian-vector product of the projected rows ``J V``
+    of both terms with the j-th coordinate vector; no (N, D) row is formed.
+    """
+    proj_int = _interior_jacobian_rows(interior, basis, workspace)
+    proj_bnd = _boundary_jacobian_rows(boundary, basis, workspace)
+    return np.stack([gramian_vec_from_rows(proj_int, proj_bnd, e) for e in np.eye(len(basis))], axis=1)
 
 
 def gramian_vec_from_rows(rows_int, rows_bnd, v) -> np.ndarray:

@@ -207,26 +207,21 @@ class _CsvWriter:
     """Incremental CSV writer; each row is flushed as one complete line."""
 
     def __init__(self, path, header_meta: str):
-        self.fh = open(path, "w", encoding="utf-8", newline="\n") if path else None
-        if self.fh:
-            self.fh.write(f"# {header_meta}\n")
-            self.fh.write(",".join(CSV_COLUMNS) + "\n")
-            self.fh.flush()
+        self.fh = open(path, "w", encoding="utf-8", newline="\n")
+        self.fh.write(f"# {header_meta}\n")
+        self.fh.write(",".join(CSV_COLUMNS) + "\n")
+        self.fh.flush()
 
     def row(self, values):
-        if self.fh:
-            self.fh.write(",".join([str(int(values[0]))] + [_fmt(v) for v in values[1:]]) + "\n")
-            self.fh.flush()
+        self.fh.write(",".join([str(int(values[0]))] + [_fmt(v) for v in values[1:]]) + "\n")
+        self.fh.flush()
 
     def comment(self, text):
-        if self.fh:
-            self.fh.write(f"# {text}\n")
-            self.fh.flush()
+        self.fh.write(f"# {text}\n")
+        self.fh.flush()
 
     def close(self):
-        if self.fh:
-            self.fh.close()
-            self.fh = None
+        self.fh.close()
 
 
 def save_checkpoint(path, params, config: RunConfig | None = None):

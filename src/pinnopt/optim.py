@@ -3,10 +3,11 @@
 Second-order: the Kronecker-factored preconditioner (``kfac`` with grid
 line search and heavy-ball momentum, ``kfac_star`` with learning rate and
 momentum from a quadratic model whose matrix is the exact Gramian
-restricted to span{Delta, prev}, built from the (N, k) projected Jacobian
-J [Delta, prev] without the N x D Jacobian rows) and ``engd`` (exact
-Gramian pseudo-inverse, the one optimizer that forms the rows).
-First-order baselines: heavy-ball ``sgd`` and ``adam``.
+restricted to span{Delta, prev}, :func:`curvature.projected_gramian`) and
+``engd`` (pseudo-inverse of :func:`curvature.dense_gramian`, the one
+optimizer that forms the N x D Jacobian rows).  Both reach the Gramian
+through these two public calls only.  First-order baselines: heavy-ball
+``sgd`` and ``adam``.
 
 :func:`optimizer_step` evaluates the batch once; the kind's update rule
 turns that evaluation into an update and the step-size pair it used.
@@ -281,21 +282,26 @@ def kfac_step(state: TrainState, ev: BatchEval, batch: pde.Batch, problem) -> tu
     return update, alpha, mu
 
 
-def solve_quadratic_model(have_prev, m11, m12, m22, rhs1, rhs2) -> tuple:
+def solve_quadratic_model(model, rhs) -> tuple:
     """Minimize the quadratic model over (alpha, mu).
 
-    The model matrix is the symmetric Gram matrix of (Delta, prev_update)
-    under the damped Gramian inner product with right-hand side
-    -(Delta . g, prev . g); a singular system falls back to the
-    alpha-only solve.
+    ``model`` is the k x k matrix of the k <= 2 directions (Delta, then
+    prev_update) under the damped Gramian inner product, ``rhs`` their
+    products with the gradient; the minimizer solves ``model [alpha, mu] =
+    -rhs``.  A single direction, or a singular 2 x 2 system, falls back to
+    the alpha-only solve.  The off-diagonal entry is read from column 1,
+    ``model[0][1]``: a projected Gramian is symmetric only up to rounding.
     """
     tiny = 1e-300
-    det = m11 * m22 - m12 * m12
-    scale = max(abs(m11 * m22), m12 * m12, tiny)
-    if have_prev and det > 1e-12 * scale:
-        alpha = (-rhs1 * m22 + rhs2 * m12) / det
-        mu = (rhs1 * m12 - rhs2 * m11) / det
-        return alpha, mu
+    m11, rhs1 = model[0][0], rhs[0]
+    if len(rhs) == 2:
+        m12, m22, rhs2 = model[0][1], model[1][1], rhs[1]
+        det = m11 * m22 - m12 * m12
+        scale = max(abs(m11 * m22), m12 * m12, tiny)
+        if det > 1e-12 * scale:
+            alpha = (-rhs1 * m22 + rhs2 * m12) / det
+            mu = (rhs1 * m12 - rhs2 * m11) / det
+            return alpha, mu
     if m11 <= tiny:
         return 0.0, 0.0
     return -rhs1 / m11, 0.0
@@ -305,41 +311,21 @@ def kfac_star_step(state: TrainState, ev: BatchEval, batch: pde.Batch, problem) 
     """Kronecker-preconditioned direction with model-optimal (alpha, mu).
 
     The update is ``alpha * Delta + mu * prev``.  The model matrix is
-    ``V^T G V + damping * V^T V`` for V = [Delta, prev] (only Delta on the
-    first step), with ``V^T G V`` read from the (N, k) products J V that
-    :mod:`pinnopt.curvature` builds from the step's records; no (N, D)
-    Jacobian row is formed.
+    ``V^T G V + damping * V^T V`` for V = [Delta, prev] (only Delta while
+    prev is zero), with ``V^T G V`` from :func:`curvature.projected_gramian`.
     """
-    cfg = state.config
     dv = _kfac_direction(state, ev)
-    pv, gv = state.prev_update, ev.grad
-    lam = cfg.damping
-    have_prev = bool(pv @ pv > 0.0)
-
-    # the Gramian restricted to span{Delta, prev}: V^T G V from the (N, k) products J V
-    basis = [dv, pv] if have_prev else [dv]
-    proj_int = curvature._interior_jacobian_rows(ev.interior, basis, state.workspace)
-    proj_bnd = curvature._boundary_jacobian_rows(ev.boundary, basis, state.workspace)
-    gram = [curvature.gramian_vec_from_rows(proj_int, proj_bnd, e) for e in np.eye(len(basis))]
-    m11 = float(gram[0][0] + lam * dv @ dv)
-    rhs1 = float(dv @ gv)
-    if have_prev:
-        m12 = float(gram[1][0] + lam * dv @ pv)
-        m22 = float(gram[1][1] + lam * pv @ pv)
-        rhs2 = float(pv @ gv)
-    else:
-        m12 = m22 = rhs2 = 0.0
-    alpha, mu = solve_quadratic_model(have_prev, m11, m12, m22, rhs1, rhs2)
-
+    pv, lam = state.prev_update, state.config.damping
+    basis = [dv, pv] if pv @ pv > 0.0 else [dv]
+    gram = curvature.projected_gramian(ev.interior, ev.boundary, basis, state.workspace)
+    model = [[float(gram[i, j] + (lam * u) @ v) for j, v in enumerate(basis)] for i, u in enumerate(basis)]
+    alpha, mu = solve_quadratic_model(model, [float(v @ ev.grad) for v in basis])
     return alpha * dv + mu * pv, alpha, mu
 
 
 def engd_step(state: TrainState, ev: BatchEval, batch: pde.Batch, problem) -> tuple:
     cfg = state.config
-    gram = curvature.gramian_from_rows(
-        curvature._interior_jacobian_rows(ev.interior),
-        curvature._boundary_jacobian_rows(ev.boundary),
-    )
+    gram = curvature.dense_gramian(ev.interior, ev.boundary)
     if state.gramian_ema is not None:
         state.gramian_ema = curvature.ema_update(state.gramian_ema, gram, cfg.ema)
         gram = state.gramian_ema

@@ -156,19 +156,17 @@ def _poisson_norm2(dim: int = 100) -> PdeProblem:
     return _poisson("poisson_norm2", d, true_solution, source)
 
 
-def _heat(spatial_dim: int = 1, kappa: float = 0.25) -> PdeProblem:
-    """Heat equation du/dt = kappa * Laplace_x u on [0,1] x [0,1]^s.
+def _heat(spatial_dim: int = 1) -> PdeProblem:
+    """Heat equation du/dt = kappa * Laplace_x u on [0,1] x [0,1]^s, kappa = 1/4.
 
-    The manufactured solutions below are exact only for kappa = 1/4, so
-    other diffusivities are rejected rather than silently mismatched.
-    Initial and spatial-boundary conditions are merged into one condition
-    term with targets from the true solution.
+    The diffusivity is fixed because the manufactured solutions below are
+    exact only for kappa = 1/4.  Initial and spatial-boundary conditions
+    are merged into one condition term with targets from the true solution.
     """
     s = network.as_index(spatial_dim)
     if s not in (1, 4):
         raise ValueError(f"heat supports spatial_dim in {{1, 4}}, got {spatial_dim}")
-    if kappa - 0.25 != 0:  # NaN compares unequal; a non-number raises TypeError
-        raise ValueError("the catalog heat solutions require kappa = 1/4")
+    kappa = 0.25
     d = s + 1
     lower, upper = _unit_box(d)
     coeffs = OperatorCoeffs.partial_laplacian(d, range(1, d))

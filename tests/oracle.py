@@ -99,7 +99,11 @@ def initial_state(x) -> np.ndarray:
 
 def exact_gramian(params, batch, problem) -> np.ndarray:
     """Dense Gauss-Newton matrix ``J_int^T J_int / N + J_cond^T J_cond / N_cond`` of the batch."""
-    return curvature.gramian_from_rows(*curvature.residual_jacobian_rows(params, batch, problem))
+    g = np.zeros((params.n_params, params.n_params))
+    for rows in curvature.residual_jacobian_rows(params, batch, problem):
+        if rows.shape[0]:
+            g += rows.T @ rows / rows.shape[0]
+    return 0.5 * (g + g.T)
 
 
 def gramian_vec(params, batch, problem, v) -> np.ndarray:

@@ -332,7 +332,7 @@ def test_criterion_8_quadratic_model_optimality():
 
         from pinnopt.optim import solve_quadratic_model
 
-        alpha, mu = solve_quadratic_model(True, m11, m12, m22, rhs1, rhs2)
+        alpha, mu = solve_quadratic_model([[m11, m12], [m12, m22]], [rhs1, rhs2])
 
         def model(a, m):
             return a * rhs1 + m * rhs2 + 0.5 * (a * a * m11 + 2 * a * m * m12 + m * m * m22)

@@ -459,7 +459,8 @@ PROJECTED_PROBLEMS = {
 
 
 class TestProjectedRows:
-    """``J V`` built from the records against the full rows times the stacked directions."""
+    """``J V`` built from the records against the full rows times the stacked directions,
+    and the two Gramians of the records against the oracle's dense one."""
 
     @pytest.mark.parametrize("name", sorted(PROJECTED_PROBLEMS))
     @pytest.mark.parametrize("hidden", [(), (7,), (5, 4, 6)])
@@ -467,7 +468,8 @@ class TestProjectedRows:
     def test_matches_rows_times_basis(self, name, hidden, k):
         problem = PROJECTED_PROBLEMS[name]()
         p = init_params(Architecture((problem.dim,) + hidden + (1,)), 41)
-        ev = evaluate_batch(p, pde.sample_batch(problem, 6, 5, seed=42), problem)
+        batch = pde.sample_batch(problem, 6, 5, seed=42)
+        ev = evaluate_batch(p, batch, problem)
         rng = np.random.default_rng(43)
         basis = [rng.standard_normal(ev.grad.size) for _ in range(k)]
         v = np.stack(basis, axis=1)
@@ -479,3 +481,11 @@ class TestProjectedRows:
             got = rows_of(record, basis, Workspace())
             assert got.shape == want.shape == (record[0][1].shape[0], k)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        gram = oracle.exact_gramian(p, batch, problem)
+        dense = curvature.dense_gramian(ev.interior, ev.boundary)
+        assert np.max(np.abs(dense - dense.T)) == 0.0
+        assert np.max(np.abs(dense - gram)) <= 1e-13 * np.max(np.abs(gram))
+        want = v.T @ gram @ v
+        got = curvature.projected_gramian(ev.interior, ev.boundary, basis, Workspace())
+        assert got.shape == (k, k)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -290,7 +290,7 @@ class TestKfacStar:
         dv = rng.standard_normal(4)
         gv = rng.standard_normal(4)
         m11 = float(dv @ dv)
-        alpha, mu = solve_quadratic_model(False, m11, 0.0, 0.0, float(dv @ gv), 0.0)
+        alpha, mu = solve_quadratic_model([[m11]], [float(dv @ gv)])
         assert alpha == pytest.approx(-float(dv @ gv) / float(dv @ dv))
         assert mu == 0.0
 
@@ -302,7 +302,7 @@ class TestKfacStar:
         k = 2.5
         m12, m22 = k * m11, k * k * m11
         rhs1, rhs2 = 3.0, 3.0 * k
-        alpha, mu = solve_quadratic_model(True, m11, m12, m22, rhs1, rhs2)
+        alpha, mu = solve_quadratic_model([[m11, m12], [m12, m22]], [rhs1, rhs2])
         assert mu == 0.0
         assert alpha == pytest.approx(-rhs1 / m11)
 
@@ -364,14 +364,12 @@ class TestKfacStar:
                 lam = ref.config.damping
                 g_dv = oracle.gramian_vec(ref.params, batch, problem, dv)
                 g_pv = oracle.gramian_vec(ref.params, batch, problem, pv)
-                alpha, mu = solve_quadratic_model(
-                    step > 0,
-                    float(dv @ g_dv + lam * dv @ dv),
-                    float(dv @ g_pv + lam * dv @ pv),
-                    float(pv @ g_pv + lam * pv @ pv),
-                    float(dv @ gv),
-                    float(pv @ gv),
-                )
+                m12 = float(dv @ g_pv + lam * dv @ pv)
+                model = [[float(dv @ g_dv + lam * dv @ dv), m12], [m12, float(pv @ g_pv + lam * pv @ pv)]]
+                rhs = [float(dv @ gv), float(pv @ gv)]
+                if step == 0:  # prev is zero: Delta alone
+                    model, rhs = [model[0][:1]], rhs[:1]
+                alpha, mu = solve_quadratic_model(model, rhs)
                 info = optimizer_step(state, batch, problem)
                 assert info.alpha == pytest.approx(alpha, rel=1e-10), (seed, step)
                 assert info.mu == pytest.approx(mu, rel=1e-10), (seed, step)

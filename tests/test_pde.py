@@ -60,6 +60,7 @@ class TestCatalog:
             ("poisson_norm2", {"dim": 2.5}),
             ("heat", {"spatial_dim": "1"}),
             ("heat", {"spatial_dim": 1, "kappa": "x"}),
+            ("heat", {"spatial_dim": 1, "kappa": 0.25}),
         ],
     )
     def test_bad_parameters_name_the_problem(self, name, kwargs):
