@@ -10,7 +10,7 @@ harness with a small PDE catalog.
 from .curvature import init_kfac_state, precondition_gradient
 from .harness import RunConfig, TrainLog, eval_l2, run_training
 from .linalg import kron_sum_solve, pinv_psd, sym_eig
-from .network import Architecture, Parameters, forward_batch, init_params
+from .network import Parameters, forward_batch, init_params
 from .optim import OptimizerConfig, init_train_state, optimizer_step
 from .pde import PROBLEM_NAMES, make_problem, sample_batch
 from .taylor import OperatorCoeffs, taylor_backward, taylor_forward
@@ -18,7 +18,6 @@ from .taylor import OperatorCoeffs, taylor_backward, taylor_forward
 __version__ = "0.1.0"
 
 __all__ = [
-    "Architecture",
     "OperatorCoeffs",
     "OptimizerConfig",
     "Parameters",

@@ -1,5 +1,9 @@
 """Run configuration, training loop, evaluation, logging, and the CLI.
 
+:class:`RunConfig` is a :class:`pinnopt.optim.OptimizerConfig` with the
+run's own fields added; :func:`run_training` hands it to
+:func:`pinnopt.optim.init_train_state` as it is.
+
 Reproducibility model: from the run seed, independent sub-streams for
 initialization, batch sampling and evaluation are derived with numpy's
 ``SeedSequence(entropy=seed, spawn_key=(tag, index))`` (PCG64 generators).
@@ -82,7 +86,10 @@ _FIELD_TYPES = {
 
 
 def _check_field(f: dataclasses.Field, value):
-    """Raise ValueError unless ``value`` fits RunConfig field ``f``'s type (and is finite, for a float)."""
+    """Raise ValueError unless ``value`` fits RunConfig field ``f``'s type (and is finite, for a float).
+
+    ``f.type`` is the annotation's text: both modules postpone annotations.
+    """
     if not isinstance(value, _FIELD_TYPES[f.type]) or isinstance(value, bool):
         raise ValueError(f"config field {f.name} must be {f.type}, got {value!r}")
     if f.type == "float" and not math.isfinite(value):
@@ -94,20 +101,15 @@ def _stream_seed(seed: int, tag: int, index: int = 0) -> int:
     return int(ss.generate_state(1)[0])
 
 
-@dataclass
-class RunConfig:
-    """Flat, JSON-serializable description of one training run."""
+@dataclass(kw_only=True)
+class RunConfig(OptimizerConfig):
+    """Flat, JSON-serializable description of one training run: the inherited
+    optimizer fields, whose defaults and checks :class:`OptimizerConfig`
+    declares, and the run's own fields below."""
 
     problem: str
     widths: list
-    optimizer: str
     problem_params: dict = field(default_factory=dict)
-    lr: float = 1e-3
-    momentum: float = 0.0
-    ema: float = 0.9
-    damping: float = 1e-2
-    init_mode: str = "identity"
-    rcond: float = 1e-10
     n_interior: int = 900
     n_boundary: int = 120
     resample_every: int | None = None
@@ -129,7 +131,7 @@ class RunConfig:
             raise ValueError("max_wall_seconds must be >= 0 (0 means no wall budget)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        self.optimizer_config()  # validates the optimizer fields
+        self.validate()
         if self.resample_every is None:
             self.resample_every = DEFAULT_RESAMPLE_EVERY[self.optimizer]
         if self.resample_every < 0:
@@ -160,17 +162,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            kind=self.optimizer,
-            lr=self.lr,
-            momentum=self.momentum,
-            ema=self.ema,
-            damping=self.damping,
-            init_mode=self.init_mode,
-            rcond=self.rcond,
-        )
 
 
 @dataclass
@@ -252,7 +243,8 @@ def load_checkpoint(path):
     """Read a checkpoint; returns ``(params, config_dict_or_None)``.
 
     Raises ValueError for an activation other than tanh and for a payload
-    that is not an object with a non-empty ``layers`` list of well-formed layers.
+    that is not an object with a non-empty ``layers`` list of well-formed,
+    finite layers (``json`` reads the ``NaN`` and ``Infinity`` literals).
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -270,6 +262,8 @@ def load_checkpoint(path):
         except (KeyError, TypeError) as exc:
             raise ValueError(f"checkpoint layer {i} is malformed: {type(exc).__name__}: {exc}") from None
     params = network.Parameters(weights, biases)
+    if not np.all(np.isfinite(params.vector)):
+        raise ValueError(f"checkpoint {path} has non-finite parameters")
     return params, payload.get("config")
 
 
@@ -284,13 +278,12 @@ def run_training(config: RunConfig) -> TrainLog:
     written.
     """
     problem = pde.make_problem(config.problem, **config.problem_params)
-    arch = network.Architecture(tuple(config.widths))
-    if arch.input_dim != problem.dim:
+    params = network.init_params(config.widths, _stream_seed(config.seed, STREAM_INIT))
+    if params.input_dim != problem.dim:
         raise ValueError(
-            f"network input width {arch.input_dim} does not match problem dim {problem.dim}"
+            f"network input width {params.input_dim} does not match problem dim {problem.dim}"
         )
-    params = network.init_params(arch, _stream_seed(config.seed, STREAM_INIT))
-    state = init_train_state(params, config.optimizer_config())
+    state = init_train_state(params, config)
 
     os.makedirs(config.output_dir, exist_ok=True)
     meta = json.dumps(

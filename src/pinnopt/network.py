@@ -4,7 +4,8 @@ The net alternates fully-connected layers and tanh:
 ``linear -> tanh -> linear -> ... -> linear`` with a scalar output.  tanh is
 the only activation; :func:`tanh_derivs` gives its derivatives up to third
 order, which the differential-operator propagation in :mod:`pinnopt.taylor`
-requires.
+requires.  :func:`init_params` takes the layer widths ``(d, h_1, ..., 1)``
+and checks them; :class:`Parameters` carries the layout from then on.
 
 Parameter flattening convention (shared by the whole package): per linear
 layer the weight and bias are joined into the augmented matrix ``[W | b]``
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Architecture",
     "ActivationDerivs",
     "Parameters",
     "tanh_derivs",
@@ -85,34 +85,6 @@ def as_index(value) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True)
-class Architecture:
-    """Layer widths ``(d, h_1, ..., 1)``."""
-
-    widths: tuple
-
-    def __post_init__(self):
-        try:
-            widths = tuple(as_index(w) for w in self.widths)
-        except TypeError:
-            raise ValueError(f"widths must be integers, got {self.widths!r}") from None
-        object.__setattr__(self, "widths", widths)
-        if len(widths) < 2:
-            raise ValueError("need at least input and output widths")
-        if any(w < 1 for w in widths):
-            raise ValueError(f"all widths must be >= 1, got {widths}")
-        if widths[-1] != 1:
-            raise ValueError(f"output width must be 1, got {widths[-1]}")
-
-    @property
-    def input_dim(self) -> int:
-        return self.widths[0]
-
-    @property
-    def n_linear(self) -> int:
-        return len(self.widths) - 1
-
-
 class Parameters:
     """The net's parameters as one float64 ``vector`` in the package layout.
 
@@ -164,15 +136,27 @@ class Parameters:
         return self.copy()
 
 
-def init_params(arch: Architecture, seed: int) -> Parameters:
-    """Draw weights and biases i.i.d. uniform on (-1/sqrt(fan_in), 1/sqrt(fan_in)).
+def init_params(widths, seed: int) -> Parameters:
+    """Parameters of the net of layer widths ``(d, h_1, ..., 1)``, drawn i.i.d.
+    uniform on (-1/sqrt(fan_in), 1/sqrt(fan_in)).
 
-    Deterministic given ``seed``; per layer the weight entries are drawn
-    first (row-major), then the bias.
+    Raises ValueError unless ``widths`` are at least two integers >= 1 ending
+    in 1.  Deterministic given ``seed``; per layer the weight entries are
+    drawn first (row-major), then the bias.
     """
+    try:
+        widths = tuple(as_index(w) for w in widths)
+    except TypeError:
+        raise ValueError(f"widths must be integers, got {widths!r}") from None
+    if len(widths) < 2:
+        raise ValueError("need at least input and output widths")
+    if any(w < 1 for w in widths):
+        raise ValueError(f"all widths must be >= 1, got {widths}")
+    if widths[-1] != 1:
+        raise ValueError(f"output width must be 1, got {widths[-1]}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for h_in, h_out in zip(arch.widths[:-1], arch.widths[1:]):
+    for h_in, h_out in zip(widths[:-1], widths[1:]):
         bound = 1.0 / np.sqrt(h_in)
         weights.append(rng.uniform(-bound, bound, size=(h_out, h_in)))
         biases.append(rng.uniform(-bound, bound, size=h_out))

@@ -9,8 +9,11 @@ optimizer that forms the N x D Jacobian rows).  Both reach the Gramian
 through these two public calls only.  First-order baselines: heavy-ball
 ``sgd`` and ``adam``.
 
+:class:`OptimizerConfig` declares the optimizer settings, their defaults
+and their checks; :class:`pinnopt.harness.RunConfig` extends it.
 :func:`optimizer_step` evaluates the batch once; the kind's update rule
-turns that evaluation into an update and the step-size pair it used.
+turns that evaluation into an update and the step-size pair it used, and
+the step commits the new parameters only if they are finite.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ __all__ = [
     "evaluate_losses",
 ]
 
-OPTIMIZER_KINDS = ("kfac", "kfac_star", "engd", "sgd", "adam")
 LINE_SEARCH_GRID = tuple(2.0 ** e for e in range(-30, 1))  # kfac / engd step sizes
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -46,9 +48,13 @@ class LineSearchError(RuntimeError):
 
 @dataclass
 class OptimizerConfig:
-    """Hyperparameters; which fields matter depends on ``kind``."""
+    """The optimizer and its hyperparameters; which fields matter depends on ``optimizer``.
 
-    kind: str
+    :class:`pinnopt.harness.RunConfig` extends it with the run's own fields,
+    so each setting, its default and its check are declared here only.
+    """
+
+    optimizer: str
     lr: float = 1e-3              # sgd / adam step size
     momentum: float = 0.0         # kfac / sgd
     ema: float = 0.9              # moving average on curvature factors
@@ -60,8 +66,8 @@ class OptimizerConfig:
         self.validate()
 
     def validate(self):
-        if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer {self.kind!r}; known: {OPTIMIZER_KINDS}")
+        if self.optimizer not in OPTIMIZER_KINDS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; known: {OPTIMIZER_KINDS}")
         for name in ("lr", "momentum", "damping", "rcond"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -73,11 +79,11 @@ class OptimizerConfig:
             raise ValueError(f"init_mode must be 'zero' or 'identity', got {self.init_mode!r}")
         if not self.rcond >= 0.0:
             raise ValueError(f"rcond must be >= 0, got {self.rcond}")
-        if self.kind in ("kfac", "kfac_star") and self.damping <= 0.0:
-            raise ValueError(f"{self.kind} requires damping > 0")
-        if self.kind in ("sgd", "adam") and self.lr <= 0.0:
-            raise ValueError(f"{self.kind} requires lr > 0")
-        if self.kind == "engd" and self.damping < 0.0:
+        if self.optimizer in ("kfac", "kfac_star") and self.damping <= 0.0:
+            raise ValueError(f"{self.optimizer} requires damping > 0")
+        if self.optimizer in ("sgd", "adam") and self.lr <= 0.0:
+            raise ValueError(f"{self.optimizer} requires lr > 0")
+        if self.optimizer == "engd" and self.damping < 0.0:
             raise ValueError("engd damping must be >= 0")
 
 
@@ -111,20 +117,20 @@ def init_train_state(params: network.Parameters, config: OptimizerConfig) -> Tra
     """
     config.validate()
     d = params.n_params
-    if config.kind == "engd" and d > curvature.DENSE_GRAMIAN_CAP:
+    if config.optimizer == "engd" and d > curvature.DENSE_GRAMIAN_CAP:
         raise ValueError(
             f"engd materializes the dense Gramian; {d} parameters exceed the "
             f"cap {curvature.DENSE_GRAMIAN_CAP}"
         )
     state = TrainState(params=params, config=config, prev_update=np.zeros(d))
-    if config.kind in ("kfac", "kfac_star"):
+    if config.optimizer in ("kfac", "kfac_star"):
         state.kfac = curvature.init_kfac_state(
             params, config.ema, config.damping, config.init_mode
         )
-    if config.kind == "adam":
+    if config.optimizer == "adam":
         state.adam_m = np.zeros(d)
         state.adam_v = np.zeros(d)
-    if config.kind == "engd" and config.ema > 0.0:
+    if config.optimizer == "engd" and config.ema > 0.0:
         state.gramian_ema = (
             np.zeros((d, d)) if config.init_mode == "zero" else np.eye(d)
         )
@@ -361,19 +367,22 @@ _STEP_FNS = {
     "sgd": sgd_step,
     "adam": adam_step,
 }
+OPTIMIZER_KINDS = tuple(_STEP_FNS)
 
 
 def optimizer_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
-    """One step of ``state.config.kind``; raises on non-finite parameters.
+    """One step of ``state.config.optimizer``; raises on non-finite parameters.
 
     The one evaluation of the batch and the one place that applies the
     update ``(update, alpha, mu)`` of the kind's rule and advances the state.
+    Non-finite new parameters raise before the state changes, so the state
+    keeps the last finite parameters.
     """
     ev = evaluate_batch(state.params, batch, problem, state.workspace)
-    update, alpha, mu = _STEP_FNS[state.config.kind](state, ev, batch, problem)
-    state.params = network.add_scaled(state.params, update, 1.0)
-    state.prev_update = update
-    state.step += 1
-    if not np.all(np.isfinite(state.params.vector)):
+    update, alpha, mu = _STEP_FNS[state.config.optimizer](state, ev, batch, problem)
+    params = network.add_scaled(state.params, update, 1.0)
+    if not np.all(np.isfinite(params.vector)):
         raise FloatingPointError("parameters became non-finite during the step")
+    state.params, state.prev_update = params, update
+    state.step += 1
     return StepInfo(alpha, mu, ev.loss_interior, ev.loss_boundary)

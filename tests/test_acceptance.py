@@ -13,7 +13,7 @@ import pytest
 import analytic
 import oracle
 from pinnopt import curvature, harness, network, pde
-from pinnopt.network import Architecture, init_params
+from pinnopt.network import init_params
 from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, optimizer_step
 from pinnopt.taylor import (
     OperatorCoeffs,
@@ -35,7 +35,7 @@ def test_criterion_1_forward_engine():
     worst_op = 0.0
     for widths in ((2, 16, 16, 1), (5, 32, 1)):
         d = widths[0]
-        params = init_params(Architecture(widths), 7)
+        params = init_params(widths, 7)
         pts = rng.uniform(-1.0, 1.0, size=(100, d))
         rand_c = rng.standard_normal((d, d))
         coeff_sets = [OperatorCoeffs.laplacian(d), OperatorCoeffs(0.5 * (rand_c + rand_c.T))]
@@ -62,7 +62,7 @@ def test_criterion_2_backward_engine():
     t0 = time.perf_counter()
     problem = pde.make_problem("poisson2d_sin")
     widths = (2, 24, 24, 1)
-    params = init_params(Architecture(widths), 11)
+    params = init_params(widths, 11)
     assert params.n_params <= 1000
     vec = oracle.params_to_vec(params)
     co = problem.coeffs
@@ -127,7 +127,7 @@ def test_criterion_3_curvature():
     problem = pde.make_problem("poisson2d_sin")
 
     # (a) exact Gramian symmetric PSD
-    params = init_params(Architecture((2, 12, 12, 1)), 13)
+    params = init_params((2, 12, 12, 1), 13)
     assert params.n_params <= 500
     batch = pde.sample_batch(problem, 16, 8, seed=7)
     gram = oracle.exact_gramian(params, batch, problem)
@@ -182,7 +182,7 @@ def test_criterion_3_curvature():
 
 def test_criterion_4_factor_transcription():
     problem = pde.make_problem("poisson2d_sin")
-    params = init_params(Architecture((2, 4, 1)), 9)
+    params = init_params((2, 4, 1), 9)
     batch = pde.sample_batch(problem, 3, 3, seed=13)
     ev = evaluate_batch(params, batch, problem)
     state = curvature.init_kfac_state(params, ema=0.0, damping=1.0, init_mode="zero")
@@ -313,9 +313,9 @@ def test_criterion_8_quadratic_model_optimality():
     worst_margin = np.inf
     for trial in range(10):
         rng = np.random.default_rng(300 + trial)
-        params = init_params(Architecture((2, 6, 1)), 400 + trial)
+        params = init_params((2, 6, 1), 400 + trial)
         batch = pde.sample_batch(problem, 12, 6, seed=500 + trial)
-        state = init_train_state(params, OptimizerConfig(kind="kfac_star", damping=1e-3, ema=0.0))
+        state = init_train_state(params, OptimizerConfig(optimizer="kfac_star", damping=1e-3, ema=0.0))
         ev = evaluate_batch(state.params, batch, problem)
         curvature.interior_factor_update(state.kfac, state.params, ev.interior)
         curvature.boundary_factor_update(state.kfac, ev.boundary)

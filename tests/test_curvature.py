@@ -15,7 +15,7 @@ from pinnopt.curvature import (
     precondition_gradient,
     residual_jacobian_rows,
 )
-from pinnopt.network import Architecture, Parameters, init_params, tanh_derivs
+from pinnopt.network import Parameters, init_params, tanh_derivs
 from pinnopt.optim import OptimizerConfig, evaluate_batch
 from pinnopt.taylor import (
     OperatorCoeffs,
@@ -51,7 +51,7 @@ class TestEmaUpdate:
 
     def test_beta_one_rejected_by_config(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(kind="kfac", ema=1.0, damping=1e-2)
+            OptimizerConfig(optimizer="kfac", ema=1.0, damping=1e-2)
 
     def test_midpoint(self):
         assert np.array_equal(ema_update(np.eye(2), 3.0 * np.eye(2), 0.5), 2.0 * np.eye(2))
@@ -89,7 +89,7 @@ class TestFactorUpdates:
         assert np.max(np.abs(approx - exact)) <= 1e-12
 
     def test_interior_factors_match_literal_loop(self, poisson):
-        p = init_params(Architecture((2, 4, 1)), 9)
+        p = init_params((2, 4, 1), 9)
         batch = pde.sample_batch(poisson, 3, 3, seed=13)
         ev = evaluate_batch(p, batch, poisson)
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
@@ -123,7 +123,7 @@ class TestFactorUpdates:
         assert np.array_equal(state.b_boundary[0], np.zeros((1, 1)))
 
     def test_boundary_factors_match_literal_loop(self, poisson):
-        p = init_params(Architecture((2, 4, 1)), 10)
+        p = init_params((2, 4, 1), 10)
         batch = pde.sample_batch(poisson, 3, 5, seed=14)
         _, inputs = network.forward_batch(p, batch.boundary)
         grads = network.backward_batch(p, inputs)
@@ -138,7 +138,7 @@ class TestFactorUpdates:
             assert np.max(np.abs(state.b_boundary[l] - b_ref)) <= 1e-12
 
     def test_factors_symmetric(self, poisson):
-        p = init_params(Architecture((2, 6, 1)), 11)
+        p = init_params((2, 6, 1), 11)
         batch = pde.sample_batch(poisson, 8, 8, seed=15)
         ev = evaluate_batch(p, batch, poisson)
         state = init_kfac_state(p, ema=0.5, damping=1.0, init_mode="identity")
@@ -151,7 +151,7 @@ class TestFactorUpdates:
 
 class TestPrecondition:
     def test_zero_factors_damping_only(self):
-        p = init_params(Architecture((2, 3, 1)), 0)
+        p = init_params((2, 3, 1), 0)
         state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
         grad = np.ones(13)
         out = precondition_gradient(state, grad)
@@ -159,7 +159,7 @@ class TestPrecondition:
 
     def test_matches_dense_block_inverse(self):
         rng = np.random.default_rng(4)
-        p = init_params(Architecture((3, 4, 1)), 1)
+        p = init_params((3, 4, 1), 1)
         state = init_kfac_state(p, ema=0.0, damping=0.3, init_mode="zero")
         for lists, sizes in (
             ((state.a_interior, state.a_boundary), [4, 5]),
@@ -200,7 +200,7 @@ class TestPrecondition:
         assert np.linalg.norm(out - want) <= 1e-5 * np.linalg.norm(want)
 
     def test_requires_positive_damping(self):
-        p = init_params(Architecture((2, 3, 1)), 0)
+        p = init_params((2, 3, 1), 0)
         state = init_kfac_state(p, ema=0.0, damping=0.0, init_mode="zero")
         with pytest.raises(ValueError):
             precondition_gradient(state, np.ones(13))
@@ -219,7 +219,7 @@ class TestExactGramian:
         assert np.max(np.abs(g - kron)) <= 1e-12
 
     def test_symmetric_psd(self, poisson):
-        p = init_params(Architecture((2, 6, 1)), 2)
+        p = init_params((2, 6, 1), 2)
         batch = pde.sample_batch(poisson, 10, 6, seed=3)
         g = oracle.exact_gramian(p, batch, poisson)
         assert np.max(np.abs(g - g.T)) == 0.0
@@ -229,7 +229,7 @@ class TestExactGramian:
     def test_matches_fd_jacobians(self, poisson):
         import oracle
 
-        p = init_params(Architecture((2, 4, 1)), 3)
+        p = init_params((2, 4, 1), 3)
         batch = pde.sample_batch(poisson, 3, 2, seed=5)
         g = oracle.exact_gramian(p, batch, poisson)
         # independent reference: finite-difference residual Jacobians
@@ -251,7 +251,7 @@ class TestExactGramian:
     def test_zero_jacobians_zero_gramian(self, poisson):
         # saturated tanh units give vanishing derivatives; rig directly with
         # zero gradients through a zero last layer
-        p = init_params(Architecture((2, 4, 1)), 4)
+        p = init_params((2, 4, 1), 4)
         p.weights[1][:] = 0.0
         batch = pde.sample_batch(poisson, 3, 3, seed=6)
         g = oracle.exact_gramian(p, batch, poisson)
@@ -265,12 +265,12 @@ class TestExactGramian:
 
 class TestGramianVec:
     def test_zero_vector(self, poisson):
-        p = init_params(Architecture((2, 4, 1)), 5)
+        p = init_params((2, 4, 1), 5)
         batch = pde.sample_batch(poisson, 4, 3, seed=7)
         assert np.array_equal(oracle.gramian_vec(p, batch, poisson, np.zeros(p.n_params)), np.zeros(p.n_params))
 
     def test_unit_vectors_reproduce_columns(self, poisson):
-        p = init_params(Architecture((2, 8, 1)), 6)
+        p = init_params((2, 8, 1), 6)
         batch = pde.sample_batch(poisson, 6, 4, seed=8)
         g = oracle.exact_gramian(p, batch, poisson)
         d = p.n_params
@@ -281,7 +281,7 @@ class TestGramianVec:
             assert np.max(np.abs(col - g[:, k])) <= 1e-10 * max(1.0, np.max(np.abs(g[:, k])))
 
     def test_quadratic_form_nonnegative(self, poisson):
-        p = init_params(Architecture((2, 5, 1)), 7)
+        p = init_params((2, 5, 1), 7)
         batch = pde.sample_batch(poisson, 5, 3, seed=9)
         rng = np.random.default_rng(10)
         for _ in range(5):
@@ -289,7 +289,7 @@ class TestGramianVec:
             assert v @ oracle.gramian_vec(p, batch, poisson, v) >= -1e-12
 
     def test_dimension_check(self, poisson):
-        p = init_params(Architecture((2, 4, 1)), 8)
+        p = init_params((2, 4, 1), 8)
         batch = pde.sample_batch(poisson, 2, 2, seed=11)
         with pytest.raises(ValueError):
             oracle.gramian_vec(p, batch, poisson, np.zeros(3))
@@ -345,7 +345,7 @@ class TestInputLayerClosedForm:
     def case(self, request):
         make, widths = INPUT_LAYER_CASES[request.param]
         problem = make()
-        p = init_params(Architecture(widths), 31)
+        p = init_params(widths, 31)
         batch = pde.sample_batch(problem, 5, 4, seed=32)
         ev = evaluate_batch(p, batch, problem)
         z0 = oracle.initial_state(batch.interior)
@@ -444,7 +444,7 @@ class TestFirstHiddenClosedForm:
             "diagonal": np.diag(rng.uniform(0.1, 2.0, d)),
             "full": (lambda m: m + m.T)(rng.standard_normal((d, d))),
         }[coeffs]
-        p = init_params(Architecture((d,) + (h,) * (n_linear - 1) + (1,)), seed % 1000)
+        p = init_params((d,) + (h,) * (n_linear - 1) + (1,), seed % 1000)
         states, _ = taylor_forward(p, rng.uniform(-1.0, 1.0, (n, d)), OperatorCoeffs(c))
         z = states[2]
         direct = curvature._input_gram(z)
@@ -467,7 +467,7 @@ class TestProjectedRows:
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_rows_times_basis(self, name, hidden, k):
         problem = PROJECTED_PROBLEMS[name]()
-        p = init_params(Architecture((problem.dim,) + hidden + (1,)), 41)
+        p = init_params((problem.dim,) + hidden + (1,), 41)
         batch = pde.sample_batch(problem, 6, 5, seed=42)
         ev = evaluate_batch(p, batch, problem)
         rng = np.random.default_rng(43)

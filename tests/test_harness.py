@@ -15,7 +15,7 @@ from pinnopt.harness import (
     run_training,
     save_checkpoint,
 )
-from pinnopt.network import Architecture, Parameters, init_params
+from pinnopt.network import Parameters, init_params
 
 
 def tiny_dict(tmp_path, **overrides) -> dict:
@@ -95,10 +95,12 @@ class TestRunConfig:
             RunConfig.from_dict({"problem": "poisson2d_sin", "optimizer": "adam"})
 
     def test_resample_defaults_per_optimizer(self):
-        a = RunConfig(problem="poisson2d_sin", widths=[2, 1], optimizer="adam")
-        k = RunConfig(problem="poisson2d_sin", widths=[2, 1], optimizer="kfac")
-        assert a.resample_every == 1
-        assert k.resample_every == 100
+        # every kind has a default; a missing one would escape main as a KeyError
+        expected = {"sgd": 1, "adam": 1, "engd": 1, "kfac": 100, "kfac_star": 100}
+        assert set(optim.OPTIMIZER_KINDS) == set(expected)
+        for kind in optim.OPTIMIZER_KINDS:
+            cfg = RunConfig(problem="poisson2d_sin", widths=[2, 1], optimizer=kind)
+            assert cfg.resample_every == expected[kind]
 
     def test_json_round_trip(self, tmp_path):
         cfg = RunConfig(problem="heat", problem_params={"spatial_dim": 1}, widths=[2, 8, 1], optimizer="kfac")
@@ -171,7 +173,7 @@ class TestRunTraining:
             load_checkpoint(str(path))
 
     def test_checkpoint_keeps_the_vector(self, tmp_path):
-        p = init_params(Architecture((3, 5, 4, 1)), 11)
+        p = init_params((3, 5, 4, 1), 11)
         save_checkpoint(str(tmp_path / "checkpoint.json"), p)
         q, _ = load_checkpoint(str(tmp_path / "checkpoint.json"))
         assert q.shapes == p.shapes
@@ -204,6 +206,16 @@ class TestRunTraining:
         assert log.diverged
         text = (tmp_path / "run" / "log.csv").read_text()
         assert "diverged" in text
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_parameters_are_not_checkpointed(self, tmp_path, capsys):
+        # sgd at lr 1e300 overflows the parameters in its second step; the run
+        # stops as diverged with the last finite parameters in its checkpoint
+        code = train_cli(tmp_path, optimizer="sgd", lr=1e300, n_interior=30, n_boundary=10, max_steps=50)
+        assert code == 3
+        assert "# diverged: parameters became non-finite" in (tmp_path / "run" / "log.csv").read_text()
+        params, _ = load_checkpoint(str(tmp_path / "run" / "checkpoint.json"))
+        assert np.all(np.isfinite(params.vector))
 
 
 class TestCli:
@@ -313,6 +325,7 @@ class TestCli:
             [1],
             {"layers": [{"shape": [1, 2], "bias": [0.0]}]},
             {"layers": [{"shape": None, "weight": [0.0, 0.0], "bias": [0.0]}]},
+            {"layers": [{"shape": [1, 2], "weight": [float("nan"), 0.0], "bias": [0.0]}]},
         ],
         ids=str,
     )

@@ -8,7 +8,6 @@ from oracle import params_to_vec, vec_to_params
 from pinnopt import network
 from pinnopt.curvature import boundary_pairs
 from pinnopt.network import (
-    Architecture,
     Parameters,
     add_scaled,
     forward_batch,
@@ -22,31 +21,30 @@ from pinnopt.taylor import Workspace, param_grad_matrix
 class TestArchitecture:
     def test_rejects_bad_widths(self):
         with pytest.raises(ValueError):
-            Architecture((2,))
+            init_params((2,), 0)
         with pytest.raises(ValueError):
-            Architecture((2, 0, 1))
+            init_params((2, 0, 1), 0)
         with pytest.raises(ValueError):
-            Architecture((2, 4, 3))  # output must be scalar
+            init_params((2, 4, 3), 0)  # output must be scalar
 
 
 class TestInitParams:
     def test_deterministic(self):
-        arch = Architecture((3, 8, 1))
-        a = init_params(arch, 42)
-        b = init_params(arch, 42)
+        a = init_params((3, 8, 1), 42)
+        b = init_params((3, 8, 1), 42)
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
         for ba, bb in zip(a.biases, b.biases):
             assert np.array_equal(ba, bb)
 
     def test_shapes(self):
-        p = init_params(Architecture((2, 1)), 0)
+        p = init_params((2, 1), 0)
         assert p.weights[0].shape == (1, 2)
         assert p.biases[0].shape == (1,)
 
     def test_fan_in_uniform_distribution(self):
         # one wide layer gives 10^4+ weight samples with fan-in 64
-        p = init_params(Architecture((64, 200, 1)), 7)
+        p = init_params((64, 200, 1), 7)
         w = p.weights[0].ravel()
         assert w.size >= 10_000
         bound = 1.0 / 8.0
@@ -64,15 +62,14 @@ class TestForward:
         assert len(zs) == 1
 
     def test_zero_parameters_give_zero_output(self):
-        arch = Architecture((3, 5, 5, 1))
-        p = init_params(arch, 0)
+        p = init_params((3, 5, 5, 1), 0)
         p = Parameters([np.zeros_like(w) for w in p.weights], [np.zeros_like(b) for b in p.biases])
         for x in np.random.default_rng(1).standard_normal((4, 3)):
             u, _ = oracle.forward(p, x)
             assert u == 0.0
 
     def test_matches_scalar_reimplementation(self):
-        p = init_params(Architecture((2, 3, 1)), 5)
+        p = init_params((2, 3, 1), 5)
         x = np.array([0.3, -0.7])
         # independent loop over units
         h = [np.tanh(sum(p.weights[0][i, j] * x[j] for j in range(2)) + p.biases[0][i]) for i in range(3)]
@@ -81,14 +78,14 @@ class TestForward:
         assert u == pytest.approx(u_ref, abs=1e-12)
 
     def test_batch_matches_single(self):
-        p = init_params(Architecture((2, 6, 1)), 3)
+        p = init_params((2, 6, 1), 3)
         pts = np.random.default_rng(2).standard_normal((5, 2))
         u, _ = forward_batch(p, pts)
         for i, x in enumerate(pts):
             assert u[i] == pytest.approx(oracle.forward(p, x)[0], abs=1e-14)
 
     def test_dimension_mismatch(self):
-        p = init_params(Architecture((2, 4, 1)), 0)
+        p = init_params((2, 4, 1), 0)
         with pytest.raises(ValueError):
             oracle.forward(p, np.zeros(3))
 
@@ -150,7 +147,7 @@ class TestFlattening:
     SHAPES = [(3, 3), (4, 1)]
 
     def test_round_trip(self):
-        p = init_params(Architecture((3, 4, 1)), 11)
+        p = init_params((3, 4, 1), 11)
         v = params_to_vec(p)
         q = vec_to_params(v, p)
         for a, b in zip(p.weights, q.weights):
@@ -162,7 +159,7 @@ class TestFlattening:
         # [W | b] with W = [[1, 2], [3, 4]], b = [5, 6]: columns stack as
         # (1, 3), (2, 4), (5, 6)
         p = Parameters([np.array([[1.0, 2.0], [3.0, 4.0]])], [np.array([5.0, 6.0])])
-        # widths (2, 2) violate the scalar-output invariant of Architecture,
+        # widths (2, 2) violate init_params' scalar-output check,
         # but Parameters itself only checks shape consistency
         v = params_to_vec(p)
         assert np.array_equal(v, [1.0, 3.0, 2.0, 4.0, 5.0, 6.0])
@@ -172,8 +169,8 @@ class TestFlattening:
 
     def test_add_scaled(self):
         # a vector's blocks follow the oracle's column-stacked order layer by layer
-        p = init_params(Architecture((2, 3, 1)), 0)
-        q = init_params(Architecture((2, 3, 1)), 1)
+        p = init_params((2, 3, 1), 0)
+        q = init_params((2, 3, 1), 1)
         r = add_scaled(p, params_to_vec(q), 1.0)
         for a, b, c in zip(p.weights + p.biases, q.weights + q.biases, r.weights + r.biases):
             assert np.array_equal(c, a + b)
@@ -263,7 +260,7 @@ class TestParameterVector:
 
 class TestBackward:
     def test_gradients_match_finite_differences(self):
-        p = init_params(Architecture((2, 5, 1)), 9)
+        p = init_params((2, 5, 1), 9)
         pts = np.random.default_rng(3).uniform(-1, 1, size=(4, 2))
         u, inputs = forward_batch(p, pts)
         grads = network.backward_batch(p, inputs)

@@ -3,7 +3,7 @@ import pytest
 
 import oracle
 from pinnopt import curvature, harness, network, optim, pde
-from pinnopt.network import Architecture, Parameters, init_params
+from pinnopt.network import Parameters, init_params
 from pinnopt.optim import (
     LineSearchError,
     OptimizerConfig,
@@ -21,30 +21,30 @@ def poisson():
 
 
 def small_state(kind, seed=0, widths=(2, 6, 1), **kwargs):
-    params = init_params(Architecture(widths), seed)
-    return init_train_state(params, OptimizerConfig(kind=kind, **kwargs))
+    params = init_params(widths, seed)
+    return init_train_state(params, OptimizerConfig(optimizer=kind, **kwargs))
 
 
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(kind="newton")
+            OptimizerConfig(optimizer="newton")
         with pytest.raises(ValueError):
-            OptimizerConfig(kind="kfac", damping=0.0)
+            OptimizerConfig(optimizer="kfac", damping=0.0)
         with pytest.raises(ValueError):
-            OptimizerConfig(kind="sgd", lr=0.0)
+            OptimizerConfig(optimizer="sgd", lr=0.0)
         with pytest.raises(ValueError):
-            OptimizerConfig(kind="kfac", ema=-0.1, damping=1e-2)
+            OptimizerConfig(optimizer="kfac", ema=-0.1, damping=1e-2)
         with pytest.raises(ValueError):
-            OptimizerConfig(kind="sgd", lr=0.1, momentum=-1.0)
+            OptimizerConfig(optimizer="sgd", lr=0.1, momentum=-1.0)
         for kind in optim.OPTIMIZER_KINDS:
             with pytest.raises(ValueError, match="init_mode"):
-                OptimizerConfig(kind=kind, init_mode="bogus")
+                OptimizerConfig(optimizer=kind, init_mode="bogus")
             with pytest.raises(ValueError, match="rcond"):
-                OptimizerConfig(kind=kind, rcond=-1e-10)
+                OptimizerConfig(optimizer=kind, rcond=-1e-10)
             with pytest.raises(ValueError, match="rcond"):
-                OptimizerConfig(kind=kind, rcond=float("nan"))
-            OptimizerConfig(kind=kind, init_mode="zero", rcond=0.0)
+                OptimizerConfig(optimizer=kind, rcond=float("nan"))
+            OptimizerConfig(optimizer=kind, init_mode="zero", rcond=0.0)
 
     def test_grid(self):
         grid = optim.LINE_SEARCH_GRID
@@ -111,6 +111,23 @@ class TestUpdatePath:
         for step in range(3):
             optimizer_step(state, batch, poisson)
             assert len(calls) == step + 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_step_leaves_the_state(self, poisson, monkeypatch):
+        state = small_state("sgd", lr=0.1)
+        batch = pde.sample_batch(poisson, 12, 6, seed=2)
+        optimizer_step(state, batch, poisson)
+        vector, prev = state.params.vector.copy(), state.prev_update.copy()
+
+        def infinite_update(state, ev, batch, problem):
+            return np.full(ev.grad.shape, np.inf), 1.0, 0.0
+
+        monkeypatch.setitem(optim._STEP_FNS, "sgd", infinite_update)
+        with pytest.raises(FloatingPointError):
+            optimizer_step(state, batch, poisson)
+        assert np.array_equal(state.params.vector, vector)
+        assert np.array_equal(state.prev_update, prev)
+        assert state.step == 1
 
 
 class TestLineSearch:
@@ -399,7 +416,7 @@ class TestEngd:
         w_true = np.array([0.7, -0.3])
         targets = xb @ w_true + 0.25
         batch = pde.Batch(np.zeros((0, 2)), xb, targets, np.zeros(0))
-        state = init_train_state(params, OptimizerConfig(kind="engd", ema=0.0, damping=0.0))
+        state = init_train_state(params, OptimizerConfig(optimizer="engd", ema=0.0, damping=0.0))
         optimizer_step(state, batch, poisson)
         u, _ = network.forward_batch(state.params, xb)
         assert np.max(np.abs(u - targets)) <= 1e-8
@@ -442,11 +459,11 @@ class TestFirstOrder:
         # zero parameters solve the harmonic problem with zero targets on
         # a zero-forcing batch: gradient vanishes and sgd stays put
         problem = pde.make_problem("poisson_harmonic_mixed")
-        p = init_params(Architecture((10, 4, 1)), 0)
+        p = init_params((10, 4, 1), 0)
         p = Parameters([np.zeros_like(w) for w in p.weights], [np.zeros_like(b) for b in p.biases])
         x = np.random.default_rng(0).uniform(0, 1, (4, 10))
         batch = pde.Batch(x, np.zeros((1, 10)), np.zeros(1), problem.source(x))
-        state = init_train_state(p, OptimizerConfig(kind="sgd", lr=0.1))
+        state = init_train_state(p, OptimizerConfig(optimizer="sgd", lr=0.1))
         optimizer_step(state, batch, problem)
         for w in state.params.weights:
             assert np.array_equal(w, np.zeros_like(w))
@@ -457,7 +474,7 @@ class TestFirstOrder:
         # so the weights receive no gradient)
         p = Parameters([np.zeros((1, 2))], [np.array([1.0])])
         batch = pde.Batch(np.zeros((0, 2)), np.zeros((1, 2)), np.zeros(1), np.zeros(0))
-        state = init_train_state(p, OptimizerConfig(kind="sgd", lr=0.1, momentum=0.0))
+        state = init_train_state(p, OptimizerConfig(optimizer="sgd", lr=0.1, momentum=0.0))
         for t in range(1, 4):
             optimizer_step(state, batch, poisson)
             assert state.params.biases[0][0] == pytest.approx(0.9**t, abs=1e-14)
@@ -467,7 +484,7 @@ class TestFirstOrder:
         p = Parameters([np.zeros((1, 2))], [np.array([1.0])])
         batch = pde.Batch(np.zeros((0, 2)), np.array([[0.0, 0.0]]), np.zeros(1), np.zeros(0))
         lr, eps = 1e-3, 1e-8
-        state = init_train_state(p, OptimizerConfig(kind="adam", lr=lr))
+        state = init_train_state(p, OptimizerConfig(optimizer="adam", lr=lr))
         optimizer_step(state, batch, poisson)
         # gradient of (b - 0)^2/2 at b=1 is exactly 1
         expect = 1.0 - lr * 1.0 / (1.0 + eps)

@@ -7,7 +7,7 @@ import pytest
 import oracle
 from oracle import FdSpec, fd_gradient, fd_operator, fd_residual_jacobian, rel_error
 from pinnopt import pde
-from pinnopt.network import Architecture, Parameters, init_params
+from pinnopt.network import Parameters, init_params
 from pinnopt.taylor import OperatorCoeffs, taylor_forward
 
 
@@ -21,7 +21,7 @@ class TestFdGradient:
         assert np.array_equal(got, np.zeros(3))
 
     def test_cross_checks_engine_gradient(self):
-        p = init_params(Architecture((3, 10, 1)), 1)
+        p = init_params((3, 10, 1), 1)
         x = np.array([0.2, -0.4, 0.6])
         _, out = taylor_forward(p, x[None], OperatorCoeffs.laplacian(3))
         got = fd_gradient(lambda y: oracle.forward(p, y)[0], x)
@@ -39,7 +39,7 @@ class TestFdOperator:
         assert abs(got - 1.0) <= 1e-6
 
     def test_cross_checks_engine_operator(self):
-        p = init_params(Architecture((2, 8, 1)), 2)
+        p = init_params((2, 8, 1), 2)
         x = np.array([0.5, -0.1])
         co = OperatorCoeffs.laplacian(2)
         _, out = taylor_forward(p, x[None], co)
@@ -72,7 +72,7 @@ class TestFdResidualJacobian:
 
     def test_zero_step_direction_unchanged(self):
         problem = pde.make_problem("poisson2d_sin")
-        p = init_params(Architecture((2, 4, 1)), 3)
+        p = init_params((2, 4, 1), 3)
         x = np.array([0.4, 0.6])
         a = fd_residual_jacobian(problem, p, x)
         b = fd_residual_jacobian(problem, p, x)
@@ -82,7 +82,7 @@ class TestFdResidualJacobian:
         from pinnopt.curvature import residual_jacobian_rows
 
         problem = pde.make_problem("poisson2d_sin")
-        p = init_params(Architecture((2, 5, 1)), 4)
+        p = init_params((2, 5, 1), 4)
         x = np.array([[0.3, 0.8]])
         batch = pde.Batch(x, np.zeros((1, 2)), np.zeros(1), problem.source(x))
         rows, _ = residual_jacobian_rows(p, batch, problem)

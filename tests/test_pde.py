@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import analytic
 import oracle
 from pinnopt import network, pde
-from pinnopt.network import Architecture, init_params
+from pinnopt.network import init_params
 from pinnopt.pde import (
     boundary_loss,
     interior_loss_and_residuals,
@@ -210,8 +210,7 @@ class TestLosses:
     def test_zero_residuals_zero_loss(self):
         # rig a zero-parameter net on the harmonic problem: u = 0 solves it
         problem = make_problem("poisson_harmonic_mixed")
-        arch = Architecture((10, 4, 1))
-        p = init_params(arch, 0)
+        p = init_params((10, 4, 1), 0)
         p = network.Parameters(
             [np.zeros_like(w) for w in p.weights], [np.zeros_like(b) for b in p.biases]
         )
@@ -246,7 +245,7 @@ class TestLosses:
 
     def test_boundary_matches_pointwise_reevaluation(self):
         problem = make_problem("poisson2d_sin")
-        p = init_params(Architecture((2, 6, 1)), 1)
+        p = init_params((2, 6, 1), 1)
         batch = sample_batch(problem, 3, 9, seed=6)
         _, res, _ = boundary_loss(problem, p, batch)
         for i, xb in enumerate(batch.boundary):
@@ -255,7 +254,7 @@ class TestLosses:
 
     def test_interior_matches_fd_laplacian_recomputation(self):
         problem = make_problem("poisson2d_sin")
-        p = init_params(Architecture((2, 8, 1)), 2)
+        p = init_params((2, 8, 1), 2)
         batch = sample_batch(problem, 5, 4, seed=7)
         loss, r, _, _ = interior_loss_and_residuals(problem, p, batch)
         f = lambda y: oracle.forward(p, y)[0]
@@ -273,7 +272,7 @@ class TestLosses:
     @given(st.integers(0, 2**32 - 1))
     def test_losses_nonnegative(self, seed):
         problem = make_problem("poisson2d_sin")
-        p = init_params(Architecture((2, 5, 1)), seed % 997)
+        p = init_params((2, 5, 1), seed % 997)
         batch = sample_batch(problem, 4, 4, seed=seed % 1009)
         l_int, r, _, _ = interior_loss_and_residuals(problem, p, batch)
         l_bnd, res, _ = boundary_loss(problem, p, batch)
@@ -300,7 +299,7 @@ class TestInteriorLosses:
         kwargs, widths = SPLIT_LOSS_CASES[name]
         problem = make_problem(name, **kwargs)
         batch = sample_batch(problem, n, 3, seed=seed)
-        candidates = [init_params(Architecture(widths), seed + j) for j in range(k)]
+        candidates = [init_params(widths, seed + j) for j in range(k)]
         reference = []
         for params in candidates:
             out = taylor_output(params, batch.interior, problem.coeffs)

@@ -13,7 +13,7 @@ import pytest
 
 import oracle
 from pinnopt import curvature, harness, network, optim, pde, taylor
-from pinnopt.network import Architecture, init_params
+from pinnopt.network import init_params
 from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, optimizer_step
 
 from test_harness import tiny_config, train_cli
@@ -98,7 +98,7 @@ class TestThreadIndependence:
         def setup(problem_name, widths, kind, seed):
             problem = pde.make_problem(problem_name, **({"spatial_dim": 1} if problem_name == "heat" else {}))
             state = init_train_state(
-                init_params(Architecture(widths), seed), OptimizerConfig(kind=kind, momentum=0.5, damping=1e-3)
+                init_params(widths, seed), OptimizerConfig(optimizer=kind, momentum=0.5, damping=1e-3)
             )
             batches = [pde.sample_batch(problem, 33, 9, seed=10 * seed + t) for t in range(steps)]
             return problem, state, batches
@@ -189,7 +189,7 @@ class TestFailureAndLifetime:
         started = _count_thread_starts(monkeypatch)
         threads_before = threading.active_count()
         problem = pde.make_problem("log_fokker_planck")
-        params = init_params(Architecture((10, 6, 5, 1)), 0)
+        params = init_params((10, 6, 5, 1), 0)
         batch = pde.sample_batch(problem, 9, 4, seed=0)
         ev = evaluate_batch(params, batch, problem)
         seeds = np.ones((9, 12))
@@ -226,7 +226,7 @@ class TestFailureAndLifetime:
         threads_before = threading.active_count()
         running_before = set(threading.enumerate())
         problem = pde.make_problem("poisson2d_sin")
-        state = init_train_state(init_params(Architecture((2, 8, 1)), 0), OptimizerConfig(kind="kfac", damping=1e-3))
+        state = init_train_state(init_params((2, 8, 1), 0), OptimizerConfig(optimizer="kfac", damping=1e-3))
         optimizer_step(state, pde.sample_batch(problem, 20, 8, seed=0), problem)
         workers = [
             thread for thread in set(threading.enumerate()) - running_before if _is_worker(thread.name)
@@ -283,7 +283,7 @@ class TestLineSearchSplit:
 
         monkeypatch.setattr(pde, "taylor_output", spy)
         problem = pde.make_problem("poisson2d_sin")
-        state = init_train_state(init_params(Architecture((2, 16, 1)), 0), OptimizerConfig(kind="kfac", damping=1e-3))
+        state = init_train_state(init_params((2, 16, 1), 0), OptimizerConfig(optimizer="kfac", damping=1e-3))
         try:
             optimizer_step(state, pde.sample_batch(problem, 201, 20, seed=0), problem)
         finally:
@@ -296,7 +296,7 @@ class TestLineSearchSplit:
         problem = pde.make_problem("poisson2d_sin")
         n = 21
         batch = pde.sample_batch(problem, n, 8, seed=4)
-        state = init_train_state(init_params(Architecture((2, 8, 1)), 1), OptimizerConfig(kind="kfac", damping=1e-3))
+        state = init_train_state(init_params((2, 8, 1), 1), OptimizerConfig(optimizer="kfac", damping=1e-3))
         direction = -evaluate_batch(state.params, batch, problem).grad
         grid = optim.LINE_SEARCH_GRID
         candidates = [network.add_scaled(state.params, direction, alpha) for alpha in grid]

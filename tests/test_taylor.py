@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracle
 from pinnopt import curvature, network, pde
-from pinnopt.network import Architecture, Parameters, init_params, tanh_derivs
+from pinnopt.network import Parameters, init_params, tanh_derivs
 from pinnopt.taylor import (
     OperatorCoeffs,
     Workspace,
@@ -149,7 +149,7 @@ class TestTaylorForward:
         assert out.operator[0] == 0.0
 
     def test_all_zero_parameters(self):
-        p = init_params(Architecture((3, 4, 1)), 0)
+        p = init_params((3, 4, 1), 0)
         p = Parameters([np.zeros_like(w) for w in p.weights], [np.zeros_like(b) for b in p.biases])
         _, out = taylor_forward(p, np.ones((2, 3)), OperatorCoeffs.laplacian(3))
         assert np.array_equal(out.value, [0.0, 0.0])
@@ -157,7 +157,7 @@ class TestTaylorForward:
         assert np.array_equal(out.operator, [0.0, 0.0])
 
     def test_matches_finite_differences(self):
-        p = init_params(Architecture((2, 16, 16, 1)), 4)
+        p = init_params((2, 16, 16, 1), 4)
         pts = np.random.default_rng(5).uniform(-1, 1, size=(5, 2))
         co = OperatorCoeffs.laplacian(2)
         _, out = taylor_forward(p, pts, co)
@@ -167,7 +167,7 @@ class TestTaylorForward:
             assert oracle.rel_error(out.operator[i], oracle.fd_operator(f, x, co)) <= 1e-6
 
     def test_value_column_equals_plain_forward(self):
-        p = init_params(Architecture((3, 8, 8, 1)), 6)
+        p = init_params((3, 8, 8, 1), 6)
         pts = np.random.default_rng(7).standard_normal((4, 3))
         states, out = taylor_forward(p, pts, OperatorCoeffs.laplacian(3))
         u, inputs = network.forward_batch(p, pts)
@@ -184,7 +184,7 @@ class TestTaylorForward:
     def test_one_hidden_layer_analytic_laplacian(self):
         # u(x) = sum_j a_j tanh(w_j . x + b_j) + c has the closed form
         # Laplacian sum_j a_j sigma''(w_j . x + b_j) ||w_j||^2
-        p = init_params(Architecture((2, 7, 1)), 8)
+        p = init_params((2, 7, 1), 8)
         pts = np.random.default_rng(9).uniform(-1, 1, size=(6, 2))
         _, out = taylor_forward(p, pts, OperatorCoeffs.laplacian(2))
         w1, b1 = p.weights[0], p.biases[0]
@@ -200,7 +200,7 @@ class TestTaylorForward:
     def test_partial_laplacian_ignores_inactive_directions(self):
         # with c zero in coordinate 0, junk in that derivative column must
         # not leak into the operator column
-        p = init_params(Architecture((3, 6, 1)), 10)
+        p = init_params((3, 6, 1), 10)
         x = np.random.default_rng(11).standard_normal((2, 3))
         co = OperatorCoeffs.partial_laplacian(3, [1, 2])
         z0 = oracle.initial_state(x)
@@ -228,7 +228,7 @@ class TestTaylorOutput:
         problem = pde.make_problem(name)
         d = problem.dim
         rng = np.random.default_rng(len(hidden) + 10 * d)
-        p = init_params(Architecture((d, *hidden, 1)), 17)
+        p = init_params((d, *hidden, 1), 17)
         x = rng.uniform(problem.lower, problem.upper, size=(9, d))
         for co in (problem.coeffs, random_coeffs(rng, d)):
             _, want = taylor_forward(p, x, co)
@@ -239,7 +239,7 @@ class TestTaylorOutput:
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), field
 
     def test_rejects_mismatched_operator(self):
-        p = init_params(Architecture((2, 4, 1)), 0)
+        p = init_params((2, 4, 1), 0)
         with pytest.raises(ValueError):
             taylor_output(p, np.zeros((3, 2)), OperatorCoeffs.laplacian(3))
 
@@ -255,7 +255,7 @@ class TestTaylorBackward:
         assert np.array_equal(m[:, -1], np.zeros(1))
 
     def test_value_seed_matches_plain_backprop(self):
-        p = init_params(Architecture((2, 8, 8, 1)), 12)
+        p = init_params((2, 8, 8, 1), 12)
         pts = np.random.default_rng(13).uniform(-1, 1, size=(5, 2))
         co = OperatorCoeffs.laplacian(2)
         states, _ = taylor_forward(p, pts, co)
@@ -274,7 +274,7 @@ class TestTaylorBackward:
             assert np.max(np.abs(got[l][:, -1] - mats[l][:, -1])) <= 1e-12
 
     def test_operator_gradient_matches_finite_differences(self):
-        p = init_params(Architecture((2, 8, 1)), 14)
+        p = init_params((2, 8, 1), 14)
         x = np.random.default_rng(15).uniform(-1, 1, size=(1, 2))
         co = OperatorCoeffs.laplacian(2)
         states, _ = taylor_forward(p, x, co)
@@ -299,7 +299,7 @@ class TestTaylorBackward:
         # <v, d(outputs)/d(theta) w> must equal <backward(v), w> for any
         # output seed v and parameter direction w (transpose test)
         rng = np.random.default_rng(seed)
-        p = init_params(Architecture((2, 6, 1)), seed % 1000)
+        p = init_params((2, 6, 1), seed % 1000)
         x = rng.uniform(-1, 1, size=(3, 2))
         co = random_coeffs(rng, 2)
         states, _ = taylor_forward(p, x, co)
@@ -321,7 +321,7 @@ class TestTaylorBackward:
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
     def test_seed_shape_validation(self):
-        p = init_params(Architecture((2, 4, 1)), 0)
+        p = init_params((2, 4, 1), 0)
         co = OperatorCoeffs.laplacian(2)
         states, _ = taylor_forward(p, np.zeros((2, 2)), co)
         with pytest.raises(ValueError):

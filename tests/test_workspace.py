@@ -10,7 +10,7 @@ import pytest
 
 import oracle
 from pinnopt import harness, pde
-from pinnopt.network import Architecture, init_params
+from pinnopt.network import init_params
 from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, optimizer_step
 from pinnopt.taylor import Workspace
 
@@ -49,8 +49,8 @@ class TestBufferReuse:
     @pytest.mark.parametrize("kind", ["kfac", "kfac_star", "engd"])
     def test_reused_workspace_matches_fresh_allocation(self, name, kind):
         problem = PROBLEMS[name]()
-        config = OptimizerConfig(kind=kind, momentum=0.5, damping=1e-3)
-        params = init_params(Architecture(EQUAL_WIDTHS), 3)
+        config = OptimizerConfig(optimizer=kind, momentum=0.5, damping=1e-3)
+        params = init_params(EQUAL_WIDTHS, 3)
         reused = init_train_state(params.copy(), config)
         fresh = init_train_state(params.copy(), config)
         fresh.workspace = FreshWorkspace()
@@ -102,7 +102,7 @@ class TestAllocationGuard:
     def test_warm_kfac_star_step_allocates_little(self):
         cfg = _workload_config("fokker10d-kfac_star")
         problem = pde.make_problem(cfg.problem, **cfg.problem_params)
-        state = init_train_state(init_params(Architecture(tuple(cfg.widths)), 0), cfg.optimizer_config())
+        state = init_train_state(init_params(cfg.widths, 0), cfg)
         batch = pde.sample_batch(problem, cfg.n_interior, cfg.n_boundary, seed=1)
         for _ in range(2):
             optimizer_step(state, batch, problem)
