@@ -24,13 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, network, optim, pde
-from .optim import (
-    LineSearchError,
-    OptimizerConfig,
-    init_train_state,
-    optimizer_step,
-)
+from . import network, optim, pde
+from .optim import OptimizerConfig, init_train_state, optimizer_step
 
 __all__ = [
     "RunConfig",
@@ -63,15 +58,10 @@ STREAM_EVAL = 2
 DEFAULT_RESAMPLE_EVERY = {"sgd": 1, "adam": 1, "engd": 1, "kfac": 100, "kfac_star": 100}
 
 
-#: failures inside a step that end the run as diverged; the linear-algebra
-#: ones are ValueErrors, which ``main`` would otherwise report as config errors
-STEP_FAILURES = (
-    LineSearchError,
-    FloatingPointError,
-    np.linalg.LinAlgError,
-    linalg.NotPositiveSemidefiniteError,
-    linalg.NotSymmetricError,
-)
+#: what :func:`pinnopt.optim.optimizer_step` and a non-finite evaluation error
+#: raise: caught only inside the run loop, where they end the run as diverged.
+#: A LinAlgError is a ValueError, which ``main`` reports as a config error.
+STEP_FAILURES = (FloatingPointError, np.linalg.LinAlgError)
 
 
 #: the types a RunConfig field accepts, by its annotation (bool is never an int)
@@ -270,12 +260,12 @@ def load_checkpoint(path):
 def run_training(config: RunConfig) -> TrainLog:
     """Train per the config, streaming the log to ``output_dir/log.csv``.
 
-    A non-finite loss, or a numerical failure inside a step (a failed line
-    search, non-finite parameters, a failed or rejected factorization; see
-    :data:`STEP_FAILURES`), marks the run diverged and stops it; the log row
-    written for a non-finite loss carries the non-finite values, a failure
-    writes a ``# diverged: ...`` line.  A final checkpoint is always
-    written.
+    A failed step (see :func:`pinnopt.optim.optimizer_step`) or a
+    non-finite evaluation error marks the run diverged and stops it: step
+    t writes no row, one ``# diverged step=t: <reason>`` line ends the log,
+    and the checkpoint, which is always written, holds the last committed
+    parameters.  The run also stops after ``max_steps`` or, with a row for
+    its last step, once ``max_wall_seconds`` have passed.
     """
     problem = pde.make_problem(config.problem, **config.problem_params)
     params = network.init_params(config.widths, _stream_seed(config.seed, STREAM_INIT))
@@ -303,6 +293,8 @@ def run_training(config: RunConfig) -> TrainLog:
 
     def record(step, l_int, l_bnd, alpha, mu):
         err = eval_l2(state.params, problem, config.n_eval_points, eval_seed)
+        if not math.isfinite(err):
+            raise FloatingPointError(f"the evaluation error is {err}")
         row = (
             step,
             time.perf_counter() - start,
@@ -319,7 +311,7 @@ def run_training(config: RunConfig) -> TrainLog:
     batch = pde.sample_batch(
         problem, config.n_interior, config.n_boundary, _stream_seed(config.seed, STREAM_BATCH, 0)
     )
-    resample_count = 0
+    resample_count = t = 0
     try:
         # the first split of the run: the workspace's worker thread starts here
         [(l_int, l_bnd)] = optim.evaluate_losses([state.params], batch, problem, state.workspace)
@@ -338,20 +330,14 @@ def run_training(config: RunConfig) -> TrainLog:
                     _stream_seed(config.seed, STREAM_BATCH, resample_count),
                 )
             info = optimizer_step(state, batch, problem)
-            if not np.isfinite(info.loss_total):
-                log.diverged = True
+            out_of_time = 0 < config.max_wall_seconds < time.perf_counter() - start
+            if t % config.eval_every == 0 or t == config.max_steps or out_of_time:
                 record(t, info.loss_interior, info.loss_boundary, info.alpha, info.mu)
-                writer.comment(f"diverged step={t}")
-                break
-            if t % config.eval_every == 0 or t == config.max_steps:
-                record(t, info.loss_interior, info.loss_boundary, info.alpha, info.mu)
-            if config.max_wall_seconds > 0 and time.perf_counter() - start > config.max_wall_seconds:
-                if t % config.eval_every != 0 and t != config.max_steps:
-                    record(t, info.loss_interior, info.loss_boundary, info.alpha, info.mu)
+            if out_of_time:
                 break
     except STEP_FAILURES as exc:
         log.diverged = True
-        writer.comment(f"diverged: {exc}")
+        writer.comment(f"diverged step={t}: {exc}")
     finally:
         state.workspace.close()
         writer.close()
@@ -367,6 +353,9 @@ def _cmd_train(args) -> int:
     if args.output_dir:
         config.output_dir = args.output_dir
     log = run_training(config)
+    if not log.rows:  # the step-0 evaluation error was non-finite
+        print("DIVERGED at step 0")
+        return 3
     final = log.final
     print(
         f"finished step={int(final[0])} loss={final[4]:.6e} "
@@ -402,7 +391,7 @@ def _cmd_eval(args) -> int:
         raise ValueError("seed must be >= 0")
     err = eval_l2(params, problem, n_points, _stream_seed(seed, STREAM_EVAL))
     print(_fmt(err))
-    return 0
+    return 0 if math.isfinite(err) else 3
 
 
 def build_parser() -> argparse.ArgumentParser:

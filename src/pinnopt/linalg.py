@@ -37,12 +37,12 @@ SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-6
 
 
-class NotSymmetricError(ValueError):
-    """Raised when a matrix is not square or not symmetric within tolerance."""
+class NotSymmetricError(np.linalg.LinAlgError):
+    """A matrix is not square or not symmetric within tolerance (a LinAlgError: a failed step)."""
 
 
-class NotPositiveSemidefiniteError(ValueError):
-    """Raised when a matrix has eigenvalues below the negative tolerance."""
+class NotPositiveSemidefiniteError(np.linalg.LinAlgError):
+    """A matrix has eigenvalues below the negative tolerance, or no Cholesky factor (a failed step)."""
 
 
 class SymEig(NamedTuple):

@@ -11,9 +11,10 @@ through these two public calls only.  First-order baselines: heavy-ball
 
 :class:`OptimizerConfig` declares the optimizer settings, their defaults
 and their checks; :class:`pinnopt.harness.RunConfig` extends it.
-:func:`optimizer_step` evaluates the batch once; the kind's update rule
-turns that evaluation into an update and the step-size pair it used, and
-the step commits the new parameters only if they are finite.
+:func:`optimizer_step` evaluates the batch once and stops if its loss is
+non-finite; the kind's update rule turns that evaluation into an update
+and the step-size pair it used, and the step commits the new parameters
+only if they are finite.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ LINE_SEARCH_GRID = tuple(2.0 ** e for e in range(-30, 1))  # kfac / engd step si
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-class LineSearchError(RuntimeError):
-    """Raised when the loss is non-finite at every grid step size."""
+class LineSearchError(FloatingPointError):
+    """The loss is non-finite at every grid step size (a FloatingPointError: a failed step)."""
 
 
 @dataclass
@@ -371,14 +372,21 @@ OPTIMIZER_KINDS = tuple(_STEP_FNS)
 
 
 def optimizer_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
-    """One step of ``state.config.optimizer``; raises on non-finite parameters.
+    """One step of ``state.config.optimizer``; the one place that decides a step failed.
 
     The one evaluation of the batch and the one place that applies the
     update ``(update, alpha, mu)`` of the kind's rule and advances the state.
-    Non-finite new parameters raise before the state changes, so the state
-    keeps the last finite parameters.
+    A failed step raises ``FloatingPointError`` (a non-finite batch loss,
+    before the rule runs; :class:`LineSearchError`; non-finite new
+    parameters) or ``numpy.linalg.LinAlgError`` (a failed or rejected
+    factorization) and leaves the parameters, ``prev_update`` and ``step``
+    as they were.
     """
     ev = evaluate_batch(state.params, batch, problem, state.workspace)
+    if not math.isfinite(ev.loss_interior + ev.loss_boundary):
+        raise FloatingPointError(
+            f"the loss is non-finite (interior {ev.loss_interior}, condition {ev.loss_boundary})"
+        )
     update, alpha, mu = _STEP_FNS[state.config.optimizer](state, ev, batch, problem)
     params = network.add_scaled(state.params, update, 1.0)
     if not np.all(np.isfinite(params.vector)):

@@ -118,15 +118,18 @@ class TestRunTraining:
         assert not log.diverged
 
     def test_csv_schema_and_rows(self, tmp_path):
-        cfg = tiny_config(tmp_path, max_steps=4, eval_every=2)
-        log = run_training(cfg)
-        lines = (tmp_path / "run" / "log.csv").read_text().splitlines()
-        assert lines[0].startswith("# ")
-        assert lines[1] == ",".join(CSV_COLUMNS)
-        data = [l for l in lines[2:] if not l.startswith("#")]
-        assert len(data) == len(log.rows) == 3  # steps 0, 2, 4
-        for line in data:
-            assert len(line.split(",")) == len(CSV_COLUMNS)
+        # every eval_every-th step is logged, and the last step also when it is off that grid
+        for max_steps, steps in [(4, [0, 2, 4]), (5, [0, 2, 4, 5])]:
+            run = tmp_path / f"run{max_steps}"
+            log = run_training(tiny_config(tmp_path, max_steps=max_steps, eval_every=2, output_dir=str(run)))
+            lines = (run / "log.csv").read_text().splitlines()
+            assert lines[0].startswith("# ")
+            assert lines[1] == ",".join(CSV_COLUMNS)
+            data = lines[2:]
+            assert not any(l.startswith("#") for l in data)
+            assert [int(l.split(",")[0]) for l in data] == [r[0] for r in log.rows] == steps
+            for line in data:
+                assert len(line.split(",")) == len(CSV_COLUMNS)
 
     def test_deterministic_excluding_wall_time(self, tmp_path):
         cfg_a = tiny_config(tmp_path, output_dir=str(tmp_path / "a"))
@@ -193,29 +196,87 @@ class TestRunTraining:
         joint = np.concatenate([batch.interior, eval_pts])
         assert np.unique(joint, axis=0).shape[0] == joint.shape[0]
 
-    def test_wall_time_budget_stops_early(self, tmp_path):
+    def test_wall_time_budget_stops_early(self, tmp_path, monkeypatch):
+        # the run stops after the step that ran out of time, and logs that step
+        steps = []
+        inner = harness.optimizer_step
+
+        def counting(*args):
+            steps.append(None)
+            return inner(*args)
+
+        monkeypatch.setattr(harness, "optimizer_step", counting)
         cfg = tiny_config(tmp_path, max_steps=100_000, max_wall_seconds=0.3, eval_every=100_000)
         log = run_training(cfg)
-        assert log.rows[-1][0] < 100_000
+        assert log.rows[-1][0] == len(steps) < 100_000
+        assert not log.diverged
+        assert "# diverged" not in (tmp_path / "run" / "log.csv").read_text()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_marks_and_stops(self, tmp_path):
-        # an absurd sgd learning rate blows the parameters up quickly
-        cfg = tiny_config(tmp_path, optimizer="sgd", lr=1e12, max_steps=50, eval_every=50)
-        log = run_training(cfg)
+    def test_divergence_marks_and_stops(self, tmp_path, monkeypatch, capsys):
+        # an absurd sgd learning rate blows the parameters up quickly: the
+        # loss of step 14 is non-finite, so that step writes no row and the
+        # checkpoint holds the parameters of step 13
+        logs = []
+
+        def keeping_the_log(cfg):
+            logs.append(run_training(cfg))
+            return logs[-1]
+
+        monkeypatch.setattr(harness, "run_training", keeping_the_log)
+        assert train_cli(tmp_path, optimizer="sgd", lr=1e12, max_steps=50, eval_every=50) == 3
+        [log] = logs
         assert log.diverged
-        text = (tmp_path / "run" / "log.csv").read_text()
-        assert "diverged" in text
+        assert [r[0] for r in log.rows] == [0]
+        last = (tmp_path / "run" / "log.csv").read_text().splitlines()[-1]
+        assert last.startswith("# diverged step=14: the loss is non-finite")
+        params, _ = load_checkpoint(str(tmp_path / "run" / "checkpoint.json"))
+        assert np.all(np.isfinite(params.vector))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_parameters_are_not_checkpointed(self, tmp_path, capsys):
-        # sgd at lr 1e300 overflows the parameters in its second step; the run
-        # stops as diverged with the last finite parameters in its checkpoint
+        # sgd at lr 1e300 leaves |theta| near 1e300 after step 1, so the loss
+        # of step 2 is non-finite; the checkpoint keeps the finite parameters
         code = train_cli(tmp_path, optimizer="sgd", lr=1e300, n_interior=30, n_boundary=10, max_steps=50)
         assert code == 3
-        assert "# diverged: parameters became non-finite" in (tmp_path / "run" / "log.csv").read_text()
+        assert "# diverged step=2: the loss is non-finite" in (tmp_path / "run" / "log.csv").read_text()
         params, _ = load_checkpoint(str(tmp_path / "run" / "checkpoint.json"))
         assert np.all(np.isfinite(params.vector))
+
+    def test_non_finite_update_is_divergence(self, tmp_path, monkeypatch, capsys):
+        def infinite_update(state, ev, batch, problem):
+            return np.full(ev.grad.shape, np.inf), 1.0, 0.0
+
+        monkeypatch.setitem(optim._STEP_FNS, "sgd", infinite_update)
+        assert train_cli(tmp_path, optimizer="sgd", max_steps=3, eval_every=1) == 3
+        last = (tmp_path / "run" / "log.csv").read_text().splitlines()[-1]
+        assert last == "# diverged step=1: parameters became non-finite during the step"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_evaluation_error_is_divergence(self, tmp_path, capsys):
+        # after one sgd step at lr 1e300 the parameters are finite but the net
+        # overflows on the evaluation set; eval of the checkpoint exits 3 too
+        code = train_cli(tmp_path, optimizer="sgd", lr=1e300, n_interior=30, n_boundary=10, eval_every=1)
+        assert code == 3
+        lines = (tmp_path / "run" / "log.csv").read_text().splitlines()
+        assert lines[-1] == "# diverged step=1: the evaluation error is inf"
+        assert [l.split(",")[0] for l in lines[2:-1]] == ["0"]
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json")]) == 3
+        assert capsys.readouterr().out == "inf\n"
+
+    def test_non_finite_step_0_evaluation_error_is_divergence(self, tmp_path, monkeypatch, capsys):
+        make_problem = pde.make_problem
+
+        def nan_truth(name, **params):
+            problem = make_problem(name, **params)
+            return dataclasses.replace(problem, true_solution=lambda x: np.full(x.shape[0], np.nan))
+
+        monkeypatch.setattr(harness.pde, "make_problem", nan_truth)
+        assert train_cli(tmp_path) == 3
+        assert capsys.readouterr().out == "DIVERGED at step 0\n"
+        lines = (tmp_path / "run" / "log.csv").read_text().splitlines()
+        assert lines[2:] == ["# diverged step=0: the evaluation error is nan"]
 
 
 class TestCli:
@@ -403,7 +464,7 @@ class TestCli:
         assert train_cli(tmp_path, optimizer=optimizer, max_steps=3, eval_every=1) == 3
         assert "DIVERGED" in capsys.readouterr().out
         text = (tmp_path / "run" / "log.csv").read_text()
-        assert "# diverged: injected solver failure" in text
+        assert "# diverged step=1: injected solver failure" in text
         assert (tmp_path / "run" / "checkpoint.json").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -440,7 +501,7 @@ class TestCli:
         assert train_cli(tmp_path, optimizer=optimizer, max_steps=3, eval_every=1) == 3
         assert "DIVERGED" in capsys.readouterr().out
         text = (tmp_path / "run" / "log.csv").read_text()
-        assert f"# diverged: kron_sum_solve({solver_arg}) has non-finite entries" in text
+        assert f"# diverged step=1: kron_sum_solve({solver_arg}) has non-finite entries" in text
         assert (tmp_path / "run" / "checkpoint.json").exists()
 
     @pytest.mark.parametrize(
@@ -462,7 +523,7 @@ class TestCli:
         assert train_cli(tmp_path, optimizer=optimizer, max_steps=3, eval_every=1) == 3
         assert "DIVERGED" in capsys.readouterr().out
         text = (tmp_path / "run" / "log.csv").read_text()
-        assert f"# diverged: kron_sum_solve({solver_arg})" in text
+        assert f"# diverged step=1: kron_sum_solve({solver_arg})" in text
         assert (tmp_path / "run" / "checkpoint.json").exists()
 
     def test_negative_seed_returns_2_before_logging(self, tmp_path, capsys):

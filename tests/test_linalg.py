@@ -22,6 +22,13 @@ def random_spd(rng, n, shift=None):
     return a @ a.T + (shift if shift is not None else n) * np.eye(n)
 
 
+@pytest.mark.parametrize("error", [NotSymmetricError, NotPositiveSemidefiniteError])
+def test_errors_are_lin_alg_errors(error):
+    # raised inside a training step, either ends the run as diverged
+    assert issubclass(error, np.linalg.LinAlgError)
+    assert issubclass(error, ValueError)
+
+
 class TestSymEig:
     def test_identity(self):
         evals, evecs = sym_eig(np.eye(3))

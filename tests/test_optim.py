@@ -129,6 +129,37 @@ class TestUpdatePath:
         assert np.array_equal(state.prev_update, prev)
         assert state.step == 1
 
+    @pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
+    def test_non_finite_loss_stops_before_the_rule(self, poisson, monkeypatch, kind):
+        # a non-finite batch loss raises before the kind's update rule runs,
+        # so no factor, moment, parameter or counter changes
+        import copy
+        import dataclasses
+
+        state = small_state(kind, damping=1e-3)
+        batch = pde.sample_batch(poisson, 12, 6, seed=2)
+        optimizer_step(state, batch, poisson)
+        before = copy.deepcopy(state)
+        inner = optim.evaluate_batch
+        monkeypatch.setattr(
+            optim, "evaluate_batch", lambda *args: dataclasses.replace(inner(*args), loss_boundary=np.inf)
+        )
+        calls = []
+        monkeypatch.setitem(optim._STEP_FNS, kind, lambda *args: calls.append(None))
+        with pytest.raises(FloatingPointError, match="loss is non-finite"):
+            optimizer_step(state, batch, poisson)
+        assert calls == []
+        assert np.array_equal(state.params.vector, before.params.vector)
+        assert np.array_equal(state.prev_update, before.prev_update)
+        assert state.step == before.step == 1
+        if kind in ("kfac", "kfac_star"):
+            for name in ("a_interior", "b_interior", "a_boundary", "b_boundary"):
+                for got, want in zip(getattr(state.kfac, name), getattr(before.kfac, name)):
+                    assert np.array_equal(got, want)
+
+    def test_line_search_error_is_a_floating_point_error(self):
+        assert issubclass(LineSearchError, FloatingPointError)
+
 
 class TestLineSearch:
     def grid(self):

@@ -176,7 +176,7 @@ class TestFailureAndLifetime:
         log = harness.run_training(tiny_config(tmp_path, optimizer="kfac_star", damping=1e-3))
         assert log.diverged
         assert [_is_worker(thread) for thread in raised_on] == [True]
-        assert "# diverged: non-finite activation in the reverse pass" in (tmp_path / "run" / "log.csv").read_text()
+        assert "# diverged step=1: non-finite activation in the reverse pass" in (tmp_path / "run" / "log.csv").read_text()
         assert threading.active_count() == threads_before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -333,7 +333,7 @@ class TestLineSearchSplit:
         monkeypatch.setattr(harness.pde, "make_problem", nan_in_half_1)
         assert train_cli(tmp_path, optimizer="kfac", damping=1e-3, n_interior=n, max_steps=3, eval_every=1) == 3
         text = (tmp_path / "run" / "log.csv").read_text()
-        assert "# diverged: loss is non-finite at every line-search step size" in text
+        assert "# diverged step=1: loss is non-finite at every line-search step size" in text
         assert (tmp_path / "run" / "checkpoint.json").exists()
 
 
