@@ -54,36 +54,10 @@ STREAM_INIT = 0
 STREAM_BATCH = 1
 STREAM_EVAL = 2
 
-#: default batch re-sampling period per optimizer (0 = never re-sample)
-DEFAULT_RESAMPLE_EVERY = {"sgd": 1, "adam": 1, "engd": 1, "kfac": 100, "kfac_star": 100}
-
-
 #: what :func:`pinnopt.optim.optimizer_step` and a non-finite evaluation error
 #: raise: caught only inside the run loop, where they end the run as diverged.
 #: A LinAlgError is a ValueError, which ``main`` reports as a config error.
 STEP_FAILURES = (FloatingPointError, np.linalg.LinAlgError)
-
-
-#: the types a RunConfig field accepts, by its annotation (bool is never an int)
-_FIELD_TYPES = {
-    "str": str,
-    "list": (list, tuple),
-    "dict": dict,
-    "int": int,
-    "int | None": (int, type(None)),
-    "float": (int, float),
-}
-
-
-def _check_field(f: dataclasses.Field, value):
-    """Raise ValueError unless ``value`` fits RunConfig field ``f``'s type (and is finite, for a float).
-
-    ``f.type`` is the annotation's text: both modules postpone annotations.
-    """
-    if not isinstance(value, _FIELD_TYPES[f.type]) or isinstance(value, bool):
-        raise ValueError(f"config field {f.name} must be {f.type}, got {value!r}")
-    if f.type == "float" and not math.isfinite(value):
-        raise ValueError(f"config field {f.name} must be finite, got {value!r}")
 
 
 def _stream_seed(seed: int, tag: int, index: int = 0) -> int:
@@ -95,7 +69,8 @@ def _stream_seed(seed: int, tag: int, index: int = 0) -> int:
 class RunConfig(OptimizerConfig):
     """Flat, JSON-serializable description of one training run: the inherited
     optimizer fields, whose defaults and checks :class:`OptimizerConfig`
-    declares, and the run's own fields below."""
+    declares, and the run's own fields below, whose ranges :meth:`validate`
+    adds.  A ``resample_every`` of None takes the optimizer's default."""
 
     problem: str
     widths: list
@@ -111,8 +86,13 @@ class RunConfig(OptimizerConfig):
     output_dir: str = "runs/out"
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            _check_field(f, getattr(self, f.name))
+        super().__post_init__()
+        if self.resample_every is None:
+            self.resample_every = optim.DEFAULT_RESAMPLE_EVERY[self.optimizer]
+
+    def validate(self):
+        """Every field's type and the optimizer's ranges, then the run's ranges."""
+        super().validate()
         if self.n_interior < 1 or self.n_boundary < 1:
             raise ValueError("batch sizes must be positive")
         if self.max_steps < 0 or self.eval_every < 1 or self.n_eval_points < 1:
@@ -121,10 +101,7 @@ class RunConfig(OptimizerConfig):
             raise ValueError("max_wall_seconds must be >= 0 (0 means no wall budget)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        self.validate()
-        if self.resample_every is None:
-            self.resample_every = DEFAULT_RESAMPLE_EVERY[self.optimizer]
-        if self.resample_every < 0:
+        if self.resample_every is not None and self.resample_every < 0:
             raise ValueError("resample_every must be >= 0 (0 keeps the batch fixed)")
 
     @classmethod
@@ -156,10 +133,14 @@ class RunConfig(OptimizerConfig):
 
 @dataclass
 class TrainLog:
-    """Rows in :data:`CSV_COLUMNS` order plus a divergence flag."""
+    """Rows in :data:`CSV_COLUMNS` order, and the step that failed if the run diverged."""
 
     rows: list = field(default_factory=list)
-    diverged: bool = False
+    diverged_step: int | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_step is not None
 
     @property
     def final(self):
@@ -232,9 +213,10 @@ def save_checkpoint(path, params, config: RunConfig | None = None):
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(params, config_dict_or_None)``.
 
-    Raises ValueError for an activation other than tanh and for a payload
-    that is not an object with a non-empty ``layers`` list of well-formed,
-    finite layers (``json`` reads the ``NaN`` and ``Infinity`` literals).
+    Raises ValueError for an activation other than tanh, a net whose output
+    width is not 1, and a payload that is not an object with a non-empty
+    ``layers`` list of well-formed, finite layers (``json`` reads the
+    ``NaN`` and ``Infinity`` literals).
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -254,6 +236,8 @@ def load_checkpoint(path):
     params = network.Parameters(weights, biases)
     if not np.all(np.isfinite(params.vector)):
         raise ValueError(f"checkpoint {path} has non-finite parameters")
+    if params.widths[-1] != 1:
+        raise ValueError(f"checkpoint {path} has output width {params.widths[-1]}, not 1")
     return params, payload.get("config")
 
 
@@ -336,7 +320,7 @@ def run_training(config: RunConfig) -> TrainLog:
             if out_of_time:
                 break
     except STEP_FAILURES as exc:
-        log.diverged = True
+        log.diverged_step = t
         writer.comment(f"diverged step={t}: {exc}")
     finally:
         state.workspace.close()
@@ -353,15 +337,12 @@ def _cmd_train(args) -> int:
     if args.output_dir:
         config.output_dir = args.output_dir
     log = run_training(config)
-    if not log.rows:  # the step-0 evaluation error was non-finite
-        print("DIVERGED at step 0")
+    if log.diverged:
+        print(f"DIVERGED at step {log.diverged_step}")
         return 3
     final = log.final
-    print(
-        f"finished step={int(final[0])} loss={final[4]:.6e} "
-        f"l2_rel_error={final[5]:.6e}{' DIVERGED' if log.diverged else ''}"
-    )
-    return 3 if log.diverged else 0
+    print(f"finished step={int(final[0])} loss={final[4]:.6e} l2_rel_error={final[5]:.6e}")
+    return 0
 
 
 def _cmd_eval(args) -> int:
@@ -369,12 +350,11 @@ def _cmd_eval(args) -> int:
     cfg = {} if cfg is None else cfg
     if not isinstance(cfg, dict):
         raise ValueError(f"checkpoint config must be a JSON object, got {cfg!r}")
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
 
     def stored(name, default):
         """The checkpoint's value of RunConfig field ``name``, checked by the field's type."""
         value = cfg.get(name, default)
-        _check_field(fields[name], value)
+        RunConfig.check_field(name, value)
         return value
 
     name = args.problem or stored("problem", "")
@@ -385,8 +365,8 @@ def _cmd_eval(args) -> int:
     if not isinstance(problem_params, dict):
         raise ValueError(f"problem parameters must be a JSON object, got {problem_params!r}")
     problem = pde.make_problem(name, **problem_params)
-    n_points = args.n_points if args.n_points is not None else stored("n_eval_points", 2000)
-    seed = args.seed if args.seed is not None else stored("seed", 0)
+    n_points = args.n_points if args.n_points is not None else stored("n_eval_points", RunConfig.n_eval_points)
+    seed = args.seed if args.seed is not None else stored("seed", RunConfig.seed)
     if seed < 0:
         raise ValueError("seed must be >= 0")
     err = eval_l2(params, problem, n_points, _stream_seed(seed, STREAM_EVAL))

@@ -20,7 +20,7 @@ only if they are finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,12 +47,25 @@ class LineSearchError(FloatingPointError):
     """The loss is non-finite at every grid step size (a FloatingPointError: a failed step)."""
 
 
+#: the types a config field accepts, by its annotation's text (a bool is never a number)
+_FIELD_TYPES = {
+    "str": str,
+    "list": (list, tuple),
+    "dict": dict,
+    "int": int,
+    "int | None": (int, type(None)),
+    "float": (int, float),
+}
+
+
 @dataclass
 class OptimizerConfig:
     """The optimizer and its hyperparameters; which fields matter depends on ``optimizer``.
 
     :class:`pinnopt.harness.RunConfig` extends it with the run's own fields,
     so each setting, its default and its check are declared here only.
+    :meth:`validate` type-checks every field of the instance, a subclass's
+    too, with :meth:`check_field`; a subclass overrides it to add ranges.
     """
 
     optimizer: str
@@ -66,19 +79,27 @@ class OptimizerConfig:
     def __post_init__(self):
         self.validate()
 
+    @classmethod
+    def check_field(cls, name: str, value):
+        """Raise ValueError unless ``value`` fits field ``name``'s type (and is finite, for a float)."""
+        kind = next(f.type for f in fields(cls) if f.name == name)
+        if not isinstance(value, _FIELD_TYPES[kind]) or isinstance(value, bool):
+            raise ValueError(f"config field {name} must be {kind}, got {value!r}")
+        if kind == "float" and not math.isfinite(value):
+            raise ValueError(f"config field {name} must be finite, got {value!r}")
+
     def validate(self):
+        for f in fields(self):
+            self.check_field(f.name, getattr(self, f.name))
         if self.optimizer not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}; known: {OPTIMIZER_KINDS}")
-        for name in ("lr", "momentum", "damping", "rcond"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.ema < 1.0:
             raise ValueError(f"ema must lie in [0, 1), got {self.ema}")
         if self.momentum < 0.0:
             raise ValueError(f"momentum must be >= 0, got {self.momentum}")
         if self.init_mode not in ("zero", "identity"):
             raise ValueError(f"init_mode must be 'zero' or 'identity', got {self.init_mode!r}")
-        if not self.rcond >= 0.0:
+        if self.rcond < 0.0:
             raise ValueError(f"rcond must be >= 0, got {self.rcond}")
         if self.optimizer in ("kfac", "kfac_star") and self.damping <= 0.0:
             raise ValueError(f"{self.optimizer} requires damping > 0")
@@ -112,6 +133,7 @@ class TrainState:
 def init_train_state(params: network.Parameters, config: OptimizerConfig) -> TrainState:
     """Fresh state for ``config``; raises ValueError for a config the net cannot run.
 
+    ``config.validate()`` re-checks all of it, a RunConfig's run fields too.
     engd's dense Gramian is refused here, above
     :data:`curvature.DENSE_GRAMIAN_CAP` parameters, so that
     :func:`pinnopt.harness.run_training` reports it before opening its log.
@@ -369,6 +391,9 @@ _STEP_FNS = {
     "adam": adam_step,
 }
 OPTIMIZER_KINDS = tuple(_STEP_FNS)
+
+#: default batch re-sampling period per optimizer (0 = never re-sample)
+DEFAULT_RESAMPLE_EVERY = {"sgd": 1, "adam": 1, "engd": 1, "kfac": 100, "kfac_star": 100}
 
 
 def optimizer_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:

@@ -8,7 +8,8 @@ present, is input coordinate 0 and is an ordinary network input; first
 derivatives in time are read from the gradient, and the operator
 coefficients have a zero row/column for it.  The four Poisson problems
 are one equation, -Laplace u = f on the unit box: :func:`_poisson` builds
-each from its dimension, solution and source.
+each from its dimension, solution and source, and :func:`_evolution` the
+heat and log-Fokker-Planck problems.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PdeProblem:
-    """A PDE with its operator, residual map, boundary data and solution.
+    """A PDE with its operator, residual map, condition data and solution.
 
+    ``sample_condition(rng, n)`` draws the condition term's ``n`` points from ``rng``.
     ``source(x)`` is the per-point source term f of the equation, the part
     of the residual that depends on the point alone; :func:`sample_batch`
     evaluates it once per batch.  ``residual(x, f, u, grad, op)`` returns
@@ -51,7 +53,7 @@ class PdeProblem:
     coeffs: OperatorCoeffs
     lower: np.ndarray
     upper: np.ndarray
-    boundary_kind: str  # "faces" | "heat" | "initial"
+    sample_condition: Callable
     source: Callable
     residual: Callable
     residual_grads: Callable
@@ -98,7 +100,7 @@ def _poisson(name, d, true_solution, source=_no_source, boundary_target=None) ->
         coeffs=OperatorCoeffs.laplacian(d),
         lower=lower,
         upper=upper,
-        boundary_kind="faces",
+        sample_condition=lambda rng, n: _sample_faces(rng, lower, upper, n),
         source=source,
         residual=residual,
         residual_grads=residual_grads,
@@ -156,6 +158,24 @@ def _poisson_norm2(dim: int = 100) -> PdeProblem:
     return _poisson("poisson_norm2", d, true_solution, source)
 
 
+def _evolution(name, d, lower, upper, sample_condition, source, residual, residual_grads, true_solution) -> PdeProblem:
+    """A problem in time (coordinate 0) and space: the Laplacian over space only,
+    condition targets from the true solution."""
+    return PdeProblem(
+        name=name,
+        dim=d,
+        coeffs=OperatorCoeffs.partial_laplacian(d, range(1, d)),
+        lower=lower,
+        upper=upper,
+        sample_condition=sample_condition,
+        source=source,
+        residual=residual,
+        residual_grads=residual_grads,
+        boundary_target=true_solution,
+        true_solution=true_solution,
+    )
+
+
 def _heat(spatial_dim: int = 1) -> PdeProblem:
     """Heat equation du/dt = kappa * Laplace_x u on [0,1] x [0,1]^s, kappa = 1/4.
 
@@ -169,7 +189,6 @@ def _heat(spatial_dim: int = 1) -> PdeProblem:
     kappa = 0.25
     d = s + 1
     lower, upper = _unit_box(d)
-    coeffs = OperatorCoeffs.partial_laplacian(d, range(1, d))
 
     if s == 1:
 
@@ -181,6 +200,16 @@ def _heat(spatial_dim: int = 1) -> PdeProblem:
         def true_solution(x):
             return np.exp(-x[:, 0]) * np.sin(2.0 * x[:, 1:]).sum(axis=1)
 
+    def sample_condition(rng, n):
+        """Half the points (rounded up) at t = 0, the rest on time x the spatial faces."""
+        n0 = (n + 1) // 2
+        initial = rng.uniform(lower, upper, size=(n0, d))
+        initial[:, 0] = 0.0
+        nb = n - n0
+        spatial = _sample_faces(rng, lower[1:], upper[1:], nb)
+        times = rng.uniform(lower[0], upper[0], size=nb)
+        return np.concatenate([initial, np.column_stack([times, spatial])], axis=0)
+
     def residual(x, f, u, grad, op):
         return grad[:, 0] - kappa * op - f
 
@@ -190,19 +219,7 @@ def _heat(spatial_dim: int = 1) -> PdeProblem:
         seeds[:, -1] = -kappa
         return seeds
 
-    return PdeProblem(
-        name="heat",
-        dim=d,
-        coeffs=coeffs,
-        lower=lower,
-        upper=upper,
-        boundary_kind="heat",
-        source=_no_source,
-        residual=residual,
-        residual_grads=residual_grads,
-        boundary_target=true_solution,
-        true_solution=true_solution,
-    )
+    return _evolution("heat", d, lower, upper, sample_condition, _no_source, residual, residual_grads, true_solution)
 
 
 def _log_fokker_planck() -> PdeProblem:
@@ -217,7 +234,6 @@ def _log_fokker_planck() -> PdeProblem:
     d = s + 1
     lower = np.concatenate([[0.0], np.full(s, -5.0)])
     upper = np.concatenate([[1.0], np.full(s, 5.0)])
-    coeffs = OperatorCoeffs.partial_laplacian(d, range(1, d))
 
     def true_solution(x):
         var = 2.0 - np.exp(-x[:, 0])
@@ -239,18 +255,13 @@ def _log_fokker_planck() -> PdeProblem:
         seeds[:, -1] = -1.0
         return seeds
 
-    return PdeProblem(
-        name="log_fokker_planck",
-        dim=d,
-        coeffs=coeffs,
-        lower=lower,
-        upper=upper,
-        boundary_kind="initial",
-        source=source,
-        residual=residual,
-        residual_grads=residual_grads,
-        boundary_target=true_solution,
-        true_solution=true_solution,
+    def sample_condition(rng, n):
+        points = rng.uniform(lower, upper, size=(n, d))
+        points[:, 0] = 0.0
+        return points
+
+    return _evolution(
+        "log_fokker_planck", d, lower, upper, sample_condition, source, residual, residual_grads, true_solution
     )
 
 
@@ -296,33 +307,15 @@ def _sample_faces(rng, lower, upper, n):
 def sample_batch(problem: PdeProblem, n_interior: int, n_boundary: int, seed: int) -> Batch:
     """Draw a training batch; deterministic for a given seed.
 
-    Interior points are uniform over the box.  The condition points depend
-    on the problem kind: plain face sampling for stationary problems; for
-    heat half the budget on the initial slice and half on the time x
-    spatial-boundary set; for the log-density problem everything on t = 0.
+    Interior points are uniform over the box; the condition points come
+    from ``problem.sample_condition``, drawn after them from the same
+    generator.
     """
     if n_interior < 1 or n_boundary < 1:
         raise ValueError("need at least one interior and one boundary point")
     rng = np.random.default_rng(seed)
-    d = problem.dim
-    interior = rng.uniform(problem.lower, problem.upper, size=(n_interior, d))
-
-    if problem.boundary_kind == "faces":
-        boundary = _sample_faces(rng, problem.lower, problem.upper, n_boundary)
-    elif problem.boundary_kind == "heat":
-        n0 = (n_boundary + 1) // 2
-        initial = rng.uniform(problem.lower, problem.upper, size=(n0, d))
-        initial[:, 0] = 0.0
-        nb = n_boundary - n0
-        spatial = _sample_faces(rng, problem.lower[1:], problem.upper[1:], nb)
-        times = rng.uniform(problem.lower[0], problem.upper[0], size=nb)
-        boundary = np.concatenate([initial, np.column_stack([times, spatial])], axis=0)
-    elif problem.boundary_kind == "initial":
-        boundary = rng.uniform(problem.lower, problem.upper, size=(n_boundary, d))
-        boundary[:, 0] = 0.0
-    else:
-        raise ValueError(f"unknown boundary kind {problem.boundary_kind!r}")
-
+    interior = rng.uniform(problem.lower, problem.upper, size=(n_interior, problem.dim))
+    boundary = problem.sample_condition(rng, n_boundary)
     return Batch(interior, boundary, problem.boundary_target(boundary), problem.source(interior))
 
 

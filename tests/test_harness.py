@@ -54,19 +54,7 @@ def _params():
 def _rigged_problem():
     """poisson2d_sin with the true solution replaced by a known linear net."""
     problem = pde.make_problem("poisson2d_sin")
-    return pde.PdeProblem(
-        name=problem.name,
-        dim=problem.dim,
-        coeffs=problem.coeffs,
-        lower=problem.lower,
-        upper=problem.upper,
-        boundary_kind=problem.boundary_kind,
-        source=problem.source,
-        residual=problem.residual,
-        residual_grads=problem.residual_grads,
-        boundary_target=problem.boundary_target,
-        true_solution=lambda x: network.forward_batch(_params(), x)[0],
-    )
+    return dataclasses.replace(problem, true_solution=lambda x: network.forward_batch(_params(), x)[0])
 
 
 class TestEvalL2:
@@ -101,6 +89,13 @@ class TestRunConfig:
         for kind in optim.OPTIMIZER_KINDS:
             cfg = RunConfig(problem="poisson2d_sin", widths=[2, 1], optimizer=kind)
             assert cfg.resample_every == expected[kind]
+
+    def test_init_train_state_rechecks_the_run_fields(self, tmp_path):
+        # the run's ranges live in RunConfig.validate, which init_train_state calls
+        cfg = tiny_config(tmp_path)
+        cfg.n_interior = 0
+        with pytest.raises(ValueError, match="batch sizes must be positive"):
+            optim.init_train_state(init_params(cfg.widths, 0), cfg)
 
     def test_json_round_trip(self, tmp_path):
         cfg = RunConfig(problem="heat", problem_params={"spatial_dim": 1}, widths=[2, 8, 1], optimizer="kfac")
@@ -225,8 +220,9 @@ class TestRunTraining:
 
         monkeypatch.setattr(harness, "run_training", keeping_the_log)
         assert train_cli(tmp_path, optimizer="sgd", lr=1e12, max_steps=50, eval_every=50) == 3
+        assert capsys.readouterr().out == "DIVERGED at step 14\n"
         [log] = logs
-        assert log.diverged
+        assert log.diverged and log.diverged_step == 14
         assert [r[0] for r in log.rows] == [0]
         last = (tmp_path / "run" / "log.csv").read_text().splitlines()[-1]
         assert last.startswith("# diverged step=14: the loss is non-finite")
@@ -396,6 +392,14 @@ class TestCli:
         argv = ["eval", "--checkpoint", str(path), "--problem", "poisson2d_sin"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: checkpoint")
+
+    def test_eval_of_wide_output_checkpoint_returns_2(self, tmp_path, capsys):
+        # forward_batch reads output 0 only, so a wider head would give a number for another net
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(str(path), Parameters([np.ones((3, 2)), np.ones((2, 3))], [np.zeros(3), np.zeros(2)]))
+        assert main(["eval", "--checkpoint", str(path), "--problem", "poisson2d_sin"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and "output width 2" in err
 
     def test_eval_of_unchained_checkpoint_returns_2(self, tmp_path, capsys):
         # layer 1 takes 4 inputs, but layer 0 has 3 outputs

@@ -46,6 +46,23 @@ class TestConfig:
                 OptimizerConfig(optimizer=kind, rcond=float("nan"))
             OptimizerConfig(optimizer=kind, init_mode="zero", rcond=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("damping", "1e-3"),
+            ("lr", None),
+            ("rcond", True),
+            ("lr", True),
+            ("momentum", float("nan")),
+            ("momentum", float("inf")),
+        ],
+        ids=str,
+    )
+    def test_field_type_checked_when_built_directly(self, field, value):
+        # the same check as a RunConfig's: a ValueError naming the field
+        with pytest.raises(ValueError, match=f"config field {field} must be"):
+            OptimizerConfig(optimizer="kfac", **{field: value})
+
     def test_grid(self):
         grid = optim.LINE_SEARCH_GRID
         assert len(grid) == 31

@@ -26,7 +26,7 @@ ALL_PROBLEMS = [
     ("log_fokker_planck", {}),
 ]
 
-# per configuration of ALL_PROBLEMS: name, dim, boundary kind, box, operator diagonal
+# per configuration of ALL_PROBLEMS: name, dim, condition set, box, operator diagonal
 UNIT = (0.0, 1.0)
 CATALOG = [
     ("poisson2d_sin", {}, 2, "faces", [UNIT] * 2, [1.0] * 2),
@@ -37,6 +37,24 @@ CATALOG = [
     ("heat", {"spatial_dim": 4}, 5, "heat", [UNIT] * 5, [0.0] + [1.0] * 4),
     ("log_fokker_planck", {}, 10, "initial", [UNIT] + [(-5.0, 5.0)] * 9, [0.0] + [1.0] * 9),
 ]
+
+
+def _on_faces(points, lower, upper):
+    return np.all(np.any((points == lower) | (points == upper), axis=1))
+
+
+def _heat_split(points, lower, upper):
+    # the first half (rounded up) at t = 0, the rest on time x the spatial faces
+    n0 = (len(points) + 1) // 2
+    return np.all(points[:n0, 0] == 0.0) and _on_faces(points[n0:, 1:], lower[1:], upper[1:])
+
+
+# per condition set of CATALOG: whether sample_condition's points make it up
+CONDITION_SETS = {
+    "faces": _on_faces,
+    "heat": _heat_split,
+    "initial": lambda points, lower, upper: np.all(points[:, 0] == 0.0),
+}
 
 # interior_losses against the un-split reference: (problem params, net widths)
 SPLIT_LOSS_CASES = {
@@ -140,13 +158,18 @@ class TestCatalog:
     def test_catalog_table_covers_all_problems(self):
         assert [(name, kwargs) for name, kwargs, *_ in CATALOG] == ALL_PROBLEMS
 
-    @pytest.mark.parametrize("name,kwargs,dim,kind,box,diagonal", CATALOG)
-    def test_declared_data(self, name, kwargs, dim, kind, box, diagonal):
+    @pytest.mark.parametrize("name,kwargs,dim,condition,box,diagonal", CATALOG)
+    def test_declared_data(self, name, kwargs, dim, condition, box, diagonal):
         problem = make_problem(name, **kwargs)
-        assert (problem.name, problem.dim, problem.boundary_kind) == (name, dim, kind)
+        assert (problem.name, problem.dim) == (name, dim)
         assert np.array_equal(problem.lower, [lo for lo, _ in box])
         assert np.array_equal(problem.upper, [hi for _, hi in box])
         assert np.array_equal(problem.coeffs.c, np.diag(diagonal))
+        # an odd count, so that the heat split rounds
+        points = problem.sample_condition(np.random.default_rng(7), 41)
+        assert points.shape == (41, dim)
+        assert np.all((problem.lower <= points) & (points <= problem.upper))
+        assert CONDITION_SETS[condition](points, problem.lower, problem.upper)
 
     def test_poisson2d_boundary_targets_are_exact_zeros(self):
         # the true solution is only about 1e-16 on the faces, so the zero
