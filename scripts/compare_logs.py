@@ -6,7 +6,7 @@ Usage (from the repository root)::
     python3 scripts/compare_logs.py --baseline HEAD
 
 The committed files of ``--baseline`` are exported with
-``paired_bench.export_revision``.  Each tree then trains the same 26
+``paired_bench.export_revision``.  Each tree then trains the same 29
 configs in one child process of its own, through its own
 ``pinnopt.harness.run_training``, with BLAS and OpenMP capped at one
 thread:
@@ -16,7 +16,10 @@ thread:
 * each of poisson2d_sin, poisson_cos_sum, heat and log_fokker_planck with
   each of the five optimizers at 15 steps (net [d, 32, 32, 1], 201 interior
   points, an odd count so that the two halves of a split pass differ by a
-  row, 60 condition points, momentum 0.9 for kfac and sgd).
+  row, 60 condition points, momentum 0.9 for kfac and sgd);
+* poisson2d_sin with kfac, kfac_star and engd as above but with
+  ``init_mode`` "zero", the other start of the curvature (every other
+  config starts from the identity).
 
 For every config the script compares each ``log.csv`` row in every column
 except ``wall_time_s``, the log's comment lines after the header (the
@@ -63,7 +66,7 @@ OPTIMIZERS = ("kfac", "kfac_star", "engd", "sgd", "adam")
 
 
 def configs() -> dict:
-    """The 26 configs by name, without ``output_dir``."""
+    """The 29 configs by name, without ``output_dir``."""
     spec = importlib.util.spec_from_file_location("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -87,6 +90,8 @@ def configs() -> dict:
                 "n_eval_points": 500,
                 "seed": 3,
             }
+    for optimizer in ("kfac", "kfac_star", "engd"):
+        out[f"poisson2d_sin-{optimizer}-zero"] = dict(out[f"poisson2d_sin-{optimizer}"], init_mode="zero")
     return out
 
 

@@ -94,6 +94,7 @@ from .taylor import (
 __all__ = [
     "KfacState",
     "init_kfac_state",
+    "initial_curvature",
     "ema_update",
     "layer_pairs",
     "boundary_pairs",
@@ -115,33 +116,32 @@ def _symmetrize(m):
 
 @dataclass
 class KfacState:
-    """Per-layer Kronecker factors with their moving-average settings.
+    """Per-layer Kronecker factors of the two loss terms.
 
     ``a_*[l]`` has size ``(h_in + 1)`` (input side; its last row and column
     belong to the bias) and ``b_*[l]`` size ``h_out``.  The interior
     factors average over the S = d + 2 columns of each sample, the
     boundary factors are the same formulas with S = 1 (module docstring).
-    ``ema`` is the moving-average weight on the previous factors,
-    ``damping`` is added to every factor before inversion.
+    The moving-average weight and the damping are the run's settings, passed
+    to the updates and the solve (:class:`pinnopt.optim.OptimizerConfig`).
     """
 
     a_interior: list
     b_interior: list
     a_boundary: list
     b_boundary: list
-    ema: float
-    damping: float
 
 
-def init_kfac_state(params, ema: float, damping: float, init_mode: str = "identity") -> KfacState:
-    """Fresh factors, either all-zero or identity, for every linear layer."""
+def initial_curvature(size: int, init_mode: str) -> np.ndarray:
+    """A fresh (size, size) curvature matrix: all-zero for ``"zero"``, identity for ``"identity"``."""
     if init_mode not in ("zero", "identity"):
         raise ValueError(f"init_mode must be 'zero' or 'identity', got {init_mode!r}")
+    return np.zeros((size, size)) if init_mode == "zero" else np.eye(size)
 
-    def fresh(size):
-        return np.zeros((size, size)) if init_mode == "zero" else np.eye(size)
 
-    return KfacState(*([fresh(shape[i]) for shape in params.shapes] for i in (0, 1, 0, 1)), ema, damping)
+def init_kfac_state(params, init_mode: str) -> KfacState:
+    """Fresh factors, :func:`initial_curvature` of ``init_mode``, for every linear layer."""
+    return KfacState(*([initial_curvature(shape[i], init_mode) for shape in params.shapes] for i in (0, 1, 0, 1)))
 
 
 def ema_update(old, new, beta: float) -> np.ndarray:
@@ -230,11 +230,12 @@ def _factor_update(record, sums: list, a_factors: list, b_factors: list, ema: fl
         b_factors[l] = ema_update(b_factors[l], _symmetrize(b / n), ema)
 
 
-def interior_factor_update(state: KfacState, params, interior: list, workspace=None) -> KfacState:
+def interior_factor_update(state: KfacState, params, interior: list, ema: float, workspace=None) -> KfacState:
     """Accumulate the interior factors from the interior record (:func:`layer_pairs`) of ``params``.
 
-    The batch sums run over the two halves of :meth:`Workspace.split`
-    (None means a fresh workspace) and are added as half 0 + half 1.
+    ``ema`` is the moving-average weight on the previous factors.  The
+    batch sums run over the two halves of :meth:`Workspace.split` (None
+    means a fresh workspace) and are added as half 0 + half 1.
     """
     if workspace is None:
         workspace = Workspace()
@@ -242,17 +243,17 @@ def interior_factor_update(state: KfacState, params, interior: list, workspace=N
     w0 = params.weights[0]
     first, second = workspace.split(n, lambda half: _factor_sums(_rows(interior, half.rows), w0))
     sums = [(a0 + a1, b0 + b1) for (a0, b0), (a1, b1) in zip(first, second)]
-    _factor_update(interior, sums, state.a_interior, state.b_interior, state.ema)
+    _factor_update(interior, sums, state.a_interior, state.b_interior, ema)
     return state
 
 
-def boundary_factor_update(state: KfacState, boundary: list) -> KfacState:
-    """Accumulate the condition-term factors from the condition record (:func:`boundary_pairs`)."""
-    _factor_update(boundary, _factor_sums(boundary), state.a_boundary, state.b_boundary, state.ema)
+def boundary_factor_update(state: KfacState, boundary: list, ema: float) -> KfacState:
+    """Accumulate the condition-term factors from the condition record (:func:`boundary_pairs`) at weight ``ema``."""
+    _factor_update(boundary, _factor_sums(boundary), state.a_boundary, state.b_boundary, ema)
     return state
 
 
-def precondition_gradient(state: KfacState, grad) -> np.ndarray:
+def precondition_gradient(state: KfacState, grad, damping: float) -> np.ndarray:
     """Solve the damped two-term Kronecker system per layer.
 
     Given the parameter-space gradient vector ``g`` returns the direction
@@ -260,18 +261,17 @@ def precondition_gradient(state: KfacState, grad) -> np.ndarray:
     ``damping * I`` added to each factor first.  Each layer's segment of
     ``g`` is already the column-stacked vector the solver takes.
     """
-    lam = state.damping
-    if lam <= 0:
+    if damping <= 0:
         raise ValueError("damping must be positive for Kronecker preconditioning")
     shapes = [(a.shape[0], b.shape[0]) for a, b in zip(state.a_interior, state.b_interior)]
     out = np.empty_like(grad)
     for l, (g, o) in enumerate(zip(network.layer_blocks(grad, shapes), network.layer_blocks(out, shapes))):
         eye_a, eye_b = np.eye(o.shape[0]), np.eye(o.shape[1])
         v = kron_sum_solve(
-            state.a_interior[l] + lam * eye_a,
-            state.b_interior[l] + lam * eye_b,
-            state.a_boundary[l] + lam * eye_a,
-            state.b_boundary[l] + lam * eye_b,
+            state.a_interior[l] + damping * eye_a,
+            state.b_interior[l] + damping * eye_b,
+            state.a_boundary[l] + damping * eye_a,
+            state.b_boundary[l] + damping * eye_b,
             g.reshape(-1),
         )
         o[...] = -v.reshape(o.shape)

@@ -361,9 +361,11 @@ def _cmd_eval(args) -> int:
     if not name:
         print("error: no problem name given and none stored in the checkpoint", file=sys.stderr)
         return 2
-    problem_params = json.loads(args.problem_params) if args.problem_params else stored("problem_params", {})
-    if not isinstance(problem_params, dict):
-        raise ValueError(f"problem parameters must be a JSON object, got {problem_params!r}")
+    if args.problem_params:
+        problem_params = json.loads(args.problem_params)
+        RunConfig.check_field("problem_params", problem_params)
+    else:
+        problem_params = stored("problem_params", {})
     problem = pde.make_problem(name, **problem_params)
     n_points = args.n_points if args.n_points is not None else stored("n_eval_points", RunConfig.n_eval_points)
     seed = args.seed if args.seed is not None else stored("seed", RunConfig.seed)

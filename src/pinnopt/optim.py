@@ -147,16 +147,12 @@ def init_train_state(params: network.Parameters, config: OptimizerConfig) -> Tra
         )
     state = TrainState(params=params, config=config, prev_update=np.zeros(d))
     if config.optimizer in ("kfac", "kfac_star"):
-        state.kfac = curvature.init_kfac_state(
-            params, config.ema, config.damping, config.init_mode
-        )
+        state.kfac = curvature.init_kfac_state(params, config.init_mode)
     if config.optimizer == "adam":
         state.adam_m = np.zeros(d)
         state.adam_v = np.zeros(d)
     if config.optimizer == "engd" and config.ema > 0.0:
-        state.gramian_ema = (
-            np.zeros((d, d)) if config.init_mode == "zero" else np.eye(d)
-        )
+        state.gramian_ema = curvature.initial_curvature(d, config.init_mode)
     return state
 
 
@@ -283,9 +279,10 @@ class StepInfo:
 
 def _kfac_direction(state: TrainState, ev: BatchEval) -> np.ndarray:
     """Shared start of both Kronecker steps: factor updates, then the preconditioned gradient."""
-    curvature.interior_factor_update(state.kfac, state.params, ev.interior, state.workspace)
-    curvature.boundary_factor_update(state.kfac, ev.boundary)
-    return curvature.precondition_gradient(state.kfac, ev.grad)
+    cfg = state.config
+    curvature.interior_factor_update(state.kfac, state.params, ev.interior, cfg.ema, state.workspace)
+    curvature.boundary_factor_update(state.kfac, ev.boundary, cfg.ema)
+    return curvature.precondition_gradient(state.kfac, ev.grad, cfg.damping)
 
 
 def _line_search_update(state: TrainState, batch: pde.Batch, problem, direction) -> tuple:

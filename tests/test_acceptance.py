@@ -165,10 +165,10 @@ def test_criterion_3_curvature():
     lin = network.Parameters([np.array([[1.5, -2.0]])], [np.array([0.5])])
     one = pde.Batch(np.zeros((0, 2)), np.array([[3.0, 4.0]]), np.zeros(1), np.zeros(0))
     gram1 = oracle.exact_gramian(lin, one, problem)
-    state = curvature.init_kfac_state(lin, ema=0.0, damping=1.0, init_mode="zero")
+    state = curvature.init_kfac_state(lin, "zero")
     _, inputs = network.forward_batch(lin, one.boundary)
     grads = network.backward_batch(lin, inputs)
-    curvature.boundary_factor_update(state, curvature.boundary_pairs(inputs, grads))
+    curvature.boundary_factor_update(state, curvature.boundary_pairs(inputs, grads), 0.0)
     rank1_err = float(np.max(np.abs(np.kron(state.a_boundary[0], state.b_boundary[0]) - gram1)))
     ok_d = rank1_err <= 1e-12
 
@@ -185,9 +185,9 @@ def test_criterion_4_factor_transcription():
     params = init_params((2, 4, 1), 9)
     batch = pde.sample_batch(problem, 3, 3, seed=13)
     ev = evaluate_batch(params, batch, problem)
-    state = curvature.init_kfac_state(params, ema=0.0, damping=1.0, init_mode="zero")
-    curvature.interior_factor_update(state, params, ev.interior)
-    curvature.boundary_factor_update(state, ev.boundary)
+    state = curvature.init_kfac_state(params, "zero")
+    curvature.interior_factor_update(state, params, ev.interior, 0.0)
+    curvature.boundary_factor_update(state, ev.boundary, 0.0)
 
     # literal loops over bias-augmented inputs; layer 0 from the full input state
     _, inputs = network.forward_batch(params, batch.boundary)
@@ -317,12 +317,12 @@ def test_criterion_8_quadratic_model_optimality():
         batch = pde.sample_batch(problem, 12, 6, seed=500 + trial)
         state = init_train_state(params, OptimizerConfig(optimizer="kfac_star", damping=1e-3, ema=0.0))
         ev = evaluate_batch(state.params, batch, problem)
-        curvature.interior_factor_update(state.kfac, state.params, ev.interior)
-        curvature.boundary_factor_update(state.kfac, ev.boundary)
-        dv = curvature.precondition_gradient(state.kfac, ev.grad)
+        lam = state.config.damping
+        curvature.interior_factor_update(state.kfac, state.params, ev.interior, state.config.ema)
+        curvature.boundary_factor_update(state.kfac, ev.boundary, state.config.ema)
+        dv = curvature.precondition_gradient(state.kfac, ev.grad, lam)
         pv = rng.standard_normal(dv.size) * np.linalg.norm(dv)  # previous update stand-in
         gv = ev.grad
-        lam = state.config.damping
         g_dv = oracle.gramian_vec(state.params, batch, problem, dv)
         g_pv = oracle.gramian_vec(state.params, batch, problem, pv)
         m11 = float(dv @ g_dv + lam * dv @ dv)

@@ -11,6 +11,7 @@ from pinnopt.curvature import (
     boundary_factor_update,
     ema_update,
     init_kfac_state,
+    initial_curvature,
     interior_factor_update,
     precondition_gradient,
     residual_jacobian_rows,
@@ -57,17 +58,24 @@ class TestEmaUpdate:
         assert np.array_equal(ema_update(np.eye(2), 3.0 * np.eye(2), 0.5), 2.0 * np.eye(2))
 
 
+def test_initial_curvature():
+    assert np.array_equal(initial_curvature(3, "zero"), np.zeros((3, 3)))
+    assert np.array_equal(initial_curvature(3, "identity"), np.eye(3))
+    with pytest.raises(ValueError, match="init_mode"):
+        init_kfac_state(init_params((2, 3, 1), 0), "bogus")
+
+
 class TestFactorUpdates:
     def test_interior_value_only_columns(self, poisson):
         # single sample whose state columns are zero except the value
         # column: A has rank 1, B comes from the one nonzero grad column
         p = Parameters([np.array([[1.0, 2.0]])], [np.array([0.0])])
-        state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
+        state = init_kfac_state(p, "zero")
         z = np.zeros((1, 4, 2))
         z[0, 0] = [3.0, 4.0]
         g = np.zeros((1, 4, 1))
         g[0, 0] = 2.0
-        interior_factor_update(state, p, [(z, g)])
+        interior_factor_update(state, p, [(z, g)], 0.0)
         assert np.linalg.matrix_rank(state.a_interior[0]) == 1
         zhat = np.array([3.0, 4.0, 1.0])
         assert np.allclose(state.a_interior[0], np.outer(zhat, zhat) / 4.0)
@@ -80,8 +88,8 @@ class TestFactorUpdates:
         z = rng.standard_normal((1, 1, 3))
         g = rng.standard_normal((1, 1, 2))
         p = Parameters([rng.standard_normal((2, 3))], [np.zeros(2)])
-        state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        interior_factor_update(state, p, [(z, g)])
+        state = init_kfac_state(p, "zero")
+        interior_factor_update(state, p, [(z, g)], 0.0)
         zhat = np.append(z[0, 0], 1.0)
         jac = np.kron(zhat[:, None], g[0, 0][:, None])  # column-stacked Jacobian
         exact = jac @ jac.T
@@ -92,8 +100,8 @@ class TestFactorUpdates:
         p = init_params((2, 4, 1), 9)
         batch = pde.sample_batch(poisson, 3, 3, seed=13)
         ev = evaluate_batch(p, batch, poisson)
-        state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        interior_factor_update(state, p, ev.interior)
+        state = init_kfac_state(p, "zero")
+        interior_factor_update(state, p, ev.interior, 0.0)
         ref_in = [oracle.initial_state(batch.interior)] + [z for z, _ in ev.interior[1:]]
         for l, (_, g) in enumerate(ev.interior):
             n, s, h = ref_in[l].shape
@@ -108,8 +116,8 @@ class TestFactorUpdates:
     def test_boundary_hand_checked_rank_one(self):
         # z = (3, 4), bias-augmented (3, 4, 1), unit output gradient
         p = Parameters([np.array([[1.0, 1.0]])], [np.array([0.0])])
-        state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        boundary_factor_update(state, [(np.array([[[3.0, 4.0]]]), np.array([[[1.0]]]))])
+        state = init_kfac_state(p, "zero")
+        boundary_factor_update(state, [(np.array([[[3.0, 4.0]]]), np.array([[[1.0]]]))], 0.0)
         assert np.allclose(
             state.a_boundary[0],
             [[9.0, 12.0, 3.0], [12.0, 16.0, 4.0], [3.0, 4.0, 1.0]],
@@ -118,8 +126,8 @@ class TestFactorUpdates:
 
     def test_boundary_zero_gradients(self):
         p = Parameters([np.array([[1.0, 1.0]])], [np.array([0.0])])
-        state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        boundary_factor_update(state, [(np.ones((2, 1, 2)), np.zeros((2, 1, 1)))])
+        state = init_kfac_state(p, "zero")
+        boundary_factor_update(state, [(np.ones((2, 1, 2)), np.zeros((2, 1, 1)))], 0.0)
         assert np.array_equal(state.b_boundary[0], np.zeros((1, 1)))
 
     def test_boundary_factors_match_literal_loop(self, poisson):
@@ -127,8 +135,8 @@ class TestFactorUpdates:
         batch = pde.sample_batch(poisson, 3, 5, seed=14)
         _, inputs = network.forward_batch(p, batch.boundary)
         grads = network.backward_batch(p, inputs)
-        state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        boundary_factor_update(state, curvature.boundary_pairs(inputs, grads))
+        state = init_kfac_state(p, "zero")
+        boundary_factor_update(state, curvature.boundary_pairs(inputs, grads), 0.0)
         for l in range(p.n_linear):
             zhat = with_bias(inputs[l])
             n = zhat.shape[0]
@@ -141,9 +149,9 @@ class TestFactorUpdates:
         p = init_params((2, 6, 1), 11)
         batch = pde.sample_batch(poisson, 8, 8, seed=15)
         ev = evaluate_batch(p, batch, poisson)
-        state = init_kfac_state(p, ema=0.5, damping=1.0, init_mode="identity")
-        interior_factor_update(state, p, ev.interior)
-        boundary_factor_update(state, ev.boundary)
+        state = init_kfac_state(p, "identity")
+        interior_factor_update(state, p, ev.interior, 0.5)
+        boundary_factor_update(state, ev.boundary, 0.5)
         for mats in (state.a_interior, state.b_interior, state.a_boundary, state.b_boundary):
             for m in mats:
                 assert np.max(np.abs(m - m.T)) <= 1e-12
@@ -152,15 +160,15 @@ class TestFactorUpdates:
 class TestPrecondition:
     def test_zero_factors_damping_only(self):
         p = init_params((2, 3, 1), 0)
-        state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
+        state = init_kfac_state(p, "zero")
         grad = np.ones(13)
-        out = precondition_gradient(state, grad)
+        out = precondition_gradient(state, grad, 1.0)
         assert np.allclose(out, -grad / 2.0, atol=1e-12)
 
     def test_matches_dense_block_inverse(self):
         rng = np.random.default_rng(4)
         p = init_params((3, 4, 1), 1)
-        state = init_kfac_state(p, ema=0.0, damping=0.3, init_mode="zero")
+        state = init_kfac_state(p, "zero")
         for lists, sizes in (
             ((state.a_interior, state.a_boundary), [4, 5]),
             ((state.b_interior, state.b_boundary), [4, 1]),
@@ -170,8 +178,8 @@ class TestPrecondition:
                     a = rng.standard_normal((k, k))
                     mats[l] = a @ a.T
         grads = [rng.standard_normal((4, 4)), rng.standard_normal((1, 5))]
-        out = np.split(precondition_gradient(state, oracle.flatten_mats(grads)), [grads[0].size])
-        lam = state.damping
+        lam = 0.3
+        out = np.split(precondition_gradient(state, oracle.flatten_mats(grads), lam), [grads[0].size])
         for l, g in enumerate(grads):
             q, pdim = g.shape
             dense = np.kron(state.a_interior[l] + lam * np.eye(pdim), state.b_interior[l] + lam * np.eye(q))
@@ -189,21 +197,21 @@ class TestPrecondition:
         p = Parameters([rng.standard_normal((1, 2))], [rng.standard_normal(1)])
         z = rng.standard_normal((1, 1, 2))
         g = rng.standard_normal((1, 1, 1))
-        state = init_kfac_state(p, ema=0.0, damping=1e-10, init_mode="zero")
-        interior_factor_update(state, p, [(z, g)])
+        state = init_kfac_state(p, "zero")
+        interior_factor_update(state, p, [(z, g)], 0.0)
         zhat = np.append(z[0, 0], 1.0)
         jac = np.kron(zhat[:, None], g[0, 0][:, None])
         block = jac @ jac.T
         grad_vec = (jac @ jac.T) @ rng.standard_normal(3)  # keep g in the range of the block
-        out = precondition_gradient(state, grad_vec)
+        out = precondition_gradient(state, grad_vec, 1e-10)
         want = -pinv_psd(block, 1e-12) @ grad_vec
         assert np.linalg.norm(out - want) <= 1e-5 * np.linalg.norm(want)
 
     def test_requires_positive_damping(self):
         p = init_params((2, 3, 1), 0)
-        state = init_kfac_state(p, ema=0.0, damping=0.0, init_mode="zero")
+        state = init_kfac_state(p, "zero")
         with pytest.raises(ValueError):
-            precondition_gradient(state, np.ones(13))
+            precondition_gradient(state, np.ones(13), 0.0)
 
 
 class TestExactGramian:
@@ -211,10 +219,10 @@ class TestExactGramian:
         p = Parameters([np.array([[1.5, -2.0]])], [np.array([0.5])])
         batch = pde.Batch(np.zeros((0, 2)), np.array([[3.0, 4.0]]), np.zeros(1), np.zeros(0))
         g = oracle.exact_gramian(p, batch, poisson)
-        state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
+        state = init_kfac_state(p, "zero")
         _, inputs = network.forward_batch(p, batch.boundary)
         grads = network.backward_batch(p, inputs)
-        boundary_factor_update(state, curvature.boundary_pairs(inputs, grads))
+        boundary_factor_update(state, curvature.boundary_pairs(inputs, grads), 0.0)
         kron = np.kron(state.a_boundary[0], state.b_boundary[0])
         assert np.max(np.abs(g - kron)) <= 1e-12
 
@@ -300,14 +308,14 @@ class TestFlatteningConsistency:
         # guards the column-stacking convention end to end on one layer
         rng = np.random.default_rng(12)
         p = Parameters([rng.standard_normal((2, 3))], [rng.standard_normal(2)])
-        state = init_kfac_state(p, ema=0.0, damping=0.1, init_mode="zero")
+        state = init_kfac_state(p, "zero")
         a = rng.standard_normal((4, 4))
         state.a_interior[0] = a @ a.T
         b = rng.standard_normal((2, 2))
         state.b_interior[0] = b @ b.T
         g = rng.standard_normal((2, 4))
-        out = precondition_gradient(state, g.flatten(order="F"))
         lam = 0.1
+        out = precondition_gradient(state, g.flatten(order="F"), lam)
         # zero condition-term factors contribute lam^2 * I after damping
         dense = np.kron(state.a_interior[0] + lam * np.eye(4), state.b_interior[0] + lam * np.eye(2))
         dense += lam * lam * np.eye(8)
@@ -358,8 +366,8 @@ class TestInputLayerClosedForm:
 
     def test_factor(self, case):
         p, _, _, ev, zhat, g = case
-        state = init_kfac_state(p, ema=0.0, damping=1.0, init_mode="zero")
-        interior_factor_update(state, p, ev.interior)
+        state = init_kfac_state(p, "zero")
+        interior_factor_update(state, p, ev.interior, 0.0)
         n, s, _ = zhat.shape
         a_ref = sum(np.outer(zhat[i, j], zhat[i, j]) for i in range(n) for j in range(s)) / (n * s)
         b_ref = sum(np.outer(g[i, j], g[i, j]) for i in range(n) for j in range(s)) / n

@@ -497,9 +497,9 @@ class TestCli:
         # into a NaN direction; the diverged line names the factor's slot
         precondition = curvature.precondition_gradient
 
-        def poisoned(state, grad):
+        def poisoned(state, grad, damping):
             getattr(state, factor)[-1][0, 0] = np.nan
-            return precondition(state, grad)
+            return precondition(state, grad, damping)
 
         monkeypatch.setattr(curvature, "precondition_gradient", poisoned)
         assert train_cli(tmp_path, optimizer=optimizer, max_steps=3, eval_every=1) == 3
@@ -518,10 +518,10 @@ class TestCli:
         # not positive (semi)definite there ends the run as diverged too
         precondition = curvature.precondition_gradient
 
-        def indefinite(state, grad):
+        def indefinite(state, grad, damping):
             head = getattr(state, factor)[-1]
             head[...] = -1e3 * np.eye(head.shape[0])
-            return precondition(state, grad)
+            return precondition(state, grad, damping)
 
         monkeypatch.setattr(curvature, "precondition_gradient", indefinite)
         assert train_cli(tmp_path, optimizer=optimizer, max_steps=3, eval_every=1) == 3

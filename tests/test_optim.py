@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,16 @@ def poisson():
 def small_state(kind, seed=0, widths=(2, 6, 1), **kwargs):
     params = init_params(widths, seed)
     return init_train_state(params, OptimizerConfig(optimizer=kind, **kwargs))
+
+
+def next_direction(state, batch, problem):
+    """``(Delta, factors, ev)`` of the next Kronecker step, from a copy of ``state.kfac``
+    updated and solved with the settings ``state.config`` holds now."""
+    ev = evaluate_batch(state.params, batch, problem)
+    kf, cfg = copy.deepcopy(state.kfac), state.config
+    curvature.interior_factor_update(kf, state.params, ev.interior, cfg.ema)
+    curvature.boundary_factor_update(kf, ev.boundary, cfg.ema)
+    return curvature.precondition_gradient(kf, ev.grad, cfg.damping), kf, ev
 
 
 class TestConfig:
@@ -74,8 +86,6 @@ class TestUpdatePath:
     @pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
     def test_step_applies_the_update_it_reports(self, poisson, kind):
         # optimizer_step applies the kind's update once and reports its (alpha, mu)
-        import copy
-
         cfg = dict(kfac={"momentum": 0.9}, sgd={"lr": 0.05, "momentum": 0.5}, adam={"lr": 0.01})
         state = small_state(kind, damping=1e-3, **cfg.get(kind, {}))
         batch = pde.sample_batch(poisson, 12, 8, seed=9)
@@ -102,8 +112,6 @@ class TestUpdatePath:
                 assert info.mu == {"kfac": 0.9, "sgd": 0.5}.get(kind, 0.0)
 
     def test_deepcopy_keeps_the_parameter_views(self):
-        import copy
-
         state = small_state("kfac", widths=(2, 6, 3, 1), damping=1e-3)
         ref = copy.deepcopy(state)
         ref.params.weights[2][0, 1] = 4.0
@@ -150,7 +158,6 @@ class TestUpdatePath:
     def test_non_finite_loss_stops_before_the_rule(self, poisson, monkeypatch, kind):
         # a non-finite batch loss raises before the kind's update rule runs,
         # so no factor, moment, parameter or counter changes
-        import copy
         import dataclasses
 
         state = small_state(kind, damping=1e-3)
@@ -284,19 +291,27 @@ class TestKfacStep:
         optimizer_step(state, batch, poisson)
         first_update = state.prev_update.copy()
         params_before = state.params.copy()
-        kf = state.kfac
-        ev = evaluate_batch(state.params, batch, poisson)
-        import copy
-
-        kf2 = copy.deepcopy(kf)
-        curvature.interior_factor_update(kf2, state.params, ev.interior)
-        curvature.boundary_factor_update(kf2, ev.boundary)
-        delta = curvature.precondition_gradient(kf2, ev.grad)
+        delta, _, _ = next_direction(state, batch, poisson)
         info = optimizer_step(state, batch, poisson)
         expect = oracle.vec_to_params(info.alpha * (delta + first_update), state.params)
         for l in range(state.params.n_linear):
             got = state.params.weights[l] - params_before.weights[l]
             assert np.max(np.abs(got - expect.weights[l])) <= 1e-12
+
+    def test_ema_set_after_init_is_used(self, poisson):
+        # the factors average with the ema state.config holds at the step, not at init
+        state = small_state("kfac", widths=(2, 8, 1), damping=1e-2, ema=0.5, momentum=0.9)
+        batch = pde.sample_batch(poisson, 30, 10, seed=0)
+        optimizer_step(state, batch, poisson)
+        state.config.ema = 0.0
+        prev = state.prev_update
+        delta, kf, _ = next_direction(state, batch, poisson)
+        info = optimizer_step(state, batch, poisson)
+        for name in ("a_interior", "b_interior", "a_boundary", "b_boundary"):
+            for got, want in zip(getattr(state.kfac, name), getattr(kf, name)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        want = info.alpha * (delta + info.mu * prev)
+        assert np.linalg.norm(state.prev_update - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_loss_decreases_over_training(self, poisson):
         state = small_state("kfac", widths=(2, 12, 1), damping=1e-3, ema=0.9, momentum=0.9)
@@ -311,11 +326,7 @@ class TestKfacStep:
         # huge damping makes the preconditioner a multiple of the identity
         state = small_state("kfac", damping=1e6, ema=0.0, momentum=0.0)
         batch = pde.sample_batch(poisson, 10, 6, seed=2)
-        ev = evaluate_batch(state.params, batch, poisson)
-        kf = state.kfac
-        curvature.interior_factor_update(kf, state.params, ev.interior)
-        curvature.boundary_factor_update(kf, ev.boundary)
-        dv = curvature.precondition_gradient(kf, ev.grad)
+        dv, _, ev = next_direction(state, batch, poisson)
         gv = ev.grad
         cos = -(dv @ gv) / (np.linalg.norm(dv) * np.linalg.norm(gv))
         assert cos >= 0.999
@@ -334,13 +345,7 @@ class TestKfacStar:
         # with no previous update the model reduces to the 1x1 solve
         state = small_state("kfac_star", damping=1e-2, ema=0.0)
         batch = pde.sample_batch(poisson, 10, 6, seed=4)
-        ev = evaluate_batch(state.params, batch, poisson)
-        import copy
-
-        kf = copy.deepcopy(state.kfac)
-        curvature.interior_factor_update(kf, state.params, ev.interior)
-        curvature.boundary_factor_update(kf, ev.boundary)
-        dv = curvature.precondition_gradient(kf, ev.grad)
+        dv, _, ev = next_direction(state, batch, poisson)
         gv = ev.grad
         g_dv = oracle.gramian_vec(state.params, batch, poisson, dv)
         lam = state.config.damping
@@ -376,13 +381,7 @@ class TestKfacStar:
         state = small_state("kfac_star", seed=3, damping=1e-3, ema=0.5)
         batch = pde.sample_batch(poisson, 12, 6, seed=6)
         optimizer_step(state, batch, poisson)  # builds a previous update
-        ev = evaluate_batch(state.params, batch, poisson)
-        import copy
-
-        kf = copy.deepcopy(state.kfac)
-        curvature.interior_factor_update(kf, state.params, ev.interior)
-        curvature.boundary_factor_update(kf, ev.boundary)
-        dv = curvature.precondition_gradient(kf, ev.grad)
+        dv, _, ev = next_direction(state, batch, poisson)
         pv = state.prev_update
         gv = ev.grad
         lam = state.config.damping
@@ -400,6 +399,19 @@ class TestKfacStar:
         )
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(gv)
 
+    def test_one_damping_per_step(self, poisson):
+        # a damping set on state.config after init reaches the preconditioner
+        # as well as the model's damping term
+        state = small_state("kfac_star", widths=(2, 8, 1), damping=1e-2, ema=0.5)
+        batch = pde.sample_batch(poisson, 30, 10, seed=0)
+        optimizer_step(state, batch, poisson)
+        state.config.damping = 1.0
+        prev = state.prev_update
+        delta, _, _ = next_direction(state, batch, poisson)
+        info = optimizer_step(state, batch, poisson)
+        want = info.alpha * delta + info.mu * prev
+        assert np.linalg.norm(state.prev_update - want) <= 1e-12 * np.linalg.norm(want)
+
     @pytest.mark.parametrize(
         "problem_name, problem_params, widths",
         [
@@ -414,8 +426,6 @@ class TestKfacStar:
         # The 2x2 model's condition number (up to 2e9 here) scales the last-bit
         # differences of its entries; with 40 points on poisson100d it reaches 6e10
         # and the two solves differ by 1e-10.
-        import copy
-
         problem = pde.make_problem(problem_name, **problem_params)
         for seed in range(5):
             state = small_state("kfac_star", seed=seed, widths=widths, damping=1e-4, ema=0.99)
@@ -481,12 +491,16 @@ class TestEngd:
         assert direction @ gv < 0.0
 
     def test_gramian_ema_config(self, poisson):
-        state = small_state("engd", ema=0.9, init_mode="identity")
-        assert state.gramian_ema is not None
-        assert np.array_equal(state.gramian_ema, np.eye(state.params.n_params))
+        # the EMA starts from the shared initializer and averages the step's dense Gramian
         batch = pde.sample_batch(poisson, 6, 4, seed=9)
-        optimizer_step(state, batch, poisson)
-        assert not np.array_equal(state.gramian_ema, np.eye(state.params.n_params))
+        for init_mode in ("zero", "identity"):
+            state = small_state("engd", ema=0.9, init_mode=init_mode)
+            init = curvature.initial_curvature(state.params.n_params, init_mode)
+            assert np.array_equal(state.gramian_ema, init)
+            ev = evaluate_batch(state.params, batch, poisson)
+            want = 0.9 * init + 0.1 * curvature.dense_gramian(ev.interior, ev.boundary)
+            optimizer_step(state, batch, poisson)
+            assert np.max(np.abs(state.gramian_ema - want)) <= 1e-12 * np.max(np.abs(want)), init_mode
 
     def test_smoke_training_100x(self, poisson):
         state = small_state("engd", widths=(2, 10, 1), ema=0.0, damping=0.0)

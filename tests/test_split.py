@@ -193,12 +193,12 @@ class TestFailureAndLifetime:
         batch = pde.sample_batch(problem, 9, 4, seed=0)
         ev = evaluate_batch(params, batch, problem)
         seeds = np.ones((9, 12))
-        kfac = curvature.init_kfac_state(params, 0.9, 1e-3)
+        kfac = curvature.init_kfac_state(params, "identity")
         basis = [ev.grad]
         for _ in range(40):
             states, _ = taylor.taylor_forward(params, batch.interior, problem.coeffs)
             taylor.taylor_backward(params, states, seeds, problem.coeffs)
-            curvature.interior_factor_update(kfac, params, ev.interior)
+            curvature.interior_factor_update(kfac, params, ev.interior, 0.9)
             curvature.loss_gradient(ev.interior, ev.residuals_int, ev.boundary, ev.residuals_bnd)
             curvature._interior_jacobian_rows(ev.interior, basis, taylor.Workspace())
         assert started == []
