@@ -65,11 +65,11 @@ def _stream_seed(seed: int, tag: int, index: int = 0) -> int:
     return int(ss.generate_state(1)[0])
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig(OptimizerConfig):
     """Flat, JSON-serializable description of one training run: the inherited
     optimizer fields, whose defaults and checks :class:`OptimizerConfig`
-    declares, and the run's own fields below, whose ranges :meth:`validate`
+    declares, and the run's own fields below, whose ranges ``__post_init__``
     adds.  A ``resample_every`` of None takes the optimizer's default."""
 
     problem: str
@@ -86,13 +86,10 @@ class RunConfig(OptimizerConfig):
     output_dir: str = "runs/out"
 
     def __post_init__(self):
+        """Field types and optimizer ranges, then the default ``resample_every``, then the run's ranges."""
         super().__post_init__()
         if self.resample_every is None:
-            self.resample_every = optim.DEFAULT_RESAMPLE_EVERY[self.optimizer]
-
-    def validate(self):
-        """Every field's type and the optimizer's ranges, then the run's ranges."""
-        super().validate()
+            object.__setattr__(self, "resample_every", optim.DEFAULT_RESAMPLE_EVERY[self.optimizer])
         if self.n_interior < 1 or self.n_boundary < 1:
             raise ValueError("batch sizes must be positive")
         if self.max_steps < 0 or self.eval_every < 1 or self.n_eval_points < 1:
@@ -101,7 +98,7 @@ class RunConfig(OptimizerConfig):
             raise ValueError("max_wall_seconds must be >= 0 (0 means no wall budget)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.resample_every is not None and self.resample_every < 0:
+        if self.resample_every < 0:
             raise ValueError("resample_every must be >= 0 (0 keeps the batch fixed)")
 
     @classmethod
@@ -244,6 +241,9 @@ def load_checkpoint(path):
 def run_training(config: RunConfig) -> TrainLog:
     """Train per the config, streaming the log to ``output_dir/log.csv``.
 
+    Row t's loss columns are step t's batch at the parameters before its
+    update (what the step evaluates); its ``l2_rel_error`` is after it.
+
     A failed step (see :func:`pinnopt.optim.optimizer_step`) or a
     non-finite evaluation error marks the run diverged and stops it: step
     t writes no row, one ``# diverged step=t: <reason>`` line ends the log,
@@ -335,7 +335,7 @@ def run_training(config: RunConfig) -> TrainLog:
 def _cmd_train(args) -> int:
     config = RunConfig.from_json(args.config)
     if args.output_dir:
-        config.output_dir = args.output_dir
+        config = dataclasses.replace(config, output_dir=args.output_dir)
     log = run_training(config)
     if log.diverged:
         print(f"DIVERGED at step {log.diverged_step}")

@@ -58,14 +58,15 @@ _FIELD_TYPES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     """The optimizer and its hyperparameters; which fields matter depends on ``optimizer``.
 
     :class:`pinnopt.harness.RunConfig` extends it with the run's own fields,
     so each setting, its default and its check are declared here only.
-    :meth:`validate` type-checks every field of the instance, a subclass's
-    too, with :meth:`check_field`; a subclass overrides it to add ranges.
+    Construction type-checks every field, a subclass's too, with :meth:`check_field`,
+    then checks the ranges, which a subclass extends in ``__post_init__``.  The
+    config is frozen: ``dataclasses.replace`` builds a checked copy with new values.
     """
 
     optimizer: str
@@ -76,9 +77,6 @@ class OptimizerConfig:
     init_mode: str = "identity"   # curvature init: zero | identity
     rcond: float = 1e-10          # engd pseudo-inverse cutoff
 
-    def __post_init__(self):
-        self.validate()
-
     @classmethod
     def check_field(cls, name: str, value):
         """Raise ValueError unless ``value`` fits field ``name``'s type (and is finite, for a float)."""
@@ -88,7 +86,7 @@ class OptimizerConfig:
         if kind == "float" and not math.isfinite(value):
             raise ValueError(f"config field {name} must be finite, got {value!r}")
 
-    def validate(self):
+    def __post_init__(self):
         for f in fields(self):
             self.check_field(f.name, getattr(self, f.name))
         if self.optimizer not in OPTIMIZER_KINDS:
@@ -120,7 +118,7 @@ class TrainState:
     """
 
     params: network.Parameters
-    config: OptimizerConfig
+    config: OptimizerConfig  # frozen; a setting changes by replacing it with a dataclasses.replace copy
     step: int = 0
     prev_update: np.ndarray | None = None  # parameter-space vector
     kfac: curvature.KfacState | None = None
@@ -133,12 +131,11 @@ class TrainState:
 def init_train_state(params: network.Parameters, config: OptimizerConfig) -> TrainState:
     """Fresh state for ``config``; raises ValueError for a config the net cannot run.
 
-    ``config.validate()`` re-checks all of it, a RunConfig's run fields too.
-    engd's dense Gramian is refused here, above
-    :data:`curvature.DENSE_GRAMIAN_CAP` parameters, so that
+    ``config`` was checked when it was built and cannot change.  What is
+    checked here is what needs the net: engd's dense Gramian is refused
+    above :data:`curvature.DENSE_GRAMIAN_CAP` parameters, so that
     :func:`pinnopt.harness.run_training` reports it before opening its log.
     """
-    config.validate()
     d = params.n_params
     if config.optimizer == "engd" and d > curvature.DENSE_GRAMIAN_CAP:
         raise ValueError(
@@ -267,6 +264,8 @@ def line_search(loss_fn, params, direction, grid) -> tuple:
 
 @dataclass
 class StepInfo:
+    """One step's step-size pair, and its batch's losses at the parameters before its update."""
+
     alpha: float
     mu: float
     loss_interior: float

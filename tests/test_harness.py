@@ -91,11 +91,38 @@ class TestRunConfig:
             assert cfg.resample_every == expected[kind]
 
     def test_init_train_state_rechecks_the_run_fields(self, tmp_path):
-        # the run's ranges live in RunConfig.validate, which init_train_state calls
+        # a config that reaches init_train_state is checked: it cannot change
+        # after construction, and a replaced copy runs the run's ranges again
         cfg = tiny_config(tmp_path)
-        cfg.n_interior = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_interior = 0
         with pytest.raises(ValueError, match="batch sizes must be positive"):
-            optim.init_train_state(init_params(cfg.widths, 0), cfg)
+            dataclasses.replace(cfg, n_interior=0)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_fields_cannot_be_assigned(self, tmp_path, name):
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"damping": 0.0}, "kfac_star requires damping > 0"),
+            ({"ema": 1.5}, "ema must lie in \\[0, 1\\), got 1.5"),
+            ({"seed": -1}, "seed must be >= 0"),
+        ],
+        ids=["damping", "ema", "seed"],
+    )
+    def test_replace_runs_the_checks(self, tmp_path, change, message):
+        # a setting changes only through a checked copy, which fails as construction does
+        cfg = tiny_config(tmp_path, optimizer="kfac_star")
+        before = cfg.to_dict()
+        with pytest.raises(ValueError, match=message):
+            RunConfig.from_dict({**before, **change})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(cfg, **change)
+        assert cfg.to_dict() == before
 
     def test_json_round_trip(self, tmp_path):
         cfg = RunConfig(problem="heat", problem_params={"spatial_dim": 1}, widths=[2, 8, 1], optimizer="kfac")
@@ -125,6 +152,21 @@ class TestRunTraining:
             assert [int(l.split(",")[0]) for l in data] == [r[0] for r in log.rows] == steps
             for line in data:
                 assert len(line.split(",")) == len(CSV_COLUMNS)
+
+    @pytest.mark.parametrize("kind", ["kfac", "sgd"])
+    def test_row_losses_are_taken_before_the_update(self, tmp_path, kind):
+        # row t's loss columns are step t's batch at the parameters before the
+        # update and its l2_rel_error after it: on a fixed batch row 1 repeats
+        # row 0's losses while the error moves
+        log = run_training(
+            tiny_config(
+                tmp_path, optimizer=kind, widths=[2, 8, 1], n_interior=30, n_boundary=10,
+                resample_every=0, eval_every=1, max_steps=1,
+            )
+        )
+        (_, _, *losses0, l2_0, _, _), (_, _, *losses1, l2_1, _, _) = log.rows
+        np.testing.assert_allclose(losses1, losses0, rtol=1e-12, atol=0.0)
+        assert l2_1 != l2_0
 
     def test_deterministic_excluding_wall_time(self, tmp_path):
         cfg_a = tiny_config(tmp_path, output_dir=str(tmp_path / "a"))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -303,7 +304,7 @@ class TestKfacStep:
         state = small_state("kfac", widths=(2, 8, 1), damping=1e-2, ema=0.5, momentum=0.9)
         batch = pde.sample_batch(poisson, 30, 10, seed=0)
         optimizer_step(state, batch, poisson)
-        state.config.ema = 0.0
+        state.config = dataclasses.replace(state.config, ema=0.0)
         prev = state.prev_update
         delta, kf, _ = next_direction(state, batch, poisson)
         info = optimizer_step(state, batch, poisson)
@@ -405,7 +406,7 @@ class TestKfacStar:
         state = small_state("kfac_star", widths=(2, 8, 1), damping=1e-2, ema=0.5)
         batch = pde.sample_batch(poisson, 30, 10, seed=0)
         optimizer_step(state, batch, poisson)
-        state.config.damping = 1.0
+        state.config = dataclasses.replace(state.config, damping=1.0)
         prev = state.prev_update
         delta, _, _ = next_direction(state, batch, poisson)
         info = optimizer_step(state, batch, poisson)

@@ -60,9 +60,9 @@ def _count_thread_starts(monkeypatch) -> list:
 class TestThreadIndependence:
     @pytest.mark.parametrize("name", ["poisson2d-kfac", "fokker10d-kfac_star", "poisson100d-kfac_star"])
     def test_worker_and_caller_only_logs_match(self, name, tmp_path, monkeypatch):
-        config = _workload_config(name)
-        config.max_steps, config.eval_every = 4, 1
-        config.output_dir = str(tmp_path / "worker")
+        config = dataclasses.replace(
+            _workload_config(name), max_steps=4, eval_every=1, output_dir=str(tmp_path / "worker")
+        )
         threads_before = threading.active_count()
         ran_on = set()
         backward = taylor._activation_backward
@@ -79,7 +79,7 @@ class TestThreadIndependence:
         # the worker never starts a half: the caller cancels and runs each half 1 itself
         monkeypatch.setattr(taylor, "ThreadPoolExecutor", _PendingExecutor)
         ran_on.clear()
-        config.output_dir = str(tmp_path / "caller")
+        config = dataclasses.replace(config, output_dir=str(tmp_path / "caller"))
         assert _log_without_wall_time(config) == with_worker
         assert ran_on == {threading.current_thread().name}
 
