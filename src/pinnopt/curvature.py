@@ -9,12 +9,15 @@ record from the plain forward/backward pass seen as S = 1
 
     A_l   = sum_{n,s} zhat_ns zhat_ns^T / (N S)
     B_l   = sum_{n,s} g_ns g_ns^T / N
-    row_n = sum_s g_ns zhat_ns^T                  (column-stacked)
-    grad  = sum_n r_n / N * row_n                 (taylor.param_grad_matrix)
+    row_n = sum_s zhat_ns g_ns^T
+    grad  = sum_n r_n / N * row_n                 (:func:`param_grad_matrix`)
 
-A layer's curvature block is approximated by ``A_int (x) B_int + A_cond
-(x) B_cond`` in the column-stacked ``[W | b]`` flattening, which the
-damped Kronecker-sum solver inverts without materializing the block.
+where row_n and grad are (h_in + 1, h_out) blocks ``[W | b]^T`` of
+:func:`pinnopt.network.layer_blocks`, the layout of every parameter-space
+vector.  A layer's curvature block is approximated by ``A_int (x) B_int +
+A_cond (x) B_cond``, which maps a block X to ``A_int X B_int + A_cond X
+B_cond``; the damped Kronecker-sum solver solves that matrix equation
+without materializing the block.
 
 The bias is implicit: ``zhat_ns`` is z_ns followed by 1 in the value column
 (s = 0) and 0 elsewhere, and no augmented copy is formed.  The bias row
@@ -42,12 +45,13 @@ condition record and layers 2 and up sum all their columns directly.
 
 The condition record's layer-0 input is ``x[:, None, :]``, three-dimensional
 like every other S = 1 input, so a two-dimensional input always means
-these points.  Only this module and :mod:`pinnopt.taylor` know the state
-layout; the optimizers pass the records through unchanged.
+these points.  This module alone reads a record: the implicit bias row
+and layer 0 as the points are its rules.  :mod:`pinnopt.taylor` writes the
+states and adjoints, and the optimizers pass the records through unchanged.
 
 kfac_star needs the Gramian only on the span of k <= 2 directions
 V = [Delta, prev], so it asks for the projected rows ``J V`` (N, k)
-instead of the (N, D) rows.  With ``[dW_k | db_k]`` the layer's block of
+instead of the (N, D) rows.  With ``[dW_k | db_k]^T`` the layer's block of
 direction k, each layer adds
 
     (J V)_nk += sum_s g_ns . (dW_k z_ns) + g_n0 . db_k
@@ -83,13 +87,7 @@ import numpy as np
 
 from . import network, pde
 from .linalg import kron_sum_solve
-from .taylor import (
-    Workspace,
-    linear_input_index,
-    param_grad_matrix,
-    taylor_backward,
-    taylor_forward,
-)
+from .taylor import Workspace, linear_input_index, taylor_backward, taylor_forward
 
 __all__ = [
     "KfacState",
@@ -101,6 +99,7 @@ __all__ = [
     "interior_factor_update",
     "boundary_factor_update",
     "precondition_gradient",
+    "param_grad_matrix",
     "dense_gramian",
     "projected_gramian",
     "residual_jacobian_rows",
@@ -258,8 +257,9 @@ def precondition_gradient(state: KfacState, grad, damping: float) -> np.ndarray:
 
     Given the parameter-space gradient vector ``g`` returns the direction
     ``-(A_int (x) B_int + A_cond (x) B_cond)^-1 g``, layer by layer, with
-    ``damping * I`` added to each factor first.  Each layer's segment of
-    ``g`` is already the column-stacked vector the solver takes.
+    ``damping * I`` added to each factor first: each layer's block X of the
+    direction solves ``A_int X B_int + A_cond X B_cond = -G`` for its
+    gradient block G (:func:`pinnopt.linalg.kron_sum_solve`).
     """
     if damping <= 0:
         raise ValueError("damping must be positive for Kronecker preconditioning")
@@ -267,14 +267,13 @@ def precondition_gradient(state: KfacState, grad, damping: float) -> np.ndarray:
     out = np.empty_like(grad)
     for l, (g, o) in enumerate(zip(network.layer_blocks(grad, shapes), network.layer_blocks(out, shapes))):
         eye_a, eye_b = np.eye(o.shape[0]), np.eye(o.shape[1])
-        v = kron_sum_solve(
+        o[...] = -kron_sum_solve(
             state.a_interior[l] + damping * eye_a,
             state.b_interior[l] + damping * eye_b,
             state.a_boundary[l] + damping * eye_a,
             state.b_boundary[l] + damping * eye_b,
-            g.reshape(-1),
+            g,
         )
-        o[...] = -v.reshape(o.shape)
     return out
 
 
@@ -292,15 +291,20 @@ def _input_layer_rows(x, g, out):
         out[:, i, :] += g[:, 1 + i, :]
 
 
+def _block_shapes(record) -> list:
+    """The (h_in + 1, h_out) parameter block shape of each layer of a record."""
+    return [(z.shape[-1] + 1, g.shape[2]) for z, g in record]
+
+
 def _jacobian_rows(record):
     """Stack one loss term's per-sample residual Jacobians into an (N, D) matrix.
 
-    Per layer the row segment is the column-stacked ``sum_s g_ns zhat_ns^T``,
-    written in place through its per-sample ``[W | b]^T`` blocks
-    (:func:`pinnopt.network.layer_blocks`).  The weight rows are
-    ``z_n^T g_n`` (layer-0 points in closed form), the bias row is ``g_n0``.
+    Per layer the row segment is the block ``sum_s zhat_ns g_ns^T``, written
+    in place through its per-sample views (:func:`pinnopt.network.layer_blocks`).
+    The weight rows are ``z_n^T g_n`` (layer-0 points in closed form), the
+    bias row is ``g_n0``.
     """
-    shapes = [(z.shape[-1] + 1, g.shape[2]) for z, g in record]
+    shapes = _block_shapes(record)
     rows = np.empty((record[0][1].shape[0], sum(p * q for p, q in shapes)))
     for view, (z, g) in zip(network.layer_blocks(rows, shapes), record):
         h = z.shape[-1]
@@ -321,7 +325,7 @@ def _projected_rows(record, basis, workspace):
     the workspace's scratch array; no row is formed.
     """
     n = record[0][1].shape[0]
-    blocks = network.layer_blocks(np.asarray(basis), [(z.shape[-1] + 1, g.shape[2]) for z, g in record])
+    blocks = network.layer_blocks(np.asarray(basis), _block_shapes(record))
     out = np.zeros((n, len(basis)))
     for l, (z, g) in enumerate(record):
         _, s, q = g.shape
@@ -360,6 +364,40 @@ def _boundary_jacobian_rows(boundary, basis=None, workspace=None):
     return _jacobian_rows(boundary) if basis is None else _projected_rows(boundary, basis, workspace)
 
 
+def param_grad_matrix(z_in, g, workspace: Workspace, weights=None) -> np.ndarray:
+    """Batch-summed ``[dW | db]^T`` block of one linear layer, ``sum_n w_n sum_s zhat_ns g_ns^T``.
+
+    ``z_in`` is the layer's input and ``g`` the (N, S, h_out) gradient of its
+    output, one layer's entry of a record; ``zhat`` appends the bias entry
+    (1 in the value column, 0 elsewhere).  A two-dimensional ``z_in`` holds
+    the points x and stands for the input state (x, e_i, 0), whose column
+    sum per sample is ``[x_n; 1] g_n0^T + [G_n; 0]`` with ``G_n`` the
+    derivative-column block of ``g_n``.  ``weights`` (N,) scale the
+    samples; None means all ones.  The scaled gradient columns that are
+    read go to the workspace's scratch array: for points, the operator
+    column is never read.  The result is the layer's (h_in + 1, h_out)
+    block of :func:`pinnopt.network.layer_blocks`.
+    """
+    n, s, q = g.shape
+    if z_in.ndim == 2:
+        d = z_in.shape[1]
+        g0, gd = g[:, 0, :], g[:, 1 : d + 1, :]
+        if weights is not None:
+            g0 = g0 * weights[:, None]
+            gd = np.multiply(gd, weights[:, None, None], out=workspace.array(gd.shape, "scratch"))
+        m = np.empty((d + 1, q))
+        m[:d] = (g0.T @ z_in + gd.sum(axis=0).T).T
+    else:
+        if weights is not None:
+            g = np.multiply(g, weights[:, None, None], out=workspace.array(g.shape, "scratch"))
+        g0 = g[:, 0, :]
+        d = z_in.shape[2]
+        m = np.empty((d + 1, q))
+        m[:d] = (g.reshape(n * s, q).T @ z_in.reshape(n * s, d)).T
+    m[d] = g0.sum(axis=0)
+    return m
+
+
 def loss_gradient(interior: list, r_int, boundary: list, r_bnd, workspace=None) -> np.ndarray:
     """Parameter-space gradient vector of the two-term loss.
 
@@ -367,7 +405,8 @@ def loss_gradient(interior: list, r_int, boundary: list, r_bnd, workspace=None) 
     built from, with term weights 1/N each: ``sum_n r_n / N * row_n`` for
     the interior and the condition term.  The interior sum runs over the
     two halves of :meth:`Workspace.split` (None means a fresh workspace);
-    each layer's gradient is (half 0 + half 1) + condition term.
+    each layer's block of the returned vector is (half 0 + half 1) +
+    condition term.
     """
     if workspace is None:
         workspace = Workspace()
@@ -379,10 +418,11 @@ def loss_gradient(interior: list, r_int, boundary: list, r_bnd, workspace=None) 
         return [param_grad_matrix(z, g, half, weights) for z, g in _rows(interior, half.rows)]
 
     first, second = workspace.split(r_int.size, interior_rows)
-    return np.concatenate([
-        (m0 + m1 + param_grad_matrix(zb, gb, workspace, w_bnd)).ravel(order="F")
-        for m0, m1, (zb, gb) in zip(first, second, boundary)
-    ])
+    shapes = _block_shapes(boundary)
+    grad = np.empty(sum(p * q for p, q in shapes))
+    for out, m0, m1, (zb, gb) in zip(network.layer_blocks(grad, shapes), first, second, boundary):
+        np.add(m0 + m1, param_grad_matrix(zb, gb, workspace, w_bnd), out=out)
+    return grad
 
 
 def residual_jacobian_rows(params, batch: pde.Batch, problem) -> tuple:

@@ -70,7 +70,8 @@ class RunConfig(OptimizerConfig):
     """Flat, JSON-serializable description of one training run: the inherited
     optimizer fields, whose defaults and checks :class:`OptimizerConfig`
     declares, and the run's own fields below, whose ranges ``__post_init__``
-    adds.  A ``resample_every`` of None takes the optimizer's default."""
+    adds.  A ``resample_every`` of None stays None in the config and its
+    log; :func:`run_training` then takes the optimizer's default."""
 
     problem: str
     widths: list
@@ -86,10 +87,8 @@ class RunConfig(OptimizerConfig):
     output_dir: str = "runs/out"
 
     def __post_init__(self):
-        """Field types and optimizer ranges, then the default ``resample_every``, then the run's ranges."""
+        """Field types and optimizer ranges, then the run's ranges."""
         super().__post_init__()
-        if self.resample_every is None:
-            object.__setattr__(self, "resample_every", optim.DEFAULT_RESAMPLE_EVERY[self.optimizer])
         if self.n_interior < 1 or self.n_boundary < 1:
             raise ValueError("batch sizes must be positive")
         if self.max_steps < 0 or self.eval_every < 1 or self.n_eval_points < 1:
@@ -98,7 +97,7 @@ class RunConfig(OptimizerConfig):
             raise ValueError("max_wall_seconds must be >= 0 (0 means no wall budget)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.resample_every < 0:
+        if self.resample_every is not None and self.resample_every < 0:
             raise ValueError("resample_every must be >= 0 (0 keeps the batch fixed)")
 
     @classmethod
@@ -258,6 +257,9 @@ def run_training(config: RunConfig) -> TrainLog:
             f"network input width {params.input_dim} does not match problem dim {problem.dim}"
         )
     state = init_train_state(params, config)
+    every = config.resample_every
+    if every is None:
+        every = optim.DEFAULT_RESAMPLE_EVERY[config.optimizer]
 
     os.makedirs(config.output_dir, exist_ok=True)
     meta = json.dumps(
@@ -295,24 +297,16 @@ def run_training(config: RunConfig) -> TrainLog:
     batch = pde.sample_batch(
         problem, config.n_interior, config.n_boundary, _stream_seed(config.seed, STREAM_BATCH, 0)
     )
-    resample_count = t = 0
+    t = 0
     try:
         # the first split of the run: the workspace's worker thread starts here
         [(l_int, l_bnd)] = optim.evaluate_losses([state.params], batch, problem, state.workspace)
         record(0, l_int, l_bnd, 0.0, 0.0)
         for t in range(1, config.max_steps + 1):
-            if (
-                config.resample_every > 0
-                and t > 1
-                and (t - 1) % config.resample_every == 0
-            ):
-                resample_count += 1
-                batch = pde.sample_batch(
-                    problem,
-                    config.n_interior,
-                    config.n_boundary,
-                    _stream_seed(config.seed, STREAM_BATCH, resample_count),
-                )
+            if every > 0 and t > 1 and (t - 1) % every == 0:
+                # step t trains on batch k = (t - 1) // every, drawn from stream (BATCH, k)
+                seed = _stream_seed(config.seed, STREAM_BATCH, (t - 1) // every)
+                batch = pde.sample_batch(problem, config.n_interior, config.n_boundary, seed)
             info = optimizer_step(state, batch, problem)
             out_of_time = 0 < config.max_wall_seconds < time.perf_counter() - start
             if t % config.eval_every == 0 or t == config.max_steps or out_of_time:

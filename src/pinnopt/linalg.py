@@ -3,16 +3,11 @@
 Everything works on float64 numpy arrays.  All functions are pure: inputs
 are never mutated, so they are safe to call from multiple threads.
 
-Conventions used throughout the package:
-
-* matrices are vectorized column-by-column (first index varies fastest,
-  ``X.flatten(order="F")``), so a Kronecker product ``A (x) B`` with
-  ``A`` of size p and ``B`` of size q acts on the flattening of a q x p
-  matrix ``X`` as ``vec(B @ X @ A.T)``;
-* ``kron_sum_solve`` exploits this to solve Kronecker-sum systems without
-  ever materializing the (p*q) x (p*q) matrix: each side's two factors are
-  diagonalized together by Cholesky whitening and one ``sym_eig``, and a
-  width-1 layer's system is one Cholesky solve.
+``kron_sum_solve(a1, b1, a2, b2, g)`` solves the matrix equation
+``a1 @ X @ b1 + a2 @ X @ b2 = g`` for a (p, q) block X without ever
+materializing the (p*q) x (p*q) Kronecker sum: each side's two factors are
+diagonalized together by Cholesky whitening and one ``sym_eig``, and a
+width-1 (q = 1) block's system is one Cholesky solve.
 """
 
 from __future__ import annotations
@@ -143,20 +138,20 @@ def _whitened_eig(m1, m2, name1, name2):
 
 
 def kron_sum_solve(a1, b1, a2, b2, g) -> np.ndarray:
-    """Solve ``(A1 (x) B1 + A2 (x) B2) v = g`` for symmetric PD factors.
+    """The (p, q) block X with ``a1 @ X @ b1 + a2 @ X @ b2 = g`` for symmetric PD factors.
 
-    ``a1, a2`` are p x p, ``b1, b2`` are q x q and ``g`` has length p*q in
-    column-stacked order (see module docstring).  Every factor must be
-    finite and symmetric, ``a2`` and ``b2`` positive definite and ``a1``,
-    ``b1`` positive semidefinite; the error names the offending argument.
+    ``a1, a2`` are p x p, ``b1, b2`` are q x q and ``g`` is a (p, q) array.
+    Every factor must be finite and symmetric, ``a2`` and ``b2`` positive
+    definite and ``a1``, ``b1`` positive semidefinite; the error names the
+    offending argument.
 
     Each side is whitened by a Cholesky factor (LAPACK ``sygv``'s
-    reduction): with ``L L^T = A2`` and ``L^-1 A1 L^-T = E diag(la) E^T``,
-    ``Va = L^-T E`` gives ``Va^T A2 Va = I`` and ``Va^T A1 Va = diag(la)``,
-    and ``Vb`` likewise, so ``v = vec(Vb ((Vb^T G Va) / (lb la^T + 1)) Va^T)``
-    for ``g = vec(G)``: one eigendecomposition per side.  For q = 1 (a
-    width-1 output layer) the B factors are scalars and the system is one
-    Cholesky solve with ``b1 A1 + b2 A2``.
+    reduction): with ``L L^T = a2`` and ``L^-1 a1 L^-T = E diag(la) E^T``,
+    ``Va = L^-T E`` gives ``Va^T a2 Va = I`` and ``Va^T a1 Va = diag(la)``,
+    and ``Vb`` likewise, so ``X = Va ((Va^T g Vb) / (la lb^T + 1)) Vb^T``:
+    one eigendecomposition per side.  For q = 1 (a width-1 output layer)
+    the b factors are scalars and the system is one Cholesky solve with
+    ``b1 a1 + b2 a2``.
     """
     a1, b1, a2, b2 = (
         _checked(m, f"kron_sum_solve({name})") for m, name in zip((a1, b1, a2, b2), ("a1", "b1", "a2", "b2"))
@@ -165,8 +160,8 @@ def kron_sum_solve(a1, b1, a2, b2, g) -> np.ndarray:
     if a2.shape[0] != p or b2.shape[0] != q:
         raise ValueError("factor size mismatch between the two Kronecker terms")
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != (p * q,):
-        raise ValueError(f"g must have length p*q = {p * q}, got shape {g.shape}")
+    if g.shape != (p, q):
+        raise ValueError(f"g must have shape (p, q) = {(p, q)}, got {g.shape}")
 
     if q == 1:
         _cholesky(b2, "kron_sum_solve(b2)")
@@ -174,10 +169,11 @@ def kron_sum_solve(a1, b1, a2, b2, g) -> np.ndarray:
         _cholesky(a2, "kron_sum_solve(a2)")
         # a2 and b2 are PD and b1 >= 0, so an indefinite system means a1 is not PSD
         l = _cholesky(b1[0, 0] * a1 + b2[0, 0] * a2, "kron_sum_solve(a1)")
-        return np.linalg.solve(l.T, np.linalg.solve(l, g))
+        return np.linalg.solve(l.T, np.linalg.solve(l, g[:, 0]))[:, None]
 
     la, va = _whitened_eig(a1, a2, "a1", "a2")
     lb, vb = _whitened_eig(b1, b2, "b1", "b2")
-    y = vb.T @ g.reshape((q, p), order="F") @ va
+    # y = (Va^T g Vb)^T, of shape (q, p)
+    y = vb.T @ g.T @ va
     y /= np.outer(lb, la) + 1.0
-    return (vb @ y @ va.T).flatten(order="F")
+    return (vb @ y @ va.T).T

@@ -7,13 +7,13 @@ order, which the differential-operator propagation in :mod:`pinnopt.taylor`
 requires.  :func:`init_params` takes the layer widths ``(d, h_1, ..., 1)``
 and checks them; :class:`Parameters` carries the layout from then on.
 
-Parameter flattening convention (shared by the whole package): per linear
-layer the weight and bias are joined into the augmented matrix ``[W | b]``
-of shape ``h_out x (h_in + 1)`` and vectorized column-by-column (first
-index varies fastest); layers are concatenated in order.  The parameters
-(:class:`Parameters`) and every parameter-space quantity (gradient,
-direction, update, momentum, Adam moment) are one float64 vector of length
-D in this layout; :func:`layer_blocks` views its layers as ``[W | b]^T`` blocks.
+Parameter layout (shared by the whole package): linear layer l's
+parameters are the (h_in + 1, h_out) block ``[W | b]^T``, whose rows
+``:h_in`` hold ``W^T`` and whose row ``h_in`` holds the bias.  The
+parameters (:class:`Parameters`) and every parameter-space quantity
+(gradient, direction, update, momentum, Adam moment) are one float64
+vector of length D: the blocks in C order, layers concatenated, which
+:func:`layer_blocks` views as blocks.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class Parameters:
     """The net's parameters as one float64 ``vector`` in the package layout.
 
     ``weights[l] = block[:h_in].T`` and ``biases[l] = block[h_in]`` view layer
-    l's ``[W | b]^T`` block, of shape ``shapes[l] = (h_in + 1, h_out)``."""
+    l's block, of shape ``shapes[l] = (h_in + 1, h_out)``."""
 
     def __init__(self, weights, biases):
         if len(weights) != len(biases):
@@ -99,7 +99,7 @@ class Parameters:
                 raise ValueError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
             if i > 0 and w.shape[1] != weights[i - 1].shape[0]:
                 raise ValueError(f"layer {i}: input width does not match previous layer")
-        blocks = [np.column_stack([w, b]).ravel(order="F") for w, b in zip(weights, biases)]
+        blocks = [np.vstack([w.T, b]).ravel() for w, b in zip(weights, biases)]
         self._view(np.concatenate(blocks, dtype=np.float64), [(w.shape[1] + 1, w.shape[0]) for w in weights])
 
     @classmethod
@@ -196,17 +196,15 @@ def backward_batch(params: Parameters, inputs: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# parameter-space vectors (column-stacked [W | b] per layer, layers concatenated)
+# parameter-space vectors (one [W | b]^T block per layer, layers concatenated)
 
 def layer_blocks(vec, shapes) -> list:
     """Per-layer views of the last axis of ``vec`` as ``(..., p, q)`` blocks.
 
-    ``shapes`` lists ``(p, q) = (h_in + 1, h_out)`` per layer.  A layer's
-    segment of the column-stacked flattening of ``[W | b]`` is, read in C
-    order, ``[W | b]^T``: block rows ``:h_in`` hold ``W^T`` and row ``h_in``
-    the bias.  Splitting the last axis is always a view, so writing a block
-    writes ``vec``; a leading axis, such as the samples of (N, D) Jacobian
-    rows, gives per-sample blocks.
+    ``shapes`` lists ``(p, q) = (h_in + 1, h_out)`` per layer; each block is
+    the layer's ``[W | b]^T`` (module docstring).  Splitting the last axis is
+    always a view, so writing a block writes ``vec``; a leading axis, such as
+    the samples of (N, D) Jacobian rows, gives per-sample blocks.
     """
     sizes = [p * q for p, q in shapes]
     if sum(sizes) != vec.shape[-1]:

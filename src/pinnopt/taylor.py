@@ -45,10 +45,10 @@ and with one hidden layer (g = W0^T, ell = 0) this is
 The reverse pass propagates adjoints with the same column layout through
 the states of :func:`taylor_forward` and returns one output adjoint per
 linear layer.  It stops at the first linear layer's output adjoint and
-forms no adjoint of the input.  A layer's parameter gradient of any
-linear combination of (u, grad u, L u) is :func:`param_grad_matrix` of
-its (input state, output adjoint) pair; for the first layer that is
-``g_0^T [x 1]`` plus the batch sum of the derivative-column block.
+forms no adjoint of the input.  A layer's (input state, output adjoint)
+pair is its entry in the interior record, which :mod:`pinnopt.curvature`
+reads: its parameter gradient of any linear combination of
+(u, grad u, L u), its Kronecker factors and its Jacobian rows.
 Each activation's adjoint is computed in place: the product ``g W_l`` is
 written into the array that, overwritten by the activation's adjoint,
 becomes linear layer l - 1's output adjoint.  The width-1 head makes that
@@ -89,7 +89,6 @@ __all__ = [
     "Workspace",
     "OperatorCoeffs",
     "TaylorOutput",
-    "param_grad_matrix",
     "taylor_forward_linear",
     "taylor_forward",
     "taylor_output",
@@ -297,38 +296,6 @@ def linear_input_index(layer: int) -> int:
 def linear_output_index(layer: int) -> int:
     """Index into the forward states list of linear layer ``layer``'s output."""
     return 2 * layer + 1
-
-
-def param_grad_matrix(z_in, g, workspace: Workspace, weights=None) -> np.ndarray:
-    """Batch-summed ``[dW | db]`` of one linear layer, ``sum_n w_n sum_s g_ns zhat_ns^T``.
-
-    ``z_in`` is the layer's input state and ``g`` the (N, S, h_out) adjoint
-    of its output; ``zhat`` appends the bias entry (1 in the value column,
-    0 elsewhere).  A two-dimensional ``z_in`` holds the points x and stands
-    for the input state (x, e_i, 0), whose column sum per sample is
-    ``g_n0 [x_n 1]^T + [G_n^T 0]`` with ``G_n`` the derivative-column block
-    of ``g_n``.  ``weights`` (N,) scale the samples; None means all ones.
-    The scaled adjoint columns that are read go to the workspace's scratch
-    array: for points, the operator column is never read.
-    """
-    n, s, q = g.shape
-    if z_in.ndim == 2:
-        d = z_in.shape[1]
-        g0, gd = g[:, 0, :], g[:, 1 : d + 1, :]
-        if weights is not None:
-            g0 = g0 * weights[:, None]
-            gd = np.multiply(gd, weights[:, None, None], out=workspace.array(gd.shape, "scratch"))
-        m = np.empty((q, d + 1))
-        m[:, :d] = g0.T @ z_in + gd.sum(axis=0).T
-    else:
-        if weights is not None:
-            g = np.multiply(g, weights[:, None, None], out=workspace.array(g.shape, "scratch"))
-        g0 = g[:, 0, :]
-        d = z_in.shape[2]
-        m = np.empty((q, d + 1))
-        m[:, :d] = g.reshape(n * s, q).T @ z_in.reshape(n * s, d)
-    m[:, d] = g0.sum(axis=0)
-    return m
 
 
 def _contract_coeffs(coeffs: OperatorCoeffs, g, workspace: Workspace) -> np.ndarray:
@@ -594,9 +561,8 @@ def taylor_backward(
     Returns ``adjoints``: ``adjoints[l]`` is the (N, S, h) adjoint of
     linear layer l's output state in full column layout, for layer 0 of
     the complete output state although the forward pass kept only its
-    value column.  Layer l's parameter gradient is
-    :func:`param_grad_matrix` of its (input state, output adjoint) pair,
-    and these pairs feed the curvature assembly in :mod:`pinnopt.curvature`.
+    value column.  The (input state, output adjoint) pairs are the
+    interior record that :mod:`pinnopt.curvature` reads.
 
     The head's adjoint is a view of the seeds.  Every other adjoint l is
     formed as ``g @ W_{l+1}`` in the workspace's adjoint array of index l

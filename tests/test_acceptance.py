@@ -15,10 +15,10 @@ import oracle
 from pinnopt import curvature, harness, network, pde
 from pinnopt.network import init_params
 from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, optimizer_step
+from pinnopt.curvature import param_grad_matrix
 from pinnopt.taylor import (
     OperatorCoeffs,
     Workspace,
-    param_grad_matrix,
     taylor_forward,
 )
 
@@ -77,7 +77,7 @@ def test_criterion_2_backward_engine():
     adjoints = taylor_backward(params, states, seeds, co)
     analytic_vec = oracle.flatten_mats(
         [
-            param_grad_matrix(z, g, Workspace())
+            param_grad_matrix(z, g, Workspace()).T
             for z, g in curvature.layer_pairs(params, states, adjoints)
         ]
     )
@@ -156,7 +156,7 @@ def test_criterion_3_curvature():
 
         a1, a2, b1, b2 = spd(p_dim), spd(p_dim), spd(q_dim), spd(q_dim)
         g = rng.standard_normal(p_dim * q_dim)
-        v = curvature.kron_sum_solve(a1, b1, a2, b2, g)
+        v = curvature.kron_sum_solve(a1, b1, a2, b2, g.reshape(p_dim, q_dim)).ravel()
         dense = np.linalg.solve(np.kron(a1, b1) + np.kron(a2, b2), g)
         worst_solve = max(worst_solve, float(np.linalg.norm(v - dense) / np.linalg.norm(dense)))
     ok_c = worst_solve <= 1e-8

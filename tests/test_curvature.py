@@ -13,6 +13,7 @@ from pinnopt.curvature import (
     init_kfac_state,
     initial_curvature,
     interior_factor_update,
+    param_grad_matrix,
     precondition_gradient,
     residual_jacobian_rows,
 )
@@ -22,7 +23,6 @@ from pinnopt.taylor import (
     OperatorCoeffs,
     Workspace,
     _activation_backward,
-    param_grad_matrix,
     taylor_backward,
     taylor_forward,
     taylor_forward_linear,
@@ -387,7 +387,7 @@ class TestInputLayerClosedForm:
         p, problem, batch, ev, zhat, g = case
         n, s, _ = zhat.shape
         ref = sum(np.outer(g[i, j], zhat[i, j]) for i in range(n) for j in range(s))
-        got = param_grad_matrix(*ev.interior[0], Workspace())
+        got = param_grad_matrix(*ev.interior[0], Workspace()).T
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
         assert len(_taylor_passes(p, batch, problem)[1]) == p.n_linear
 

@@ -1,5 +1,6 @@
 """Every exported name resolves, so an export of a removed name fails here;
-and the optimizers reach curvature through its public names only."""
+the optimizers reach curvature through its public names only; and a layer's
+parameters have one layout, built and read in ``network`` and ``curvature``."""
 
 import ast
 import importlib
@@ -39,3 +40,27 @@ def test_optim_reads_no_private_curvature_name():
         and node.attr.startswith("_")
     )
     assert not private
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_reorders_parameters_by_column(name):
+    # the (h_in + 1, h_out) blocks of network.layer_blocks are the only layout:
+    # no module converts to or from a column-stacked copy with order="F"
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"pinnopt.{name}")))
+    f_order = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword)
+        and node.arg == "order"
+        and isinstance(node.value, ast.Constant)
+        and node.value.value == "F"
+    ]
+    assert not f_order
+
+
+def test_taylor_defines_no_param_grad_matrix():
+    # reading a record (the gradient block included) belongs to curvature
+    tree = ast.parse(inspect.getsource(importlib.import_module("pinnopt.taylor")))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "param_grad_matrix" not in defined
+    assert "param_grad_matrix" in importlib.import_module("pinnopt.curvature").__all__

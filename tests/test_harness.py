@@ -83,12 +83,31 @@ class TestRunConfig:
             RunConfig.from_dict({"problem": "poisson2d_sin", "optimizer": "adam"})
 
     def test_resample_defaults_per_optimizer(self):
-        # every kind has a default; a missing one would escape main as a KeyError
+        # every kind has a default, which run_training takes; a missing one would
+        # escape main as a KeyError. A built config keeps the None it was given.
         expected = {"sgd": 1, "adam": 1, "engd": 1, "kfac": 100, "kfac_star": 100}
+        assert optim.DEFAULT_RESAMPLE_EVERY == expected
         assert set(optim.OPTIMIZER_KINDS) == set(expected)
         for kind in optim.OPTIMIZER_KINDS:
             cfg = RunConfig(problem="poisson2d_sin", widths=[2, 1], optimizer=kind)
-            assert cfg.resample_every == expected[kind]
+            assert cfg.resample_every is None
+
+    def test_replaced_config_takes_the_new_kinds_batch_period(self, tmp_path, monkeypatch):
+        # kfac's period of 100 does not stick to a config replaced to sgd, which
+        # draws a batch every step as one built with sgd does; the log keeps None
+        cfg = dataclasses.replace(tiny_config(tmp_path, optimizer="kfac", max_steps=3), optimizer="sgd")
+        draws, sample_batch = [], pde.sample_batch
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return sample_batch(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "sample_batch", counting)
+        run_training(cfg)
+        assert len(draws) == 3
+        with open(os.path.join(cfg.output_dir, "log.csv"), encoding="utf-8") as fh:
+            header = json.loads(fh.readline().lstrip("# "))
+        assert header["config"]["resample_every"] is None
 
     def test_init_train_state_rechecks_the_run_fields(self, tmp_path):
         # a config that reaches init_train_state is checked: it cannot change

@@ -131,12 +131,12 @@ def factor_cases(first, *shapes):
 class TestKronSumSolve:
     def test_all_identity(self):
         g = np.arange(4.0)
-        assert np.allclose(kron_sum_solve(np.eye(2), np.eye(2), np.eye(2), np.eye(2), g), g / 2)
+        assert np.allclose(kron_sum_solve(np.eye(2), np.eye(2), np.eye(2), np.eye(2), g.reshape(2, 2)).ravel(), g / 2)
 
     def test_scalar_case(self):
         got = kron_sum_solve(
-            np.array([[2.0]]), np.array([[3.0]]), np.eye(1), np.eye(1), np.array([7.0])
-        )
+            np.array([[2.0]]), np.array([[3.0]]), np.eye(1), np.eye(1), np.array([7.0]).reshape(1, 1)
+        ).ravel()
         assert np.allclose(got, [1.0])
 
     def test_matches_dense_solve(self):
@@ -144,7 +144,7 @@ class TestKronSumSolve:
         a1, a2 = random_spd(rng, 3), random_spd(rng, 3)
         b1, b2 = random_spd(rng, 3), random_spd(rng, 3)
         g = rng.standard_normal(9)
-        v = kron_sum_solve(a1, b1, a2, b2, g)
+        v = kron_sum_solve(a1, b1, a2, b2, g.reshape(3, 3)).ravel()
         dense = np.linalg.solve(np.kron(a1, b1) + np.kron(a2, b2), g)
         assert np.linalg.norm(v - dense) <= 1e-8 * np.linalg.norm(dense)
 
@@ -155,7 +155,7 @@ class TestKronSumSolve:
         factors = {name: random_spd(rng, p if name[0] == "a" else q) for name in ("a1", "b1", "a2", "b2")}
         factors[which][0, 0] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match=rf"kron_sum_solve\({which}\) has non-finite"):
-            kron_sum_solve(factors["a1"], factors["b1"], factors["a2"], factors["b2"], np.ones(p * q))
+            kron_sum_solve(factors["a1"], factors["b1"], factors["a2"], factors["b2"], np.ones((p, q)))
 
     @pytest.mark.parametrize("which, p, q", factor_cases((3, 2), (3, 1), (1, 2)))
     def test_asymmetric_factor_raises(self, which, p, q):
@@ -164,7 +164,7 @@ class TestKronSumSolve:
         if factors[which].shape == (1, 1):
             factors[which] = np.ones((1, 2))  # a 1 x 1 matrix is symmetric; a non-square one is not
         with pytest.raises(NotSymmetricError, match=rf"kron_sum_solve\({which}\)"):
-            kron_sum_solve(factors["a1"], factors["b1"], factors["a2"], factors["b2"], np.ones(p * q))
+            kron_sum_solve(factors["a1"], factors["b1"], factors["a2"], factors["b2"], np.ones((p, q)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 8))
@@ -176,13 +176,27 @@ class TestKronSumSolve:
         a1, a2 = random_spd(rng, p), random_spd(rng, p)
         b1, b2 = random_spd(rng, q), random_spd(rng, q)
         g = rng.standard_normal(p * q)
-        v = kron_sum_solve(a1, b1, a2, b2, g)
+        v = kron_sum_solve(a1, b1, a2, b2, g.reshape(p, q)).ravel()
         back = (np.kron(a1, b1) + np.kron(a2, b2)) @ v
         assert np.linalg.norm(back - g) <= 1e-8 * np.linalg.norm(g)
 
+    @pytest.mark.parametrize("p, q", [(3, 2), (3, 1), (1, 2), (5, 4)])
+    def test_solves_the_block_equation(self, p, q):
+        # a layer's (p, q) block in, its (p, q) block X out: a1 X b1 + a2 X b2 = G;
+        # the flat vector of the same entries is refused
+        rng = np.random.default_rng(10 * p + q)
+        a1, a2 = random_spd(rng, p), random_spd(rng, p)
+        b1, b2 = random_spd(rng, q), random_spd(rng, q)
+        g = rng.standard_normal((p, q))
+        x = kron_sum_solve(a1, b1, a2, b2, g)
+        assert x.shape == (p, q)
+        assert np.linalg.norm(a1 @ x @ b1 + a2 @ x @ b2 - g) <= 1e-10 * np.linalg.norm(g)
+        with pytest.raises(ValueError, match=r"g must have shape \(p, q\)"):
+            kron_sum_solve(a1, b1, a2, b2, g.ravel())
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kron_sum_solve(np.eye(2), np.eye(2), np.eye(3), np.eye(2), np.zeros(4))
+            kron_sum_solve(np.eye(2), np.eye(2), np.eye(3), np.eye(2), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             kron_sum_solve(np.eye(2), np.eye(2), np.eye(2), np.eye(2), np.zeros(5))
 
@@ -194,4 +208,4 @@ class TestKronSumSolve:
         k = factors[which].shape[0]
         factors[which] = np.diag([1.0] * (k - 1) + [0.0]) if which[1] == "2" else -np.eye(k)
         with pytest.raises(NotPositiveSemidefiniteError, match=rf"kron_sum_solve\({which}\)"):
-            kron_sum_solve(factors["a1"], factors["b1"], factors["a2"], factors["b2"], np.zeros(p * q))
+            kron_sum_solve(factors["a1"], factors["b1"], factors["a2"], factors["b2"], np.zeros((p, q)))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracle
 from oracle import params_to_vec, vec_to_params
 from pinnopt import network
-from pinnopt.curvature import boundary_pairs
+from pinnopt.curvature import boundary_pairs, param_grad_matrix
 from pinnopt.network import (
     Parameters,
     add_scaled,
@@ -15,7 +15,7 @@ from pinnopt.network import (
     layer_blocks,
     tanh_derivs,
 )
-from pinnopt.taylor import Workspace, param_grad_matrix
+from pinnopt.taylor import Workspace
 
 
 class TestArchitecture:
@@ -264,7 +264,7 @@ class TestBackward:
         pts = np.random.default_rng(3).uniform(-1, 1, size=(4, 2))
         u, inputs = forward_batch(p, pts)
         grads = network.backward_batch(p, inputs)
-        mats = [param_grad_matrix(z, g, Workspace()) for z, g in boundary_pairs(inputs, grads)]
+        mats = [param_grad_matrix(z, g, Workspace()).T for z, g in boundary_pairs(inputs, grads)]
         vec = params_to_vec(p)
         analytic = oracle.flatten_mats(mats)
         h = 1e-6

@@ -11,7 +11,6 @@ from pinnopt.taylor import (
     Workspace,
     _activation_state,
     _incoming_columns,
-    param_grad_matrix,
     taylor_backward,
     taylor_forward,
     taylor_forward_linear,
@@ -25,7 +24,9 @@ def net_fn(params):
 
 def seeded_param_grads(params, states, adjoints):
     """Batch-summed ``[dW | db]`` per linear layer of the seeded reverse pass."""
-    return [param_grad_matrix(z, g, Workspace()) for z, g in curvature.layer_pairs(params, states, adjoints)]
+    return [
+        curvature.param_grad_matrix(z, g, Workspace()).T for z, g in curvature.layer_pairs(params, states, adjoints)
+    ]
 
 
 def taylor_forward_activation(derivs, z_in, coeffs, workspace, layer=None) -> np.ndarray:
