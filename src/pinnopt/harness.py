@@ -148,7 +148,7 @@ def eval_l2(params, problem, n_points: int, seed: int) -> float:
     if n_points < 1:
         raise ValueError("need at least one evaluation point")
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(problem.lower, problem.upper, size=(n_points, problem.dim))
+    pts = pde.uniform_box(rng, problem.lower, problem.upper, (n_points, problem.dim))
     u, _ = network.forward_batch(params, pts)
     u_true = problem.true_solution(pts)
     denom = float(u_true @ u_true)

@@ -28,6 +28,7 @@ __all__ = [
     "PROBLEM_NAMES",
     "make_problem",
     "sample_batch",
+    "uniform_box",
     "interior_loss_and_residuals",
     "interior_losses",
     "boundary_loss",
@@ -203,11 +204,11 @@ def _heat(spatial_dim: int = 1) -> PdeProblem:
     def sample_condition(rng, n):
         """Half the points (rounded up) at t = 0, the rest on time x the spatial faces."""
         n0 = (n + 1) // 2
-        initial = rng.uniform(lower, upper, size=(n0, d))
+        initial = uniform_box(rng, lower, upper, (n0, d))
         initial[:, 0] = 0.0
         nb = n - n0
         spatial = _sample_faces(rng, lower[1:], upper[1:], nb)
-        times = rng.uniform(lower[0], upper[0], size=nb)
+        times = uniform_box(rng, lower[0], upper[0], nb)
         return np.concatenate([initial, np.column_stack([times, spatial])], axis=0)
 
     def residual(x, f, u, grad, op):
@@ -256,7 +257,7 @@ def _log_fokker_planck() -> PdeProblem:
         return seeds
 
     def sample_condition(rng, n):
-        points = rng.uniform(lower, upper, size=(n, d))
+        points = uniform_box(rng, lower, upper, (n, d))
         points[:, 0] = 0.0
         return points
 
@@ -293,11 +294,20 @@ def make_problem(name: str, **params) -> PdeProblem:
         raise ValueError(f"bad parameters for problem {name!r}: {exc}") from None
 
 
+def uniform_box(rng, lower, upper, shape) -> np.ndarray:
+    """Uniform points in the box [lower, upper): the numbers ``rng.uniform(lower, upper, shape)``
+    draws, from the same stream, without its temporaries for array bounds."""
+    points = rng.random(shape)
+    points *= upper - lower
+    points += lower
+    return points
+
+
 def _sample_faces(rng, lower, upper, n):
     """Uniform points on the faces of a box: pick a face, then a point on it."""
     d = lower.size
     faces = rng.integers(0, 2 * d, size=n)
-    pts = rng.uniform(lower, upper, size=(n, d))
+    pts = uniform_box(rng, lower, upper, (n, d))
     axes = faces // 2
     sides = faces % 2
     pts[np.arange(n), axes] = np.where(sides == 0, lower[axes], upper[axes])
@@ -314,7 +324,7 @@ def sample_batch(problem: PdeProblem, n_interior: int, n_boundary: int, seed: in
     if n_interior < 1 or n_boundary < 1:
         raise ValueError("need at least one interior and one boundary point")
     rng = np.random.default_rng(seed)
-    interior = rng.uniform(problem.lower, problem.upper, size=(n_interior, problem.dim))
+    interior = uniform_box(rng, problem.lower, problem.upper, (n_interior, problem.dim))
     boundary = problem.sample_condition(rng, n_boundary)
     return Batch(interior, boundary, problem.boundary_target(boundary), problem.source(interior))
 
