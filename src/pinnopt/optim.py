@@ -6,7 +6,9 @@ momentum from a quadratic model whose matrix is the exact Gramian
 restricted to span{Delta, prev}, :func:`curvature.projected_gramian`) and
 ``engd`` (pseudo-inverse of :func:`curvature.dense_gramian`, the one
 optimizer that forms the N x D Jacobian rows).  Both reach the Gramian
-through these two public calls only.  First-order baselines: heavy-ball
+through these two public calls only.  The grid line search of kfac and
+engd scores a window of the grid around the previous step size, widened
+while its best point sits on an edge.  First-order baselines: heavy-ball
 ``sgd`` and ``adam``.
 
 :class:`OptimizerConfig` declares the optimizer settings, their defaults
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 LINE_SEARCH_GRID = tuple(2.0 ** e for e in range(-30, 1))  # kfac / engd step sizes
+LINE_SEARCH_WINDOW = 2  # half-width of the grid window around the previous step's index
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -114,13 +117,17 @@ class TrainState:
     ``workspace`` holds the arrays a step writes its records, projected
     rows and line-search candidates into, and those of the step-0 losses
     of :func:`pinnopt.harness.run_training`; it is reused from one step to
-    the next.
+    the next.  ``prev_update`` and ``prev_alpha`` are the last committed
+    step's update and step size (zeros and None before the first step);
+    the line search centres its window on ``prev_alpha``.  A checkpoint
+    stores neither.
     """
 
     params: network.Parameters
     config: OptimizerConfig  # frozen; a setting changes by replacing it with a dataclasses.replace copy
     step: int = 0
     prev_update: np.ndarray | None = None  # parameter-space vector
+    prev_alpha: float | None = None
     kfac: curvature.KfacState | None = None
     adam_m: np.ndarray | None = None
     adam_v: np.ndarray | None = None
@@ -172,10 +179,10 @@ class BatchEval:
     The interior record's arrays live in the workspace :func:`evaluate_batch`
     was given, so a ``BatchEval`` stays valid only until the next pass
     through that workspace; copy what must outlive it.  The line search of
-    kfac and engd is such a pass: its one :func:`evaluate_losses` call
-    writes every candidate's hidden states into the same state arrays, so
-    those steps read the records, ``grad`` and the direction before it and
-    only the loss floats after it.
+    kfac and engd is such a pass: each of its :func:`evaluate_losses` calls
+    writes its candidates' hidden states into the same state arrays, so
+    those steps read the records, ``grad`` and the direction before the
+    search and only the loss floats after it.
     """
 
     loss_interior: float
@@ -237,26 +244,54 @@ def evaluate_batch(params, batch: pde.Batch, problem, workspace=None) -> BatchEv
 # ---------------------------------------------------------------------------
 # line search
 
-def line_search(loss_fn, params, direction, grid) -> tuple:
+def line_search(loss_fn, params, direction, grid, start=None) -> tuple:
     """Grid argmin of the loss over the candidates ``params + alpha * direction``.
 
-    The candidates are built once, one per ``alpha`` of ``grid``, and
-    ``loss_fn`` is called once with the whole list; it returns one loss per
-    candidate, in order.  ``grid`` is ascending and ties keep the smaller
-    step, so a flat landscape returns the smallest candidate.  A
-    non-finite loss skips its candidate.  Raises :class:`LineSearchError`
-    if no candidate yields a finite loss.
+    ``start`` None scores the whole grid in one ``loss_fn`` call.  A grid
+    index scores the window of ``2 * LINE_SEARCH_WINDOW + 1`` points
+    around it; while the best point sits on an edge of the window that the
+    grid extends past, the window doubles its width on that side, scoring
+    only the new points in one more call.  A window with no finite loss
+    falls back to the rest of the grid.  ``loss_fn`` takes a non-empty list
+    of candidates, none scored before, and returns one loss per candidate,
+    in order.  ``grid`` is ascending and ties keep the smaller step, so a
+    flat landscape returns the smallest step.  A non-finite
+    loss skips its candidate.  The result is the full-grid argmin whenever
+    the loss is unimodal in the grid index, and otherwise a local minimum
+    among its scored neighbours.  Raises :class:`LineSearchError` if no
+    candidate yields a finite loss.
     """
-    losses = loss_fn([network.add_scaled(params, direction, alpha) for alpha in grid])
-    best_alpha = None
-    best_loss = np.inf
-    for alpha, loss in zip(grid, losses):
-        if np.isfinite(loss) and loss < best_loss:
-            best_alpha = alpha
-            best_loss = loss
-    if best_alpha is None:
+    n = len(grid)
+    if start is not None and not 0 <= start < n:
+        raise ValueError(f"start must index the grid of {n} step sizes, got {start}")
+    losses = {}
+
+    def score(indices):
+        scored = loss_fn([network.add_scaled(params, direction, grid[k]) for k in indices])
+        losses.update((k, loss) for k, loss in zip(indices, scored) if np.isfinite(loss))
+        # the finite loss of least index among the smallest, or None
+        return min(losses, key=lambda k: (losses[k], k), default=None)
+
+    if start is None:
+        lo, hi = 0, n - 1
+    else:
+        lo, hi = max(start - LINE_SEARCH_WINDOW, 0), min(start + LINE_SEARCH_WINDOW, n - 1)
+    best = score(range(lo, hi + 1))
+    if best is None and hi - lo + 1 < n:
+        best = score([*range(lo), *range(hi + 1, n)])
+        lo, hi = 0, n - 1
+    while best is not None and (best == lo > 0 or best == hi < n - 1):
+        width = hi - lo + 1
+        if best == lo:
+            new = range(max(lo - width, 0), lo)
+            lo = new.start
+        else:
+            new = range(hi + 1, min(hi + width, n - 1) + 1)
+            hi = new.stop - 1
+        best = score(new)
+    if best is None:
         raise LineSearchError("loss is non-finite at every line-search step size")
-    return best_alpha, best_loss
+    return grid[best], losses[best]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +322,10 @@ def _kfac_direction(state: TrainState, ev: BatchEval) -> np.ndarray:
 def _line_search_update(state: TrainState, batch: pde.Batch, problem, direction) -> tuple:
     """Grid line search along ``direction`` (kfac, engd): ``(alpha * direction, alpha)``.
 
-    One :func:`evaluate_losses` call scores all the grid's candidates.
+    The search centres on the grid index of ``state.prev_alpha``, and scores
+    the whole grid when that is no grid value (the first step).  Each
+    ``loss_fn`` call of :func:`line_search` is one :func:`evaluate_losses`
+    call.
     """
 
     def loss_fn(candidates):
@@ -296,7 +334,9 @@ def _line_search_update(state: TrainState, batch: pde.Batch, problem, direction)
             for loss_int, loss_bnd in evaluate_losses(candidates, batch, problem, state.workspace)
         ]
 
-    alpha, _ = line_search(loss_fn, state.params, direction, LINE_SEARCH_GRID)
+    grid = LINE_SEARCH_GRID
+    start = grid.index(state.prev_alpha) if state.prev_alpha in grid else None
+    alpha, _ = line_search(loss_fn, state.params, direction, grid, start)
     return alpha * direction, alpha
 
 
@@ -400,8 +440,8 @@ def optimizer_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     A failed step raises ``FloatingPointError`` (a non-finite batch loss,
     before the rule runs; :class:`LineSearchError`; non-finite new
     parameters) or ``numpy.linalg.LinAlgError`` (a failed or rejected
-    factorization) and leaves the parameters, ``prev_update`` and ``step``
-    as they were.
+    factorization) and leaves the parameters, ``prev_update``,
+    ``prev_alpha`` and ``step`` as they were.
     """
     ev = evaluate_batch(state.params, batch, problem, state.workspace)
     if not math.isfinite(ev.loss_interior + ev.loss_boundary):
@@ -412,6 +452,6 @@ def optimizer_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     params = network.add_scaled(state.params, update, 1.0)
     if not np.all(np.isfinite(params.vector)):
         raise FloatingPointError("parameters became non-finite during the step")
-    state.params, state.prev_update = params, update
+    state.params, state.prev_update, state.prev_alpha = params, update, alpha
     state.step += 1
     return StepInfo(alpha, mu, ev.loss_interior, ev.loss_boundary)

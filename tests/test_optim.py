@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from pinnopt import curvature, harness, network, optim, pde
@@ -186,6 +188,46 @@ class TestUpdatePath:
         assert issubclass(LineSearchError, FloatingPointError)
 
 
+GRID = optim.LINE_SEARCH_GRID
+N_GRID = len(GRID)
+NAN, INF = float("nan"), float("inf")
+
+
+def scripted_search(losses, start):
+    """Run the line search on a landscape given by grid index: ``losses[k]`` at ``GRID[k]``.
+
+    The one parameter starts at 0 and moves along direction 1, so a
+    candidate's weight is its step size.  Returns ``(result, calls)``, the
+    search's result or the exception it raised and the grid indices of each
+    ``loss_fn`` call.
+    """
+    calls = []
+
+    def loss_fn(candidates):
+        indices = [GRID.index(q.weights[0][0, 0]) for q in candidates]
+        calls.append(indices)
+        return [losses[k] for k in indices]
+
+    p = Parameters([np.array([[0.0]])], [np.array([0.0])])
+    try:
+        return line_search(loss_fn, p, np.array([1.0, 0.0]), GRID, start), calls
+    except LineSearchError as exc:
+        return exc, calls
+
+
+def unimodal(low, high, steps):
+    """Losses flat at 0 on the grid indices ``low..high`` and rising by ``steps`` away from them."""
+    losses = [0.0] * N_GRID
+    for k in range(low - 1, -1, -1):
+        losses[k] = losses[k + 1] + steps[k]
+    for k in range(high + 1, N_GRID):
+        losses[k] = losses[k - 1] + steps[k]
+    return losses
+
+
+grid_index = st.integers(0, N_GRID - 1)
+
+
 class TestLineSearch:
     def grid(self):
         return optim.LINE_SEARCH_GRID
@@ -235,8 +277,93 @@ class TestLineSearch:
         def loss_fn(q):
             return float("nan")
 
-        with pytest.raises(LineSearchError):
-            line_search(lambda qs: [loss_fn(q) for q in qs], p, np.ones(2), self.grid())
+        for start in (None, 0, 15, N_GRID - 1):
+            with pytest.raises(LineSearchError):
+                line_search(lambda qs: [loss_fn(q) for q in qs], p, np.ones(2), self.grid(), start)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bounds=st.tuples(grid_index, grid_index).map(sorted),
+        steps=st.lists(st.floats(1e-6, 10.0), min_size=N_GRID, max_size=N_GRID),
+        start=grid_index,
+    )
+    @example(bounds=(0, 0), steps=[1.0] * N_GRID, start=N_GRID - 1)
+    @example(bounds=(N_GRID - 1, N_GRID - 1), steps=[1.0] * N_GRID, start=0)
+    @example(bounds=(3, 27), steps=[1.0] * N_GRID, start=15)
+    @example(bounds=(26, 26), steps=[1.0] * N_GRID, start=26)
+    def test_unimodal_window_matches_the_full_grid(self, bounds, steps, start):
+        # a loss that falls, stays flat, then rises in the grid index: every start finds the full grid's pick
+        losses = unimodal(*bounds, steps)
+        full, _ = scripted_search(losses, None)
+        assert full == (GRID[bounds[0]], 0.0)
+        assert scripted_search(losses, start)[0] == full
+
+    def test_far_minimum_is_reached_by_growing_the_window(self):
+        # 5 points around index 20, then 5 and 10 more to the left, each call only the new ones
+        losses = unimodal(5, 5, [1.0] * N_GRID)
+        result, calls = scripted_search(losses, 20)
+        assert result == (GRID[5], 0.0)
+        assert calls == [list(range(18, 23)), list(range(13, 18)), list(range(3, 13))]
+        # up from index 5, the last growth cut at the grid's end
+        result, calls = scripted_search(unimodal(25, 25, [1.0] * N_GRID), 5)
+        assert result == (GRID[25], 0.0)
+        assert calls == [list(range(3, 8)), list(range(8, 13)), list(range(13, 23)), list(range(23, N_GRID))]
+
+    def test_window_without_finite_loss_falls_back_to_the_grid(self):
+        losses = unimodal(25, 25, [1.0] * N_GRID)
+        losses[3:8] = [NAN, INF, NAN, -INF, NAN]
+        result, calls = scripted_search(losses, 5)
+        assert result == (GRID[25], 0.0)
+        assert calls == [list(range(3, 8)), [0, 1, 2, *range(8, N_GRID)]]
+
+    @pytest.mark.parametrize("start", [-1, N_GRID])
+    def test_start_outside_the_grid_is_refused(self, start):
+        with pytest.raises(ValueError, match="start must index the grid"):
+            scripted_search([1.0] * N_GRID, start)
+
+    def test_ties_keep_the_smaller_step(self):
+        # equal minima inside the window: the smaller step; a flat window grows down to the smallest step
+        losses = [1.0] * N_GRID
+        losses[14] = losses[16] = 0.5
+        assert scripted_search(losses, 15)[0] == (GRID[14], 0.5)
+        assert scripted_search([2.0] * N_GRID, 15)[0] == (GRID[0], 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        losses=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 2.0, NAN, INF]), st.floats(-10.0, 10.0)),
+            min_size=N_GRID,
+            max_size=N_GRID,
+        ),
+        start=st.none() | grid_index,
+    )
+    @example(losses=[NAN] * N_GRID, start=12)
+    @example(losses=[1.0] * N_GRID, start=N_GRID - 1)
+    @example(losses=[NAN] * 10 + [1.0] + [NAN] * 20, start=30)
+    @example(losses=[0.0, NAN, 1.0] * 10 + [2.0], start=1)
+    def test_each_candidate_scored_once_and_the_pick_a_local_minimum(self, losses, start):
+        result, calls = scripted_search(losses, start)
+        scored = [k for call in calls for k in call]
+        assert all(calls)
+        assert len(scored) == len(set(scored))
+        if start is not None and len(scored) < N_GRID:
+            # one grid range around the start
+            assert sorted(scored) == list(range(min(scored), max(scored) + 1))
+            assert start in scored
+        finite = {k: losses[k] for k in scored if np.isfinite(losses[k])}
+        if not any(np.isfinite(losses)):
+            assert isinstance(result, LineSearchError)
+            assert len(scored) == N_GRID
+            return
+        alpha, loss = result
+        best = GRID.index(alpha)
+        # the least scored loss, at its smallest step, with both grid neighbours scored and no lower
+        assert (loss, best) == min((v, k) for k, v in finite.items())
+        for k in (best - 1, best + 1):
+            if 0 <= k < N_GRID:
+                assert k in scored
+        if start is None:
+            assert len(scored) == N_GRID
 
 
     def test_output_only_loss_picks_the_same_step(self, tmp_path, monkeypatch):
@@ -252,8 +379,8 @@ class TestLineSearch:
             scored.update(problem=problem, batch=batch)
             return evaluate_losses(candidates, batch, problem, workspace)
 
-        def checking_line_search(loss_fn, params, direction, grid):
-            alpha, loss = line_search_fn(loss_fn, params, direction, grid)
+        def checking_line_search(loss_fn, params, direction, grid, start):
+            alpha, loss = line_search_fn(loss_fn, params, direction, grid, start)
             problem, batch = scored["problem"], scored["batch"]
 
             def reference_loss(p):
@@ -261,7 +388,7 @@ class TestLineSearch:
                 return loss_int + pde.boundary_loss(problem, p, batch)[0]
 
             ref_alpha, ref_loss = line_search_fn(
-                lambda qs: [reference_loss(q) for q in qs], params, direction, grid
+                lambda qs: [reference_loss(q) for q in qs], params, direction, grid, start
             )
             assert alpha == ref_alpha
             assert abs(loss - ref_loss) <= 1e-12 * ref_loss
@@ -281,6 +408,50 @@ class TestLineSearch:
         assert not harness.run_training(cfg).diverged
         assert len(alphas) == 20
         assert len(set(alphas)) > 1
+
+    def test_windowed_search_cost_on_the_poisson2d_config(self, tmp_path, monkeypatch):
+        # 20 kfac steps of the poisson2d benchmark config: step 1 scores the whole grid,
+        # every later step one range of grid indices around the previous step size
+        line_search_fn = optim.line_search
+        evaluate_losses = optim.evaluate_losses
+        steps = []
+
+        def spying_evaluate_losses(candidates, batch, problem, workspace=None):
+            if steps:  # not the losses of step 0
+                steps[-1]["calls"].append(candidates)
+            return evaluate_losses(candidates, batch, problem, workspace)
+
+        def spying_line_search(loss_fn, params, direction, grid, start):
+            step = dict(calls=[], grid=[network.add_scaled(params, direction, a).vector for a in grid])
+            steps.append(step)
+            step["alpha"], loss = line_search_fn(loss_fn, params, direction, grid, start)
+            return step["alpha"], loss
+
+        monkeypatch.setattr(optim, "evaluate_losses", spying_evaluate_losses)
+        monkeypatch.setattr(optim, "line_search", spying_line_search)
+        cfg = harness.RunConfig.from_dict(
+            dict(
+                problem="poisson2d_sin", widths=[2, 64, 1], optimizer="kfac", lr=1e-3,
+                momentum=0.9, ema=0.9, damping=1e-5, init_mode="identity", n_interior=900,
+                n_boundary=120, resample_every=0, max_steps=20, eval_every=5,
+                n_eval_points=2000, seed=0, output_dir=str(tmp_path / "run"),
+            )
+        )
+        assert not harness.run_training(cfg).diverged
+        assert len(steps) == 20
+        assert [len(c) for c in steps[0]["calls"]] == [N_GRID]
+        counts = []
+        for prev, step in zip(steps, steps[1:]):
+            scored = sorted(
+                next(k for k, v in enumerate(step["grid"]) if np.array_equal(v, q.vector))
+                for call in step["calls"]
+                for q in call
+            )
+            assert scored == list(range(scored[0], scored[-1] + 1))
+            assert GRID.index(prev["alpha"]) in scored
+            counts.append(len(scored))
+        # measured with LINE_SEARCH_WINDOW 2: a mean of 5.2 on seed 0 (5.2-6.1 on seeds 0-3), at most 10
+        assert np.mean(counts) < 8.0
 
 
 class TestKfacStep:
