@@ -255,11 +255,11 @@ def line_search(loss_fn, params, direction, grid, start=None) -> tuple:
     falls back to the rest of the grid.  ``loss_fn`` takes a non-empty list
     of candidates, none scored before, and returns one loss per candidate,
     in order.  ``grid`` is ascending and ties keep the smaller step, so a
-    flat landscape returns the smallest step.  A non-finite
-    loss skips its candidate.  The result is the full-grid argmin whenever
-    the loss is unimodal in the grid index, and otherwise a local minimum
-    among its scored neighbours.  Raises :class:`LineSearchError` if no
-    candidate yields a finite loss.
+    flat landscape returns the smallest step.  A non-finite loss skips its
+    candidate.  The result is the full-grid argmin whenever the loss is
+    unimodal in the grid index, and otherwise a local minimum among its
+    scored neighbours.  Raises :class:`LineSearchError` if no candidate
+    yields a finite loss.
     """
     n = len(grid)
     if start is not None and not 0 <= start < n:
@@ -269,7 +269,7 @@ def line_search(loss_fn, params, direction, grid, start=None) -> tuple:
     def score(indices):
         scored = loss_fn([network.add_scaled(params, direction, grid[k]) for k in indices])
         losses.update((k, loss) for k, loss in zip(indices, scored) if np.isfinite(loss))
-        # the finite loss of least index among the smallest, or None
+        # the index of the least finite loss, the smaller one on a tie; None while none is finite
         return min(losses, key=lambda k: (losses[k], k), default=None)
 
     if start is None:

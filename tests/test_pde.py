@@ -229,18 +229,25 @@ class TestSampling:
             sample_batch(problem, 0, 4, seed=0)
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), box=st.sampled_from(["unit", "log_fp", "scalar"]))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        box=st.sampled_from(["unit", "log_fokker_planck", "scalar"]),
+    )
     @example(seed=0, n=2000, box="unit")
-    @example(seed=1, n=900, box="log_fp")
+    @example(seed=1, n=900, box="log_fokker_planck")
     def test_uniform_box_draws_what_rng_uniform_draws(self, seed, n, box):
         # the reference is numpy's own uniform: the same values and the same stream position after
-        lower, upper, shape = {
-            "unit": (np.zeros(100), np.ones(100), (n, 100)),
-            "log_fp": (make_problem("log_fokker_planck").lower, make_problem("log_fokker_planck").upper, (n, 10)),
-            "scalar": (np.float64(0.25), np.float64(3.0), n),
-        }[box]
+        if box == "unit":
+            lower, upper, shape = np.zeros(100), np.ones(100), (n, 100)
+        elif box == "log_fokker_planck":
+            problem = make_problem(box)
+            lower, upper, shape = problem.lower, problem.upper, (n, problem.dim)
+        else:
+            lower, upper, shape = np.float64(0.25), np.float64(3.0), n
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(pde.uniform_box(ours, lower, upper, shape), ref.uniform(lower, upper, size=shape))
+        drawn = pde.uniform_box(ours, lower, upper, shape)
+        assert np.array_equal(drawn, ref.uniform(lower, upper, size=shape))
         assert ours.random() == ref.random()
 
 
