@@ -6,7 +6,7 @@ Usage (from the repository root)::
     python3 scripts/compare_logs.py --baseline HEAD
 
 The committed files of ``--baseline`` are exported with
-``paired_bench.export_revision``.  Each tree then trains the same 29
+``paired_bench.export_revision``.  Each tree then trains the same 30
 configs in one child process of its own, through its own
 ``pinnopt.harness.run_training``, with BLAS and OpenMP capped at one
 thread:
@@ -19,7 +19,9 @@ thread:
   row, 60 condition points, momentum 0.9 for kfac and sgd);
 * poisson2d_sin with kfac, kfac_star and engd as above but with
   ``init_mode`` "zero", the other start of the curvature (every other
-  config starts from the identity).
+  config starts from the identity);
+* poisson2d_sin with engd as above but with ``ema`` 0, so that engd keeps
+  no moving average of its Gramian (every other engd config keeps one).
 
 For every config the script compares each ``log.csv`` row in every column
 except ``wall_time_s``, the log's comment lines after the header (the
@@ -66,7 +68,7 @@ OPTIMIZERS = ("kfac", "kfac_star", "engd", "sgd", "adam")
 
 
 def configs() -> dict:
-    """The 29 configs by name, without ``output_dir``."""
+    """The 30 configs by name, without ``output_dir``."""
     spec = importlib.util.spec_from_file_location("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -92,6 +94,7 @@ def configs() -> dict:
             }
     for optimizer in ("kfac", "kfac_star", "engd"):
         out[f"poisson2d_sin-{optimizer}-zero"] = dict(out[f"poisson2d_sin-{optimizer}"], init_mode="zero")
+    out["poisson2d_sin-engd-ema0"] = dict(out["poisson2d_sin-engd"], ema=0.0)
     return out
 
 

@@ -257,9 +257,7 @@ def run_training(config: RunConfig) -> TrainLog:
             f"network input width {params.input_dim} does not match problem dim {problem.dim}"
         )
     state = init_train_state(params, config)
-    every = config.resample_every
-    if every is None:
-        every = optim.DEFAULT_RESAMPLE_EVERY[config.optimizer]
+    every = optim.KINDS[config.optimizer].resample_every if config.resample_every is None else config.resample_every
 
     os.makedirs(config.output_dir, exist_ok=True)
     meta = json.dumps(

@@ -11,6 +11,10 @@ engd scores a window of the grid around the previous step size, widened
 while its best point sits on an edge.  First-order baselines: heavy-ball
 ``sgd`` and ``adam``.
 
+:data:`KINDS` holds one :class:`OptimizerKind` per kind: its update rule,
+the initializer of its own state (``TrainState.memory``), its default
+batch period and the setting it requires > 0.  No code branches on a
+kind's name, so a new kind is one entry plus its functions.
 :class:`OptimizerConfig` declares the optimizer settings, their defaults
 and their checks; :class:`pinnopt.harness.RunConfig` extends it.
 :func:`optimizer_step` evaluates the batch once and stops if its loss is
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -76,7 +81,7 @@ class OptimizerConfig:
     lr: float = 1e-3              # sgd / adam step size
     momentum: float = 0.0         # kfac / sgd
     ema: float = 0.9              # moving average on curvature factors
-    damping: float = 1e-2         # kfac / kfac_star (and optional engd shift)
+    damping: float = 1e-2         # kfac / kfac_star (and optional engd shift); >= 0 for every kind
     init_mode: str = "identity"   # curvature init: zero | identity
     rcond: float = 1e-10          # engd pseudo-inverse cutoff
 
@@ -102,12 +107,11 @@ class OptimizerConfig:
             raise ValueError(f"init_mode must be 'zero' or 'identity', got {self.init_mode!r}")
         if self.rcond < 0.0:
             raise ValueError(f"rcond must be >= 0, got {self.rcond}")
-        if self.optimizer in ("kfac", "kfac_star") and self.damping <= 0.0:
-            raise ValueError(f"{self.optimizer} requires damping > 0")
-        if self.optimizer in ("sgd", "adam") and self.lr <= 0.0:
-            raise ValueError(f"{self.optimizer} requires lr > 0")
-        if self.optimizer == "engd" and self.damping < 0.0:
-            raise ValueError("engd damping must be >= 0")
+        if self.damping < 0.0:
+            raise ValueError(f"damping must be >= 0, got {self.damping}")
+        positive = KINDS[self.optimizer].positive
+        if positive is not None and getattr(self, positive) <= 0.0:
+            raise ValueError(f"{self.optimizer} requires {positive} > 0")
 
 
 @dataclass
@@ -119,8 +123,9 @@ class TrainState:
     of :func:`pinnopt.harness.run_training`; it is reused from one step to
     the next.  ``prev_update`` and ``prev_alpha`` are the last committed
     step's update and step size (zeros and None before the first step);
-    the line search centres its window on ``prev_alpha``.  A checkpoint
-    stores neither.
+    the line search centres its window on ``prev_alpha``.  ``memory`` is
+    the kind's own state, built by its :attr:`OptimizerKind.init` and
+    advanced by its update rule.  A checkpoint stores none of the three.
     """
 
     params: network.Parameters
@@ -128,10 +133,7 @@ class TrainState:
     step: int = 0
     prev_update: np.ndarray | None = None  # parameter-space vector
     prev_alpha: float | None = None
-    kfac: curvature.KfacState | None = None
-    adam_m: np.ndarray | None = None
-    adam_v: np.ndarray | None = None
-    gramian_ema: np.ndarray | None = None
+    memory: object = None
     workspace: Workspace = field(default_factory=lambda: Workspace(worker=True), repr=False)
 
 
@@ -139,25 +141,12 @@ def init_train_state(params: network.Parameters, config: OptimizerConfig) -> Tra
     """Fresh state for ``config``; raises ValueError for a config the net cannot run.
 
     ``config`` was checked when it was built and cannot change.  What is
-    checked here is what needs the net: engd's dense Gramian is refused
-    above :data:`curvature.DENSE_GRAMIAN_CAP` parameters, so that
+    checked here is what needs the net, by the kind's
+    :attr:`OptimizerKind.init` (engd's cap on the dense Gramian), so that
     :func:`pinnopt.harness.run_training` reports it before opening its log.
     """
-    d = params.n_params
-    if config.optimizer == "engd" and d > curvature.DENSE_GRAMIAN_CAP:
-        raise ValueError(
-            f"engd materializes the dense Gramian; {d} parameters exceed the "
-            f"cap {curvature.DENSE_GRAMIAN_CAP}"
-        )
-    state = TrainState(params=params, config=config, prev_update=np.zeros(d))
-    if config.optimizer in ("kfac", "kfac_star"):
-        state.kfac = curvature.init_kfac_state(params, config.init_mode)
-    if config.optimizer == "adam":
-        state.adam_m = np.zeros(d)
-        state.adam_v = np.zeros(d)
-    if config.optimizer == "engd" and config.ema > 0.0:
-        state.gramian_ema = curvature.initial_curvature(d, config.init_mode)
-    return state
+    memory = KINDS[config.optimizer].init(params, config)
+    return TrainState(params=params, config=config, prev_update=np.zeros(params.n_params), memory=memory)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +284,8 @@ def line_search(loss_fn, params, direction, grid, start=None) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# steps: each kind's update rule maps (state, ev, batch, problem) to (update, alpha, mu)
+# kinds: each kind's update rule maps (state, ev, batch, problem) to (update, alpha, mu),
+# and its init maps (params, config) to the kind's memory
 
 @dataclass
 class StepInfo:
@@ -311,12 +301,16 @@ class StepInfo:
         return self.loss_interior + self.loss_boundary
 
 
+def _kfac_init(params: network.Parameters, config: OptimizerConfig) -> curvature.KfacState:
+    return curvature.init_kfac_state(params, config.init_mode)
+
+
 def _kfac_direction(state: TrainState, ev: BatchEval) -> np.ndarray:
     """Shared start of both Kronecker steps: factor updates, then the preconditioned gradient."""
-    cfg = state.config
-    curvature.interior_factor_update(state.kfac, state.params, ev.interior, cfg.ema, state.workspace)
-    curvature.boundary_factor_update(state.kfac, ev.boundary, cfg.ema)
-    return curvature.precondition_gradient(state.kfac, ev.grad, cfg.damping)
+    cfg, kf = state.config, state.memory
+    curvature.interior_factor_update(kf, state.params, ev.interior, cfg.ema, state.workspace)
+    curvature.boundary_factor_update(kf, ev.boundary, cfg.ema)
+    return curvature.precondition_gradient(kf, ev.grad, cfg.damping)
 
 
 def _line_search_update(state: TrainState, batch: pde.Batch, problem, direction) -> tuple:
@@ -388,12 +382,23 @@ def kfac_star_step(state: TrainState, ev: BatchEval, batch: pde.Batch, problem) 
     return alpha * dv + mu * pv, alpha, mu
 
 
+def _engd_init(params: network.Parameters, config: OptimizerConfig) -> np.ndarray | None:
+    """The Gramian's moving average, None at ``ema`` 0; refuses a net above
+    :data:`curvature.DENSE_GRAMIAN_CAP` parameters."""
+    if params.n_params > curvature.DENSE_GRAMIAN_CAP:
+        raise ValueError(
+            f"engd materializes the dense Gramian; {params.n_params} parameters exceed the "
+            f"cap {curvature.DENSE_GRAMIAN_CAP}"
+        )
+    return curvature.initial_curvature(params.n_params, config.init_mode) if config.ema > 0.0 else None
+
+
 def engd_step(state: TrainState, ev: BatchEval, batch: pde.Batch, problem) -> tuple:
     cfg = state.config
     gram = curvature.dense_gramian(ev.interior, ev.boundary)
-    if state.gramian_ema is not None:
-        state.gramian_ema = curvature.ema_update(state.gramian_ema, gram, cfg.ema)
-        gram = state.gramian_ema
+    if state.memory is not None:
+        state.memory = curvature.ema_update(state.memory, gram, cfg.ema)
+        gram = state.memory
     if cfg.damping > 0.0:
         gram = gram + cfg.damping * np.eye(gram.shape[0])
 
@@ -408,28 +413,49 @@ def sgd_step(state: TrainState, ev: BatchEval, batch: pde.Batch, problem) -> tup
     return velocity, cfg.lr, cfg.momentum
 
 
+def _adam_init(params: network.Parameters, config: OptimizerConfig) -> tuple:
+    """The first and second moment vectors, two separate zero arrays."""
+    return np.zeros(params.n_params), np.zeros(params.n_params)
+
+
 def adam_step(state: TrainState, ev: BatchEval, batch: pde.Batch, problem) -> tuple:
     cfg = state.config
     t = state.step + 1
     b1, b2, g = ADAM_BETA1, ADAM_BETA2, ev.grad
-    state.adam_m = b1 * state.adam_m + (1.0 - b1) * g
-    state.adam_v = b2 * state.adam_v + (1.0 - b2) * g * g
-    m_hat = state.adam_m / (1.0 - b1 ** t)
-    v_hat = state.adam_v / (1.0 - b2 ** t)
+    m = b1 * state.memory[0] + (1.0 - b1) * g
+    v = b2 * state.memory[1] + (1.0 - b2) * g * g
+    state.memory = m, v
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
     return -cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), cfg.lr, 0.0
 
 
-_STEP_FNS = {
-    "kfac": kfac_step,
-    "kfac_star": kfac_star_step,
-    "engd": engd_step,
-    "sgd": sgd_step,
-    "adam": adam_step,
-}
-OPTIMIZER_KINDS = tuple(_STEP_FNS)
+@dataclass(frozen=True)
+class OptimizerKind:
+    """Everything particular to one optimizer kind.
 
-#: default batch re-sampling period per optimizer (0 = never re-sample)
-DEFAULT_RESAMPLE_EVERY = {"sgd": 1, "adam": 1, "engd": 1, "kfac": 100, "kfac_star": 100}
+    ``step`` is the update rule ``(state, ev, batch, problem) -> (update,
+    alpha, mu)``; ``resample_every`` the default batch re-sampling period
+    (0 = never re-sample); ``init(params, config)`` returns the kind's
+    ``TrainState.memory`` (by default None: no state of its own) or raises
+    ValueError for a net the kind cannot run; ``positive`` names the config
+    setting the kind requires > 0 (None: no such setting).
+    """
+
+    step: Callable
+    resample_every: int
+    init: Callable = lambda params, config: None
+    positive: str | None = None
+
+
+KINDS = {
+    "kfac": OptimizerKind(kfac_step, resample_every=100, init=_kfac_init, positive="damping"),
+    "kfac_star": OptimizerKind(kfac_star_step, resample_every=100, init=_kfac_init, positive="damping"),
+    "engd": OptimizerKind(engd_step, resample_every=1, init=_engd_init),
+    "sgd": OptimizerKind(sgd_step, resample_every=1, positive="lr"),
+    "adam": OptimizerKind(adam_step, resample_every=1, init=_adam_init, positive="lr"),
+}
+OPTIMIZER_KINDS = tuple(KINDS)
 
 
 def optimizer_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
@@ -441,14 +467,18 @@ def optimizer_step(state: TrainState, batch: pde.Batch, problem) -> StepInfo:
     before the rule runs; :class:`LineSearchError`; non-finite new
     parameters) or ``numpy.linalg.LinAlgError`` (a failed or rejected
     factorization) and leaves the parameters, ``prev_update``,
-    ``prev_alpha`` and ``step`` as they were.
+    ``prev_alpha`` and ``step`` as they were.  A non-finite batch loss
+    leaves ``memory`` too, but a step that fails after its rule ran may
+    already have advanced it (the kfac factors before the line search,
+    the adam moments, the engd moving average); the run ends as diverged
+    anyway.
     """
     ev = evaluate_batch(state.params, batch, problem, state.workspace)
     if not math.isfinite(ev.loss_interior + ev.loss_boundary):
         raise FloatingPointError(
             f"the loss is non-finite (interior {ev.loss_interior}, condition {ev.loss_boundary})"
         )
-    update, alpha, mu = _STEP_FNS[state.config.optimizer](state, ev, batch, problem)
+    update, alpha, mu = KINDS[state.config.optimizer].step(state, ev, batch, problem)
     params = network.add_scaled(state.params, update, 1.0)
     if not np.all(np.isfinite(params.vector)):
         raise FloatingPointError("parameters became non-finite during the step")

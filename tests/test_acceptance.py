@@ -318,9 +318,9 @@ def test_criterion_8_quadratic_model_optimality():
         state = init_train_state(params, OptimizerConfig(optimizer="kfac_star", damping=1e-3, ema=0.0))
         ev = evaluate_batch(state.params, batch, problem)
         lam = state.config.damping
-        curvature.interior_factor_update(state.kfac, state.params, ev.interior, state.config.ema)
-        curvature.boundary_factor_update(state.kfac, ev.boundary, state.config.ema)
-        dv = curvature.precondition_gradient(state.kfac, ev.grad, lam)
+        curvature.interior_factor_update(state.memory, state.params, ev.interior, state.config.ema)
+        curvature.boundary_factor_update(state.memory, ev.boundary, state.config.ema)
+        dv = curvature.precondition_gradient(state.memory, ev.grad, lam)
         pv = rng.standard_normal(dv.size) * np.linalg.norm(dv)  # previous update stand-in
         gv = ev.grad
         g_dv = oracle.gramian_vec(state.params, batch, problem, dv)

@@ -1,6 +1,7 @@
 """Every exported name resolves, so an export of a removed name fails here;
-the optimizers reach curvature through its public names only; and a layer's
-parameters have one layout, built and read in ``network`` and ``curvature``."""
+the optimizers reach curvature through its public names only; a layer's
+parameters have one layout, built and read in ``network`` and ``curvature``;
+and an optimizer kind's facts live in its ``optim.KINDS`` entry only."""
 
 import ast
 import importlib
@@ -56,6 +57,26 @@ def test_no_module_reorders_parameters_by_column(name):
         and node.value.value == "F"
     ]
     assert not f_order
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_compares_with_an_optimizer_kind(name):
+    # no module branches on a kind's name (optimizer == "engd", optimizer in
+    # ("sgd", "adam")): what differs between kinds is read from optim.KINDS
+    kinds = set(importlib.import_module("pinnopt.optim").OPTIMIZER_KINDS)
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"pinnopt.{name}")))
+
+    def names_a_kind(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(names_a_kind(elt) for elt in node.elts)
+        return isinstance(node, ast.Constant) and node.value in kinds
+
+    compared = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and any(map(names_a_kind, [node.left, *node.comparators]))
+    ]
+    assert not compared
 
 
 def test_taylor_defines_no_param_grad_matrix():

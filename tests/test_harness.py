@@ -83,10 +83,10 @@ class TestRunConfig:
             RunConfig.from_dict({"problem": "poisson2d_sin", "optimizer": "adam"})
 
     def test_resample_defaults_per_optimizer(self):
-        # every kind has a default, which run_training takes; a missing one would
-        # escape main as a KeyError. A built config keeps the None it was given.
+        # every kind's table entry has a default period, which run_training takes.
+        # A built config keeps the None it was given.
         expected = {"sgd": 1, "adam": 1, "engd": 1, "kfac": 100, "kfac_star": 100}
-        assert optim.DEFAULT_RESAMPLE_EVERY == expected
+        assert {kind: entry.resample_every for kind, entry in optim.KINDS.items()} == expected
         assert set(optim.OPTIMIZER_KINDS) == set(expected)
         for kind in optim.OPTIMIZER_KINDS:
             cfg = RunConfig(problem="poisson2d_sin", widths=[2, 1], optimizer=kind)
@@ -304,7 +304,7 @@ class TestRunTraining:
         def infinite_update(state, ev, batch, problem):
             return np.full(ev.grad.shape, np.inf), 1.0, 0.0
 
-        monkeypatch.setitem(optim._STEP_FNS, "sgd", infinite_update)
+        monkeypatch.setitem(optim.KINDS, "sgd", dataclasses.replace(optim.KINDS["sgd"], step=infinite_update))
         assert train_cli(tmp_path, optimizer="sgd", max_steps=3, eval_every=1) == 3
         last = (tmp_path / "run" / "log.csv").read_text().splitlines()[-1]
         assert last == "# diverged step=1: parameters became non-finite during the step"

@@ -31,13 +31,25 @@ def small_state(kind, seed=0, widths=(2, 6, 1), **kwargs):
 
 
 def next_direction(state, batch, problem):
-    """``(Delta, factors, ev)`` of the next Kronecker step, from a copy of ``state.kfac``
+    """``(Delta, factors, ev)`` of the next Kronecker step, from a copy of ``state.memory``
     updated and solved with the settings ``state.config`` holds now."""
     ev = evaluate_batch(state.params, batch, problem)
-    kf, cfg = copy.deepcopy(state.kfac), state.config
+    kf, cfg = copy.deepcopy(state.memory), state.config
     curvature.interior_factor_update(kf, state.params, ev.interior, cfg.ema)
     curvature.boundary_factor_update(kf, ev.boundary, cfg.ema)
     return curvature.precondition_gradient(kf, ev.grad, cfg.damping), kf, ev
+
+
+def memory_arrays(memory) -> list:
+    """The arrays of a kind's ``TrainState.memory``, in order: a KfacState's
+    factors, adam's two moments, engd's moving average; none for None."""
+    if memory is None:
+        return []
+    if isinstance(memory, np.ndarray):
+        return [memory]
+    if isinstance(memory, curvature.KfacState):
+        return [a for f in dataclasses.fields(memory) for a in getattr(memory, f.name)]
+    return list(memory)
 
 
 class TestConfig:
@@ -60,6 +72,21 @@ class TestConfig:
             with pytest.raises(ValueError, match="rcond"):
                 OptimizerConfig(optimizer=kind, rcond=float("nan"))
             OptimizerConfig(optimizer=kind, init_mode="zero", rcond=0.0)
+
+    @pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
+    def test_each_kinds_range_check(self, kind):
+        # the setting a kind requires > 0 comes from its table entry; the other
+        # one may be 0, and a negative damping is refused for every kind
+        positive = {"kfac": "damping", "kfac_star": "damping", "engd": None, "sgd": "lr", "adam": "lr"}[kind]
+        assert optim.KINDS[kind].positive == positive
+        for setting in ("damping", "lr"):
+            if setting == positive:
+                with pytest.raises(ValueError, match=f"^{kind} requires {setting} > 0$"):
+                    OptimizerConfig(optimizer=kind, **{setting: 0.0})
+            else:
+                assert getattr(OptimizerConfig(optimizer=kind, **{setting: 0.0}), setting) == 0.0
+        with pytest.raises(ValueError, match="^damping must be >= 0, got -0.001$"):
+            OptimizerConfig(optimizer=kind, damping=-1e-3)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -85,6 +112,49 @@ class TestConfig:
         assert grid[-1] == 1.0
 
 
+class TestInitTrainState:
+    def test_fields(self):
+        # a kind's facts live in its optim.KINDS entry, its own state in the one field memory
+        names = [f.name for f in dataclasses.fields(optim.TrainState)]
+        assert names == ["params", "config", "step", "prev_update", "prev_alpha", "memory", "workspace"]
+
+    @pytest.mark.parametrize("init_mode", ["zero", "identity"])
+    @pytest.mark.parametrize("kind", ["kfac", "kfac_star"])
+    def test_kronecker_factors_per_layer(self, kind, init_mode):
+        state = small_state(kind, widths=(2, 6, 3, 1), damping=1e-3, init_mode=init_mode)
+        kf = state.memory
+        assert isinstance(kf, curvature.KfacState)
+        fresh = (lambda n: np.zeros((n, n))) if init_mode == "zero" else np.eye
+        sizes = {"a": [3, 7, 4], "b": [6, 3, 1]}  # h_in + 1 and h_out of each layer of the net
+        for name in ("a_interior", "b_interior", "a_boundary", "b_boundary"):
+            factors = getattr(kf, name)
+            assert len(factors) == 3
+            for factor, size in zip(factors, sizes[name[0]]):
+                assert np.array_equal(factor, fresh(size)), (name, size)
+        # every factor is its own array: the updates write them one by one
+        assert len({id(a) for a in memory_arrays(kf)}) == 12
+        assert (state.step, state.prev_alpha) == (0, None)
+        assert np.array_equal(state.prev_update, np.zeros(state.params.n_params))
+
+    def test_adam_moments_are_two_separate_zero_vectors(self):
+        state = small_state("adam")
+        m, v = state.memory
+        for moment in (m, v):
+            assert moment.shape == (state.params.n_params,)
+            assert not moment.any()
+        assert not np.shares_memory(m, v)
+
+    @pytest.mark.parametrize("init_mode", ["zero", "identity"])
+    def test_engd_moving_average_start(self, init_mode):
+        state = small_state("engd", ema=0.9, init_mode=init_mode)
+        d = state.params.n_params
+        assert np.array_equal(state.memory, np.zeros((d, d)) if init_mode == "zero" else np.eye(d))
+        assert small_state("engd", ema=0.0, init_mode=init_mode).memory is None
+
+    def test_sgd_keeps_no_memory(self):
+        assert small_state("sgd", momentum=0.9).memory is None
+
+
 class TestUpdatePath:
     @pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
     def test_step_applies_the_update_it_reports(self, poisson, kind):
@@ -96,7 +166,7 @@ class TestUpdatePath:
             old = state.params.copy()
             ref = copy.deepcopy(state)
             ev = evaluate_batch(ref.params, batch, poisson, ref.workspace)
-            update, alpha, mu = optim._STEP_FNS[kind](ref, ev, batch, poisson)
+            update, alpha, mu = optim.KINDS[kind].step(ref, ev, batch, poisson)
             info = optimizer_step(state, batch, poisson)
             assert state.step == step + 1
             assert np.array_equal(state.prev_update, update)
@@ -150,7 +220,7 @@ class TestUpdatePath:
         def infinite_update(state, ev, batch, problem):
             return np.full(ev.grad.shape, np.inf), 1.0, 0.0
 
-        monkeypatch.setitem(optim._STEP_FNS, "sgd", infinite_update)
+        monkeypatch.setitem(optim.KINDS, "sgd", dataclasses.replace(optim.KINDS["sgd"], step=infinite_update))
         with pytest.raises(FloatingPointError):
             optimizer_step(state, batch, poisson)
         assert np.array_equal(state.params.vector, vector)
@@ -160,9 +230,7 @@ class TestUpdatePath:
     @pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
     def test_non_finite_loss_stops_before_the_rule(self, poisson, monkeypatch, kind):
         # a non-finite batch loss raises before the kind's update rule runs,
-        # so no factor, moment, parameter or counter changes
-        import dataclasses
-
+        # so no factor, moment, moving average, parameter or counter changes
         state = small_state(kind, damping=1e-3)
         batch = pde.sample_batch(poisson, 12, 6, seed=2)
         optimizer_step(state, batch, poisson)
@@ -172,17 +240,20 @@ class TestUpdatePath:
             optim, "evaluate_batch", lambda *args: dataclasses.replace(inner(*args), loss_boundary=np.inf)
         )
         calls = []
-        monkeypatch.setitem(optim._STEP_FNS, kind, lambda *args: calls.append(None))
+        rule = dataclasses.replace(optim.KINDS[kind], step=lambda *args: calls.append(None))
+        monkeypatch.setitem(optim.KINDS, kind, rule)
         with pytest.raises(FloatingPointError, match="loss is non-finite"):
             optimizer_step(state, batch, poisson)
         assert calls == []
         assert np.array_equal(state.params.vector, before.params.vector)
         assert np.array_equal(state.prev_update, before.prev_update)
         assert state.step == before.step == 1
-        if kind in ("kfac", "kfac_star"):
-            for name in ("a_interior", "b_interior", "a_boundary", "b_boundary"):
-                for got, want in zip(getattr(state.kfac, name), getattr(before.kfac, name)):
-                    assert np.array_equal(got, want)
+        assert type(state.memory) is type(before.memory)
+        got, want = memory_arrays(state.memory), memory_arrays(before.memory)
+        assert (len(want) == 0) == (kind == "sgd")
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_line_search_error_is_a_floating_point_error(self):
         assert issubclass(LineSearchError, FloatingPointError)
@@ -480,7 +551,7 @@ class TestKfacStep:
         delta, kf, _ = next_direction(state, batch, poisson)
         info = optimizer_step(state, batch, poisson)
         for name in ("a_interior", "b_interior", "a_boundary", "b_boundary"):
-            for got, want in zip(getattr(state.kfac, name), getattr(kf, name)):
+            for got, want in zip(getattr(state.memory, name), getattr(kf, name)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         want = info.alpha * (delta + info.mu * prev)
         assert np.linalg.norm(state.prev_update - want) <= 1e-12 * np.linalg.norm(want)
@@ -668,11 +739,11 @@ class TestEngd:
         for init_mode in ("zero", "identity"):
             state = small_state("engd", ema=0.9, init_mode=init_mode)
             init = curvature.initial_curvature(state.params.n_params, init_mode)
-            assert np.array_equal(state.gramian_ema, init)
+            assert np.array_equal(state.memory, init)
             ev = evaluate_batch(state.params, batch, poisson)
             want = 0.9 * init + 0.1 * curvature.dense_gramian(ev.interior, ev.boundary)
             optimizer_step(state, batch, poisson)
-            assert np.max(np.abs(state.gramian_ema - want)) <= 1e-12 * np.max(np.abs(want)), init_mode
+            assert np.max(np.abs(state.memory - want)) <= 1e-12 * np.max(np.abs(want)), init_mode
 
     def test_smoke_training_100x(self, poisson):
         state = small_state("engd", widths=(2, 10, 1), ema=0.0, damping=0.0)
