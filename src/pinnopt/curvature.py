@@ -87,7 +87,14 @@ import numpy as np
 
 from . import network, pde
 from .linalg import kron_sum_solve
-from .taylor import Workspace, linear_input_index, taylor_backward, taylor_forward
+from .taylor import (
+    FactoredAdjoint,
+    FactoredState,
+    Workspace,
+    linear_input_index,
+    taylor_backward,
+    taylor_forward,
+)
 
 __all__ = [
     "KfacState",
@@ -156,9 +163,12 @@ def layer_pairs(params, states: list, adjoints: list) -> list:
     """The interior record: (input state, output adjoint) per linear layer.
 
     Taken from the Taylor-mode forward states and the reverse pass's
-    per-layer adjoints; layer 0's input is the (N, d) array of points
-    (module docstring).
+    per-layer adjoints; layer 0's input is the (N, d) array of points, and
+    a one-hidden-layer net's layer-1 input is the factored state that its
+    reverse pass formed with layer 0's adjoint (module docstring).
     """
+    if isinstance(adjoints[0], FactoredAdjoint):
+        return [(states[0], adjoints[0]), (adjoints[0].state, adjoints[1])]
     return [(states[linear_input_index(l)], adjoints[l]) for l in range(params.n_linear)]
 
 
@@ -177,19 +187,24 @@ def _input_gram(z, w0=None):
     """``sum_{n,s} zhat_ns zhat_ns^T`` with the bias entry implicit.
 
     A two-dimensional ``z`` holds the points of the input state, whose
-    derivative columns add N to the diagonal of the weight block.  With
-    ``w0`` given, ``z`` is the interior state after the first activation,
-    whose derivative columns ``s1 * W0^T`` add ``(S1^T S1) * (W0 W0^T)``.
+    derivative columns add N to the diagonal of the weight block.  A
+    :class:`FactoredState`, or with ``w0`` given an (N, S, h1) ``z``, is
+    the interior state after the first activation, whose derivative
+    columns ``s1 * W0^T`` add ``(S1^T S1) * (W0 W0^T)``.
     """
     n, h = z.shape[0], z.shape[-1]
-    value = z if z.ndim == 2 else z[:, 0, :]
-    if z.ndim == 2:
+    if w0 is not None and isinstance(z, np.ndarray) and z.ndim == 3:
+        value = z[:, 0, :]
+        z = FactoredState(value, 1.0 - value * value, z[:, -1, :], w0)  # tanh' as tanh_derivs has it
+    if isinstance(z, FactoredState):
+        value = z.value
+        gram = value.T @ value + z.operator.T @ z.operator + (z.slope.T @ z.slope) * (z.w0 @ z.w0.T)
+    elif z.ndim == 2:
+        value = z
         gram = z.T @ z
         gram[np.arange(h), np.arange(h)] += n
-    elif w0 is not None:
-        s1 = 1.0 - value * value  # tanh' as network.tanh_derivs computes it
-        gram = value.T @ value + z[:, -1, :].T @ z[:, -1, :] + (s1.T @ s1) * (w0 @ w0.T)
     else:
+        value = z[:, 0, :]
         flat = z.reshape(-1, h)
         gram = flat.T @ flat
     a = np.empty((h + 1, h + 1))
@@ -199,6 +214,24 @@ def _input_gram(z, w0=None):
     return a
 
 
+def _output_gram(g) -> np.ndarray:
+    """``sum_{n,s} g_ns g_ns^T``; for a :class:`FactoredAdjoint` (module docstring)
+
+        V^T V + A^T diag(|p_n|^2 + l_n^2) A + A^T K + K^T A + (M^T M) o (B^T B),
+        K = (P M) o B
+    """
+    if isinstance(g, FactoredAdjoint):
+        d = g.m.shape[0]
+        p, l_bar = g.seeds[:, 1 : d + 1], g.seeds[:, d + 1]
+        a, beta = g.slope, g.curvature
+        ak = a.T @ ((p @ g.m) * beta)
+        norms = np.einsum("ni,ni->n", p, p) + l_bar * l_bar
+        return g.value.T @ g.value + a.T @ (norms[:, None] * a) + ak + ak.T + (g.m.T @ g.m) * (beta.T @ beta)
+    n, s, q = g.shape
+    gf = g.reshape(n * s, q)
+    return gf.T @ gf
+
+
 def _factor_sums(record, w0=None) -> list:
     """Per layer the batch sums ``(sum zhat zhat^T, sum g g^T)`` of a record.
 
@@ -206,12 +239,11 @@ def _factor_sums(record, w0=None) -> list:
     """
     sums = []
     for l, (z, g) in enumerate(record):
-        n, s, q = g.shape
+        n, s, _ = g.shape
         columns = z.shape[1] + 2 if z.ndim == 2 else z.shape[1]
         if z.shape[0] != n or columns != s:
             raise ValueError(f"layer {l}: input {z.shape} does not match gradient {g.shape}")
-        gf = g.reshape(n * s, q)
-        sums.append((_input_gram(z, w0 if l == 1 else None), gf.T @ gf))
+        sums.append((_input_gram(z, w0 if l == 1 else None), _output_gram(g)))
     return sums
 
 
@@ -280,15 +312,41 @@ def precondition_gradient(state: KfacState, grad, damping: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact Gramian and Gramian-vector products
 
+def _value_column(g) -> np.ndarray:
+    """The (N, h) value column ``g_n0`` of an output gradient."""
+    return g.value if isinstance(g, FactoredAdjoint) else g[:, 0, :]
+
+
+def _hidden_rows(z: FactoredState, g) -> np.ndarray:
+    """The (N, h1 + 1) blocks ``sum_s zhat_ns g_ns`` of layer 1 of a one-hidden-layer net.
+
+    Its output gradient g is the width-1 seed ``(u_bar, p, l_bar)``, so
+    the weight rows are ``u_bar s0 + s1 * (W0 p) + l_bar s2 q`` and the
+    bias entry is u_bar.
+    """
+    n, h = z.value.shape
+    d = z.w0.shape[1]
+    rows = np.empty((n, h + 1))
+    rows[:, :h] = (g[:, 1 : d + 1, 0] @ z.w0.T) * z.slope + g[:, 0, :] * z.value + g[:, d + 1, :] * z.operator
+    rows[:, h] = g[:, 0, 0]
+    return rows
+
+
 def _input_layer_rows(x, g, out):
     """Write the weight rows ``x_n g_n0^T + G_n`` of the layer-0 blocks into ``out`` (N, d, h1).
 
     One input coordinate at a time: a single strided add over all d
-    coordinates makes numpy copy the (N, d, h1) operand first.
+    coordinates makes numpy copy the (N, d, h1) operand first.  A
+    :class:`FactoredAdjoint` gives row i of G_n as ``p_ni a_n + beta_n * M[i]``.
     """
+    factored = isinstance(g, FactoredAdjoint)
     for i in range(x.shape[1]):
-        np.multiply(x[:, i, None], g[:, 0, :], out=out[:, i, :])
-        out[:, i, :] += g[:, 1 + i, :]
+        np.multiply(x[:, i, None], _value_column(g), out=out[:, i, :])
+        if factored:
+            out[:, i, :] += g.seeds[:, 1 + i, None] * g.slope
+            out[:, i, :] += g.curvature * g.m[i]
+        else:
+            out[:, i, :] += g[:, 1 + i, :]
 
 
 def _block_shapes(record) -> list:
@@ -308,11 +366,14 @@ def _jacobian_rows(record):
     rows = np.empty((record[0][1].shape[0], sum(p * q for p, q in shapes)))
     for view, (z, g) in zip(network.layer_blocks(rows, shapes), record):
         h = z.shape[-1]
+        if isinstance(z, FactoredState):
+            view[:, :, 0] = _hidden_rows(z, g)
+            continue
         if z.ndim == 2:
             _input_layer_rows(z, g, view[:, :h, :])
         else:
             np.matmul(z.transpose(0, 2, 1), g, out=view[:, :h, :])
-        view[:, h, :] = g[:, 0, :]
+        view[:, h, :] = _value_column(g)
     return rows
 
 
@@ -330,9 +391,17 @@ def _projected_rows(record, basis, workspace):
     for l, (z, g) in enumerate(record):
         _, s, q = g.shape
         h = z.shape[-1]
+        if isinstance(z, FactoredState):
+            out += _hidden_rows(z, g) @ blocks[l][:, :, 0].T
+            continue
         for k, block in enumerate(blocks[l]):
             w_t, b = block[:h], block[h]
-            if z.ndim == 2:
+            if isinstance(g, FactoredAdjoint):
+                # (x_n^T dW^T + db) . v_n + p_n^T dW^T a_n + beta_n . colsum(M o dW^T)
+                out[:, k] += np.einsum("ij,ij->i", z @ w_t + b, g.value)
+                out[:, k] += np.einsum("ij,ij->i", g.seeds[:, 1 : h + 1] @ w_t, g.slope)
+                out[:, k] += g.curvature @ np.sum(g.m * w_t, axis=0)
+            elif z.ndim == 2:
                 # derivative block G_n read as one (N, d h1) matrix (a view)
                 out[:, k] += g[:, 1 : 1 + h, :].reshape(n, h * q) @ w_t.reshape(-1)
                 out[:, k] += np.einsum("ij,ij->i", z @ w_t + b, g[:, 0, :])
@@ -378,8 +447,18 @@ def param_grad_matrix(z_in, g, workspace: Workspace, weights=None) -> np.ndarray
     column is never read.  The result is the layer's (h_in + 1, h_out)
     block of :func:`pinnopt.network.layer_blocks`.
     """
+    if isinstance(z_in, FactoredState):
+        rows = _hidden_rows(z_in, g)
+        return (rows.sum(axis=0) if weights is None else weights @ rows)[:, None]
     n, s, q = g.shape
-    if z_in.ndim == 2:
+    if isinstance(g, FactoredAdjoint):
+        # x^T (w o V) + P^T (w o A) + M o (w^T B), with w all ones when None
+        d = z_in.shape[1]
+        omega = np.ones(n) if weights is None else weights
+        g0 = g.value * omega[:, None]
+        m = np.empty((d + 1, q))
+        m[:d] = z_in.T @ g0 + g.seeds[:, 1 : d + 1].T @ (g.slope * omega[:, None]) + g.m * (omega @ g.curvature)
+    elif z_in.ndim == 2:
         d = z_in.shape[1]
         g0, gd = g[:, 0, :], g[:, 1 : d + 1, :]
         if weights is not None:

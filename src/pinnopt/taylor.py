@@ -89,6 +89,8 @@ __all__ = [
     "Workspace",
     "OperatorCoeffs",
     "TaylorOutput",
+    "FactoredState",
+    "FactoredAdjoint",
     "taylor_forward_linear",
     "taylor_forward",
     "taylor_output",
@@ -288,6 +290,64 @@ class TaylorOutput:
     operator: np.ndarray  # (N,)  L u
 
 
+@dataclass(frozen=True, eq=False)
+class FactoredState:
+    """Layer 1's (N, S, h1) input state in a one-hidden-layer net, as (N, h1) factors.
+
+    Its value column is ``value`` (s0), its derivative column i is
+    ``slope * W0^T[i]`` (s1 * W0[:, i]) and its operator column is
+    ``operator`` (s2 * q).  ``shape`` and ``ndim`` are those of the array
+    it stands for, and indexing takes samples, as on that array.
+    """
+
+    value: np.ndarray     # (N, h1)
+    slope: np.ndarray     # (N, h1)
+    operator: np.ndarray  # (N, h1)
+    w0: np.ndarray        # (h1, d)
+
+    ndim = 3
+
+    @property
+    def shape(self) -> tuple:
+        return (self.value.shape[0], self.w0.shape[1] + 2, self.value.shape[1])
+
+    def __getitem__(self, rows) -> "FactoredState":
+        return FactoredState(self.value[rows], self.slope[rows], self.operator[rows], self.w0)
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredAdjoint:
+    """Layer 0's (N, S, h1) output adjoint in a one-hidden-layer net, as (N, h1) and (N, d) factors.
+
+    Its value column is ``value`` (v), its derivative block, rows 1..d,
+    is ``G_n = p_n a_n^T + M diag(beta_n)`` with a = ``slope``, beta =
+    ``curvature``, p the gradient columns of ``seeds`` and M = ``m``
+    = C W0^T, and its operator column is ``l_bar * slope`` with l_bar
+    the last column of ``seeds``.  ``state`` is layer 1's input, which the
+    reverse pass forms from the same tanh derivatives.  ``shape`` and
+    ``ndim`` are those of the array it stands for, and indexing takes
+    samples, as on that array.
+    """
+
+    value: np.ndarray      # (N, h1)
+    slope: np.ndarray      # (N, h1)
+    curvature: np.ndarray  # (N, h1)
+    seeds: np.ndarray      # (N, d + 2)
+    m: np.ndarray          # (d, h1)
+    state: FactoredState
+
+    ndim = 3
+
+    @property
+    def shape(self) -> tuple:
+        return (self.value.shape[0], self.seeds.shape[1], self.value.shape[1])
+
+    def __getitem__(self, rows) -> "FactoredAdjoint":
+        return FactoredAdjoint(
+            self.value[rows], self.slope[rows], self.curvature[rows], self.seeds[rows], self.m, self.state[rows]
+        )
+
+
 def linear_input_index(layer: int) -> int:
     """Index into the forward states list of linear layer ``layer``'s input."""
     return 2 * layer
@@ -412,17 +472,23 @@ def _forward_to_last_activation(params: Parameters, x, coeffs: OperatorCoeffs, w
     return pre
 
 
+def _n_states(params: Parameters) -> int:
+    """Length of the forward states list: the points and the first pre-activation for a net
+    with at most one hidden layer, else one entry per sequential layer as well."""
+    return 2 if params.n_linear <= 2 else 2 * params.n_linear
+
+
 def state_records(params: Parameters, n: int, workspace: Workspace) -> dict:
     """The workspace's forward states 1, 2, ... for ``n`` points, as :meth:`Workspace.split` records.
 
-    Keyed ``("state", i)``: the (N, h1) first pre-activation, then the
-    (N, S, h) states.  A split pass of :func:`taylor_forward` or
-    :func:`taylor_output` given them writes its rows of these full-batch
-    arrays instead of temporaries of its own.
+    Keyed ``("state", i)``: the (N, h1) first pre-activation, then, for a
+    net with two or more hidden layers, the (N, S, h) states.  A split pass
+    of :func:`taylor_forward` or :func:`taylor_output` given them writes
+    its rows of these full-batch arrays instead of temporaries of its own.
     """
     s = params.input_dim + 2
     widths = params.widths
-    shapes = [(n, widths[1])] + [(n, s, widths[(i + 1) // 2]) for i in range(2, 2 * params.n_linear)]
+    shapes = [(n, widths[1])] + [(n, s, widths[(i + 1) // 2]) for i in range(2, _n_states(params))]
     return {("state", i): workspace.array(shape, "state", i) for i, shape in enumerate(shapes, 1)}
 
 
@@ -432,10 +498,13 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
     Returns ``(states, out)``.  ``states[0]`` is the (N, d) array of points
     x and ``states[1]`` the (N, h1) pre-activation ``x W0^T + b0``, the
     value column of the first linear layer's output (its other columns are
-    the same for every sample; see the module docstring).  Every further
-    entry is the full (N, S, h) output state of one sequential layer,
-    activation and linear interleaved.  ``out`` is the
-    :class:`TaylorOutput` triple of the scalar network output.
+    the same for every sample; see the module docstring).  A net with at
+    most one hidden layer keeps no other state: its output comes from the
+    fused head of :func:`taylor_output`, and :func:`taylor_backward` works
+    from the pre-activation alone.  For a deeper net every further entry is
+    the full (N, S, h) output state of one sequential layer, activation and
+    linear interleaved.  ``out`` is the :class:`TaylorOutput` triple of the
+    scalar network output.
 
     The states live in ``workspace`` (a fresh one when None) and stay valid
     until the next :func:`taylor_forward` or :func:`taylor_output` through
@@ -448,19 +517,18 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
     n, d = x.shape
     records = state_records(params, n, workspace)
     states = [x, *records.values()]
+    if params.n_linear <= 2:
+        halves = workspace.split(n, lambda half: _output(params, x[half.rows], coeffs, half), records)
+        fields = ("value", "gradient", "operator")
+        return states, TaylorOutput(*(np.concatenate([getattr(h, f) for h in halves]) for f in fields))
 
     def forward_rows(half):
         pre = _forward_to_last_activation(params, x[half.rows], coeffs, half)
-        if params.n_linear > 1:
-            last = params.n_linear - 1
-            z = _hidden_activation(pre, params.weights[0].T, coeffs, half, linear_input_index(last))
-            taylor_forward_linear(
-                params.weights[-1], params.biases[-1], z, half, linear_output_index(last)
-            )
+        last = params.n_linear - 1
+        z = _hidden_activation(pre, params.weights[0].T, coeffs, half, linear_input_index(last))
+        taylor_forward_linear(params.weights[-1], params.biases[-1], z, half, linear_output_index(last))
 
     workspace.split(n, forward_rows, records)
-    if params.n_linear == 1:
-        return states, _linear_net_output(x, states[1], params.weights[0])
     z = states[-1]
     out = TaylorOutput(
         value=z[:, 0, 0].copy(),
@@ -487,8 +555,11 @@ def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None)
     an earlier :func:`taylor_forward` through it.
     """
     x = _check_points(params, x, coeffs)
-    if workspace is None:
-        workspace = Workspace()
+    return _output(params, x, coeffs, Workspace() if workspace is None else workspace)
+
+
+def _output(params: Parameters, x, coeffs: OperatorCoeffs, workspace) -> TaylorOutput:
+    """The body of :func:`taylor_output` on checked points."""
     pre = _forward_to_last_activation(params, x, coeffs, workspace)
     if params.n_linear == 1:
         return _linear_net_output(x, pre, params.weights[0])
@@ -561,8 +632,10 @@ def taylor_backward(
     Returns ``adjoints``: ``adjoints[l]`` is the (N, S, h) adjoint of
     linear layer l's output state in full column layout, for layer 0 of
     the complete output state although the forward pass kept only its
-    value column.  The (input state, output adjoint) pairs are the
-    interior record that :mod:`pinnopt.curvature` reads.
+    value column.  For a net with one hidden layer ``adjoints[0]`` is
+    that adjoint as a :class:`FactoredAdjoint` (module docstring).  The
+    (input state, output adjoint) pairs are the interior record that
+    :mod:`pinnopt.curvature` reads.
 
     The head's adjoint is a view of the seeds.  Every other adjoint l is
     formed as ``g @ W_{l+1}`` in the workspace's adjoint array of index l
@@ -577,10 +650,12 @@ def taylor_backward(
     n = states[0].shape[0]
     if seeds.shape != (n, d + 2):
         raise ValueError(f"seeds must have shape ({n}, {d + 2}), got {seeds.shape}")
-    if len(states) != 2 * params.n_linear:
+    if len(states) != _n_states(params):
         raise ValueError("states do not match the network layout")
     if workspace is None:
         workspace = Workspace()
+    if params.n_linear == 2:
+        return [_factored_backward(params, states[1], seeds, coeffs, workspace), seeds[:, :, None]]
 
     adjoints = [workspace.array((n, d + 2, h), "adjoint", l) for l, h in enumerate(params.widths[1:-1])]
     adjoints.append(seeds[:, :, None])
@@ -604,3 +679,47 @@ def taylor_backward(
 
     workspace.split(n, backward_rows)
     return adjoints
+
+
+def _factored_backward(params: Parameters, pre, seeds, coeffs: OperatorCoeffs, workspace) -> "FactoredAdjoint":
+    """Layer 0's output adjoint and layer 1's input state of a one-hidden-layer net, factored.
+
+    From the tanh derivatives s0..s3 of the pre-activation, the head's
+    weight row w and the seeds ``(u_bar, p, l_bar)`` (module docstring):
+
+        v    = w * (u_bar s1 + s2 * (W0 p) + l_bar s3 * q)
+        a    = s1 * w,   beta = 2 l_bar s2 * w
+
+    and the state ``(s0, s1, s2 * q)``.  Each half of
+    :meth:`Workspace.split` writes its rows of the workspace's (N, h1)
+    factor arrays.
+    """
+    n, h = pre.shape
+    d = coeffs.dim
+    w0 = params.weights[0]
+    w = params.weights[1][0]
+    m = coeffs.apply(w0.T[None])[0]
+    q = np.sum(m * w0.T, axis=0)
+    names = ("value", "slope", "curvature", "state_value", "state_slope", "state_operator")
+    value, slope, curvature, s0, s1, s2q = (workspace.array((n, h), "factor", name) for name in names)
+
+    def backward_rows(half):
+        r = half.rows
+        s = _derivs(pre[r], 3, half)
+        u_bar, p, l_bar = seeds[r, :1], seeds[r, 1 : d + 1], seeds[r, d + 1 :]
+        np.multiply(s.s1, w, out=slope[r])
+        np.multiply(s.s2, w, out=curvature[r])
+        curvature[r] *= 2.0 * l_bar
+        v = np.matmul(p, w0.T, out=value[r])
+        v *= s.s2
+        v += u_bar * s.s1
+        l_s3 = np.multiply(s.s3, l_bar, out=s.s3)
+        l_s3 *= q
+        v += l_s3
+        v *= w
+        s0[r] = s.s0
+        s1[r] = s.s1
+        np.multiply(s.s2, q, out=s2q[r])
+
+    workspace.split(n, backward_rows)
+    return FactoredAdjoint(value, slope, curvature, seeds, m, FactoredState(s0, s1, s2q, w0))

@@ -22,6 +22,8 @@ from pinnopt.taylor import (
     taylor_forward,
 )
 
+from test_curvature import _reference_record
+
 
 def report(name, ok, detail):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -192,12 +194,11 @@ def test_criterion_4_factor_transcription():
     # literal loops over bias-augmented inputs; layer 0 from the full input state
     _, inputs = network.forward_batch(params, batch.boundary)
     grads = network.backward_batch(params, inputs)
-    ref_in = [oracle.initial_state(batch.interior)] + [z for z, _ in ev.interior[1:]]
     worst = 0.0
-    for l, (_, g) in enumerate(ev.interior):
-        n, s, h = ref_in[l].shape
+    for l, (z, g) in enumerate(_reference_record(params, batch, problem)):
+        n, s, h = z.shape
         zhat = np.zeros((n, s, h + 1))
-        zhat[:, :, :h] = ref_in[l]
+        zhat[:, :, :h] = z
         zhat[:, 0, h] = 1.0
         a_ref = sum(np.outer(zhat[i, j], zhat[i, j]) for i in range(n) for j in range(s)) / (n * s)
         b_ref = sum(np.outer(g[i, j], g[i, j]) for i in range(n) for j in range(s)) / n

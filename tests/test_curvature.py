@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -20,6 +20,8 @@ from pinnopt.curvature import (
 from pinnopt.network import Parameters, init_params, tanh_derivs
 from pinnopt.optim import OptimizerConfig, evaluate_batch
 from pinnopt.taylor import (
+    FactoredAdjoint,
+    FactoredState,
     OperatorCoeffs,
     Workspace,
     _activation_backward,
@@ -27,13 +29,65 @@ from pinnopt.taylor import (
     taylor_forward,
     taylor_forward_linear,
 )
-
 from test_taylor import taylor_forward_activation
 
 
 def with_bias(z):
     """Append a 1 to each row of an (N, h) input: the bias entry of ``[W | b]``."""
     return np.concatenate([z, np.ones((z.shape[0], 1))], axis=1)
+
+
+def materialised_record(params, x, coeffs, seeds) -> list:
+    """The interior record ``[(z_l, g_l)]`` of points ``x`` and residual ``seeds`` (N, S), all in full.
+
+    Every layer input ``z_l`` and output gradient ``g_l`` is an (N, S, h)
+    array, which the engines never form for layers 0 and 1:
+    ``oracle.initial_state(x)``, then ``taylor_forward_linear`` and
+    ``taylor_forward_activation`` layer by layer, and back from the seeds
+    through ``g W_l`` and ``_activation_backward``.  The package's record
+    readers take it like any record with no closed-form entry, so it is
+    the reference for the closed forms.  (``oracle`` imports no engine.)
+    """
+    d = x.shape[1]
+    inputs, pres = [oracle.initial_state(x)], []
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        pres.append(taylor_forward_linear(w, b, inputs[-1], Workspace()))
+        if l < params.n_linear - 1:
+            derivs = tanh_derivs(pres[-1][:, 0, :], order=2)
+            inputs.append(taylor_forward_activation(derivs, pres[-1], coeffs, Workspace()))
+    adjoints = [np.asarray(seeds, dtype=np.float64)[:, :, None]]
+    for l in reversed(range(1, params.n_linear)):
+        pre = pres[l - 1]
+        adjoints.insert(0, _activation_backward(
+            tanh_derivs(pre[:, 0, :]), pre[:, 1 : d + 1, :], pre[:, d + 1, :],
+            adjoints[0] @ params.weights[l], coeffs, Workspace(),
+        ))
+    return list(zip(inputs, adjoints))
+
+
+def dense(entry) -> np.ndarray:
+    """A record entry as the full (N, S, h) array it stands for (an array stays as it is)."""
+    if isinstance(entry, FactoredState):
+        return np.concatenate(
+            [entry.value[:, None], entry.slope[:, None] * entry.w0.T, entry.operator[:, None]], axis=1
+        )
+    if isinstance(entry, FactoredAdjoint):
+        d = entry.m.shape[0]
+        p, l_bar = entry.seeds[:, 1 : d + 1], entry.seeds[:, d + 1]
+        block = p[:, :, None] * entry.slope[:, None] + entry.m * entry.curvature[:, None]
+        return np.concatenate([entry.value[:, None], block, (l_bar[:, None] * entry.slope)[:, None]], axis=1)
+    return entry
+
+
+def _interior_seeds(p, batch, problem):
+    """The residual seeds (N, S) of the interior points, as ``evaluate_batch`` makes them."""
+    _, out = taylor_forward(p, batch.interior, problem.coeffs)
+    return problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
+
+
+def _reference_record(p, batch, problem):
+    """The interior record with every layer's input and output gradient materialised."""
+    return materialised_record(p, batch.interior, problem.coeffs, _interior_seeds(p, batch, problem))
 
 
 @pytest.fixture
@@ -102,11 +156,10 @@ class TestFactorUpdates:
         ev = evaluate_batch(p, batch, poisson)
         state = init_kfac_state(p, "zero")
         interior_factor_update(state, p, ev.interior, 0.0)
-        ref_in = [oracle.initial_state(batch.interior)] + [z for z, _ in ev.interior[1:]]
-        for l, (_, g) in enumerate(ev.interior):
-            n, s, h = ref_in[l].shape
+        for l, (z, g) in enumerate(_reference_record(p, batch, poisson)):
+            n, s, h = z.shape
             zhat = np.zeros((n, s, h + 1))  # bias entry: 1 in the value column
-            zhat[:, :, :h] = ref_in[l]
+            zhat[:, :, :h] = z
             zhat[:, 0, h] = 1.0
             a_ref = sum(np.outer(zhat[i, j], zhat[i, j]) for i in range(n) for j in range(s)) / (n * s)
             b_ref = sum(np.outer(g[i, j], g[i, j]) for i in range(n) for j in range(s)) / n
@@ -347,7 +400,8 @@ def _taylor_passes(p, batch, problem):
 
 class TestInputLayerClosedForm:
     """Layer 0 is computed from the points alone; the references loop over
-    the materialised input state ``oracle.initial_state(x)`` instead."""
+    the materialised input state ``oracle.initial_state(x)`` and output
+    gradient (:func:`materialised_record`) instead."""
 
     @pytest.fixture(params=sorted(INPUT_LAYER_CASES))
     def case(self, request):
@@ -361,7 +415,7 @@ class TestInputLayerClosedForm:
         zhat = np.zeros((n, s, d + 1))
         zhat[:, :, :d] = z0
         zhat[:, 0, d] = 1.0
-        g = ev.interior[0][1]
+        g = _reference_record(p, batch, problem)[0][1]
         return p, problem, batch, ev, zhat, g
 
     def test_factor(self, case):
@@ -405,7 +459,8 @@ class TestInputLayerClosedForm:
 
     def test_first_layer_adjoint_matches_materialised_state(self, case):
         # the first activation and its adjoint on the broadcast W0^T input
-        # against the same bodies on the materialised per-sample state
+        # (factored for one hidden layer) against the same bodies on the
+        # materialised per-sample state
         p, problem, batch, _, zhat, g = case
         co = problem.coeffs
         states, adjoints = _taylor_passes(p, batch, problem)
@@ -421,7 +476,8 @@ class TestInputLayerClosedForm:
             return
         derivs = tanh_derivs(z1[:, 0, :], order=2)
         z2 = taylor_forward_activation(derivs, z1, co, Workspace())
-        assert np.max(np.abs(states[2] - z2)) <= 1e-12 * max(1.0, np.max(np.abs(z2)))
+        got = dense(curvature.layer_pairs(p, states, adjoints)[1][0])
+        assert np.max(np.abs(got - z2)) <= 1e-12 * max(1.0, np.max(np.abs(z2)))
         # the reverse pass keeps only linear-layer output adjoints, so the
         # first activation's output adjoint is formed here from layer 1's
         d = batch.interior.shape[1]
@@ -429,12 +485,14 @@ class TestInputLayerClosedForm:
             tanh_derivs(z1[:, 0, :]), z1[:, 1 : d + 1, :], z1[:, d + 1, :],
             np.matmul(adjoints[1], p.weights[1]), co, Workspace(),
         )
-        assert np.max(np.abs(g - g_ref)) <= 1e-12 * max(1.0, np.max(np.abs(g_ref)))
+        got = dense(adjoints[0])
+        assert np.max(np.abs(got - g_ref)) <= 1e-12 * max(1.0, np.max(np.abs(g_ref)))
 
 
 class TestFirstHiddenClosedForm:
-    """Layer 1's interior input sum from the value and operator columns and W0,
-    against the direct sum over the materialised state."""
+    """Layer 1's interior input sum from the value and operator columns and W0
+    (from the factored state for one hidden layer), against the direct sum
+    over the materialised state."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -453,9 +511,10 @@ class TestFirstHiddenClosedForm:
             "full": (lambda m: m + m.T)(rng.standard_normal((d, d))),
         }[coeffs]
         p = init_params((d,) + (h,) * (n_linear - 1) + (1,), seed % 1000)
-        states, _ = taylor_forward(p, rng.uniform(-1.0, 1.0, (n, d)), OperatorCoeffs(c))
-        z = states[2]
-        direct = curvature._input_gram(z)
+        co, x, seeds = OperatorCoeffs(c), rng.uniform(-1.0, 1.0, (n, d)), np.zeros((n, d + 2))
+        states, _ = taylor_forward(p, x, co)
+        z = curvature.layer_pairs(p, states, taylor_backward(p, states, seeds, co))[1][0]
+        direct = curvature._input_gram(materialised_record(p, x, co, seeds)[1][0])
         closed = curvature._input_gram(z, p.weights[0])
         assert np.max(np.abs(closed - direct)) <= 1e-13 * np.max(np.abs(direct))
 
@@ -497,3 +556,46 @@ class TestProjectedRows:
         got = curvature.projected_gramian(ev.interior, ev.boundary, basis, Workspace())
         assert got.shape == (k, k)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+
+class TestOneHiddenClosedForm:
+    """A one-hidden-layer net's record holds layer 1's input and layer 0's output
+    gradient in factored form; every quantity read from it against the same
+    quantity from the materialised record (:func:`materialised_record`)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PROJECTED_PROBLEMS)),
+        h=st.integers(1, 8),
+        n=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(name="poisson2d_sin", h=1, n=1, seed=0)
+    @example(name="nondiagonal", h=1, n=1, seed=1)
+    @example(name="log_fokker_planck", h=8, n=1, seed=2)
+    def test_matches_materialised_record(self, name, h, n, seed):
+        problem = PROJECTED_PROBLEMS[name]()
+        p = init_params((problem.dim, h, 1), seed % 1000)
+        batch = pde.sample_batch(problem, n, 2, seed=seed)
+        ev = evaluate_batch(p, batch, problem)
+        ref = _reference_record(p, batch, problem)
+        assert isinstance(ev.interior[0][1], FactoredAdjoint)
+        assert isinstance(ev.interior[1][0], FactoredState)
+
+        for (a, b), (a_ref, b_ref) in zip(curvature._factor_sums(ev.interior, p.weights[0]), curvature._factor_sums(ref)):
+            _assert_close(a, a_ref)
+            _assert_close(b, b_ref)
+        weights = ev.residuals_int / n
+        for entry, entry_ref in zip(ev.interior, ref):
+            _assert_close(param_grad_matrix(*entry, Workspace(), weights), param_grad_matrix(*entry_ref, Workspace(), weights))
+        rng = np.random.default_rng(seed)
+        for k in (1, 2):
+            basis = [rng.standard_normal(p.n_params) for _ in range(k)]
+            got = curvature._interior_jacobian_rows(ev.interior, basis, Workspace())
+            _assert_close(got, curvature._interior_jacobian_rows(ref, basis, Workspace()))
+        _assert_close(curvature._interior_jacobian_rows(ev.interior), curvature._interior_jacobian_rows(ref))

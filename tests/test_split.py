@@ -65,13 +65,14 @@ class TestThreadIndependence:
         )
         threads_before = threading.active_count()
         ran_on = set()
-        backward = taylor._activation_backward
+        derivs = taylor._derivs
 
-        def spy(*args):
-            ran_on.add(threading.current_thread().name)
-            return backward(*args)
+        def spy(z, order, workspace):
+            if order == 3:  # only a reverse pass asks for third derivatives
+                ran_on.add(threading.current_thread().name)
+            return derivs(z, order, workspace)
 
-        monkeypatch.setattr(taylor, "_activation_backward", spy)
+        monkeypatch.setattr(taylor, "_derivs", spy)
         with_worker = _log_without_wall_time(config)
         assert any(_is_worker(thread) for thread in ran_on)
         assert threading.active_count() == threads_before
@@ -139,12 +140,13 @@ class TestThreadIndependence:
 def _fail_in_worker_half(monkeypatch):
     """Put a NaN point last in every batch and fail the reverse pass on it.
 
-    The caller's half waits for the worker to start its own, so the NaN
-    row (in the second half) is taken by the worker.  Returns the names of
-    the threads that raised.
+    The reverse pass is the one that asks for third derivatives of the
+    activation.  The caller's half waits for the worker to start its own,
+    so the NaN row (in the second half) is taken by the worker.  Returns
+    the names of the threads that raised.
     """
     sample = pde.sample_batch
-    backward = taylor._activation_backward
+    derivs = taylor._derivs
     worker_started = threading.Event()
     raised_on = []
 
@@ -153,18 +155,21 @@ def _fail_in_worker_half(monkeypatch):
         batch.interior[-1] = np.nan
         return batch
 
-    def checked_backward(derivs, g, ell, g_out, coeffs, workspace):
+    def checked_derivs(z, order, workspace):
+        if order < 3:
+            return derivs(z, order, workspace)
         if _is_worker(threading.current_thread().name):
             worker_started.set()
         else:
             worker_started.wait(timeout=JOIN_TIMEOUT_S)
-        if not np.all(np.isfinite(derivs.s0)):
+        s = derivs(z, order, workspace)
+        if not np.all(np.isfinite(s.s0)):
             raised_on.append(threading.current_thread().name)
             raise FloatingPointError("non-finite activation in the reverse pass")
-        return backward(derivs, g, ell, g_out, coeffs, workspace)
+        return s
 
     monkeypatch.setattr(pde, "sample_batch", nan_last)
-    monkeypatch.setattr(taylor, "_activation_backward", checked_backward)
+    monkeypatch.setattr(taylor, "_derivs", checked_derivs)
     return raised_on
 
 
