@@ -6,7 +6,7 @@ Usage (from the repository root)::
     python3 scripts/compare_logs.py --baseline HEAD
 
 The committed files of ``--baseline`` are exported with
-``paired_bench.export_revision``.  Each tree then trains the same 30
+``paired_bench.export_revision``.  Each tree then trains the same 40
 configs in one child process of its own, through its own
 ``pinnopt.harness.run_training``, with BLAS and OpenMP capped at one
 thread:
@@ -21,13 +21,19 @@ thread:
   ``init_mode`` "zero", the other start of the curvature (every other
   config starts from the identity);
 * poisson2d_sin with engd as above but with ``ema`` 0, so that engd keeps
-  no moving average of its Gramian (every other engd config keeps one).
+  no moving average of its Gramian (every other engd config keeps one);
+* each of poisson_cos_sum and log_fokker_planck with each of the five
+  optimizers as above but with one hidden layer (net [d, 32, 1]), whose
+  record the package keeps in closed form.
 
 For every config the script compares each ``log.csv`` row in every column
 except ``wall_time_s``, the log's comment lines after the header (the
 header names the output directory, which differs), and the ``layers`` of
-``checkpoint.json``.  It prints one line per config and exits 1 if any
-config differs or failed in either tree.
+``checkpoint.json``.  It prints one line per config; for a log that
+differs, the line names the step of the first differing row and the
+largest relative difference over that row's columns, so that rounding
+drift can be told from a wrong formula.  It exits 1 if any config differs
+or failed in either tree.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -68,7 +75,7 @@ OPTIMIZERS = ("kfac", "kfac_star", "engd", "sgd", "adam")
 
 
 def configs() -> dict:
-    """The 30 configs by name, without ``output_dir``."""
+    """The 40 configs by name, without ``output_dir``."""
     spec = importlib.util.spec_from_file_location("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -95,6 +102,10 @@ def configs() -> dict:
     for optimizer in ("kfac", "kfac_star", "engd"):
         out[f"poisson2d_sin-{optimizer}-zero"] = dict(out[f"poisson2d_sin-{optimizer}"], init_mode="zero")
     out["poisson2d_sin-engd-ema0"] = dict(out["poisson2d_sin-engd"], ema=0.0)
+    for problem, dim in PROBLEMS:
+        if problem in ("poisson_cos_sum", "log_fokker_planck"):
+            for optimizer in OPTIMIZERS:
+                out[f"{problem}-{optimizer}-1hidden"] = dict(out[f"{problem}-{optimizer}"], widths=[dim, 32, 1])
     return out
 
 
@@ -123,6 +134,17 @@ def read_run(run_dir: str):
     return rows, comments, layers
 
 
+def largest_relative_difference(b_row, c_row) -> float:
+    """The largest ``|b - c| / max(|b|, |c|)`` over the columns of two log rows (inf for a NaN in one)."""
+    worst = 0.0
+    for b, c in zip(b_row, c_row):
+        if b != c:
+            x, y = float(b), float(c)
+            scale = max(abs(x), abs(y))
+            worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+    return worst
+
+
 def difference(base, change) -> str | None:
     """None if the two runs agree, else what differs first."""
     if isinstance(base, str) or isinstance(change, str):
@@ -132,7 +154,7 @@ def difference(base, change) -> str | None:
         return f"{len(b_rows)} log rows against {len(c_rows)}"
     for b, c in zip(b_rows, c_rows):
         if b != c:
-            return f"log row {b} against {c}"
+            return f"step {b[0]}, largest relative difference {largest_relative_difference(b, c):.3g}: log row {b} against {c}"
     if b_comments != c_comments:
         return f"log comments {b_comments} against {c_comments}"
     if b_layers != c_layers:

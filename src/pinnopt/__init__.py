@@ -8,7 +8,7 @@ harness with a small PDE catalog.
 """
 
 from .curvature import init_kfac_state, precondition_gradient
-from .harness import RunConfig, TrainLog, eval_l2, run_training
+from .harness import RunConfig, TrainLog, eval_l2, eval_points, run_training
 from .linalg import kron_sum_solve, pinv_psd, sym_eig
 from .network import Parameters, forward_batch, init_params
 from .optim import OptimizerConfig, init_train_state, optimizer_step
@@ -25,6 +25,7 @@ __all__ = [
     "RunConfig",
     "TrainLog",
     "eval_l2",
+    "eval_points",
     "forward_batch",
     "init_kfac_state",
     "init_params",

@@ -43,10 +43,30 @@ only, of the value columns S0, the operator columns O and S1:
 which is why :func:`interior_factor_update` takes the parameters.  The
 condition record and layers 2 and up sum all their columns directly.
 
+A net with one hidden layer has these two entries in factored form (see
+:mod:`pinnopt.taylor`): layer 1's input is a
+:class:`~pinnopt.taylor.FactoredState` (S0, S1, O = S2 q, W0) and layer
+0's output gradient a :class:`~pinnopt.taylor.FactoredAdjoint` (V, A, B,
+the seeds (u_bar, P, l_bar), M = C W0^T).  Every quantity is then a
+product of (N, h1) and (N, d) arrays, O(N h1 (h1 + d)) in place of the
+O(N S h1^2) of the full columns.  With V, A, B stacking v_n, a_n, beta_n
+as rows, K = (P M) o B and weights w (N,):
+
+    sum g g^T (layer 0)  =  V^T V + A^T diag(|p_n|^2 + l_n^2) A + A^T K + K^T A
+                            + (M^T M) o (B^T B)
+    row_n (layer 0)      =  [x_n; 1] v_n^T + [p_n a_n^T + M diag(beta_n); 0]
+    sum w_n row_n        =  [x^T (w o V) + P^T (w o A) + M o (w^T B); w^T V]
+    row_n (layer 1)      =  [u_n s0_n + s1_n o (W0 p_n) + l_n O_n; u_n]
+
+and a direction's layer-0 block [dW^T; db] adds
+``(x_n^T dW^T + db) . v_n + p_n^T dW^T a_n + beta_n . colsum(M o dW^T)``
+to ``J V``.  Layer 1's rows are formed, (N, h1 + 1), and contracted like
+any rows.
+
 The condition record's layer-0 input is ``x[:, None, :]``, three-dimensional
 like every other S = 1 input, so a two-dimensional input always means
-these points.  This module alone reads a record: the implicit bias row
-and layer 0 as the points are its rules.  :mod:`pinnopt.taylor` writes the
+these points.  This module alone reads a record: the implicit bias row,
+layer 0 as the points and the factored entries are its rules.  :mod:`pinnopt.taylor` writes the
 states and adjoints, and the optimizers pass the records through unchanged.
 
 kfac_star needs the Gramian only on the span of k <= 2 directions
@@ -193,7 +213,7 @@ def _input_gram(z, w0=None):
     columns ``s1 * W0^T`` add ``(S1^T S1) * (W0 W0^T)``.
     """
     n, h = z.shape[0], z.shape[-1]
-    if w0 is not None and isinstance(z, np.ndarray) and z.ndim == 3:
+    if w0 is not None and not isinstance(z, FactoredState):
         value = z[:, 0, :]
         z = FactoredState(value, 1.0 - value * value, z[:, -1, :], w0)  # tanh' as tanh_derivs has it
     if isinstance(z, FactoredState):
@@ -221,8 +241,7 @@ def _output_gram(g) -> np.ndarray:
         K = (P M) o B
     """
     if isinstance(g, FactoredAdjoint):
-        d = g.m.shape[0]
-        p, l_bar = g.seeds[:, 1 : d + 1], g.seeds[:, d + 1]
+        p, l_bar = g.grad, g.seeds[:, -1]
         a, beta = g.slope, g.curvature
         ak = a.T @ ((p @ g.m) * beta)
         norms = np.einsum("ni,ni->n", p, p) + l_bar * l_bar
@@ -343,7 +362,7 @@ def _input_layer_rows(x, g, out):
     for i in range(x.shape[1]):
         np.multiply(x[:, i, None], _value_column(g), out=out[:, i, :])
         if factored:
-            out[:, i, :] += g.seeds[:, 1 + i, None] * g.slope
+            out[:, i, :] += g.grad[:, i, None] * g.slope
             out[:, i, :] += g.curvature * g.m[i]
         else:
             out[:, i, :] += g[:, 1 + i, :]
@@ -383,7 +402,8 @@ def _projected_rows(record, basis, workspace):
     ``basis[k]`` is a parameter-space vector.  Per layer
     ``(J V)_nk += sum_s g_ns . (dW_k z_ns) + g_n0 . db_k`` (module
     docstring), one (N S, h_in) x (h_in, h_out) product per direction into
-    the workspace's scratch array; no row is formed.
+    the workspace's scratch array; no row is formed, except the (N, h1 + 1)
+    rows of a factored layer 1.
     """
     n = record[0][1].shape[0]
     blocks = network.layer_blocks(np.asarray(basis), _block_shapes(record))
@@ -399,7 +419,7 @@ def _projected_rows(record, basis, workspace):
             if isinstance(g, FactoredAdjoint):
                 # (x_n^T dW^T + db) . v_n + p_n^T dW^T a_n + beta_n . colsum(M o dW^T)
                 out[:, k] += np.einsum("ij,ij->i", z @ w_t + b, g.value)
-                out[:, k] += np.einsum("ij,ij->i", g.seeds[:, 1 : h + 1] @ w_t, g.slope)
+                out[:, k] += np.einsum("ij,ij->i", g.grad @ w_t, g.slope)
                 out[:, k] += g.curvature @ np.sum(g.m * w_t, axis=0)
             elif z.ndim == 2:
                 # derivative block G_n read as one (N, d h1) matrix (a view)
@@ -457,7 +477,7 @@ def param_grad_matrix(z_in, g, workspace: Workspace, weights=None) -> np.ndarray
         omega = np.ones(n) if weights is None else weights
         g0 = g.value * omega[:, None]
         m = np.empty((d + 1, q))
-        m[:d] = z_in.T @ g0 + g.seeds[:, 1 : d + 1].T @ (g.slope * omega[:, None]) + g.m * (omega @ g.curvature)
+        m[:d] = z_in.T @ g0 + g.grad.T @ (g.slope * omega[:, None]) + g.m * (omega @ g.curvature)
     elif z_in.ndim == 2:
         d = z_in.shape[1]
         g0, gd = g[:, 0, :], g[:, 1 : d + 1, :]

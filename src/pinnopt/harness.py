@@ -31,6 +31,7 @@ __all__ = [
     "RunConfig",
     "TrainLog",
     "CSV_COLUMNS",
+    "eval_points",
     "eval_l2",
     "run_training",
     "save_checkpoint",
@@ -143,18 +144,27 @@ class TrainLog:
         return self.rows[-1]
 
 
-def eval_l2(params, problem, n_points: int, seed: int) -> float:
-    """Relative L2 error against the true solution on a seeded uniform set."""
+def eval_points(problem, n_points: int, seed: int) -> tuple:
+    """The evaluation set of :func:`eval_l2`: ``(points, true solution on them)``.
+
+    ``n_points`` uniform points of the problem's box, drawn from ``seed``;
+    a run draws them once and evaluates every logged row on them.
+    """
     if n_points < 1:
         raise ValueError("need at least one evaluation point")
     rng = np.random.default_rng(seed)
     pts = pde.uniform_box(rng, problem.lower, problem.upper, (n_points, problem.dim))
-    u, _ = network.forward_batch(params, pts)
     u_true = problem.true_solution(pts)
-    denom = float(u_true @ u_true)
-    if denom <= 0.0:
+    if float(u_true @ u_true) <= 0.0:
         raise ValueError("true solution is identically zero on the evaluation set")
-    return float(np.sqrt(float((u - u_true) @ (u - u_true)) / denom))
+    return pts, u_true
+
+
+def eval_l2(params, points: tuple) -> float:
+    """Relative L2 error against the true solution on an evaluation set of :func:`eval_points`."""
+    pts, u_true = points
+    u, _ = network.forward_batch(params, pts)
+    return float(np.sqrt(float((u - u_true) @ (u - u_true)) / float(u_true @ u_true)))
 
 
 def _fmt(x: float) -> str:
@@ -269,14 +279,14 @@ def run_training(config: RunConfig) -> TrainLog:
         },
         sort_keys=True,
     )
+    points = eval_points(problem, config.n_eval_points, _stream_seed(config.seed, STREAM_EVAL))
     writer = _CsvWriter(os.path.join(config.output_dir, "log.csv"), meta)
-    eval_seed = _stream_seed(config.seed, STREAM_EVAL)
 
     log = TrainLog()
     start = time.perf_counter()
 
     def record(step, l_int, l_bnd, alpha, mu):
-        err = eval_l2(state.params, problem, config.n_eval_points, eval_seed)
+        err = eval_l2(state.params, points)
         if not math.isfinite(err):
             raise FloatingPointError(f"the evaluation error is {err}")
         row = (
@@ -363,7 +373,7 @@ def _cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else stored("seed", RunConfig.seed)
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    err = eval_l2(params, problem, n_points, _stream_seed(seed, STREAM_EVAL))
+    err = eval_l2(params, eval_points(problem, n_points, _stream_seed(seed, STREAM_EVAL)))
     print(_fmt(err))
     return 0 if math.isfinite(err) else 3
 

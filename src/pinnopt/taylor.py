@@ -28,8 +28,6 @@ and no operator column, so the shared body yields
     (s0, s1 * W0^T, s2 * q),   q_k = sum_ij c_ij W0[k, i] W0[k, j]
 
 Two forward passes share the hidden layers and differ in the head.
-:func:`taylor_forward` serves training steps: it keeps every layer state,
-because the reverse pass and the curvature code read them.
 :func:`taylor_output` serves loss-only evaluation (the line search of kfac
 and engd): it keeps no state and fuses the last hidden activation into the
 width-1 output layer, so the last hidden state is never formed.  With
@@ -41,6 +39,28 @@ weight row w and the incoming columns (z, g, ell) of that activation,
 
 and with one hidden layer (g = W0^T, ell = 0) this is
 ``(s0 . w + b, s1 (w * W0), s2 . (q * w))`` on (N, h1) arrays alone.
+:func:`taylor_forward` serves training steps: for a net with two or more
+hidden layers it keeps every layer state, because the reverse pass and
+the curvature code read them.
+
+A net with one hidden layer keeps no (N, S, h) array at all.  Its only
+hidden state is the first activation's, and every sum a training step
+reads from that state and from layer 0's output adjoint is a product of
+(N, h1) and (N, d) arrays, so both stay factored.  :func:`taylor_forward`
+takes the output from the fused head above and keeps only the
+pre-activation; :func:`taylor_backward` forms from it and the seeds
+``(u_bar, p, l_bar)`` of each sample, with M = C W0^T (d, h1),
+
+    layer 1's input   (s0, s1 * W0^T, s2 * q)                  (FactoredState)
+    layer 0's adjoint value column    v = w * (u_bar s1 + s2 * (W0 p) + l_bar s3 * q)
+                      derivative block  G = p a^T + M diag(beta),
+                                        a = s1 * w,  beta = 2 l_bar s2 * w
+                      operator column   o = l_bar a              (FactoredAdjoint)
+
+in O(N h1 (h1 + d)) work instead of O(N S h1^2).  With two or more
+hidden layers the second linear layer's state W1 z1 is dense per sample,
+and forming it costs N d h1 h2 in any form, so those nets keep the full
+states.
 
 The reverse pass propagates adjoints with the same column layout through
 the states of :func:`taylor_forward` and returns one output adjoint per
@@ -66,8 +86,9 @@ the same state arrays as :func:`taylor_forward`.
 No row of a state or adjoint depends on another row, so
 :func:`taylor_forward` and :func:`taylor_backward` run over two fixed,
 contiguous halves of the batch (:meth:`Workspace.split`).  Each half
-writes its row slice of the full (N, S, h) arrays, so every state and
-adjoint stays one array for its consumers, bit-identical to one pass over
+writes its row slice of the full-batch arrays (the (N, S, h) states and
+adjoints, or the (N, h1) factors), so every state and adjoint stays one
+array or one set of factor arrays for its consumers, bit-identical to one pass over
 the whole batch; each half has temporaries of its own.  A training
 state's workspace runs the halves on the calling thread plus the one
 thread of a :class:`concurrent.futures.ThreadPoolExecutor`, which starts
@@ -321,12 +342,12 @@ class FactoredAdjoint:
 
     Its value column is ``value`` (v), its derivative block, rows 1..d,
     is ``G_n = p_n a_n^T + M diag(beta_n)`` with a = ``slope``, beta =
-    ``curvature``, p the gradient columns of ``seeds`` and M = ``m``
-    = C W0^T, and its operator column is ``l_bar * slope`` with l_bar
-    the last column of ``seeds``.  ``state`` is layer 1's input, which the
-    reverse pass forms from the same tanh derivatives.  ``shape`` and
-    ``ndim`` are those of the array it stands for, and indexing takes
-    samples, as on that array.
+    ``curvature``, p = ``grad`` (the gradient columns of ``seeds``) and
+    M = ``m`` = C W0^T, and its operator column is ``l_bar * slope`` with
+    l_bar the last column of ``seeds``.  ``state`` is layer 1's input, which the
+    reverse pass forms from the same tanh derivatives.  ``shape`` is that
+    of the array it stands for, and indexing takes samples, as on that
+    array.
     """
 
     value: np.ndarray      # (N, h1)
@@ -336,11 +357,13 @@ class FactoredAdjoint:
     m: np.ndarray          # (d, h1)
     state: FactoredState
 
-    ndim = 3
-
     @property
     def shape(self) -> tuple:
         return (self.value.shape[0], self.seeds.shape[1], self.value.shape[1])
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self.seeds[:, 1:-1]
 
     def __getitem__(self, rows) -> "FactoredAdjoint":
         return FactoredAdjoint(
@@ -681,7 +704,7 @@ def taylor_backward(
     return adjoints
 
 
-def _factored_backward(params: Parameters, pre, seeds, coeffs: OperatorCoeffs, workspace) -> "FactoredAdjoint":
+def _factored_backward(params: Parameters, pre, seeds, coeffs: OperatorCoeffs, workspace) -> FactoredAdjoint:
     """Layer 0's output adjoint and layer 1's input state of a one-hidden-layer net, factored.
 
     From the tanh derivatives s0..s3 of the pre-activation, the head's

@@ -10,6 +10,7 @@ from pinnopt.harness import (
     CSV_COLUMNS,
     RunConfig,
     eval_l2,
+    eval_points,
     load_checkpoint,
     main,
     run_training,
@@ -59,18 +60,18 @@ def _rigged_problem():
 
 class TestEvalL2:
     def test_exact_model_gives_zero(self):
-        assert eval_l2(_params(), _rigged_problem(), 100, seed=0) == 0.0
+        assert eval_l2(_params(), eval_points(_rigged_problem(), 100, seed=0)) == 0.0
 
     def test_zero_model_gives_one(self):
         problem = pde.make_problem("poisson2d_sin")
         p = Parameters([np.zeros((1, 2))], [np.zeros(1)])
-        assert eval_l2(p, problem, 200, seed=1) == 1.0
+        assert eval_l2(p, eval_points(problem, 200, seed=1)) == 1.0
 
     def test_scaled_model(self):
         # model = 1.1 * u* exactly, via scaling every parameter of the
         # linear net that defines the rigged truth
         scaled = Parameters([1.1 * _params().weights[0]], [1.1 * _params().biases[0]])
-        assert eval_l2(scaled, _rigged_problem(), 100, seed=2) == pytest.approx(0.1, abs=1e-12)
+        assert eval_l2(scaled, eval_points(_rigged_problem(), 100, seed=2)) == pytest.approx(0.1, abs=1e-12)
 
 
 class TestRunConfig:
@@ -215,11 +216,9 @@ class TestRunTraining:
         problem = pde.make_problem(stored["problem"], **stored["problem_params"])
         err = eval_l2(
             params,
-            problem,
-            stored["n_eval_points"],
-            harness._stream_seed(stored["seed"], harness.STREAM_EVAL),
+            eval_points(problem, stored["n_eval_points"], harness._stream_seed(stored["seed"], harness.STREAM_EVAL)),
         )
-        assert err == pytest.approx(log.final[5], abs=1e-12)
+        assert err == log.final[5]
 
     def test_checkpoint_is_tanh_and_other_activations_are_rejected(self, tmp_path):
         run_training(tiny_config(tmp_path, max_steps=0))

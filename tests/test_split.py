@@ -85,19 +85,21 @@ class TestThreadIndependence:
         assert ran_on == {threading.current_thread().name}
 
     def test_concurrent_training_states_match_single_thread(self):
-        # 4 callers and their 4 workers on fewer CPUs, switching as often as
+        # 6 callers and their 6 workers on fewer CPUs, switching as often as
         # the interpreter allows: a half that read or wrote another half's
         # rows, or another state's arrays, would change some bit
         cases = [
-            ("log_fokker_planck", (10, 12, 12, 1), "kfac_star", 0),
-            ("log_fokker_planck", (10, 8, 1), "kfac_star", 1),
-            ("poisson2d_sin", (2, 10, 1), "kfac", 2),
-            ("heat", (2, 6, 6, 1), "kfac", 3),
+            (("log_fokker_planck", {}), (10, 12, 12, 1), "kfac_star", 0),
+            (("log_fokker_planck", {}), (10, 8, 1), "kfac_star", 1),
+            (("poisson2d_sin", {}), (2, 10, 1), "kfac", 2),
+            (("heat", {"spatial_dim": 1}), (2, 6, 6, 1), "kfac", 3),
+            (("poisson2d_sin", {}), (2, 7, 1), "engd", 4),
+            (("poisson_norm2", {"dim": 20}), (20, 9, 1), "kfac_star", 5),
         ]
         steps = 3
 
-        def setup(problem_name, widths, kind, seed):
-            problem = pde.make_problem(problem_name, **({"spatial_dim": 1} if problem_name == "heat" else {}))
+        def setup(problem_spec, widths, kind, seed):
+            problem = pde.make_problem(problem_spec[0], **problem_spec[1])
             state = init_train_state(
                 init_params(widths, seed), OptimizerConfig(optimizer=kind, momentum=0.5, damping=1e-3)
             )

@@ -1,6 +1,7 @@
 """Per-run buffers: reusing a TrainState's workspace changes no bit, and a
 warmed-up training step allocates almost nothing new."""
 
+import dataclasses
 import importlib.util
 import os
 import tracemalloc
@@ -25,6 +26,8 @@ PROBLEMS = {
 }
 # equal hidden widths: arrays keyed by shape alone would alias across layers
 EQUAL_WIDTHS = (2, 5, 5, 5, 1)
+# one hidden layer: its record holds layer 0's output gradient and layer 1's input factored
+ONE_HIDDEN_WIDTHS = (2, 5, 1)
 # (interior, boundary) points per step: the batch grows, repeats and shrinks
 BATCH_SIZES = ((7, 5), (7, 5), (11, 6), (4, 3))
 
@@ -36,10 +39,17 @@ class FreshWorkspace(Workspace):
         return np.empty(shape)
 
 
+def _arrays(entry) -> list:
+    """The arrays of a record entry: the entry itself, or the fields of a factored one."""
+    if isinstance(entry, np.ndarray):
+        return [entry]
+    return [a for field in dataclasses.fields(entry) for a in _arrays(getattr(entry, field.name))]
+
+
 def _records_equal(a, b):
-    for (za, ga), (zb, gb) in zip(a, b):
-        assert np.array_equal(za, zb)
-        assert np.array_equal(ga, gb)
+    for entry_a, entry_b in zip(a, b):
+        for x, y in zip(_arrays(entry_a[0]) + _arrays(entry_a[1]), _arrays(entry_b[0]) + _arrays(entry_b[1])):
+            assert np.array_equal(x, y)
 
 
 class TestBufferReuse:
@@ -48,9 +58,11 @@ class TestBufferReuse:
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     @pytest.mark.parametrize("kind", ["kfac", "kfac_star", "engd"])
     def test_reused_workspace_matches_fresh_allocation(self, name, kind):
-        problem = PROBLEMS[name]()
-        config = OptimizerConfig(optimizer=kind, momentum=0.5, damping=1e-3)
-        params = init_params(EQUAL_WIDTHS, 3)
+        for widths in (EQUAL_WIDTHS, ONE_HIDDEN_WIDTHS):
+            self._check_reuse(PROBLEMS[name](), OptimizerConfig(optimizer=kind, momentum=0.5, damping=1e-3), widths)
+
+    def _check_reuse(self, problem, config, widths):
+        params = init_params(widths, 3)
         reused = init_train_state(params.copy(), config)
         fresh = init_train_state(params.copy(), config)
         fresh.workspace = FreshWorkspace()
@@ -62,10 +74,11 @@ class TestBufferReuse:
             _records_equal(ev.interior, want.interior)
             _records_equal(ev.boundary, want.boundary)
             assert np.array_equal(ev.grad, want.grad)
-            if previous is not None and previous.shape == ev.interior[1][0].shape:
+            layer_1_input = _arrays(ev.interior[1][0])[0]
+            if previous is not None and previous.shape == layer_1_input.shape:
                 # the same batch size writes into the previous step's arrays
-                assert np.shares_memory(previous, ev.interior[1][0])
-            previous = ev.interior[1][0]
+                assert np.shares_memory(previous, layer_1_input)
+            previous = layer_1_input
 
             info = optimizer_step(reused, batch, problem)
             ref = optimizer_step(fresh, batch, problem)
@@ -113,3 +126,21 @@ class TestAllocationGuard:
         finally:
             tracemalloc.stop()
         assert peak / 1e6 < self.BOUND_MB
+
+    def test_first_poisson100d_step_forms_no_full_size_array(self):
+        # One (N, d + 2, h) array of poisson100d-kfac_star's [100, 64, 1] net at
+        # N = 200 is 10.4 MB; a fresh state's first step peaked at 33.2 MB while
+        # its record held the first activation's state and adjoints in that shape.
+        cfg = _workload_config("poisson100d-kfac_star")
+        problem = pde.make_problem(cfg.problem, **cfg.problem_params)
+        state = init_train_state(init_params(cfg.widths, 0), cfg)
+        batch = pde.sample_batch(problem, cfg.n_interior, cfg.n_boundary, seed=1)
+        full_size = cfg.n_interior * (cfg.widths[0] + 2) * cfg.widths[1] * 8
+        tracemalloc.start()
+        try:
+            optimizer_step(state, batch, problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            state.workspace.close()
+        assert peak < full_size
