@@ -66,8 +66,9 @@ any rows.
 The condition record's layer-0 input is ``x[:, None, :]``, three-dimensional
 like every other S = 1 input, so a two-dimensional input always means
 these points.  This module alone reads a record: the implicit bias row,
-layer 0 as the points and the factored entries are its rules.  :mod:`pinnopt.taylor` writes the
-states and adjoints, and the optimizers pass the records through unchanged.
+layer 0 as the points and the factored entries are its rules.
+:mod:`pinnopt.taylor` writes the states and adjoints, and the optimizers
+pass the records through unchanged.
 
 kfac_star needs the Gramian only on the span of k <= 2 directions
 V = [Delta, prev], so it asks for the projected rows ``J V`` (N, k)

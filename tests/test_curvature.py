@@ -587,7 +587,8 @@ class TestOneHiddenClosedForm:
         assert isinstance(ev.interior[0][1], FactoredAdjoint)
         assert isinstance(ev.interior[1][0], FactoredState)
 
-        for (a, b), (a_ref, b_ref) in zip(curvature._factor_sums(ev.interior, p.weights[0]), curvature._factor_sums(ref)):
+        sums = curvature._factor_sums(ev.interior, p.weights[0])
+        for (a, b), (a_ref, b_ref) in zip(sums, curvature._factor_sums(ref)):
             _assert_close(a, a_ref)
             _assert_close(b, b_ref)
         weights = ev.residuals_int / n
