@@ -2,9 +2,9 @@
 
 Both loss terms are read from one record per step: per linear layer the
 pair (input z, output gradient g) with S shared columns per sample.  The
-interior record comes from the operator-column passes of
-:mod:`pinnopt.taylor` (S = d + 2, :func:`layer_pairs`), the condition
-record from the plain forward/backward pass seen as S = 1
+interior record is what the operator-column reverse pass
+:func:`pinnopt.taylor.taylor_backward` returns (S = d + 2), the condition
+record comes from the plain forward/backward pass seen as S = 1
 (:func:`boundary_pairs`).  One body per quantity serves both terms:
 
     A_l   = sum_{n,s} zhat_ns zhat_ns^T / (N S)
@@ -67,8 +67,10 @@ The condition record's layer-0 input is ``x[:, None, :]``, three-dimensional
 like every other S = 1 input, so a two-dimensional input always means
 these points.  This module alone reads a record: the implicit bias row,
 layer 0 as the points and the factored entries are its rules.
-:mod:`pinnopt.taylor` writes the states and adjoints, and the optimizers
-pass the records through unchanged.
+:mod:`pinnopt.taylor` alone builds the interior record and knows its
+states' layout, and the optimizers pass the records through unchanged.
+A term with no points (an empty interior or condition set) has zero
+batch factors, as it adds zero to the gradient and the Gramian.
 
 kfac_star needs the Gramian only on the span of k <= 2 directions
 V = [Delta, prev], so it asks for the projected rows ``J V`` (N, k)
@@ -108,21 +110,13 @@ import numpy as np
 
 from . import network, pde
 from .linalg import kron_sum_solve
-from .taylor import (
-    FactoredAdjoint,
-    FactoredState,
-    Workspace,
-    linear_input_index,
-    taylor_backward,
-    taylor_forward,
-)
+from .taylor import FactoredAdjoint, FactoredState, Workspace, taylor_backward, taylor_forward
 
 __all__ = [
     "KfacState",
     "init_kfac_state",
     "initial_curvature",
     "ema_update",
-    "layer_pairs",
     "boundary_pairs",
     "interior_factor_update",
     "boundary_factor_update",
@@ -178,19 +172,6 @@ def ema_update(old, new, beta: float) -> np.ndarray:
     if old.shape != new.shape:
         raise ValueError(f"factor shape mismatch: {old.shape} vs {new.shape}")
     return beta * old + (1.0 - beta) * new
-
-
-def layer_pairs(params, states: list, adjoints: list) -> list:
-    """The interior record: (input state, output adjoint) per linear layer.
-
-    Taken from the Taylor-mode forward states and the reverse pass's
-    per-layer adjoints; layer 0's input is the (N, d) array of points, and
-    a one-hidden-layer net's layer-1 input is the factored state that its
-    reverse pass formed with layer 0's adjoint (module docstring).
-    """
-    if isinstance(adjoints[0], FactoredAdjoint):
-        return [(states[0], adjoints[0]), (adjoints[0].state, adjoints[1])]
-    return [(states[linear_input_index(l)], adjoints[l]) for l in range(params.n_linear)]
 
 
 def boundary_pairs(inputs: list, grads: list) -> list:
@@ -273,16 +254,17 @@ def _factor_update(record, sums: list, a_factors: list, b_factors: list, ema: fl
     ``record[l] = (z, g)`` with g the (N, S, h_out) output gradients and
     ``sums`` their :func:`_factor_sums`; the batch factors ``A_l`` and
     ``B_l`` of the module docstring enter ``a_factors[l]`` and
-    ``b_factors[l]`` through the moving average.
+    ``b_factors[l]`` through the moving average.  A record of no samples
+    has all-zero sums, and its batch factors are zero, not 0/0.
     """
     for l, ((_, g), (a, b)) in enumerate(zip(record, sums)):
         n, s, _ = g.shape
-        a_factors[l] = ema_update(a_factors[l], _symmetrize(a / (n * s)), ema)
-        b_factors[l] = ema_update(b_factors[l], _symmetrize(b / n), ema)
+        a_factors[l] = ema_update(a_factors[l], _symmetrize(a / max(n * s, 1)), ema)
+        b_factors[l] = ema_update(b_factors[l], _symmetrize(b / max(n, 1)), ema)
 
 
 def interior_factor_update(state: KfacState, params, interior: list, ema: float, workspace=None) -> KfacState:
-    """Accumulate the interior factors from the interior record (:func:`layer_pairs`) of ``params``.
+    """Accumulate the interior factors from the interior record (:func:`taylor_backward`) of ``params``.
 
     ``ema`` is the moving-average weight on the previous factors.  The
     batch sums run over the two halves of :meth:`Workspace.split` (None
@@ -454,7 +436,7 @@ def _boundary_jacobian_rows(boundary, basis=None, workspace=None):
     return _jacobian_rows(boundary) if basis is None else _projected_rows(boundary, basis, workspace)
 
 
-def param_grad_matrix(z_in, g, workspace: Workspace, weights=None) -> np.ndarray:
+def param_grad_matrix(z_in, g, workspace: Workspace, weights) -> np.ndarray:
     """Batch-summed ``[dW | db]^T`` block of one linear layer, ``sum_n w_n sum_s zhat_ns g_ns^T``.
 
     ``z_in`` is the layer's input and ``g`` the (N, S, h_out) gradient of its
@@ -463,33 +445,28 @@ def param_grad_matrix(z_in, g, workspace: Workspace, weights=None) -> np.ndarray
     the points x and stands for the input state (x, e_i, 0), whose column
     sum per sample is ``[x_n; 1] g_n0^T + [G_n; 0]`` with ``G_n`` the
     derivative-column block of ``g_n``.  ``weights`` (N,) scale the
-    samples; None means all ones.  The scaled gradient columns that are
+    samples.  The scaled gradient columns that are
     read go to the workspace's scratch array: for points, the operator
     column is never read.  The result is the layer's (h_in + 1, h_out)
     block of :func:`pinnopt.network.layer_blocks`.
     """
     if isinstance(z_in, FactoredState):
-        rows = _hidden_rows(z_in, g)
-        return (rows.sum(axis=0) if weights is None else weights @ rows)[:, None]
+        return (weights @ _hidden_rows(z_in, g))[:, None]
     n, s, q = g.shape
     if isinstance(g, FactoredAdjoint):
-        # x^T (w o V) + P^T (w o A) + M o (w^T B), with w all ones when None
+        # x^T (w o V) + P^T (w o A) + M o (w^T B)
         d = z_in.shape[1]
-        omega = np.ones(n) if weights is None else weights
-        g0 = g.value * omega[:, None]
+        g0 = g.value * weights[:, None]
         m = np.empty((d + 1, q))
-        m[:d] = z_in.T @ g0 + g.grad.T @ (g.slope * omega[:, None]) + g.m * (omega @ g.curvature)
+        m[:d] = z_in.T @ g0 + g.grad.T @ (g.slope * weights[:, None]) + g.m * (weights @ g.curvature)
     elif z_in.ndim == 2:
         d = z_in.shape[1]
-        g0, gd = g[:, 0, :], g[:, 1 : d + 1, :]
-        if weights is not None:
-            g0 = g0 * weights[:, None]
-            gd = np.multiply(gd, weights[:, None, None], out=workspace.array(gd.shape, "scratch"))
+        g0 = g[:, 0, :] * weights[:, None]
+        gd = np.multiply(g[:, 1 : d + 1, :], weights[:, None, None], out=workspace.array((n, d, q), "scratch"))
         m = np.empty((d + 1, q))
         m[:d] = (g0.T @ z_in + gd.sum(axis=0).T).T
     else:
-        if weights is not None:
-            g = np.multiply(g, weights[:, None, None], out=workspace.array(g.shape, "scratch"))
+        g = np.multiply(g, weights[:, None, None], out=workspace.array(g.shape, "scratch"))
         g0 = g[:, 0, :]
         d = z_in.shape[2]
         m = np.empty((d + 1, q))
@@ -535,10 +512,10 @@ def residual_jacobian_rows(params, batch: pde.Batch, problem) -> tuple:
     """
     states, out = taylor_forward(params, batch.interior, problem.coeffs)
     seeds = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
-    adjoints = taylor_backward(params, states, seeds, problem.coeffs)
+    interior = taylor_backward(params, states, seeds, problem.coeffs)
     _, inputs = network.forward_batch(params, batch.boundary)
     return (
-        _interior_jacobian_rows(layer_pairs(params, states, adjoints)),
+        _interior_jacobian_rows(interior),
         _boundary_jacobian_rows(boundary_pairs(inputs, network.backward_batch(params, inputs))),
     )
 

@@ -157,9 +157,9 @@ class BatchEval:
     """Everything one pass over a batch produces.
 
     ``interior`` and ``boundary`` are the two loss terms' records: per
-    linear layer the pair (layer input, per-sample output gradient) of
-    :func:`curvature.layer_pairs` (S = d + 2 operator columns) and
-    :func:`curvature.boundary_pairs` (S = 1).  The reverse passes are
+    linear layer the pair (layer input, per-sample output gradient), as
+    :func:`taylor_backward` returns it (S = d + 2 operator columns) and
+    :func:`curvature.boundary_pairs` makes it (S = 1).  The reverse passes are
     seeded with the residuals' output derivatives, not the residual
     values (``problem.residual_grads``; dr/du = 1 for the condition), so the
     same records give the Kronecker factors, the Gauss-Newton rows and,
@@ -213,8 +213,7 @@ def evaluate_batch(params, batch: pde.Batch, problem, workspace=None) -> BatchEv
         problem, params, batch, workspace
     )
     seeds = problem.residual_grads(batch.interior, out.value, out.gradient, out.operator)
-    adjoints = taylor_backward(params, states, seeds, problem.coeffs, workspace)
-    interior = curvature.layer_pairs(params, states, adjoints)
+    interior = taylor_backward(params, states, seeds, problem.coeffs, workspace)
 
     loss_bnd, r_bnd, inputs = pde.boundary_loss(problem, params, batch)
     boundary = curvature.boundary_pairs(inputs, network.backward_batch(params, inputs))

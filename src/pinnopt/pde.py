@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import network
-from .taylor import OperatorCoeffs, Workspace, state_records, taylor_forward, taylor_output
+from .taylor import OperatorCoeffs, Workspace, taylor_forward, taylor_output
 
 __all__ = [
     "PdeProblem",
@@ -354,9 +354,8 @@ def interior_losses(problem: PdeProblem, candidates, batch: Batch, workspace=Non
     residuals fill the rows of one (K, N) array from ``workspace`` (a fresh
     one when None), and each loss is taken over a full row on the caller,
     so it equals the loss of one pass over the whole batch bit for bit.
-    The halves write the hidden states into their rows of the workspace's
-    state arrays (:func:`taylor.state_records`), over those of an earlier
-    pass through it.
+    The halves write the hidden states into their halves of the
+    workspace's state buffers, over those of an earlier pass through it.
     """
     if workspace is None:
         workspace = Workspace()
@@ -370,7 +369,7 @@ def interior_losses(problem: PdeProblem, candidates, batch: Batch, workspace=Non
             out = taylor_output(params, xh, problem.coeffs, half)
             residuals[k, half.rows] = problem.residual(xh, fh, out.value, out.gradient, out.operator)
 
-    workspace.split(n, residual_rows, state_records(candidates[0], n, workspace))
+    workspace.split(n, residual_rows)
     return [_half_mean_square(r) for r in residuals]
 
 

@@ -48,8 +48,9 @@ hidden state is the first activation's, and every sum a training step
 reads from that state and from layer 0's output adjoint is a product of
 (N, h1) and (N, d) arrays, so both stay factored.  :func:`taylor_forward`
 takes the output from the fused head above and keeps only the
-pre-activation; :func:`taylor_backward` forms from it and the seeds
-``(u_bar, p, l_bar)`` of each sample, with M = C W0^T (d, h1),
+pre-activation; :func:`taylor_backward` forms both factored entries of
+the record from it and the seeds ``(u_bar, p, l_bar)`` of each sample,
+with M = C W0^T (d, h1),
 
     layer 1's input   (s0, s1 * W0^T, s2 * q)                  (FactoredState)
     layer 0's adjoint value column    v = w * (u_bar s1 + s2 * (W0 p) + l_bar s3 * q)
@@ -63,12 +64,13 @@ and forming it costs N d h1 h2 in any form, so those nets keep the full
 states.
 
 The reverse pass propagates adjoints with the same column layout through
-the states of :func:`taylor_forward` and returns one output adjoint per
-linear layer.  It stops at the first linear layer's output adjoint and
-forms no adjoint of the input.  A layer's (input state, output adjoint)
-pair is its entry in the interior record, which :mod:`pinnopt.curvature`
-reads: its parameter gradient of any linear combination of
-(u, grad u, L u), its Kronecker factors and its Jacobian rows.
+the states of :func:`taylor_forward` and stops at the first linear
+layer's output adjoint, forming no adjoint of the input.  It returns the
+interior record: per linear layer the pair (input state, output
+adjoint), which :mod:`pinnopt.curvature` reads for the parameter
+gradient of any linear combination of (u, grad u, L u), the Kronecker
+factors and the Jacobian rows.  Which forward state holds which layer's
+input is known to this module alone.
 Each activation's adjoint is computed in place: the product ``g W_l`` is
 written into the array that, overwritten by the activation's adjoint,
 becomes linear layer l - 1's output adjoint.  The width-1 head makes that
@@ -81,7 +83,7 @@ adjoints and the few full-size temporaries are written into arrays kept
 from one step to the next, so a step in steady state allocates only
 (N, h)-sized and smaller arrays.  Every array of a pass stays valid until
 the next pass through the same workspace; :func:`taylor_output` writes
-the same state arrays as :func:`taylor_forward`.
+the same state buffers as :func:`taylor_forward`.
 
 No row of a state or adjoint depends on another row, so
 :func:`taylor_forward` and :func:`taylor_backward` run over two fixed,
@@ -116,9 +118,6 @@ __all__ = [
     "taylor_forward",
     "taylor_output",
     "taylor_backward",
-    "state_records",
-    "linear_input_index",
-    "linear_output_index",
 ]
 
 
@@ -191,7 +190,7 @@ class Workspace:
         both halves are done, the first exception a half raised, in half
         order, is raised here.
         """
-        cut = n if n < 4 else (n + 1) // 2
+        cut = _cut(n)
         halves = [
             _Half(self, index, rows, records or {})
             for index, rows in enumerate((slice(0, cut), slice(cut, n)))
@@ -208,6 +207,11 @@ class Workspace:
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
+
+
+def _cut(n: int) -> int:
+    """The first row of half 1 of a :meth:`Workspace.split` over ``n`` rows."""
+    return n if n < 4 else (n + 1) // 2
 
 
 def _run(fn, half) -> Future:
@@ -248,7 +252,11 @@ class _Half:
 
 @dataclass(frozen=True, eq=False)
 class OperatorCoeffs:
-    """Symmetric coefficient matrix c of the operator sum_ij c_ij d^2/dx_i dx_j."""
+    """Symmetric coefficient matrix c of the operator sum_ij c_ij d^2/dx_i dx_j.
+
+    Non-finite entries are refused before the symmetry test, in which a NaN
+    would compare as false and pass.
+    """
 
     c: np.ndarray
 
@@ -256,6 +264,8 @@ class OperatorCoeffs:
         c = np.asarray(self.c, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"coefficients must be square, got shape {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficient matrix has non-finite entries")
         if c.size and float(np.max(np.abs(c - c.T))) > 1e-12:
             raise ValueError("coefficient matrix must be symmetric")
         object.__setattr__(self, "c", c)
@@ -344,10 +354,8 @@ class FactoredAdjoint:
     is ``G_n = p_n a_n^T + M diag(beta_n)`` with a = ``slope``, beta =
     ``curvature``, p = ``grad`` (the gradient columns of ``seeds``) and
     M = ``m`` = C W0^T, and its operator column is ``l_bar * slope`` with
-    l_bar the last column of ``seeds``.  ``state`` is layer 1's input, which the
-    reverse pass forms from the same tanh derivatives.  ``shape`` is that
-    of the array it stands for, and indexing takes samples, as on that
-    array.
+    l_bar the last column of ``seeds``.  ``shape`` is that of the array it
+    stands for, and indexing takes samples, as on that array.
     """
 
     value: np.ndarray      # (N, h1)
@@ -355,7 +363,6 @@ class FactoredAdjoint:
     curvature: np.ndarray  # (N, h1)
     seeds: np.ndarray      # (N, d + 2)
     m: np.ndarray          # (d, h1)
-    state: FactoredState
 
     @property
     def shape(self) -> tuple:
@@ -366,17 +373,15 @@ class FactoredAdjoint:
         return self.seeds[:, 1:-1]
 
     def __getitem__(self, rows) -> "FactoredAdjoint":
-        return FactoredAdjoint(
-            self.value[rows], self.slope[rows], self.curvature[rows], self.seeds[rows], self.m, self.state[rows]
-        )
+        return FactoredAdjoint(self.value[rows], self.slope[rows], self.curvature[rows], self.seeds[rows], self.m)
 
 
-def linear_input_index(layer: int) -> int:
+def _linear_input_index(layer: int) -> int:
     """Index into the forward states list of linear layer ``layer``'s input."""
     return 2 * layer
 
 
-def linear_output_index(layer: int) -> int:
+def _linear_output_index(layer: int) -> int:
     """Index into the forward states list of linear layer ``layer``'s output."""
     return 2 * layer + 1
 
@@ -488,9 +493,9 @@ def _forward_to_last_activation(params: Parameters, x, coeffs: OperatorCoeffs, w
     pre = np.matmul(x, w0.T, out=workspace.array((x.shape[0], w0.shape[0]), "state", 1))
     pre += params.biases[0]
     for l in range(1, params.n_linear - 1):
-        z = _hidden_activation(pre, w0.T, coeffs, workspace, linear_input_index(l))
+        z = _hidden_activation(pre, w0.T, coeffs, workspace, _linear_input_index(l))
         pre = taylor_forward_linear(
-            params.weights[l], params.biases[l], z, workspace, linear_output_index(l)
+            params.weights[l], params.biases[l], z, workspace, _linear_output_index(l)
         )
     return pre
 
@@ -501,18 +506,26 @@ def _n_states(params: Parameters) -> int:
     return 2 if params.n_linear <= 2 else 2 * params.n_linear
 
 
-def state_records(params: Parameters, n: int, workspace: Workspace) -> dict:
+def _state_records(params: Parameters, n: int, workspace: Workspace) -> dict:
     """The workspace's forward states 1, 2, ... for ``n`` points, as :meth:`Workspace.split` records.
 
     Keyed ``("state", i)``: the (N, h1) first pre-activation, then, for a
-    net with two or more hidden layers, the (N, S, h) states.  A split pass
-    of :func:`taylor_forward` or :func:`taylor_output` given them writes
-    its rows of these full-batch arrays instead of temporaries of its own.
+    net with two or more hidden layers, the (N, S, h) states.  Each half
+    of the split :func:`taylor_forward` writes its rows of these
+    full-batch arrays instead of temporaries of its own.  Each buffer is
+    sized to also hold the two halves' temporaries under its key of a
+    split over the same rows (:meth:`_Half.array`: twice half 0's), so a
+    split :func:`taylor_output` through the workspace, such as the line
+    search's, writes into it without growing it.
     """
     s = params.input_dim + 2
     widths = params.widths
-    shapes = [(n, widths[1])] + [(n, s, widths[(i + 1) // 2]) for i in range(2, _n_states(params))]
-    return {("state", i): workspace.array(shape, "state", i) for i, shape in enumerate(shapes, 1)}
+    tails = [(widths[1],)] + [(s, widths[(i + 1) // 2]) for i in range(2, _n_states(params))]
+    records = {}
+    for i, tail in enumerate(tails, 1):
+        row = math.prod(tail)
+        records[("state", i)] = workspace._buffer(2 * _cut(n) * row, "state", i)[: n * row].reshape((n,) + tail)
+    return records
 
 
 def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None) -> tuple:
@@ -538,7 +551,7 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
     if workspace is None:
         workspace = Workspace()
     n, d = x.shape
-    records = state_records(params, n, workspace)
+    records = _state_records(params, n, workspace)
     states = [x, *records.values()]
     if params.n_linear <= 2:
         halves = workspace.split(n, lambda half: _output(params, x[half.rows], coeffs, half), records)
@@ -548,8 +561,8 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
     def forward_rows(half):
         pre = _forward_to_last_activation(params, x[half.rows], coeffs, half)
         last = params.n_linear - 1
-        z = _hidden_activation(pre, params.weights[0].T, coeffs, half, linear_input_index(last))
-        taylor_forward_linear(params.weights[-1], params.biases[-1], z, half, linear_output_index(last))
+        z = _hidden_activation(pre, params.weights[0].T, coeffs, half, _linear_input_index(last))
+        taylor_forward_linear(params.weights[-1], params.biases[-1], z, half, _linear_output_index(last))
 
     workspace.split(n, forward_rows, records)
     z = states[-1]
@@ -652,13 +665,13 @@ def taylor_backward(
 
     ``seeds`` has shape (N, S) and holds, per sample, the adjoint of the
     output triple in column layout ``[u_bar, grad_bar..., op_bar]``.
-    Returns ``adjoints``: ``adjoints[l]`` is the (N, S, h) adjoint of
-    linear layer l's output state in full column layout, for layer 0 of
-    the complete output state although the forward pass kept only its
-    value column.  For a net with one hidden layer ``adjoints[0]`` is
-    that adjoint as a :class:`FactoredAdjoint` (module docstring).  The
-    (input state, output adjoint) pairs are the interior record that
-    :mod:`pinnopt.curvature` reads.
+    Returns the interior record that :mod:`pinnopt.curvature` reads: entry
+    l is the pair (input of linear layer l, (N, S, h) adjoint of its
+    output state in full column layout).  Layer 0's input is the (N, d)
+    array of points and its adjoint that of the complete output state,
+    although the forward pass kept only its value column.  For a net with
+    one hidden layer, layer 0's adjoint is a :class:`FactoredAdjoint` and
+    layer 1's input a :class:`FactoredState` (module docstring).
 
     The head's adjoint is a view of the seeds.  Every other adjoint l is
     formed as ``g @ W_{l+1}`` in the workspace's adjoint array of index l
@@ -678,7 +691,8 @@ def taylor_backward(
     if workspace is None:
         workspace = Workspace()
     if params.n_linear == 2:
-        return [_factored_backward(params, states[1], seeds, coeffs, workspace), seeds[:, :, None]]
+        adjoint, state = _factored_backward(params, states[1], seeds, coeffs, workspace)
+        return [(states[0], adjoint), (state, seeds[:, :, None])]
 
     adjoints = [workspace.array((n, d + 2, h), "adjoint", l) for l, h in enumerate(params.widths[1:-1])]
     adjoints.append(seeds[:, :, None])
@@ -695,16 +709,16 @@ def taylor_backward(
                 # 2-D product over (n S, .) views (C-contiguous rows, so out= writes the adjoint):
                 # a 3-D matmul rounds differently for the transposed-view W once w.shape[0] >= 32
                 np.matmul(g.reshape(-1, w.shape[0]), w, out=adjoint.reshape(-1, w.shape[1]))
-            pre = states[linear_output_index(l - 1)][half.rows]
+            pre = states[_linear_output_index(l - 1)][half.rows]
             value, g_in, ell = _incoming_columns(pre, params.weights[0].T, d)
             _activation_backward(_derivs(value, 3, half), g_in, ell, adjoint, coeffs, half)
             g = adjoint
 
     workspace.split(n, backward_rows)
-    return adjoints
+    return list(zip(states[0::2], adjoints))
 
 
-def _factored_backward(params: Parameters, pre, seeds, coeffs: OperatorCoeffs, workspace) -> FactoredAdjoint:
+def _factored_backward(params: Parameters, pre, seeds, coeffs: OperatorCoeffs, workspace) -> tuple:
     """Layer 0's output adjoint and layer 1's input state of a one-hidden-layer net, factored.
 
     From the tanh derivatives s0..s3 of the pre-activation, the head's
@@ -713,9 +727,9 @@ def _factored_backward(params: Parameters, pre, seeds, coeffs: OperatorCoeffs, w
         v    = w * (u_bar s1 + s2 * (W0 p) + l_bar s3 * q)
         a    = s1 * w,   beta = 2 l_bar s2 * w
 
-    and the state ``(s0, s1, s2 * q)``.  Each half of
-    :meth:`Workspace.split` writes its rows of the workspace's (N, h1)
-    factor arrays.
+    and the state ``(s0, s1, s2 * q)``, returned as ``(FactoredAdjoint,
+    FactoredState)``.  Each half of :meth:`Workspace.split` writes its rows
+    of the workspace's (N, h1) factor arrays.
     """
     n, h = pre.shape
     d = coeffs.dim
@@ -745,4 +759,4 @@ def _factored_backward(params: Parameters, pre, seeds, coeffs: OperatorCoeffs, w
         np.multiply(s.s2, q, out=s2q[r])
 
     workspace.split(n, backward_rows)
-    return FactoredAdjoint(value, slope, curvature, seeds, m, FactoredState(s0, s1, s2q, w0))
+    return FactoredAdjoint(value, slope, curvature, seeds, m), FactoredState(s0, s1, s2q, w0)

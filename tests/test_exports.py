@@ -1,7 +1,8 @@
 """Every exported name resolves, so an export of a removed name fails here;
 the optimizers reach curvature through its public names only; a layer's
 parameters have one layout, built and read in ``network`` and ``curvature``;
-and an optimizer kind's facts live in its ``optim.KINDS`` entry only."""
+an optimizer kind's facts live in its ``optim.KINDS`` entry only; and only
+``taylor`` knows which of its forward states holds which layer's input."""
 
 import ast
 import importlib
@@ -85,3 +86,40 @@ def test_taylor_defines_no_param_grad_matrix():
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "param_grad_matrix" not in defined
     assert "param_grad_matrix" in importlib.import_module("pinnopt.curvature").__all__
+
+
+# the helpers that index taylor_forward's states list, under their public and private names
+STATE_LAYOUT_NAMES = {
+    prefix + name for name in ("state_records", "linear_input_index", "linear_output_index") for prefix in ("", "_")
+}
+
+
+def _identifiers(tree) -> set:
+    """Every name, attribute, import, definition and whole-string constant of a module's tree."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update({node.name, node.asname})
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "taylor"])
+def test_only_taylor_knows_its_state_layout(name):
+    # taylor_backward returns the interior record, so no other module indexes the forward states
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"pinnopt.{name}")))
+    assert not _identifiers(tree) & STATE_LAYOUT_NAMES
+
+
+def test_the_record_is_paired_in_taylor_alone():
+    taylor = importlib.import_module("pinnopt.taylor")
+    assert not set(taylor.__all__) & STATE_LAYOUT_NAMES
+    tree = ast.parse(inspect.getsource(importlib.import_module("pinnopt.curvature")))
+    assert "layer_pairs" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}

@@ -264,7 +264,7 @@ class TestBackward:
         pts = np.random.default_rng(3).uniform(-1, 1, size=(4, 2))
         u, inputs = forward_batch(p, pts)
         grads = network.backward_batch(p, inputs)
-        mats = [param_grad_matrix(z, g, Workspace()).T for z, g in boundary_pairs(inputs, grads)]
+        mats = [param_grad_matrix(z, g, Workspace(), np.ones(4)).T for z, g in boundary_pairs(inputs, grads)]
         vec = params_to_vec(p)
         analytic = oracle.flatten_mats(mats)
         h = 1e-6

@@ -802,3 +802,28 @@ class TestFirstOrder:
         for _ in range(200):
             info = optimizer_step(state, batch, poisson)
         assert info.loss_total < first
+
+
+def _without(batch: pde.Batch, term: str) -> pde.Batch:
+    """``batch`` with no interior points or with no condition points."""
+    if term == "interior":
+        return dataclasses.replace(batch, interior=batch.interior[:0], source=batch.source[:0])
+    return dataclasses.replace(batch, boundary=batch.boundary[:0], boundary_targets=batch.boundary_targets[:0])
+
+
+class TestEmptyLossTerm:
+    """A loss term with no points (boundary-only problems) adds zero to the
+    Kronecker factors, as it does to the gradient and the Gramian."""
+
+    @pytest.mark.parametrize("kind", ["kfac", "kfac_star"])
+    @pytest.mark.parametrize("widths", [(2, 8, 1), (2, 8, 8, 1)])
+    @pytest.mark.parametrize("term", ["interior", "boundary"])
+    def test_step_is_finite_and_the_empty_terms_factors_are_zero(self, poisson, kind, widths, term):
+        state = small_state(kind, widths=widths, damping=1e-2, ema=0.0)
+        batch = _without(pde.sample_batch(poisson, 10, 6, seed=0), term)
+        info = optimizer_step(state, batch, poisson)
+        assert np.isfinite(info.alpha)
+        assert np.all(np.isfinite(state.params.vector))
+        for name in (f"a_{term}", f"b_{term}"):
+            for factor in getattr(state.memory, name):
+                assert np.array_equal(factor, np.zeros_like(factor))

@@ -22,11 +22,9 @@ def net_fn(params):
     return lambda x: oracle.forward(params, x)[0]
 
 
-def seeded_param_grads(params, states, adjoints):
-    """Batch-summed ``[dW | db]`` per linear layer of the seeded reverse pass."""
-    return [
-        curvature.param_grad_matrix(z, g, Workspace()).T for z, g in curvature.layer_pairs(params, states, adjoints)
-    ]
+def seeded_param_grads(record):
+    """Batch-summed ``[dW | db]`` per linear layer of the seeded reverse pass's record."""
+    return [curvature.param_grad_matrix(z, g, Workspace(), np.ones(g.shape[0])).T for z, g in record]
 
 
 def taylor_forward_activation(derivs, z_in, coeffs, workspace, layer=None) -> np.ndarray:
@@ -51,6 +49,19 @@ class TestOperatorCoeffs:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             OperatorCoeffs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            [[1.0, np.nan], [0.0, 1.0]],  # asymmetric, but NaN compares as false in the symmetry test
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, -np.inf], [-np.inf, 1.0]],
+        ],
+    )
+    def test_rejects_non_finite(self, c):
+        with pytest.raises(ValueError, match="non-finite"):
+            OperatorCoeffs(np.array(c))
 
     def test_partial_laplacian(self):
         c = OperatorCoeffs.partial_laplacian(3, [1, 2]).c
@@ -250,8 +261,8 @@ class TestTaylorBackward:
         p = Parameters([np.array([[1.5, -2.5]])], [np.array([0.3])])
         states, _ = taylor_forward(p, np.array([[1.0, 2.0]]), OperatorCoeffs.laplacian(2))
         seeds = np.array([[0.0, 0.0, 0.0, 1.0]])
-        adjoints = taylor_backward(p, states, seeds, OperatorCoeffs.laplacian(2))
-        m = seeded_param_grads(p, states, adjoints)[0]
+        record = taylor_backward(p, states, seeds, OperatorCoeffs.laplacian(2))
+        m = seeded_param_grads(record)[0]
         assert np.array_equal(m[:, :-1], np.zeros((1, 2)))
         assert np.array_equal(m[:, -1], np.zeros(1))
 
@@ -262,14 +273,14 @@ class TestTaylorBackward:
         states, _ = taylor_forward(p, pts, co)
         seeds = np.zeros((5, 4))
         seeds[:, 0] = 1.0
-        adjoints = taylor_backward(p, states, seeds, co)
+        record = taylor_backward(p, states, seeds, co)
         u, inputs = network.forward_batch(p, pts)
         grads = network.backward_batch(p, inputs)
         mats = [
             sum(np.outer(g[n], np.append(z[n], 1.0)) for n in range(5))
             for z, g in zip(inputs, grads)
         ]
-        got = seeded_param_grads(p, states, adjoints)
+        got = seeded_param_grads(record)
         for l in range(p.n_linear):
             assert np.max(np.abs(got[l][:, :-1] - mats[l][:, :-1])) <= 1e-12
             assert np.max(np.abs(got[l][:, -1] - mats[l][:, -1])) <= 1e-12
@@ -281,8 +292,8 @@ class TestTaylorBackward:
         states, _ = taylor_forward(p, x, co)
         seeds = np.zeros((1, 4))
         seeds[0, 3] = 1.0
-        adjoints = taylor_backward(p, states, seeds, co)
-        analytic = oracle.flatten_mats(seeded_param_grads(p, states, adjoints))
+        record = taylor_backward(p, states, seeds, co)
+        analytic = oracle.flatten_mats(seeded_param_grads(record))
         vec = oracle.params_to_vec(p)
         h = 1e-6
         for k in range(vec.size):
@@ -305,8 +316,8 @@ class TestTaylorBackward:
         co = random_coeffs(rng, 2)
         states, _ = taylor_forward(p, x, co)
         seeds = rng.standard_normal((3, 4))
-        adjoints = taylor_backward(p, states, seeds, co)
-        grads_vec = oracle.flatten_mats(seeded_param_grads(p, states, adjoints))
+        record = taylor_backward(p, states, seeds, co)
+        grads_vec = oracle.flatten_mats(seeded_param_grads(record))
         w_dir = rng.standard_normal(grads_vec.size)
         rhs = float(grads_vec @ w_dir)
 
@@ -320,6 +331,26 @@ class TestTaylorBackward:
 
         lhs = (seeded_outputs(vec + h * w_dir) - seeded_outputs(vec - h * w_dir)) / (2 * h)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        hidden=st.lists(st.integers(1, 6), max_size=3),
+        n=st.integers(1, 9),
+    )
+    def test_record_has_one_entry_per_linear_layer(self, seed, d, hidden, n):
+        # widths [d, 1], [d, h, 1], [d, h, h, 1] and [d, h, h, h, 1], each h drawn on its own
+        widths = (d, *hidden, 1)
+        rng = np.random.default_rng(seed)
+        p = init_params(widths, seed % 1000)
+        co = random_coeffs(rng, d)
+        states, _ = taylor_forward(p, rng.uniform(-1, 1, (n, d)), co)
+        record = taylor_backward(p, states, rng.standard_normal((n, d + 2)), co)
+        assert len(record) == len(widths) - 1
+        for l, (z, g) in enumerate(record):
+            assert (z.shape[0], z.shape[-1]) == (n, widths[l])
+            assert g.shape == (n, d + 2, widths[l + 1])
 
     def test_seed_shape_validation(self):
         p = init_params((2, 4, 1), 0)
