@@ -6,7 +6,7 @@ Usage (from the repository root)::
     python3 scripts/compare_logs.py --baseline HEAD
 
 The committed files of ``--baseline`` are exported with
-``paired_bench.export_revision``.  Each tree then trains the same 40
+``paired_bench.export_revision``.  Each tree then trains the same 46
 configs in one child process of its own, through its own
 ``pinnopt.harness.run_training``, with BLAS and OpenMP capped at one
 thread:
@@ -24,7 +24,13 @@ thread:
   no moving average of its Gramian (every other engd config keeps one);
 * each of poisson_cos_sum and log_fokker_planck with each of the five
   optimizers as above but with one hidden layer (net [d, 32, 1]), whose
-  record the package keeps in closed form.
+  record the package keeps in closed form;
+* poisson2d_sin with kfac, kfac_star and engd as above but with a linear
+  net (widths [2, 1]), the one form of the interior record with no hidden
+  layer;
+* poisson2d_sin with kfac, kfac_star and engd as above but with one
+  interior and one condition point, the smallest batch a run accepts (a
+  split pass over fewer than four rows keeps them in one half).
 
 For every config the script compares each ``log.csv`` row in every column
 except ``wall_time_s``, the log's comment lines after the header (the
@@ -75,7 +81,7 @@ OPTIMIZERS = ("kfac", "kfac_star", "engd", "sgd", "adam")
 
 
 def configs() -> dict:
-    """The 40 configs by name, without ``output_dir``."""
+    """The 46 configs by name, without ``output_dir``."""
     spec = importlib.util.spec_from_file_location("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -106,6 +112,9 @@ def configs() -> dict:
         if problem in ("poisson_cos_sum", "log_fokker_planck"):
             for optimizer in OPTIMIZERS:
                 out[f"{problem}-{optimizer}-1hidden"] = dict(out[f"{problem}-{optimizer}"], widths=[dim, 32, 1])
+    for optimizer in ("kfac", "kfac_star", "engd"):
+        out[f"poisson2d_sin-{optimizer}-linear"] = dict(out[f"poisson2d_sin-{optimizer}"], widths=[2, 1])
+        out[f"poisson2d_sin-{optimizer}-n1"] = dict(out[f"poisson2d_sin-{optimizer}"], n_interior=1, n_boundary=1)
     return out
 
 

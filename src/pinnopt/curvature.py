@@ -69,8 +69,6 @@ these points.  This module alone reads a record: the implicit bias row,
 layer 0 as the points and the factored entries are its rules.
 :mod:`pinnopt.taylor` alone builds the interior record and knows its
 states' layout, and the optimizers pass the records through unchanged.
-A term with no points (an empty interior or condition set) has zero
-batch factors, as it adds zero to the gradient and the Gramian.
 
 kfac_star needs the Gramian only on the span of k <= 2 directions
 V = [Delta, prev], so it asks for the projected rows ``J V`` (N, k)
@@ -254,13 +252,12 @@ def _factor_update(record, sums: list, a_factors: list, b_factors: list, ema: fl
     ``record[l] = (z, g)`` with g the (N, S, h_out) output gradients and
     ``sums`` their :func:`_factor_sums`; the batch factors ``A_l`` and
     ``B_l`` of the module docstring enter ``a_factors[l]`` and
-    ``b_factors[l]`` through the moving average.  A record of no samples
-    has all-zero sums, and its batch factors are zero, not 0/0.
+    ``b_factors[l]`` through the moving average.
     """
     for l, ((_, g), (a, b)) in enumerate(zip(record, sums)):
         n, s, _ = g.shape
-        a_factors[l] = ema_update(a_factors[l], _symmetrize(a / max(n * s, 1)), ema)
-        b_factors[l] = ema_update(b_factors[l], _symmetrize(b / max(n, 1)), ema)
+        a_factors[l] = ema_update(a_factors[l], _symmetrize(a / (n * s)), ema)
+        b_factors[l] = ema_update(b_factors[l], _symmetrize(b / n), ema)
 
 
 def interior_factor_update(state: KfacState, params, interior: list, ema: float, workspace=None) -> KfacState:
@@ -487,8 +484,8 @@ def loss_gradient(interior: list, r_int, boundary: list, r_bnd, workspace=None) 
     """
     if workspace is None:
         workspace = Workspace()
-    w_int = r_int / max(r_int.size, 1)
-    w_bnd = r_bnd / max(r_bnd.size, 1)
+    w_int = r_int / r_int.size
+    w_bnd = r_bnd / r_bnd.size
 
     def interior_rows(half):
         weights = w_int[half.rows]
@@ -525,13 +522,7 @@ def dense_gramian(interior: list, boundary: list) -> np.ndarray:
     from the (N, D) rows of the two records."""
     rows_int = _interior_jacobian_rows(interior)
     rows_bnd = _boundary_jacobian_rows(boundary)
-    d_total = rows_int.shape[1]
-    g = np.zeros((d_total, d_total))
-    if rows_int.shape[0]:
-        g += rows_int.T @ rows_int / rows_int.shape[0]
-    if rows_bnd.shape[0]:
-        g += rows_bnd.T @ rows_bnd / rows_bnd.shape[0]
-    return _symmetrize(g)
+    return _symmetrize(rows_int.T @ rows_int / rows_int.shape[0] + rows_bnd.T @ rows_bnd / rows_bnd.shape[0])
 
 
 def projected_gramian(interior: list, boundary: list, basis: list, workspace) -> np.ndarray:
@@ -547,9 +538,4 @@ def projected_gramian(interior: list, boundary: list, basis: list, workspace) ->
 
 def gramian_vec_from_rows(rows_int, rows_bnd, v) -> np.ndarray:
     """Gramian-vector product when the Jacobian rows are already available."""
-    out = np.zeros_like(np.asarray(v, dtype=np.float64))
-    if rows_int.shape[0]:
-        out += rows_int.T @ (rows_int @ v) / rows_int.shape[0]
-    if rows_bnd.shape[0]:
-        out += rows_bnd.T @ (rows_bnd @ v) / rows_bnd.shape[0]
-    return out
+    return rows_int.T @ (rows_int @ v) / rows_int.shape[0] + rows_bnd.T @ (rows_bnd @ v) / rows_bnd.shape[0]

@@ -64,12 +64,20 @@ class PdeProblem:
 
 @dataclass
 class Batch:
-    """Sampled collocation points, their source term, and boundary/initial targets."""
+    """Sampled collocation points, their source term, and boundary/initial targets.
+
+    Both loss terms have points: a batch with no interior or no condition
+    point is refused with a ``ValueError``.
+    """
 
     interior: np.ndarray          # (N, d)
     boundary: np.ndarray          # (Nb, d)
     boundary_targets: np.ndarray  # (Nb,)
     source: np.ndarray            # (N,)  problem.source(interior)
+
+    def __post_init__(self):
+        if len(self.interior) < 1 or len(self.boundary) < 1:
+            raise ValueError("need at least one interior and one boundary point")
 
 
 def _unit_box(d):
@@ -321,8 +329,6 @@ def sample_batch(problem: PdeProblem, n_interior: int, n_boundary: int, seed: in
     from ``problem.sample_condition``, drawn after them from the same
     generator.
     """
-    if n_interior < 1 or n_boundary < 1:
-        raise ValueError("need at least one interior and one boundary point")
     rng = np.random.default_rng(seed)
     interior = uniform_box(rng, problem.lower, problem.upper, (n_interior, problem.dim))
     boundary = problem.sample_condition(rng, n_boundary)
@@ -330,13 +336,12 @@ def sample_batch(problem: PdeProblem, n_interior: int, n_boundary: int, seed: in
 
 
 def _half_mean_square(r) -> float:
-    return float(r @ r) / (2.0 * r.size) if r.size else 0.0
+    return float(r @ r) / (2.0 * r.size)
 
 
 def interior_loss_and_residuals(problem: PdeProblem, params, batch: Batch, workspace=None):
     """Interior loss ``sum r_n^2 / (2 N)`` plus residuals and forward data.
 
-    An empty interior set contributes zero loss (boundary-only problems).
     The layer states live in ``workspace`` (see :func:`taylor.taylor_forward`).
     """
     states, out = taylor_forward(params, batch.interior, problem.coeffs, workspace)

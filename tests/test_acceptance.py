@@ -158,9 +158,10 @@ def test_criterion_3_curvature():
         worst_solve = max(worst_solve, float(np.linalg.norm(v - dense) / np.linalg.norm(dense)))
     ok_c = worst_solve <= 1e-8
 
-    # (d) single-sample condition factors are exact
+    # (d) single-sample condition factors are exact (the linear net's
+    # Laplacian is 0, so the interior point, source 0, adds a zero Jacobian row)
     lin = network.Parameters([np.array([[1.5, -2.0]])], [np.array([0.5])])
-    one = pde.Batch(np.zeros((0, 2)), np.array([[3.0, 4.0]]), np.zeros(1), np.zeros(0))
+    one = pde.Batch(np.zeros((1, 2)), np.array([[3.0, 4.0]]), np.zeros(1), np.zeros(1))
     gram1 = oracle.exact_gramian(lin, one, problem)
     state = curvature.init_kfac_state(lin, "zero")
     _, inputs = network.forward_batch(lin, one.boundary)

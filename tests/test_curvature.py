@@ -269,8 +269,10 @@ class TestPrecondition:
 
 class TestExactGramian:
     def test_boundary_only_consistency(self, poisson):
+        # the linear net's Laplacian is 0: the interior point, source 0,
+        # adds a zero Jacobian row, so the Gramian is the condition term's
         p = Parameters([np.array([[1.5, -2.0]])], [np.array([0.5])])
-        batch = pde.Batch(np.zeros((0, 2)), np.array([[3.0, 4.0]]), np.zeros(1), np.zeros(0))
+        batch = pde.Batch(np.zeros((1, 2)), np.array([[3.0, 4.0]]), np.zeros(1), np.zeros(1))
         g = oracle.exact_gramian(p, batch, poisson)
         state = init_kfac_state(p, "zero")
         _, inputs = network.forward_batch(p, batch.boundary)

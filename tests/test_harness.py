@@ -116,8 +116,9 @@ class TestRunConfig:
         cfg = tiny_config(tmp_path)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.n_interior = 0
-        with pytest.raises(ValueError, match="batch sizes must be positive"):
-            dataclasses.replace(cfg, n_interior=0)
+        for field in ("n_interior", "n_boundary"):
+            with pytest.raises(ValueError, match="batch sizes must be positive"):
+                dataclasses.replace(cfg, **{field: 0})
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
     def test_fields_cannot_be_assigned(self, tmp_path, name):

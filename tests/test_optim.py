@@ -708,15 +708,17 @@ class TestKfacStar:
 
 class TestEngd:
     def test_linear_least_squares_single_step(self, poisson):
-        # boundary-only regression with a linear net is a linear
+        # regression on the condition points with a linear net is a linear
         # least-squares problem: one Gauss-Newton step with alpha = 1
-        # reaches the least-norm solution
+        # reaches the least-norm solution (the linear net's Laplacian is 0,
+        # so the interior point at the origin, source 0, adds a zero
+        # residual and a zero Jacobian row)
         rng = np.random.default_rng(7)
         params = Parameters([rng.standard_normal((1, 2))], [rng.standard_normal(1)])
         xb = rng.uniform(0, 1, size=(8, 2))
         w_true = np.array([0.7, -0.3])
         targets = xb @ w_true + 0.25
-        batch = pde.Batch(np.zeros((0, 2)), xb, targets, np.zeros(0))
+        batch = pde.Batch(np.zeros((1, 2)), xb, targets, np.zeros(1))
         state = init_train_state(params, OptimizerConfig(optimizer="engd", ema=0.0, damping=0.0))
         optimizer_step(state, batch, poisson)
         u, _ = network.forward_batch(state.params, xb)
@@ -774,20 +776,22 @@ class TestFirstOrder:
             assert np.array_equal(w, np.zeros_like(w))
 
     def test_sgd_contraction_on_quadratic(self, poisson):
-        # boundary-only quadratic in the bias: theta' = (1 - lr) theta for
-        # loss theta^2 / 2 (single boundary point at the origin, target 0,
-        # so the weights receive no gradient)
+        # quadratic in the bias: theta' = (1 - lr) theta for loss
+        # theta^2 / 2 (single boundary point at the origin, target 0, so the
+        # weights receive no gradient; the interior point, source 0, has
+        # the linear net's zero residual)
         p = Parameters([np.zeros((1, 2))], [np.array([1.0])])
-        batch = pde.Batch(np.zeros((0, 2)), np.zeros((1, 2)), np.zeros(1), np.zeros(0))
+        batch = pde.Batch(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1), np.zeros(1))
         state = init_train_state(p, OptimizerConfig(optimizer="sgd", lr=0.1, momentum=0.0))
         for t in range(1, 4):
             optimizer_step(state, batch, poisson)
             assert state.params.biases[0][0] == pytest.approx(0.9**t, abs=1e-14)
 
     def test_adam_first_step_formula(self, poisson):
-        # unit gradient: first update is -lr / (1 + eps-correction)
+        # unit gradient: first update is -lr / (1 + eps-correction); the
+        # interior point, source 0, has the linear net's zero residual
         p = Parameters([np.zeros((1, 2))], [np.array([1.0])])
-        batch = pde.Batch(np.zeros((0, 2)), np.array([[0.0, 0.0]]), np.zeros(1), np.zeros(0))
+        batch = pde.Batch(np.zeros((1, 2)), np.array([[0.0, 0.0]]), np.zeros(1), np.zeros(1))
         lr, eps = 1e-3, 1e-8
         state = init_train_state(p, OptimizerConfig(optimizer="adam", lr=lr))
         optimizer_step(state, batch, poisson)
@@ -802,28 +806,3 @@ class TestFirstOrder:
         for _ in range(200):
             info = optimizer_step(state, batch, poisson)
         assert info.loss_total < first
-
-
-def _without(batch: pde.Batch, term: str) -> pde.Batch:
-    """``batch`` with no interior points or with no condition points."""
-    if term == "interior":
-        return dataclasses.replace(batch, interior=batch.interior[:0], source=batch.source[:0])
-    return dataclasses.replace(batch, boundary=batch.boundary[:0], boundary_targets=batch.boundary_targets[:0])
-
-
-class TestEmptyLossTerm:
-    """A loss term with no points (boundary-only problems) adds zero to the
-    Kronecker factors, as it does to the gradient and the Gramian."""
-
-    @pytest.mark.parametrize("kind", ["kfac", "kfac_star"])
-    @pytest.mark.parametrize("widths", [(2, 8, 1), (2, 8, 8, 1)])
-    @pytest.mark.parametrize("term", ["interior", "boundary"])
-    def test_step_is_finite_and_the_empty_terms_factors_are_zero(self, poisson, kind, widths, term):
-        state = small_state(kind, widths=widths, damping=1e-2, ema=0.0)
-        batch = _without(pde.sample_batch(poisson, 10, 6, seed=0), term)
-        info = optimizer_step(state, batch, poisson)
-        assert np.isfinite(info.alpha)
-        assert np.all(np.isfinite(state.params.vector))
-        for name in (f"a_{term}", f"b_{term}"):
-            for factor in getattr(state.memory, name):
-                assert np.array_equal(factor, np.zeros_like(factor))

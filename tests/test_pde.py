@@ -225,8 +225,14 @@ class TestSampling:
 
     def test_counts_validated(self):
         problem = make_problem("poisson2d_sin")
-        with pytest.raises(ValueError):
-            sample_batch(problem, 0, 4, seed=0)
+        for n_interior, n_boundary in ((0, 5), (5, 0)):
+            with pytest.raises(ValueError, match="^need at least one interior and one boundary point$"):
+                sample_batch(problem, n_interior, n_boundary, seed=0)
+
+    @pytest.mark.parametrize("n_interior, n_boundary", [(0, 1), (1, 0)])
+    def test_batch_refuses_an_empty_term(self, n_interior, n_boundary):
+        with pytest.raises(ValueError, match="^need at least one interior and one boundary point$"):
+            pde.Batch(np.zeros((n_interior, 2)), np.zeros((n_boundary, 2)), np.zeros(n_boundary), np.zeros(n_interior))
 
     @settings(max_examples=30, deadline=None)
     @given(
