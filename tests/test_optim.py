@@ -806,3 +806,34 @@ class TestFirstOrder:
         for _ in range(200):
             info = optimizer_step(state, batch, poisson)
         assert info.loss_total < first
+
+
+class TestSmallestBatch:
+    """One interior and one condition point: the smallest batch
+    :class:`pde.Batch` allows, and the split's uncut path (n < 4)."""
+
+    @pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
+    def test_every_kind_takes_a_finite_step(self, poisson, kind):
+        state = small_state(kind, widths=(2, 8, 8, 1), damping=1e-2, lr=1e-2)
+        batch = pde.sample_batch(poisson, 1, 1, seed=0)
+        before = state.params.vector.copy()
+        info = optimizer_step(state, batch, poisson)
+        assert np.isfinite(info.alpha) and np.isfinite(info.loss_total)
+        assert np.all(np.isfinite(state.params.vector))
+        assert not np.array_equal(state.params.vector, before)
+
+    @pytest.mark.parametrize("kind", ["kfac", "kfac_star"])
+    @pytest.mark.parametrize("widths", [(2, 8, 1), (2, 8, 8, 1)])
+    def test_single_condition_points_factors_are_exact(self, poisson, kind, widths):
+        # one sample's Jacobian block is a Kronecker product, so at ema 0 each
+        # layer's condition factors reproduce that layer's diagonal Gramian block
+        state = small_state(kind, widths=widths, damping=1e-2, ema=0.0)
+        batch = pde.sample_batch(poisson, 1, 1, seed=0)
+        _, kf, _ = next_direction(state, batch, poisson)
+        _, rows = curvature.residual_jacobian_rows(state.params, batch, poisson)
+        start = 0
+        for a, b in zip(kf.a_boundary, kf.b_boundary):
+            block = rows[:, start : start + a.shape[0] * b.shape[0]]
+            np.testing.assert_allclose(np.kron(a, b), block.T @ block, rtol=1e-12, atol=1e-14)
+            start += block.shape[1]
+        assert start == state.params.n_params
