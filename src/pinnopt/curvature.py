@@ -33,35 +33,50 @@ taken in closed form:
     A_int  = ([x 1]^T [x 1] + N diag(1_d, 0)) / (N S)
     row_n  = [x_n; 1] g_n0^T + [G_n; 0]      (G_n: derivative block of g_n)
 
-Layer 1's interior input, the first activation's state, has the
-derivative columns ``s1 * W0^T`` for every sample (s1 = 1 - s0^2 from its
-value column s0), so the weight block of its A sum needs (N, h1) products
-only, of the value columns S0, the operator columns O and S1:
+Every later layer's interior input is an activation's state, a
+:class:`~pinnopt.taylor.FactoredState`: the (N, h) value columns S0,
+slopes S1 and operator columns O over derivative columns G_i, the state's
+derivative column i being ``s1 * G_i``.  The first activation's G_i are
+the rows of W0^T for every sample, so the weight block of layer 1's A sum
+needs (N, h) products only:
 
     sum zhat zhat^T  =  S0^T S0 + O^T O + (S1^T S1) o (W0 W0^T)   (o: elementwise)
 
-which is why :func:`interior_factor_update` takes the parameters.  The
-condition record and layers 2 and up sum all their columns directly.
+A later activation's G_i are per sample (a view of its pre-activation),
+and its derivative columns are formed one at a time, (N, h) each, for
+every sum that reads them.  With the (N, S, q) output gradient g of the
+layer (value column g_0, derivative columns g_i, operator column g_o) and
+weights w (N,), the sums are
 
-A net with one hidden layer has these two entries in factored form (see
-:mod:`pinnopt.taylor`): layer 1's input is a
-:class:`~pinnopt.taylor.FactoredState` (S0, S1, O = S2 q, W0) and layer
-0's output gradient a :class:`~pinnopt.taylor.FactoredAdjoint` (V, A, B,
-the seeds (u_bar, P, l_bar), M = C W0^T).  Every quantity is then a
-product of (N, h1) and (N, d) arrays, O(N h1 (h1 + d)) in place of the
-O(N S h1^2) of the full columns.  With V, A, B stacking v_n, a_n, beta_n
-as rows, K = (P M) o B and weights w (N,):
+    sum w_n row_n  =  S0^T (w o g_0) + O^T (w o g_o) + sum_i (s1 o G_i)^T (w o g_i)
+    (J V)_n        +=  (S0 dW^T)_n . g_0n + (O dW^T)_n . g_on + sum_i ((s1 o G_i) dW^T)_n . g_in
+
+and with G_i = W0^T each derivative sum is one product with the (N, d q)
+matrix of g's derivative columns: ``(w o S1)^T [g_1 ... g_d]`` contracted
+with W0, and ``[g_1 ... g_d] K^T`` dotted with S1 per row, with
+K[a, (i, b)] = W0[a, i] dW^T[a, b].  The head's input (q = 1) gives the
+rows ``[u_n s0_n + s1_n o (sum_i p_ni G_ni) + l_n O_n; u_n]`` from the
+seeds (u_bar, P, l_bar).  The condition record sums all its columns
+directly.
+
+A net with one hidden layer also has layer 0's output gradient in
+factored form (see :mod:`pinnopt.taylor`): a
+:class:`~pinnopt.taylor.FactoredAdjoint` (V, A, B, the seeds
+(u_bar, P, l_bar), M = C W0^T).  Every quantity is then a product of
+(N, h1) and (N, d) arrays, O(N h1 (h1 + d)) in place of the O(N S h1^2) of
+the full columns.  With V, A, B stacking v_n, a_n, beta_n as rows,
+K = (P M) o B and weights w (N,):
 
     sum g g^T (layer 0)  =  V^T V + A^T diag(|p_n|^2 + l_n^2) A + A^T K + K^T A
                             + (M^T M) o (B^T B)
     row_n (layer 0)      =  [x_n; 1] v_n^T + [p_n a_n^T + M diag(beta_n); 0]
     sum w_n row_n        =  [x^T (w o V) + P^T (w o A) + M o (w^T B); w^T V]
-    row_n (layer 1)      =  [u_n s0_n + s1_n o (W0 p_n) + l_n O_n; u_n]
 
 and a direction's layer-0 block [dW^T; db] adds
 ``(x_n^T dW^T + db) . v_n + p_n^T dW^T a_n + beta_n . colsum(M o dW^T)``
-to ``J V``.  Layer 1's rows are formed, (N, h1 + 1), and contracted like
-any rows.
+to ``J V``.  The head's rows are formed, (N, h + 1), and contracted like
+any rows.  W0 W0^T and M^T M depend on the parameters alone, so the split
+factor sums form them once (:func:`_parameter_grams`).
 
 The condition record's layer-0 input is ``x[:, None, :]``, three-dimensional
 like every other S = 1 input, so a two-dimensional input always means
@@ -78,8 +93,9 @@ direction k, each layer adds
     (J V)_nk += sum_s g_ns . (dW_k z_ns) + g_n0 . db_k
     (J V)_nk += g_n0 . (dW_k x_n + db_k) + <G_n, dW_k^T>      (layer 0)
 
-the first as one (N S, h_in) x (h_in, h_out) product per direction, the
-second with G_n read as one (N, d h1) matrix.  :func:`projected_gramian`
+the first as one (N S, h_in) x (h_in, h_out) product per direction for a
+full input and in the closed forms above for a factored one, the second
+with G_n read as one (N, d h1) matrix.  :func:`projected_gramian`
 returns ``V^T G V``, the Gramian-vector products of the (N, k) rows with
 the coordinate vectors as columns.  Only engd forms the (N, D) rows, in
 :func:`dense_gramian`.  These two are the optimizers' only way to the
@@ -183,22 +199,25 @@ def _rows(record, rows: slice) -> list:
     return [(z[rows], g[rows]) for z, g in record]
 
 
-def _input_gram(z, w0=None):
+def _input_gram(z, column_gram=None):
     """``sum_{n,s} zhat_ns zhat_ns^T`` with the bias entry implicit.
 
     A two-dimensional ``z`` holds the points of the input state, whose
     derivative columns add N to the diagonal of the weight block.  A
-    :class:`FactoredState`, or with ``w0`` given an (N, S, h1) ``z``, is
-    the interior state after the first activation, whose derivative
-    columns ``s1 * W0^T`` add ``(S1^T S1) * (W0 W0^T)``.
+    :class:`FactoredState` adds ``S0^T S0 + O^T O`` and its derivative
+    columns: ``(S1^T S1) o column_gram`` when they are W0^T, with
+    ``column_gram`` = W0 W0^T, else the sum over its derivative columns one
+    at a time.
     """
     n, h = z.shape[0], z.shape[-1]
-    if w0 is not None and not isinstance(z, FactoredState):
-        value = z[:, 0, :]
-        z = FactoredState(value, 1.0 - value * value, z[:, -1, :], w0)  # tanh' as tanh_derivs has it
     if isinstance(z, FactoredState):
         value = z.value
-        gram = value.T @ value + z.operator.T @ z.operator + (z.slope.T @ z.slope) * (z.w0 @ z.w0.T)
+        gram = value.T @ value + z.operator.T @ z.operator
+        if z.shared:
+            gram += (z.slope.T @ z.slope) * column_gram
+        else:
+            for column in z.derivative_columns():
+                gram += column.T @ column
     elif z.ndim == 2:
         value = z
         gram = z.T @ z
@@ -214,35 +233,53 @@ def _input_gram(z, w0=None):
     return a
 
 
-def _output_gram(g) -> np.ndarray:
+def _output_gram(g, m_gram=None) -> np.ndarray:
     """``sum_{n,s} g_ns g_ns^T``; for a :class:`FactoredAdjoint` (module docstring)
 
         V^T V + A^T diag(|p_n|^2 + l_n^2) A + A^T K + K^T A + (M^T M) o (B^T B),
         K = (P M) o B
+
+    with ``m_gram`` = M^T M.
     """
     if isinstance(g, FactoredAdjoint):
         p, l_bar = g.grad, g.seeds[:, -1]
         a, beta = g.slope, g.curvature
         ak = a.T @ ((p @ g.m) * beta)
         norms = np.einsum("ni,ni->n", p, p) + l_bar * l_bar
-        return g.value.T @ g.value + a.T @ (norms[:, None] * a) + ak + ak.T + (g.m.T @ g.m) * (beta.T @ beta)
+        return g.value.T @ g.value + a.T @ (norms[:, None] * a) + ak + ak.T + m_gram * (beta.T @ beta)
     n, s, q = g.shape
     gf = g.reshape(n * s, q)
     return gf.T @ gf
 
 
-def _factor_sums(record, w0=None) -> list:
+def _parameter_grams(record) -> list:
+    """Per layer the parameter-only products of :func:`_factor_sums`: ``(W0 W0^T, M^T M)``.
+
+    Each is None unless the layer's input is a :class:`FactoredState` with
+    columns W0^T, or its output gradient a :class:`FactoredAdjoint`.  A
+    split sum forms them once, not once per half.
+    """
+    return [
+        (
+            z.columns.T @ z.columns if isinstance(z, FactoredState) and z.shared else None,
+            g.m.T @ g.m if isinstance(g, FactoredAdjoint) else None,
+        )
+        for z, g in record
+    ]
+
+
+def _factor_sums(record, grams=None) -> list:
     """Per layer the batch sums ``(sum zhat zhat^T, sum g g^T)`` of a record.
 
-    ``w0`` (the interior record's) gives layer 1's input sum in closed form.
+    ``grams`` are the record's :func:`_parameter_grams`, formed here when None.
     """
     sums = []
-    for l, (z, g) in enumerate(record):
+    for l, ((z, g), (column_gram, m_gram)) in enumerate(zip(record, grams or _parameter_grams(record))):
         n, s, _ = g.shape
         columns = z.shape[1] + 2 if z.ndim == 2 else z.shape[1]
         if z.shape[0] != n or columns != s:
             raise ValueError(f"layer {l}: input {z.shape} does not match gradient {g.shape}")
-        sums.append((_input_gram(z, w0 if l == 1 else None), _output_gram(g)))
+        sums.append((_input_gram(z, column_gram), _output_gram(g, m_gram)))
     return sums
 
 
@@ -260,8 +297,8 @@ def _factor_update(record, sums: list, a_factors: list, b_factors: list, ema: fl
         b_factors[l] = ema_update(b_factors[l], _symmetrize(b / n), ema)
 
 
-def interior_factor_update(state: KfacState, params, interior: list, ema: float, workspace=None) -> KfacState:
-    """Accumulate the interior factors from the interior record (:func:`taylor_backward`) of ``params``.
+def interior_factor_update(state: KfacState, interior: list, ema: float, workspace=None) -> KfacState:
+    """Accumulate the interior factors from the interior record (:func:`taylor_backward`).
 
     ``ema`` is the moving-average weight on the previous factors.  The
     batch sums run over the two halves of :meth:`Workspace.split` (None
@@ -270,8 +307,8 @@ def interior_factor_update(state: KfacState, params, interior: list, ema: float,
     if workspace is None:
         workspace = Workspace()
     n = interior[0][1].shape[0]
-    w0 = params.weights[0]
-    first, second = workspace.split(n, lambda half: _factor_sums(_rows(interior, half.rows), w0))
+    grams = _parameter_grams(interior)
+    first, second = workspace.split(n, lambda half: _factor_sums(_rows(interior, half.rows), grams))
     sums = [(a0 + a1, b0 + b1) for (a0, b0), (a1, b1) in zip(first, second)]
     _factor_update(interior, sums, state.a_interior, state.b_interior, ema)
     return state
@@ -316,19 +353,89 @@ def _value_column(g) -> np.ndarray:
     return g.value if isinstance(g, FactoredAdjoint) else g[:, 0, :]
 
 
+def _derivative_block(g, d: int) -> np.ndarray:
+    """The derivative columns of an (N, S, q) output gradient as one (N, d q) matrix (a view)."""
+    return g[:, 1 : d + 1, :].reshape(g.shape[0], d * g.shape[2])
+
+
 def _hidden_rows(z: FactoredState, g) -> np.ndarray:
-    """The (N, h1 + 1) blocks ``sum_s zhat_ns g_ns`` of layer 1 of a one-hidden-layer net.
+    """The (N, h + 1) blocks ``sum_s zhat_ns g_ns`` of the head, whose input is a factored state.
 
     Its output gradient g is the width-1 seed ``(u_bar, p, l_bar)``, so
-    the weight rows are ``u_bar s0 + s1 * (W0 p) + l_bar s2 q`` and the
-    bias entry is u_bar.
+    the weight rows are ``u_bar s0 + s1 * (sum_i p_i G_i) + l_bar O`` with
+    G_i the state's derivative columns over s1 (``W0 p`` when they are
+    W0^T), and the bias entry is u_bar.
     """
     n, h = z.value.shape
-    d = z.w0.shape[1]
+    d = z.shape[1] - 2
+    p = g[:, 1 : d + 1, 0]
     rows = np.empty((n, h + 1))
-    rows[:, :h] = (g[:, 1 : d + 1, 0] @ z.w0.T) * z.slope + g[:, 0, :] * z.value + g[:, d + 1, :] * z.operator
+    weight = rows[:, :h]
+    if z.shared:
+        np.matmul(p, z.columns, out=weight)
+    else:
+        np.einsum("ni,nih->nh", p, z.columns, out=weight)
+    weight *= z.slope
+    term = np.multiply(g[:, 0, :], z.value)
+    weight += term
+    weight += np.multiply(g[:, d + 1, :], z.operator, out=term)
     rows[:, h] = g[:, 0, 0]
     return rows
+
+
+def _state_rows(z: FactoredState, g, out) -> None:
+    """Write the weight rows ``sum_s z_ns g_ns^T`` (N, h, q) of a factored input into ``out``, column by column."""
+    d = z.shape[1] - 2
+    np.multiply(z.value[:, :, None], g[:, None, 0, :], out=out)
+    out += z.operator[:, :, None] * g[:, None, d + 1, :]
+    for i, column in enumerate(z.derivative_columns()):
+        out += column[:, :, None] * g[:, None, 1 + i, :]
+
+
+def _state_projection(z: FactoredState, g, blocks) -> np.ndarray:
+    """``sum_s g_ns . (dW_k z_ns) + g_n0 . db_k`` (N, k) of a factored input z for every direction.
+
+    ``blocks`` (k, h + 1, q) holds the layer's block ``[dW_k | db_k]^T`` of
+    each direction, and each product takes all k at once: the value and
+    operator columns one (N, h) x (h, k q) product each, derivative columns
+    W0^T one (N, d q) x (d q, k h) product with K_k[a, (i, b)] = W0[a, i]
+    dW_k^T[a, b], and per-sample derivative columns one (N, h) x (h, k q)
+    product each.
+    """
+    n, s, h = z.shape
+    d, q, k = s - 2, g.shape[2], blocks.shape[0]
+    w_t = blocks[:, :h, :].transpose(1, 0, 2).reshape(h, k * q)
+
+    def dot(columns, i):
+        return np.einsum("nkq,nq->nk", (columns @ w_t).reshape(n, k, q), g[:, i, :])
+
+    out = g[:, 0, :] @ blocks[:, h, :].T + dot(z.value, 0) + dot(z.operator, d + 1)
+    if z.shared:
+        kk = np.einsum("ia,kab->kaib", z.columns, blocks[:, :h, :]).reshape(k * h, d * q)
+        out += np.einsum("nka,na->nk", (_derivative_block(g, d) @ kk.T).reshape(n, k, h), z.slope)
+    else:
+        for i, column in enumerate(z.derivative_columns()):
+            out += dot(column, 1 + i)
+    return out
+
+
+def _state_grad(z: FactoredState, g, weights) -> np.ndarray:
+    """The weight rows ``sum_n w_n sum_s z_ns g_ns^T`` (h, q) of a factored input z.
+
+    The derivative columns W0^T give one (h, N) x (N, d q) product, then
+    contracted with W0; per-sample columns one (h, N) x (N, q) product each.
+    """
+    n, s, h = z.shape
+    d, q = s - 2, g.shape[2]
+    w = weights[:, None]
+    m = z.value.T @ (w * g[:, 0, :]) + z.operator.T @ (w * g[:, d + 1, :])
+    if z.shared:
+        t = ((w * z.slope).T @ _derivative_block(g, d)).reshape(h, d, q)
+        m += np.einsum("aib,ia->ab", t, z.columns)
+    else:
+        for i, column in enumerate(z.derivative_columns()):
+            m += column.T @ (w * g[:, 1 + i, :])
+    return m
 
 
 def _input_layer_rows(x, g, out):
@@ -365,10 +472,12 @@ def _jacobian_rows(record):
     rows = np.empty((record[0][1].shape[0], sum(p * q for p, q in shapes)))
     for view, (z, g) in zip(network.layer_blocks(rows, shapes), record):
         h = z.shape[-1]
-        if isinstance(z, FactoredState):
+        if isinstance(z, FactoredState) and g.shape[2] == 1:
             view[:, :, 0] = _hidden_rows(z, g)
             continue
-        if z.ndim == 2:
+        if isinstance(z, FactoredState):
+            _state_rows(z, g, view[:, :h, :])
+        elif z.ndim == 2:
             _input_layer_rows(z, g, view[:, :h, :])
         else:
             np.matmul(z.transpose(0, 2, 1), g, out=view[:, :h, :])
@@ -381,9 +490,11 @@ def _projected_rows(record, basis, workspace):
 
     ``basis[k]`` is a parameter-space vector.  Per layer
     ``(J V)_nk += sum_s g_ns . (dW_k z_ns) + g_n0 . db_k`` (module
-    docstring), one (N S, h_in) x (h_in, h_out) product per direction into
-    the workspace's scratch array; no row is formed, except the (N, h1 + 1)
-    rows of a factored layer 1.
+    docstring): for a full input (the condition record's) one
+    (N S, h_in) x (h_in, h_out) product per direction into the workspace's
+    scratch array, and for the points and a factored input the closed forms.
+    No row is formed, except the (N, h + 1) rows of the head when its input
+    is factored.
     """
     n = record[0][1].shape[0]
     blocks = network.layer_blocks(np.asarray(basis), _block_shapes(record))
@@ -392,7 +503,7 @@ def _projected_rows(record, basis, workspace):
         _, s, q = g.shape
         h = z.shape[-1]
         if isinstance(z, FactoredState):
-            out += _hidden_rows(z, g) @ blocks[l][:, :, 0].T
+            out += _hidden_rows(z, g) @ blocks[l][:, :, 0].T if q == 1 else _state_projection(z, g, blocks[l])
             continue
         for k, block in enumerate(blocks[l]):
             w_t, b = block[:h], block[h]
@@ -403,7 +514,7 @@ def _projected_rows(record, basis, workspace):
                 out[:, k] += g.curvature @ np.sum(g.m * w_t, axis=0)
             elif z.ndim == 2:
                 # derivative block G_n read as one (N, d h1) matrix (a view)
-                out[:, k] += g[:, 1 : 1 + h, :].reshape(n, h * q) @ w_t.reshape(-1)
+                out[:, k] += _derivative_block(g, h) @ w_t.reshape(-1)
                 out[:, k] += np.einsum("ij,ij->i", z @ w_t + b, g[:, 0, :])
             else:
                 zw = workspace.array((n * s, q), "scratch")
@@ -441,16 +552,22 @@ def param_grad_matrix(z_in, g, workspace: Workspace, weights) -> np.ndarray:
     (1 in the value column, 0 elsewhere).  A two-dimensional ``z_in`` holds
     the points x and stands for the input state (x, e_i, 0), whose column
     sum per sample is ``[x_n; 1] g_n0^T + [G_n; 0]`` with ``G_n`` the
-    derivative-column block of ``g_n``.  ``weights`` (N,) scale the
-    samples.  The scaled gradient columns that are
-    read go to the workspace's scratch array: for points, the operator
-    column is never read.  The result is the layer's (h_in + 1, h_out)
-    block of :func:`pinnopt.network.layer_blocks`.
+    derivative-column block of ``g_n``.  A :class:`FactoredState` is read
+    in closed form or one derivative column at a time.  ``weights`` (N,)
+    scale the samples; a full ``z_in`` (the condition record's) has its
+    scaled gradient columns written to the workspace's scratch array.  The
+    result is the layer's (h_in + 1, h_out) block of
+    :func:`pinnopt.network.layer_blocks`.
     """
-    if isinstance(z_in, FactoredState):
-        return (weights @ _hidden_rows(z_in, g))[:, None]
     n, s, q = g.shape
-    if isinstance(g, FactoredAdjoint):
+    if isinstance(z_in, FactoredState) and q == 1:
+        return (weights @ _hidden_rows(z_in, g))[:, None]
+    if isinstance(z_in, FactoredState):
+        d = z_in.shape[2]
+        g0 = g[:, 0, :] * weights[:, None]
+        m = np.empty((d + 1, q))
+        m[:d] = _state_grad(z_in, g, weights)
+    elif isinstance(g, FactoredAdjoint):
         # x^T (w o V) + P^T (w o A) + M o (w^T B)
         d = z_in.shape[1]
         g0 = g.value * weights[:, None]
@@ -459,9 +576,8 @@ def param_grad_matrix(z_in, g, workspace: Workspace, weights) -> np.ndarray:
     elif z_in.ndim == 2:
         d = z_in.shape[1]
         g0 = g[:, 0, :] * weights[:, None]
-        gd = np.multiply(g[:, 1 : d + 1, :], weights[:, None, None], out=workspace.array((n, d, q), "scratch"))
         m = np.empty((d + 1, q))
-        m[:d] = (g0.T @ z_in + gd.sum(axis=0).T).T
+        m[:d] = (g0.T @ z_in + np.einsum("n,nih->ih", weights, g[:, 1 : d + 1, :]).T).T
     else:
         g = np.multiply(g, weights[:, None, None], out=workspace.array(g.shape, "scratch"))
         g0 = g[:, 0, :]

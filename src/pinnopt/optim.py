@@ -307,7 +307,7 @@ def _kfac_init(params: network.Parameters, config: OptimizerConfig) -> curvature
 def _kfac_direction(state: TrainState, ev: BatchEval) -> np.ndarray:
     """Shared start of both Kronecker steps: factor updates, then the preconditioned gradient."""
     cfg, kf = state.config, state.memory
-    curvature.interior_factor_update(kf, state.params, ev.interior, cfg.ema, state.workspace)
+    curvature.interior_factor_update(kf, ev.interior, cfg.ema, state.workspace)
     curvature.boundary_factor_update(kf, ev.boundary, cfg.ema)
     return curvature.precondition_gradient(kf, ev.grad, cfg.damping)
 

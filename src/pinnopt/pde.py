@@ -76,8 +76,13 @@ class Batch:
     source: np.ndarray            # (N,)  problem.source(interior)
 
     def __post_init__(self):
-        if len(self.interior) < 1 or len(self.boundary) < 1:
-            raise ValueError("need at least one interior and one boundary point")
+        _require_points(len(self.interior), len(self.boundary))
+
+
+def _require_points(n_interior: int, n_boundary: int) -> None:
+    """The batch contract: both loss terms have at least one point."""
+    if n_interior < 1 or n_boundary < 1:
+        raise ValueError("need at least one interior and one boundary point")
 
 
 def _unit_box(d):
@@ -327,8 +332,10 @@ def sample_batch(problem: PdeProblem, n_interior: int, n_boundary: int, seed: in
 
     Interior points are uniform over the box; the condition points come
     from ``problem.sample_condition``, drawn after them from the same
-    generator.
+    generator.  Counts that :class:`Batch` would refuse are refused before
+    anything is drawn.
     """
+    _require_points(n_interior, n_boundary)
     rng = np.random.default_rng(seed)
     interior = uniform_box(rng, problem.lower, problem.upper, (n_interior, problem.dim))
     boundary = problem.sample_condition(rng, n_boundary)

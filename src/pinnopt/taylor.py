@@ -10,9 +10,10 @@ sample:
 so a second-order operator of the network output is computed in a single
 forward sweep instead of building the full input Hessian.  A batch is the
 array ``Z[n, s, :]`` of shape (N, S, h) whose slice ``Z[n, s]`` is column s
-of sample n; this layout makes every linear layer one matrix product over
-the flattened (N * S, h) view.  Per-sample column identity is preserved so
-the curvature factors can be assembled from the same intermediates.
+of sample n; this layout makes the adjoint of every linear layer one
+matrix product over the flattened (N * S, h) view.  Per-sample column
+identity is preserved so the curvature factors can be assembled from the
+same intermediates.
 
 The input state and the first linear layer's output state are never
 materialised in this layout.  The input state is the same for every point
@@ -20,18 +21,29 @@ apart from its value column (x, then the unit vectors e_i, then 0), so the
 first linear layer's derivative columns are the columns of W0^T for every
 sample and its operator column is zero.  The forward pass therefore keeps
 only the points x (N, d) and the first pre-activation x W0^T + b0 (N, h1).
-Every hidden activation, forward and reverse, runs one body on its
-incoming columns (value, g, ell); for the first one these are the
-pre-activation, W0^T as a (1, d, h1) stack that broadcasts over the batch,
-and no operator column, so the shared body yields
 
-    (s0, s1 * W0^T, s2 * q),   q_k = sum_ij c_ij W0[k, i] W0[k, j]
+No activation's output state is materialised either.  An activation acts
+on each sample and unit alone, so its state is fixed by (N, h) factors
+over its incoming columns (value, g, ell), a :class:`FactoredState`:
 
-Two forward passes share the hidden layers and differ in the head.
-:func:`taylor_output` serves loss-only evaluation (the line search of kfac
-and engd): it keeps no state and fuses the last hidden activation into the
-width-1 output layer, so the last hidden state is never formed.  With
-weight row w and the incoming columns (z, g, ell) of that activation,
+    value s0,   derivative columns s1 * g_i,   operator s2 * quad + s1 * ell,
+    quad = sum_ij c_ij g_i g_j
+
+For the first activation g is W0^T, shared by the batch, ell is zero and
+quad is the parameter-only q_k = sum_ij c_ij W0[k, i] W0[k, j]; for a later
+one g and ell are columns of its (N, S, h) pre-activation, which the state
+views.  The next linear layer's output is formed from the factors: its
+value and operator columns are (N, h) x (h, h') products, and its
+derivative block is ``s1 K`` after the first activation, with the
+parameter-only K[a, (i, b)] = W0[a, i] W1[b, a], or one (N, h) x (h, h')
+product per derivative column after a later one.  A training step
+therefore keeps no full-size array but the pre-activations of linear
+layers 1 and up and the adjoints, and the curvature code reads the
+factored states in closed form or one derivative column at a time.
+
+Both forward passes end in the same fused head.  The output layer has
+width 1, so the last activation is contracted straight into its weight row
+w: with the incoming columns (z, g, ell) of that activation,
 
     u      = s0 . w + b
     grad u = g (s1 * w)
@@ -39,18 +51,17 @@ weight row w and the incoming columns (z, g, ell) of that activation,
 
 and with one hidden layer (g = W0^T, ell = 0) this is
 ``(s0 . w + b, s1 (w * W0), s2 . (q * w))`` on (N, h1) arrays alone.
-:func:`taylor_forward` serves training steps: for a net with two or more
-hidden layers it keeps every layer state, because the reverse pass and
-the curvature code read them.
+:func:`taylor_output` serves loss-only evaluation (the line search of kfac
+and engd) and returns the triple alone; :func:`taylor_forward` serves
+training steps and returns the states as well.
 
 A net with one hidden layer keeps no (N, S, h) array at all.  Its only
 hidden state is the first activation's, and every sum a training step
 reads from that state and from layer 0's output adjoint is a product of
 (N, h1) and (N, d) arrays, so both stay factored.  :func:`taylor_forward`
-takes the output from the fused head above and keeps only the
-pre-activation; :func:`taylor_backward` forms both factored entries of
-the record from it and the seeds ``(u_bar, p, l_bar)`` of each sample,
-with M = C W0^T (d, h1),
+keeps only the pre-activation; :func:`taylor_backward` forms both factored
+entries of the record from it and the seeds ``(u_bar, p, l_bar)`` of each
+sample, with M = C W0^T (d, h1),
 
     layer 1's input   (s0, s1 * W0^T, s2 * q)                  (FactoredState)
     layer 0's adjoint value column    v = w * (u_bar s1 + s2 * (W0 p) + l_bar s3 * q)
@@ -58,10 +69,8 @@ with M = C W0^T (d, h1),
                                         a = s1 * w,  beta = 2 l_bar s2 * w
                       operator column   o = l_bar a              (FactoredAdjoint)
 
-in O(N h1 (h1 + d)) work instead of O(N S h1^2).  With two or more
-hidden layers the second linear layer's state W1 z1 is dense per sample,
-and forming it costs N d h1 h2 in any form, so those nets keep the full
-states.
+in O(N h1 (h1 + d)) work instead of O(N S h1^2).  With two or more hidden
+layers the adjoints are full (N, S, h) arrays.
 
 The reverse pass propagates adjoints with the same column layout through
 the states of :func:`taylor_forward` and stops at the first linear
@@ -79,7 +88,7 @@ of a matrix product with inner dimension 1.  No record reads the adjoint
 of an activation's output, so none is kept.
 
 A training loop passes one :class:`Workspace` through every pass: states,
-adjoints and the few full-size temporaries are written into arrays kept
+adjoints and the tanh derivatives are written into arrays kept
 from one step to the next, so a step in steady state allocates only
 (N, h)-sized and smaller arrays.  Every array of a pass stays valid until
 the next pass through the same workspace; :func:`taylor_output` writes
@@ -89,7 +98,7 @@ No row of a state or adjoint depends on another row, so
 :func:`taylor_forward` and :func:`taylor_backward` run over two fixed,
 contiguous halves of the batch (:meth:`Workspace.split`).  Each half
 writes its row slice of the full-batch arrays (the (N, S, h) states and
-adjoints, or the (N, h1) factors), so every state and adjoint stays one
+adjoints, or the (N, h) factors), so every state and adjoint stays one
 array or one set of factor arrays for its consumers, bit-identical to one pass over
 the whole batch; each half has temporaries of its own.  A training
 state's workspace runs the halves on the calling thread plus the one
@@ -114,7 +123,6 @@ __all__ = [
     "TaylorOutput",
     "FactoredState",
     "FactoredAdjoint",
-    "taylor_forward_linear",
     "taylor_forward",
     "taylor_output",
     "taylor_backward",
@@ -281,23 +289,41 @@ class OperatorCoeffs:
     def is_identity(self) -> bool:
         return self._identity
 
-    def apply(self, g, out=None) -> np.ndarray:
+    def apply(self, g) -> np.ndarray:
         """Contract the coefficients over the derivative axis of a (N, d, h) stack.
 
         Diagonal coefficient matrices (every catalog operator) reduce to an
-        elementwise scale, written into ``out`` when it is given, avoiding a
-        batched matrix product over N tiny matrices.  The identity (the
-        Laplacian) returns ``g`` itself and a full matrix a new array, so
-        callers use the return value and only read it.
+        elementwise scale, avoiding a batched matrix product over N tiny
+        matrices.  The identity (the Laplacian) returns ``g`` itself and
+        any other matrix a new array, so callers only read the result.
         """
         if self.is_identity:
             return g
         if self._diag is not None:
-            return np.multiply(g, self._diag[None, :, None], out=out)
+            return g * self._diag[None, :, None]
         d = self.dim
         n, _, h = g.shape
         flat = g.transpose(1, 0, 2).reshape(d, n * h)
         return (self.c @ flat).reshape(d, n, h).transpose(1, 0, 2)
+
+    def contracted_columns(self, g, out=None):
+        """The pairs ``(i, (c g)_i)`` of a (d, h) or (N, d, h) stack g, one at a time.
+
+        Only the columns i that c does not zero out are visited.  A diagonal
+        c (every catalog operator) scales column i alone, into ``out`` (N, h)
+        when it is given and g is per sample, and the identity passes it on
+        unchanged; so only a non-diagonal c forms the whole product c g
+        (:meth:`apply`).  A column is valid until the next is taken.
+        """
+        if self._diag is None:
+            cg = self.apply(g[None])[0] if g.ndim == 2 else self.apply(g)
+            yield from ((i, cg[..., i, :]) for i in range(self.dim))
+            return
+        for i in np.flatnonzero(self._diag):
+            column = g[..., i, :]
+            if not self.is_identity:
+                column = np.multiply(column, self._diag[i], out=None if g.ndim == 2 else out)
+            yield i, column
 
     @classmethod
     def laplacian(cls, dim: int) -> "OperatorCoeffs":
@@ -323,27 +349,51 @@ class TaylorOutput:
 
 @dataclass(frozen=True, eq=False)
 class FactoredState:
-    """Layer 1's (N, S, h1) input state in a one-hidden-layer net, as (N, h1) factors.
+    """A hidden activation's (N, S, h) output state, as (N, h) factors over its pre-activation.
 
     Its value column is ``value`` (s0), its derivative column i is
-    ``slope * W0^T[i]`` (s1 * W0[:, i]) and its operator column is
-    ``operator`` (s2 * q).  ``shape`` and ``ndim`` are those of the array
-    it stands for, and indexing takes samples, as on that array.
+    ``slope * columns[..., i, :]`` (s1 times derivative column i of the
+    pre-activation) and its operator column is ``operator``
+    (s2 * quad + s1 * ell).  ``columns`` is W0^T (d, h1), shared by every
+    sample, for the first activation, and a view of the pre-activation's
+    (N, d, h) derivative block for a later one.  ``shape`` and ``ndim`` are
+    those of the array it stands for, indexing takes samples, as on that
+    array, and ``nbytes`` counts the three factors alone: the columns belong
+    to the parameters or to the pre-activation's state.
     """
 
-    value: np.ndarray     # (N, h1)
-    slope: np.ndarray     # (N, h1)
-    operator: np.ndarray  # (N, h1)
-    w0: np.ndarray        # (h1, d)
+    value: np.ndarray     # (N, h)
+    slope: np.ndarray     # (N, h)
+    operator: np.ndarray  # (N, h)
+    columns: np.ndarray   # (d, h1) shared, or (N, d, h) per sample
 
     ndim = 3
 
     @property
     def shape(self) -> tuple:
-        return (self.value.shape[0], self.w0.shape[1] + 2, self.value.shape[1])
+        return (self.value.shape[0], self.columns.shape[-2] + 2, self.value.shape[1])
+
+    @property
+    def shared(self) -> bool:
+        """Whether the derivative columns are W0^T for every sample."""
+        return self.columns.ndim == 2
+
+    @property
+    def nbytes(self) -> int:
+        return self.value.nbytes + self.slope.nbytes + self.operator.nbytes
 
     def __getitem__(self, rows) -> "FactoredState":
-        return FactoredState(self.value[rows], self.slope[rows], self.operator[rows], self.w0)
+        columns = self.columns if self.shared else self.columns[rows]
+        return FactoredState(self.value[rows], self.slope[rows], self.operator[rows], columns)
+
+    def derivative_columns(self):
+        """The derivative columns ``slope * columns[..., i, :]``, i = 0..d-1, in turn.
+
+        Each is written into one (N, h) array that the next overwrites.
+        """
+        column = np.empty(self.value.shape)
+        for i in range(self.columns.shape[-2]):
+            yield np.multiply(self.slope, self.columns[..., i, :], out=column)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,18 +432,50 @@ def _linear_input_index(layer: int) -> int:
 
 
 def _linear_output_index(layer: int) -> int:
-    """Index into the forward states list of linear layer ``layer``'s output."""
+    """Index into the forward states list of linear layer ``layer``'s output (the head's is not kept)."""
     return 2 * layer + 1
 
 
-def _contract_coeffs(coeffs: OperatorCoeffs, g, workspace: Workspace) -> np.ndarray:
-    """``coeffs.apply(g)``, into the workspace's coefficient array unless c is the identity."""
-    return coeffs.apply(g, None if coeffs.is_identity else workspace.array(g.shape, "coeffs"))
+def _first_quadratic(coeffs: OperatorCoeffs, w0) -> tuple:
+    """``(M, q)``: M = C W0^T (d, h1) and ``q_k = sum_ij c_ij W0[k, i] W0[k, j]`` (h1,).
+
+    The first activation's incoming derivative columns are W0^T for every
+    sample, so M is their ``c g`` and q their quadratic term.
+    """
+    m = coeffs.apply(w0.T[None])[0]
+    return m, np.sum(m * w0.T, axis=0)
 
 
-def _quadratic_term(cg, g, workspace: Workspace) -> np.ndarray:
-    """``sum_ij c_ij g_i g_j`` per (sample, unit) as ``sum_i (c g)_i g_i``, via the scratch array."""
-    return np.sum(np.multiply(cg, g, out=workspace.array(g.shape, "scratch")), axis=1)
+def _first_products(params: Parameters, coeffs: OperatorCoeffs) -> tuple:
+    """The parameter-only products of a forward pass, formed once per pass: ``(q, K)``.
+
+    q is the first activation's quadratic term (:func:`_first_quadratic`)
+    and, for a net with two or more hidden layers, K (h1, d h2) with
+    ``K[a, (i, b)] = W0[a, i] W1[b, a]`` maps the first activation's slope
+    to the second linear layer's derivative block (:func:`_linear`).
+    """
+    w0 = params.weights[0]
+    _, q = _first_quadratic(coeffs, w0)
+    if params.n_linear <= 2:
+        return q, None
+    return q, (w0[:, :, None] * params.weights[1].T[:, None, :]).reshape(w0.shape[0], -1)
+
+
+def _quadratic_term(coeffs: OperatorCoeffs, g, workspace) -> np.ndarray:
+    """``sum_ij c_ij g_i g_j`` per (sample, unit) of an (N, d, h) stack, as ``sum_i (c g)_i g_i``.
+
+    The sum is the workspace's (N, h) array ``("temp", 0)``; ``("temp", 1)``
+    holds each product.
+    """
+    shape = (g.shape[0], g.shape[2])
+    quad = workspace.array(shape, "temp", 0)
+    if coeffs.is_identity:
+        return np.einsum("nih,nih->nh", g, g, out=quad)
+    quad[...] = 0.0
+    product = workspace.array(shape, "temp", 1)
+    for i, cg in coeffs.contracted_columns(g, out=product):
+        quad += np.multiply(cg, g[:, i, :], out=product)
+    return quad
 
 
 def _derivs(z, order: int, workspace: Workspace) -> ActivationDerivs:
@@ -405,53 +487,62 @@ def _incoming_columns(pre, w0t, d: int) -> tuple:
     """Incoming columns ``(value, g, ell)`` of the activation after ``pre``.
 
     A two-dimensional ``pre`` is the first pre-activation: its derivative
-    columns are ``w0t`` = W0^T for every sample, returned as a (1, d, h1)
-    stack that broadcasts over the batch, and its operator column is zero,
-    returned as None.  Otherwise they are the column slices of the
-    (N, S, h) state ``pre``.
+    columns are ``w0t`` = W0^T (d, h1) for every sample and its operator
+    column is zero, returned as None.  Otherwise they are the column slices
+    of the (N, S, h) state ``pre``.
     """
     if pre.ndim == 2:
-        return pre, w0t[None], None
+        return pre, w0t, None
     return pre[:, 0, :], pre[:, 1 : d + 1, :], pre[:, d + 1, :]
 
 
-def taylor_forward_linear(w, b, z_in, workspace: Workspace, layer=None) -> np.ndarray:
-    """Linear layer: every column is multiplied by W, bias hits the value column.
-
-    The output is the workspace's state array of index ``layer``.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    z_in = np.asarray(z_in, dtype=np.float64)
-    if z_in.shape[2] != w.shape[1]:
-        raise ValueError(f"state width {z_in.shape[2]} does not match weight {w.shape}")
-    n, s, h_in = z_in.shape
-    z_out = workspace.array((n, s, w.shape[0]), "state", layer)
-    np.matmul(z_in.reshape(n * s, h_in), w.T, out=z_out.reshape(n * s, w.shape[0]))
-    z_out[:, 0, :] += b
-    return z_out
-
-
-def _activation_state(derivs: ActivationDerivs, g, ell, coeffs, workspace, layer) -> np.ndarray:
-    """Element-wise activation layer on the incoming columns (z, g, ell).
+def _activation(pre, w0t, q, coeffs: OperatorCoeffs, workspace, layer) -> FactoredState:
+    """The activation after ``pre`` as a :class:`FactoredState`, in the workspace's state array ``layer``.
 
     Value and derivative columns follow the chain rule; the operator column
     picks up the quadratic first-derivative term:
 
         L z_out = s1 * L z_in + sum_ij c_ij * s2 * dz_i * dz_j
 
-    Writes ``(s0, s1 * g, s2 * quad + s1 * ell)`` into the workspace's state
-    array of index ``layer``; ``ell`` None is a zero operator column.
+    so over the incoming columns (z, g, ell) of :func:`_incoming_columns`
+    the state is ``(s0, s1, s2 * quad + s1 * ell)`` with derivative columns
+    g.  The three factors are the rows of one (N, 3, h) array: tanh_derivs
+    writes s0, s1 and s2 there, and s2 becomes the operator column in place.
+    ``q`` is the quadratic term of the first activation (:func:`_first_quadratic`).
     """
-    n, h = derivs.s0.shape
-    d = coeffs.dim
-    z_out = workspace.array((n, d + 2, h), "state", layer)
-    z_out[:, 0, :] = derivs.s0
-    np.multiply(derivs.s1[:, None, :], g, out=z_out[:, 1 : d + 1, :])
-    quad = _quadratic_term(_contract_coeffs(coeffs, g, workspace), g, workspace)
-    np.multiply(derivs.s2, quad, out=z_out[:, d + 1, :])
-    if ell is not None:
-        z_out[:, d + 1, :] += np.multiply(derivs.s1, ell, out=quad)
-    return z_out
+    value, g, ell = _incoming_columns(pre, w0t, coeffs.dim)
+    n, h = value.shape
+    s = tanh_derivs(value, 2, workspace.array((n, 3, h), "state", layer).transpose(1, 0, 2))
+    if g.ndim == 2:
+        s.s2[...] *= q
+    else:
+        s.s2[...] *= _quadratic_term(coeffs, g, workspace)
+        s.s2[...] += np.multiply(s.s1, ell, out=workspace.array((n, h), "temp", 0))
+    return FactoredState(s.s0, s.s1, s.s2, g)
+
+
+def _linear(w, b, z: FactoredState, k, workspace, layer) -> np.ndarray:
+    """Linear layer on a factored state: its (N, S, h_out) output, the workspace's state array ``layer``.
+
+    Every column is multiplied by W, and the bias hits the value column.
+    The derivative block is formed without the state's derivative columns
+    when they are W0^T: it is then the one product ``s1 K`` (K of
+    :func:`_first_products`) written into an (N, d h_out) view of the
+    output.  Otherwise each derivative column is formed in turn, an (N, h)
+    array, and multiplied.
+    """
+    n, s, _ = z.shape
+    d, q = s - 2, w.shape[0]
+    out = workspace.array((n, s, q), "state", layer)
+    np.matmul(z.value, w.T, out=out[:, 0, :])
+    out[:, 0, :] += b
+    if z.shared:
+        np.matmul(z.slope, k, out=out[:, 1 : d + 1, :].reshape(n, d * q))
+    else:
+        for i, column in enumerate(z.derivative_columns()):
+            np.matmul(column, w.T, out=out[:, 1 + i, :])
+    np.matmul(z.operator, w.T, out=out[:, d + 1, :])
+    return out
 
 
 def _check_points(params: Parameters, x, coeffs: OperatorCoeffs) -> np.ndarray:
@@ -476,56 +567,47 @@ def _linear_net_output(x, pre, w0) -> TaylorOutput:
     )
 
 
-def _hidden_activation(pre, w0t, coeffs: OperatorCoeffs, workspace, layer) -> np.ndarray:
-    """Full state after the activation of pre-activation ``pre``, as state ``layer``."""
-    value, g, ell = _incoming_columns(pre, w0t, coeffs.dim)
-    return _activation_state(_derivs(value, 2, workspace), g, ell, coeffs, workspace, layer)
-
-
-def _forward_to_last_activation(params: Parameters, x, coeffs: OperatorCoeffs, workspace) -> np.ndarray:
-    """Propagate x up to the pre-activation of the last hidden activation.
-
-    Returns the (N, h1) first pre-activation when the net has at most one hidden
-    layer, else the (N, S, h) output state of the second-to-last linear layer.
-    State i of the forward list is written into the workspace's state array i.
-    """
-    w0 = params.weights[0]
-    pre = np.matmul(x, w0.T, out=workspace.array((x.shape[0], w0.shape[0]), "state", 1))
-    pre += params.biases[0]
-    for l in range(1, params.n_linear - 1):
-        z = _hidden_activation(pre, w0.T, coeffs, workspace, _linear_input_index(l))
-        pre = taylor_forward_linear(
-            params.weights[l], params.biases[l], z, workspace, _linear_output_index(l)
-        )
-    return pre
-
-
 def _n_states(params: Parameters) -> int:
     """Length of the forward states list: the points and the first pre-activation for a net
-    with at most one hidden layer, else one entry per sequential layer as well."""
-    return 2 if params.n_linear <= 2 else 2 * params.n_linear
+    with at most one hidden layer, else also one entry per later sequential layer but the head."""
+    return 2 if params.n_linear <= 2 else 2 * params.n_linear - 1
 
 
 def _state_records(params: Parameters, n: int, workspace: Workspace) -> dict:
-    """The workspace's forward states 1, 2, ... for ``n`` points, as :meth:`Workspace.split` records.
+    """The workspace's forward state arrays 1, 2, ... for ``n`` points, as :meth:`Workspace.split` records.
 
     Keyed ``("state", i)``: the (N, h1) first pre-activation, then, for a
-    net with two or more hidden layers, the (N, S, h) states.  Each half
-    of the split :func:`taylor_forward` writes its rows of these
-    full-batch arrays instead of temporaries of its own.  Each buffer is
-    sized to also hold the two halves' temporaries under its key of a
-    split over the same rows (:meth:`_Half.array`: twice half 0's), so a
-    split :func:`taylor_output` through the workspace, such as the line
+    net with two or more hidden layers, the (N, 3, h) factors of each
+    activation (even i) and the (N, S, h) pre-activation of each later
+    linear layer but the head (odd i).  Each half of the split
+    :func:`taylor_forward` writes its rows of these full-batch arrays
+    instead of temporaries of its own.  Each buffer is sized to also hold
+    the two halves' temporaries under its key of a split over the same
+    rows (:meth:`_Half.array`: twice half 0's), so a split
+    :func:`taylor_output` through the workspace, such as the line
     search's, writes into it without growing it.
     """
     s = params.input_dim + 2
     widths = params.widths
-    tails = [(widths[1],)] + [(s, widths[(i + 1) // 2]) for i in range(2, _n_states(params))]
+    tails = [(widths[1],)] + [(s if i % 2 else 3, widths[(i + 1) // 2]) for i in range(2, _n_states(params))]
     records = {}
     for i, tail in enumerate(tails, 1):
         row = math.prod(tail)
         records[("state", i)] = workspace._buffer(2 * _cut(n) * row, "state", i)[: n * row].reshape((n,) + tail)
     return records
+
+
+def _forward_states(params: Parameters, x, records: dict) -> list:
+    """The states list of :func:`taylor_forward` over its full-batch state arrays ``records``."""
+    d = x.shape[1]
+    states = [x]
+    for (_, i), array in records.items():
+        if i % 2:
+            states.append(array)
+        else:
+            columns = params.weights[0].T if i == 2 else states[-1][:, 1 : d + 1, :]
+            states.append(FactoredState(array[:, 0, :], array[:, 1, :], array[:, 2, :], columns))
+    return states
 
 
 def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None) -> tuple:
@@ -535,12 +617,13 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
     x and ``states[1]`` the (N, h1) pre-activation ``x W0^T + b0``, the
     value column of the first linear layer's output (its other columns are
     the same for every sample; see the module docstring).  A net with at
-    most one hidden layer keeps no other state: its output comes from the
-    fused head of :func:`taylor_output`, and :func:`taylor_backward` works
-    from the pre-activation alone.  For a deeper net every further entry is
-    the full (N, S, h) output state of one sequential layer, activation and
-    linear interleaved.  ``out`` is the :class:`TaylorOutput` triple of the
-    scalar network output.
+    most one hidden layer keeps no other state: :func:`taylor_backward`
+    works from the pre-activation alone.  For a deeper net the entries
+    alternate from there: the :class:`FactoredState` of each activation,
+    then the full (N, S, h) output state of the next linear layer, up to
+    the last activation's; the head's output state is not kept.  ``out``
+    is the :class:`TaylorOutput` triple of the scalar network output,
+    from the fused head of :func:`taylor_output`.
 
     The states live in ``workspace`` (a fresh one when None) and stay valid
     until the next :func:`taylor_forward` or :func:`taylor_output` through
@@ -550,32 +633,16 @@ def taylor_forward(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None
     x = _check_points(params, x, coeffs)
     if workspace is None:
         workspace = Workspace()
-    n, d = x.shape
-    records = _state_records(params, n, workspace)
-    states = [x, *records.values()]
-    if params.n_linear <= 2:
-        halves = workspace.split(n, lambda half: _output(params, x[half.rows], coeffs, half), records)
-        fields = ("value", "gradient", "operator")
-        return states, TaylorOutput(*(np.concatenate([getattr(h, f) for h in halves]) for f in fields))
-
-    def forward_rows(half):
-        pre = _forward_to_last_activation(params, x[half.rows], coeffs, half)
-        last = params.n_linear - 1
-        z = _hidden_activation(pre, params.weights[0].T, coeffs, half, _linear_input_index(last))
-        taylor_forward_linear(params.weights[-1], params.biases[-1], z, half, _linear_output_index(last))
-
-    workspace.split(n, forward_rows, records)
-    z = states[-1]
-    out = TaylorOutput(
-        value=z[:, 0, 0].copy(),
-        gradient=z[:, 1 : d + 1, 0].copy(),
-        operator=z[:, d + 1, 0].copy(),
-    )
-    return states, out
+    records = _state_records(params, x.shape[0], workspace)
+    q, k = _first_products(params, coeffs)
+    halves = workspace.split(x.shape[0], lambda half: _output(params, x[half.rows], coeffs, half, q, k), records)
+    fields = ("value", "gradient", "operator")
+    out = TaylorOutput(*(np.concatenate([getattr(h, f) for h in halves]) for f in fields))
+    return _forward_states(params, x, records), out
 
 
 def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None) -> TaylorOutput:
-    """The output triple of :func:`taylor_forward` without any layer state.
+    """The output triple of the net at the points x, through the fused head.
 
     The output layer has width 1, so the last hidden activation is
     contracted straight into its weight row w (module docstring): with
@@ -591,35 +658,34 @@ def taylor_output(params: Parameters, x, coeffs: OperatorCoeffs, workspace=None)
     an earlier :func:`taylor_forward` through it.
     """
     x = _check_points(params, x, coeffs)
-    return _output(params, x, coeffs, Workspace() if workspace is None else workspace)
+    return _output(params, x, coeffs, Workspace() if workspace is None else workspace, *_first_products(params, coeffs))
 
 
-def _output(params: Parameters, x, coeffs: OperatorCoeffs, workspace) -> TaylorOutput:
-    """The body of :func:`taylor_output` on checked points."""
-    pre = _forward_to_last_activation(params, x, coeffs, workspace)
+def _output(params: Parameters, x, coeffs: OperatorCoeffs, workspace, q, k) -> TaylorOutput:
+    """The body of :func:`taylor_output` on checked points, with the products of :func:`_first_products`."""
+    w0 = params.weights[0]
+    pre = np.matmul(x, w0.T, out=workspace.array((x.shape[0], w0.shape[0]), "state", 1))
+    pre += params.biases[0]
     if params.n_linear == 1:
-        return _linear_net_output(x, pre, params.weights[0])
+        return _linear_net_output(x, pre, w0)
     w = params.weights[-1][0]
     b = params.biases[-1][0]
-    value, g, ell = _incoming_columns(pre, params.weights[0].T, coeffs.dim)
-    s = _derivs(value, 2, workspace)
-    quad = _quadratic_term(_contract_coeffs(coeffs, g, workspace), g, workspace)
-    if ell is None:
-        # (N, h1) matrix products instead of a broadcast over the (1, d, h1) g
-        gradient = s.s1 @ (w[:, None] * params.weights[0])
-        operator = s.s2 @ (quad[0] * w)
-    else:
-        gradient = np.einsum("nih,nh->ni", g, s.s1 * w)
-        quad *= s.s2
-        quad += s.s1 * ell
-        operator = quad @ w
-    return TaylorOutput(value=s.s0 @ w + b, gradient=gradient, operator=operator)
+    if params.n_linear == 2:
+        # (N, h1) matrix products instead of a broadcast over W0^T
+        s = _derivs(pre, 2, workspace)
+        return TaylorOutput(value=s.s0 @ w + b, gradient=s.s1 @ (w[:, None] * w0), operator=s.s2 @ (q * w))
+    z = _activation(pre, w0.T, q, coeffs, workspace, _linear_input_index(1))
+    for l in range(1, params.n_linear - 1):
+        pre = _linear(params.weights[l], params.biases[l], z, k, workspace, _linear_output_index(l))
+        z = _activation(pre, w0.T, q, coeffs, workspace, _linear_input_index(l + 1))
+    gradient = np.einsum("nih,nh->ni", z.columns, z.slope * w)
+    return TaylorOutput(value=z.value @ w + b, gradient=gradient, operator=z.operator @ w)
 
 
 def _activation_backward(
-    derivs: ActivationDerivs, g, ell, g_out, coeffs: OperatorCoeffs, workspace: Workspace
+    derivs: ActivationDerivs, g, ell, g_out, coeffs: OperatorCoeffs, workspace, q=None
 ) -> np.ndarray:
-    """Adjoint of :func:`_activation_state`, in place.
+    """Adjoint of :func:`_activation`, in place.
 
     With incoming columns (z, g_i, ell), ``derivs`` the tanh derivatives of
     z up to third order, and output adjoints (vb, gb_i, lb):
@@ -631,29 +697,35 @@ def _activation_backward(
 
     The s3 term is the derivative of the quadratic part w.r.t. the
     pre-activation value, which is why third derivatives are required.
-    ``g`` may broadcast over the batch and ``ell`` None is a zero operator
-    column (:func:`_incoming_columns`).  ``g_out`` is overwritten with the
-    input adjoint and returned: the value column first and the operator
-    column last, because each reads the incoming columns after it.
+    ``g`` is W0^T (d, h1) for every sample, with ``q`` its quadratic term,
+    or an (N, d, h) stack, and ``ell`` None is a zero operator column
+    (:func:`_incoming_columns`).  The sums over i run column by column
+    (:meth:`OperatorCoeffs.contracted_columns`), so no (N, d, h)
+    temporary is formed unless c is not diagonal; the (N, h) temporaries
+    are the workspace's ``("temp", k)`` arrays.  ``g_out`` is overwritten
+    with the input adjoint and returned: the value column first and the
+    operator column last, because each reads the incoming columns after it.
     """
     d = coeffs.dim
     s = derivs
     vb = g_out[:, 0, :]
     gb = g_out[:, 1 : d + 1, :]
     lb = g_out[:, d + 1, :]
-
-    cg = _contract_coeffs(coeffs, g, workspace)
-    quad = _quadratic_term(cg, g, workspace)
-    scratch = workspace.array(gb.shape, "scratch")
+    shape = vb.shape
+    term = workspace.array(shape, "temp", 2)
 
     vb *= s.s1
-    vb += s.s2 * np.sum(np.multiply(g, gb, out=scratch), axis=1)
+    vb += np.multiply(np.einsum("ih,nih->nh" if g.ndim == 2 else "nih,nih->nh", g, gb, out=term), s.s2, out=term)
     if ell is not None:
-        vb += s.s2 * ell * lb
-    vb += s.s3 * quad * lb
-    np.multiply((2.0 * s.s2 * lb)[:, None, :], cg, out=scratch)
+        np.multiply(s.s2, ell, out=term)
+        vb += np.multiply(term, lb, out=term)
+    np.multiply(s.s3, q if g.ndim == 2 else _quadratic_term(coeffs, g, workspace), out=term)
+    vb += np.multiply(term, lb, out=term)
+    lb_s2 = np.multiply(s.s2, 2.0, out=workspace.array(shape, "temp", 3))
+    lb_s2 *= lb
     gb *= s.s1[:, None, :]
-    gb += scratch
+    for i, cg in coeffs.contracted_columns(g, out=term):
+        gb[:, i, :] += np.multiply(lb_s2, cg, out=term)
     lb *= s.s1
     return g_out
 
@@ -669,9 +741,10 @@ def taylor_backward(
     l is the pair (input of linear layer l, (N, S, h) adjoint of its
     output state in full column layout).  Layer 0's input is the (N, d)
     array of points and its adjoint that of the complete output state,
-    although the forward pass kept only its value column.  For a net with
-    one hidden layer, layer 0's adjoint is a :class:`FactoredAdjoint` and
-    layer 1's input a :class:`FactoredState` (module docstring).
+    although the forward pass kept only its value column.  Every other
+    layer's input is the :class:`FactoredState` of the activation before
+    it.  For a net with one hidden layer, layer 0's adjoint is a
+    :class:`FactoredAdjoint` as well (module docstring).
 
     The head's adjoint is a view of the seeds.  Every other adjoint l is
     formed as ``g @ W_{l+1}`` in the workspace's adjoint array of index l
@@ -696,6 +769,8 @@ def taylor_backward(
 
     adjoints = [workspace.array((n, d + 2, h), "adjoint", l) for l, h in enumerate(params.widths[1:-1])]
     adjoints.append(seeds[:, :, None])
+    w0t = params.weights[0].T
+    _, q = _first_quadratic(coeffs, params.weights[0])
 
     def backward_rows(half):
         g = adjoints[-1][half.rows]
@@ -709,9 +784,8 @@ def taylor_backward(
                 # 2-D product over (n S, .) views (C-contiguous rows, so out= writes the adjoint):
                 # a 3-D matmul rounds differently for the transposed-view W once w.shape[0] >= 32
                 np.matmul(g.reshape(-1, w.shape[0]), w, out=adjoint.reshape(-1, w.shape[1]))
-            pre = states[_linear_output_index(l - 1)][half.rows]
-            value, g_in, ell = _incoming_columns(pre, params.weights[0].T, d)
-            _activation_backward(_derivs(value, 3, half), g_in, ell, adjoint, coeffs, half)
+            value, g_in, ell = _incoming_columns(states[_linear_output_index(l - 1)][half.rows], w0t, d)
+            _activation_backward(_derivs(value, 3, half), g_in, ell, adjoint, coeffs, half, q)
             g = adjoint
 
     workspace.split(n, backward_rows)
@@ -735,8 +809,7 @@ def _factored_backward(params: Parameters, pre, seeds, coeffs: OperatorCoeffs, w
     d = coeffs.dim
     w0 = params.weights[0]
     w = params.weights[1][0]
-    m = coeffs.apply(w0.T[None])[0]
-    q = np.sum(m * w0.T, axis=0)
+    m, q = _first_quadratic(coeffs, w0)
     names = ("value", "slope", "curvature", "state_value", "state_slope", "state_operator")
     value, slope, curvature, s0, s1, s2q = (workspace.array((n, h), "factor", name) for name in names)
 
@@ -759,4 +832,4 @@ def _factored_backward(params: Parameters, pre, seeds, coeffs: OperatorCoeffs, w
         np.multiply(s.s2, q, out=s2q[r])
 
     workspace.split(n, backward_rows)
-    return FactoredAdjoint(value, slope, curvature, seeds, m), FactoredState(s0, s1, s2q, w0)
+    return FactoredAdjoint(value, slope, curvature, seeds, m), FactoredState(s0, s1, s2q, w0.T)

@@ -184,7 +184,7 @@ def test_criterion_4_factor_transcription():
     batch = pde.sample_batch(problem, 3, 3, seed=13)
     ev = evaluate_batch(params, batch, problem)
     state = curvature.init_kfac_state(params, "zero")
-    curvature.interior_factor_update(state, params, ev.interior, 0.0)
+    curvature.interior_factor_update(state, ev.interior, 0.0)
     curvature.boundary_factor_update(state, ev.boundary, 0.0)
 
     # literal loops over bias-augmented inputs; layer 0 from the full input state
@@ -315,7 +315,7 @@ def test_criterion_8_quadratic_model_optimality():
         state = init_train_state(params, OptimizerConfig(optimizer="kfac_star", damping=1e-3, ema=0.0))
         ev = evaluate_batch(state.params, batch, problem)
         lam = state.config.damping
-        curvature.interior_factor_update(state.memory, state.params, ev.interior, state.config.ema)
+        curvature.interior_factor_update(state.memory, ev.interior, state.config.ema)
         curvature.boundary_factor_update(state.memory, ev.boundary, state.config.ema)
         dv = curvature.precondition_gradient(state.memory, ev.grad, lam)
         pv = rng.standard_normal(dv.size) * np.linalg.norm(dv)  # previous update stand-in

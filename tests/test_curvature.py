@@ -27,9 +27,8 @@ from pinnopt.taylor import (
     _activation_backward,
     taylor_backward,
     taylor_forward,
-    taylor_forward_linear,
 )
-from test_taylor import taylor_forward_activation
+from test_taylor import dense, taylor_forward_activation, taylor_forward_linear
 
 
 def with_bias(z):
@@ -41,20 +40,20 @@ def materialised_record(params, x, coeffs, seeds) -> list:
     """The interior record ``[(z_l, g_l)]`` of points ``x`` and residual ``seeds`` (N, S), all in full.
 
     Every layer input ``z_l`` and output gradient ``g_l`` is an (N, S, h)
-    array, which the engines never form for layers 0 and 1:
-    ``oracle.initial_state(x)``, then ``taylor_forward_linear`` and
-    ``taylor_forward_activation`` layer by layer, and back from the seeds
-    through ``g W_l`` and ``_activation_backward``.  The package's record
-    readers take it like any record with no closed-form entry, so it is
-    the reference for the closed forms.  (``oracle`` imports no engine.)
+    array, which the engines never form: ``oracle.initial_state(x)``, then
+    ``taylor_forward_linear`` and ``taylor_forward_activation`` layer by
+    layer on materialised states, and back from the seeds through ``g W_l``
+    and ``_activation_backward`` with per-sample derivative columns.  The
+    package's record readers take it like any record with no closed-form or
+    factored entry, so it is the reference for those.  (``oracle`` imports
+    no engine.)
     """
     d = x.shape[1]
     inputs, pres = [oracle.initial_state(x)], []
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pres.append(taylor_forward_linear(w, b, inputs[-1], Workspace()))
+        pres.append(taylor_forward_linear(w, b, inputs[-1]))
         if l < params.n_linear - 1:
-            derivs = tanh_derivs(pres[-1][:, 0, :], order=2)
-            inputs.append(taylor_forward_activation(derivs, pres[-1], coeffs, Workspace()))
+            inputs.append(taylor_forward_activation(pres[-1], coeffs))
     adjoints = [np.asarray(seeds, dtype=np.float64)[:, :, None]]
     for l in reversed(range(1, params.n_linear)):
         pre = pres[l - 1]
@@ -63,20 +62,6 @@ def materialised_record(params, x, coeffs, seeds) -> list:
             adjoints[0] @ params.weights[l], coeffs, Workspace(),
         ))
     return list(zip(inputs, adjoints))
-
-
-def dense(entry) -> np.ndarray:
-    """A record entry as the full (N, S, h) array it stands for (an array stays as it is)."""
-    if isinstance(entry, FactoredState):
-        return np.concatenate(
-            [entry.value[:, None], entry.slope[:, None] * entry.w0.T, entry.operator[:, None]], axis=1
-        )
-    if isinstance(entry, FactoredAdjoint):
-        d = entry.m.shape[0]
-        p, l_bar = entry.seeds[:, 1 : d + 1], entry.seeds[:, d + 1]
-        block = p[:, :, None] * entry.slope[:, None] + entry.m * entry.curvature[:, None]
-        return np.concatenate([entry.value[:, None], block, (l_bar[:, None] * entry.slope)[:, None]], axis=1)
-    return entry
 
 
 def _interior_seeds(p, batch, problem):
@@ -129,7 +114,7 @@ class TestFactorUpdates:
         z[0, 0] = [3.0, 4.0]
         g = np.zeros((1, 4, 1))
         g[0, 0] = 2.0
-        interior_factor_update(state, p, [(z, g)], 0.0)
+        interior_factor_update(state, [(z, g)], 0.0)
         assert np.linalg.matrix_rank(state.a_interior[0]) == 1
         zhat = np.array([3.0, 4.0, 1.0])
         assert np.allclose(state.a_interior[0], np.outer(zhat, zhat) / 4.0)
@@ -143,7 +128,7 @@ class TestFactorUpdates:
         g = rng.standard_normal((1, 1, 2))
         p = Parameters([rng.standard_normal((2, 3))], [np.zeros(2)])
         state = init_kfac_state(p, "zero")
-        interior_factor_update(state, p, [(z, g)], 0.0)
+        interior_factor_update(state, [(z, g)], 0.0)
         zhat = np.append(z[0, 0], 1.0)
         jac = np.kron(zhat[:, None], g[0, 0][:, None])  # column-stacked Jacobian
         exact = jac @ jac.T
@@ -155,7 +140,7 @@ class TestFactorUpdates:
         batch = pde.sample_batch(poisson, 3, 3, seed=13)
         ev = evaluate_batch(p, batch, poisson)
         state = init_kfac_state(p, "zero")
-        interior_factor_update(state, p, ev.interior, 0.0)
+        interior_factor_update(state, ev.interior, 0.0)
         for l, (z, g) in enumerate(_reference_record(p, batch, poisson)):
             n, s, h = z.shape
             zhat = np.zeros((n, s, h + 1))  # bias entry: 1 in the value column
@@ -203,7 +188,7 @@ class TestFactorUpdates:
         batch = pde.sample_batch(poisson, 8, 8, seed=15)
         ev = evaluate_batch(p, batch, poisson)
         state = init_kfac_state(p, "identity")
-        interior_factor_update(state, p, ev.interior, 0.5)
+        interior_factor_update(state, ev.interior, 0.5)
         boundary_factor_update(state, ev.boundary, 0.5)
         for mats in (state.a_interior, state.b_interior, state.a_boundary, state.b_boundary):
             for m in mats:
@@ -251,7 +236,7 @@ class TestPrecondition:
         z = rng.standard_normal((1, 1, 2))
         g = rng.standard_normal((1, 1, 1))
         state = init_kfac_state(p, "zero")
-        interior_factor_update(state, p, [(z, g)], 0.0)
+        interior_factor_update(state, [(z, g)], 0.0)
         zhat = np.append(z[0, 0], 1.0)
         jac = np.kron(zhat[:, None], g[0, 0][:, None])
         block = jac @ jac.T
@@ -423,7 +408,7 @@ class TestInputLayerClosedForm:
     def test_factor(self, case):
         p, _, _, ev, zhat, g = case
         state = init_kfac_state(p, "zero")
-        interior_factor_update(state, p, ev.interior, 0.0)
+        interior_factor_update(state, ev.interior, 0.0)
         n, s, _ = zhat.shape
         a_ref = sum(np.outer(zhat[i, j], zhat[i, j]) for i in range(n) for j in range(s)) / (n * s)
         b_ref = sum(np.outer(g[i, j], g[i, j]) for i in range(n) for j in range(s)) / n
@@ -467,7 +452,7 @@ class TestInputLayerClosedForm:
         co = problem.coeffs
         states, record = _taylor_passes(p, batch, problem)
         z0 = oracle.initial_state(batch.interior)
-        z1 = taylor_forward_linear(p.weights[0], p.biases[0], z0, Workspace())
+        z1 = taylor_forward_linear(p.weights[0], p.biases[0], z0)
         assert np.max(np.abs(states[1] - z1[:, 0, :])) <= 1e-12
         if p.n_linear == 1:
             # the output adjoint is the residual seed of the materialised output
@@ -476,8 +461,7 @@ class TestInputLayerClosedForm:
             seeds = problem.residual_grads(batch.interior, *out)
             assert np.max(np.abs(g[:, :, 0] - seeds)) <= 1e-12
             return
-        derivs = tanh_derivs(z1[:, 0, :], order=2)
-        z2 = taylor_forward_activation(derivs, z1, co, Workspace())
+        z2 = taylor_forward_activation(z1, co)
         got = dense(record[1][0])
         assert np.max(np.abs(got - z2)) <= 1e-12 * max(1.0, np.max(np.abs(z2)))
         # the reverse pass keeps only linear-layer output adjoints, so the
@@ -492,9 +476,9 @@ class TestInputLayerClosedForm:
 
 
 class TestFirstHiddenClosedForm:
-    """Layer 1's interior input sum from the value and operator columns and W0
-    (from the factored state for one hidden layer), against the direct sum
-    over the materialised state."""
+    """Layer 1's interior input sum from the factored state's value, slope and
+    operator columns and W0 W0^T, against the direct sum over the materialised
+    state."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -517,7 +501,8 @@ class TestFirstHiddenClosedForm:
         states, _ = taylor_forward(p, x, co)
         z = taylor_backward(p, states, seeds, co)[1][0]
         direct = curvature._input_gram(materialised_record(p, x, co, seeds)[1][0])
-        closed = curvature._input_gram(z, p.weights[0])
+        assert isinstance(z, FactoredState) and z.shared
+        closed = curvature._input_gram(z, p.weights[0] @ p.weights[0].T)
         assert np.max(np.abs(closed - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
@@ -589,7 +574,7 @@ class TestOneHiddenClosedForm:
         assert isinstance(ev.interior[0][1], FactoredAdjoint)
         assert isinstance(ev.interior[1][0], FactoredState)
 
-        sums = curvature._factor_sums(ev.interior, p.weights[0])
+        sums = curvature._factor_sums(ev.interior)
         for (a, b), (a_ref, b_ref) in zip(sums, curvature._factor_sums(ref)):
             _assert_close(a, a_ref)
             _assert_close(b, b_ref)
@@ -602,3 +587,61 @@ class TestOneHiddenClosedForm:
             got = curvature._interior_jacobian_rows(ev.interior, basis, Workspace())
             _assert_close(got, curvature._interior_jacobian_rows(ref, basis, Workspace()))
         _assert_close(curvature._interior_jacobian_rows(ev.interior), curvature._interior_jacobian_rows(ref))
+
+
+COEFFICIENT_KINDS = ("identity", "zero_one", "diagonal", "full")
+
+
+def _coefficients(kind, rng, d) -> np.ndarray:
+    """A (d, d) coefficient matrix of one kind: identity, 0/1 diagonal, general diagonal or full."""
+    if kind == "identity":
+        return np.eye(d)
+    if kind == "zero_one":
+        return np.diag(rng.integers(0, 2, d).astype(np.float64))
+    if kind == "diagonal":
+        return np.diag(rng.uniform(-2.0, 2.0, d))
+    m = rng.standard_normal((d, d))
+    return m + m.T
+
+
+class TestDeepFactoredRecord:
+    """A net with two or three hidden layers keeps every activation's state factored:
+    W0^T columns after the first activation, per-sample columns after a later one.
+    Every quantity read from its record against the same quantity from the
+    materialised record (:func:`materialised_record`)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 6), min_size=2, max_size=3),
+        kind=st.sampled_from(COEFFICIENT_KINDS),
+        d=st.integers(1, 4),
+        n=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(hidden=[3, 4], kind="identity", d=2, n=1, seed=0)
+    @example(hidden=[3, 4, 2], kind="full", d=3, n=1, seed=1)
+    @example(hidden=[5, 2, 4], kind="zero_one", d=4, n=7, seed=2)
+    @example(hidden=[4, 4], kind="diagonal", d=3, n=9, seed=3)
+    def test_matches_materialised_record(self, hidden, kind, d, n, seed):
+        rng = np.random.default_rng(seed)
+        co = OperatorCoeffs(_coefficients(kind, rng, d))
+        p = init_params((d, *hidden, 1), seed % 1000)
+        x = rng.uniform(-1.0, 1.0, (n, d))
+        seeds = rng.standard_normal((n, d + 2))
+        states, _ = taylor_forward(p, x, co)
+        record = taylor_backward(p, states, seeds, co)
+        ref = materialised_record(p, x, co, seeds)
+        assert [isinstance(z, FactoredState) and z.shared for z, _ in record] == [False, True] + [False] * (len(hidden) - 1)
+        assert all(isinstance(z, FactoredState) for z, _ in record[1:])
+
+        for (a, b), (a_ref, b_ref) in zip(curvature._factor_sums(record), curvature._factor_sums(ref)):
+            _assert_close(a, a_ref)
+            _assert_close(b, b_ref)
+        weights = rng.standard_normal(n)
+        for entry, entry_ref in zip(record, ref):
+            _assert_close(param_grad_matrix(*entry, Workspace(), weights), param_grad_matrix(*entry_ref, Workspace(), weights))
+        for k in (1, 2):
+            basis = [rng.standard_normal(p.n_params) for _ in range(k)]
+            got = curvature._interior_jacobian_rows(record, basis, Workspace())
+            _assert_close(got, curvature._interior_jacobian_rows(ref, basis, Workspace()))
+        _assert_close(curvature._interior_jacobian_rows(record), curvature._interior_jacobian_rows(ref))

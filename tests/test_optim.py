@@ -35,7 +35,7 @@ def next_direction(state, batch, problem):
     updated and solved with the settings ``state.config`` holds now."""
     ev = evaluate_batch(state.params, batch, problem)
     kf, cfg = copy.deepcopy(state.memory), state.config
-    curvature.interior_factor_update(kf, state.params, ev.interior, cfg.ema)
+    curvature.interior_factor_update(kf, ev.interior, cfg.ema)
     curvature.boundary_factor_update(kf, ev.boundary, cfg.ema)
     return curvature.precondition_gradient(kf, ev.grad, cfg.damping), kf, ev
 

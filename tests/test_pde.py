@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -228,6 +230,17 @@ class TestSampling:
         for n_interior, n_boundary in ((0, 5), (5, 0)):
             with pytest.raises(ValueError, match="^need at least one interior and one boundary point$"):
                 sample_batch(problem, n_interior, n_boundary, seed=0)
+
+    @pytest.mark.parametrize("n_interior, n_boundary", [(-1, 5), (5, -1)])
+    def test_negative_counts_refused_before_drawing(self, monkeypatch, n_interior, n_boundary):
+        # numpy would refuse a negative count with "negative dimensions are not allowed"
+        def refuse(*args):
+            raise AssertionError("a point was drawn")
+
+        problem = dataclasses.replace(make_problem("poisson2d_sin"), sample_condition=refuse)
+        monkeypatch.setattr(pde, "uniform_box", refuse)
+        with pytest.raises(ValueError, match="^need at least one interior and one boundary point$"):
+            sample_batch(problem, n_interior, n_boundary, seed=0)
 
     @pytest.mark.parametrize("n_interior, n_boundary", [(0, 1), (1, 0)])
     def test_batch_refuses_an_empty_term(self, n_interior, n_boundary):

@@ -205,7 +205,7 @@ class TestFailureAndLifetime:
         for _ in range(40):
             states, _ = taylor.taylor_forward(params, batch.interior, problem.coeffs)
             taylor.taylor_backward(params, states, seeds, problem.coeffs)
-            curvature.interior_factor_update(kfac, params, ev.interior, 0.9)
+            curvature.interior_factor_update(kfac, ev.interior, 0.9)
             curvature.loss_gradient(ev.interior, ev.residuals_int, ev.boundary, ev.residuals_bnd)
             curvature._interior_jacobian_rows(ev.interior, basis, taylor.Workspace())
         assert started == []

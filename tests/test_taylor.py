@@ -7,13 +7,14 @@ import oracle
 from pinnopt import curvature, network, pde
 from pinnopt.network import Parameters, init_params, tanh_derivs
 from pinnopt.taylor import (
+    FactoredAdjoint,
+    FactoredState,
     OperatorCoeffs,
     Workspace,
-    _activation_state,
-    _incoming_columns,
+    _activation,
+    _linear,
     taylor_backward,
     taylor_forward,
-    taylor_forward_linear,
     taylor_output,
 )
 
@@ -27,17 +28,36 @@ def seeded_param_grads(record):
     return [curvature.param_grad_matrix(z, g, Workspace(), np.ones(g.shape[0])).T for z, g in record]
 
 
-def taylor_forward_activation(derivs, z_in, coeffs, workspace, layer=None) -> np.ndarray:
-    """The engine's activation layer on a materialised (N, d + 2, h) state.
+def dense(entry) -> np.ndarray:
+    """A record entry as the full (N, S, h) array it stands for (an array stays as it is)."""
+    if isinstance(entry, FactoredState):
+        derivatives = entry.slope[:, None, :] * entry.columns
+        return np.concatenate([entry.value[:, None], derivatives, entry.operator[:, None]], axis=1)
+    if isinstance(entry, FactoredAdjoint):
+        d = entry.m.shape[0]
+        p, l_bar = entry.seeds[:, 1 : d + 1], entry.seeds[:, d + 1]
+        block = p[:, :, None] * entry.slope[:, None] + entry.m * entry.curvature[:, None]
+        return np.concatenate([entry.value[:, None], block, (l_bar[:, None] * entry.slope)[:, None]], axis=1)
+    return entry
 
-    The output is the workspace's state array of index ``layer``.
+
+def taylor_forward_activation(z_in, coeffs) -> np.ndarray:
+    """The engine's activation layer on a materialised (N, d + 2, h) state, materialised."""
+    z_in = np.asarray(z_in, dtype=np.float64)
+    assert z_in.shape[1] == coeffs.dim + 2
+    return dense(_activation(z_in, None, None, coeffs, Workspace(), None))
+
+
+def taylor_forward_linear(w, b, z_in) -> np.ndarray:
+    """The engine's linear layer on a materialised (N, d + 2, h) state.
+
+    The state is handed over as a :class:`FactoredState` with slope 1 and
+    per-sample derivative columns, whose derivative columns are the
+    state's own (1 * g is g exactly).
     """
     z_in = np.asarray(z_in, dtype=np.float64)
-    d = coeffs.dim
-    if z_in.shape[1] != d + 2:
-        raise ValueError(f"state has {z_in.shape[1]} columns, operator expects {d + 2}")
-    _, g, ell = _incoming_columns(z_in, None, d)
-    return _activation_state(derivs, g, ell, coeffs, workspace, layer)
+    z = FactoredState(z_in[:, 0], np.ones_like(z_in[:, 0]), z_in[:, -1], z_in[:, 1:-1])
+    return _linear(np.asarray(w, dtype=np.float64), b, z, None, Workspace(), None)
 
 
 def random_coeffs(rng, d):
@@ -88,12 +108,12 @@ class TestInitialState:
 class TestForwardLinear:
     def test_identity_layer(self):
         z = oracle.initial_state(np.array([[0.5, -0.5]]))
-        out = taylor_forward_linear(np.eye(2), np.zeros(2), z, Workspace())
+        out = taylor_forward_linear(np.eye(2), np.zeros(2), z)
         assert np.array_equal(out, z)
 
     def test_bias_touches_only_value_column(self):
         z = oracle.initial_state(np.array([[3.0, 4.0]]))
-        out = taylor_forward_linear(np.array([[1.0, 2.0]]), np.array([5.0]), z, Workspace())
+        out = taylor_forward_linear(np.array([[1.0, 2.0]]), np.array([5.0]), z)
         assert out[0, 0, 0] == 16.0
         assert out[0, 1, 0] == 1.0
         assert out[0, 2, 0] == 2.0
@@ -104,7 +124,7 @@ class TestForwardLinear:
         z = rng.standard_normal((3, 5, 4))
         w = rng.standard_normal((6, 4))
         b = rng.standard_normal(6)
-        out = taylor_forward_linear(w, b, z, Workspace())
+        out = taylor_forward_linear(w, b, z)
         for n in range(3):
             for s in range(5):
                 want = w @ z[n, s]
@@ -119,8 +139,7 @@ class TestForwardActivation:
         z = np.zeros((1, 4, 3))
         z[0, 1:3, :] = np.random.default_rng(0).standard_normal((2, 3))
         z[0, 3, :] = [1.0, 2.0, 3.0]
-        derivs = tanh_derivs(z[:, 0, :])
-        out = taylor_forward_activation(derivs, z, OperatorCoeffs.laplacian(2), Workspace())
+        out = taylor_forward_activation(z, OperatorCoeffs.laplacian(2))
         assert np.array_equal(out[:, 0, :], np.zeros((1, 3)))
         assert np.array_equal(out[:, 1:3, :], z[:, 1:3, :])
         assert np.array_equal(out[:, 3, :], z[:, 3, :])
@@ -129,7 +148,7 @@ class TestForwardActivation:
         rng = np.random.default_rng(2)
         z = rng.standard_normal((2, 4, 3))
         derivs = tanh_derivs(z[:, 0, :])
-        out = taylor_forward_activation(derivs, z, OperatorCoeffs(np.zeros((2, 2))), Workspace())
+        out = taylor_forward_activation(z, OperatorCoeffs(np.zeros((2, 2))))
         assert np.allclose(out[:, 3, :], derivs.s1 * z[:, 3, :], atol=1e-14)
 
     def test_operator_column_matches_directional_second_differences(self):
@@ -139,7 +158,7 @@ class TestForwardActivation:
         z = rng.standard_normal((1, 4, 5)) * 0.5
         derivs = tanh_derivs(z[:, 0, :])
         co = OperatorCoeffs.laplacian(2)
-        out = taylor_forward_activation(derivs, z, co, Workspace())
+        out = taylor_forward_activation(z, co)
         h = 1e-4
         for unit in range(5):
             val = z[0, 0, unit]
@@ -184,14 +203,15 @@ class TestTaylorForward:
         states, out = taylor_forward(p, pts, OperatorCoeffs.laplacian(3))
         u, inputs = network.forward_batch(p, pts)
         assert np.max(np.abs(out.value - u)) <= 1e-12
-        for l in range(p.n_linear):
+        # the head's output state is not kept: its value column is out.value
+        for l in range(p.n_linear - 1):
             # the first linear layer keeps only its value column (the pre-activation)
             value = states[1] if l == 0 else states[2 * l + 1][:, 0, :]
             pre_activation = inputs[l] @ p.weights[l].T + p.biases[l]
             assert np.max(np.abs(value - pre_activation)) <= 1e-12
-            # activation outputs are the next layer's plain inputs
-            if l + 1 < p.n_linear:
-                assert np.max(np.abs(states[2 * l + 2][:, 0, :] - inputs[l + 1])) <= 1e-12
+            # activation outputs (factored states) are the next layer's plain inputs
+            assert isinstance(states[2 * l + 2], FactoredState)
+            assert np.max(np.abs(states[2 * l + 2].value - inputs[l + 1])) <= 1e-12
 
     def test_one_hidden_layer_analytic_laplacian(self):
         # u(x) = sum_j a_j tanh(w_j . x + b_j) + c has the closed form
@@ -221,9 +241,9 @@ class TestTaylorForward:
 
         def propagate(z):
             for l, (w, b) in enumerate(zip(p.weights, p.biases)):
-                z = taylor_forward_linear(w, b, z, Workspace())
+                z = taylor_forward_linear(w, b, z)
                 if l < p.n_linear - 1:
-                    z = taylor_forward_activation(tanh_derivs(z[:, 0, :]), z, co, Workspace())
+                    z = taylor_forward_activation(z, co)
             return z
 
         a, b = propagate(z0), propagate(z0_junk)

@@ -144,3 +144,29 @@ class TestAllocationGuard:
             tracemalloc.stop()
             state.workspace.close()
         assert peak < full_size
+
+    def test_fokker10d_step_keeps_three_full_size_arrays(self):
+        # One (N, d + 2, h) array of fokker10d-kfac_star's [10, 64, 64, 1] net at
+        # N = 900 is 5.53 MB.  The step keeps the second pre-activation and the
+        # two hidden adjoints in that shape; every activation state is (N, h)
+        # factors.  With the states, a coefficient copy and a scratch array
+        # materialised, the first step peaked at 45.5 MB and the warm
+        # workspace held eight such buffers.
+        cfg = _workload_config("fokker10d-kfac_star")
+        problem = pde.make_problem(cfg.problem, **cfg.problem_params)
+        state = init_train_state(init_params(cfg.widths, 0), cfg)
+        batch = pde.sample_batch(problem, cfg.n_interior, cfg.n_boundary, seed=1)
+        full_size = cfg.n_interior * (cfg.widths[0] + 2) * cfg.widths[1] * 8
+        tracemalloc.start()
+        try:
+            optimizer_step(state, batch, problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        try:
+            optimizer_step(state, batch, problem)
+            sizes = [flat.nbytes for flat in state.workspace._buffers.values()]
+        finally:
+            state.workspace.close()
+        assert peak < 5 * full_size
+        assert sum(size >= full_size for size in sizes) == 3
