@@ -51,21 +51,33 @@ weights w (N,), the sums are
     sum w_n row_n  =  S0^T (w o g_0) + O^T (w o g_o) + sum_i (s1 o G_i)^T (w o g_i)
     (J V)_n        +=  (S0 dW^T)_n . g_0n + (O dW^T)_n . g_on + sum_i ((s1 o G_i) dW^T)_n . g_in
 
-and with G_i = W0^T each derivative sum is one product with the (N, d q)
-matrix of g's derivative columns: ``(w o S1)^T [g_1 ... g_d]`` contracted
-with W0, and ``[g_1 ... g_d] K^T`` dotted with S1 per row, with
+and with G_i = W0^T and a full g each derivative sum is one product with
+the (N, d q) matrix of g's derivative columns: ``(w o S1)^T [g_1 ... g_d]``
+contracted with W0, and ``[g_1 ... g_d] K^T`` dotted with S1 per row, with
 K[a, (i, b)] = W0[a, i] dW^T[a, b].  The head's input (q = 1) gives the
 rows ``[u_n s0_n + s1_n o (sum_i p_ni G_ni) + l_n O_n; u_n]`` from the
 seeds (u_bar, P, l_bar).  The condition record sums all its columns
 directly.
 
-A net with one hidden layer also has layer 0's output gradient in
-factored form (see :mod:`pinnopt.taylor`): a
-:class:`~pinnopt.taylor.FactoredAdjoint` (V, A, B, the seeds
-(u_bar, P, l_bar), M = C W0^T).  Every quantity is then a product of
-(N, h1) and (N, d) arrays, O(N h1 (h1 + d)) in place of the O(N S h1^2) of
-the full columns.  With V, A, B stacking v_n, a_n, beta_n as rows,
-K = (P M) o B and weights w (N,):
+The last hidden layer's output gradient is factored too (see
+:mod:`pinnopt.taylor`): a :class:`~pinnopt.taylor.FactoredAdjoint` of
+(N, h) factors V, A, B stacking v_n, a_n, beta_n as rows, the seeds
+(u_bar, P, l_bar) and the last activation's incoming derivative columns
+G, its derivative column i being ``p_i a + beta o (C G)_i``.  Its B sum is
+
+    sum g g^T  =  V^T V + A^T diag(|p_n|^2 + l_n^2) A + A^T K + K^T A
+                  + sum_i (B o (C G)_i)^T (B o (C G)_i),     K = B o sum_i (C p)_i G_i
+
+with C applied one column at a time.  In a net with two or more hidden
+layers G is per sample (a view of the last pre-activation), and the
+gradient block, J V and engd's rows take the adjoint's (N, h) derivative
+columns one at a time, as many GEMM flops as one product with the
+(N, d q) matrix of a full g's.
+
+In a net with one hidden layer it is layer 0's output gradient and G is
+W0^T.  Every quantity is then a product of (N, h1) and (N, d) arrays,
+O(N h1 (h1 + d)) in place of the O(N S h1^2) of the full columns.  With
+M = C W0^T, K = (P M) o B and weights w (N,):
 
     sum g g^T (layer 0)  =  V^T V + A^T diag(|p_n|^2 + l_n^2) A + A^T K + K^T A
                             + (M^T M) o (B^T B)
@@ -118,6 +130,7 @@ benchmark's tracer records spans of the calling thread only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,17 +249,28 @@ def _input_gram(z, column_gram=None):
 def _output_gram(g, m_gram=None) -> np.ndarray:
     """``sum_{n,s} g_ns g_ns^T``; for a :class:`FactoredAdjoint` (module docstring)
 
-        V^T V + A^T diag(|p_n|^2 + l_n^2) A + A^T K + K^T A + (M^T M) o (B^T B),
-        K = (P M) o B
+        V^T V + A^T diag(|p_n|^2 + l_n^2) A + A^T K + K^T A + sum_i (B o (C G)_i)^T (B o (C G)_i),
+        K = B o sum_i (C p)_i G_i
 
-    with ``m_gram`` = M^T M.
+    which for shared columns is ``K = (P M) o B`` and the last sum
+    ``(M^T M) o (B^T B)`` with ``m_gram`` = M^T M.  Per-sample columns are
+    contracted one at a time.
     """
     if isinstance(g, FactoredAdjoint):
         p, l_bar = g.grad, g.seeds[:, -1]
         a, beta = g.slope, g.curvature
-        ak = a.T @ ((p @ g.m) * beta)
         norms = np.einsum("ni,ni->n", p, p) + l_bar * l_bar
-        return g.value.T @ g.value + a.T @ (norms[:, None] * a) + ak + ak.T + m_gram * (beta.T @ beta)
+        if g.shared:
+            ak = a.T @ ((p @ g.m) * beta)
+            return g.value.T @ g.value + a.T @ (norms[:, None] * a) + ak + ak.T + m_gram * (beta.T @ beta)
+        k = np.matmul((p @ g.coeffs.c)[:, None, :], g.columns)[:, 0, :] * beta
+        # A^T diag(norms) A + A^T K + K^T A as H + H^T, H = A^T (norms A / 2 + K)
+        k += 0.5 * norms[:, None] * a
+        half = a.T @ k
+        gram = g.value.T @ g.value + half + half.T
+        for _, column in g.curvature_columns():
+            gram += column.T @ column
+        return gram
     n, s, q = g.shape
     gf = g.reshape(n * s, q)
     return gf.T @ gf
@@ -255,14 +279,14 @@ def _output_gram(g, m_gram=None) -> np.ndarray:
 def _parameter_grams(record) -> list:
     """Per layer the parameter-only products of :func:`_factor_sums`: ``(W0 W0^T, M^T M)``.
 
-    Each is None unless the layer's input is a :class:`FactoredState` with
-    columns W0^T, or its output gradient a :class:`FactoredAdjoint`.  A
+    Each is None unless the layer's input is a :class:`FactoredState`, or
+    its output gradient a :class:`FactoredAdjoint`, with columns W0^T.  A
     split sum forms them once, not once per half.
     """
     return [
         (
             z.columns.T @ z.columns if isinstance(z, FactoredState) and z.shared else None,
-            g.m.T @ g.m if isinstance(g, FactoredAdjoint) else None,
+            g.m.T @ g.m if isinstance(g, FactoredAdjoint) and g.shared else None,
         )
         for z, g in record
     ]
@@ -383,58 +407,97 @@ def _hidden_rows(z: FactoredState, g) -> np.ndarray:
     return rows
 
 
+def _width_one(z, g) -> bool:
+    """Whether :func:`_hidden_rows` forms a layer's rows: a factored input and a full width-1 output gradient."""
+    return isinstance(z, FactoredState) and not isinstance(g, FactoredAdjoint) and g.shape[2] == 1
+
+
+def _column_pairs(z: FactoredState, g, weights=None):
+    """``sum_s z_ns g_ns^T`` of a factored input z as triples (L, R, r): ``sum_n (L_n * r) (w_n R_n)^T``.
+
+    L and R are (N, h) and (N, q) columns and r is an (h,) scale of L, or
+    None for none; the weights w (N,) are folded into R (none when None).
+    A full g pairs its columns with the state's: (s0, g_0), (O, g_o), then
+    (s1 * G_i, g_i) for each derivative column i.  A
+    :class:`FactoredAdjoint` g (v, a, beta over columns C) is read through
+    its factors (module docstring):
+
+        (s0, v),   (s1 * sum_i p_i G_i + l_bar O, a),   (s1 * G_i, beta * (c C)_i)
+
+    the last for the columns i that c does not zero out, where shared
+    columns G_i = W0^T[i] are the scale r of L = s1.  Formed columns are
+    valid until the next triple.
+    """
+    w = (lambda column: column) if weights is None else (lambda column: weights[:, None] * column)
+    yield z.value, w(_value_column(g)), None
+    if not isinstance(g, FactoredAdjoint):
+        yield z.operator, w(g[:, -1, :]), None
+        for i, column in enumerate(z.derivative_columns()):
+            yield column, w(g[:, 1 + i, :]), None
+        return
+    y = g.grad @ z.columns if z.shared else np.matmul(g.grad[:, None, :], z.columns)[:, 0]
+    y *= z.slope
+    y += g.seeds[:, -1:] * z.operator
+    yield y, w(g.slope), None
+    column = np.empty(z.value.shape)
+    for i, term in g.curvature_columns(weights):
+        if z.shared:
+            yield z.slope, term, z.columns[i]
+        else:
+            yield np.multiply(z.slope, z.columns[:, i, :], out=column), term, None
+
+
 def _state_rows(z: FactoredState, g, out) -> None:
-    """Write the weight rows ``sum_s z_ns g_ns^T`` (N, h, q) of a factored input into ``out``, column by column."""
-    d = z.shape[1] - 2
-    np.multiply(z.value[:, :, None], g[:, None, 0, :], out=out)
-    out += z.operator[:, :, None] * g[:, None, d + 1, :]
-    for i, column in enumerate(z.derivative_columns()):
-        out += column[:, :, None] * g[:, None, 1 + i, :]
+    """Write the weight rows ``sum_s z_ns g_ns^T`` (N, h, q) of a factored input into ``out``, one triple at a time."""
+    out[...] = 0.0
+    for left, right, scale in _column_pairs(z, g):
+        out += (left if scale is None else left * scale)[:, :, None] * right[:, None, :]
 
 
 def _state_projection(z: FactoredState, g, blocks) -> np.ndarray:
     """``sum_s g_ns . (dW_k z_ns) + g_n0 . db_k`` (N, k) of a factored input z for every direction.
 
     ``blocks`` (k, h + 1, q) holds the layer's block ``[dW_k | db_k]^T`` of
-    each direction, and each product takes all k at once: the value and
-    operator columns one (N, h) x (h, k q) product each, derivative columns
-    W0^T one (N, d q) x (d q, k h) product with K_k[a, (i, b)] = W0[a, i]
-    dW_k^T[a, b], and per-sample derivative columns one (N, h) x (h, k q)
-    product each.
+    each direction, and each product takes all k at once: one (N, h) x
+    (h, k q) product per triple of :func:`_column_pairs`, its scale taken
+    into the weights, except that the derivative columns W0^T of a full g
+    give one (N, d q) x (d q, k h) product with K_k[a, (i, b)] = W0[a, i]
+    dW_k^T[a, b].
     """
     n, s, h = z.shape
     d, q, k = s - 2, g.shape[2], blocks.shape[0]
     w_t = blocks[:, :h, :].transpose(1, 0, 2).reshape(h, k * q)
-
-    def dot(columns, i):
-        return np.einsum("nkq,nq->nk", (columns @ w_t).reshape(n, k, q), g[:, i, :])
-
-    out = g[:, 0, :] @ blocks[:, h, :].T + dot(z.value, 0) + dot(z.operator, d + 1)
-    if z.shared:
+    closed = z.shared and not isinstance(g, FactoredAdjoint)
+    out = _value_column(g) @ blocks[:, h, :].T
+    product = np.empty((n, k * q))
+    # a full g's first two triples are its value and operator columns
+    for left, right, scale in itertools.islice(_column_pairs(z, g), 2 if closed else None):
+        np.matmul(left, w_t if scale is None else scale[:, None] * w_t, out=product)
+        out += np.einsum("nkq,nq->nk", product.reshape(n, k, q), right)
+    if closed:
         kk = np.einsum("ia,kab->kaib", z.columns, blocks[:, :h, :]).reshape(k * h, d * q)
         out += np.einsum("nka,na->nk", (_derivative_block(g, d) @ kk.T).reshape(n, k, h), z.slope)
-    else:
-        for i, column in enumerate(z.derivative_columns()):
-            out += dot(column, 1 + i)
     return out
 
 
 def _state_grad(z: FactoredState, g, weights) -> np.ndarray:
     """The weight rows ``sum_n w_n sum_s z_ns g_ns^T`` (h, q) of a factored input z.
 
-    The derivative columns W0^T give one (h, N) x (N, d q) product, then
-    contracted with W0; per-sample columns one (h, N) x (N, q) product each.
+    Each triple of :func:`_column_pairs` gives one (h, N) x (N, q) product,
+    except that the derivative columns W0^T of a full g give one
+    (h, N) x (N, d q) product, then contracted with W0.
     """
     n, s, h = z.shape
     d, q = s - 2, g.shape[2]
-    w = weights[:, None]
-    m = z.value.T @ (w * g[:, 0, :]) + z.operator.T @ (w * g[:, d + 1, :])
-    if z.shared:
+    closed = z.shared and not isinstance(g, FactoredAdjoint)
+    m = np.zeros((h, q))
+    # a full g's first two triples are its value and operator columns
+    for left, right, scale in itertools.islice(_column_pairs(z, g, weights), 2 if closed else None):
+        m += left.T @ right if scale is None else scale[:, None] * (left.T @ right)
+    if closed:
+        w = weights[:, None]
         t = ((w * z.slope).T @ _derivative_block(g, d)).reshape(h, d, q)
         m += np.einsum("aib,ia->ab", t, z.columns)
-    else:
-        for i, column in enumerate(z.derivative_columns()):
-            m += column.T @ (w * g[:, 1 + i, :])
     return m
 
 
@@ -445,12 +508,12 @@ def _input_layer_rows(x, g, out):
     coordinates makes numpy copy the (N, d, h1) operand first.  A
     :class:`FactoredAdjoint` gives row i of G_n as ``p_ni a_n + beta_n * M[i]``.
     """
-    factored = isinstance(g, FactoredAdjoint)
+    m = g.m if isinstance(g, FactoredAdjoint) else None
     for i in range(x.shape[1]):
         np.multiply(x[:, i, None], _value_column(g), out=out[:, i, :])
-        if factored:
+        if m is not None:
             out[:, i, :] += g.grad[:, i, None] * g.slope
-            out[:, i, :] += g.curvature * g.m[i]
+            out[:, i, :] += g.curvature * m[i]
         else:
             out[:, i, :] += g[:, 1 + i, :]
 
@@ -472,7 +535,7 @@ def _jacobian_rows(record):
     rows = np.empty((record[0][1].shape[0], sum(p * q for p, q in shapes)))
     for view, (z, g) in zip(network.layer_blocks(rows, shapes), record):
         h = z.shape[-1]
-        if isinstance(z, FactoredState) and g.shape[2] == 1:
+        if _width_one(z, g):
             view[:, :, 0] = _hidden_rows(z, g)
             continue
         if isinstance(z, FactoredState):
@@ -503,7 +566,7 @@ def _projected_rows(record, basis, workspace):
         _, s, q = g.shape
         h = z.shape[-1]
         if isinstance(z, FactoredState):
-            out += _hidden_rows(z, g) @ blocks[l][:, :, 0].T if q == 1 else _state_projection(z, g, blocks[l])
+            out += _hidden_rows(z, g) @ blocks[l][:, :, 0].T if _width_one(z, g) else _state_projection(z, g, blocks[l])
             continue
         for k, block in enumerate(blocks[l]):
             w_t, b = block[:h], block[h]
@@ -560,11 +623,11 @@ def param_grad_matrix(z_in, g, workspace: Workspace, weights) -> np.ndarray:
     :func:`pinnopt.network.layer_blocks`.
     """
     n, s, q = g.shape
-    if isinstance(z_in, FactoredState) and q == 1:
+    if _width_one(z_in, g):
         return (weights @ _hidden_rows(z_in, g))[:, None]
     if isinstance(z_in, FactoredState):
         d = z_in.shape[2]
-        g0 = g[:, 0, :] * weights[:, None]
+        g0 = _value_column(g) * weights[:, None]
         m = np.empty((d + 1, q))
         m[:d] = _state_grad(z_in, g, weights)
     elif isinstance(g, FactoredAdjoint):

@@ -27,6 +27,7 @@ __all__ = [
     "ActivationDerivs",
     "Parameters",
     "tanh_derivs",
+    "tanh_higher_derivs",
     "as_index",
     "init_params",
     "forward_batch",
@@ -66,13 +67,26 @@ def tanh_derivs(z, order: int = 3, out=None) -> ActivationDerivs:
         return ActivationDerivs(s0)
     s1 = np.multiply(s0, s0, out=out[1])
     np.subtract(1.0, s1, out=s1)
+    return tanh_higher_derivs(s0, s1, order, out[2:])
+
+
+def tanh_higher_derivs(s0, s1, order: int = 3, out=None) -> ActivationDerivs:
+    """tanh's derivatives up to ``order`` (1 to 3) from its value s0 and slope s1.
+
+    The identities of :func:`tanh_derivs`, which ends here, so s2 and s3
+    are the same bits as that function's for the same s0 and s1.  ``out``
+    of shape ``(order - 1,) + s0.shape`` receives s2, ..., s_order; None
+    allocates it.
+    """
     if order == 1:
         return ActivationDerivs(s0, s1)
-    s2 = np.multiply(s0, -2.0, out=out[2])
+    if out is None:
+        out = np.empty((order - 1,) + s0.shape)
+    s2 = np.multiply(s0, -2.0, out=out[0])
     s2 *= s1
     if order == 2:
         return ActivationDerivs(s0, s1, s2)
-    s3 = np.multiply(s1, -2.0, out=out[3])
+    s3 = np.multiply(s1, -2.0, out=out[1])
     s3 *= s1
     s3 -= 2.0 * s0 * s2
     return ActivationDerivs(s0, s1, s2, s3)

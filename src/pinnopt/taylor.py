@@ -38,8 +38,9 @@ derivative block is ``s1 K`` after the first activation, with the
 parameter-only K[a, (i, b)] = W0[a, i] W1[b, a], or one (N, h) x (h, h')
 product per derivative column after a later one.  A training step
 therefore keeps no full-size array but the pre-activations of linear
-layers 1 and up and the adjoints, and the curvature code reads the
-factored states in closed form or one derivative column at a time.
+layers 1 and up and the adjoints below the last hidden layer's, and the
+curvature code reads the factored states in closed form or one derivative
+column at a time.
 
 Both forward passes end in the same fused head.  The output layer has
 width 1, so the last activation is contracted straight into its weight row
@@ -55,22 +56,28 @@ and with one hidden layer (g = W0^T, ell = 0) this is
 and engd) and returns the triple alone; :func:`taylor_forward` serves
 training steps and returns the states as well.
 
-A net with one hidden layer keeps no (N, S, h) array at all.  Its only
-hidden state is the first activation's, and every sum a training step
-reads from that state and from layer 0's output adjoint is a product of
-(N, h1) and (N, d) arrays, so both stay factored.  :func:`taylor_forward`
-keeps only the pre-activation; :func:`taylor_backward` forms both factored
-entries of the record from it and the seeds ``(u_bar, p, l_bar)`` of each
-sample, with M = C W0^T (d, h1),
+The last hidden layer's output adjoint is factored as well.  The head
+has width 1, so the adjoint of the last activation's output is
+``seeds (x) w``; taken through the activation, whose incoming columns are
+(z, G, ell) with quadratic term quad, it is fixed by the seeds
+``(u_bar, p, l_bar)`` of each sample and three (N, h) factors, a
+:class:`FactoredAdjoint`:
 
-    layer 1's input   (s0, s1 * W0^T, s2 * q)                  (FactoredState)
-    layer 0's adjoint value column    v = w * (u_bar s1 + s2 * (W0 p) + l_bar s3 * q)
-                      derivative block  G = p a^T + M diag(beta),
-                                        a = s1 * w,  beta = 2 l_bar s2 * w
-                      operator column   o = l_bar a              (FactoredAdjoint)
+    value column            v = w * (u_bar s1 + s2 * (sum_i p_i G_i) + l_bar (s2 * ell + s3 * quad))
+    derivative column i     p_i a + beta * (c G)_i,   a = s1 * w,  beta = 2 l_bar s2 * w
+    operator column         l_bar a
 
-in O(N h1 (h1 + d)) work instead of O(N S h1^2).  With two or more hidden
-layers the adjoints are full (N, S, h) arrays.
+With one hidden layer G is W0^T, ell is zero and quad is q, so with
+M = C W0^T (d, h1) the derivative block is ``p a^T + M diag(beta)`` and
+the net keeps no (N, S, h) array at all: :func:`taylor_forward` keeps only
+the pre-activation, and :func:`taylor_backward` forms layer 1's input
+(s0, s1 * W0^T, s2 * q) from it too.  Every sum a training step reads from
+these two entries is a product of (N, h1) and (N, d) arrays, O(N h1
+(h1 + d)) work instead of O(N S h1^2).  With two or more hidden layers G
+is a view of the last pre-activation's derivative block, and the next
+adjoint down is formed straight from the factors: value column v W,
+derivative column i ``p_i (a W) + (beta * (c G)_i) W``, operator column
+``l_bar (a W)``, with c applied one column at a time.
 
 The reverse pass propagates adjoints with the same column layout through
 the states of :func:`taylor_forward` and stops at the first linear
@@ -80,12 +87,12 @@ adjoint), which :mod:`pinnopt.curvature` reads for the parameter
 gradient of any linear combination of (u, grad u, L u), the Kronecker
 factors and the Jacobian rows.  Which forward state holds which layer's
 input is known to this module alone.
-Each activation's adjoint is computed in place: the product ``g W_l`` is
-written into the array that, overwritten by the activation's adjoint,
-becomes linear layer l - 1's output adjoint.  The width-1 head makes that
-product the outer product ``seeds (x) w``, one broadcast multiply instead
-of a matrix product with inner dimension 1.  No record reads the adjoint
-of an activation's output, so none is kept.
+Below the last hidden layer each activation's adjoint is computed in
+place: the product ``g W_l`` is written into the array that, overwritten
+by the activation's adjoint, becomes linear layer l - 1's output adjoint.
+No record reads the adjoint of an activation's output, so none is kept.
+The tanh derivatives s0 and s1 of a deeper net's activations are read
+from their kept states, and only s2 and s3 are formed again.
 
 A training loop passes one :class:`Workspace` through every pass: states,
 adjoints and the tanh derivatives are written into arrays kept
@@ -115,7 +122,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ActivationDerivs, Parameters, tanh_derivs
+from .network import ActivationDerivs, Parameters, tanh_derivs, tanh_higher_derivs
 
 __all__ = [
     "Workspace",
@@ -309,19 +316,24 @@ class OperatorCoeffs:
     def contracted_columns(self, g, out=None):
         """The pairs ``(i, (c g)_i)`` of a (d, h) or (N, d, h) stack g, one at a time.
 
-        Only the columns i that c does not zero out are visited.  A diagonal
-        c (every catalog operator) scales column i alone, into ``out`` (N, h)
-        when it is given and g is per sample, and the identity passes it on
-        unchanged; so only a non-diagonal c forms the whole product c g
-        (:meth:`apply`).  A column is valid until the next is taken.
+        Only the columns i that c does not zero out are visited.  A
+        diagonal c (every catalog operator) passes column i on unchanged
+        where c_ii is 1 and scales it otherwise, and any other c sums row i
+        of c over g's columns; a per-sample column is written into ``out``
+        (N, h) when it is given, so the product c g of a per-sample g is
+        never formed whole.  A column is valid until the next is taken.
         """
+        if self._diag is None and g.ndim == 2:
+            cg = self.apply(g[None])[0]
+            yield from enumerate(cg)
+            return
         if self._diag is None:
-            cg = self.apply(g[None])[0] if g.ndim == 2 else self.apply(g)
-            yield from ((i, cg[..., i, :]) for i in range(self.dim))
+            for i in range(self.dim):
+                yield i, np.einsum("j,njh->nh", self.c[i], g, out=out)
             return
         for i in np.flatnonzero(self._diag):
             column = g[..., i, :]
-            if not self.is_identity:
+            if self._diag[i] != 1.0:
                 column = np.multiply(column, self._diag[i], out=None if g.ndim == 2 else out)
             yield i, column
 
@@ -398,32 +410,63 @@ class FactoredState:
 
 @dataclass(frozen=True, eq=False)
 class FactoredAdjoint:
-    """Layer 0's (N, S, h1) output adjoint in a one-hidden-layer net, as (N, h1) and (N, d) factors.
+    """The last hidden layer's (N, S, h) output adjoint, as (N, h) factors over the activation's columns.
 
-    Its value column is ``value`` (v), its derivative block, rows 1..d,
-    is ``G_n = p_n a_n^T + M diag(beta_n)`` with a = ``slope``, beta =
-    ``curvature``, p = ``grad`` (the gradient columns of ``seeds``) and
-    M = ``m`` = C W0^T, and its operator column is ``l_bar * slope`` with
-    l_bar the last column of ``seeds``.  ``shape`` is that of the array it
-    stands for, and indexing takes samples, as on that array.
+    Its value column is ``value`` (v), its derivative column i is
+    ``p_i a + beta * (c G)_i`` with p = ``grad`` (the gradient columns of
+    ``seeds``), a = ``slope``, beta = ``curvature``, c the coefficients
+    ``coeffs`` and G_i derivative column i of the last activation's
+    incoming columns ``columns``, and its operator column is ``l_bar *
+    slope`` with l_bar the last column of ``seeds``.  ``columns`` is W0^T
+    (d, h1), shared by every sample, in a net with one hidden layer, and a
+    view of the last pre-activation's (N, d, h) derivative block in a
+    deeper one.  ``shape`` is that of the array it stands for, and
+    indexing takes samples, as on that array.
     """
 
-    value: np.ndarray      # (N, h1)
-    slope: np.ndarray      # (N, h1)
-    curvature: np.ndarray  # (N, h1)
+    value: np.ndarray      # (N, h)
+    slope: np.ndarray      # (N, h)
+    curvature: np.ndarray  # (N, h)
     seeds: np.ndarray      # (N, d + 2)
-    m: np.ndarray          # (d, h1)
+    columns: np.ndarray    # (d, h1) shared, or (N, d, h) per sample
+    coeffs: OperatorCoeffs
 
     @property
     def shape(self) -> tuple:
         return (self.value.shape[0], self.seeds.shape[1], self.value.shape[1])
 
     @property
+    def shared(self) -> bool:
+        """Whether the columns are W0^T for every sample."""
+        return self.columns.ndim == 2
+
+    @property
     def grad(self) -> np.ndarray:
         return self.seeds[:, 1:-1]
 
+    @property
+    def m(self) -> np.ndarray:
+        """M = C W0^T (d, h1) of shared columns, so that the derivative block is ``p a^T + M diag(beta)``."""
+        return self.coeffs.apply(self.columns[None])[0]
+
     def __getitem__(self, rows) -> "FactoredAdjoint":
-        return FactoredAdjoint(self.value[rows], self.slope[rows], self.curvature[rows], self.seeds[rows], self.m)
+        columns = self.columns if self.shared else self.columns[rows]
+        return FactoredAdjoint(
+            self.value[rows], self.slope[rows], self.curvature[rows], self.seeds[rows], columns, self.coeffs
+        )
+
+    def curvature_columns(self, weights=None, out=None):
+        """The pairs ``(i, beta * (c G)_i)`` of the columns i that c does not zero out, in turn.
+
+        ``weights`` (N,) scale the samples (None: none).  c is applied one
+        column at a time (:meth:`OperatorCoeffs.contracted_columns`), and
+        each (N, h) column is written into ``out`` (a new array when None),
+        which the next overwrites.
+        """
+        out = np.empty(self.value.shape) if out is None else out
+        beta = self.curvature if weights is None else weights[:, None] * self.curvature
+        for i, cg in self.coeffs.contracted_columns(self.columns, out=out):
+            yield i, np.multiply(beta, cg, out=out)
 
 
 def _linear_input_index(layer: int) -> int:
@@ -436,14 +479,14 @@ def _linear_output_index(layer: int) -> int:
     return 2 * layer + 1
 
 
-def _first_quadratic(coeffs: OperatorCoeffs, w0) -> tuple:
-    """``(M, q)``: M = C W0^T (d, h1) and ``q_k = sum_ij c_ij W0[k, i] W0[k, j]`` (h1,).
+def _first_quadratic(coeffs: OperatorCoeffs, w0) -> np.ndarray:
+    """``q_k = sum_ij c_ij W0[k, i] W0[k, j]`` (h1,), the first activation's quadratic term.
 
-    The first activation's incoming derivative columns are W0^T for every
-    sample, so M is their ``c g`` and q their quadratic term.
+    Its incoming derivative columns are W0^T for every sample, so q is
+    their quadratic term, formed as ``sum_i (M * W0^T)_i`` with M = C W0^T.
     """
     m = coeffs.apply(w0.T[None])[0]
-    return m, np.sum(m * w0.T, axis=0)
+    return np.sum(m * w0.T, axis=0)
 
 
 def _first_products(params: Parameters, coeffs: OperatorCoeffs) -> tuple:
@@ -455,7 +498,7 @@ def _first_products(params: Parameters, coeffs: OperatorCoeffs) -> tuple:
     to the second linear layer's derivative block (:func:`_linear`).
     """
     w0 = params.weights[0]
-    _, q = _first_quadratic(coeffs, w0)
+    q = _first_quadratic(coeffs, w0)
     if params.n_linear <= 2:
         return q, None
     return q, (w0[:, :, None] * params.weights[1].T[:, None, :]).reshape(w0.shape[0], -1)
@@ -478,9 +521,15 @@ def _quadratic_term(coeffs: OperatorCoeffs, g, workspace) -> np.ndarray:
     return quad
 
 
-def _derivs(z, order: int, workspace: Workspace) -> ActivationDerivs:
-    """tanh derivatives of ``z`` up to ``order``, in the workspace's derivative array."""
-    return tanh_derivs(z, order, workspace.array((order + 1,) + z.shape, "derivs"))
+def _reverse_derivs(s0, s1, workspace: Workspace) -> ActivationDerivs:
+    """tanh's derivatives s0..s3 for the reverse pass, from the activation's value s0 and slope s1.
+
+    s2 and s3 follow the identities of :func:`tanh_derivs`
+    (:func:`pinnopt.network.tanh_higher_derivs`) and are written into the
+    workspace's ``("tanh")`` array, which a one-hidden-layer net's
+    :func:`taylor_output` uses for s0..s2.
+    """
+    return tanh_higher_derivs(s0, s1, 3, workspace.array((2,) + s0.shape, "tanh"))
 
 
 def _incoming_columns(pre, w0t, d: int) -> tuple:
@@ -672,7 +721,7 @@ def _output(params: Parameters, x, coeffs: OperatorCoeffs, workspace, q, k) -> T
     b = params.biases[-1][0]
     if params.n_linear == 2:
         # (N, h1) matrix products instead of a broadcast over W0^T
-        s = _derivs(pre, 2, workspace)
+        s = tanh_derivs(pre, 2, workspace.array((3,) + pre.shape, "tanh"))
         return TaylorOutput(value=s.s0 @ w + b, gradient=s.s1 @ (w[:, None] * w0), operator=s.s2 @ (q * w))
     z = _activation(pre, w0.T, q, coeffs, workspace, _linear_input_index(1))
     for l in range(1, params.n_linear - 1):
@@ -701,7 +750,7 @@ def _activation_backward(
     or an (N, d, h) stack, and ``ell`` None is a zero operator column
     (:func:`_incoming_columns`).  The sums over i run column by column
     (:meth:`OperatorCoeffs.contracted_columns`), so no (N, d, h)
-    temporary is formed unless c is not diagonal; the (N, h) temporaries
+    temporary is formed; the (N, h) temporaries
     are the workspace's ``("temp", k)`` arrays.  ``g_out`` is overwritten
     with the input adjoint and returned: the value column first and the
     operator column last, because each reads the incoming columns after it.
@@ -743,16 +792,17 @@ def taylor_backward(
     array of points and its adjoint that of the complete output state,
     although the forward pass kept only its value column.  Every other
     layer's input is the :class:`FactoredState` of the activation before
-    it.  For a net with one hidden layer, layer 0's adjoint is a
-    :class:`FactoredAdjoint` as well (module docstring).
+    it.  The last hidden layer's adjoint is a :class:`FactoredAdjoint`
+    (:func:`_last_adjoint`; module docstring) and the head's a view of the
+    seeds.
 
-    The head's adjoint is a view of the seeds.  Every other adjoint l is
-    formed as ``g @ W_{l+1}`` in the workspace's adjoint array of index l
-    (a fresh workspace when None) and taken through the activation in
-    place; it stays valid until the next reverse pass through the same
-    workspace.  A width-1 layer (the head) makes that product the outer
-    product of g and its weight row, written by one broadcast multiply.
-    Each half of :meth:`Workspace.split` writes its rows of every adjoint.
+    Every other adjoint l is formed as ``g @ W_{l+1}`` in the workspace's
+    adjoint array of index l (a fresh workspace when None), straight from
+    the factors when g is the last hidden one (:func:`_adjoint_product`),
+    and taken through the activation in place, with s0 and s1 read from
+    the activation's kept state; it stays valid until the next reverse pass
+    through the same workspace.  Each half of :meth:`Workspace.split`
+    writes its rows of every adjoint.
     """
     seeds = np.asarray(seeds, dtype=np.float64)
     d = coeffs.dim
@@ -761,75 +811,115 @@ def taylor_backward(
         raise ValueError(f"seeds must have shape ({n}, {d + 2}), got {seeds.shape}")
     if len(states) != _n_states(params):
         raise ValueError("states do not match the network layout")
+    if params.n_linear == 1:
+        return [(states[0], seeds[:, :, None])]
     if workspace is None:
         workspace = Workspace()
-    if params.n_linear == 2:
-        adjoint, state = _factored_backward(params, states[1], seeds, coeffs, workspace)
-        return [(states[0], adjoint), (state, seeds[:, :, None])]
-
-    adjoints = [workspace.array((n, d + 2, h), "adjoint", l) for l, h in enumerate(params.widths[1:-1])]
-    adjoints.append(seeds[:, :, None])
     w0t = params.weights[0].T
-    _, q = _first_quadratic(coeffs, params.weights[0])
+    q = _first_quadratic(coeffs, params.weights[0])
+    last, state, last_rows = _last_adjoint(params, states, seeds, coeffs, workspace, q)
+    adjoints = [workspace.array((n, d + 2, h), "adjoint", l) for l, h in enumerate(params.widths[1:-2])]
 
     def backward_rows(half):
-        g = adjoints[-1][half.rows]
-        for l in reversed(range(1, params.n_linear)):
-            w = params.weights[l]
+        g = last_rows(half)
+        for l in reversed(range(1, params.n_linear - 1)):
             adjoint = adjoints[l - 1][half.rows]
-            if w.shape[0] == 1:
-                # a matmul with inner dimension 1 is one tiny gemm per sample
-                np.multiply(g, w[0], out=adjoint)
-            else:
-                # 2-D product over (n S, .) views (C-contiguous rows, so out= writes the adjoint):
-                # a 3-D matmul rounds differently for the transposed-view W once w.shape[0] >= 32
-                np.matmul(g.reshape(-1, w.shape[0]), w, out=adjoint.reshape(-1, w.shape[1]))
-            value, g_in, ell = _incoming_columns(states[_linear_output_index(l - 1)][half.rows], w0t, d)
-            _activation_backward(_derivs(value, 3, half), g_in, ell, adjoint, coeffs, half, q)
+            _adjoint_product(g, params.weights[l], adjoint, half)
+            z = states[_linear_input_index(l)][half.rows]
+            _, g_in, ell = _incoming_columns(states[_linear_output_index(l - 1)][half.rows], w0t, d)
+            _activation_backward(_reverse_derivs(z.value, z.slope, half), g_in, ell, adjoint, coeffs, half, q)
             g = adjoint
 
     workspace.split(n, backward_rows)
-    return list(zip(states[0::2], adjoints))
+    inputs = states[0::2][: params.n_linear - 1] + [state]
+    return list(zip(inputs, adjoints + [last, seeds[:, :, None]]))
 
 
-def _factored_backward(params: Parameters, pre, seeds, coeffs: OperatorCoeffs, workspace) -> tuple:
-    """Layer 0's output adjoint and layer 1's input state of a one-hidden-layer net, factored.
+def _last_adjoint(params: Parameters, states: list, seeds, coeffs: OperatorCoeffs, workspace, q) -> tuple:
+    """The last hidden layer's output adjoint, factored, and the head's input state.
 
-    From the tanh derivatives s0..s3 of the pre-activation, the head's
-    weight row w and the seeds ``(u_bar, p, l_bar)`` (module docstring):
+    The head's adjoint ``seeds (x) w`` taken through the last activation,
+    whose incoming columns are (z, G, ell) with quadratic term quad, is
+    fixed by the tanh derivatives s0..s3 of z, the head's weight row w and
+    the seeds ``(u_bar, p, l_bar)`` (module docstring):
 
-        v    = w * (u_bar s1 + s2 * (W0 p) + l_bar s3 * q)
+        v    = w * (u_bar s1 + s2 * (sum_i p_i G_i) + l_bar (s2 * ell + s3 * quad))
         a    = s1 * w,   beta = 2 l_bar s2 * w
 
-    and the state ``(s0, s1, s2 * q)``, returned as ``(FactoredAdjoint,
-    FactoredState)``.  Each half of :meth:`Workspace.split` writes its rows
-    of the workspace's (N, h1) factor arrays.
+    With one hidden layer G is W0^T, ell is zero and quad is ``q``
+    (:func:`_first_quadratic`); the head's input state ``(s0, s1, s2 * q)``
+    is formed here, with s0 and s1 straight from the pre-activation.  A
+    deeper net's head input is the forward pass's last state, whose s0 and
+    s1 are read, and G is a view of the last pre-activation.  Returns ``(FactoredAdjoint, FactoredState,
+    rows)``: ``rows(half)`` writes a half's rows of the workspace's (N, h)
+    factor arrays and returns the adjoint's rows.
     """
-    n, h = pre.shape
-    d = coeffs.dim
-    w0 = params.weights[0]
-    w = params.weights[1][0]
-    m, q = _first_quadratic(coeffs, w0)
-    names = ("value", "slope", "curvature", "state_value", "state_slope", "state_operator")
-    value, slope, curvature, s0, s1, s2q = (workspace.array((n, h), "factor", name) for name in names)
+    n, d, h = seeds.shape[0], coeffs.dim, params.widths[-2]
+    w = params.weights[-1][0]
+    w0t = params.weights[0].T
+    pre = states[_linear_output_index(params.n_linear - 2)]
+    value, slope, curvature = (workspace.array((n, h), "factor", name) for name in ("value", "slope", "curvature"))
+    if pre.ndim == 2:
+        s01 = workspace.array((2, n, h), "factor", "state")
+        state = FactoredState(s01[0], s01[1], workspace.array((n, h), "factor", "state_operator"), w0t)
+    else:
+        state = states[_linear_input_index(params.n_linear - 1)]
+    adjoint = FactoredAdjoint(value, slope, curvature, seeds, _incoming_columns(pre, w0t, d)[1], coeffs)
 
-    def backward_rows(half):
+    def rows(half):
         r = half.rows
-        s = _derivs(pre[r], 3, half)
+        if pre.ndim == 2:
+            s = tanh_derivs(pre[r], 1, s01[:, r])
+            s = _reverse_derivs(s.s0, s.s1, half)
+            np.multiply(s.s2, q, out=state.operator[r])
+        else:
+            s = _reverse_derivs(state.value[r], state.slope[r], half)
+        _, g, ell = _incoming_columns(pre[r], w0t, d)
         u_bar, p, l_bar = seeds[r, :1], seeds[r, 1 : d + 1], seeds[r, d + 1 :]
         np.multiply(s.s1, w, out=slope[r])
         np.multiply(s.s2, w, out=curvature[r])
         curvature[r] *= 2.0 * l_bar
-        v = np.matmul(p, w0.T, out=value[r])
+        v = np.matmul(p, g, out=value[r]) if g.ndim == 2 else np.matmul(p[:, None, :], g, out=value[r, None])[:, 0]
         v *= s.s2
         v += u_bar * s.s1
+        if ell is not None:
+            l_s2 = np.multiply(s.s2, ell, out=s.s2)
+            l_s2 *= l_bar
+            v += l_s2
         l_s3 = np.multiply(s.s3, l_bar, out=s.s3)
-        l_s3 *= q
+        l_s3 *= q if g.ndim == 2 else _quadratic_term(coeffs, g, half)
         v += l_s3
         v *= w
-        s0[r] = s.s0
-        s1[r] = s.s1
-        np.multiply(s.s2, q, out=s2q[r])
+        return adjoint[r]
 
-    workspace.split(n, backward_rows)
-    return FactoredAdjoint(value, slope, curvature, seeds, m), FactoredState(s0, s1, s2q, w0.T)
+    return adjoint, state, rows
+
+
+def _adjoint_product(g, w, out, workspace) -> None:
+    """``g W`` of an output adjoint g, written into ``out`` (N, S, h_in).
+
+    A full g is one 2-D product over (N S, .) views.  A
+    :class:`FactoredAdjoint` is multiplied through its factors, with
+    aW = a W formed once:
+
+        value column v W,   derivative column i  p_i aW + (beta * (c G)_i) W,
+        operator column l_bar aW
+
+    c applied one column at a time, so that no full-size array but ``out``
+    is written; the (N, h) temporaries are the workspace's ``("temp", k)``
+    arrays, k = 0..2.
+    """
+    n, s, h_in = out.shape
+    if not isinstance(g, FactoredAdjoint):
+        # 2-D product over (n S, .) views (C-contiguous rows, so out= writes the adjoint):
+        # a 3-D matmul rounds differently for the transposed-view W once w.shape[0] >= 32
+        np.matmul(g.reshape(-1, w.shape[0]), w, out=out.reshape(-1, h_in))
+        return
+    d = s - 2
+    np.matmul(g.value, w, out=out[:, 0, :])
+    aw = np.matmul(g.slope, w, out=workspace.array((n, h_in), "temp", 0))
+    np.multiply(g.grad[:, :, None], aw[:, None, :], out=out[:, 1 : d + 1, :])
+    np.multiply(g.seeds[:, d + 1 :], aw, out=out[:, d + 1, :])
+    product = workspace.array((n, h_in), "temp", 2)
+    for i, column in g.curvature_columns(out=workspace.array(g.value.shape, "temp", 1)):
+        out[:, 1 + i, :] += np.matmul(column, w, out=product)

@@ -36,6 +36,16 @@ def with_bias(z):
     return np.concatenate([z, np.ones((z.shape[0], 1))], axis=1)
 
 
+def materialised_states(params, x, coeffs) -> tuple:
+    """``(inputs, pres)``: every linear layer's (N, S, h) input and output state, materialised."""
+    inputs, pres = [oracle.initial_state(x)], []
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        pres.append(taylor_forward_linear(w, b, inputs[-1]))
+        if l < params.n_linear - 1:
+            inputs.append(taylor_forward_activation(pres[-1], coeffs))
+    return inputs, pres
+
+
 def materialised_record(params, x, coeffs, seeds) -> list:
     """The interior record ``[(z_l, g_l)]`` of points ``x`` and residual ``seeds`` (N, S), all in full.
 
@@ -49,11 +59,7 @@ def materialised_record(params, x, coeffs, seeds) -> list:
     no engine.)
     """
     d = x.shape[1]
-    inputs, pres = [oracle.initial_state(x)], []
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pres.append(taylor_forward_linear(w, b, inputs[-1]))
-        if l < params.n_linear - 1:
-            inputs.append(taylor_forward_activation(pres[-1], coeffs))
+    inputs, pres = materialised_states(params, x, coeffs)
     adjoints = [np.asarray(seeds, dtype=np.float64)[:, :, None]]
     for l in reversed(range(1, params.n_linear)):
         pre = pres[l - 1]
@@ -469,7 +475,7 @@ class TestInputLayerClosedForm:
         d = batch.interior.shape[1]
         g_ref = _activation_backward(
             tanh_derivs(z1[:, 0, :]), z1[:, 1 : d + 1, :], z1[:, d + 1, :],
-            np.matmul(record[1][1], p.weights[1]), co, Workspace(),
+            np.matmul(dense(record[1][1]), p.weights[1]), co, Workspace(),
         )
         got = dense(record[0][1])
         assert np.max(np.abs(got - g_ref)) <= 1e-12 * max(1.0, np.max(np.abs(g_ref)))
@@ -606,9 +612,11 @@ def _coefficients(kind, rng, d) -> np.ndarray:
 
 class TestDeepFactoredRecord:
     """A net with two or three hidden layers keeps every activation's state factored:
-    W0^T columns after the first activation, per-sample columns after a later one.
-    Every quantity read from its record against the same quantity from the
-    materialised record (:func:`materialised_record`)."""
+    W0^T columns after the first activation, per-sample columns after a later one,
+    and its last hidden adjoint factored over the last pre-activation's columns.
+    Every quantity read from its record (the A and B sums, every gradient block,
+    J V for one and two directions and engd's rows) against the same quantity
+    from the materialised record (:func:`materialised_record`)."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -633,6 +641,8 @@ class TestDeepFactoredRecord:
         ref = materialised_record(p, x, co, seeds)
         assert [isinstance(z, FactoredState) and z.shared for z, _ in record] == [False, True] + [False] * (len(hidden) - 1)
         assert all(isinstance(z, FactoredState) for z, _ in record[1:])
+        assert [isinstance(g, FactoredAdjoint) for _, g in record] == [False] * (len(hidden) - 1) + [True, False]
+        assert not record[-2][1].shared
 
         for (a, b), (a_ref, b_ref) in zip(curvature._factor_sums(record), curvature._factor_sums(ref)):
             _assert_close(a, a_ref)
@@ -645,3 +655,35 @@ class TestDeepFactoredRecord:
             got = curvature._interior_jacobian_rows(record, basis, Workspace())
             _assert_close(got, curvature._interior_jacobian_rows(ref, basis, Workspace()))
         _assert_close(curvature._interior_jacobian_rows(record), curvature._interior_jacobian_rows(ref))
+
+
+class TestFactoredLastAdjoint:
+    """The last hidden adjoint's columns, from its factors and its columns
+    ``beta * (c G)_i`` formed one at a time, against ``_activation_backward`` applied to
+    ``seeds (x) w`` on the materialised last pre-activation: columns W0^T shared
+    by the batch for one hidden layer, per-sample columns for more."""
+
+    @pytest.mark.parametrize("hidden", [(5,), (4, 3), (3, 4, 2)], ids=["shared", "two_hidden", "three_hidden"])
+    @pytest.mark.parametrize("kind", COEFFICIENT_KINDS)
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_columns_match_activation_backward(self, hidden, kind, n):
+        rng = np.random.default_rng(n)
+        d = 3
+        co = OperatorCoeffs(_coefficients(kind, rng, d))
+        p = init_params((d, *hidden, 1), 6)
+        x = rng.uniform(-1.0, 1.0, (n, d))
+        seeds = rng.standard_normal((n, d + 2))
+        states, _ = taylor_forward(p, x, co)
+        g = taylor_backward(p, states, seeds, co)[-2][1]
+        assert isinstance(g, FactoredAdjoint) and g.shared == (len(hidden) == 1)
+        pre = materialised_states(p, x, co)[1][-2]
+        want = _activation_backward(
+            tanh_derivs(pre[:, 0, :]), pre[:, 1 : d + 1, :], pre[:, d + 1, :],
+            seeds[:, :, None] * p.weights[-1][0], co, Workspace(),
+        )
+        p_bar, l_bar = seeds[:, 1 : d + 1], seeds[:, d + 1 :]
+        derivatives = p_bar[:, :, None] * g.slope[:, None, :]
+        for i, column in g.curvature_columns():
+            derivatives[:, i, :] += column
+        got = np.concatenate([g.value[:, None], derivatives, (l_bar * g.slope)[:, None]], axis=1)
+        _assert_close(got, want)

@@ -14,6 +14,7 @@ from pinnopt.network import (
     init_params,
     layer_blocks,
     tanh_derivs,
+    tanh_higher_derivs,
 )
 from pinnopt.taylor import Workspace
 
@@ -140,6 +141,18 @@ class TestActivationDerivs:
     def test_order_out_of_range(self):
         with pytest.raises(ValueError):
             tanh_derivs(np.zeros(1), order=4)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_higher_derivs_from_value_and_slope_are_the_same_bits(self, order):
+        # the reverse pass takes s0 and s1 from the forward pass's kept states
+        # and forms only s2 and s3 again
+        z = np.random.default_rng(4).standard_normal((9, 7)) * 4.0
+        full = tanh_derivs(z, 3)
+        first = tanh_derivs(z, 1)
+        d = tanh_higher_derivs(first.s0.copy(), first.s1.copy(), order)
+        for got, want in zip((d.s0, d.s1, d.s2, d.s3)[: order + 1], (full.s0, full.s1, full.s2, full.s3)):
+            assert np.array_equal(got, want)
+        assert (d.s2, d.s3)[order - 1 :] == (None,) * (3 - order)
 
 
 class TestFlattening:

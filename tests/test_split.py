@@ -65,14 +65,13 @@ class TestThreadIndependence:
         )
         threads_before = threading.active_count()
         ran_on = set()
-        derivs = taylor._derivs
+        derivs = taylor._reverse_derivs
 
-        def spy(z, order, workspace):
-            if order == 3:  # only a reverse pass asks for third derivatives
-                ran_on.add(threading.current_thread().name)
-            return derivs(z, order, workspace)
+        def spy(s0, s1, workspace):
+            ran_on.add(threading.current_thread().name)
+            return derivs(s0, s1, workspace)
 
-        monkeypatch.setattr(taylor, "_derivs", spy)
+        monkeypatch.setattr(taylor, "_reverse_derivs", spy)
         with_worker = _log_without_wall_time(config)
         assert any(_is_worker(thread) for thread in ran_on)
         assert threading.active_count() == threads_before
@@ -143,12 +142,12 @@ def _fail_in_worker_half(monkeypatch):
     """Put a NaN point last in every batch and fail the reverse pass on it.
 
     The reverse pass is the one that asks for third derivatives of the
-    activation.  The caller's half waits for the worker to start its own,
+    activation (``taylor._reverse_derivs``).  The caller's half waits for the worker to start its own,
     so the NaN row (in the second half) is taken by the worker.  Returns
     the names of the threads that raised.
     """
     sample = pde.sample_batch
-    derivs = taylor._derivs
+    derivs = taylor._reverse_derivs
     worker_started = threading.Event()
     raised_on = []
 
@@ -157,21 +156,19 @@ def _fail_in_worker_half(monkeypatch):
         batch.interior[-1] = np.nan
         return batch
 
-    def checked_derivs(z, order, workspace):
-        if order < 3:
-            return derivs(z, order, workspace)
+    def checked_derivs(s0, s1, workspace):
         if _is_worker(threading.current_thread().name):
             worker_started.set()
         else:
             worker_started.wait(timeout=JOIN_TIMEOUT_S)
-        s = derivs(z, order, workspace)
+        s = derivs(s0, s1, workspace)
         if not np.all(np.isfinite(s.s0)):
             raised_on.append(threading.current_thread().name)
             raise FloatingPointError("non-finite activation in the reverse pass")
         return s
 
     monkeypatch.setattr(pde, "sample_batch", nan_last)
-    monkeypatch.setattr(taylor, "_derivs", checked_derivs)
+    monkeypatch.setattr(taylor, "_reverse_derivs", checked_derivs)
     return raised_on
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pinnopt import curvature, network, pde
+from pinnopt import curvature, network, pde, taylor
 from pinnopt.network import Parameters, init_params, tanh_derivs
 from pinnopt.taylor import (
     FactoredAdjoint,
@@ -34,9 +34,10 @@ def dense(entry) -> np.ndarray:
         derivatives = entry.slope[:, None, :] * entry.columns
         return np.concatenate([entry.value[:, None], derivatives, entry.operator[:, None]], axis=1)
     if isinstance(entry, FactoredAdjoint):
-        d = entry.m.shape[0]
+        d = entry.columns.shape[-2]
         p, l_bar = entry.seeds[:, 1 : d + 1], entry.seeds[:, d + 1]
-        block = p[:, :, None] * entry.slope[:, None] + entry.m * entry.curvature[:, None]
+        contracted = np.einsum("ij,...jh->...ih", entry.coeffs.c, entry.columns)
+        block = p[:, :, None] * entry.slope[:, None] + contracted * entry.curvature[:, None]
         return np.concatenate([entry.value[:, None], block, (l_bar[:, None] * entry.slope)[:, None]], axis=1)
     return entry
 
@@ -371,6 +372,20 @@ class TestTaylorBackward:
         for l, (z, g) in enumerate(record):
             assert (z.shape[0], z.shape[-1]) == (n, widths[l])
             assert g.shape == (n, d + 2, widths[l + 1])
+
+    def test_reverse_pass_derivatives_are_the_forward_bits(self):
+        # the reverse pass reads s0 and s1 from the forward pass's states and
+        # forms s2 and s3 from them: the same bits as tanh_derivs of the
+        # pre-activation, so reusing them alone changes no result
+        p = init_params((3, 6, 5, 4, 1), 2)
+        x = np.random.default_rng(3).uniform(-1, 1, (11, 3))
+        states, _ = taylor_forward(p, x, OperatorCoeffs.laplacian(3))
+        for l in range(1, p.n_linear):
+            pre, z = states[2 * l - 1], states[2 * l]
+            want = tanh_derivs(pre if pre.ndim == 2 else pre[:, 0, :], 3)
+            got = taylor._reverse_derivs(z.value, z.slope, Workspace())
+            for a, b in zip((got.s0, got.s1, got.s2, got.s3), (want.s0, want.s1, want.s2, want.s3)):
+                assert np.array_equal(a, b)
 
     def test_seed_shape_validation(self):
         p = init_params((2, 4, 1), 0)
