@@ -6,7 +6,7 @@ Usage (from the repository root)::
     python3 scripts/compare_logs.py --baseline HEAD
 
 The committed files of ``--baseline`` are exported with
-``paired_bench.export_revision``.  Each tree then trains the same 49
+``paired_bench.export_revision``.  Each tree then trains the same 52
 configs in one child process of its own, through its own
 ``pinnopt.harness.run_training``, with BLAS and OpenMP capped at one
 thread:
@@ -32,9 +32,13 @@ thread:
   interior and one condition point, the smallest batch a run accepts (a
   split pass over fewer than four rows keeps them in one half);
 * poisson_cos_sum with kfac, kfac_star and engd as above but with three
-  hidden layers (net [5, 16, 16, 16, 1]), the only configs whose net has a
-  middle activation with per-sample derivative columns, so that a linear
-  layer after it and its reverse pass run the column-by-column path.
+  hidden layers (net [5, 16, 16, 16, 1]), whose net has a middle
+  activation with per-sample derivative columns, so that a linear layer
+  after it and its reverse pass run the column-by-column path;
+* poisson_cos_sum with kfac, kfac_star and engd as above but with four
+  hidden layers (net [5, 16, 16, 16, 16, 1]), the only configs whose record
+  pairs a state with per-sample derivative columns with a full output
+  gradient.
 
 For every config the script compares each ``log.csv`` row in every column
 except ``wall_time_s``, the log's comment lines after the header (the
@@ -85,7 +89,7 @@ OPTIMIZERS = ("kfac", "kfac_star", "engd", "sgd", "adam")
 
 
 def configs() -> dict:
-    """The 49 configs by name, without ``output_dir``."""
+    """The 52 configs by name, without ``output_dir``."""
     spec = importlib.util.spec_from_file_location("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -120,6 +124,7 @@ def configs() -> dict:
         out[f"poisson2d_sin-{optimizer}-linear"] = dict(out[f"poisson2d_sin-{optimizer}"], widths=[2, 1])
         out[f"poisson2d_sin-{optimizer}-n1"] = dict(out[f"poisson2d_sin-{optimizer}"], n_interior=1, n_boundary=1)
         out[f"poisson_cos_sum-{optimizer}-3hidden"] = dict(out[f"poisson_cos_sum-{optimizer}"], widths=[5, 16, 16, 16, 1])
+        out[f"poisson_cos_sum-{optimizer}-4hidden"] = dict(out[f"poisson_cos_sum-{optimizer}"], widths=[5, 16, 16, 16, 16, 1])
     return out
 
 

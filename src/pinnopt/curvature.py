@@ -24,78 +24,69 @@ The bias is implicit: ``zhat_ns`` is z_ns followed by 1 in the value column
 and column of A are the value-column sum ``sum_n z_n0`` with N in the
 corner, and the bias row of a Jacobian row block is ``g_n0``.
 
-The first linear layer's interior input state is never materialised (see
-:mod:`pinnopt.taylor`): the interior record holds only the points x, as a
-two-dimensional (N, d) input whose columns stand for x_n (value), e_i
-(derivatives) and 0 (operator).  Layer 0's interior terms are therefore
-taken in closed form:
+No interior entry holds its (N, S, h) arrays (see :mod:`pinnopt.taylor`):
 
-    A_int  = ([x 1]^T [x 1] + N diag(1_d, 0)) / (N S)
-    row_n  = [x_n; 1] g_n0^T + [G_n; 0]      (G_n: derivative block of g_n)
-
-Every later layer's interior input is an activation's state, a
-:class:`~pinnopt.taylor.FactoredState`: the (N, h) value columns S0,
-slopes S1 and operator columns O over derivative columns G_i, the state's
-derivative column i being ``s1 * G_i``.  The first activation's G_i are
-the rows of W0^T for every sample, so the weight block of layer 1's A sum
-needs (N, h) products only:
-
-    sum zhat zhat^T  =  S0^T S0 + O^T O + (S1^T S1) o (W0 W0^T)   (o: elementwise)
-
-A later activation's G_i are per sample (a view of its pre-activation),
-and its derivative columns are formed one at a time, (N, h) each, for
-every sum that reads them.  With the (N, S, q) output gradient g of the
-layer (value column g_0, derivative columns g_i, operator column g_o) and
-weights w (N,), the sums are
-
-    sum w_n row_n  =  S0^T (w o g_0) + O^T (w o g_o) + sum_i (s1 o G_i)^T (w o g_i)
-    (J V)_n        +=  (S0 dW^T)_n . g_0n + (O dW^T)_n . g_on + sum_i ((s1 o G_i) dW^T)_n . g_in
-
-and with G_i = W0^T and a full g each derivative sum is one product with
-the (N, d q) matrix of g's derivative columns: ``(w o S1)^T [g_1 ... g_d]``
-contracted with W0, and ``[g_1 ... g_d] K^T`` dotted with S1 per row, with
-K[a, (i, b)] = W0[a, i] dW^T[a, b].  The head's input (q = 1) gives the
-rows ``[u_n s0_n + s1_n o (sum_i p_ni G_ni) + l_n O_n; u_n]`` from the
-seeds (u_bar, P, l_bar).  The condition record sums all its columns
-directly.
-
-The last hidden layer's output gradient is factored too (see
-:mod:`pinnopt.taylor`): a :class:`~pinnopt.taylor.FactoredAdjoint` of
-(N, h) factors V, A, B stacking v_n, a_n, beta_n as rows, the seeds
-(u_bar, P, l_bar) and the last activation's incoming derivative columns
-G, its derivative column i being ``p_i a + beta o (C G)_i``.  Its B sum is
-
-    sum g g^T  =  V^T V + A^T diag(|p_n|^2 + l_n^2) A + A^T K + K^T A
-                  + sum_i (B o (C G)_i)^T (B o (C G)_i),     K = B o sum_i (C p)_i G_i
-
-with C applied one column at a time.  In a net with two or more hidden
-layers G is per sample (a view of the last pre-activation), and the
-gradient block, J V and engd's rows take the adjoint's (N, h) derivative
-columns one at a time, as many GEMM flops as one product with the
-(N, d q) matrix of a full g's.
-
-In a net with one hidden layer it is layer 0's output gradient and G is
-W0^T.  Every quantity is then a product of (N, h1) and (N, d) arrays,
-O(N h1 (h1 + d)) in place of the O(N S h1^2) of the full columns.  With
-M = C W0^T, K = (P M) o B and weights w (N,):
-
-    sum g g^T (layer 0)  =  V^T V + A^T diag(|p_n|^2 + l_n^2) A + A^T K + K^T A
-                            + (M^T M) o (B^T B)
-    row_n (layer 0)      =  [x_n; 1] v_n^T + [p_n a_n^T + M diag(beta_n); 0]
-    sum w_n row_n        =  [x^T (w o V) + P^T (w o A) + M o (w^T B); w^T V]
-
-and a direction's layer-0 block [dW^T; db] adds
-``(x_n^T dW^T + db) . v_n + p_n^T dW^T a_n + beta_n . colsum(M o dW^T)``
-to ``J V``.  The head's rows are formed, (N, h + 1), and contracted like
-any rows.  W0 W0^T and M^T M depend on the parameters alone, so the split
-factor sums form them once (:func:`_parameter_grams`).
+- layer 0's input is the points x (N, d), which stand for the columns x_n
+  (value), e_i (derivatives) and 0 (operator);
+- every later input is an activation's
+  :class:`~pinnopt.taylor.FactoredState`: (N, h) value columns S0, slopes
+  S1 and operator columns O over derivative columns G_i, its derivative
+  column i being ``s1 o G_i`` (o: elementwise).  After the first
+  activation G_i is row i of W0^T for every sample (shared columns), after
+  a later one a per-sample view of its pre-activation;
+- the last hidden layer's output gradient is a
+  :class:`~pinnopt.taylor.FactoredAdjoint`: (N, h) factors V, A, B stacking
+  v_n, a_n, beta_n, the seeds (u_bar, P, l_bar) and the last activation's
+  incoming columns F, its derivative column i being ``p_i a + beta o (c F)_i``
+  with c the operator's coefficients, and its operator column ``l_bar a``.
+  With one hidden layer F is W0^T and M = c W0^T (d, h1);
+- the head's output gradient is the width-1 seed (u_bar, P, l_bar), and
+  every other output gradient a full (N, S, q) array.
 
 The condition record's layer-0 input is ``x[:, None, :]``, three-dimensional
 like every other S = 1 input, so a two-dimensional input always means
-these points.  This module alone reads a record: the implicit bias row,
-layer 0 as the points and the factored entries are its rules.
-:mod:`pinnopt.taylor` alone builds the interior record and knows its
-states' layout, and the optimizers pass the records through unchanged.
+the points.  This module alone reads a record; :mod:`pinnopt.taylor`
+alone builds the interior record, and the optimizers pass the records
+through unchanged.
+
+The A and B sums read one side of an entry each, in closed form:
+
+    sum zhat zhat^T (points)  =  [x 1]^T [x 1] + N diag(1_d, 0)
+    sum zhat zhat^T (state)   =  S0^T S0 + O^T O + (S1^T S1) o (W0 W0^T)
+    sum g g^T (adjoint)       =  V^T V + A^T diag(|p_n|^2 + l_n^2) A + A^T K + K^T A
+                                 + sum_i (B o (c F)_i)^T (B o (c F)_i),    K = B o sum_i (c P)_i F_i
+
+the state's for shared columns; per-sample columns are summed one at a
+time.  For shared columns K = (P M) o B and the last sum is
+(M^T M) o (B^T B).  W0 W0^T and M^T M depend on the parameters alone, so
+the split factor sums form them once (:func:`_parameter_grams`).
+
+The gradient block, kfac_star's ``J V`` and engd's rows read an entry's
+weight rows ``sum_s z_ns g_ns^T`` as a short list of terms
+(:func:`_terms`), each one of two forms:
+
+    outer term (L, C, R), R (N, q):     adds diag(L_n) C diag(R_n)
+    block term (L, C, R), R (N, m, q):  adds diag(L_n) C R_n
+
+with L None standing for ones.  In an outer term C None gives L_n R_n^T,
+C (h, 1) scales its rows and C (h, q) weights each entry; a block term
+without L and C adds R_n itself.  The entries' terms:
+
+    full input               (z_s, g_s) for each column s (the condition record: S = 1)
+    points, full g           (x, g_0) and the block [g_1 .. g_d]
+    points, adjoint          (x, v), (P, a) and (1, M, beta)
+    state, full g            (s0, g_0), (O, g_o) and (s1 o G_i, g_i) for each i;
+                             shared columns: the block (s1, W0, [g_1 .. g_d])
+    state, adjoint           (s0, v), (s1 o sum_i p_i G_i + l_bar O, a) and
+                             (s1 o G_i, beta o (c F)_i) for each i that c keeps;
+                             shared columns: (s1, W0^T[i], beta o (c F)_i)
+    state, head              (s0, u_bar) and (s1 o sum_i p_i G_i + l_bar O, 1)
+
+The head's pair is the adjoint's with a = 1 and no curvature columns.
+The first term is always the value columns' pair, whose R is the bias
+row's g_n0.  Formed columns take (N, h) arrays, so no reader forms an
+(N, S, h) array: the points' and the shared columns' closed forms stay
+in their terms.
 
 kfac_star needs the Gramian only on the span of k <= 2 directions
 V = [Delta, prev], so it asks for the projected rows ``J V`` (N, k)
@@ -103,15 +94,12 @@ instead of the (N, D) rows.  With ``[dW_k | db_k]^T`` the layer's block of
 direction k, each layer adds
 
     (J V)_nk += sum_s g_ns . (dW_k z_ns) + g_n0 . db_k
-    (J V)_nk += g_n0 . (dW_k x_n + db_k) + <G_n, dW_k^T>      (layer 0)
 
-the first as one (N S, h_in) x (h_in, h_out) product per direction for a
-full input and in the closed forms above for a factored one, the second
-with G_n read as one (N, d h1) matrix.  :func:`projected_gramian`
-returns ``V^T G V``, the Gramian-vector products of the (N, k) rows with
-the coordinate vectors as columns.  Only engd forms the (N, D) rows, in
-:func:`dense_gramian`.  These two are the optimizers' only way to the
-Gauss-Newton matrix.
+one (N, h) x (h, k q) product per outer term for all k at once.
+:func:`projected_gramian` returns ``V^T G V``, the Gramian-vector products
+of the (N, k) rows with the coordinate vectors as columns.  Only engd
+forms the (N, D) rows, in :func:`dense_gramian`.  These two are the
+optimizers' only way to the Gauss-Newton matrix.
 
 The interior term's per-sample work runs over the two fixed halves of
 the batch of :meth:`pinnopt.taylor.Workspace.split`, on the calling
@@ -130,7 +118,6 @@ benchmark's tracer records spans of the calling thread only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,14 +234,9 @@ def _input_gram(z, column_gram=None):
 
 
 def _output_gram(g, m_gram=None) -> np.ndarray:
-    """``sum_{n,s} g_ns g_ns^T``; for a :class:`FactoredAdjoint` (module docstring)
-
-        V^T V + A^T diag(|p_n|^2 + l_n^2) A + A^T K + K^T A + sum_i (B o (C G)_i)^T (B o (C G)_i),
-        K = B o sum_i (C p)_i G_i
-
-    which for shared columns is ``K = (P M) o B`` and the last sum
-    ``(M^T M) o (B^T B)`` with ``m_gram`` = M^T M.  Per-sample columns are
-    contracted one at a time.
+    """``sum_{n,s} g_ns g_ns^T``, for a :class:`FactoredAdjoint` in the module docstring's
+    closed form, with ``m_gram`` = M^T M for shared columns.  Per-sample
+    columns are contracted one at a time.
     """
     if isinstance(g, FactoredAdjoint):
         p, l_bar = g.grad, g.seeds[:, -1]
@@ -372,150 +354,52 @@ def precondition_gradient(state: KfacState, grad, damping: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact Gramian and Gramian-vector products
 
-def _value_column(g) -> np.ndarray:
-    """The (N, h) value column ``g_n0`` of an output gradient."""
-    return g.value if isinstance(g, FactoredAdjoint) else g[:, 0, :]
+def _terms(z, g):
+    """One record entry's weight rows ``sum_s z_ns g_ns^T`` (N, h, q) as terms (L, C, R).
 
-
-def _derivative_block(g, d: int) -> np.ndarray:
-    """The derivative columns of an (N, S, q) output gradient as one (N, d q) matrix (a view)."""
-    return g[:, 1 : d + 1, :].reshape(g.shape[0], d * g.shape[2])
-
-
-def _hidden_rows(z: FactoredState, g) -> np.ndarray:
-    """The (N, h + 1) blocks ``sum_s zhat_ns g_ns`` of the head, whose input is a factored state.
-
-    Its output gradient g is the width-1 seed ``(u_bar, p, l_bar)``, so
-    the weight rows are ``u_bar s0 + s1 * (sum_i p_i G_i) + l_bar O`` with
-    G_i the state's derivative columns over s1 (``W0 p`` when they are
-    W0^T), and the bias entry is u_bar.
+    The terms and their two forms, outer (R of shape (N, q)) and block (R
+    of shape (N, m, q)), are those of the module docstring; the first is
+    always the value columns' pair, whose R is the bias row's ``g_n0``.  A
+    formed L is valid until the next term.
     """
-    n, h = z.value.shape
-    d = z.shape[1] - 2
-    p = g[:, 1 : d + 1, 0]
-    rows = np.empty((n, h + 1))
-    weight = rows[:, :h]
-    if z.shared:
-        np.matmul(p, z.columns, out=weight)
-    else:
-        np.einsum("ni,nih->nh", p, z.columns, out=weight)
-    weight *= z.slope
-    term = np.multiply(g[:, 0, :], z.value)
-    weight += term
-    weight += np.multiply(g[:, d + 1, :], z.operator, out=term)
-    rows[:, h] = g[:, 0, 0]
-    return rows
-
-
-def _width_one(z, g) -> bool:
-    """Whether :func:`_hidden_rows` forms a layer's rows: a factored input and a full width-1 output gradient."""
-    return isinstance(z, FactoredState) and not isinstance(g, FactoredAdjoint) and g.shape[2] == 1
-
-
-def _column_pairs(z: FactoredState, g, weights=None):
-    """``sum_s z_ns g_ns^T`` of a factored input z as triples (L, R, r): ``sum_n (L_n * r) (w_n R_n)^T``.
-
-    L and R are (N, h) and (N, q) columns and r is an (h,) scale of L, or
-    None for none; the weights w (N,) are folded into R (none when None).
-    A full g pairs its columns with the state's: (s0, g_0), (O, g_o), then
-    (s1 * G_i, g_i) for each derivative column i.  A
-    :class:`FactoredAdjoint` g (v, a, beta over columns C) is read through
-    its factors (module docstring):
-
-        (s0, v),   (s1 * sum_i p_i G_i + l_bar O, a),   (s1 * G_i, beta * (c C)_i)
-
-    the last for the columns i that c does not zero out, where shared
-    columns G_i = W0^T[i] are the scale r of L = s1.  Formed columns are
-    valid until the next triple.
-    """
-    w = (lambda column: column) if weights is None else (lambda column: weights[:, None] * column)
-    yield z.value, w(_value_column(g)), None
-    if not isinstance(g, FactoredAdjoint):
-        yield z.operator, w(g[:, -1, :]), None
-        for i, column in enumerate(z.derivative_columns()):
-            yield column, w(g[:, 1 + i, :]), None
+    if not isinstance(z, FactoredState):
+        if z.ndim == 3:
+            for s in range(z.shape[1]):
+                yield z[:, s, :], None, g[:, s, :]
+        elif isinstance(g, FactoredAdjoint):
+            yield z, None, g.value
+            yield g.grad, None, g.slope
+            yield None, g.m, g.curvature
+        else:
+            yield z, None, g[:, 0, :]
+            yield None, None, g[:, 1 : z.shape[1] + 1, :]
         return
-    y = g.grad @ z.columns if z.shared else np.matmul(g.grad[:, None, :], z.columns)[:, 0]
-    y *= z.slope
-    y += g.seeds[:, -1:] * z.operator
-    yield y, w(g.slope), None
-    column = np.empty(z.value.shape)
-    for i, term in g.curvature_columns(weights):
+    d = z.shape[1] - 2
+    factored = isinstance(g, FactoredAdjoint)
+    yield z.value, None, g.value if factored else g[:, 0, :]
+    if not factored and g.shape[2] > 1:
+        yield z.operator, None, g[:, -1, :]
         if z.shared:
-            yield z.slope, term, z.columns[i]
+            yield z.slope, z.columns.T, g[:, 1 : d + 1, :]
+            return
+        for i, column in enumerate(z.derivative_columns()):
+            yield column, None, g[:, 1 + i, :]
+        return
+    seeds = g.seeds if factored else g[:, :, 0]
+    p = seeds[:, 1 : d + 1]
+    y = p @ z.columns if z.shared else np.matmul(p[:, None, :], z.columns)[:, 0]
+    y *= z.slope
+    y += seeds[:, -1:] * z.operator
+    yield y, None, g.slope if factored else np.ones((y.shape[0], 1))
+    if not factored:
+        return
+    column = None
+    for i, term in g.curvature_columns():
+        if z.shared:
+            yield z.slope, z.columns[i][:, None], term
         else:
-            yield np.multiply(z.slope, z.columns[:, i, :], out=column), term, None
-
-
-def _state_rows(z: FactoredState, g, out) -> None:
-    """Write the weight rows ``sum_s z_ns g_ns^T`` (N, h, q) of a factored input into ``out``, one triple at a time."""
-    out[...] = 0.0
-    for left, right, scale in _column_pairs(z, g):
-        out += (left if scale is None else left * scale)[:, :, None] * right[:, None, :]
-
-
-def _state_projection(z: FactoredState, g, blocks) -> np.ndarray:
-    """``sum_s g_ns . (dW_k z_ns) + g_n0 . db_k`` (N, k) of a factored input z for every direction.
-
-    ``blocks`` (k, h + 1, q) holds the layer's block ``[dW_k | db_k]^T`` of
-    each direction, and each product takes all k at once: one (N, h) x
-    (h, k q) product per triple of :func:`_column_pairs`, its scale taken
-    into the weights, except that the derivative columns W0^T of a full g
-    give one (N, d q) x (d q, k h) product with K_k[a, (i, b)] = W0[a, i]
-    dW_k^T[a, b].
-    """
-    n, s, h = z.shape
-    d, q, k = s - 2, g.shape[2], blocks.shape[0]
-    w_t = blocks[:, :h, :].transpose(1, 0, 2).reshape(h, k * q)
-    closed = z.shared and not isinstance(g, FactoredAdjoint)
-    out = _value_column(g) @ blocks[:, h, :].T
-    product = np.empty((n, k * q))
-    # a full g's first two triples are its value and operator columns
-    for left, right, scale in itertools.islice(_column_pairs(z, g), 2 if closed else None):
-        np.matmul(left, w_t if scale is None else scale[:, None] * w_t, out=product)
-        out += np.einsum("nkq,nq->nk", product.reshape(n, k, q), right)
-    if closed:
-        kk = np.einsum("ia,kab->kaib", z.columns, blocks[:, :h, :]).reshape(k * h, d * q)
-        out += np.einsum("nka,na->nk", (_derivative_block(g, d) @ kk.T).reshape(n, k, h), z.slope)
-    return out
-
-
-def _state_grad(z: FactoredState, g, weights) -> np.ndarray:
-    """The weight rows ``sum_n w_n sum_s z_ns g_ns^T`` (h, q) of a factored input z.
-
-    Each triple of :func:`_column_pairs` gives one (h, N) x (N, q) product,
-    except that the derivative columns W0^T of a full g give one
-    (h, N) x (N, d q) product, then contracted with W0.
-    """
-    n, s, h = z.shape
-    d, q = s - 2, g.shape[2]
-    closed = z.shared and not isinstance(g, FactoredAdjoint)
-    m = np.zeros((h, q))
-    # a full g's first two triples are its value and operator columns
-    for left, right, scale in itertools.islice(_column_pairs(z, g, weights), 2 if closed else None):
-        m += left.T @ right if scale is None else scale[:, None] * (left.T @ right)
-    if closed:
-        w = weights[:, None]
-        t = ((w * z.slope).T @ _derivative_block(g, d)).reshape(h, d, q)
-        m += np.einsum("aib,ia->ab", t, z.columns)
-    return m
-
-
-def _input_layer_rows(x, g, out):
-    """Write the weight rows ``x_n g_n0^T + G_n`` of the layer-0 blocks into ``out`` (N, d, h1).
-
-    One input coordinate at a time: a single strided add over all d
-    coordinates makes numpy copy the (N, d, h1) operand first.  A
-    :class:`FactoredAdjoint` gives row i of G_n as ``p_ni a_n + beta_n * M[i]``.
-    """
-    m = g.m if isinstance(g, FactoredAdjoint) else None
-    for i in range(x.shape[1]):
-        np.multiply(x[:, i, None], _value_column(g), out=out[:, i, :])
-        if m is not None:
-            out[:, i, :] += g.grad[:, i, None] * g.slope
-            out[:, i, :] += g.curvature * m[i]
-        else:
-            out[:, i, :] += g[:, 1 + i, :]
+            column = np.multiply(z.slope, z.columns[:, i, :], out=column)
+            yield column, None, term
 
 
 def _block_shapes(record) -> list:
@@ -527,127 +411,117 @@ def _jacobian_rows(record):
     """Stack one loss term's per-sample residual Jacobians into an (N, D) matrix.
 
     Per layer the row segment is the block ``sum_s zhat_ns g_ns^T``, written
-    in place through its per-sample views (:func:`pinnopt.network.layer_blocks`).
-    The weight rows are ``z_n^T g_n`` (layer-0 points in closed form), the
-    bias row is ``g_n0``.
+    in place through its per-sample views (:func:`pinnopt.network.layer_blocks`):
+    the weight rows are the sum of the entry's :func:`_terms`, the bias row
+    is ``g_n0``.
     """
     shapes = _block_shapes(record)
     rows = np.empty((record[0][1].shape[0], sum(p * q for p, q in shapes)))
     for view, (z, g) in zip(network.layer_blocks(rows, shapes), record):
         h = z.shape[-1]
-        if _width_one(z, g):
-            view[:, :, 0] = _hidden_rows(z, g)
-            continue
-        if isinstance(z, FactoredState):
-            _state_rows(z, g, view[:, :h, :])
-        elif z.ndim == 2:
-            _input_layer_rows(z, g, view[:, :h, :])
-        else:
-            np.matmul(z.transpose(0, 2, 1), g, out=view[:, :h, :])
-        view[:, h, :] = _value_column(g)
+        weight = view[:, :h, :]
+        weight[...] = 0.0
+        term = np.empty(weight.shape)
+        for j, (left, c, right) in enumerate(_terms(z, g)):
+            if j == 0:
+                view[:, h, :] = right
+            if right.ndim == 3:
+                product = right if c is None else np.matmul(c, right)
+            else:
+                product = right[:, None, :] if c is None else c * right[:, None, :]
+            weight += product if left is None else np.multiply(left[:, :, None], product, out=term)
     return rows
 
 
-def _projected_rows(record, basis, workspace):
+def _projected_rows(record, basis):
     """One loss term's residual Jacobian applied to k directions, ``J V`` (N, k).
 
     ``basis[k]`` is a parameter-space vector.  Per layer
-    ``(J V)_nk += sum_s g_ns . (dW_k z_ns) + g_n0 . db_k`` (module
-    docstring): for a full input (the condition record's) one
-    (N S, h_in) x (h_in, h_out) product per direction into the workspace's
-    scratch array, and for the points and a factored input the closed forms.
-    No row is formed, except the (N, h + 1) rows of the head when its input
-    is factored.
+    ``(J V)_nk += sum_s g_ns . (dW_k z_ns) + g_n0 . db_k``, summed over the
+    entry's :func:`_terms`: an outer term with L adds the row dots of R with
+    ``L (C o dW_k^T)``, one (N, h) x (h, k q) product into one array per
+    entry, and one without L ``R colsum(C o dW_k^T)``; a block term adds
+    ``<R_n, dW_k^T>`` for the identity block and, with C, one (N, m q) x
+    (m q, k h) product by K_k[a, (j, b)] = C[a, j] dW_k^T[a, b], dotted with L.
+    No row is formed.
     """
     n = record[0][1].shape[0]
-    blocks = network.layer_blocks(np.asarray(basis), _block_shapes(record))
     out = np.zeros((n, len(basis)))
-    for l, (z, g) in enumerate(record):
-        _, s, q = g.shape
-        h = z.shape[-1]
-        if isinstance(z, FactoredState):
-            out += _hidden_rows(z, g) @ blocks[l][:, :, 0].T if _width_one(z, g) else _state_projection(z, g, blocks[l])
-            continue
-        for k, block in enumerate(blocks[l]):
-            w_t, b = block[:h], block[h]
-            if isinstance(g, FactoredAdjoint):
-                # (x_n^T dW^T + db) . v_n + p_n^T dW^T a_n + beta_n . colsum(M o dW^T)
-                out[:, k] += np.einsum("ij,ij->i", z @ w_t + b, g.value)
-                out[:, k] += np.einsum("ij,ij->i", g.grad @ w_t, g.slope)
-                out[:, k] += g.curvature @ np.sum(g.m * w_t, axis=0)
-            elif z.ndim == 2:
-                # derivative block G_n read as one (N, d h1) matrix (a view)
-                out[:, k] += _derivative_block(g, h) @ w_t.reshape(-1)
-                out[:, k] += np.einsum("ij,ij->i", z @ w_t + b, g[:, 0, :])
+    for (z, g), blocks in zip(record, network.layer_blocks(np.asarray(basis), _block_shapes(record))):
+        k, h, q = blocks.shape[0], blocks.shape[1] - 1, blocks.shape[2]
+        dw = blocks[:, :h, :]
+        w_t = np.ascontiguousarray(dw.transpose(1, 0, 2))
+        product = np.empty((n, k * q))
+        for j, (left, c, right) in enumerate(_terms(z, g)):
+            if j == 0:
+                out += right @ blocks[:, h, :].T
+            if right.ndim == 3:
+                flat = right.reshape(n, right.shape[1] * q)
+                if c is None:
+                    out += flat @ dw.reshape(k, h * q).T
+                else:
+                    kk = np.einsum("aj,kab->kajb", c, dw).reshape(k * h, flat.shape[1])
+                    out += np.einsum("nka,na->nk", (flat @ kk.T).reshape(n, k, h), left)
+                continue
+            cw = w_t if c is None else c[:, None, :] * w_t
+            if left is None:
+                out += right @ cw.sum(axis=0).T
             else:
-                zw = workspace.array((n * s, q), "scratch")
-                np.matmul(z.reshape(n * s, h), w_t, out=zw)
-                out[:, k] += np.einsum("ij,ij->i", zw, g.reshape(n * s, q)).reshape(n, s).sum(axis=1)
-                out[:, k] += g[:, 0, :] @ b
+                np.matmul(left, cw.reshape(h, k * q), out=product)
+                out += np.einsum("nkq,nq->nk", product.reshape(n, k, q), right)
     return out
 
 
 # one entry per loss term, so that perfbench/tracing.py can time each by name
 def _interior_jacobian_rows(interior, basis=None, workspace=None):
     """Interior residual Jacobian rows (N, D) from the interior record, or ``J V`` for a
-    basis, which needs a workspace; ``J V`` is stacked from its rows over the two
-    halves of :meth:`Workspace.split`."""
+    basis, stacked from its rows over the two halves of :meth:`Workspace.split`
+    (None means a fresh workspace)."""
     if basis is None:
         return _jacobian_rows(interior)
+    if workspace is None:
+        workspace = Workspace()
 
     def half_rows(half):
-        return _projected_rows(_rows(interior, half.rows), basis, half)
+        return _projected_rows(_rows(interior, half.rows), basis)
 
     return np.concatenate(workspace.split(interior[0][1].shape[0], half_rows))
 
 
-def _boundary_jacobian_rows(boundary, basis=None, workspace=None):
-    """Condition residual Jacobian rows (N, D) from the condition record, or ``J V`` for a
-    basis, which needs a workspace."""
-    return _jacobian_rows(boundary) if basis is None else _projected_rows(boundary, basis, workspace)
+def _boundary_jacobian_rows(boundary, basis=None):
+    """Condition residual Jacobian rows (N, D) from the condition record, or ``J V`` for a basis."""
+    return _jacobian_rows(boundary) if basis is None else _projected_rows(boundary, basis)
 
 
-def param_grad_matrix(z_in, g, workspace: Workspace, weights) -> np.ndarray:
+def param_grad_matrix(z_in, g, weights) -> np.ndarray:
     """Batch-summed ``[dW | db]^T`` block of one linear layer, ``sum_n w_n sum_s zhat_ns g_ns^T``.
 
     ``z_in`` is the layer's input and ``g`` the (N, S, h_out) gradient of its
     output, one layer's entry of a record; ``zhat`` appends the bias entry
-    (1 in the value column, 0 elsewhere).  A two-dimensional ``z_in`` holds
-    the points x and stands for the input state (x, e_i, 0), whose column
-    sum per sample is ``[x_n; 1] g_n0^T + [G_n; 0]`` with ``G_n`` the
-    derivative-column block of ``g_n``.  A :class:`FactoredState` is read
-    in closed form or one derivative column at a time.  ``weights`` (N,)
-    scale the samples; a full ``z_in`` (the condition record's) has its
-    scaled gradient columns written to the workspace's scratch array.  The
-    result is the layer's (h_in + 1, h_out) block of
-    :func:`pinnopt.network.layer_blocks`.
+    (1 in the value column, 0 elsewhere).  ``weights`` (N,) scale the
+    samples.  The weight rows are summed over the entry's :func:`_terms`: an
+    outer term adds ``C o (L^T (w o R))``, a block term ``sum_n w_n R_n``
+    for the identity block and ``sum_j C[:, j] o (w o L)^T R_j`` with C; the
+    bias row is ``w^T g_0``.  The result is the layer's (h_in + 1, h_out)
+    block of :func:`pinnopt.network.layer_blocks`.
     """
-    n, s, q = g.shape
-    if _width_one(z_in, g):
-        return (weights @ _hidden_rows(z_in, g))[:, None]
-    if isinstance(z_in, FactoredState):
-        d = z_in.shape[2]
-        g0 = _value_column(g) * weights[:, None]
-        m = np.empty((d + 1, q))
-        m[:d] = _state_grad(z_in, g, weights)
-    elif isinstance(g, FactoredAdjoint):
-        # x^T (w o V) + P^T (w o A) + M o (w^T B)
-        d = z_in.shape[1]
-        g0 = g.value * weights[:, None]
-        m = np.empty((d + 1, q))
-        m[:d] = z_in.T @ g0 + g.grad.T @ (g.slope * weights[:, None]) + g.m * (weights @ g.curvature)
-    elif z_in.ndim == 2:
-        d = z_in.shape[1]
-        g0 = g[:, 0, :] * weights[:, None]
-        m = np.empty((d + 1, q))
-        m[:d] = (g0.T @ z_in + np.einsum("n,nih->ih", weights, g[:, 1 : d + 1, :]).T).T
-    else:
-        g = np.multiply(g, weights[:, None, None], out=workspace.array(g.shape, "scratch"))
-        g0 = g[:, 0, :]
-        d = z_in.shape[2]
-        m = np.empty((d + 1, q))
-        m[:d] = (g.reshape(n * s, q).T @ z_in.reshape(n * s, d)).T
-    m[d] = g0.sum(axis=0)
+    h, q = z_in.shape[-1], g.shape[2]
+    m = np.zeros((h + 1, q))
+    weighted = np.empty((g.shape[0], q))
+    for j, (left, c, right) in enumerate(_terms(z_in, g)):
+        if right.ndim == 3:
+            if c is None:
+                m[:h] += np.einsum("n,nmq->mq", weights, right)
+            else:
+                n, m_cols = right.shape[:2]
+                t = ((weights[:, None] * left).T @ right.reshape(n, m_cols * q)).reshape(h, m_cols, q)
+                m[:h] += np.einsum("ajb,aj->ab", t, c)
+            continue
+        wr = np.multiply(weights[:, None], right, out=weighted)
+        if j == 0:
+            m[h] = wr.sum(axis=0)
+        s = wr.sum(axis=0) if left is None else left.T @ wr
+        m[:h] += s if c is None else c * s
     return m
 
 
@@ -668,13 +542,13 @@ def loss_gradient(interior: list, r_int, boundary: list, r_bnd, workspace=None) 
 
     def interior_rows(half):
         weights = w_int[half.rows]
-        return [param_grad_matrix(z, g, half, weights) for z, g in _rows(interior, half.rows)]
+        return [param_grad_matrix(z, g, weights) for z, g in _rows(interior, half.rows)]
 
     first, second = workspace.split(r_int.size, interior_rows)
     shapes = _block_shapes(boundary)
     grad = np.empty(sum(p * q for p, q in shapes))
     for out, m0, m1, (zb, gb) in zip(network.layer_blocks(grad, shapes), first, second, boundary):
-        np.add(m0 + m1, param_grad_matrix(zb, gb, workspace, w_bnd), out=out)
+        np.add(m0 + m1, param_grad_matrix(zb, gb, w_bnd), out=out)
     return grad
 
 
@@ -711,7 +585,7 @@ def projected_gramian(interior: list, boundary: list, basis: list, workspace) ->
     of both terms with the j-th coordinate vector; no (N, D) row is formed.
     """
     proj_int = _interior_jacobian_rows(interior, basis, workspace)
-    proj_bnd = _boundary_jacobian_rows(boundary, basis, workspace)
+    proj_bnd = _boundary_jacobian_rows(boundary, basis)
     return np.stack([gramian_vec_from_rows(proj_int, proj_bnd, e) for e in np.eye(len(basis))], axis=1)
 
 

@@ -18,7 +18,6 @@ from pinnopt.optim import OptimizerConfig, evaluate_batch, init_train_state, opt
 from pinnopt.curvature import param_grad_matrix
 from pinnopt.taylor import (
     OperatorCoeffs,
-    Workspace,
     taylor_forward,
 )
 
@@ -77,7 +76,7 @@ def test_criterion_2_backward_engine():
     from pinnopt.taylor import taylor_backward
 
     record = taylor_backward(params, states, seeds, co)
-    analytic_vec = oracle.flatten_mats([param_grad_matrix(z, g, Workspace(), np.ones(1)).T for z, g in record])
+    analytic_vec = oracle.flatten_mats([param_grad_matrix(z, g, np.ones(1)).T for z, g in record])
     h = 1e-6
     worst = 0.0
     for k in range(vec.size):

@@ -434,7 +434,7 @@ class TestInputLayerClosedForm:
         p, problem, batch, ev, zhat, g = case
         n, s, _ = zhat.shape
         ref = sum(np.outer(g[i, j], zhat[i, j]) for i in range(n) for j in range(s))
-        got = param_grad_matrix(*ev.interior[0], Workspace(), np.ones(n)).T
+        got = param_grad_matrix(*ev.interior[0], np.ones(n)).T
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
         assert len(_taylor_passes(p, batch, problem)[1]) == p.n_linear
 
@@ -538,7 +538,7 @@ class TestProjectedRows:
             (curvature._boundary_jacobian_rows, ev.boundary),
         ):
             want = rows_of(record) @ v
-            got = rows_of(record, basis, Workspace())
+            got = rows_of(record, basis)
             assert got.shape == want.shape == (record[0][1].shape[0], k)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         gram = oracle.exact_gramian(p, batch, problem)
@@ -586,7 +586,7 @@ class TestOneHiddenClosedForm:
             _assert_close(b, b_ref)
         weights = ev.residuals_int / n
         for entry, entry_ref in zip(ev.interior, ref):
-            _assert_close(param_grad_matrix(*entry, Workspace(), weights), param_grad_matrix(*entry_ref, Workspace(), weights))
+            _assert_close(param_grad_matrix(*entry, weights), param_grad_matrix(*entry_ref, weights))
         rng = np.random.default_rng(seed)
         for k in (1, 2):
             basis = [rng.standard_normal(p.n_params) for _ in range(k)]
@@ -611,16 +611,17 @@ def _coefficients(kind, rng, d) -> np.ndarray:
 
 
 class TestDeepFactoredRecord:
-    """A net with two or three hidden layers keeps every activation's state factored:
+    """A net with two to four hidden layers keeps every activation's state factored:
     W0^T columns after the first activation, per-sample columns after a later one,
     and its last hidden adjoint factored over the last pre-activation's columns.
-    Every quantity read from its record (the A and B sums, every gradient block,
-    J V for one and two directions and engd's rows) against the same quantity
-    from the materialised record (:func:`materialised_record`)."""
+    From four hidden layers on, a per-sample state meets a full adjoint.  Every
+    quantity read from its record (the A and B sums, every gradient block, J V
+    for one and two directions and engd's rows) against the same quantity from
+    the materialised record (:func:`materialised_record`)."""
 
     @settings(max_examples=40, deadline=None)
     @given(
-        hidden=st.lists(st.integers(1, 6), min_size=2, max_size=3),
+        hidden=st.lists(st.integers(1, 6), min_size=2, max_size=4),
         kind=st.sampled_from(COEFFICIENT_KINDS),
         d=st.integers(1, 4),
         n=st.integers(1, 16),
@@ -630,6 +631,7 @@ class TestDeepFactoredRecord:
     @example(hidden=[3, 4, 2], kind="full", d=3, n=1, seed=1)
     @example(hidden=[5, 2, 4], kind="zero_one", d=4, n=7, seed=2)
     @example(hidden=[4, 4], kind="diagonal", d=3, n=9, seed=3)
+    @example(hidden=[3, 5, 4, 2], kind="full", d=3, n=7, seed=4)
     def test_matches_materialised_record(self, hidden, kind, d, n, seed):
         rng = np.random.default_rng(seed)
         co = OperatorCoeffs(_coefficients(kind, rng, d))
@@ -649,7 +651,7 @@ class TestDeepFactoredRecord:
             _assert_close(b, b_ref)
         weights = rng.standard_normal(n)
         for entry, entry_ref in zip(record, ref):
-            _assert_close(param_grad_matrix(*entry, Workspace(), weights), param_grad_matrix(*entry_ref, Workspace(), weights))
+            _assert_close(param_grad_matrix(*entry, weights), param_grad_matrix(*entry_ref, weights))
         for k in (1, 2):
             basis = [rng.standard_normal(p.n_params) for _ in range(k)]
             got = curvature._interior_jacobian_rows(record, basis, Workspace())

@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinnopt import curvature, harness, linalg, network, optim, pde
 from pinnopt.harness import (
@@ -616,3 +620,56 @@ class TestCli:
         assert train_cli(tmp_path, optimizer="engd", widths=[2, 200, 100, 1], max_steps=1) == 2
         assert "exceed the cap" in capsys.readouterr().err
         assert not (tmp_path / "run" / "log.csv").exists()
+
+
+# the fields of a random run config but its widths: valid, or refused by the config
+# checks (ema 1.0; damping 0 for kfac and kfac_star)
+RANDOM_RUNS = st.fixed_dictionaries(
+    {
+        "problem": st.sampled_from(pde.PROBLEM_NAMES),
+        "optimizer": st.sampled_from(optim.OPTIMIZER_KINDS),
+        "lr": st.one_of(st.integers(-8, 8), st.just(300)).map(lambda e: 10.0**e),
+        "momentum": st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        "ema": st.sampled_from([0.0, 0.5, 0.9, 0.999, 1.0]),
+        "damping": st.sampled_from([0.0, 1e-8, 1e-2, 1.0, 1e300]),
+        "init_mode": st.sampled_from(["zero", "identity"]),
+        "rcond": st.sampled_from([0.0, 1e-10, 0.5]),
+        "n_interior": st.integers(1, 17),
+        "n_boundary": st.integers(1, 7),
+        "resample_every": st.sampled_from([None, 0, 1, 3]),
+        "max_steps": st.integers(1, 4),
+        "eval_every": st.integers(1, 4),
+        "seed": st.integers(0, 1000),
+    }
+)
+
+
+class TestExitContract:
+    """``pinnopt train`` on random configs ends in one of three ways: exit 0 with a
+    finite final row, exit 3 with a ``# diverged`` line and a checkpoint, or
+    exit 2 with no log."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=600, deadline=5000)
+    @given(run=RANDOM_RUNS, hidden=st.lists(st.sampled_from([1, 2, 3, 8]), max_size=4))
+    def test_every_run_ends_in_one_of_three_ways(self, run, hidden):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "run")
+            cfg = dict(run, widths=[pde.make_problem(run["problem"]).dim, *hidden, 1], n_eval_points=20, output_dir=out)
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+            code = main(["train", "--config", path])
+            log_path = os.path.join(out, "log.csv")
+            if code == 2:
+                assert not os.path.exists(log_path)
+                return
+            with open(log_path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            assert os.path.exists(os.path.join(out, "checkpoint.json"))
+            if code == 3:
+                assert lines[-1].startswith("# diverged step=")
+                return
+            assert code == 0
+            final = [line for line in lines[1:] if not line.startswith("#")][-1]
+            assert all(math.isfinite(float(v)) for v in final.split(","))

@@ -26,6 +26,6 @@ def test_compare_logs_configs_are_valid_run_configs(monkeypatch, tmp_path):
     import compare_logs
 
     configs = compare_logs.configs()
-    assert len(configs) == 49  # keyed by name, so 49 entries have 49 distinct names
+    assert len(configs) == 52  # keyed by name, so 52 entries have 52 distinct names
     for name, cfg in configs.items():
         RunConfig.from_dict(dict(cfg, output_dir=str(tmp_path / name)))

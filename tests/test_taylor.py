@@ -25,7 +25,7 @@ def net_fn(params):
 
 def seeded_param_grads(record):
     """Batch-summed ``[dW | db]`` per linear layer of the seeded reverse pass's record."""
-    return [curvature.param_grad_matrix(z, g, Workspace(), np.ones(g.shape[0])).T for z, g in record]
+    return [curvature.param_grad_matrix(z, g, np.ones(g.shape[0])).T for z, g in record]
 
 
 def dense(entry) -> np.ndarray:

@@ -106,10 +106,13 @@ def _workload_config(name):
 
 
 class TestAllocationGuard:
-    # A warmed-up fokker10d-kfac_star step allocates about 1.8 MB of new
-    # memory (small (N, h) and per-layer arrays).  One (N, d, h) temporary
-    # of its first hidden layer is 4.6 MB, so a full-size temporary back in
-    # the step breaks the bound; the step without per-run buffers allocated 49 MB.
+    # A warmed-up fokker10d-kfac_star step allocates 2.15-3.13 MB of new
+    # memory (small (N, h) and per-layer arrays; 12 steps on a 2-vCPU host,
+    # the spread from how the two halves overlap), a margin of 0.87 MB; with
+    # a reader per entry kind in place of one loop over each entry's terms
+    # it allocated 3.53 MB, a margin of 0.47 MB.  One (N, d, h) temporary of
+    # its first hidden layer is 4.6 MB, so a full-size temporary back in the
+    # step breaks the bound; the step without per-run buffers allocated 49 MB.
     BOUND_MB = 4.0
 
     def test_warm_kfac_star_step_allocates_little(self):
