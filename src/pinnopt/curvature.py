@@ -65,18 +65,18 @@ The gradient block, kfac_star's ``J V`` and engd's rows read an entry's
 weight rows ``sum_s z_ns g_ns^T`` as a short list of terms
 (:func:`_terms`), each one of two forms:
 
-    outer term (L, C, R), R (N, q):     adds diag(L_n) C diag(R_n)
-    block term (L, C, R), R (N, m, q):  adds diag(L_n) C R_n
+    outer term (L, C, R), R (N, q):           adds diag(L_n) C diag(R_n)
+    block term (None, None, R), R (N, d, q):  adds R_n
 
-with L None standing for ones.  In an outer term C None gives L_n R_n^T,
-C (h, 1) scales its rows and C (h, q) weights each entry; a block term
-without L and C adds R_n itself.  The entries' terms:
+with L None standing for ones: C None gives L_n R_n^T, C (h, 1) scales
+the rows and C (h, q) weights each entry.  The block term is the points'
+identity derivative block.  The entries' terms:
 
     full input               (z_s, g_s) for each column s (the condition record: S = 1)
     points, full g           (x, g_0) and the block [g_1 .. g_d]
     points, adjoint          (x, v), (P, a) and (1, M, beta)
     state, full g            (s0, g_0), (O, g_o) and (s1 o G_i, g_i) for each i;
-                             shared columns: the block (s1, W0, [g_1 .. g_d])
+                             shared columns: (s1, W0^T[i], g_i)
     state, adjoint           (s0, v), (s1 o sum_i p_i G_i + l_bar O, a) and
                              (s1 o G_i, beta o (c F)_i) for each i that c keeps;
                              shared columns: (s1, W0^T[i], beta o (c F)_i)
@@ -357,8 +357,9 @@ def precondition_gradient(state: KfacState, grad, damping: float) -> np.ndarray:
 def _terms(z, g):
     """One record entry's weight rows ``sum_s z_ns g_ns^T`` (N, h, q) as terms (L, C, R).
 
-    The terms and their two forms, outer (R of shape (N, q)) and block (R
-    of shape (N, m, q)), are those of the module docstring; the first is
+    The terms and their two forms, outer (R of shape (N, q)) and the
+    points' identity block (R of shape (N, d, q)), are those of the module
+    docstring; the first is
     always the value columns' pair, whose R is the bias row's ``g_n0``.  A
     formed L is valid until the next term.
     """
@@ -380,7 +381,8 @@ def _terms(z, g):
     if not factored and g.shape[2] > 1:
         yield z.operator, None, g[:, -1, :]
         if z.shared:
-            yield z.slope, z.columns.T, g[:, 1 : d + 1, :]
+            for i in range(d):
+                yield z.slope, z.columns[i][:, None], g[:, 1 + i, :]
             return
         for i, column in enumerate(z.derivative_columns()):
             yield column, None, g[:, 1 + i, :]
@@ -416,20 +418,23 @@ def _jacobian_rows(record):
     is ``g_n0``.
     """
     shapes = _block_shapes(record)
-    rows = np.empty((record[0][1].shape[0], sum(p * q for p, q in shapes)))
+    n = record[0][1].shape[0]
+    buffer = np.empty(n * max((p - 1) * q for p, q in shapes))
+    rows = np.empty((n, sum(p * q for p, q in shapes)))
     for view, (z, g) in zip(network.layer_blocks(rows, shapes), record):
         h = z.shape[-1]
         weight = view[:, :h, :]
-        weight[...] = 0.0
-        term = np.empty(weight.shape)
+        term = buffer[: weight.size].reshape(weight.shape)
         for j, (left, c, right) in enumerate(_terms(z, g)):
             if j == 0:
+                # the value columns' pair (L, None, R) starts the weight rows
                 view[:, h, :] = right
-            if right.ndim == 3:
-                product = right if c is None else np.matmul(c, right)
+                np.multiply(left[:, :, None], right[:, None, :], out=weight)
+            elif right.ndim == 3:
+                weight += right
             else:
-                product = right[:, None, :] if c is None else c * right[:, None, :]
-            weight += product if left is None else np.multiply(left[:, :, None], product, out=term)
+                product = right[:, None, :] if c is None else np.multiply(c, right[:, None, :], out=term)
+                weight += product if left is None else np.multiply(left[:, :, None], product, out=term)
     return rows
 
 
@@ -440,10 +445,8 @@ def _projected_rows(record, basis):
     ``(J V)_nk += sum_s g_ns . (dW_k z_ns) + g_n0 . db_k``, summed over the
     entry's :func:`_terms`: an outer term with L adds the row dots of R with
     ``L (C o dW_k^T)``, one (N, h) x (h, k q) product into one array per
-    entry, and one without L ``R colsum(C o dW_k^T)``; a block term adds
-    ``<R_n, dW_k^T>`` for the identity block and, with C, one (N, m q) x
-    (m q, k h) product by K_k[a, (j, b)] = C[a, j] dW_k^T[a, b], dotted with L.
-    No row is formed.
+    entry, and one without L ``R colsum(C o dW_k^T)``; the identity block
+    adds ``<R_n, dW_k^T>``.  No row is formed.
     """
     n = record[0][1].shape[0]
     out = np.zeros((n, len(basis)))
@@ -456,12 +459,7 @@ def _projected_rows(record, basis):
             if j == 0:
                 out += right @ blocks[:, h, :].T
             if right.ndim == 3:
-                flat = right.reshape(n, right.shape[1] * q)
-                if c is None:
-                    out += flat @ dw.reshape(k, h * q).T
-                else:
-                    kk = np.einsum("aj,kab->kajb", c, dw).reshape(k * h, flat.shape[1])
-                    out += np.einsum("nka,na->nk", (flat @ kk.T).reshape(n, k, h), left)
+                out += right.reshape(n, h * q) @ dw.reshape(k, h * q).T
                 continue
             cw = w_t if c is None else c[:, None, :] * w_t
             if left is None:
@@ -500,9 +498,8 @@ def param_grad_matrix(z_in, g, weights) -> np.ndarray:
     output, one layer's entry of a record; ``zhat`` appends the bias entry
     (1 in the value column, 0 elsewhere).  ``weights`` (N,) scale the
     samples.  The weight rows are summed over the entry's :func:`_terms`: an
-    outer term adds ``C o (L^T (w o R))``, a block term ``sum_n w_n R_n``
-    for the identity block and ``sum_j C[:, j] o (w o L)^T R_j`` with C; the
-    bias row is ``w^T g_0``.  The result is the layer's (h_in + 1, h_out)
+    outer term adds ``C o (L^T (w o R))``, the identity block
+    ``sum_n w_n R_n``; the bias row is ``w^T g_0``.  The result is the layer's (h_in + 1, h_out)
     block of :func:`pinnopt.network.layer_blocks`.
     """
     h, q = z_in.shape[-1], g.shape[2]
@@ -510,12 +507,7 @@ def param_grad_matrix(z_in, g, weights) -> np.ndarray:
     weighted = np.empty((g.shape[0], q))
     for j, (left, c, right) in enumerate(_terms(z_in, g)):
         if right.ndim == 3:
-            if c is None:
-                m[:h] += np.einsum("n,nmq->mq", weights, right)
-            else:
-                n, m_cols = right.shape[:2]
-                t = ((weights[:, None] * left).T @ right.reshape(n, m_cols * q)).reshape(h, m_cols, q)
-                m[:h] += np.einsum("ajb,aj->ab", t, c)
+            m[:h] += np.einsum("n,nmq->mq", weights, right)
             continue
         wr = np.multiply(weights[:, None], right, out=weighted)
         if j == 0:

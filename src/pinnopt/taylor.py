@@ -455,18 +455,17 @@ class FactoredAdjoint:
             self.value[rows], self.slope[rows], self.curvature[rows], self.seeds[rows], columns, self.coeffs
         )
 
-    def curvature_columns(self, weights=None, out=None):
+    def curvature_columns(self, out=None):
         """The pairs ``(i, beta * (c G)_i)`` of the columns i that c does not zero out, in turn.
 
-        ``weights`` (N,) scale the samples (None: none).  c is applied one
-        column at a time (:meth:`OperatorCoeffs.contracted_columns`), and
-        each (N, h) column is written into ``out`` (a new array when None),
-        which the next overwrites.
+        c is applied one column at a time
+        (:meth:`OperatorCoeffs.contracted_columns`), and each (N, h) column
+        is written into ``out`` (a new array when None), which the next
+        overwrites.
         """
         out = np.empty(self.value.shape) if out is None else out
-        beta = self.curvature if weights is None else weights[:, None] * self.curvature
         for i, cg in self.coeffs.contracted_columns(self.columns, out=out):
-            yield i, np.multiply(beta, cg, out=out)
+            yield i, np.multiply(self.curvature, cg, out=out)
 
 
 def _linear_input_index(layer: int) -> int:
