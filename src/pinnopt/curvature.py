@@ -143,6 +143,8 @@ __all__ = [
 ]
 
 DENSE_GRAMIAN_CAP = 20_000
+# samples per pass of _jacobian_rows, so that its per-term arrays stay small next to the (N, D) rows
+ROW_BLOCK = 128
 
 
 def _symmetrize(m):
@@ -419,22 +421,23 @@ def _jacobian_rows(record):
     """
     shapes = _block_shapes(record)
     n = record[0][1].shape[0]
-    buffer = np.empty(n * max((p - 1) * q for p, q in shapes))
     rows = np.empty((n, sum(p * q for p, q in shapes)))
-    for view, (z, g) in zip(network.layer_blocks(rows, shapes), record):
-        h = z.shape[-1]
-        weight = view[:, :h, :]
-        term = buffer[: weight.size].reshape(weight.shape)
-        for j, (left, c, right) in enumerate(_terms(z, g)):
-            if j == 0:
-                # the value columns' pair (L, None, R) starts the weight rows
-                view[:, h, :] = right
-                np.multiply(left[:, :, None], right[:, None, :], out=weight)
-            elif right.ndim == 3:
-                weight += right
-            else:
-                product = right[:, None, :] if c is None else np.multiply(c, right[:, None, :], out=term)
-                weight += product if left is None else np.multiply(left[:, :, None], product, out=term)
+    for start in range(0, n, ROW_BLOCK):
+        part = slice(start, start + ROW_BLOCK)
+        for view, (z, g) in zip(network.layer_blocks(rows[part], shapes), _rows(record, part)):
+            h = z.shape[-1]
+            weight = view[:, :h, :]
+            term = np.empty(weight.shape)
+            for j, (left, c, right) in enumerate(_terms(z, g)):
+                if j == 0:
+                    # the value columns' pair (L, None, R) starts the weight rows
+                    view[:, h, :] = right
+                    np.multiply(left[:, :, None], right[:, None, :], out=weight)
+                elif right.ndim == 3:
+                    weight += right
+                else:
+                    product = right[:, None, :] if c is None else np.multiply(c, right[:, None, :], out=term)
+                    weight += product if left is None else np.multiply(left[:, :, None], product, out=term)
     return rows
 
 

@@ -559,7 +559,8 @@ def _assert_close(got, want):
 class TestOneHiddenClosedForm:
     """A one-hidden-layer net's record holds layer 1's input and layer 0's output
     gradient in factored form; every quantity read from it against the same
-    quantity from the materialised record (:func:`materialised_record`)."""
+    quantity from the materialised record (:func:`materialised_record`),
+    engd's rows also formed three samples per pass."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -592,7 +593,11 @@ class TestOneHiddenClosedForm:
             basis = [rng.standard_normal(p.n_params) for _ in range(k)]
             got = curvature._interior_jacobian_rows(ev.interior, basis, Workspace())
             _assert_close(got, curvature._interior_jacobian_rows(ref, basis, Workspace()))
-        _assert_close(curvature._interior_jacobian_rows(ev.interior), curvature._interior_jacobian_rows(ref))
+        want = curvature._interior_jacobian_rows(ref)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curvature, "ROW_BLOCK", 3)
+            _assert_close(curvature._interior_jacobian_rows(ev.interior), want)
+        _assert_close(curvature._interior_jacobian_rows(ev.interior), want)
 
 
 COEFFICIENT_KINDS = ("identity", "zero_one", "diagonal", "full")
@@ -616,8 +621,9 @@ class TestDeepFactoredRecord:
     and its last hidden adjoint factored over the last pre-activation's columns.
     From four hidden layers on, a per-sample state meets a full adjoint.  Every
     quantity read from its record (the A and B sums, every gradient block, J V
-    for one and two directions and engd's rows) against the same quantity from
-    the materialised record (:func:`materialised_record`)."""
+    for one and two directions and engd's rows, also formed three samples per
+    pass) against the same quantity from the materialised record
+    (:func:`materialised_record`)."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -656,7 +662,11 @@ class TestDeepFactoredRecord:
             basis = [rng.standard_normal(p.n_params) for _ in range(k)]
             got = curvature._interior_jacobian_rows(record, basis, Workspace())
             _assert_close(got, curvature._interior_jacobian_rows(ref, basis, Workspace()))
-        _assert_close(curvature._interior_jacobian_rows(record), curvature._interior_jacobian_rows(ref))
+        want = curvature._interior_jacobian_rows(ref)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curvature, "ROW_BLOCK", 3)
+            _assert_close(curvature._interior_jacobian_rows(record), want)
+        _assert_close(curvature._interior_jacobian_rows(record), want)
 
 
 class TestFactoredLastAdjoint:
