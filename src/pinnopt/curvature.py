@@ -417,7 +417,7 @@ def _jacobian_rows(record):
     Per layer the row segment is the block ``sum_s zhat_ns g_ns^T``, written
     in place through its per-sample views (:func:`pinnopt.network.layer_blocks`):
     the weight rows are the sum of the entry's :func:`_terms`, the bias row
-    is ``g_n0``.
+    is ``g_n0``.  The rows are formed ``ROW_BLOCK`` samples at a time.
     """
     shapes = _block_shapes(record)
     n = record[0][1].shape[0]
